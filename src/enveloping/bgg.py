@@ -11,10 +11,9 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .exactlin import FiniteComplex, Vector, koszul_sign, sym_word
+from .exactlin import FiniteComplex, Vector, sym_word
 from .linfty import CheckResult, LInftyModule
 from .words import BarWord
 
@@ -81,43 +80,21 @@ def generalized_cochain_check(structure, weight_cap=None):
                     ((w, cc),) = t.items()
                     inputs.append(w)
                     coeff *= cc
-                rhs = rhs + structure.product(tuple(inputs)).scaled(coeff)
+                rhs.accumulate(structure.product(tuple(inputs)), coeff)
         if lhs != rhs:
             return CheckResult(False, word, "twisted cochain equation fails")
     return CheckResult(True)
 
 
 def _coaction_splits(C, word, parts):
-    """Ordered splits (c_0, c_1 .. c_{parts-1}): first may be empty (None)."""
+    """Ordered splits (c_0, c_1 .. c_{parts-1}) of a word, for parts >= 2.
+
+    c_0 may be empty (None); the other factors are nonempty.
+    """
     out = Vector()
-    if parts == 1:
-        out.add_term((word,), 1)
-        return out
-    tail = C.iterated_reduced_coproduct(word, parts - 1)
-    for split, c in tail.items():
+    for split, c in C.iterated_reduced_coproduct(word, parts - 1).items():
         out.add_term((None,) + split, c)
-    # splits where the first factor keeps part of the word
-    letters = word.letters
-    degs = [g.degree for g in letters]
-    n = len(letters)
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            inside = set(subset)
-            perm = list(subset) + [i for i in range(n) if i not in inside]
-            sign = koszul_sign(tuple(perm), degs)
-            s0, w0 = sym_word([letters[i] for i in subset])
-            sR, wR = sym_word([letters[i] for i in range(n) if i not in inside])
-            if w0 is None or wR is None:
-                continue
-            for split, c in _iterated_nonempty(C, wR, parts - 1).items():
-                out.add_term((w0,) + split, sign * s0 * sR * c)
-    return out
-
-
-def _iterated_nonempty(C, word, parts):
-    if parts == 1:
-        return Vector.unit((word,))
-    return C.iterated_reduced_coproduct(word, parts)
+    return out.accumulate(C.iterated_reduced_coproduct(word, parts))
 
 
 class TwistedComplex:
@@ -244,7 +221,7 @@ def _m2_vec(structure, left, right):
     out = Vector()
     for u, cu in left.items():
         for v, cv in right.items():
-            out = out + structure.m2(u, v).scaled(cu * cv)
+            out.accumulate(structure.m2(u, v), cu * cv)
     return out
 
 

@@ -8,13 +8,16 @@ parsed, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import time
 from importlib import resources
 
 from . import bgg, linfty, permutahedra, tableaux, uea
 from .exactlin import Generator, Vector
+from .linfty import CheckResult
 
 TEXT = "text"
 JSON = "json"
@@ -213,18 +216,16 @@ def cmd_check(args):
             report.run("truncation", lambda: uea.truncation_agreement_check(
                 algebra if algebra is not None else _need(suite), args.weight_cap))
         elif suite == "morphism":
-            for name, result in _morphism_suite(args):
-                report.add(name, result, 0.0)
+            _morphism_checks(report)
         elif suite == "theorem1":
-            for name, result in _theorem1_suite(args):
-                report.add(name, result, 0.0)
+            report.run("theorem1: contraction and involution identities",
+                       lambda: _theorem1_check(args.n_cap))
         elif suite == "permutahedron":
             _permutahedron_checks(report, args.n_cap)
         elif suite == "tableaux":
             _tableaux_checks(report, min(args.n_cap, 4))
         elif suite == "bgg":
-            for name, result in _bgg_suite(args, need_structure()):
-                report.add(name, result, 0.0)
+            _bgg_checks(report, args, need_structure())
     return report, None
 
 
@@ -232,7 +233,7 @@ def _need(suite):
     raise ParseFailure("suite %r needs --input" % suite)
 
 
-def _morphism_suite(args):
+def _morphism_checks(report):
     H = linfty.heisenberg()
     A2 = linfty.abelian([0, 0])
     x, y, z = (H.by_id[k] for k in ("x", "y", "z"))
@@ -242,32 +243,32 @@ def _morphism_suite(args):
     Lb = linfty.LInftyAlgebra([Generator("b", 1)], {}, name="B")
     a, b = La.by_id["a"], Lb.by_id["b"]
     bent = linfty.LInftyMorphism(La, Lb, {1: {(a,): {b: 1}}, 2: {(a, a): {b: 1}}})
-    out = []
-    out.append(("morphism: strict map valid", linfty.check_morphism(strict, 3)))
+    report.run("morphism: strict map valid", lambda: linfty.check_morphism(strict, 3))
     data = uea.u_morphism(strict, 3, 3)
-    out.append(("morphism: first component", uea.check_first_component(data)))
-    out.append(("morphism: strict vanishing", uea.check_strict_vanishing(data)))
-    out.append(("morphism: non-strict valid", linfty.check_morphism(bent, 3)))
+    report.run("morphism: first component", lambda: uea.check_first_component(data))
+    report.run("morphism: strict vanishing", lambda: uea.check_strict_vanishing(data))
+    report.run("morphism: non-strict valid", lambda: linfty.check_morphism(bent, 3))
     data2 = uea.u_morphism(bent, 3, 3)
-    out.append(("morphism: non-strict chain map", uea.check_morphism_chain_map(data2)))
-    res, _ = uea.composition_homotopy_check(bent, linfty.identity_morphism(Lb), 2, 3)
-    out.append(("morphism: strict factor homotopy vanishes", res))
-    return out
+    report.run("morphism: non-strict chain map",
+               lambda: uea.check_morphism_chain_map(data2))
+    report.run("morphism: strict factor homotopy vanishes",
+               lambda: uea.composition_homotopy_check(
+                   bent, linfty.identity_morphism(Lb), 2, 3)[0])
 
 
-def _theorem1_suite(args):
+def _theorem1_check(n_cap):
     from .hpt import cobar_differential
-    from .linfty import CECoalgebra, CheckResult, dg_vector_space
+    from .linfty import CECoalgebra, dg_vector_space
     from .permutahedra import cobar_f, cobar_g, cobar_h, iota_omega
     from .words import cobar_words
 
     V = dg_vector_space([("v", 0, {"w": 1}), ("w", 1, {})])
-    C1 = CECoalgebra(V, args.n_cap + 1, max_arity=1)
+    C1 = CECoalgebra(V, n_cap + 1, max_arity=1)
     dOm = cobar_differential(C1)
     sgens = C1.sgens
     ok = True
     where = None
-    for r in range(1, min(args.n_cap, 4) + 1):
+    for r in range(1, min(n_cap, 4) + 1):
         for xw in cobar_words(sgens, r):
             v = Vector.unit(xw)
             gf = v.apply(cobar_f).apply(cobar_g)
@@ -280,25 +281,30 @@ def _theorem1_suite(args):
             if v.apply(iota_omega).apply(cobar_h) != v.apply(cobar_h).apply(iota_omega):
                 ok, where = False, xw
                 break
-    return [("theorem1: contraction and involution identities",
-             CheckResult(ok, where))]
+    return CheckResult(ok, where)
 
 
 def _permutahedron_checks(report, n_cap):
-    from .linfty import CheckResult
-
+    """Run the checks for n <= n_cap; returns the face counts and homology."""
+    payload = {"face_counts": {}, "homology": {}}
     for n in range(1, n_cap + 1):
         faces = permutahedra.all_faces(n)
         counts = {}
         for f in faces:
             counts[f.d] = counts.get(f.d, 0) + 1
-        expected = {d: _stirling(n, d) * _fact(d) for d in range(1, n + 1)}
+        payload["face_counts"][str(n)] = {str(d): counts[d] for d in sorted(counts)}
+        expected = {d: _stirling(n, d) * math.factorial(d) for d in range(1, n + 1)}
         report.run("faces[n=%d]" % n,
                    lambda c=counts, e=expected: CheckResult(c == e, (c, e)))
         report.run("boundary_squares[n=%d]" % n, lambda fs=faces: CheckResult(
             all(not permutahedra.boundary(f).apply(permutahedra.boundary) for f in fs)))
-        report.run("homology[n=%d]" % n, lambda n=n: CheckResult(
-            permutahedra.chain_complex(n).homology_dims() == {0: 1}))
+
+        def homology(n=n):
+            dims = permutahedra.chain_complex(n).homology_dims()
+            payload["homology"][str(n)] = {str(p): v for p, v in sorted(dims.items())}
+            return CheckResult(dims == {0: 1})
+
+        report.run("homology[n=%d]" % n, homology)
         con = permutahedra.build_contraction(n)
         def identities(fs=faces, con=con):
             for f in fs:
@@ -310,13 +316,7 @@ def _permutahedron_checks(report, n_cap):
                     return CheckResult(False, f)
             return CheckResult(True)
         report.run("contraction[n=%d]" % n, identities)
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return payload
 
 
 def _stirling(n, d):
@@ -329,35 +329,16 @@ def _stirling(n, d):
 
 
 def _tableaux_checks(report, n_cap, dims=(2, 0)):
-    from .linfty import CheckResult
-
     even, odd = dims
     for n in range(1, n_cap + 1):
         def bijection(n=n):
-            for shape in tableaux.partitions(n):
-                for T in tableaux.standard_tableaux(shape):
-                    JT = tableaux.descents(T)
-                    import itertools as it
-
-                    merged = set()
-                    for size in range(len(JT) + 1):
-                        for combo in it.combinations(sorted(JT), size):
-                            merged.add(tableaux.column_tableau(T, frozenset(combo)))
-                    direct = set()
-                    for values in range(1, n + 1):
-                        direct.update(tableaux.column_semistandard_fillings(shape, values))
-                    own = {m for m in merged}
-                    if not own <= direct:
-                        return CheckResult(False, T)
-            # global bijection: every column-semistandard filling arises once
+            # every column-semistandard filling arises exactly once
             for shape in tableaux.partitions(n):
                 total = {}
                 for T in tableaux.standard_tableaux(shape):
                     JT = tableaux.descents(T)
-                    import itertools as it
-
                     for size in range(len(JT) + 1):
-                        for combo in it.combinations(sorted(JT), size):
+                        for combo in itertools.combinations(sorted(JT), size):
                             key = tableaux.column_tableau(T, frozenset(combo))
                             total[key] = total.get(key, 0) + 1
                 direct = []
@@ -373,36 +354,21 @@ def _tableaux_checks(report, n_cap, dims=(2, 0)):
     return report
 
 
-def _bgg_suite(args, structure):
-    out = []
-    out.append(("bgg: twisted cochain equation",
-                bgg.generalized_cochain_check(structure)))
-    res, dims = bgg.twisted_tensor_acyclicity(
-        structure, min(args.weight_cap, 3))
-    out.append(("bgg: twisted tensor homology is one point", res))
+def _bgg_checks(report, args, structure):
+    wcap = min(args.weight_cap, 3)
+    report.run("bgg: twisted cochain equation",
+               lambda: bgg.generalized_cochain_check(structure))
+    report.run("bgg: twisted tensor homology is one point",
+               lambda: bgg.twisted_tensor_acyclicity(structure, wcap)[0])
     M = linfty.adjoint_module(structure.algebra)
-    check = linfty.check_module(M, min(args.weight_cap, 3))
-    out.append(("bgg: adjoint module valid", check))
-    if check:
-        out.append(("bgg: round trip", bgg.roundtrip_fg_check(
-            M, structure, min(args.arity_cap, 3), min(args.weight_cap, 3))))
-    return out
+    if report.run("bgg: adjoint module valid", lambda: linfty.check_module(M, wcap)):
+        report.run("bgg: round trip", lambda: bgg.roundtrip_fg_check(
+            M, structure, min(args.arity_cap, 3), wcap))
 
 
 def cmd_permutahedron(args):
     report = Report("permutahedron", _config(args))
-    _permutahedron_checks(report, args.n_cap)
-    payload = {"face_counts": {}}
-    for n in range(1, args.n_cap + 1):
-        counts = {}
-        for f in permutahedra.all_faces(n):
-            counts[f.d] = counts.get(f.d, 0) + 1
-        payload["face_counts"][str(n)] = {str(d): counts[d] for d in sorted(counts)}
-        payload.setdefault("homology", {})[str(n)] = {
-            str(p): v
-            for p, v in sorted(permutahedra.chain_complex(n).homology_dims().items())
-        }
-    return report, payload
+    return report, _permutahedron_checks(report, args.n_cap)
 
 
 def cmd_tableaux(args):

@@ -8,6 +8,7 @@ operation is exact, there is no floating point anywhere in the package.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,6 +65,22 @@ def perm_parity(perm):
             if perm[k] > perm[l]:
                 sign = -sign
     return sign
+
+
+def unshuffles(degrees, sizes):
+    """Unshuffles of graded letters: (inside, outside, Koszul sign).
+
+    For each subset size in ``sizes``, runs over the position subsets of
+    that size in lexicographic order; ``inside`` and ``outside`` are the
+    increasing position tuples, and the sign is that of moving the inside
+    letters in front of the outside ones.
+    """
+    n = len(degrees)
+    for size in sizes:
+        for inside in itertools.combinations(range(n), size):
+            chosen = set(inside)
+            outside = tuple(i for i in range(n) if i not in chosen)
+            yield inside, outside, koszul_sign(inside + outside, degrees)
 
 
 def merge_sign(letters):
@@ -194,17 +211,25 @@ class Vector:
         else:
             self.terms.pop(word, None)
 
+    def accumulate(self, other, coeff=1):
+        """self += coeff * other, in place; only for a vector being assembled."""
+        terms = self.terms
+        items = other.terms.items()
+        if coeff != 1:
+            items = [(w, coeff * c) for w, c in items]
+        for w, c in items:
+            c = terms.get(w, ZERO) + c
+            if c:
+                terms[w] = c
+            else:
+                terms.pop(w, None)
+        return self
+
     def __add__(self, other):
-        out = Vector(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
+        return Vector(self.terms).accumulate(other)
 
     def __sub__(self, other):
-        out = Vector(self.terms)
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
+        return Vector(self.terms).accumulate(-other)
 
     def __neg__(self):
         return Vector({w: -c for w, c in self.terms.items()})
@@ -227,15 +252,11 @@ class Vector:
         for w, c in self.terms.items():
             image = op(w)
             if image:
-                for w2, c2 in image.terms.items():
-                    out.add_term(w2, c * c2)
+                out.accumulate(image, c)
         return out
 
     def coeff(self, word):
         return self.terms.get(word, ZERO)
-
-    def support(self):
-        return set(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -251,18 +272,13 @@ def _generic_key(word):
     return sk() if sk else repr(word)
 
 
-def apply_op(op, vec):
-    return vec.apply(op)
-
-
 def add_ops(*ops):
     def combined(word):
         out = Vector()
         for op in ops:
             v = op(word)
             if v:
-                for w, c in v.terms.items():
-                    out.add_term(w, c)
+                out.accumulate(v)
         return out
 
     return combined
@@ -287,15 +303,6 @@ class GradedLinearMap:
     def __init__(self, degree, columns=None):
         self.degree = degree
         self.columns = dict(columns) if columns else {}
-
-    @classmethod
-    def from_function(cls, degree, basis, fn):
-        cols = {}
-        for w in basis:
-            v = fn(w)
-            if v:
-                cols[w] = v
-        return cls(degree, cols)
 
     def __call__(self, word):
         return self.columns.get(word, Vector())
@@ -324,13 +331,6 @@ class GradedLinearMap:
             else:
                 out.columns.pop(w, None)
         return out
-
-    def check_degrees(self):
-        for w, v in self.columns.items():
-            for w2 in v.terms:
-                if w2.degree != w.degree + self.degree:
-                    raise ValueError("column %r violates map degree" % (w,))
-        return True
 
 
 class Echelon:
@@ -484,17 +484,10 @@ def symmetrize(word):
     n = len(word.letters)
     degs = [g.degree for g in word.letters]
     out = Vector()
-    frac = Fraction(1, _factorial(n))
+    frac = Fraction(1, math.factorial(n))
     for perm in itertools.permutations(range(n)):
         sign = koszul_sign(perm, degs)
         out.add_term(tensor_word(word.letters[i] for i in perm), sign * frac)
-    return out
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

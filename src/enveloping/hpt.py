@@ -9,7 +9,7 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import Vector, add_ops, memo_op, sym_word
+from .exactlin import Vector, add_ops, memo_op, sym_word, unshuffles
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from .words import BarWord, CobarWord, bar_letter_degree, concat, vector_product
@@ -95,17 +95,21 @@ def cobar_build(coalgebra, rank_cap):
     return omega
 
 
-def lift_contraction(f_letter, g_letter, h_letter, d_big_letter, d_small_letter):
+def lift_contraction(
+    f_letter, g_letter, h_letter, d_big_letter, d_small_letter, gf_letter=None
+):
     """Contraction on the tensor coalgebras from single-letter data.
 
     The projection and inclusion act letterwise; the homotopy keeps the
-    round trip on a prefix and acts in one slot.
+    round trip ``gf_letter`` (by default g after f) on a prefix and acts in
+    one slot.
     """
-    gf = lambda x: f_letter(x).apply(g_letter)
+    if gf_letter is None:
+        gf_letter = lambda x: f_letter(x).apply(g_letter)
     return Contraction(
         bar_morphism(f_letter),
         bar_morphism(g_letter),
-        lifted_homotopy(gf, h_letter),
+        lifted_homotopy(gf_letter, h_letter),
         bar_coderivation(d_big_letter),
         bar_coderivation(d_small_letter),
     )
@@ -194,8 +198,7 @@ def lifted_homotopy(letter_gf, letter_h):
             factors = [letter_gf(y) for y in b.letters[:t]]
             factors.append(letter_h(x))
             factors.extend(Vector.unit(y) for y in b.letters[t + 1 :])
-            piece = vector_product(factors, lambda ws: (1, BarWord(ws)))
-            out = out + piece.scaled(sign)
+            out.accumulate(vector_product(factors, lambda ws: (1, BarWord(ws))), sign)
             left += bar_letter_degree(x)
         return out
 
@@ -253,7 +256,7 @@ def perturbation_series(t, H, budget):
 
     def X(word):
         acc = t(word)
-        total = acc
+        total = acc.copy()
         steps = budget(word)
         while acc:
             if steps < 0:
@@ -261,7 +264,7 @@ def perturbation_series(t, H, budget):
                     "perturbation series failed to terminate at %r" % (word,)
                 )
             acc = acc.apply(H).apply(t).scaled(-1)
-            total = total + acc
+            total.accumulate(acc)
             steps -= 1
         return total
 
@@ -307,27 +310,17 @@ def bpl(con, t, budget=default_budget):
 
 def shuffle_coproduct(x):
     """Shuffle coproduct on cobar words; Vector over ordered pairs."""
-    import itertools as _it
-
     letters = x.letters
-    degs = [w.degree + 1 for w in letters]
-    n = len(letters)
     out = Vector()
-    for size in range(n + 1):
-        for subset in _it.combinations(range(n), size):
-            inside = set(subset)
-            perm = list(subset) + [i for i in range(n) if i not in inside]
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j] and degs[perm[i]] % 2 and degs[perm[j]] % 2:
-                        sign = -sign
-            left = tuple(letters[i] for i in subset)
-            right = tuple(letters[i] for i in range(n) if i not in inside)
-            out.add_term(
-                (CobarWord(left) if left else None, CobarWord(right) if right else None),
-                sign,
-            )
+    for inside, outside, sign in unshuffles(
+        [w.degree + 1 for w in letters], range(len(letters) + 1)
+    ):
+        left = tuple(letters[i] for i in inside)
+        right = tuple(letters[i] for i in outside)
+        out.add_term(
+            (CobarWord(left) if left else None, CobarWord(right) if right else None),
+            sign,
+        )
     return out
 
 
@@ -343,20 +336,17 @@ class Transfer:
         self.algebra = algebra
         self.weight_cap = weight_cap
         self.C1 = CECoalgebra(algebra, weight_cap, max_arity=1)
-        self.C2 = CECoalgebra(algebra, weight_cap, min_arity=2)
         self.Cfull = CECoalgebra(algebra, weight_cap)
-        d_A0 = memo_op(cobar_differential(self.C1))
-        t_omega = memo_op(cobar_differential(self.C2, include_coproduct=False))
         h_letter = (lambda x: cobar_h(x, faulty=True)) if top_cell_fault else cobar_h
-        self.t_mu = t_mu
-        self.t_L = bar_coderivation(t_omega)
+        self.t_mu, self.t_L = perturbations(algebra, weight_cap)
         self.t = add_ops(self.t_mu, self.t_L)
-        self.con0 = Contraction(
-            bar_morphism(cobar_f),
-            bar_morphism(cobar_g),
-            lifted_homotopy(cobar_gf, memo_op(h_letter)),
-            bar_coderivation(d_A0),
-            bar_coderivation(memo_op(algebra_differential(algebra))),
+        self.con0 = lift_contraction(
+            cobar_f,
+            cobar_g,
+            memo_op(h_letter),
+            memo_op(cobar_differential(self.C1)),
+            memo_op(algebra_differential(algebra)),
+            cobar_gf,
         )
         self.con = bpl(self.con0, self.t)
         self.d_omega_full = memo_op(cobar_differential(self.Cfull))

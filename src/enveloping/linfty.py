@@ -9,7 +9,7 @@ for everything: an input is accepted exactly when it squares to zero.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from fractions import Fraction
 
 from .exactlin import (
@@ -18,10 +18,12 @@ from .exactlin import (
     format_scalar,
     koszul_sign,
     parse_scalar,
+    perm_parity,
     s_power_sign,
     sym_word,
+    unshuffles,
 )
-from .words import sym_words
+from .words import sym_words, vector_product
 
 
 class LInftyAlgebra:
@@ -80,7 +82,7 @@ class LInftyAlgebra:
             return Vector()
         degs = [g.degree for g in gens]
         order = sorted(range(k), key=lambda i: gens[i])
-        sign = koszul_sign(tuple(order), degs) * _perm_parity_of(order)
+        sign = koszul_sign(tuple(order), degs) * perm_parity(order)
         key = tuple(gens[i] for i in order)
         vec = table.get(key)
         if not vec:
@@ -90,33 +92,12 @@ class LInftyAlgebra:
     def is_dg_lie(self):
         return all(k <= 2 for k in self.brackets)
 
-    def is_abelian(self):
-        return all(k <= 1 for k in self.brackets)
-
     def truncate_to_dg_lie(self):
         kept = {k: t for k, t in self.brackets.items() if k <= 2}
         return LInftyAlgebra(self.generators, _raw_tables(kept), self.name + "_trunc")
 
-    def drop_differential(self):
-        kept = {k: t for k, t in self.brackets.items() if k != 1}
-        return LInftyAlgebra(self.generators, _raw_tables(kept), self.name + "_nod")
-
-    def l1_only(self):
-        kept = {k: t for k, t in self.brackets.items() if k == 1}
-        return LInftyAlgebra(self.generators, _raw_tables(kept), self.name + "_ab")
-
     def __repr__(self):
         return "LInftyAlgebra(%s, dim %d)" % (self.name or "?", len(self.generators))
-
-
-def _perm_parity_of(order):
-    sign = 1
-    n = len(order)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
 
 
 def _raw_tables(brackets):
@@ -177,42 +158,36 @@ class CECoalgebra:
         if cached is not None:
             return cached
         letters = word.letters
-        degs = [g.degree for g in letters]
         n = len(letters)
         out = Vector()
         max_k = n if self.max_arity is None else min(n, self.max_arity)
-        for k in range(self.min_arity, max_k + 1):
-            for subset in itertools.combinations(range(n), k):
-                perm = list(subset) + [i for i in range(n) if i not in subset]
-                sign = koszul_sign(tuple(perm), degs)
-                value = self.c_value(tuple(letters[i] for i in subset))
-                if not value:
+        for inside, outside, sign in unshuffles(
+            [g.degree for g in letters], range(self.min_arity, max_k + 1)
+        ):
+            value = self.c_value(tuple(letters[i] for i in inside))
+            if not value:
+                continue
+            rest = [letters[i] for i in outside]
+            for gen, coeff in value.items():
+                s2, w2 = sym_word([gen] + rest)
+                if w2 is None:
                     continue
-                rest = [letters[i] for i in range(n) if i not in subset]
-                rest_degs = [g.degree for g in rest]
-                for gen, coeff in value.items():
-                    s2, w2 = sym_word([gen] + rest)
-                    if w2 is None:
-                        continue
-                    out.add_term(w2, sign * coeff * s2)
+                out.add_term(w2, sign * coeff * s2)
         self._delta_cache[word] = out
         return out
 
     def reduced_coproduct(self, word):
         """Position-split reduced coproduct; Vector over ordered pairs."""
         letters = word.letters
-        degs = [g.degree for g in letters]
-        n = len(letters)
         out = Vector()
-        for size in range(1, n):
-            for subset in itertools.combinations(range(n), size):
-                perm = list(subset) + [i for i in range(n) if i not in subset]
-                sign = koszul_sign(tuple(perm), degs)
-                sA, wA = sym_word([letters[i] for i in subset])
-                sB, wB = sym_word([letters[i] for i in range(n) if i not in subset])
-                if wA is None or wB is None:
-                    continue
-                out.add_term((wA, wB), sign * sA * sB)
+        for inside, outside, sign in unshuffles(
+            [g.degree for g in letters], range(1, len(letters))
+        ):
+            sA, wA = sym_word([letters[i] for i in inside])
+            sB, wB = sym_word([letters[i] for i in outside])
+            if wA is None or wB is None:
+                continue
+            out.add_term((wA, wB), sign * sA * sB)
         return out
 
     def iterated_reduced_coproduct(self, word, parts):
@@ -302,7 +277,7 @@ class LInftyMorphism:
             return Vector()
         degs = [g.degree for g in gens]
         order = sorted(range(k), key=lambda i: gens[i])
-        sign = koszul_sign(tuple(order), degs) * _perm_parity_of(order)
+        sign = koszul_sign(tuple(order), degs) * perm_parity(order)
         vec = table.get(tuple(gens[i] for i in order))
         if not vec:
             return Vector()
@@ -337,21 +312,7 @@ class LInftyMorphism:
             sign = koszul_sign(tuple(arrangement), degs)
             factors = [self.suspended_component(tuple(letters[i] for i in block))
                        for block in partition]
-            if any(not f for f in factors):
-                continue
-            # assemble the product of single-letter images
-            stack = [((), Fraction(sign))]
-            for f in factors:
-                nxt = []
-                for gens, coeff in stack:
-                    for gen, c2 in f.items():
-                        nxt.append((gens + (gen,), coeff * c2))
-                stack = nxt
-            for gens, coeff in stack:
-                s2, w2 = sym_word(gens)
-                if w2 is None:
-                    continue
-                out.add_term(w2, coeff * s2)
+            out.accumulate(vector_product(factors, sym_word), sign)
         return out
 
 
@@ -602,9 +563,7 @@ def from_complete_intersection(variables, polynomials, divided_powers=False):
             mult = Fraction(1)
             if not divided_powers:
                 for _, grp in itertools.groupby(key):
-                    m = len(list(grp))
-                    for j in range(2, m + 1):
-                        mult *= j
+                    mult *= math.factorial(len(list(grp)))
             table = brackets.setdefault(k, {})
             entry = table.setdefault(key, {})
             entry[z] = entry.get(z, Fraction(0)) + coeff * mult
@@ -695,13 +654,3 @@ def module_from_json(algebra, data):
         table[m] = table.get(m, Vector()) + value.scaled(sign)
     return LInftyModule(algebra, list(gens.values()), d_m, action,
                         name=data.get("name", ""))
-
-
-def load_algebra(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    algebra = algebra_from_json(data)
-    module = None
-    if "module" in data:
-        module = module_from_json(algebra, data["module"])
-    return algebra, module

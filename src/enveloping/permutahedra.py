@@ -10,6 +10,7 @@ of the cobar construction of a symmetric coalgebra.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,10 +20,10 @@ from .exactlin import (
     Vector,
     koszul_sign,
     perm_parity,
-    s_power_sign,
     sym_word,
+    unshuffles,
 )
-from .words import CobarWord
+from .words import CobarWord, desuspend_blocks, vector_product
 
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
@@ -108,32 +109,23 @@ def all_faces(n):
     return faces
 
 
-def _unshuffle_parity(block, subset):
-    """Sign of the permutation taking the increasing block to [M | block\\M]."""
-    m = [x for x in block if x in subset]
-    rest = [x for x in block if x not in subset]
-    arranged = m + rest
-    pos = {x: i for i, x in enumerate(block)}
-    return perm_parity([pos[x] for x in arranged])
-
-
 def boundary(face):
-    """Cellular boundary: split one block into an ordered pair of subsets."""
+    """Cellular boundary: split one block into an ordered pair of subsets.
+
+    The sign of a split is that of the unshuffle of the block, every element
+    counting as odd.
+    """
     out = Vector()
     prefix = 0
     for k, block in enumerate(face.blocks):
         mk = len(block)
-        if mk > 1:
-            for size in range(1, mk):
-                for subset in itertools.combinations(block, size):
-                    sset = set(subset)
-                    rest = tuple(x for x in block if x not in sset)
-                    sign = -1 if (prefix + k + size) % 2 else 1
-                    sign *= _unshuffle_parity(block, sset)
-                    new_blocks = (
-                        face.blocks[:k] + (subset, rest) + face.blocks[k + 1 :]
-                    )
-                    out.add_term(OrderedPartition(face.n, new_blocks), sign)
+        for inside, outside, sign in unshuffles([1] * mk, range(1, mk)):
+            if (prefix + k + len(inside)) % 2:
+                sign = -sign
+            subset = tuple(block[i] for i in inside)
+            rest = tuple(block[i] for i in outside)
+            new_blocks = face.blocks[:k] + (subset, rest) + face.blocks[k + 1 :]
+            out.add_term(OrderedPartition(face.n, new_blocks), sign)
         prefix += mk
     return out
 
@@ -200,9 +192,7 @@ class PermutahedronContraction:
         self.n = n
         self.vertices = enumerate_faces(n, n)
         self.top_cell = enumerate_faces(n, 1)[0]
-        self._nfact = 1
-        for k in range(2, n + 1):
-            self._nfact *= k
+        self._nfact = math.factorial(n)
         self.columns = _build_homotopy(n)
         if top_cell_fault:
             self.columns = dict(self.columns)
@@ -242,20 +232,11 @@ def _group_elements(n):
     return list(itertools.permutations(range(1, n + 1)))
 
 
-def _invert(sigma):
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def _build_homotopy(n):
     """Solve dH + Hd = 1 - GF degreewise, average, enforce side conditions."""
     faces_by_deg = {-(n - d): enumerate_faces(n, d) for d in range(1, n + 1)}
     degrees = sorted(faces_by_deg)
-    nfact = 1
-    for k in range(2, n + 1):
-        nfact *= k
+    nfact = math.factorial(n)
 
     def proj(vec):  # 1 - GF
         out = vec.copy()
@@ -429,27 +410,10 @@ def theta(gens, face):
     degs = [g.degree for g in gens]
     arrangement = [x - 1 for b in face.blocks for x in b]
     sign = koszul_sign(arrangement, degs)
-    total_deg = sum(degs)
-    if (n - face.d) % 2 and total_deg % 2:
+    if (n - face.d) % 2 and sum(degs) % 2:
         sign = -sign
-    # apply the per-block suspension operators, right block first
-    letters = []
-    seen_deg = 0
-    for b in face.blocks:
-        block_gens = [gens[x - 1] for x in b]
-        bdegs = [g.degree for g in block_gens]
-        # operator degree is 1 - len(b); it moves past everything before it
-        op_deg = 1 - len(b)
-        if op_deg % 2 and seen_deg % 2:
-            sign = -sign
-        sign *= s_power_sign(bdegs)
-        s2, w = sym_word([g.shifted(-1) for g in block_gens])
-        if w is None:
-            return Vector()
-        sign *= s2
-        letters.append(w)
-        seen_deg += sum(bdegs)
-    return Vector.unit(CobarWord(letters), sign)
+    s2, word = desuspend_blocks([gens[x - 1] for x in b] for b in face.blocks)
+    return Vector.unit(word, sign * s2)
 
 
 def standard_face(n, sizes):
@@ -480,9 +444,7 @@ def cobar_g(word):
     gens = word.letters
     n = len(gens)
     degs = [g.degree for g in gens]
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    fact = math.factorial(n)
     out = Vector()
     for perm in itertools.permutations(range(n)):
         sign = koszul_sign(perm, degs)
@@ -547,34 +509,15 @@ def induced_algebra_map(phi):
     ``phi``: maps an unsuspended generator to a Vector over target generators.
     """
 
+    def on_letter(letter):
+        return vector_product(
+            [phi(g.shifted(1)) for g in letter.letters],
+            lambda gens: sym_word([g.shifted(-1) for g in gens]),
+        )
+
     def on_cobar(x):
-        out = Vector.unit(x, 1)
-
-        def map_word(pos):
-            nonlocal out
-            new = Vector()
-            for w, c in out.items():
-                letter = w.letters[pos]
-                # expand the letter multilinearly through phi
-                expansions = [Vector.unit(g, 1).apply(phi) for g in
-                              (g.shifted(1) for g in letter.letters)]
-                stack = [((), Fraction(1))]
-                for exp in expansions:
-                    nxt = []
-                    for gens, coeff in stack:
-                        for g2, c2 in exp.items():
-                            nxt.append((gens + (g2,), coeff * c2))
-                    stack = nxt
-                for gens, coeff in stack:
-                    s2, w2 = sym_word([g.shifted(-1) for g in gens])
-                    if w2 is None:
-                        continue
-                    letters = w.letters[:pos] + (w2,) + w.letters[pos + 1 :]
-                    new.add_term(CobarWord(letters), c * coeff * s2)
-            out = new
-
-        for pos in range(x.length):
-            map_word(pos)
-        return out
+        return vector_product(
+            [on_letter(letter) for letter in x.letters], lambda ws: (1, CobarWord(ws))
+        )
 
     return on_cobar

@@ -10,6 +10,7 @@ column-weak and row-strict.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .exactlin import (
@@ -19,12 +20,10 @@ from .exactlin import (
     Vector,
     koszul_sign,
     perm_parity,
-    s_power_sign,
-    sym_word,
     tensor_word,
 )
 from .linfty import CheckResult
-from .words import CobarWord, cobar_words
+from .words import cobar_words, desuspend_blocks
 
 
 def partitions(n):
@@ -113,10 +112,7 @@ def standard_tableaux(shape):
 def hook_length_count(shape):
     """Independent count of standard tableaux via hook lengths."""
     shape = tuple(shape)
-    n = sum(shape)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    fact = math.factorial(sum(shape))
     denom = 1
     cols = [0] * (shape[0] if shape else 0)
     for r in shape:
@@ -296,7 +292,7 @@ def young_idempotent(T, word):
         step = right_act(word, rho).scaled(rho_sign)
         for tau in _value_permutations(cols, n):
             for w, c in step.items():
-                out = out + right_act(w, tau).scaled(c)
+                out.accumulate(right_act(w, tau), c)
     return out
 
 
@@ -392,10 +388,7 @@ def tableau_profile(n, even_dim, odd_dim):
                 continue
             JT = descents(T)
             for p in range(len(JT) + 1):
-                ways = 0
-                for combo in itertools.combinations(sorted(JT), p):
-                    ways += 1
-                profile[n - p] = profile.get(n - p, 0) + ways * dim
+                profile[n - p] = profile.get(n - p, 0) + math.comb(len(JT), p) * dim
     return profile
 
 
@@ -421,26 +414,13 @@ def content_sizes(T, J):
 
 def pi_map(word, sizes):
     """Split positions into blocks, symmetrize and desuspend each."""
-    letters = word.letters
-    out_sign = 1
     blocks = []
     start = 0
-    seen_deg = 0
     for m in sizes:
-        block = letters[start : start + m]
-        bdegs = [g.degree for g in block]
-        op_deg = 1 - m
-        if op_deg % 2 and seen_deg % 2:
-            out_sign = -out_sign
-        out_sign *= s_power_sign(bdegs)
-        s2, w = sym_word([g.shifted(-1) for g in block])
-        if w is None:
-            return Vector()
-        out_sign *= s2
-        blocks.append(w)
-        seen_deg += sum(bdegs)
+        blocks.append(word.letters[start : start + m])
         start += m
-    return Vector.unit(CobarWord(tuple(blocks)), out_sign)
+    sign, cobar = desuspend_blocks(blocks)
+    return Vector.unit(cobar, sign)
 
 
 def young_average(word, sizes):
@@ -454,7 +434,7 @@ def young_average(word, sizes):
     out = Vector()
     q = Fraction(1, len(perms))
     for sigma in perms:
-        out = out + right_act(word, sigma).scaled(q)
+        out.accumulate(right_act(word, sigma), q)
     return out
 
 
@@ -467,18 +447,14 @@ def embedding(T, J, u_vector, signs=None):
     J = frozenset(J)
     sizes_J = content_sizes(T, J)
     sizes_JT = content_sizes(T, descents(T))
-    mult = 1
-    for m in sizes_J:
-        for k in range(2, m + 1):
-            mult *= k
-    coeff = Fraction(1, mult)
+    coeff = Fraction(1, math.prod(math.factorial(m) for m in sizes_J))
     if signs:
         coeff *= signs.get((T, J), 1)
     out = Vector()
     for w, c in u_vector.items():
         averaged = young_average(w, sizes_JT)
         for w2, c2 in averaged.items():
-            out = out + pi_map(w2, sizes_J).scaled(coeff * c * c2)
+            out.accumulate(pi_map(w2, sizes_J), coeff * c * c2)
     return out
 
 
@@ -538,9 +514,7 @@ def solve_embedding_signs(n, gens, delta_omega):
                         lhs = embedding(T, J, u).apply(delta_omega)
                         rhs = Vector()
                         for (T2, J2), c in boundary_ct(T, J).items():
-                            rhs = rhs + embedding(T2, J2, u).scaled(
-                                c * signs[(T2, J2)]
-                            )
+                            rhs.accumulate(embedding(T2, J2, u), c * signs[(T2, J2)])
                         if not lhs and not rhs:
                             continue
                         if lhs == rhs:
@@ -577,7 +551,7 @@ def embedding_chain_check(n, gens, delta_omega):
                         lhs = embedding(T, J, u, signs).apply(delta_omega)
                         rhs = Vector()
                         for (T2, J2), c in boundary_ct(T, J).items():
-                            rhs = rhs + embedding(T2, J2, u, signs).scaled(c)
+                            rhs.accumulate(embedding(T2, J2, u, signs), c)
                         if lhs != rhs:
                             return CheckResult(False, (T, J), "chain map fails"), signs
     return CheckResult(True), signs

@@ -7,10 +7,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactlin import Generator, Vector, koszul_sign, s_power_sign, sym_word
+from .exactlin import (
+    Generator,
+    Vector,
+    koszul_sign,
+    perm_parity,
+    s_power_sign,
+    sym_word,
+    symmetrize,
+    tensor_word,
+    unshuffles,
+)
 from .hpt import Transfer, bar_morphism
 from .linfty import CheckResult, LInftyAlgebra
-from .words import BarWord, CobarWord, bar_words_algebra, sym_words
+from .words import BarWord, CobarWord, bar_words_algebra, sym_words, vector_product
 
 
 class AInftyStructure:
@@ -174,21 +184,22 @@ class ClassicalEnveloping:
             if a > b:
                 sign = -1 if (a.degree % 2 and b.degree % 2) else 1
                 swapped = letters[:i] + (b, a) + letters[i + 2 :]
-                out = out + self.straighten(swapped).scaled(sign)
+                out.accumulate(self.straighten(swapped), sign)
                 bracket = self.algebra.bracket((a, b))
                 for g, c in bracket.items():
-                    out = out + self.straighten(
-                        letters[:i] + (g,) + letters[i + 2 :]
-                    ).scaled(c)
+                    out.accumulate(
+                        self.straighten(letters[:i] + (g,) + letters[i + 2 :]), c
+                    )
                 self._cache[letters] = out
                 return out
             if a == b and a.degree % 2:
                 # odd square: x x = [x, x] / 2 in characteristic zero
                 bracket = self.algebra.bracket((a, b))
                 for g, c in bracket.items():
-                    out = out + self.straighten(
-                        letters[:i] + (g,) + letters[i + 2 :]
-                    ).scaled(Fraction(c, 2))
+                    out.accumulate(
+                        self.straighten(letters[:i] + (g,) + letters[i + 2 :]),
+                        Fraction(c, 2),
+                    )
                 self._cache[letters] = out
                 return out
         out = Vector.unit(tuple(letters))
@@ -205,19 +216,9 @@ class ClassicalEnveloping:
 
     def symmetrize(self, word):
         """The coalgebra isomorphism from symmetric words to the enveloping."""
-        gens = word.letters
-        n = len(gens)
-        degs = [g.degree for g in gens]
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        out = Vector()
-        for perm in itertools.permutations(range(n)):
-            sign = koszul_sign(perm, degs)
-            out = out + self.straighten(tuple(gens[i] for i in perm)).scaled(
-                Fraction(sign, fact)
-            )
-        return out
+        return symmetrize(tensor_word(word.letters)).apply(
+            lambda t: self.straighten(t.letters)
+        )
 
 
 def pbw_compare(structure, weight_cap=None):
@@ -260,12 +261,12 @@ def alt_bracket_check(structure, n):
         degs = [g.degree for g in gens]
         total = Vector()
         for perm in itertools.permutations(range(n)):
-            sign = koszul_sign(perm, degs) * _plain_parity(perm)
+            sign = koszul_sign(perm, degs) * perm_parity(perm)
             try:
                 value = structure.product(tuple(word_of(gens[i]) for i in perm))
             except ValueError:
                 return CheckResult(False, gens, "caps too small for the check")
-            total = total + value.scaled(sign)
+            total.accumulate(value, sign)
         expected = Vector()
         for g, c in algebra.bracket(gens).items():
             expected.add_term(word_of(g), c)
@@ -274,15 +275,6 @@ def alt_bracket_check(structure, n):
                 False, gens, "antisymmetrized product %r != bracket %r" % (total, expected)
             )
     return CheckResult(True)
-
-
-def _plain_parity(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def involution_check(structure, arities=(1, 2, 3)):
@@ -340,22 +332,18 @@ def coproduct_map(algebra, tags=("1:", "2:")):
 
     def on_word(word):
         letters = word.letters
-        degs = [g.degree for g in letters]
-        n = len(letters)
         out = Vector()
-        for size in range(n + 1):
-            for subset in itertools.combinations(range(n), size):
-                inside = set(subset)
-                perm = list(subset) + [i for i in range(n) if i not in inside]
-                sign = koszul_sign(tuple(perm), degs)
-                first = [Generator(tags[0] + letters[i].id, letters[i].degree)
-                         for i in subset]
-                second = [Generator(tags[1] + letters[i].id, letters[i].degree)
-                          for i in range(n) if i not in inside]
-                s2, w2 = sym_word(first + second)
-                if w2 is None:
-                    continue
-                out.add_term(w2, sign * s2)
+        for inside, outside, sign in unshuffles(
+            [g.degree for g in letters], range(len(letters) + 1)
+        ):
+            first = [Generator(tags[0] + letters[i].id, letters[i].degree)
+                     for i in inside]
+            second = [Generator(tags[1] + letters[i].id, letters[i].degree)
+                      for i in outside]
+            s2, w2 = sym_word(first + second)
+            if w2 is None:
+                continue
+            out.add_term(w2, sign * s2)
         return out
 
     return on_word
@@ -370,18 +358,8 @@ def coproduct_strictness_check(structure, arity_cap=2, weight_cap=3):
         if bar.length > arity_cap or bar.rank > weight_cap:
             continue
         lhs = structure.product(bar.letters).apply(delta)
-        factors = [delta(w) for w in bar.letters]
-        rhs = Vector()
-        stack = [((), Fraction(1))]
-        for fvec in factors:
-            nxt = []
-            for words, coeff in stack:
-                for w, c in fvec.items():
-                    nxt.append((words + (w,), coeff * c))
-            stack = nxt
-        for words, coeff in stack:
-            rhs = rhs + doubled.product(words).scaled(coeff)
-        if lhs != rhs:
+        inputs = vector_product([delta(w) for w in bar.letters], lambda ws: (1, ws))
+        if lhs != inputs.apply(doubled.product):
             return CheckResult(False, bar, "coproduct is not strict here")
     return CheckResult(True)
 
@@ -448,8 +426,6 @@ def _letterwise_coalgebra_map(phi):
 
     def on_cobar(x):
         factors = [on_letter(c) for c in x.letters]
-        from .words import vector_product
-
         return vector_product(
             factors, lambda ws: (1, CobarWord(tuple(l for w in ws for l in w.letters)))
         )
@@ -467,20 +443,7 @@ def sym_extension(phi):
     """Symmetrization of the first component, on algebra words."""
 
     def on_word(word):
-        factors = [phi.component((g,)) for g in word.letters]
-        out = Vector()
-        stack = [((), Fraction(1))]
-        for f in factors:
-            nxt = []
-            for gens, coeff in stack:
-                for g, c in f.items():
-                    nxt.append((gens + (g,), coeff * c))
-            stack = nxt
-        for gens, coeff in stack:
-            s2, w2 = sym_word(gens)
-            if w2 is not None:
-                out.add_term(w2, coeff * s2)
-        return out
+        return vector_product([phi.component((g,)) for g in word.letters], sym_word)
 
     return on_word
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactlin import Vector, compositions, sym_word
+from .exactlin import Vector, compositions, s_power_sign, sym_word
 
 
 class CobarWord:
@@ -167,13 +167,30 @@ def bar_words_cobar(gens, rank_cap, length_cap):
     return bar_words(pools, rank_cap, length_cap)
 
 
-def single_bar(letter):
-    return BarWord((letter,))
+def desuspend_blocks(blocks):
+    """Sign and cobar word of s^{-1} Sym applied to each block of generators.
 
-
-def cobar_unit(word):
-    """A one-letter cobar word."""
-    return CobarWord((word,))
+    Each block of unsuspended generators becomes one letter: the block's
+    suspension power, canonically sorted.  The block operators act right
+    block first; one of degree 1 - len(block) moves past the generators of
+    the blocks before it.  Returns (0, None) when a block repeats an odd
+    suspended letter.
+    """
+    sign = 1
+    letters = []
+    seen_deg = 0
+    for block in blocks:
+        bdegs = [g.degree for g in block]
+        if (1 - len(block)) % 2 and seen_deg % 2:
+            sign = -sign
+        sign *= s_power_sign(bdegs)
+        s2, w = sym_word([g.shifted(-1) for g in block])
+        if w is None:
+            return 0, None
+        sign *= s2
+        letters.append(w)
+        seen_deg += sum(bdegs)
+    return sign, CobarWord(letters)
 
 
 def vector_product(factors, combine):

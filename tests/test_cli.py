@@ -1,10 +1,30 @@
 """Command-line surface: exit codes, report determinism, bundled inputs."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from enveloping.cli import main
+from enveloping.cli import BUNDLED, main
+
+# SHA-256 of `products --format json` at arity cap 3 and weight cap 3: the
+# product tables of every bundled input are pinned byte for byte.
+PRODUCT_DIGESTS_3_3 = {
+    "abelian1": "3920345d477cdffce9a1b30dc8dfbbbd045bd24649dc4babb7f4cc43b784a9b0",
+    "abelian2": "e610c707a047fc9837a28b851415e6dca3377bf5662b7d7c00696352146d607e",
+    "abelian3": "a4f800aeb1b1ba9b9b7f5d5b084ab85a6b117a4b0f3fc20e0aacc7365a2784c6",
+    "sl2": "b59ce65eee4312a93de2e85b119da8b831a40c6be222dad39f26f239830ac593",
+    "sl2_adjoint": "a774f5219c7d0d625a3e9183dfbf964cc5a260f2e3e814fca0705341c9f6ff41",
+    "heisenberg": "60fb56e8c9fde0fe6005f19d5cd3c8c92e8c939e220e34e3f04a9474f1fcdb2d",
+    "odd1": "016e896020f0b2ff41555b2ed20eee9c0f1f492ee4cb2f76d1aaf7d4409307a2",
+    "odd2": "4c064926bfddc397ac82510fa34de38f4917ca8446c8a044a993a2373e24d7c5",
+    "l3only": "9831241e01ef265f47718f4d07e8f62c1ee636515bdf7c11d26a8490925ee2c2",
+    "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
+}
 
 
 def run(capsys, argv):
@@ -130,3 +150,38 @@ def test_timings_flag_adds_fields(capsys):
     assert code == 0
     report = json.loads(out)
     assert all("time_s" in c for c in report["checks"])
+
+
+def test_check_timings_cover_every_suite(capsys):
+    argv = ["--n-cap", "3", "--format", "json", "--timings",
+            "check", "--suite", "morphism"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 6
+    assert all(c["name"].startswith("morphism: ") and c["time_s"] > 0 for c in checks)
+
+
+def test_product_tables_are_pinned(capsys):
+    assert set(PRODUCT_DIGESTS_3_3) == set(BUNDLED)
+    for name, digest in PRODUCT_DIGESTS_3_3.items():
+        argv = ["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3",
+                "--format", "json", "products"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_products_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "enveloping", "--input", "bundled:l3only",
+            "--arity-cap", "3", "--weight-cap", "3", "--format", "json", "products"]
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+    assert digest == PRODUCT_DIGESTS_3_3["l3only"]
