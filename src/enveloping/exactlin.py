@@ -7,6 +7,7 @@ operation is exact, there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -57,7 +58,7 @@ def koszul_sign(perm, degrees):
 
 
 def perm_parity(perm):
-    """Plain sign of a permutation in 0-indexed one-line notation."""
+    """Plain sign (-1)^inversions of a permutation, or of any distinct values."""
     sign = 1
     n = len(perm)
     for k in range(n):
@@ -359,15 +360,25 @@ class Echelon:
         """
         combo = combo.copy() if combo is not None else Vector()
         vec = vec.copy()
-        while vec:
-            hits = [w for w in vec.terms if self.key(w) in self.pivots]
-            if not hits:
-                break
-            lead = min(hits, key=self.key)
-            _, pvec, pcombo = self.pivots[self.key(lead)]
-            factor = vec.coeff(lead) / pvec.coeff(lead)
-            vec = vec - pvec.scaled(factor)
-            combo = combo - pcombo.scaled(factor)
+        key, pivots = self.key, self.pivots
+        # every pivot key met so far; an elimination only brings in keys above
+        # its lead, so the heap yields the hits in increasing order
+        hits = [k for k in map(key, vec.terms) if k in pivots]
+        seen = set(hits)
+        heapq.heapify(hits)
+        while hits:
+            lead, pvec, pcombo = pivots[heapq.heappop(hits)]
+            c = vec.terms.get(lead)
+            if not c:
+                continue
+            factor = c / pvec.terms[lead]
+            vec.accumulate(pvec, -factor)
+            combo.accumulate(pcombo, -factor)
+            for w in pvec.terms:
+                k = key(w)
+                if k in pivots and k not in seen:
+                    seen.add(k)
+                    heapq.heappush(hits, k)
         return vec, combo
 
     def insert(self, vec, combo=None):

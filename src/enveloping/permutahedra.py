@@ -2,9 +2,12 @@
 
 Faces of the n-th permutahedron are ordered partitions of {1..n}; the chain
 complex carries a left symmetric-group action and a block-reversal involution,
-and contracts equivariantly onto its degree-0 homology.  Transporting the
-contraction along the face/cobar dictionary yields the contracting homotopy
-of the cobar construction of a symmetric coalgebra.
+and contracts equivariantly onto its degree-0 homology.  The homotopy is
+solved once on every face, then averaged and repaired only on the orbit
+representatives, one standard face per composition of n; the action carries
+it to every other face.  Transporting the contraction along the face/cobar
+dictionary yields the contracting homotopy of the cobar construction of a
+symmetric coalgebra.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from .exactlin import (
     unshuffles,
 )
 from .words import CobarWord, desuspend_blocks, vector_product
-
-ZERO_F = Fraction(0)
-ONE_F = Fraction(1)
 
 
 class OrderedPartition:
@@ -131,14 +131,13 @@ def boundary(face):
 
 
 def act(sigma, face):
-    """Left action of a permutation (tuple: sigma[i-1] is the image of i)."""
+    """Left action of a permutation (one-line: sigma[i-1] is the image of i)."""
     sign = 1
     new_blocks = []
     for block in face.blocks:
         image = [sigma[x - 1] for x in block]
-        order = sorted(range(len(image)), key=lambda i: image[i])
-        sign *= perm_parity(order)
-        new_blocks.append(tuple(sorted(image)))
+        sign *= perm_parity(image)
+        new_blocks.append(image)
     return sign, OrderedPartition(face.n, new_blocks)
 
 
@@ -181,11 +180,16 @@ def chain_complex(n):
 class PermutahedronContraction:
     """Equivariant contraction (F, G, H) of the face complex onto k.
 
-    F is the vertex augmentation, G the normalized average of vertices, and H
-    a homotopy built by a degreewise exact solve, averaged over the group and
-    repaired to satisfy the side conditions.  H kills the top cell for degree
-    reasons; ``top_cell_fault`` installs a deliberate violation of that (used
-    only by regression tests downstream).
+    F is the vertex augmentation and G the normalized average of vertices.
+    H starts from a degreewise exact solve on every face, is averaged over
+    the group S_n x <nu> and repaired to satisfy the side conditions:
+    H' = (1 - GF) Havg (1 - GF), then H = H' d H'.  Every stage is
+    equivariant, so it is computed, on demand, only on the orbit
+    representatives (one standard face per composition of n) and reaches any
+    other face through the action.  ``columns`` holds the columns of H built
+    so far.  H kills the top cell for degree reasons; ``top_cell_fault``
+    installs a deliberate violation of that (used only by regression tests
+    downstream).
     """
 
     def __init__(self, n, top_cell_fault=False):
@@ -193,9 +197,11 @@ class PermutahedronContraction:
         self.vertices = enumerate_faces(n, n)
         self.top_cell = enumerate_faces(n, 1)[0]
         self._nfact = math.factorial(n)
-        self.columns = _build_homotopy(n)
+        self._raw = _solve_homotopy(n)
+        self._symmetrized = {}  # representative -> A column
+        self._projected = {}  # representative -> H' column
+        self.columns = {}
         if top_cell_fault:
-            self.columns = dict(self.columns)
             self.columns[self.top_cell] = Vector.unit(self.top_cell)
 
     def F(self, vec):
@@ -215,25 +221,89 @@ class PermutahedronContraction:
     def H(self, vec):
         out = Vector()
         for f, c in vec.items():
-            col = self.columns.get(f)
-            if col:
-                for g, c2 in col.items():
-                    out.add_term(g, c * c2)
+            out.accumulate(self._column(f), c)
         return out
 
     def GF(self, vec):
         return self.G(self.F(vec))
 
     def homotopy_column(self, face):
-        return self.columns.get(face, Vector())
+        return self._column(face)
+
+    def _column(self, face):
+        col = self.columns.get(face)
+        if col is None:
+            col = self.columns[face] = _extend(self.columns, self._repair, Vector.unit(face))
+        return col
+
+    def _symmetrize(self, rep):
+        """A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
+
+        sigma^-1 rep = +-f exactly when sigma = h sigma_f^-1, with sigma_f
+        carrying rep onto f and h in the stabilizer S_m1 x ... x S_mk of rep,
+        so the sum runs once over the orbit and once over the stabilizer.
+        """
+        orbit_sum = Vector()
+        for f, col in self._raw.items():
+            sigma, r = _orbit(f)
+            if r == rep:
+                inverse = [0] * self.n
+                for i, x in enumerate(sigma, 1):
+                    inverse[x - 1] = i
+                orbit_sum.accumulate(act_vector(inverse, col))
+        out = Vector()
+        if orbit_sum:
+            for parts in itertools.product(*map(itertools.permutations, rep.blocks)):
+                h = tuple(x for part in parts for x in part)
+                sign, _ = act(h, rep)
+                out.accumulate(act_vector(h, orbit_sum), sign)
+        return out.scaled(Fraction(1, self._nfact))
+
+    def _project(self, rep):
+        """H'(rep) = (1 - GF) Havg (1 - GF)(rep), Havg = (A + nu A nu) / 2.
+
+        GF(rep) is a multiple of the vertex sum G(1), which S_n fixes and nu
+        fixes up to sign, so Havg(G(1)) is the group average of Hraw(G(1)).
+        The degree-0 solve makes Hraw(G(1)) zero; that is checked here
+        instead of averaging G(1) vertex by vertex.
+        """
+        x = Vector.unit(rep)
+        if self.F(x) and self.G(1).apply(self._raw.get):
+            raise RuntimeError("raw homotopy does not kill the vertex average")
+        y = _extend(self._symmetrized, self._symmetrize, x)
+        y.accumulate(nu_vector(_extend(self._symmetrized, self._symmetrize, nu_vector(x))))
+        y = y.scaled(Fraction(1, 2))
+        return y - self.GF(y)
+
+    def _repair(self, rep):
+        """H''(rep) = H' d H'(rep)."""
+        once = _extend(self._projected, self._project, Vector.unit(rep))
+        return _extend(self._projected, self._project, once.apply(boundary))
 
 
-def _group_elements(n):
-    return list(itertools.permutations(range(1, n + 1)))
+def _orbit(face):
+    """(sigma, representative): sigma carries the standard face of the same
+    block sizes onto ``face`` block by block in order, with sign +1."""
+    sigma = tuple(x for b in face.blocks for x in b)
+    return sigma, standard_face(face.n, [len(b) for b in face.blocks])
 
 
-def _build_homotopy(n):
-    """Solve dH + Hd = 1 - GF degreewise, average, enforce side conditions."""
+def _extend(memo, column, vec):
+    """Apply an equivariant map, known by ``column`` on the orbit
+    representatives (memoized in ``memo``), to a chain."""
+    out = Vector()
+    for f, c in vec.items():
+        sigma, rep = _orbit(f)
+        col = memo.get(rep)
+        if col is None:
+            col = memo[rep] = column(rep)
+        if col:
+            out.accumulate(col if f == rep else act_vector(sigma, col), c)
+    return out
+
+
+def _solve_homotopy(n):
+    """A homotopy with dH + Hd = 1 - GF, solved degreewise; not yet equivariant."""
     faces_by_deg = {-(n - d): enumerate_faces(n, d) for d in range(1, n + 1)}
     degrees = sorted(faces_by_deg)
     nfact = math.factorial(n)
@@ -277,111 +347,7 @@ def _build_homotopy(n):
             elif rhs:
                 raise RuntimeError("inconsistent homotopy constraint at %r" % (f,))
         pending = nxt
-
-    # switch to face indices with precomputed action tables; the averaging
-    # and repair passes are pure index shuffles with exact coefficients
-    basis = [f for p in degrees for f in faces_by_deg[p]]
-    index = {f: i for i, f in enumerate(basis)}
-    vertices = [index[f] for f in faces_by_deg[0]]
-    Hraw = {}
-    for f, col in H.items():
-        Hraw[index[f]] = {index[g]: c for g, c in col.items()}
-
-    tables = []
-    for sigma in _group_elements(n):
-        for use_nu in (False, True):
-            perm = [0] * len(basis)
-            sign = [0] * len(basis)
-            for i, f in enumerate(basis):
-                s1, g = act(sigma, f)
-                if use_nu:
-                    s2, g = nu(g)
-                    s1 *= s2
-                perm[i] = index[g]
-                sign[i] = s1
-            tables.append((perm, sign))
-
-    averaged = {}
-    order = Fraction(1, 2 * nfact)
-    for perm, sign in tables:
-        # inverse lookup: column f of g H g^{-1} reads column g^{-1} f of H
-        inv = [0] * len(basis)
-        for i, j in enumerate(perm):
-            inv[j] = i
-        for i in range(len(basis)):
-            src = inv[i]
-            col = Hraw.get(src)
-            if not col:
-                continue
-            s_in = sign[src]  # action signs square to one, so g^{-1} reuses them
-            acc = averaged.setdefault(i, {})
-            for j, c in col.items():
-                k = perm[j]
-                cc = c if s_in * sign[j] > 0 else -c
-                acc[k] = acc.get(k, ZERO_F) + cc
-    Hmat = {}
-    for i, col in averaged.items():
-        cleaned = {j: c * order for j, c in col.items() if c}
-        if cleaned:
-            Hmat[i] = cleaned
-
-    bnd = []
-    for f in basis:
-        bnd.append({index[g]: c for g, c in boundary(f).items()})
-    is_vertex = [f.d == f.n for f in basis]
-
-    def apply_proj(col):  # 1 - GF on an index column
-        total = sum((c for j, c in col.items() if is_vertex[j]), ZERO_F)
-        if not total:
-            return col
-        out = dict(col)
-        q = total / nfact
-        for v in vertices:
-            c = out.get(v, ZERO_F) - q
-            if c:
-                out[v] = c
-            else:
-                out.pop(v, None)
-        return out
-
-    def apply_mat(mat, col):
-        out = {}
-        for j, c in col.items():
-            hit = mat.get(j)
-            if not hit:
-                continue
-            for k, c2 in hit.items():
-                c3 = out.get(k, ZERO_F) + c * c2
-                if c3:
-                    out[k] = c3
-                else:
-                    out.pop(k, None)
-        return out
-
-    # side conditions: H' = (1-GF) H (1-GF), then H'' = H' d H'
-    Hp = {}
-    for i in range(len(basis)):
-        col = apply_proj(apply_mat(Hmat, apply_proj({i: ONE_F})))
-        if col:
-            Hp[i] = col
-    Hpp = {}
-    for i in range(len(basis)):
-        col = apply_mat(Hp, {i: ONE_F})
-        dcol = {}
-        for j, c in col.items():
-            for k, c2 in bnd[j].items():
-                c3 = dcol.get(k, ZERO_F) + c * c2
-                if c3:
-                    dcol[k] = c3
-                else:
-                    dcol.pop(k, None)
-        col = apply_mat(Hp, dcol)
-        if col:
-            Hpp[i] = col
-    return {
-        basis[i]: Vector({basis[j]: c for j, c in col.items()})
-        for i, col in Hpp.items()
-    }
+    return H
 
 
 @lru_cache(maxsize=None)

@@ -254,3 +254,42 @@ def test_echelon_combination_tracking():
     assert residual.is_zero()
     # vec = 1*(x+y) + 1*(2y); reduce() reports tags negatively
     assert -1 * combo == Vector({"t1": Fraction(1), "t2": Fraction(1)})
+
+
+def reference_reduce(ech, vec, combo=None):
+    """Echelon.reduce before it eliminated in place: rescan at every step."""
+    combo = combo.copy() if combo is not None else Vector()
+    vec = vec.copy()
+    while vec:
+        hits = [w for w in vec.terms if ech.key(w) in ech.pivots]
+        if not hits:
+            break
+        lead = min(hits, key=ech.key)
+        _, pvec, pcombo = ech.pivots[ech.key(lead)]
+        factor = vec.coeff(lead) / pvec.coeff(lead)
+        vec = vec - pvec.scaled(factor)
+        combo = combo - pcombo.scaled(factor)
+    return vec, combo
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_reduce_matches_reference(seed):
+    rng = random.Random(seed)
+    letters = [a0, b0, v1, w1]
+    words = [tensor_word(ls) for k in (1, 2) for ls in itertools.product(letters, repeat=k)]
+
+    def random_vector(size):
+        return Vector({w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                       for w in rng.sample(words, size)})
+
+    ech = Echelon()
+    for step in range(30):
+        vec = random_vector(rng.randint(1, 8))
+        combo = Vector.unit("t%d" % step) if step % 3 else None
+        got = ech.reduce(vec, combo)
+        want = reference_reduce(ech, vec, combo)
+        for g, w in zip(got, want):
+            assert list(g.items()) == list(w.items())
+        if step % 2:
+            ech.insert(vec, combo)
+    assert ech.rank > 5

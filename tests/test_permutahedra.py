@@ -1,11 +1,14 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import Vector
+from enveloping.exactlin import Vector, compositions, format_scalar
 from enveloping.permutahedra import (
     OrderedPartition,
+    PermutahedronContraction,
     act,
     act_vector,
     all_faces,
@@ -15,6 +18,7 @@ from enveloping.permutahedra import (
     enumerate_faces,
     nu,
     nu_vector,
+    standard_face,
 )
 
 
@@ -110,7 +114,7 @@ def test_involution_values_and_properties():
             assert act_vector(sigma, nu_vector(v)) == nu_vector(act_vector(sigma, v))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_contraction_identities(n):
     con = build_contraction(n)
     faces = all_faces(n)
@@ -134,7 +138,7 @@ def boundary_vec(v):
     return v.apply(boundary)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_contraction_equivariance(n):
     con = build_contraction(n)
     gens = []
@@ -148,6 +152,37 @@ def test_contraction_equivariance(n):
         for sigma in gens:
             assert con.H(act_vector(sigma, v)) == act_vector(sigma, hv)
         assert con.H(nu_vector(v)) == nu_vector(hv)
+
+
+# SHA-256 of every column of H, taken from the homotopy that averaged and
+# repaired all columns over the whole group; the orbit-representative build
+# must reproduce it exactly
+PINNED_H_DIGESTS = {
+    1: "8059f1211b4abe7697e95365332fdd4ab018cd9ddd039b865b4a8db2bdfaad58",
+    2: "5e9647367177a72b06bd2e7f1ddc03396e4cacc43540e2d00b7ca1ad5a7ad809",
+    3: "118e63c555c0867eeb02c72415dbf2e531dae5df27013199e1ffbace03a05fcd",
+    4: "2b2999c8d9dbdd98477192393cfc84bd4dcac6c800d4df85df8d64d1a0f0e9b3",
+    5: "85d91347c4bf705916957743be35b3b6a87366912c7f33b16a1b286443389b6b",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_H_DIGESTS))
+def test_homotopy_matches_pinned_digest(n):
+    con = build_contraction(n)
+    rows = []
+    for f in all_faces(n):
+        col = sorted(con.homotopy_column(f).items(), key=lambda t: t[0].sort_key())
+        rows.append([f.serialize(), [[g.serialize(), format_scalar(c)] for g, c in col]])
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_H_DIGESTS[n]
+
+
+def test_homotopy_builds_only_standard_columns():
+    n = 5
+    con = PermutahedronContraction(n)
+    for sizes in compositions(n):
+        con.homotopy_column(standard_face(n, sizes))
+    assert len(con.columns) <= 2 ** (n - 1)
 
 
 def test_n2_homotopy_matches_hand_computation():
