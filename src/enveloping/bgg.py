@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import FiniteComplex, Vector, sym_word
-from .linfty import CheckResult, LInftyModule
+from .exactlin import CheckResult, FiniteComplex, Vector, memo_op, square_zero, sym_word
+from .linfty import LInftyModule
 from .words import BarWord
 
 
@@ -26,15 +26,18 @@ def tau_value(word):
     return Vector.unit(w, sign)
 
 
-class TwistedCochain:
-    """The canonical cochain packaged with its source and target data."""
-
-    def __init__(self, structure):
-        self.structure = structure
-        self.value = tau_value
-
-    def __call__(self, word):
-        return self.value(word)
+def _tau_inputs(pieces, c):
+    """(tau of each piece, c times their coefficients); None if one vanishes."""
+    inputs = []
+    coeff = Fraction(c)
+    for piece in pieces:
+        t = tau_value(piece)
+        if not t:
+            return None
+        ((w, cc),) = t.items()
+        inputs.append(w)
+        coeff *= cc
+    return inputs, coeff
 
 
 def canonical_tau(structure, weight_cap=None):
@@ -49,7 +52,7 @@ def canonical_tau(structure, weight_cap=None):
             "the canonical projection is not a twisted cochain at %r"
             % (result.counterexample,)
         )
-    return TwistedCochain(structure)
+    return tau_value
 
 
 def generalized_cochain_check(structure, weight_cap=None):
@@ -67,19 +70,13 @@ def generalized_cochain_check(structure, weight_cap=None):
         rhs = Vector()
         for parts in range(2, min(word.weight, structure.arity_cap) + 1):
             for split, c in C.iterated_reduced_coproduct(word, parts).items():
-                taus = [tau_value(piece) for piece in split]
-                if any(not t for t in taus):
-                    continue
                 exp = parts
                 for a, piece in enumerate(split):
                     exp += (parts - 1 - a) * (piece.degree + 1)
-                sign = -1 if exp % 2 else 1
-                inputs = []
-                coeff = Fraction(c * sign)
-                for t in taus:
-                    ((w, cc),) = t.items()
-                    inputs.append(w)
-                    coeff *= cc
+                taus = _tau_inputs(split, c * (-1 if exp % 2 else 1))
+                if taus is None:
+                    continue
+                inputs, coeff = taus
                 rhs.accumulate(structure.product(tuple(inputs)), coeff)
         if lhs != rhs:
             return CheckResult(False, word, "twisted cochain equation fails")
@@ -120,7 +117,7 @@ class TwistedComplex:
                     for uw in uwords:
                         if (cw, uw) != (None, None):
                             self.basis.append((cw, uw))
-        self._diff_cache = {}
+        self.differential = memo_op(self.differential)
 
     def _m_ext(self, inputs, u):
         """Product with a possibly-unit last argument (strict unitality)."""
@@ -131,9 +128,6 @@ class TwistedComplex:
         return self.structure.product(tuple(inputs) + (u,))
 
     def differential(self, key):
-        cached = self._diff_cache.get(key)
-        if cached is not None:
-            return cached
         cw, uw = key
         out = Vector()
         cdeg = 0 if cw is None else cw.degree
@@ -148,26 +142,20 @@ class TwistedComplex:
             max_s = min(self.structure.arity_cap, cw.weight + 1)
             for s in range(2, max_s + 1):
                 for split, c in _coaction_splits(self.C, cw, s).items():
-                    c0, taus = split[0], split[1:]
-                    tau_vecs = [tau_value(p) for p in taus]
-                    if any(not t for t in tau_vecs):
+                    c0, pieces = split[0], split[1:]
+                    taus = _tau_inputs(pieces, c)
+                    if taus is None:
                         continue
+                    inputs, coeff = taus
                     deg0 = 0 if c0 is None else c0.degree
                     exp = deg0
                     before = 0
-                    for p in taus[:-1]:
+                    for p in pieces[:-1]:
                         before += p.degree
                         exp += before
                     sign = -1 if exp % 2 else 1
-                    inputs = []
-                    coeff = Fraction(c)
-                    for t in tau_vecs:
-                        ((w, cc),) = t.items()
-                        inputs.append(w)
-                        coeff *= cc
                     for u2, c2 in self._m_ext(inputs, uw).items():
                         out.add_term((c0, u2), sign * coeff * c2)
-        self._diff_cache[key] = out
         return out
 
     def complex(self):
@@ -237,7 +225,6 @@ def omega_comparison_check(structure, rank_cap=None):
     if any(g.degree % 2 == 0 for g in algebra.generators):
         raise ValueError("exact comparison needs an odd-concentrated algebra")
     cap = rank_cap or min(structure.weight_cap, 3)
-    from .exactlin import FiniteComplex
     from .hpt import COPRODUCT_SIGN
     from .words import bar_words_algebra, cobar_words
 
@@ -415,12 +402,8 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
                 out.add_term((pre, m2), pre_sign * c)
         return out
 
-    for bar in bars:
-        for m in module.basis:
-            dd = D((bar, m)).apply(D)
-            if dd:
-                return CheckResult(False, (bar, m), "module differential squares to %r" % dd)
-    return CheckResult(True)
+    keys = ((bar, m) for bar in bars for m in module.basis)
+    return square_zero(keys, D, "module differential squares to %r")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ import time
 from importlib import resources
 
 from . import bgg, linfty, permutahedra, tableaux, uea
-from .exactlin import Generator, Vector
-from .linfty import CheckResult
+from .exactlin import CheckResult, Generator, Vector, square_zero
 
 TEXT = "text"
 JSON = "json"
@@ -48,12 +47,10 @@ class Report:
         self.config = config
         self.checks = []
 
-    def add(self, name, result, elapsed, extra=None):
+    def add(self, name, result, elapsed):
         entry = {"name": name, "status": "pass" if result else "fail"}
         if not result and getattr(result, "counterexample", None) is not None:
             entry["counterexample"] = _serialize(result.counterexample)
-        if extra is not None:
-            entry.update(extra)
         entry["_elapsed"] = elapsed
         self.checks.append(entry)
 
@@ -102,16 +99,17 @@ class Report:
 
 
 def _serialize(obj):
+    """JSON form of a counterexample; sequences keep their order, sets are sorted."""
     if obj is None:
         return None
-    if isinstance(obj, (list, tuple, frozenset, set)):
-        return [_serialize(x) for x in sorted(obj, key=repr)]
-    if hasattr(obj, "serialize"):
-        return obj.serialize()
-    if hasattr(obj, "letters"):
-        return repr(obj)
     if isinstance(obj, Generator):
         return obj.id
+    if isinstance(obj, (frozenset, set)):
+        return [_serialize(x) for x in sorted(obj, key=repr)]
+    if isinstance(obj, (list, tuple)):
+        return [_serialize(x) for x in obj]
+    if hasattr(obj, "serialize"):
+        return obj.serialize()
     return repr(obj)
 
 
@@ -257,31 +255,23 @@ def _morphism_checks(report):
 
 
 def _theorem1_check(n_cap):
-    from .hpt import cobar_differential
+    from .hpt import Contraction, algebra_differential, cobar_differential
     from .linfty import CECoalgebra, dg_vector_space
     from .permutahedra import cobar_f, cobar_g, cobar_h, iota_omega
     from .words import cobar_words
 
     V = dg_vector_space([("v", 0, {"w": 1}), ("w", 1, {})])
     C1 = CECoalgebra(V, n_cap + 1, max_arity=1)
-    dOm = cobar_differential(C1)
-    sgens = C1.sgens
-    ok = True
-    where = None
-    for r in range(1, min(n_cap, 4) + 1):
-        for xw in cobar_words(sgens, r):
-            v = Vector.unit(xw)
-            gf = v.apply(cobar_f).apply(cobar_g)
-            hom = v.apply(cobar_h).apply(dOm) + v.apply(dOm).apply(cobar_h)
-            if v - gf != hom or v.apply(cobar_h).apply(cobar_f) or v.apply(
-                cobar_h
-            ).apply(cobar_h):
-                ok, where = False, xw
-                break
-            if v.apply(iota_omega).apply(cobar_h) != v.apply(cobar_h).apply(iota_omega):
-                ok, where = False, xw
-                break
-    return CheckResult(ok, where)
+    con = Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
+                      algebra_differential(V))
+    words = [xw for r in range(1, min(n_cap, 4) + 1) for xw in cobar_words(C1.sgens, r)]
+    ok, where = con.verify_on(words, [])
+    if not ok:
+        return CheckResult(False, where[1])
+    for xw in words:
+        if iota_omega(xw).apply(con.H) != con.H(xw).apply(iota_omega):
+            return CheckResult(False, xw)
+    return CheckResult(True)
 
 
 def _permutahedron_checks(report, n_cap):
@@ -296,8 +286,8 @@ def _permutahedron_checks(report, n_cap):
         expected = {d: _stirling(n, d) * math.factorial(d) for d in range(1, n + 1)}
         report.run("faces[n=%d]" % n,
                    lambda c=counts, e=expected: CheckResult(c == e, (c, e)))
-        report.run("boundary_squares[n=%d]" % n, lambda fs=faces: CheckResult(
-            all(not permutahedra.boundary(f).apply(permutahedra.boundary) for f in fs)))
+        report.run("boundary_squares[n=%d]" % n, lambda fs=faces: square_zero(
+            fs, permutahedra.boundary, "boundary squares to %r"))
 
         def homology(n=n):
             dims = permutahedra.chain_complex(n).homology_dims()

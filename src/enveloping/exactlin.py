@@ -114,6 +114,13 @@ def s_power_sign(degrees):
     return -1 if total % 2 else 1
 
 
+def conjugation_sign(degrees):
+    """Sign of the suspension conjugation (-1)^k s m_k (s^{x k})^{-1} on k
+    letters of the given (unsuspended) degrees."""
+    sign = s_power_sign(degrees)
+    return -sign if len(degrees) % 2 else sign
+
+
 TENSOR = "tensor"
 SYMMETRIC = "symmetric"
 
@@ -286,6 +293,7 @@ def add_ops(*ops):
 
 
 def memo_op(op):
+    """Memoize a one-argument op; on a bound method, one memo per instance."""
     cache = {}
 
     def wrapped(word):
@@ -402,6 +410,30 @@ def rank_of(vectors, key=_generic_key):
     return ech.rank
 
 
+class CheckResult:
+    def __init__(self, ok, counterexample=None, detail=""):
+        self.ok = ok
+        self.counterexample = counterexample
+        self.detail = detail
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        if self.ok:
+            return "pass"
+        return "FAIL at %r: %s" % (self.counterexample, self.detail)
+
+
+def square_zero(keys, d, detail):
+    """Fails at the first key where d(d(key)) is nonzero, with detail % (dd,)."""
+    for key in keys:
+        dd = d(key).apply(d)
+        if dd:
+            return CheckResult(False, key, detail % (dd,))
+    return CheckResult(True)
+
+
 class FiniteComplex:
     """A finite complex: basis per degree plus a degree +1 differential."""
 
@@ -419,11 +451,11 @@ class FiniteComplex:
         return sorted(self.components)
 
     def check_square_zero(self):
-        for p in self.degrees():
-            for w in self.basis(p):
-                dd = self.differential(w).apply(self.differential)
-                if dd:
-                    raise ValueError("differential does not square to zero at %r" % (w,))
+        keys = (w for p in self.degrees() for w in self.basis(p))
+        result = square_zero(keys, self.differential, "%r")
+        if not result:
+            raise ValueError("differential does not square to zero at %r"
+                             % (result.counterexample,))
         return True
 
     def homology_dims(self):

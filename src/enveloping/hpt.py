@@ -9,7 +9,7 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import Vector, add_ops, memo_op, sym_word, unshuffles
+from .exactlin import Vector, add_ops, memo_op, square_zero, sym_word, unshuffles
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from .words import BarWord, CobarWord, bar_letter_degree, concat, vector_product
@@ -67,10 +67,11 @@ class CobarAlgebra:
         """Square-zero and the derivation property on the truncation."""
         from .words import cobar_words
 
-        for rank in range(1, self.rank_cap + 1):
-            for x in cobar_words(self.coalgebra.sgens, rank):
-                if Vector.unit(x).apply(self.differential).apply(self.differential):
-                    return False, ("square", x)
+        words = (x for rank in range(1, self.rank_cap + 1)
+                 for x in cobar_words(self.coalgebra.sgens, rank))
+        square = square_zero(words, self.differential, "%r")
+        if not square:
+            return False, ("square", square.counterexample)
         for r1 in range(1, self.rank_cap):
             for x in cobar_words(self.coalgebra.sgens, r1):
                 for y in cobar_words(self.coalgebra.sgens, 1):
@@ -275,14 +276,14 @@ def default_budget(word):
     return word.rank + word.length + 2
 
 
-def bpl(con, t, budget=default_budget):
+def bpl(con, t):
     """Basic perturbation lemma: the perturbed contraction.
 
     F_t = F(1 - XH), G_t = (1 - HX)G, H_t = H - HXH, d_small + FXG; the
     series terminates because every perturbation strictly decreases rank or
     bar length, which are bounded below.
     """
-    X = perturbation_series(t, con.H, budget)
+    X = perturbation_series(t, con.H, default_budget)
 
     def F_t(w):
         v = Vector.unit(w)

@@ -13,13 +13,17 @@ import math
 from fractions import Fraction
 
 from .exactlin import (
+    CheckResult,
     Generator,
     Vector,
+    conjugation_sign,
     format_scalar,
     koszul_sign,
+    memo_op,
     parse_scalar,
     perm_parity,
     s_power_sign,
+    square_zero,
     sym_word,
     unshuffles,
 )
@@ -76,18 +80,7 @@ class LInftyAlgebra:
 
     def bracket(self, gens):
         """l_k on an arbitrary tuple of generators (antisymmetric extension)."""
-        k = len(gens)
-        table = self.brackets.get(k)
-        if not table:
-            return Vector()
-        degs = [g.degree for g in gens]
-        order = sorted(range(k), key=lambda i: gens[i])
-        sign = koszul_sign(tuple(order), degs) * perm_parity(order)
-        key = tuple(gens[i] for i in order)
-        vec = table.get(key)
-        if not vec:
-            return Vector()
-        return vec.scaled(sign)
+        return antisymmetric_lookup(self.brackets, gens)
 
     def is_dg_lie(self):
         return all(k <= 2 for k in self.brackets)
@@ -98,6 +91,24 @@ class LInftyAlgebra:
 
     def __repr__(self):
         return "LInftyAlgebra(%s, dim %d)" % (self.name or "?", len(self.generators))
+
+
+def antisymmetric_lookup(tables, gens):
+    """Entry of {arity: {sorted key: Vector}} on an arbitrary generator tuple.
+
+    The tables hold sorted keys only; any other order is reached by graded
+    antisymmetry, the Koszul sign times the plain sign of the sort.
+    """
+    k = len(gens)
+    table = tables.get(k)
+    if not table:
+        return Vector()
+    order = sorted(range(k), key=lambda i: gens[i])
+    vec = table.get(tuple(gens[i] for i in order))
+    if not vec:
+        return Vector()
+    sign = koszul_sign(tuple(order), [g.degree for g in gens]) * perm_parity(order)
+    return vec.scaled(sign)
 
 
 def _raw_tables(brackets):
@@ -119,7 +130,7 @@ class CECoalgebra:
         self.min_arity = min_arity
         self.max_arity = max_arity
         self.sgens = tuple(g.shifted(-1) for g in algebra.generators)
-        self._delta_cache = {}
+        self.delta = memo_op(self.delta)
 
     def words(self, weight):
         return sym_words(self.sgens, weight)
@@ -142,11 +153,9 @@ class CECoalgebra:
         lk = self.algebra.bracket(tuple(unsus))
         if not lk:
             return Vector()
-        # (-1)^k s l_k (s^{x k})^{-1}; the inverse suspension power picks up
-        # the Koszul sign evaluated on the unsuspended degrees
-        sign = s_power_sign([g.degree for g in unsus])
-        if k % 2:
-            sign = -sign
+        # the inverse suspension power picks up the Koszul sign evaluated on
+        # the unsuspended degrees
+        sign = conjugation_sign([g.degree for g in unsus])
         out = Vector()
         for gen, coeff in lk.items():
             out.add_term(gen.shifted(-1), sign * coeff)
@@ -154,9 +163,6 @@ class CECoalgebra:
 
     def delta(self, word):
         """Coderivation on a symmetric word (sum over letter subsets)."""
-        cached = self._delta_cache.get(word)
-        if cached is not None:
-            return cached
         letters = word.letters
         n = len(letters)
         out = Vector()
@@ -173,7 +179,6 @@ class CECoalgebra:
                 if w2 is None:
                     continue
                 out.add_term(w2, sign * coeff * s2)
-        self._delta_cache[word] = out
         return out
 
     def reduced_coproduct(self, word):
@@ -204,38 +209,18 @@ class CECoalgebra:
         return out
 
 
-class CheckResult:
-    def __init__(self, ok, counterexample=None, detail=""):
-        self.ok = ok
-        self.counterexample = counterexample
-        self.detail = detail
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "pass"
-        return "FAIL at %r: %s" % (self.counterexample, self.detail)
-
-
 def check_linfty(algebra, weight_cap):
     """Assert the coderivation squares to zero on all words within the cap."""
     C = CECoalgebra(algebra, weight_cap)
-    for word in C.all_words():
-        dd = C.delta(word).apply(C.delta)
-        if dd:
-            return CheckResult(False, word, "delta^2 = %r" % (dd,))
-    return CheckResult(True)
+    return square_zero(C.all_words(), C.delta, "delta^2 = %r")
 
 
 def ce_coalgebra(algebra, weight_cap, min_arity=1, max_arity=None):
     C = CECoalgebra(algebra, weight_cap, min_arity, max_arity)
-    for word in C.all_words():
-        for gen in C.delta(word).apply(C.delta).terms:
-            raise ValueError(
-                "coderivation does not square to zero on %r (bad input?)" % (word,)
-            )
+    result = square_zero(C.all_words(), C.delta, "%r")
+    if not result:
+        raise ValueError("coderivation does not square to zero on %r (bad input?)"
+                         % (result.counterexample,))
     return C
 
 
@@ -271,17 +256,7 @@ class LInftyMorphism:
 
     def component(self, gens):
         """phi_k on an arbitrary tuple (graded antisymmetric extension)."""
-        k = len(gens)
-        table = self.components.get(k)
-        if not table:
-            return Vector()
-        degs = [g.degree for g in gens]
-        order = sorted(range(k), key=lambda i: gens[i])
-        sign = koszul_sign(tuple(order), degs) * perm_parity(order)
-        vec = table.get(tuple(gens[i] for i in order))
-        if not vec:
-            return Vector()
-        return vec.scaled(sign)
+        return antisymmetric_lookup(self.components, gens)
 
     def suspended_component(self, letters):
         """s phi_k (s^{x k})^{-1} on suspended letters.
@@ -439,13 +414,8 @@ def check_module(module, weight_cap):
                     out.add_term((left, m2), s2 * c * c2)
         return out
 
-    for word in words:
-        for m in module.basis:
-            key = (word, m)
-            dd = D(key).apply(D)
-            if dd:
-                return CheckResult(False, key, "module differential squares to %r" % dd)
-    return CheckResult(True)
+    keys = ((word, m) for word in words for m in module.basis)
+    return square_zero(keys, D, "module differential squares to %r")
 
 
 def trivial_module(algebra):
@@ -568,14 +538,7 @@ def from_complete_intersection(variables, polynomials, divided_powers=False):
             entry = table.setdefault(key, {})
             entry[z] = entry.get(z, Fraction(0)) + coeff * mult
     gens = list(xi.values()) + list(zs.values())
-    brackets = {
-        k: {w: {g: c for g, c in val.items() if c} for w, val in t.items()}
-        for k, t in brackets.items()
-    }
-    brackets = {
-        k: {w: val for w, val in t.items() if val} for k, t in brackets.items()
-    }
-    return LInftyAlgebra(gens, {k: t for k, t in brackets.items() if t}, name="ci")
+    return LInftyAlgebra(gens, brackets, name="ci")
 
 
 # ---------------------------------------------------------------------------

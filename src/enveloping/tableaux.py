@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from .exactlin import (
+    CheckResult,
     Echelon,
     FiniteComplex,
     Generator,
@@ -22,7 +23,6 @@ from .exactlin import (
     perm_parity,
     tensor_word,
 )
-from .linfty import CheckResult
 from .words import cobar_words, desuspend_blocks
 
 
@@ -298,11 +298,7 @@ def young_idempotent(T, word):
 
 def schur_rank(T, gens):
     """Exact rank of the idempotent on the tensor power of the given space."""
-    n = T.n
-    ech = Echelon()
-    for letters in itertools.product(sorted(gens), repeat=n):
-        ech.insert(young_idempotent(T, tensor_word(letters)))
-    return ech.rank
+    return len(schur_basis(T, gens))
 
 
 def schur_dimension_count(T, even_dim, odd_dim):

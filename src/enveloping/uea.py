@@ -8,18 +8,21 @@ import itertools
 from fractions import Fraction
 
 from .exactlin import (
+    CheckResult,
     Generator,
     Vector,
+    conjugation_sign,
     koszul_sign,
+    memo_op,
     perm_parity,
-    s_power_sign,
+    square_zero,
     sym_word,
     symmetrize,
     tensor_word,
     unshuffles,
 )
 from .hpt import Transfer, bar_morphism
-from .linfty import CheckResult, LInftyAlgebra
+from .linfty import LInftyAlgebra
 from .words import BarWord, CobarWord, bar_words_algebra, sym_words, vector_product
 
 
@@ -54,10 +57,7 @@ class AInftyStructure:
         for w, c in image.items():
             if w.length == 1:
                 value.add_term(w.letters[0], c)
-        sign = s_power_sign([w.degree for w in words])
-        if n % 2:
-            sign = -sign
-        value = value.scaled(sign)
+        value = value.scaled(conjugation_sign([w.degree for w in words]))
         self._tables[words] = value
         return value
 
@@ -83,9 +83,7 @@ class AInftyStructure:
             for k in range(1, top + 1):
                 chunk = letters[j : j + k]
                 prefix = -1 if left % 2 else 1
-                csign = s_power_sign([w.degree for w in chunk])
-                if k % 2:
-                    csign = -csign
+                csign = conjugation_sign([w.degree for w in chunk])
                 value = self.product(chunk)
                 for w, c in value.items():
                     out.add_term(
@@ -141,11 +139,9 @@ def star_product(u, v):
 
 def stasheff_check(structure):
     """Square-zero of the assembled coderivation on all capped bar words."""
-    for bar in structure.bar_words():
-        dd = structure.bar_differential(bar).apply(structure.bar_differential)
-        if dd:
-            return CheckResult(False, bar, "bar differential squares to %r" % (dd,))
-    return CheckResult(True)
+    return square_zero(
+        structure.bar_words(), structure.bar_differential, "bar differential squares to %r"
+    )
 
 
 def m1_matches_l1(structure):
@@ -170,14 +166,10 @@ class ClassicalEnveloping:
         if not algebra.is_dg_lie():
             raise ValueError("the straightening oracle needs a binary-bracket algebra")
         self.algebra = algebra
-        self._cache = {}
+        self.straighten = memo_op(self.straighten)
 
     def straighten(self, letters):
-        """Express a raw tensor string in the sorted-monomial basis."""
-        letters = tuple(letters)
-        cached = self._cache.get(letters)
-        if cached is not None:
-            return cached
+        """Express a raw tensor string (a tuple) in the sorted-monomial basis."""
         out = Vector()
         for i in range(len(letters) - 1):
             a, b = letters[i], letters[i + 1]
@@ -190,7 +182,6 @@ class ClassicalEnveloping:
                     out.accumulate(
                         self.straighten(letters[:i] + (g,) + letters[i + 2 :]), c
                     )
-                self._cache[letters] = out
                 return out
             if a == b and a.degree % 2:
                 # odd square: x x = [x, x] / 2 in characteristic zero
@@ -200,11 +191,8 @@ class ClassicalEnveloping:
                         self.straighten(letters[:i] + (g,) + letters[i + 2 :]),
                         Fraction(c, 2),
                     )
-                self._cache[letters] = out
                 return out
-        out = Vector.unit(tuple(letters))
-        self._cache[letters] = out
-        return out
+        return Vector.unit(letters)
 
     def multiply(self, left, right):
         out = Vector()
@@ -309,16 +297,20 @@ def involution_check(structure, arities=(1, 2, 3)):
 # coproduct strictness via the doubled algebra
 
 
-def direct_sum(algebra, tags=("1:", "2:")):
+# id prefixes of the two copies in the doubled algebra
+TAGS = ("1:", "2:")
+
+
+def direct_sum(algebra):
     """The square of an algebra: two commuting copies with prefixed ids."""
     gens = []
-    for tag in tags:
+    for tag in TAGS:
         gens.extend(Generator(tag + g.id, g.degree) for g in algebra.generators)
     brackets = {}
     for arity, table in algebra.brackets.items():
         new = {}
         for word, vec in table.items():
-            for tag in tags:
+            for tag in TAGS:
                 key = tuple(Generator(tag + g.id, g.degree) for g in word)
                 new[key] = {
                     Generator(tag + g.id, g.degree): c for g, c in vec.items()
@@ -327,7 +319,7 @@ def direct_sum(algebra, tags=("1:", "2:")):
     return LInftyAlgebra(gens, brackets, name=algebra.name + "^2")
 
 
-def coproduct_map(algebra, tags=("1:", "2:")):
+def coproduct_map(algebra):
     """The bialgebra coproduct as a map into words of the doubled algebra."""
 
     def on_word(word):
@@ -336,9 +328,9 @@ def coproduct_map(algebra, tags=("1:", "2:")):
         for inside, outside, sign in unshuffles(
             [g.degree for g in letters], range(len(letters) + 1)
         ):
-            first = [Generator(tags[0] + letters[i].id, letters[i].degree)
+            first = [Generator(TAGS[0] + letters[i].id, letters[i].degree)
                      for i in inside]
-            second = [Generator(tags[1] + letters[i].id, letters[i].degree)
+            second = [Generator(TAGS[1] + letters[i].id, letters[i].degree)
                       for i in outside]
             s2, w2 = sym_word(first + second)
             if w2 is None:
@@ -393,19 +385,14 @@ class AInftyMorphismData:
         self._omega_map = bar_morphism(
             _letterwise_coalgebra_map(phi)
         )
-        self._cache = {}
+        self.apply = memo_op(self.apply)
 
     def apply(self, bar):
         """The full transferred coalgebra map on a bar word."""
-        cached = self._cache.get(bar)
-        if cached is None:
-            v = Vector.unit(bar)
-            v = v.apply(self.source.transfer.con.G)
-            v = v.apply(self._omega_map)
-            v = v.apply(self.target.transfer.con.F)
-            cached = v
-            self._cache[bar] = cached
-        return cached
+        v = Vector.unit(bar)
+        v = v.apply(self.source.transfer.con.G)
+        v = v.apply(self._omega_map)
+        return v.apply(self.target.transfer.con.F)
 
     def component(self, words):
         """U(phi)_n: the corestriction on an input tuple, as algebra words."""

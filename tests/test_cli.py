@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from enveloping.cli import BUNDLED, main
+from enveloping.cli import BUNDLED, Report, main
+from enveloping.exactlin import CheckResult, Generator, sym_word
 
 # SHA-256 of `products --format json` at arity cap 3 and weight cap 3: the
 # product tables of every bundled input are pinned byte for byte.
@@ -24,6 +25,21 @@ PRODUCT_DIGESTS_3_3 = {
     "odd2": "4c064926bfddc397ac82510fa34de38f4917ca8446c8a044a993a2373e24d7c5",
     "l3only": "9831241e01ef265f47718f4d07e8f62c1ee636515bdf7c11d26a8490925ee2c2",
     "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
+}
+
+# SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
+# 3, for every bundled input whose suite completes (the bgg twisted complex of
+# l3only and ci_cubic does not square to zero): the reports are pinned byte
+# for byte.
+CHECK_DIGESTS_3_3 = {
+    "abelian1": "2dd690ea08c269fa194931ab544f3274b450a031642cce846b09dd39d61ed4da",
+    "abelian2": "5302e9f831ce042ada6dfece968cf5314ee3d1e256c3289fefd7d0aae6a9ac37",
+    "abelian3": "a9739a85ec1ed145339d28dc76a92eae1628fc48c2b9546dee479d7612cbbdb6",
+    "sl2": "e7667f453e1ebe8dc0f705306223b997022b3e2a9712066e11e880ee567b2cf4",
+    "sl2_adjoint": "5a2936bcc09f42cdc29122dbf960a37396ee6e61b957a83c9cc96752f57dd7c2",
+    "heisenberg": "d26580ee631df79e3e6653139f0a19eaad334f0a6bd98516dfbe0611a22e39bb",
+    "odd1": "a00fbbfc8145e05bf3e16e3289d02a4b6ae769f250501be6c51e1b263d0eef53",
+    "odd2": "84e138da24e1ff9356137f8869a6b4be690a83611daadc17353dc2b3fc821458",
 }
 
 
@@ -170,6 +186,30 @@ def test_product_tables_are_pinned(capsys):
         code, out, _ = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_check_reports_are_pinned(capsys):
+    for name, digest in CHECK_DIGESTS_3_3.items():
+        argv = ["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3",
+                "--format", "json", "check", "--suite", "all"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_counterexamples_keep_their_order():
+    e, f = Generator("e", 0), Generator("f", 0)
+    word_f, word_e = sym_word([f])[1], sym_word([e])[1]
+    report = Report("check", {})
+    report.add("pair", CheckResult(False, (word_f, word_e)), 0.0)
+    report.add("tuple", CheckResult(False, (3, 1, 2)), 0.0)
+    report.add("generators", CheckResult(False, (f, e)), 0.0)
+    report.add("set", CheckResult(False, frozenset({3, 1, 2})), 0.0)
+    report.add("passing", CheckResult(True, (2, 1)), 0.0)
+    checks = report.as_dict()["checks"]
+    assert [c.get("counterexample") for c in checks] == [
+        [["f"], ["e"]], ["3", "1", "2"], ["f", "e"], ["1", "2", "3"], None]
+    assert report.as_dict()["exit_status"] == 1
 
 
 def test_products_do_not_depend_on_the_hash_seed():

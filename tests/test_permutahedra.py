@@ -114,7 +114,9 @@ def test_involution_values_and_properties():
             assert act_vector(sigma, nu_vector(v)) == nu_vector(act_vector(sigma, v))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+# n = 5 is checked once, by criterion 01 of test_acceptance.py (all five
+# identities and the equivariance on every face) and by the pinned H digest
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_contraction_identities(n):
     con = build_contraction(n)
     faces = all_faces(n)
@@ -138,7 +140,7 @@ def boundary_vec(v):
     return v.apply(boundary)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_contraction_equivariance(n):
     con = build_contraction(n)
     gens = []
