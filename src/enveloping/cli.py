@@ -15,7 +15,7 @@ import sys
 import time
 from importlib import resources
 
-from . import bgg, linfty, permutahedra, tableaux, uea
+from . import bgg, hpt, linfty, permutahedra, tableaux, uea
 from .exactlin import CheckResult, Generator, Vector, square_zero
 
 TEXT = "text"
@@ -179,9 +179,10 @@ SUITES = (
 def cmd_check(args):
     report = Report("check", _config(args))
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    algebra = module = None
+    algebra = None
     if args.input is not None:
         algebra, module = load_input(args.input)
+        _validate_input(algebra, module, args.weight_cap)
     structure = None
 
     def need_structure():
@@ -227,6 +228,15 @@ def cmd_check(args):
     return report, None
 
 
+def _validate_input(algebra, module, weight_cap):
+    """Reject an input that is not an L-infinity algebra (or module)."""
+    result = linfty.check_linfty(algebra, weight_cap)
+    if result and module is not None:
+        result = linfty.check_module(module, weight_cap)
+    if not result:
+        raise ParseFailure("not a valid L-infinity input: %r" % (result,))
+
+
 def _need(suite):
     raise ParseFailure("suite %r needs --input" % suite)
 
@@ -255,23 +265,29 @@ def _morphism_checks(report):
 
 
 def _theorem1_check(n_cap):
-    from .hpt import Contraction, algebra_differential, cobar_differential
+    from .hpt import algebra_differential, cobar_differential
     from .linfty import CECoalgebra, dg_vector_space
     from .permutahedra import cobar_f, cobar_g, cobar_h, iota_omega
     from .words import cobar_words
 
     V = dg_vector_space([("v", 0, {"w": 1}), ("w", 1, {})])
     C1 = CECoalgebra(V, n_cap + 1, max_arity=1)
-    con = Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
-                      algebra_differential(V))
+    con = hpt.Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
+                          algebra_differential(V))
     words = [xw for r in range(1, min(n_cap, 4) + 1) for xw in cobar_words(C1.sgens, r)]
-    ok, where = con.verify_on(words, [])
-    if not ok:
-        return CheckResult(False, where[1])
+    result = _verified(con, words, [])
+    if not result:
+        return result
     for xw in words:
         if iota_omega(xw).apply(con.H) != con.H(xw).apply(iota_omega):
             return CheckResult(False, xw)
     return CheckResult(True)
+
+
+def _verified(con, big_words, small_words):
+    """``verify_on`` as a check result naming the first failing basis element."""
+    ok, where = con.verify_on(big_words, small_words)
+    return CheckResult(ok, None if ok else where[1])
 
 
 def _permutahedron_checks(report, n_cap):
@@ -295,17 +311,16 @@ def _permutahedron_checks(report, n_cap):
             return CheckResult(dims == {0: 1})
 
         report.run("homology[n=%d]" % n, homology)
-        con = permutahedra.build_contraction(n)
-        def identities(fs=faces, con=con):
-            for f in fs:
-                v = Vector.unit(f)
-                lhs = v - con.GF(v)
-                rhs = con.H(v).apply(permutahedra.boundary) + con.H(
-                    v.apply(permutahedra.boundary))
-                if lhs != rhs or con.F(con.H(v)) != 0 or con.H(con.H(v)):
-                    return CheckResult(False, f)
-            return CheckResult(True)
-        report.run("contraction[n=%d]" % n, identities)
+
+        def contraction(n=n, faces=faces):
+            # over k, whose one basis element is ()
+            pc = permutahedra.build_contraction(n)
+            con = hpt.Contraction(lambda f: Vector.unit((), pc.F(Vector.unit(f))),
+                                  lambda _: pc.G(1), lambda f: pc.H(Vector.unit(f)),
+                                  permutahedra.boundary, lambda _: Vector())
+            return _verified(con, faces, [()])
+
+        report.run("contraction[n=%d]" % n, contraction)
     return payload
 
 
@@ -395,7 +410,7 @@ def build_parser():
     )
     parser.add_argument("--input", help="algebra JSON path or bundled:<name>")
     parser.add_argument("--arity-cap", dest="arity_cap", type=int, default=4)
-    parser.add_argument("--weight-cap", dest="weight_cap", type=int, default=6)
+    parser.add_argument("--weight-cap", dest="weight_cap", type=int, default=5)
     parser.add_argument("--n-cap", dest="n_cap", type=int, default=4)
     parser.add_argument("--format", choices=(TEXT, JSON), default=TEXT)
     parser.add_argument("--timings", action="store_true",

@@ -68,6 +68,12 @@ def perm_parity(perm):
     return sign
 
 
+def antisymmetric_sign(perm, degrees):
+    """Graded antisymmetric sign of a rearrangement: the Koszul sign times
+    the plain sign of the permutation."""
+    return koszul_sign(perm, degrees) * perm_parity(perm)
+
+
 def unshuffles(degrees, sizes):
     """Unshuffles of graded letters: (inside, outside, Koszul sign).
 
@@ -306,42 +312,6 @@ def memo_op(op):
     return wrapped
 
 
-class GradedLinearMap:
-    """Column-major sparse map between graded spaces with named bases."""
-
-    def __init__(self, degree, columns=None):
-        self.degree = degree
-        self.columns = dict(columns) if columns else {}
-
-    def __call__(self, word):
-        return self.columns.get(word, Vector())
-
-    def apply(self, vec):
-        return vec.apply(self)
-
-    def compose(self, other):
-        """self after other; only columns reachable from other materialize."""
-        cols = {}
-        for w, v in other.columns.items():
-            image = v.apply(self)
-            if image:
-                cols[w] = image
-        return GradedLinearMap(self.degree + other.degree, cols)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in map sum")
-        cols = dict(self.columns)
-        out = GradedLinearMap(self.degree, cols)
-        for w, v in other.columns.items():
-            merged = out.columns.get(w, Vector()) + v
-            if merged:
-                out.columns[w] = merged
-            else:
-                out.columns.pop(w, None)
-        return out
-
-
 class Echelon:
     """Sparse Gaussian elimination over Q with combination tracking.
 
@@ -350,12 +320,8 @@ class Echelon:
     makes the whole reduction deterministic.
     """
 
-    def __init__(self, key=_generic_key):
-        self.key = key
+    def __init__(self):
         self.pivots = {}  # lead key -> (lead word, vec, combo)
-
-    def _lead(self, vec):
-        return min(vec.terms, key=self.key)
 
     def reduce(self, vec, combo=None):
         """Reduce vec against the pivots; returns (residual, combo_used).
@@ -368,7 +334,7 @@ class Echelon:
         """
         combo = combo.copy() if combo is not None else Vector()
         vec = vec.copy()
-        key, pivots = self.key, self.pivots
+        key, pivots = _generic_key, self.pivots
         # every pivot key met so far; an elimination only brings in keys above
         # its lead, so the heap yields the hits in increasing order
         hits = [k for k in map(key, vec.terms) if k in pivots]
@@ -394,8 +360,8 @@ class Echelon:
         residual, acc = self.reduce(vec, combo)
         if not residual:
             return False, acc
-        lead = self._lead(residual)
-        self.pivots[self.key(lead)] = (lead, residual, acc)
+        lead = min(residual.terms, key=_generic_key)
+        self.pivots[_generic_key(lead)] = (lead, residual, acc)
         return True, acc
 
     @property
@@ -403,8 +369,8 @@ class Echelon:
         return len(self.pivots)
 
 
-def rank_of(vectors, key=_generic_key):
-    ech = Echelon(key)
+def rank_of(vectors):
+    ech = Echelon()
     for v in vectors:
         ech.insert(v)
     return ech.rank
@@ -470,54 +436,6 @@ class FiniteComplex:
             if h:
                 dims[p] = h
         return dims
-
-
-def suspend(vec, shift):
-    """Suspension s (shift=+1) or its inverse (shift=-1) on word vectors.
-
-    Every letter degree drops by ``shift``; the coefficient picks up the
-    Koszul sign of threading the s (or s^{-1}) symbols through the word.
-    """
-    if shift not in (1, -1):
-        raise ValueError("shift must be +1 or -1")
-    out = Vector()
-    for w, c in vec.items():
-        degs = [g.degree for g in w.letters]
-        if shift == 1:
-            sign = s_power_sign(degs)
-        else:
-            sign = s_power_sign([d + 1 for d in degs])
-        letters = tuple(g.shifted(-shift) for g in w.letters)
-        if w.kind == SYMMETRIC:
-            s2, word = sym_word(letters)
-            if word is None:
-                continue
-            out.add_term(word, c * sign * s2)
-        else:
-            out.add_term(BasisWord(w.kind, letters), c * sign)
-    return out
-
-
-def tensor_map(f, g):
-    """Tensor product of column maps on tensor words (Koszul sign included).
-
-    Columns of f and g must consist of fixed-length tensor words so that the
-    concatenated domain splits unambiguously.
-    """
-    f_len = {len(w.letters) for w in f.columns}
-    if len(f_len) > 1:
-        raise ValueError("left factor domain mixes word lengths")
-    cols = {}
-    for u, fu in f.columns.items():
-        for v, gv in g.columns.items():
-            sign = -1 if (g.degree % 2 and u.degree % 2) else 1
-            col = Vector()
-            for wu, cu in fu.items():
-                for wv, cv in gv.items():
-                    col.add_term(tensor_word(wu.letters + wv.letters), sign * cu * cv)
-            if col:
-                cols[tensor_word(u.letters + v.letters)] = col
-    return GradedLinearMap(f.degree + g.degree, cols)
 
 
 def symmetrize(word):

@@ -9,7 +9,7 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import Vector, add_ops, memo_op, square_zero, sym_word, unshuffles
+from .exactlin import Vector, add_ops, memo_op, sym_word, unshuffles
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from .words import BarWord, CobarWord, bar_letter_degree, concat, vector_product
@@ -49,64 +49,14 @@ def cobar_differential(C, include_coproduct=True):
     return on_word
 
 
-class CobarAlgebra:
-    """The truncated cobar construction as verifiable DG-algebra data."""
-
-    def __init__(self, coalgebra, rank_cap):
-        self.coalgebra = coalgebra
-        self.rank_cap = rank_cap
-        self.differential = memo_op(cobar_differential(coalgebra))
-        self.product = concat
-
-    def words(self, rank):
-        from .words import cobar_words
-
-        return cobar_words(self.coalgebra.sgens, rank)
-
-    def verify(self):
-        """Square-zero and the derivation property on the truncation."""
-        from .words import cobar_words
-
-        words = (x for rank in range(1, self.rank_cap + 1)
-                 for x in cobar_words(self.coalgebra.sgens, rank))
-        square = square_zero(words, self.differential, "%r")
-        if not square:
-            return False, ("square", square.counterexample)
-        for r1 in range(1, self.rank_cap):
-            for x in cobar_words(self.coalgebra.sgens, r1):
-                for y in cobar_words(self.coalgebra.sgens, 1):
-                    lhs = self.differential(concat(x, y))
-                    rhs = Vector()
-                    for x2, c in self.differential(x).items():
-                        rhs.add_term(concat(x2, y), c)
-                    sign = -1 if x.degree % 2 else 1
-                    for y2, c in self.differential(y).items():
-                        rhs.add_term(concat(x, y2), sign * c)
-                    if lhs != rhs:
-                        return False, ("derivation", x, y)
-        return True, None
-
-
-def cobar_build(coalgebra, rank_cap):
-    """Cobar construction of a coalgebra, verified on the truncation."""
-    omega = CobarAlgebra(coalgebra, rank_cap)
-    ok, witness = omega.verify()
-    if not ok:
-        raise ValueError("cobar differential failed verification at %r" % (witness,))
-    return omega
-
-
 def lift_contraction(
-    f_letter, g_letter, h_letter, d_big_letter, d_small_letter, gf_letter=None
+    f_letter, g_letter, h_letter, d_big_letter, d_small_letter, gf_letter
 ):
     """Contraction on the tensor coalgebras from single-letter data.
 
     The projection and inclusion act letterwise; the homotopy keeps the
-    round trip ``gf_letter`` (by default g after f) on a prefix and acts in
-    one slot.
+    round trip ``gf_letter`` (g after f) on a prefix and acts in one slot.
     """
-    if gf_letter is None:
-        gf_letter = lambda x: f_letter(x).apply(g_letter)
     return Contraction(
         bar_morphism(f_letter),
         bar_morphism(g_letter),
@@ -333,18 +283,17 @@ class Transfer:
     perturbed contraction computing the enveloping structure.
     """
 
-    def __init__(self, algebra, weight_cap, top_cell_fault=False):
+    def __init__(self, algebra, weight_cap):
         self.algebra = algebra
         self.weight_cap = weight_cap
         self.C1 = CECoalgebra(algebra, weight_cap, max_arity=1)
         self.Cfull = CECoalgebra(algebra, weight_cap)
-        h_letter = (lambda x: cobar_h(x, faulty=True)) if top_cell_fault else cobar_h
         self.t_mu, self.t_L = perturbations(algebra, weight_cap)
         self.t = add_ops(self.t_mu, self.t_L)
         self.con0 = lift_contraction(
             cobar_f,
             cobar_g,
-            memo_op(h_letter),
+            memo_op(cobar_h),
             memo_op(cobar_differential(self.C1)),
             memo_op(algebra_differential(algebra)),
             cobar_gf,

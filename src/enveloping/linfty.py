@@ -16,12 +16,12 @@ from .exactlin import (
     CheckResult,
     Generator,
     Vector,
+    antisymmetric_sign,
     conjugation_sign,
     format_scalar,
     koszul_sign,
     memo_op,
     parse_scalar,
-    perm_parity,
     s_power_sign,
     square_zero,
     sym_word,
@@ -107,8 +107,7 @@ def antisymmetric_lookup(tables, gens):
     vec = table.get(tuple(gens[i] for i in order))
     if not vec:
         return Vector()
-    sign = koszul_sign(tuple(order), [g.degree for g in gens]) * perm_parity(order)
-    return vec.scaled(sign)
+    return vec.scaled(antisymmetric_sign(order, [g.degree for g in gens]))
 
 
 def _raw_tables(brackets):
@@ -213,15 +212,6 @@ def check_linfty(algebra, weight_cap):
     """Assert the coderivation squares to zero on all words within the cap."""
     C = CECoalgebra(algebra, weight_cap)
     return square_zero(C.all_words(), C.delta, "delta^2 = %r")
-
-
-def ce_coalgebra(algebra, weight_cap, min_arity=1, max_arity=None):
-    C = CECoalgebra(algebra, weight_cap, min_arity, max_arity)
-    result = square_zero(C.all_words(), C.delta, "%r")
-    if not result:
-        raise ValueError("coderivation does not square to zero on %r (bad input?)"
-                         % (result.counterexample,))
-    return C
 
 
 class LInftyMorphism:

@@ -187,12 +187,10 @@ class PermutahedronContraction:
     equivariant, so it is computed, on demand, only on the orbit
     representatives (one standard face per composition of n) and reaches any
     other face through the action.  ``columns`` holds the columns of H built
-    so far.  H kills the top cell for degree reasons; ``top_cell_fault``
-    installs a deliberate violation of that (used only by regression tests
-    downstream).
+    so far.
     """
 
-    def __init__(self, n, top_cell_fault=False):
+    def __init__(self, n):
         self.n = n
         self.vertices = enumerate_faces(n, n)
         self.top_cell = enumerate_faces(n, 1)[0]
@@ -201,8 +199,6 @@ class PermutahedronContraction:
         self._symmetrized = {}  # representative -> A column
         self._projected = {}  # representative -> H' column
         self.columns = {}
-        if top_cell_fault:
-            self.columns[self.top_cell] = Vector.unit(self.top_cell)
 
     def F(self, vec):
         total = Fraction(0)
@@ -358,11 +354,6 @@ def build_contraction(n):
     return PermutahedronContraction(n)
 
 
-@lru_cache(maxsize=None)
-def _faulty_contraction(n):
-    return PermutahedronContraction(n, top_cell_fault=True)
-
-
 def theta(gens, face):
     """The face/cobar dictionary on a tensor word of generators.
 
@@ -441,11 +432,10 @@ def theta_factor(x):
     return tuple(gens), face, gamma
 
 
-def cobar_h(x, faulty=False):
+def cobar_h(x):
     """Contracting homotopy on a cobar word via the face-complex homotopy."""
     gens, face, gamma = theta_factor(x)
-    con = _faulty_contraction(x.rank) if faulty else build_contraction(x.rank)
-    chain = con.homotopy_column(face)
+    chain = build_contraction(x.rank).homotopy_column(face)
     if not chain:
         return Vector()
     word_deg = sum(g.degree for g in gens)

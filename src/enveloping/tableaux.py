@@ -19,7 +19,7 @@ from .exactlin import (
     FiniteComplex,
     Generator,
     Vector,
-    koszul_sign,
+    antisymmetric_sign,
     perm_parity,
     tensor_word,
 )
@@ -275,9 +275,8 @@ def right_act(word, sigma):
     lives on the suspension, where cobar letters are symmetric words.
     """
     letters = word.letters
-    degs = [g.degree for g in letters]
     perm = tuple(sigma[k] - 1 for k in range(len(letters)))
-    sign = koszul_sign(perm, degs) * perm_parity(perm)
+    sign = antisymmetric_sign(perm, [g.degree for g in letters])
     return Vector.unit(tensor_word(letters[i] for i in perm), sign)
 
 
@@ -349,17 +348,6 @@ def schur_dimension_count(T, even_dim, odd_dim):
 
     rec(0, [[None] * (shape[0] if shape else 0) for _ in shape])
     return count
-
-
-def schur_dimension(T, even_dim, odd_dim, method="count"):
-    if method == "count":
-        return schur_dimension_count(T, even_dim, odd_dim)
-    if method == "rank":
-        gens = [Generator("x%d" % i, 0) for i in range(even_dim)] + [
-            Generator("y%d" % i, 1) for i in range(odd_dim)
-        ]
-        return schur_rank(T, gens)
-    raise ValueError("unknown method %r" % (method,))
 
 
 # ---------------------------------------------------------------------------

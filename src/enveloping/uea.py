@@ -11,10 +11,10 @@ from .exactlin import (
     CheckResult,
     Generator,
     Vector,
+    antisymmetric_sign,
     conjugation_sign,
     koszul_sign,
     memo_op,
-    perm_parity,
     square_zero,
     sym_word,
     symmetrize,
@@ -33,11 +33,11 @@ class AInftyStructure:
     structure is deterministic given the algebra and the caps.
     """
 
-    def __init__(self, algebra, arity_cap=4, weight_cap=6, top_cell_fault=False):
+    def __init__(self, algebra, arity_cap, weight_cap):
         self.algebra = algebra
         self.arity_cap = arity_cap
         self.weight_cap = weight_cap
-        self.transfer = Transfer(algebra, weight_cap, top_cell_fault=top_cell_fault)
+        self.transfer = Transfer(algebra, weight_cap)
         self._tables = {}
 
     def product(self, words):
@@ -116,10 +116,6 @@ class AInftyStructure:
                 }
             )
         return entries
-
-
-def compute_products(algebra, arity_cap=4, weight_cap=6):
-    return AInftyStructure(algebra, arity_cap, weight_cap)
 
 
 def word_of(*gens):
@@ -249,7 +245,7 @@ def alt_bracket_check(structure, n):
         degs = [g.degree for g in gens]
         total = Vector()
         for perm in itertools.permutations(range(n)):
-            sign = koszul_sign(perm, degs) * perm_parity(perm)
+            sign = antisymmetric_sign(perm, degs)
             try:
                 value = structure.product(tuple(word_of(gens[i]) for i in perm))
             except ValueError:

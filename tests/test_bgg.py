@@ -155,10 +155,11 @@ def test_roundtrips(sl2_small):
         assert roundtrip_gf_check(GM, 3, 3), M.name
 
 
-def test_roundtrip_fails_with_top_cell_fault():
+def test_roundtrip_fails_with_top_cell_fault(top_cell_fault):
     # the backward round trip genuinely uses the homotopy vanishing on
     # one-letter cobar words; a deliberate violation must be detected
-    faulty = AInftyStructure(sl2(), 3, 3, top_cell_fault=True)
+    top_cell_fault()
+    faulty = AInftyStructure(sl2(), 3, 3)
     M = adjoint_module(faulty.algebra)
     assert not roundtrip_fg_check(M, faulty, 3, 3)
 

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from enveloping.cli import BUNDLED, Report, main
+from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
 # SHA-256 of `products --format json` at arity cap 3 and weight cap 3: the
@@ -65,24 +66,27 @@ def test_validate_module_input(capsys):
     assert "check_module" in out
 
 
+# sl2 with [f, h] = -2f: the Jacobi identity fails at weight three
+JACOBI_BROKEN = {
+    "generators": [
+        {"id": "e", "degree": 0},
+        {"id": "f", "degree": 0},
+        {"id": "h", "degree": 0},
+    ],
+    "brackets": [
+        {"arity": 2, "inputs": ["e", "f"],
+         "value": [{"coeff": "1/1", "monomial": ["h"]}]},
+        {"arity": 2, "inputs": ["e", "h"],
+         "value": [{"coeff": "-2/1", "monomial": ["e"]}]},
+        {"arity": 2, "inputs": ["f", "h"],
+         "value": [{"coeff": "-2/1", "monomial": ["f"]}]},
+    ],
+}
+
+
 def test_validate_corrupted_input_exits_one(tmp_path, capsys):
-    bad = {
-        "generators": [
-            {"id": "e", "degree": 0},
-            {"id": "f", "degree": 0},
-            {"id": "h", "degree": 0},
-        ],
-        "brackets": [
-            {"arity": 2, "inputs": ["e", "f"],
-             "value": [{"coeff": "1/1", "monomial": ["h"]}]},
-            {"arity": 2, "inputs": ["e", "h"],
-             "value": [{"coeff": "-2/1", "monomial": ["e"]}]},
-            {"arity": 2, "inputs": ["f", "h"],
-             "value": [{"coeff": "-2/1", "monomial": ["f"]}]},
-        ],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(JACOBI_BROKEN))
     code, out, _ = run(
         capsys, ["--input", str(path), "--weight-cap", "3", "--format", "json", "validate"]
     )
@@ -91,6 +95,35 @@ def test_validate_corrupted_input_exits_one(tmp_path, capsys):
     assert report["exit_status"] == 1
     (check,) = report["checks"]
     assert check["status"] == "fail" and "counterexample" in check
+
+
+def test_check_rejects_an_invalid_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(JACOBI_BROKEN))
+    for suite in ("bgg", "stasheff", "pbw"):
+        code, out, err = run(capsys, ["--input", str(path), "--arity-cap", "3",
+                                      "--weight-cap", "3", "check", "--suite", suite])
+        assert code == 2 and out == "", suite
+        assert err.startswith("input error: ") and "(e*f*h)" in err, (suite, err)
+    data = json.loads(resources.files("enveloping.data").joinpath(
+        "sl2_adjoint.json").read_text())
+    data["module"]["actions"][0]["value"][0]["coeff"] = "2/1"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["--input", str(path), "--arity-cap", "3",
+                                  "--weight-cap", "3", "check", "--suite", "stasheff"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "module differential" in err
+
+
+def test_parser_defaults():
+    # weight cap 6 needs the rank-6 contraction and does not finish in practice
+    args = build_parser().parse_args(["products"])
+    assert (args.input, args.arity_cap, args.weight_cap, args.n_cap) == (None, 4, 5, 4)
+    assert (args.format, args.timings) == ("text", False)
+    args = build_parser().parse_args(["check"])
+    assert args.suite == "all"
+    args = build_parser().parse_args(["tableaux"])
+    assert (args.dim_even, args.dim_odd) == (2, 0)
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -126,6 +159,18 @@ def test_permutahedron_command(capsys):
     assert report["face_counts"]["4"] == {"1": 1, "2": 14, "3": 36, "4": 24}
     assert report["face_counts"]["3"] == {"1": 1, "2": 6, "3": 6}
     assert report["homology"]["4"] == {"0": 1}
+
+
+def test_permutahedron_command_names_the_failing_face(top_cell_fault, capsys):
+    # H must kill the top cell; at n = 1 the top cell is the vertex, and the
+    # fault shows first on the basis element () of k, through H G
+    top_cell_fault()
+    code, out, _ = run(capsys, ["--n-cap", "3", "--format", "json", "permutahedron"])
+    assert code == 1
+    failed = {c["name"]: c["counterexample"]
+              for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert failed == {"contraction[n=1]": [], "contraction[n=2]": [[1, 2]],
+                      "contraction[n=3]": [[1, 2, 3]]}
 
 
 def test_tableaux_command(capsys):

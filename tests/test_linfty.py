@@ -12,7 +12,6 @@ from enveloping.linfty import (
     adjoint_module,
     algebra_from_json,
     algebra_to_json,
-    ce_coalgebra,
     check_linfty,
     check_module,
     check_morphism,
@@ -37,14 +36,17 @@ def w(*gens):
 
 
 def test_abelian_has_zero_differential():
-    C = ce_coalgebra(abelian([0, 1, 2]), 3)
+    A = abelian([0, 1, 2])
+    assert check_linfty(A, 3)
+    C = CECoalgebra(A, 3)
     for word in C.all_words():
         assert C.delta(word).is_zero()
 
 
 def test_dg_lie_coderivation_has_no_higher_arity():
     L = sl2()
-    C = ce_coalgebra(L, 4)
+    assert check_linfty(L, 4)
+    C = CECoalgebra(L, 4)
     for word in C.all_words():
         for out_word in C.delta(word).terms:
             # binary brackets only merge two letters into one
@@ -55,7 +57,8 @@ def test_dg_lie_coderivation_has_no_higher_arity():
 def test_sl2_ce_differential_frozen_value():
     # c_2 = s l_2 (s x s)^{-1}: recompute the conjugation sign directly
     L = sl2()
-    C = ce_coalgebra(L, 3)
+    assert check_linfty(L, 3)
+    C = CECoalgebra(L, 3)
     e, f, h = (L.by_id[k] for k in ("e", "f", "h"))
     se, sf, sh = (g.shifted(-1) for g in (e, f, h))
     sign = s_power_sign([e.degree, f.degree])  # inverse suspension power
@@ -87,7 +90,7 @@ def test_l3_gadget_satisfies_its_quadratic_constraint():
     # squares to zero because the target never feeds another bracket
     L = l3_gadget()
     assert check_linfty(L, 6)
-    C = ce_coalgebra(L, 4)
+    C = CECoalgebra(L, 4)
     a, b, c = (L.by_id[k].shifted(-1) for k in ("a", "b", "c"))
     value = C.delta(w(a, b, c))
     assert len(value.terms) == 1

@@ -20,7 +20,8 @@ from enveloping.tableaux import (
     h_ct,
     hook_length_count,
     partitions,
-    schur_dimension,
+    schur_dimension_count,
+    schur_rank,
     standard_tableaux,
     t_complex,
     t_complex_contraction_check,
@@ -126,14 +127,17 @@ def test_schur_dimensions_match_rank():
     for shape in ((1,), (2,), (1, 1), (2, 1), (3,), (2, 2)):
         for even, odd in ((1, 0), (2, 0), (1, 1), (0, 2), (3, 0)):
             for T in standard_tableaux(shape):
-                assert schur_dimension(T, even, odd, "count") == schur_dimension(
-                    T, even, odd, "rank"
+                gens = [Generator("x%d" % i, 0) for i in range(even)] + [
+                    Generator("y%d" % i, 1) for i in range(odd)
+                ]
+                assert schur_dimension_count(T, even, odd) == schur_rank(
+                    T, gens
                 ), (shape, even, odd)
 
 
 def test_schur_single_cell_is_the_space():
     T = standard_tableaux((1,))[0]
-    assert schur_dimension(T, 3, 2) == 5
+    assert schur_dimension_count(T, 3, 2) == 5
 
 
 @pytest.mark.parametrize("dims", [(2, 0), (1, 1)])

@@ -26,7 +26,6 @@ from enveloping.uea import (
     check_morphism_chain_map,
     check_strict_vanishing,
     composition_homotopy_check,
-    compute_products,
     coproduct_strictness_check,
     involution_check,
     m1_matches_l1,
@@ -250,7 +249,7 @@ def test_composition_homotopy():
 
 
 def test_compute_products_entry_point():
-    A = compute_products(sl2(), arity_cap=2, weight_cap=2)
+    A = AInftyStructure(sl2(), arity_cap=2, weight_cap=2)
     assert A.arity_cap == 2 and A.weight_cap == 2
     tables = A.export_tables()
     assert any(entry["arity"] == 2 for entry in tables)
