@@ -203,23 +203,36 @@ class PerturbationError(RuntimeError):
 
 
 def perturbation_series(t, H, budget):
-    """X = t - tHt + tHtHt - ... evaluated per input word, memoized."""
+    """X = t - tHt + tHtHt - ..., evaluated as X = t - X(Ht) through a memo.
 
-    def X(word):
-        acc = t(word)
-        total = acc.copy()
-        steps = budget(word)
-        while acc:
-            if steps < 0:
+    ``X(word, p)`` is p(X(word)) for a linear map p on words, and X(word)
+    itself when p is None.  A projected value recurses on projected values,
+    p X(w) = p t(w) - sum_u c_u p X(u) over Ht(w) = sum_u c_u u, memoized by
+    (p, word): no full X vector is stored when only p X is read, and a tail
+    that several words share is computed once.  Recursion depth counts
+    against ``budget`` of the word asked for.
+    """
+    memo = {}
+
+    def value(word, p, steps):
+        key = (p, word)
+        out = memo.get(key)
+        if out is None:
+            tw = t(word)
+            if tw and steps < 0:
                 raise PerturbationError(
                     "perturbation series failed to terminate at %r" % (word,)
                 )
-            acc = acc.apply(H).apply(t).scaled(-1)
-            total.accumulate(acc)
-            steps -= 1
-        return total
+            out = tw.copy() if p is None else tw.apply(p)
+            for u, c in tw.apply(H).items():
+                out.accumulate(value(u, p, steps - 1), -c)
+            memo[key] = out
+        return out
 
-    return memo_op(X)
+    def X(word, p=None):
+        return value(word, p, budget(word))
+
+    return X
 
 
 def default_budget(word):
@@ -235,28 +248,32 @@ def bpl(con, t):
     """
     X = perturbation_series(t, con.H, default_budget)
 
+    def FX(w):
+        return X(w, con.F)
+
+    def HX(w):
+        return X(w, con.H)
+
     def F_t(w):
         v = Vector.unit(w)
-        return v.apply(con.F) - v.apply(con.H).apply(X).apply(con.F)
+        return v.apply(con.F) - v.apply(con.H).apply(FX)
 
     def G_t(w):
         v = Vector.unit(w).apply(con.G)
-        return v - v.apply(X).apply(con.H)
+        return v - v.apply(HX)
 
     def H_t(w):
         v = Vector.unit(w).apply(con.H)
-        return v - v.apply(X).apply(con.H)
+        return v - v.apply(HX)
 
     def d_big_t(w):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
         v = Vector.unit(w).apply(con.G)
-        return Vector.unit(w).apply(con.d_small) + v.apply(X).apply(con.F)
+        return Vector.unit(w).apply(con.d_small) + v.apply(FX)
 
-    out = Contraction(F_t, G_t, H_t, d_big_t, d_small_t)
-    out.X = X
-    return out
+    return Contraction(F_t, G_t, H_t, d_big_t, d_small_t)
 
 
 def shuffle_coproduct(x):

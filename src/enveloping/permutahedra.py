@@ -193,7 +193,6 @@ class PermutahedronContraction:
     def __init__(self, n):
         self.n = n
         self.vertices = enumerate_faces(n, n)
-        self.top_cell = enumerate_faces(n, 1)[0]
         self._nfact = math.factorial(n)
         self._raw = _solve_homotopy(n)
         self._symmetrized = {}  # representative -> A column

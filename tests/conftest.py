@@ -17,7 +17,8 @@ def top_cell_fault(monkeypatch):
         @functools.lru_cache(maxsize=None)
         def faulty_contraction(n):
             con = permutahedra.PermutahedronContraction(n)
-            con.columns[con.top_cell] = Vector.unit(con.top_cell)
+            top_cell = permutahedra.enumerate_faces(n, 1)[0]
+            con.columns[top_cell] = Vector.unit(top_cell)
             return con
 
         monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)

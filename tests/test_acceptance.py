@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from enveloping import bgg, linfty, permutahedra, tableaux, uea
-from enveloping.exactlin import Generator, Vector, koszul_sign, sym_word
+from enveloping.exactlin import Generator, Vector
 from enveloping.hpt import Transfer, algebra_differential, bpl, cobar_differential
 from enveloping.linfty import CECoalgebra
 from enveloping.words import (

@@ -8,8 +8,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import pytest
-
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 

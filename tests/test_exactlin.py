@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from enveloping.exactlin import (
-    BasisWord,
     Echelon,
     FiniteComplex,
     Generator,

@@ -2,26 +2,29 @@
 contraction and its coalgebra conditions, the perturbations, the basic
 perturbation lemma and its composition law."""
 
-import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import Vector, add_ops, s_power_sign, sym_word
+from enveloping.exactlin import Vector, s_power_sign
 from enveloping.hpt import (
     Transfer,
     algebra_differential,
-    bar_coderivation,
     bar_morphism,
     bpl,
     cobar_differential,
-    lifted_homotopy,
+    default_budget,
     perturbation_series,
     shuffle_coproduct,
     t_mu,
 )
-from enveloping.linfty import CECoalgebra, abelian, l3_gadget, sl2
+from enveloping.linfty import (
+    CECoalgebra,
+    abelian,
+    from_complete_intersection,
+    l3_gadget,
+    sl2,
+)
 from enveloping.permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from enveloping.uea import star_product
 from enveloping.words import (
@@ -284,6 +287,50 @@ def test_series_termination_guard():
     X = perturbation_series(unit, unit, lambda w: 3)
     with pytest.raises(PerturbationError):
         X(bar_words_cobar(T.C1.sgens, 2, 2)[0])
+
+
+def unrolled_series(t, H, word):
+    """Reference X(word) = t - tHt + tHtHt - ..., summed term by term."""
+    acc = t(word)
+    total = acc.copy()
+    while acc:
+        acc = acc.apply(H).apply(t).scaled(-1)
+        total.accumulate(acc)
+    return total
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        sl2(),
+        l3_gadget(),
+        from_complete_intersection(["x", "y"], {"w": [(1, ("x", "x", "y"))]}),
+    ],
+    ids=["sl2", "l3only", "ci"],
+)
+def test_projected_series_matches_unrolled_series(algebra):
+    from enveloping.hpt import PerturbationError
+
+    T = Transfer(algebra, 3)
+    F, H = T.con0.F, T.con0.H
+    X = perturbation_series(T.t, H, default_budget)
+    words = set()
+    for bar in bar_words_algebra(algebra.generators, 3, 3):
+        words.update(T.con0.G(bar).terms)
+    words = sorted(words, key=repr)
+    assert words
+    for w in words:
+        expected = unrolled_series(T.t, H, w)
+        # a memo that ignored the projection would return X(w, F) below
+        assert X(w, F) == expected.apply(F), w
+        assert X(w, H) == expected.apply(H), w
+        assert X(w) == expected, w
+    assert any(X(w, F) for w in words)
+    assert any(X(w, H) for w in words)
+
+    unit = lambda word: Vector.unit(word)  # never decreases anything
+    with pytest.raises(PerturbationError):
+        perturbation_series(unit, unit, lambda w: 3)(words[0], F)
 
 
 def test_shuffle_coproduct_counit_and_symmetry(sl2_transfer):

@@ -22,7 +22,6 @@ from enveloping.linfty import (
     identity_morphism,
     l3_gadget,
     module_from_json,
-    odd_abelian,
     sl2,
     sl2_plus_l3,
     trivial_module,

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from enveloping.exactlin import Generator, Vector, koszul_sign, sym_word
+from enveloping.exactlin import Vector, koszul_sign
 from enveloping.hpt import cobar_differential
 from enveloping.linfty import CECoalgebra, dg_vector_space
 from enveloping.permutahedra import (
@@ -21,7 +21,7 @@ from enveloping.permutahedra import (
     nu,
     theta,
 )
-from enveloping.words import CobarWord, cobar_words, sym_words
+from enveloping.words import cobar_words, sym_words
 
 
 def make_space(pairs):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import Generator, Vector, sym_word
+from enveloping.exactlin import Generator, Vector
 from enveloping.linfty import (
     LInftyAlgebra,
     LInftyMorphism,
