@@ -7,7 +7,8 @@ solved once on every face, then averaged and repaired only on the orbit
 representatives, one standard face per composition of n; the action carries
 it to every other face.  Transporting the contraction along the face/cobar
 dictionary yields the contracting homotopy of the cobar construction of a
-symmetric coalgebra.
+symmetric coalgebra; each contraction compiles that transport once per shape
+of cobar word.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .exactlin import (
     sym_word,
     unshuffles,
 )
-from .words import CobarWord, desuspend_blocks, vector_product
+from .words import (
+    CobarWord,
+    desuspended_letter,
+    desuspended_word,
+    desuspension_sign,
+    vector_product,
+)
 
 
 class OrderedPartition:
@@ -72,6 +79,16 @@ class OrderedPartition:
 
     def serialize(self):
         return [list(b) for b in self.blocks]
+
+
+def _face(n, blocks):
+    """An OrderedPartition from increasing blocks already known to partition
+    {1..n}, e.g. the image of a valid face under a permutation."""
+    face = object.__new__(OrderedPartition)
+    face.n = n
+    face.blocks = blocks
+    face._hash = hash((n, blocks))
+    return face
 
 
 def enumerate_faces(n, d):
@@ -131,14 +148,15 @@ def boundary(face):
 
 
 def act(sigma, face):
-    """Left action of a permutation (one-line: sigma[i-1] is the image of i)."""
+    """Left action of a permutation of {1..n} (one-line: sigma[i-1] is the
+    image of i)."""
     sign = 1
     new_blocks = []
     for block in face.blocks:
         image = [sigma[x - 1] for x in block]
         sign *= perm_parity(image)
-        new_blocks.append(image)
-    return sign, OrderedPartition(face.n, new_blocks)
+        new_blocks.append(tuple(sorted(image)))
+    return sign, _face(face.n, tuple(new_blocks))
 
 
 def act_vector(sigma, vec):
@@ -198,6 +216,8 @@ class PermutahedronContraction:
         self._symmetrized = {}  # representative -> A column
         self._projected = {}  # representative -> H' column
         self.columns = {}
+        self._plans = {}  # (composition, letter parities) -> compiled cobar_h
+        self._letters = {}  # block of generators -> (sign, letter), or None
 
     def F(self, vec):
         total = Fraction(0)
@@ -230,6 +250,60 @@ class PermutahedronContraction:
         if col is None:
             col = self.columns[face] = _extend(self.columns, self._repair, Vector.unit(face))
         return col
+
+    def cobar_homotopy(self, x):
+        """``cobar_h`` on a cobar word of rank n.
+
+        The value is the sum of c theta(gens, f) over the column of x's
+        standard face, times -(-1)^|gens| / gamma.  All of it but the sort
+        sign and word of each block's letter depends only on the composition
+        of x and the parities of its letters, so it is compiled once per such
+        shape: each face as indices into the shape's distinct blocks of
+        positions, with one coefficient.  A call looks up each block's letter
+        (interned per block of generators) and multiplies out the faces.
+        """
+        gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
+        shape = (tuple(w.weight for w in x.letters), tuple(g.degree % 2 for g in gens))
+        plan = self._plans.get(shape)
+        if plan is None:
+            plan = self._plans[shape] = self._compile_plan(x)
+        positions, terms = plan
+        letters = self._letters
+        found = []
+        for block in positions:
+            block = tuple(gens[i] for i in block)
+            if block not in letters:
+                sign, letter = desuspended_letter(block)
+                letters[block] = None if letter is None else (sign, letter)
+            found.append(letters[block])
+        out = Vector()
+        for indices, coeff, negated in terms:
+            word = []
+            sign = 1
+            for k in indices:
+                entry = found[k]
+                if entry is None:
+                    break
+                sign *= entry[0]
+                word.append(entry[1])
+            else:
+                out.add_term(CobarWord(word), coeff if sign > 0 else negated)
+        return out
+
+    def _compile_plan(self, x):
+        gens, face, gamma = theta_factor(x)
+        degs = [g.degree for g in gens]
+        scale = Fraction(-1 if sum(degs) % 2 == 0 else 1, gamma)
+        positions = {}  # position set of a block -> its index
+        terms = []
+        for f, c in self.homotopy_column(face).items():
+            indices = tuple(
+                positions.setdefault(tuple(i - 1 for i in b), len(positions))
+                for b in f.blocks
+            )
+            coeff = scale * c * theta_sign(degs, f)
+            terms.append((indices, coeff, -coeff))
+        return tuple(positions), terms
 
     def _symmetrize(self, rep):
         """A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
@@ -285,15 +359,22 @@ def _orbit(face):
 
 def _extend(memo, column, vec):
     """Apply an equivariant map, known by ``column`` on the orbit
-    representatives (memoized in ``memo``), to a chain."""
+    representatives (memoized in ``memo``), to a chain.  A face off its
+    representative takes sigma of the representative's column, added term
+    by term."""
     out = Vector()
     for f, c in vec.items():
         sigma, rep = _orbit(f)
         col = memo.get(rep)
         if col is None:
             col = memo[rep] = column(rep)
-        if col:
-            out.accumulate(col if f == rep else act_vector(sigma, col), c)
+        if f == rep:
+            out.accumulate(col, c)
+        else:
+            negated = -c
+            for g, cg in col.items():
+                sign, image = act(sigma, g)
+                out.add_term(image, (c if sign > 0 else negated) * cg)
     return out
 
 
@@ -353,6 +434,17 @@ def build_contraction(n):
     return PermutahedronContraction(n)
 
 
+def theta_sign(degs, face):
+    """The part of theta's sign fixed by the letter degrees, of which only
+    the parities matter: the Koszul sign of arranging the letters block by
+    block, (-1)^((n - d)|w|), and the desuspension of the blocks."""
+    arrangement = [x - 1 for b in face.blocks for x in b]
+    sign = koszul_sign(arrangement, degs)
+    if (face.n - face.d) % 2 and sum(degs) % 2:
+        sign = -sign
+    return sign * desuspension_sign([degs[x - 1] for x in b] for b in face.blocks)
+
+
 def theta(gens, face):
     """The face/cobar dictionary on a tensor word of generators.
 
@@ -360,16 +452,10 @@ def theta(gens, face):
     the value is a single signed cobar word over the suspended letters, or
     zero when a block repeats an odd suspended letter.
     """
-    n = face.n
-    if len(gens) != n:
+    if len(gens) != face.n:
         raise ValueError("word length must match the face")
-    degs = [g.degree for g in gens]
-    arrangement = [x - 1 for b in face.blocks for x in b]
-    sign = koszul_sign(arrangement, degs)
-    if (n - face.d) % 2 and sum(degs) % 2:
-        sign = -sign
-    s2, word = desuspend_blocks([gens[x - 1] for x in b] for b in face.blocks)
-    return Vector.unit(word, sign * s2)
+    s2, word = desuspended_word([gens[x - 1] for x in b] for b in face.blocks)
+    return Vector.unit(word, theta_sign([g.degree for g in gens], face) * s2)
 
 
 def standard_face(n, sizes):
@@ -433,18 +519,7 @@ def theta_factor(x):
 
 def cobar_h(x):
     """Contracting homotopy on a cobar word via the face-complex homotopy."""
-    gens, face, gamma = theta_factor(x)
-    chain = build_contraction(x.rank).homotopy_column(face)
-    if not chain:
-        return Vector()
-    word_deg = sum(g.degree for g in gens)
-    sign = Fraction(-1 if word_deg % 2 == 0 else 1, gamma)
-    out = Vector()
-    for f2, c in chain.items():
-        img = theta(gens, f2)
-        for w, c2 in img.items():
-            out.add_term(w, sign * c * c2)
-    return out
+    return build_contraction(x.rank).cobar_homotopy(x)
 
 
 def iota_omega(x):

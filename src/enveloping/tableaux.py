@@ -23,7 +23,7 @@ from .exactlin import (
     perm_parity,
     tensor_word,
 )
-from .words import cobar_words, desuspend_blocks
+from .words import cobar_words, desuspended_word, desuspension_sign
 
 
 def partitions(n):
@@ -403,7 +403,8 @@ def pi_map(word, sizes):
     for m in sizes:
         blocks.append(word.letters[start : start + m])
         start += m
-    sign, cobar = desuspend_blocks(blocks)
+    sign, cobar = desuspended_word(blocks)
+    sign *= desuspension_sign([[g.degree for g in b] for b in blocks])
     return Vector.unit(cobar, sign)
 
 

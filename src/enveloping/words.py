@@ -167,29 +167,42 @@ def bar_words_cobar(gens, rank_cap, length_cap):
     return bar_words(pools, rank_cap, length_cap)
 
 
-def desuspend_blocks(blocks):
-    """Sign and cobar word of s^{-1} Sym applied to each block of generators.
+def desuspension_sign(block_degrees):
+    """Sign of s^{-1} Sym applied to consecutive blocks of generators, given
+    the degrees of each block; only their parities matter.
 
-    Each block of unsuspended generators becomes one letter: the block's
-    suspension power, canonically sorted.  The block operators act right
-    block first; one of degree 1 - len(block) moves past the generators of
-    the blocks before it.  Returns (0, None) when a block repeats an odd
-    suspended letter.
+    The block operators act right block first; one of degree 1 - len(block)
+    moves past the generators of the blocks before it.
     """
     sign = 1
-    letters = []
     seen_deg = 0
-    for block in blocks:
-        bdegs = [g.degree for g in block]
-        if (1 - len(block)) % 2 and seen_deg % 2:
+    for bdegs in block_degrees:
+        if (1 - len(bdegs)) % 2 and seen_deg % 2:
             sign = -sign
         sign *= s_power_sign(bdegs)
-        s2, w = sym_word([g.shifted(-1) for g in block])
+        seen_deg += sum(bdegs)
+    return sign
+
+
+def desuspended_letter(block):
+    """The letter s^{-1} Sym of one block of generators: (Koszul sign of the
+    sort, symmetric word), or (0, None) when the block repeats an odd
+    suspended letter."""
+    return sym_word([g.shifted(-1) for g in block])
+
+
+def desuspended_word(blocks):
+    """The cobar word with one ``desuspended_letter`` per block, and the
+    product of their sort signs; (0, None) when a block dies.  The sign of
+    the desuspensions themselves is ``desuspension_sign``."""
+    sign = 1
+    letters = []
+    for block in blocks:
+        s2, w = desuspended_letter(block)
         if w is None:
             return 0, None
         sign *= s2
         letters.append(w)
-        seen_deg += sum(bdegs)
     return sign, CobarWord(letters)
 
 

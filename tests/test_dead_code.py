@@ -1,11 +1,15 @@
-"""Every definition in the package is used somewhere, and every import is
-used in its module.
+"""Every definition in the package is used somewhere, every import is used
+in its module, and no cache outlives the objects it belongs to.
 
 Collects the module-level functions and classes of ``src/enveloping`` and
 the methods of those classes, and asserts that each name is referenced in
 ``src/``, ``tests/`` or ``perfbench/``: as a name, an attribute, an import or
 a string (the benchmark patches some attributes by name).  Dunder methods
 are called by the language and are not checked.
+
+A process-global cache survives a test's monkeypatch of what it was built
+from, so state computed from a contraction lives on the contraction; the
+module-level caches are held to a short allowlist.
 """
 
 import ast
@@ -76,3 +80,61 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append("%s: %s" % (path.relative_to(ROOT), name))
     assert unused == []
+
+
+# the only process-global cache: one contraction per n, which the tests that
+# inject a fault replace as a whole
+GLOBAL_CACHES = {"permutahedra.build_contraction"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+MUTATORS = {"add", "update", "setdefault", "pop", "popitem", "clear", "discard", "remove"}
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _is_dict_or_set(node):
+    if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"dict", "set", "defaultdict", "OrderedDict", "Counter"})
+
+
+def _mutated_names(function):
+    names = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _global_caches():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in tree.body:
+            defs = [node] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                defs = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            for fn in defs:
+                if any(_decorator_name(d) in CACHE_DECORATORS for d in fn.decorator_list):
+                    yield "%s.%s" % (path.stem, fn.name)
+        mutated = set().union(*map(_mutated_names, functions))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _is_dict_or_set(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in mutated:
+                        yield "%s.%s" % (path.stem, target.id)
+
+
+def test_no_process_global_cache_outside_the_allowlist():
+    assert set(_global_caches()) == GLOBAL_CACHES

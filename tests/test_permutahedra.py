@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import Vector, compositions, format_scalar
+from enveloping.exactlin import (
+    Vector,
+    compositions,
+    format_scalar,
+    koszul_sign,
+    s_power_sign,
+    sym_word,
+)
+from enveloping.linfty import heisenberg, l3_gadget, odd_abelian, sl2
 from enveloping.permutahedra import (
     OrderedPartition,
     PermutahedronContraction,
@@ -15,11 +23,13 @@ from enveloping.permutahedra import (
     boundary,
     build_contraction,
     chain_complex,
+    cobar_h,
     enumerate_faces,
     nu,
     nu_vector,
     standard_face,
 )
+from enveloping.words import CobarWord, cobar_words
 
 
 def brute_force_faces(n, d):
@@ -199,3 +209,80 @@ def test_n2_homotopy_matches_hand_computation():
 def test_face_serialization():
     f = F((1, 3), (2,))
     assert f.serialize() == [[1, 3], [2]]
+
+
+def reference_theta(gens, face):
+    """The face/cobar dictionary with every sign written out: the Koszul sign
+    of the arrangement, (n - d)|w|, and per block the desuspension and the
+    sort of its letters."""
+    degs = [g.degree for g in gens]
+    arrangement = [x - 1 for b in face.blocks for x in b]
+    sign = koszul_sign(arrangement, degs)
+    if (face.n - face.d) % 2 and sum(degs) % 2:
+        sign = -sign
+    letters = []
+    seen_deg = 0
+    for b in face.blocks:
+        block = [gens[x - 1] for x in b]
+        bdegs = [g.degree for g in block]
+        if (1 - len(block)) % 2 and seen_deg % 2:
+            sign = -sign
+        sign *= s_power_sign(bdegs)
+        s2, w = sym_word([g.shifted(-1) for g in block])
+        if w is None:
+            return Vector()
+        sign *= s2
+        letters.append(w)
+        seen_deg += sum(bdegs)
+    return Vector.unit(CobarWord(letters), sign)
+
+
+def reference_cobar_h(x):
+    """cobar_h as the per-face loop sum_f c theta(gens, f) -(-1)^|gens| / gamma
+    over the column of the standard face of x."""
+    gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
+    face = standard_face(x.rank, [w.weight for w in x.letters])
+    gamma = reference_theta(gens, face).coeff(x)
+    assert gamma
+    sign = Fraction(-1 if sum(g.degree for g in gens) % 2 == 0 else 1, gamma)
+    out = Vector()
+    for f, c in build_contraction(x.rank).homotopy_column(face).items():
+        for w, c2 in reference_theta(gens, f).items():
+            out.add_term(w, sign * c * c2)
+    return out
+
+
+def _suspended_generators(algebra):
+    return tuple(g.shifted(-1) for g in algebra.generators)
+
+
+# even and odd letters, and repeated odd letters that kill a block
+COBAR_H_CASES = [
+    (heisenberg(), 4),
+    (odd_abelian([1, 3], name="odd2"), 4),
+    (l3_gadget(), 4),
+    (sl2(), 5),
+]
+
+
+@pytest.mark.parametrize("algebra,rank_cap", COBAR_H_CASES, ids=lambda c: getattr(c, "name", c))
+def test_cobar_h_matches_theta_reference(algebra, rank_cap):
+    sgens = _suspended_generators(algebra)
+    for rank in range(1, rank_cap + 1):
+        for x in cobar_words(sgens, rank):
+            # same terms in the same order, so every later sum is unchanged
+            assert list(cobar_h(x).items()) == list(reference_cobar_h(x).items()), x
+
+
+def test_cobar_h_follows_a_faulted_contraction(top_cell_fault):
+    # the compiled homotopy lives on the contraction it was built from: a
+    # contraction built after the fault must not reuse what the clean one
+    # compiled for the same shape
+    e, f, h = _suspended_generators(sl2())
+    _, letter = sym_word([e, f, h])
+    x = CobarWord((letter,))
+    assert cobar_h(x).is_zero()  # H vanishes on the top cell
+    top_cell_fault()
+    # H(top) = top now, so cobar_h(x) = -(-1)^|gens| x, and the unsuspended
+    # letters e, f, h are even
+    assert cobar_h(x) == Vector.unit(x, -1)
