@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import CheckResult, FiniteComplex, Vector, memo_op, square_zero, sym_word
+from .exactlin import CheckResult, FiniteComplex, Vector, memo_op, sym_word
 from .linfty import LInftyModule
-from .words import BarWord
 
 
 def tau_value(word):
@@ -38,21 +37,6 @@ def _tau_inputs(pieces, c):
         inputs.append(w)
         coeff *= cc
     return inputs, coeff
-
-
-def canonical_tau(structure, weight_cap=None):
-    """The canonical twisted cochain, with its defining equation verified.
-
-    A failure here signals a sign inconsistency upstream, so it is an error
-    rather than a check result.
-    """
-    result = generalized_cochain_check(structure, weight_cap)
-    if not result:
-        raise ValueError(
-            "the canonical projection is not a twisted cochain at %r"
-            % (result.counterexample,)
-        )
-    return tau_value
 
 
 def generalized_cochain_check(structure, weight_cap=None):
@@ -176,114 +160,6 @@ def twisted_tensor_acyclicity(structure, weight_cap=None):
     return CheckResult(ok, None if ok else dims, "" if ok else "homology %r" % dims), dims
 
 
-def omega_to_enveloping_check(structure, rank_cap=None):
-    """The multiplicative extension of tau is a chain map (binary case)."""
-    if not structure.algebra.is_dg_lie():
-        raise ValueError("the multiplicative extension needs a binary-bracket algebra")
-    cap = rank_cap or structure.weight_cap
-    from .words import cobar_words
-
-    sgens = structure.transfer.Cfull.sgens
-
-    def rho(x):
-        value = None
-        for letter in x.letters:
-            t = tau_value(letter)
-            if not t:
-                return Vector()
-            value = t if value is None else _m2_vec(structure, value, t)
-            if not value:
-                return Vector()
-        return value
-
-    for r in range(1, cap + 1):
-        for x in cobar_words(sgens, r):
-            lhs = structure.transfer.d_omega_full(x).apply(rho)
-            rhs = rho(x).apply(structure.m1)
-            if lhs != rhs:
-                return CheckResult(False, x, "algebra map is not a chain map")
-    return CheckResult(True)
-
-
-def _m2_vec(structure, left, right):
-    out = Vector()
-    for u, cu in left.items():
-        for v, cv in right.items():
-            out.accumulate(structure.m2(u, v), cu * cv)
-    return out
-
-
-def omega_comparison_check(structure, rank_cap=None):
-    """Rank-by-rank homology of the two cobar models agrees (finite odd case).
-
-    Compares the cobar construction of the coalgebra with the cobar
-    construction of the bar construction of the enveloping structure; both
-    are graded by the number of algebra letters, and each rank piece is a
-    finite complex for an odd-concentrated algebra.
-    """
-    algebra = structure.algebra
-    if any(g.degree % 2 == 0 for g in algebra.generators):
-        raise ValueError("exact comparison needs an odd-concentrated algebra")
-    cap = rank_cap or min(structure.weight_cap, 3)
-    from .hpt import COPRODUCT_SIGN
-    from .words import bar_words_algebra, cobar_words
-
-    omega_c = {}
-    d_omega = structure.transfer.d_omega_full
-    for rank in range(1, cap + 1):
-        by_degree = {}
-        for x in cobar_words(structure.transfer.Cfull.sgens, rank):
-            by_degree.setdefault(x.degree, []).append(x)
-        omega_c[rank] = FiniteComplex(by_degree, d_omega).homology_dims()
-
-    # the second model: letters are suspended-inverse bar words; the letter
-    # differential is the bar differential and the coproduct deconcatenates
-    def letter_diff(bar):
-        return structure.bar_differential(bar)
-
-    def d_omega_bu(word):
-        bars = word  # tuple of BarWords
-        out = Vector()
-        left = 0
-        for j, b in enumerate(bars):
-            prefix = -1 if left % 2 else 1
-            for b2, c in letter_diff(b).items():
-                out.add_term(bars[:j] + (b2,) + bars[j + 1 :], -prefix * c)
-            for cut in range(1, b.length):
-                first = BarWord(b.letters[:cut])
-                second = BarWord(b.letters[cut:])
-                sA = -1 if (first.degree + 1) % 2 else 1
-                out.add_term(
-                    bars[:j] + (first, second) + bars[j + 1 :],
-                    COPRODUCT_SIGN * prefix * sA,
-                )
-            left += b.degree + 1  # degree of the desuspended bar-word letter
-        return out
-
-    omega_bu = {}
-    pool = bar_words_algebra(algebra.generators, cap, cap)
-    for rank in range(1, cap + 1):
-        words = {}
-        def extend(prefix, remaining):
-            if prefix:
-                key = tuple(prefix)
-                deg = sum(b.degree + 1 for b in prefix)
-                words.setdefault(deg, []).append(key)
-            for b in pool:
-                if b.rank <= remaining:
-                    extend(prefix + [b], remaining - b.rank)
-        extend([], rank)
-        by_degree = {
-            deg: [k for k in keys if sum(b.rank for b in k) == rank]
-            for deg, keys in words.items()
-        }
-        by_degree = {d: ks for d, ks in by_degree.items() if ks}
-        omega_bu[rank] = FiniteComplex(by_degree, d_omega_bu).homology_dims()
-
-    ok = omega_c == omega_bu
-    return CheckResult(ok, None if ok else (omega_c, omega_bu)), omega_c
-
-
 # ---------------------------------------------------------------------------
 # endomorphism operators
 
@@ -364,48 +240,6 @@ class AInftyModule:
         return self.cochain.get(bar, ZERO_OP)
 
 
-def module_complex_check(module, arity_cap=None, weight_cap=None):
-    """Square-zero of the twisted differential on BU (x) M within caps.
-
-    Evaluation makes the module space a left module over its endomorphisms,
-    so the comodule lives on the left: the cochain eats a bar-word suffix and
-    the remaining prefix contributes its Koszul sign.
-    """
-    structure = module.structure
-    acap = arity_cap or structure.arity_cap
-    wcap = weight_cap or structure.weight_cap
-    from .words import bar_words_algebra
-
-    bars = [BarWord(())] + [
-        b
-        for b in bar_words_algebra(structure.algebra.generators, wcap, acap)
-        if b.length <= acap
-    ]
-
-    def D(key):
-        bar, m = key
-        out = Vector()
-        if bar.length:
-            for b2, c in structure.bar_differential(bar).items():
-                out.add_term((b2, m), c)
-        sign = -1 if bar.degree % 2 else 1
-        for m2, c in module.d_m.apply(m).items():
-            out.add_term((bar, m2), sign * c)
-        for cut in range(0, bar.length):
-            pre = BarWord(bar.letters[:cut])
-            post = BarWord(bar.letters[cut:])
-            op = module.t(post)
-            if not op:
-                continue
-            pre_sign = -1 if pre.degree % 2 else 1
-            for m2, c in op.apply(m).items():
-                out.add_term((pre, m2), pre_sign * c)
-        return out
-
-    keys = ((bar, m) for bar in bars for m in module.basis)
-    return square_zero(keys, D, "module differential squares to %r")
-
-
 # ---------------------------------------------------------------------------
 # the functors
 
@@ -473,14 +307,6 @@ def functor_f(module_u, arity_cap=None, weight_cap=None):
                         name=module_u.name + ">coalg")
 
 
-def roundtrip_gf_check(module_u, arity_cap=None, weight_cap=None):
-    """G(F(M)) has exactly the original cochain tables."""
-    structure = module_u.structure
-    back = functor_g(functor_f(module_u, arity_cap, weight_cap), structure,
-                     arity_cap, weight_cap)
-    return _same_module(module_u, back)
-
-
 def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
     """F(G(M)) has exactly the original action tables."""
     forward = functor_g(module_l, structure, arity_cap, weight_cap)
@@ -494,14 +320,4 @@ def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
             return CheckResult(False, word, "action tables changed on the round trip")
     if any(module_l.differential(m) != back.differential(m) for m in module_l.basis):
         return CheckResult(False, None, "module differential changed")
-    return CheckResult(True)
-
-
-def _same_module(left, right):
-    keys = set(left.cochain) | set(right.cochain)
-    for k in sorted(keys, key=lambda b: b.sort_key()):
-        if left.t(k) != right.t(k):
-            return CheckResult(False, k, "cochain tables differ")
-    if left.d_m != right.d_m:
-        return CheckResult(False, None, "module differentials differ")
     return CheckResult(True)

@@ -8,7 +8,6 @@ parsed, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -334,18 +333,17 @@ def _stirling(n, d):
 
 
 def _tableaux_checks(report, n_cap, dims=(2, 0)):
-    even, odd = dims
+    """Run the counting checks for n <= n_cap; returns both dimension profiles."""
+    profiles = {}
     for n in range(1, n_cap + 1):
         def bijection(n=n):
             # every column-semistandard filling arises exactly once
             for shape in tableaux.partitions(n):
                 total = {}
                 for T in tableaux.standard_tableaux(shape):
-                    JT = tableaux.descents(T)
-                    for size in range(len(JT) + 1):
-                        for combo in itertools.combinations(sorted(JT), size):
-                            key = tableaux.column_tableau(T, frozenset(combo))
-                            total[key] = total.get(key, 0) + 1
+                    for J in tableaux.descent_subsets(T):
+                        key = tableaux.column_tableau(T, J)
+                        total[key] = total.get(key, 0) + 1
                 direct = []
                 for values in range(1, n + 1):
                     direct.extend(tableaux.column_semistandard_fillings(shape, values))
@@ -353,10 +351,17 @@ def _tableaux_checks(report, n_cap, dims=(2, 0)):
                     return CheckResult(False, shape)
             return CheckResult(True)
 
+        def profile(n=n):
+            result, cobar, tabs = tableaux.decomposition_dims(n, *dims)
+            profiles[str(n)] = {
+                "cobar": {str(k): v for k, v in sorted(cobar.items())},
+                "tableaux": {str(k): v for k, v in sorted(tabs.items())},
+            }
+            return result
+
         report.run("tableaux_bijection[n=%d]" % n, bijection)
-        report.run("profile[n=%d]" % n,
-                   lambda n=n: tableaux.decomposition_dims(n, even, odd)[0])
-    return report
+        report.run("profile[n=%d]" % n, profile)
+    return profiles
 
 
 def _bgg_checks(report, args, structure):
@@ -378,16 +383,25 @@ def cmd_permutahedron(args):
 
 def cmd_tableaux(args):
     report = Report("tableaux", _config(args))
-    even, odd = args.dim_even, args.dim_odd
-    _tableaux_checks(report, args.n_cap, (even, odd))
-    payload = {"profiles": {}}
+    dims = (args.dim_even, args.dim_odd)
+    profiles = _tableaux_checks(report, args.n_cap, dims)
+    gens = tableaux.generators(*dims)
+    space = linfty.dg_vector_space([(g.id, g.degree, {}) for g in gens])
+    d_omega = hpt.cobar_differential(linfty.CECoalgebra(space, args.n_cap, max_arity=1))
     for n in range(1, args.n_cap + 1):
-        _, cobar, tabs = tableaux.decomposition_dims(n, even, odd)
-        payload["profiles"][str(n)] = {
-            "cobar": {str(k): v for k, v in sorted(cobar.items())},
-            "tableaux": {str(k): v for k, v in sorted(tabs.items())},
-        }
-    return report, payload
+        def cube(n=n):
+            for T in tableaux.tableaux_of_size(n):
+                result = tableaux.t_complex_contraction_check(T)
+                if not result:
+                    return result
+            return CheckResult(True)
+
+        report.run("cube_contraction[n=%d]" % n, cube)
+        report.run("embedding_spans[n=%d]" % n,
+                   lambda n=n: tableaux.embedding_rank_check(n, gens))
+        report.run("embedding_chain_map[n=%d]" % n,
+                   lambda n=n: tableaux.embedding_chain_check(n, gens, d_omega))
+    return report, {"profiles": profiles}
 
 
 def _config(args):
@@ -400,6 +414,8 @@ def _config(args):
     }
     if getattr(args, "suite", None):
         cfg["suite"] = args.suite
+    if args.command == "tableaux":
+        cfg["dim_even"], cfg["dim_odd"] = args.dim_even, args.dim_odd
     return cfg
 
 
@@ -441,6 +457,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.arity_cap < 1 or args.weight_cap < 1 or args.n_cap < 1:
         parser.error("caps must be positive")
+    if args.command == "tableaux" and min(args.dim_even, args.dim_odd) < 0:
+        parser.error("dimensions must not be negative")
     try:
         report, payload = COMMANDS[args.command](args)
     except ParseFailure as exc:

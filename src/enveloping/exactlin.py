@@ -205,9 +205,6 @@ class Vector:
         v.terms[word] = Fraction(coeff)
         return v
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -9,7 +9,7 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import Vector, add_ops, memo_op, sym_word, unshuffles
+from .exactlin import Vector, add_ops, memo_op, sym_word
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from .words import BarWord, CobarWord, bar_letter_degree, concat, vector_product
@@ -274,22 +274,6 @@ def bpl(con, t):
         return Vector.unit(w).apply(con.d_small) + v.apply(FX)
 
     return Contraction(F_t, G_t, H_t, d_big_t, d_small_t)
-
-
-def shuffle_coproduct(x):
-    """Shuffle coproduct on cobar words; Vector over ordered pairs."""
-    letters = x.letters
-    out = Vector()
-    for inside, outside, sign in unshuffles(
-        [w.degree + 1 for w in letters], range(len(letters) + 1)
-    ):
-        left = tuple(letters[i] for i in inside)
-        right = tuple(letters[i] for i in outside)
-        out.add_term(
-            (CobarWord(left) if left else None, CobarWord(right) if right else None),
-            sign,
-        )
-    return out
 
 
 class Transfer:

@@ -408,10 +408,6 @@ def check_module(module, weight_cap):
     return square_zero(keys, D, "module differential squares to %r")
 
 
-def trivial_module(algebra):
-    return LInftyModule(algebra, [Generator("triv", 0)], {}, {}, name="trivial")
-
-
 def adjoint_module(algebra):
     """The algebra acting on itself through its binary bracket.
 
@@ -446,43 +442,9 @@ def abelian(degrees, name="abelian"):
     return LInftyAlgebra(gens, {}, name=name)
 
 
-def sl2():
-    e, f, h = Generator("e", 0), Generator("f", 0), Generator("h", 0)
-    table = {
-        (e, f): {h: 1},
-        (e, h): {e: -2},
-        (f, h): {f: 2},
-    }
-    return LInftyAlgebra([e, f, h], {2: table}, name="sl2")
-
-
 def heisenberg():
     x, y, z = Generator("x", 0), Generator("y", 0), Generator("z", 0)
     return LInftyAlgebra([x, y, z], {2: {(x, y): {z: 1}}}, name="heisenberg")
-
-
-def l3_gadget():
-    """Only a ternary bracket: l_3(a, b, c) = z into a central direction."""
-    a, b, c = Generator("a", 1), Generator("b", 1), Generator("c", 1)
-    z = Generator("z", 2)
-    return LInftyAlgebra([a, b, c, z], {3: {(a, b, c): {z: 1}}}, name="l3only")
-
-
-def sl2_plus_l3():
-    """Direct sum of sl2 and the ternary gadget (no cross brackets)."""
-    e, f, h = Generator("e", 0), Generator("f", 0), Generator("h", 0)
-    a, b, c = Generator("a", 1), Generator("b", 1), Generator("c", 1)
-    z = Generator("z", 2)
-    two = {(e, f): {h: 1}, (e, h): {e: -2}, (f, h): {f: 2}}
-    three = {(a, b, c): {z: 1}}
-    return LInftyAlgebra([e, f, h, a, b, c, z], {2: two, 3: three}, name="sl2+l3")
-
-
-def odd_abelian(degrees, name="odd"):
-    if any(d % 2 == 0 for d in degrees):
-        raise ValueError("all degrees must be odd")
-    gens = [Generator("t%d" % i, d) for i, d in enumerate(degrees, 1)]
-    return LInftyAlgebra(gens, {}, name=name)
 
 
 def dg_vector_space(pairs, name="dg"):

@@ -32,7 +32,6 @@ from .words import (
     desuspended_letter,
     desuspended_word,
     desuspension_sign,
-    vector_product,
 )
 
 
@@ -157,14 +156,6 @@ def act(sigma, face):
         sign *= perm_parity(image)
         new_blocks.append(tuple(sorted(image)))
     return sign, _face(face.n, tuple(new_blocks))
-
-
-def act_vector(sigma, vec):
-    out = Vector()
-    for f, c in vec.items():
-        s, g = act(sigma, f)
-        out.add_term(g, s * c)
-    return out
 
 
 def nu(face):
@@ -319,13 +310,13 @@ class PermutahedronContraction:
                 inverse = [0] * self.n
                 for i, x in enumerate(sigma, 1):
                     inverse[x - 1] = i
-                orbit_sum.accumulate(act_vector(inverse, col))
+                _transport(orbit_sum, inverse, col, 1)
         out = Vector()
         if orbit_sum:
             for parts in itertools.product(*map(itertools.permutations, rep.blocks)):
                 h = tuple(x for part in parts for x in part)
                 sign, _ = act(h, rep)
-                out.accumulate(act_vector(h, orbit_sum), sign)
+                _transport(out, h, orbit_sum, sign)
         return out.scaled(Fraction(1, self._nfact))
 
     def _project(self, rep):
@@ -371,11 +362,16 @@ def _extend(memo, column, vec):
         if f == rep:
             out.accumulate(col, c)
         else:
-            negated = -c
-            for g, cg in col.items():
-                sign, image = act(sigma, g)
-                out.add_term(image, (c if sign > 0 else negated) * cg)
+            _transport(out, sigma, col, c)
     return out
+
+
+def _transport(out, sigma, col, c):
+    """out += c sigma(col), term by term: ``act`` is a bijection on faces."""
+    negated = -c
+    for g, cg in col.items():
+        sign, image = act(sigma, g)
+        out.add_term(image, (c if sign > 0 else negated) * cg)
 
 
 def _solve_homotopy(n):
@@ -531,23 +527,3 @@ def iota_omega(x):
     if cross % 2:
         sign = -sign
     return Vector.unit(CobarWord(tuple(reversed(x.letters))), sign)
-
-
-def induced_algebra_map(phi):
-    """Functorial cobar map of a degree-0 chain map given on generators.
-
-    ``phi``: maps an unsuspended generator to a Vector over target generators.
-    """
-
-    def on_letter(letter):
-        return vector_product(
-            [phi(g.shifted(1)) for g in letter.letters],
-            lambda gens: sym_word([g.shifted(-1) for g in gens]),
-        )
-
-    def on_cobar(x):
-        return vector_product(
-            [on_letter(letter) for letter in x.letters], lambda ws: (1, CobarWord(ws))
-        )
-
-    return on_cobar

@@ -16,11 +16,11 @@ from fractions import Fraction
 from .exactlin import (
     CheckResult,
     Echelon,
-    FiniteComplex,
     Generator,
     Vector,
     antisymmetric_sign,
     perm_parity,
+    square_zero,
     tensor_word,
 )
 from .words import cobar_words, desuspended_word, desuspension_sign
@@ -109,19 +109,9 @@ def standard_tableaux(shape):
     return out
 
 
-def hook_length_count(shape):
-    """Independent count of standard tableaux via hook lengths."""
-    shape = tuple(shape)
-    fact = math.factorial(sum(shape))
-    denom = 1
-    cols = [0] * (shape[0] if shape else 0)
-    for r in shape:
-        for j in range(r):
-            cols[j] += 1
-    for i, r in enumerate(shape):
-        for j in range(r):
-            denom *= (r - j) + (cols[j] - i) - 1
-    return fact // denom
+def tableaux_of_size(n):
+    """Every standard tableau with n cells, shape by shape."""
+    return [T for shape in partitions(n) for T in standard_tableaux(shape)]
 
 
 def descents(T):
@@ -205,37 +195,27 @@ def h_ct(T, J):
     return out
 
 
-def t_complex(T):
-    """The complex spanned by (T, J) for descent subsets J, graded by -#J."""
-    JT = descents(T)
-    components = {}
-    for size in range(len(JT) + 1):
-        keys = [
-            (T, frozenset(c)) for c in itertools.combinations(sorted(JT), size)
-        ]
-        components[-size] = sorted(keys, key=lambda k: sorted(k[1]))
-
-    def diff(key):
-        return boundary_ct(key[0], key[1])
-
-    return FiniteComplex(components, diff, check=True)
+def descent_subsets(T):
+    """The subsets J of the descents of T, by size, then lexicographically:
+    the basis (T, J) of T's cube complex, graded by -#J."""
+    JT = sorted(descents(T))
+    return [frozenset(c) for size in range(len(JT) + 1)
+            for c in itertools.combinations(JT, size)]
 
 
 def t_complex_contraction_check(T):
-    """1 - gf = dh + hd, with (f, g) nonzero only on descent-free tableaux."""
-    JT = descents(T)
-    for size in range(len(JT) + 1):
-        for combo in itertools.combinations(sorted(JT), size):
-            J = frozenset(combo)
-            v = Vector.unit((T, J))
-            hom = h_ct(T, J).apply(lambda k: boundary_ct(*k))
-            hom = hom + boundary_ct(T, J).apply(lambda k: h_ct(*k))
-            if JT:
-                expected = v
-            else:
-                expected = Vector()
-            if hom != expected:
-                return CheckResult(False, (T, J), "contraction identity fails")
+    """T's cube complex squares to zero, and 1 - gf = dh + hd, with (f, g)
+    nonzero only on descent-free tableaux."""
+    faces = [(T, J) for J in descent_subsets(T)]
+    result = square_zero(faces, lambda k: boundary_ct(*k), "cube differential squares to %r")
+    if not result:
+        return result
+    for key in faces:
+        hom = h_ct(*key).apply(lambda k: boundary_ct(*k))
+        hom = hom + boundary_ct(*key).apply(lambda k: h_ct(*k))
+        # gf is the identity on the one face of a descent-free tableau
+        if hom != (Vector.unit(key) if len(faces) > 1 else Vector()):
+            return CheckResult(False, key, "contraction identity fails")
     return CheckResult(True)
 
 
@@ -293,11 +273,6 @@ def young_idempotent(T, word):
             for w, c in step.items():
                 out.accumulate(right_act(w, tau), c)
     return out
-
-
-def schur_rank(T, gens):
-    """Exact rank of the idempotent on the tensor power of the given space."""
-    return len(schur_basis(T, gens))
 
 
 def schur_dimension_count(T, even_dim, odd_dim):
@@ -365,23 +340,26 @@ def cobar_rank_profile(gens, n):
 def tableau_profile(n, even_dim, odd_dim):
     """The tableau-side dimension count, by cobar length n - p."""
     profile = {}
-    for shape in partitions(n):
-        for T in standard_tableaux(shape):
-            dim = schur_dimension_count(T, even_dim, odd_dim)
-            if dim == 0:
-                continue
-            JT = descents(T)
-            for p in range(len(JT) + 1):
-                profile[n - p] = profile.get(n - p, 0) + math.comb(len(JT), p) * dim
+    for T in tableaux_of_size(n):
+        dim = schur_dimension_count(T, even_dim, odd_dim)
+        if dim == 0:
+            continue
+        JT = descents(T)
+        for p in range(len(JT) + 1):
+            profile[n - p] = profile.get(n - p, 0) + math.comb(len(JT), p) * dim
     return profile
+
+
+def generators(even_dim, odd_dim):
+    """Generators x0, x1, ... of degree 0, then y0, y1, ... of degree 1."""
+    return [Generator("x%d" % i, 0) for i in range(even_dim)] + [
+        Generator("y%d" % i, 1) for i in range(odd_dim)
+    ]
 
 
 def decomposition_dims(n, even_dim, odd_dim):
     """Compare both sides of the decomposition, length by length."""
-    gens = [Generator("x%d" % i, 0) for i in range(even_dim)] + [
-        Generator("y%d" % i, 1) for i in range(odd_dim)
-    ]
-    cobar = cobar_rank_profile(gens, n)
+    cobar = cobar_rank_profile(generators(even_dim, odd_dim), n)
     tabs = tableau_profile(n, even_dim, odd_dim)
     ok = cobar == tabs
     return CheckResult(ok, None if ok else (cobar, tabs)), cobar, tabs
@@ -423,18 +401,34 @@ def young_average(word, sizes):
     return out
 
 
-def embedding(T, J, u_vector, signs=None):
-    """The tableau-indexed embedding into the cobar construction.
+def embedding(T, J, u_vector):
+    """The tableau-indexed embedding into the cobar construction:
+    e(T, J)(u) = eps(J) / prod m! * sum of pi_J over the Young average of u
+    on the blocks of the descents of T, where m runs over the block sizes of
+    J and eps(J) = (-1)^(sum of j - 1 over J).
 
-    ``signs`` is an optional per-(T, J) sign table (the chain-level
-    normalization is exposed as data, defaulting to +1).
+    eps(J) makes e a chain map from T's cube complex.  pi_J cuts the
+    positions 1..n into blocks at each i not in J.  The cobar differential
+    splits one letter, of m positions, into a and m - a; on the average, a
+    graded-symmetric on each block, all C(m, a) unshuffles equal the cut
+    after the a-th position, j say (the letter sort signs cancel the
+    unshuffle signs), and C(m, a) / m! is the normalization of J - {j}.
+    That cut carries the sign COPRODUCT_SIGN = -1, (-1)^(|c| + 1) for each
+    earlier letter c and (-1)^|A| for its first part A; the ratio of the
+    desuspension signs of J - {j} and J is (-1)^(D + D_A), with D and D_A
+    the generator degrees before the letter and in A.  A letter of m'
+    generators of total degree D' has |c| + 1 = D' - m' + 1 and |A| = D_A - a,
+    so the degrees cancel.  For the r-th letter what is left is
+    (-1)^(1 + (r - 1) + j), as the m' of the earlier letters and a add up to
+    j.  The r - 1 earlier cuts are the i < j not in J, so that is
+    (-1)^(x_set_size(J, j) + j - 1): the cube differential's sign times
+    (-1)^(j - 1), which eps(J) = eps(J - {j}) (-1)^(j - 1) absorbs.
     """
     J = frozenset(J)
     sizes_J = content_sizes(T, J)
     sizes_JT = content_sizes(T, descents(T))
-    coeff = Fraction(1, math.prod(math.factorial(m) for m in sizes_J))
-    if signs:
-        coeff *= signs.get((T, J), 1)
+    sign = -1 if sum(j - 1 for j in J) % 2 else 1
+    coeff = Fraction(sign, math.prod(math.factorial(m) for m in sizes_J))
     out = Vector()
     for w, c in u_vector.items():
         averaged = young_average(w, sizes_JT)
@@ -459,84 +453,31 @@ def embedding_rank_check(n, gens):
     """All embedded vectors together span the full rank-n cobar piece."""
     total = 0
     ech = Echelon()
-    for shape in partitions(n):
-        for T in standard_tableaux(shape):
-            basis = schur_basis(T, gens)
-            JT = descents(T)
-            for size in range(len(JT) + 1):
-                for combo in itertools.combinations(sorted(JT), size):
-                    for u in basis:
-                        img = embedding(T, frozenset(combo), u)
-                        if not img:
-                            return CheckResult(False, (T, combo), "embedding vanishes")
-                        fresh, _ = ech.insert(img)
-                        if fresh:
-                            total += 1
+    for T in tableaux_of_size(n):
+        basis = schur_basis(T, gens)
+        for J in descent_subsets(T):
+            for u in basis:
+                img = embedding(T, J, u)
+                if not img:
+                    return CheckResult(False, (T, J), "embedding vanishes")
+                fresh, _ = ech.insert(img)
+                if fresh:
+                    total += 1
     expected = len(cobar_words(tuple(g.shifted(-1) for g in gens), n))
     ok = total == expected and ech.rank == expected
     return CheckResult(ok, None if ok else (total, ech.rank, expected))
 
 
-def solve_embedding_signs(n, gens, delta_omega):
-    """Fit the per-(T, J) sign table making the embedding a chain map.
-
-    Signs are solved face by face in increasing descent-set size, matching
-    each differential against the already-normalized smaller faces; the
-    corrected embedding is sign * embedding.  Returns (signs, failures).
-    """
-    signs = {}
-    failures = []
-    for shape in partitions(n):
-        for T in standard_tableaux(shape):
-            basis = schur_basis(T, gens)
-            JT = sorted(descents(T))
-            signs[(T, frozenset())] = 1
-            for size in range(1, len(JT) + 1):
-                for combo in itertools.combinations(JT, size):
-                    J = frozenset(combo)
-                    fitted = None
-                    for u in basis:
-                        lhs = embedding(T, J, u).apply(delta_omega)
-                        rhs = Vector()
-                        for (T2, J2), c in boundary_ct(T, J).items():
-                            rhs.accumulate(embedding(T2, J2, u), c * signs[(T2, J2)])
-                        if not lhs and not rhs:
-                            continue
-                        if lhs == rhs:
-                            lam = 1
-                        elif lhs == rhs.scaled(-1):
-                            lam = -1
-                        else:
-                            fitted = None
-                            failures.append((T, J))
-                            break
-                        if fitted is None:
-                            fitted = lam
-                        elif fitted != lam:
-                            failures.append((T, J))
-                            fitted = None
-                            break
-                    signs[(T, J)] = fitted if fitted is not None else 1
-    return signs, failures
-
-
 def embedding_chain_check(n, gens, delta_omega):
-    """Solve the sign table and verify the corrected chain-map property."""
-    signs, failures = solve_embedding_signs(n, gens, delta_omega)
-    if failures:
-        return CheckResult(False, failures[0], "no consistent sign"), signs
-    for shape in partitions(n):
-        for T in standard_tableaux(shape):
-            basis = schur_basis(T, gens)
-            JT = sorted(descents(T))
-            for size in range(1, len(JT) + 1):
-                for combo in itertools.combinations(JT, size):
-                    J = frozenset(combo)
-                    for u in basis:
-                        lhs = embedding(T, J, u, signs).apply(delta_omega)
-                        rhs = Vector()
-                        for (T2, J2), c in boundary_ct(T, J).items():
-                            rhs.accumulate(embedding(T2, J2, u, signs), c)
-                        if lhs != rhs:
-                            return CheckResult(False, (T, J), "chain map fails"), signs
-    return CheckResult(True), signs
+    """delta_omega e(T, J) = e(d(T, J)) on every face and Schur basis vector."""
+    for T in tableaux_of_size(n):
+        basis = schur_basis(T, gens)
+        for J in descent_subsets(T):
+            for u in basis:
+                lhs = embedding(T, J, u).apply(delta_omega)
+                rhs = Vector()
+                for (T2, J2), c in boundary_ct(T, J).items():
+                    rhs.accumulate(embedding(T2, J2, u), c)
+                if lhs != rhs:
+                    return CheckResult(False, (T, J), "chain map fails")
+    return CheckResult(True)

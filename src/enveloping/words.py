@@ -34,10 +34,6 @@ class CobarWord:
     def length(self):
         return len(self.letters)
 
-    @property
-    def geometric_degree(self):
-        return self.rank - self.length
-
     def sort_key(self):
         return (self.rank, self.length, tuple(w.sort_key() for w in self.letters))
 
@@ -158,12 +154,6 @@ def bar_words(letter_pools, rank_cap, length_cap):
 def bar_words_algebra(gens, rank_cap, length_cap):
     """Bar words over Sym^{>=1} algebra words (the small side)."""
     pools = {w: sym_words(gens, w) for w in range(1, rank_cap + 1)}
-    return bar_words(pools, rank_cap, length_cap)
-
-
-def bar_words_cobar(gens, rank_cap, length_cap):
-    """Bar words over cobar words (the big side)."""
-    pools = {r: cobar_words(gens, r) for r in range(1, rank_cap + 1)}
     return bar_words(pools, rank_cap, length_cap)
 
 

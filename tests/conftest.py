@@ -1,11 +1,16 @@
-"""Shared fixtures."""
+"""Shared fixtures, the bundled algebras, and the builders and oracles that
+more than one test module uses."""
 
 import functools
 
 import pytest
 
-from enveloping import permutahedra
-from enveloping.exactlin import Vector
+from enveloping import permutahedra, tableaux
+from enveloping.bgg import functor_f, functor_g
+from enveloping.cli import load_input
+from enveloping.exactlin import CheckResult, FiniteComplex, Generator, Vector, sym_word
+from enveloping.linfty import LInftyAlgebra, LInftyModule
+from enveloping.words import CobarWord, bar_words, cobar_words, vector_product
 
 
 @pytest.fixture
@@ -24,3 +29,87 @@ def top_cell_fault(monkeypatch):
         monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)
 
     return install
+
+
+def bundled(name):
+    """The bundled algebra ``name``, loaded as ``--input bundled:<name>`` is."""
+    algebra, _ = load_input("bundled:" + name)
+    return algebra
+
+
+def odd_abelian(degrees, name="odd"):
+    assert all(d % 2 for d in degrees)
+    gens = [Generator("t%d" % i, d) for i, d in enumerate(degrees, 1)]
+    return LInftyAlgebra(gens, {}, name=name)
+
+
+def sl2_plus_l3():
+    """Direct sum of sl2 and the ternary gadget (no cross brackets)."""
+    e, f, h = Generator("e", 0), Generator("f", 0), Generator("h", 0)
+    a, b, c = Generator("a", 1), Generator("b", 1), Generator("c", 1)
+    z = Generator("z", 2)
+    two = {(e, f): {h: 1}, (e, h): {e: -2}, (f, h): {f: 2}}
+    three = {(a, b, c): {z: 1}}
+    return LInftyAlgebra([e, f, h, a, b, c, z], {2: two, 3: three}, name="sl2+l3")
+
+
+def trivial_module(algebra):
+    return LInftyModule(algebra, [Generator("triv", 0)], {}, {}, name="trivial")
+
+
+def bar_words_cobar(gens, rank_cap, length_cap):
+    """Bar words over cobar words (the big side)."""
+    pools = {r: cobar_words(gens, r) for r in range(1, rank_cap + 1)}
+    return bar_words(pools, rank_cap, length_cap)
+
+
+def act_vector(sigma, vec):
+    """The permutation action on faces, extended linearly."""
+    out = Vector()
+    for f, c in vec.items():
+        s, g = permutahedra.act(sigma, f)
+        out.add_term(g, s * c)
+    return out
+
+
+def t_complex(T):
+    """T's cube complex: the (T, J) for J a set of descents, graded by -#J.
+    Building it checks that it squares to zero."""
+    components = {}
+    for J in tableaux.descent_subsets(T):
+        components.setdefault(-len(J), []).append((T, J))
+    return FiniteComplex(components, lambda key: tableaux.boundary_ct(*key))
+
+
+def induced_algebra_map(phi):
+    """Functorial cobar map of a degree-0 chain map given on generators.
+
+    ``phi``: maps an unsuspended generator to a Vector over target generators.
+    """
+
+    def on_letter(letter):
+        return vector_product(
+            [phi(g.shifted(1)) for g in letter.letters],
+            lambda gens: sym_word([g.shifted(-1) for g in gens]),
+        )
+
+    def on_cobar(x):
+        return vector_product(
+            [on_letter(letter) for letter in x.letters], lambda ws: (1, CobarWord(ws))
+        )
+
+    return on_cobar
+
+
+def roundtrip_gf_check(module_u, arity_cap=None, weight_cap=None):
+    """G(F(M)) has exactly the original cochain tables."""
+    structure = module_u.structure
+    back = functor_g(functor_f(module_u, arity_cap, weight_cap), structure,
+                     arity_cap, weight_cap)
+    keys = set(module_u.cochain) | set(back.cochain)
+    for k in sorted(keys, key=lambda b: b.sort_key()):
+        if module_u.t(k) != back.t(k):
+            return CheckResult(False, k, "cochain tables differ")
+    if module_u.d_m != back.d_m:
+        return CheckResult(False, None, "module differentials differ")
+    return CheckResult(True)

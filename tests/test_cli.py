@@ -8,6 +8,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
@@ -39,6 +41,13 @@ CHECK_DIGESTS_3_3 = {
     "heisenberg": "d26580ee631df79e3e6653139f0a19eaad334f0a6bd98516dfbe0611a22e39bb",
     "odd1": "a00fbbfc8145e05bf3e16e3289d02a4b6ae769f250501be6c51e1b263d0eef53",
     "odd2": "84e138da24e1ff9356137f8869a6b4be690a83611daadc17353dc2b3fc821458",
+}
+
+# SHA-256 of `--n-cap 4 --format json tableaux` at (dim_even, dim_odd): the
+# counting rows, the cube contraction and embedding rows, and both profiles.
+TABLEAUX_DIGESTS_4 = {
+    (2, 0): "e0a7fda1f2b3f60a986fc11fbe540148a844716afdb54c4b5f8bc2e0b1ab0795",
+    (1, 1): "4fe43ccaf42c253fe9008cc6db8d354a7774e7f9750a0445c182b3544a7df1aa",
 }
 
 
@@ -178,6 +187,24 @@ def test_tableaux_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["profiles"]["2"]["cobar"] == report["profiles"]["2"]["tableaux"]
+
+
+def test_tableaux_reports_are_pinned(capsys):
+    for (even, odd), digest in TABLEAUX_DIGESTS_4.items():
+        argv = ["--n-cap", "4", "--format", "json", "tableaux",
+                "--dim-even", str(even), "--dim-odd", str(odd)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, (even, odd)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (even, odd)
+
+
+def test_tableaux_rejects_a_negative_dimension(capsys):
+    for flag in ("--dim-even", "--dim-odd"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tableaux", flag, "-1"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == "", flag
+        assert "dimensions must not be negative" in captured.err
 
 
 def test_check_pbw_suite(capsys):

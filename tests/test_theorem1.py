@@ -16,12 +16,13 @@ from enveloping.permutahedra import (
     cobar_f,
     cobar_g,
     cobar_h,
-    induced_algebra_map,
     iota_omega,
     nu,
     theta,
 )
 from enveloping.words import cobar_words, sym_words
+
+from conftest import induced_algebra_map
 
 
 def make_space(pairs):
@@ -114,7 +115,7 @@ def test_contraction_identities(pairs):
         for word in sym_words(V.generators, weight):
             v = Vector.unit(word)
             assert v.apply(cobar_g).apply(cobar_f) == v
-            assert v.apply(cobar_g).apply(cobar_h).is_zero()
+            assert not v.apply(cobar_g).apply(cobar_h)
             # g is a chain map
             from enveloping.hpt import algebra_differential
 
@@ -126,11 +127,11 @@ def test_contraction_identities(pairs):
             gf = v.apply(cobar_f).apply(cobar_g)
             hom = v.apply(cobar_h).apply(dOm) + v.apply(dOm).apply(cobar_h)
             assert v - gf == hom, x
-            assert v.apply(cobar_h).apply(cobar_f).is_zero()
-            assert v.apply(cobar_h).apply(cobar_h).is_zero()
+            assert not v.apply(cobar_h).apply(cobar_f)
+            assert not v.apply(cobar_h).apply(cobar_h)
             if x.length == 1:
                 # the homotopy kills one-letter words (top-cell vanishing)
-                assert v.apply(cobar_h).is_zero()
+                assert not v.apply(cobar_h)
 
 
 def test_homotopy_commutes_with_reversal():

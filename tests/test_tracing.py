@@ -19,14 +19,14 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracing
-from enveloping import cli, linfty, uea
+from enveloping import cli, uea
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
 main = tracer.span("cli.main", cli.main)
 code = main(["--input", "bundled:sl2", "--arity-cap", "3", "--weight-cap", "3",
              "check", "--suite", "all"])
-structure = uea.AInftyStructure(linfty.sl2(), 2, 2)
+structure = uea.AInftyStructure(cli.load_input("bundled:sl2")[0], 2, 2)
 structure.export_tables()
 tracer.note_tables([structure])
 metrics = {name: value for name, (value, unit) in tracer.metrics().items()}
