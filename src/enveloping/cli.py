@@ -388,6 +388,13 @@ def cmd_tableaux(args):
     gens = tableaux.generators(*dims)
     space = linfty.dg_vector_space([(g.id, g.degree, {}) for g in gens])
     d_omega = hpt.cobar_differential(linfty.CECoalgebra(space, args.n_cap, max_arity=1))
+    bases = {}  # n -> Schur bases, shared by the two embedding rows
+
+    def schur_bases(n):
+        if n not in bases:
+            bases[n] = tableaux.schur_bases(n, gens)
+        return bases[n]
+
     for n in range(1, args.n_cap + 1):
         def cube(n=n):
             for T in tableaux.tableaux_of_size(n):
@@ -398,9 +405,9 @@ def cmd_tableaux(args):
 
         report.run("cube_contraction[n=%d]" % n, cube)
         report.run("embedding_spans[n=%d]" % n,
-                   lambda n=n: tableaux.embedding_rank_check(n, gens))
+                   lambda n=n: tableaux.embedding_rank_check(n, gens, schur_bases(n)))
         report.run("embedding_chain_map[n=%d]" % n,
-                   lambda n=n: tableaux.embedding_chain_check(n, gens, d_omega))
+                   lambda n=n: tableaux.embedding_chain_check(schur_bases(n), d_omega))
     return report, {"profiles": profiles}
 
 

@@ -279,6 +279,8 @@ class Vector:
 
 
 def _generic_key(word):
+    if type(word) is int:  # a basis numbered in order
+        return word
     sk = getattr(word, "sort_key", None)
     return sk() if sk else repr(word)
 
@@ -314,7 +316,9 @@ class Echelon:
 
     Pivots are keyed by the minimal basis element (under sort_key) in the
     support of the reduced vector; insertion order is up to the caller, which
-    makes the whole reduction deterministic.
+    makes the whole reduction deterministic.  Integer input stays integer:
+    each pivot lead must then divide the entry it eliminates, or reduction
+    raises RuntimeError.
     """
 
     def __init__(self):
@@ -342,9 +346,9 @@ class Echelon:
             c = vec.terms.get(lead)
             if not c:
                 continue
-            factor = c / pvec.terms[lead]
-            vec.accumulate(pvec, -factor)
-            combo.accumulate(pcombo, -factor)
+            factor = -_quotient(c, pvec.terms[lead])
+            _axpy(vec.terms, pvec.terms, factor)
+            _axpy(combo.terms, pcombo.terms, factor)
             for w in pvec.terms:
                 k = key(w)
                 if k in pivots and k not in seen:
@@ -364,6 +368,29 @@ class Echelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _quotient(a, b):
+    """a / b, exact: between integers, an integer or RuntimeError."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if r:
+            raise RuntimeError("integer pivot %d does not divide %d" % (b, a))
+        return q
+    return a / b
+
+
+def _axpy(terms, other, factor):
+    """terms += factor * other, in place, keeping integer terms integer."""
+    for w, c in other.items():
+        c *= factor
+        old = terms.get(w)
+        if old is not None:
+            c += old
+            if not c:
+                del terms[w]
+                continue
+        terms[w] = c
 
 
 def rank_of(vectors):

@@ -292,12 +292,12 @@ class Transfer:
         self.t_mu, self.t_L = perturbations(algebra, weight_cap)
         self.t = add_ops(self.t_mu, self.t_L)
         self.con0 = lift_contraction(
-            cobar_f,
-            cobar_g,
+            memo_op(cobar_f),
+            memo_op(cobar_g),
             memo_op(cobar_h),
             memo_op(cobar_differential(self.C1)),
             memo_op(algebra_differential(algebra)),
-            cobar_gf,
+            memo_op(cobar_gf),
         )
         self.con = bpl(self.con0, self.t)
         self.d_omega_full = memo_op(cobar_differential(self.Cfull))

@@ -5,7 +5,9 @@ complex carries a left symmetric-group action and a block-reversal involution,
 and contracts equivariantly onto its degree-0 homology.  The homotopy is
 solved once on every face, then averaged and repaired only on the orbit
 representatives, one standard face per composition of n; the action carries
-it to every other face.  Transporting the contraction along the face/cobar
+it to every other face.  All of that runs on integer chains over numbered
+faces, scaled by powers of n!; a column of the homotopy becomes a Fraction
+vector over faces once, when it is stored.  Transporting the contraction along the face/cobar
 dictionary yields the contracting homotopy of the cobar construction of a
 symmetric coalgebra; each contraction compiles that transport once per shape
 of cobar word.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,19 +174,124 @@ def nu(face):
     return sign, OrderedPartition(n, tuple(reversed(face.blocks)))
 
 
-def nu_vector(vec):
-    out = Vector()
-    for f, c in vec.items():
-        s, g = nu(f)
-        out.add_term(g, s * c)
-    return out
-
-
 def chain_complex(n):
     faces = {}
     for d in range(1, n + 1):
         faces[-(n - d)] = enumerate_faces(n, d)
     return FiniteComplex(faces, boundary, check=False)
+
+
+class FaceIndex:
+    """The faces of the n-th permutahedron numbered in ``sort_key`` order,
+    with what the contraction build reads of each face by its number: the
+    boundary, the image under nu, the orbit representative, and what carries
+    the face through the S_n action without building faces.
+
+    A face is known by its block vector (the block of each element): sigma
+    sends the block vector b to b o sigma^-1, and the sign of the action is
+    the parity of the pairs inside one block that sigma inverts, read off two
+    bit masks.  Chains are integer vectors, dicts from face numbers to ints.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.faces = all_faces(n)
+        self.index = index = {f: i for i, f in enumerate(self.faces)}
+        self.boundary = [{index[g]: int(c) for g, c in boundary(f).items()}
+                         for f in self.faces]
+        self.nu = []  # face number -> (sign, number of its image)
+        self.rep = []  # face number -> number of its representative
+        self.carry = []  # face number -> action carrying its representative onto it
+        self._blocks = []  # face number -> block vector
+        self._pairs = []  # face number -> bits x * n + y of the pairs x < y in one block
+        reps = {}
+        for f in self.faces:
+            sign, g = nu(f)
+            self.nu.append((sign, index[g]))
+            sizes = tuple(len(b) for b in f.blocks)
+            if sizes not in reps:
+                reps[sizes] = index[standard_face(n, sizes)]
+            self.rep.append(reps[sizes])
+            self.carry.append(_action(tuple(x for b in f.blocks for x in b)))
+            blocks = [0] * n
+            for k, b in enumerate(f.blocks):
+                for x in b:
+                    blocks[x - 1] = k
+            self._blocks.append(tuple(blocks))
+            pairs = 0
+            for x in range(n):
+                for y in range(x + 1, n):
+                    if blocks[x] == blocks[y]:
+                        pairs |= 1 << (x * n + y)
+            self._pairs.append(pairs)
+        # keyed as transport's itemgetter reads a block vector: as a tuple,
+        # or at n = 1 as its one entry
+        identity = itemgetter(*range(n))
+        self._by_blocks = {identity(b): i for i, b in enumerate(self._blocks)}
+
+    def transport(self, out, action, col, c):
+        """out += c sigma(col), term by term, for sigma given by ``_action``."""
+        inverse, inversions = action
+        by_blocks, blocks, pairs = self._by_blocks, self._blocks, self._pairs
+        image_of = itemgetter(*inverse)  # b -> b o sigma^-1
+        negated = -c
+        for g, cg in col.items():
+            image = by_blocks[image_of(blocks[g])]
+            cg *= negated if (pairs[g] & inversions).bit_count() & 1 else c
+            cg += out.get(image, 0)
+            if cg:
+                out[image] = cg
+            else:
+                del out[image]
+
+    def extend(self, memo, column, vec):
+        """Apply an equivariant map, known by ``column`` on the orbit
+        representatives (memoized in ``memo``), to a chain.  A face off its
+        representative takes sigma of the representative's column."""
+        out = {}
+        for f, c in vec.items():
+            rep = self.rep[f]
+            col = memo.get(rep)
+            if col is None:
+                col = memo[rep] = column(rep)
+            if f == rep:
+                _accumulate(out, col, c)
+            else:
+                self.transport(out, self.carry[f], col, c)
+        return out
+
+
+def _action(sigma):
+    """(inverse, inversions) of a permutation of {1..n} in one-line notation:
+    the 0-based inverse, and as bits x * n + y the pairs x < y (0-based) that
+    sigma inverts."""
+    n = len(sigma)
+    inverse = [0] * n
+    inversions = 0
+    for x, image in enumerate(sigma):
+        inverse[image - 1] = x
+        for y in range(x + 1, n):
+            if image > sigma[y]:
+                inversions |= 1 << (x * n + y)
+    return inverse, inversions
+
+
+def _accumulate(terms, other, c=1):
+    """terms += c other, in place, on integer chains."""
+    for key, value in other.items():
+        value = value * c + terms.get(key, 0)
+        if value:
+            terms[key] = value
+        else:
+            del terms[key]
+
+
+def _apply(vec, columns):
+    """The linear extension of a map given by its integer columns."""
+    out = {}
+    for key, c in vec.items():
+        _accumulate(out, columns[key], c)
+    return out
 
 
 class PermutahedronContraction:
@@ -195,17 +303,24 @@ class PermutahedronContraction:
     H' = (1 - GF) Havg (1 - GF), then H = H' d H'.  Every stage is
     equivariant, so it is computed, on demand, only on the orbit
     representatives (one standard face per composition of n) and reaches any
-    other face through the action.  ``columns`` holds the columns of H built
-    so far.
+    other face through the action.  The stages run on integer chains over
+    face numbers, scaled by N = n!: the solve yields N Hraw, the average
+    N^2 A, the projection 2N^2 H' and the repair (2N^2)^2 H.  ``columns``
+    holds the columns of H built so far, over faces, with Fraction
+    coefficients.
     """
 
     def __init__(self, n):
         self.n = n
         self.vertices = enumerate_faces(n, n)
         self._nfact = math.factorial(n)
-        self._raw = _solve_homotopy(n)
-        self._symmetrized = {}  # representative -> A column
-        self._projected = {}  # representative -> H' column
+        self._faces = FaceIndex(n)
+        self._raw = {}  # representative -> [(face, N Hraw column)] over its orbit
+        for f, col in _solve_homotopy(self._faces).items():
+            self._raw.setdefault(self._faces.rep[f], []).append((f, col))
+        self._symmetrized = {}  # representative -> N^2 A column
+        self._projected = {}  # representative -> 2N^2 H' column
+        self._repaired = {}  # representative -> (2N^2)^2 H column
         self.columns = {}
         self._plans = {}  # (composition, letter parities) -> compiled cobar_h
         self._letters = {}  # block of generators -> (sign, letter), or None
@@ -230,16 +345,18 @@ class PermutahedronContraction:
             out.accumulate(self._column(f), c)
         return out
 
-    def GF(self, vec):
-        return self.G(self.F(vec))
-
     def homotopy_column(self, face):
         return self._column(face)
 
     def _column(self, face):
+        """H(face), converted from the integer chain once and stored."""
         col = self.columns.get(face)
         if col is None:
-            col = self.columns[face] = _extend(self.columns, self._repair, Vector.unit(face))
+            faces = self._faces
+            scaled = faces.extend(self._repaired, self._repair, {faces.index[face]: 1})
+            scale = (2 * self._nfact ** 2) ** 2
+            col = self.columns[face] = Vector(
+                {faces.faces[g]: Fraction(c, scale) for g, c in scaled.items()})
         return col
 
     def cobar_homotopy(self, x):
@@ -297,127 +414,112 @@ class PermutahedronContraction:
         return tuple(positions), terms
 
     def _symmetrize(self, rep):
-        """A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
+        """N^2 A(rep), A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
 
         sigma^-1 rep = +-f exactly when sigma = h sigma_f^-1, with sigma_f
         carrying rep onto f and h in the stabilizer S_m1 x ... x S_mk of rep,
         so the sum runs once over the orbit and once over the stabilizer.
         """
-        orbit_sum = Vector()
-        for f, col in self._raw.items():
-            sigma, r = _orbit(f)
-            if r == rep:
-                inverse = [0] * self.n
-                for i, x in enumerate(sigma, 1):
-                    inverse[x - 1] = i
-                _transport(orbit_sum, inverse, col, 1)
-        out = Vector()
+        faces = self._faces
+        orbit_sum = {}
+        for f, col in self._raw.get(rep, ()):
+            # sigma_f^-1 in one-line notation is 1 + the inverse of sigma_f
+            sigma_f_inverse = [x + 1 for x in faces.carry[f][0]]
+            faces.transport(orbit_sum, _action(sigma_f_inverse), col, 1)
+        out = {}
         if orbit_sum:
-            for parts in itertools.product(*map(itertools.permutations, rep.blocks)):
+            face = faces.faces[rep]
+            for parts in itertools.product(*map(itertools.permutations, face.blocks)):
                 h = tuple(x for part in parts for x in part)
-                sign, _ = act(h, rep)
-                _transport(out, h, orbit_sum, sign)
-        return out.scaled(Fraction(1, self._nfact))
+                sign, _ = act(h, face)
+                faces.transport(out, _action(h), orbit_sum, sign)
+        return out
 
     def _project(self, rep):
-        """H'(rep) = (1 - GF) Havg (1 - GF)(rep), Havg = (A + nu A nu) / 2.
+        """2N^2 H'(rep), H' = (1 - GF) Havg (1 - GF), Havg = (A + nu A nu) / 2.
 
         GF(rep) is a multiple of the vertex sum G(1), which S_n fixes and nu
         fixes up to sign, so Havg(G(1)) is the group average of Hraw(G(1)).
         The degree-0 solve makes Hraw(G(1)) zero; that is checked here
-        instead of averaging G(1) vertex by vertex.
+        instead of averaging G(1) vertex by vertex.  The GF on the left is
+        zero: Havg lowers the degree, and only the vertices have degree 0.
         """
-        x = Vector.unit(rep)
-        if self.F(x) and self.G(1).apply(self._raw.get):
-            raise RuntimeError("raw homotopy does not kill the vertex average")
-        y = _extend(self._symmetrized, self._symmetrize, x)
-        y.accumulate(nu_vector(_extend(self._symmetrized, self._symmetrize, nu_vector(x))))
-        y = y.scaled(Fraction(1, 2))
-        return y - self.GF(y)
+        faces = self._faces
+        if faces.faces[rep].d == self.n:
+            vertex_sum = {}
+            for _, col in self._raw.get(rep, ()):
+                _accumulate(vertex_sum, col)
+            if vertex_sum:
+                raise RuntimeError("raw homotopy does not kill the vertex average")
+        y = faces.extend(self._symmetrized, self._symmetrize, {rep: 1})
+        sign, image = faces.nu[rep]
+        reflected = faces.extend(self._symmetrized, self._symmetrize, {image: sign})
+        _accumulate(y, {faces.nu[g][1]: faces.nu[g][0] * c for g, c in reflected.items()})
+        return y
 
     def _repair(self, rep):
-        """H''(rep) = H' d H'(rep)."""
-        once = _extend(self._projected, self._project, Vector.unit(rep))
-        return _extend(self._projected, self._project, once.apply(boundary))
+        """(2N^2)^2 H''(rep), H'' = H' d H'."""
+        faces = self._faces
+        once = faces.extend(self._projected, self._project, {rep: 1})
+        return faces.extend(self._projected, self._project, _apply(once, faces.boundary))
 
 
-def _orbit(face):
-    """(sigma, representative): sigma carries the standard face of the same
-    block sizes onto ``face`` block by block in order, with sign +1."""
-    sigma = tuple(x for b in face.blocks for x in b)
-    return sigma, standard_face(face.n, [len(b) for b in face.blocks])
+def _solve_homotopy(faces):
+    """N Hraw by face number, N = n!, where dHraw + Hraw d = 1 - GF, solved
+    degreewise; not yet equivariant.
 
-
-def _extend(memo, column, vec):
-    """Apply an equivariant map, known by ``column`` on the orbit
-    representatives (memoized in ``memo``), to a chain.  A face off its
-    representative takes sigma of the representative's column, added term
-    by term."""
-    out = Vector()
-    for f, c in vec.items():
-        sigma, rep = _orbit(f)
-        col = memo.get(rep)
-        if col is None:
-            col = memo[rep] = column(rep)
-        if f == rep:
-            out.accumulate(col, c)
-        else:
-            _transport(out, sigma, col, c)
-    return out
-
-
-def _transport(out, sigma, col, c):
-    """out += c sigma(col), term by term: ``act`` is a bijection on faces."""
-    negated = -c
-    for g, cg in col.items():
-        sign, image = act(sigma, g)
-        out.add_term(image, (c if sign > 0 else negated) * cg)
-
-
-def _solve_homotopy(n):
-    """A homotopy with dH + Hd = 1 - GF, solved degreewise; not yet equivariant."""
-    faces_by_deg = {-(n - d): enumerate_faces(n, d) for d in range(1, n + 1)}
-    degrees = sorted(faces_by_deg)
-    nfact = math.factorial(n)
-
-    def proj(vec):  # 1 - GF
-        out = vec.copy()
-        total = sum((c for f, c in vec.items() if f.d == f.n), Fraction(0))
-        if total:
-            q = Fraction(total, nfact)
-            for v in faces_by_deg[0]:
-                out.add_term(v, -q)
-        return out
-
+    The constraints are scaled by N, so that N(1 - GF) sends a face f to
+    N f - F(f) (sum of vertices), and the elimination runs over the
+    integers: the boundary entries are +-1, and each pivot lead divides the
+    entries it eliminates (``Echelon`` raises RuntimeError where one does
+    not).  A face reduces to N Hraw of itself; a vertex v, reduced as
+    N(1 - GF)(v), to N^2 Hraw(v), which is divided by N exactly.
+    """
+    n = faces.n
+    N = math.factorial(n)
+    by_size = {}  # number of blocks -> face numbers
+    for i, f in enumerate(faces.faces):
+        by_size.setdefault(f.d, []).append(i)
+    vertex_sum = dict.fromkeys(by_size[n], 1)
     H = {}
     # constraints for the next degree: echelon of d-columns with rhs combos
     pending = Echelon()
-    for p in degrees:
-        # define H on this degree from the constraints accumulated below it
-        for f in faces_by_deg[p]:
-            x = Vector.unit(f)
-            if p == 0:
-                # canonical split: im(d) + span of the vertex sum
-                x = proj(x)
-            residual, combo = pending.reduce(x)
-            if p == 0 and residual:
-                raise RuntimeError("degree-0 consistency failed in homotopy solve")
-            value = -1 * combo  # reduce() accumulates tags negatively
+    for d in range(1, n + 1):
+        # define H on this degree from the constraints accumulated below it;
+        # at degree 0, the canonical split im(d) + span of the vertex sum
+        for i in by_size[d]:
+            # reduce() accumulates tags negatively
+            if d < n:
+                residual, combo = pending.reduce(Vector({i: 1}))
+                value = {j: -c for j, c in combo.items()}
+            else:
+                x = {i: N}
+                _accumulate(x, vertex_sum, -1)  # N(1 - GF)(v)
+                residual, combo = pending.reduce(Vector(x))
+                if residual:
+                    raise RuntimeError("degree-0 consistency failed in homotopy solve")
+                # exact: every tag N f - d(N Hraw f) is a multiple of N
+                value = {j: -c // N for j, c in combo.items()}
             if value:
-                H[f] = value
-        # record constraints H(d f) = (1 - GF)(f) - d(H(f)) for the next degree
-        if p == degrees[-1]:
+                H[i] = value
+        if d == n:
             break
+        # record constraints H(d f) = N(1 - GF)(f) - d(H(f)) for the next
+        # degree; off the vertices, N(1 - GF)(f) = N f
         nxt = Echelon()
-        for f in faces_by_deg[p]:
-            rhs = proj(Vector.unit(f)) - H.get(f, Vector()).apply(boundary)
-            df = boundary(f)
+        for i in by_size[d]:
+            rhs = {i: N}
+            if i in H:
+                _accumulate(rhs, _apply(H[i], faces.boundary), -1)
+            df = faces.boundary[i]
             if df:
-                fresh, acc = nxt.insert(df, rhs)
+                fresh, acc = nxt.insert(Vector(df), Vector(rhs))
                 if not fresh and acc:
-                    raise RuntimeError("inconsistent homotopy constraint at %r" % (f,))
+                    raise RuntimeError("inconsistent homotopy constraint at %r"
+                                       % (faces.faces[i],))
             elif rhs:
-                raise RuntimeError("inconsistent homotopy constraint at %r" % (f,))
+                raise RuntimeError("inconsistent homotopy constraint at %r"
+                                   % (faces.faces[i],))
         pending = nxt
     return H
 

@@ -401,8 +401,16 @@ def young_average(word, sizes):
     return out
 
 
-def embedding(T, J, u_vector):
-    """The tableau-indexed embedding into the cobar construction:
+def young_averaged(T, u_vector):
+    """The Young average of u on the blocks of the descents of T, term by
+    term: [(c, average of w)] over u = sum c w.  It does not depend on J."""
+    sizes_JT = content_sizes(T, descents(T))
+    return [(c, young_average(w, sizes_JT)) for w, c in u_vector.items()]
+
+
+def embedding(T, J, averaged):
+    """The tableau-indexed embedding into the cobar construction, on u given
+    by ``young_averaged(T, u)``:
     e(T, J)(u) = eps(J) / prod m! * sum of pi_J over the Young average of u
     on the blocks of the descents of T, where m runs over the block sizes of
     J and eps(J) = (-1)^(sum of j - 1 over J).
@@ -426,13 +434,11 @@ def embedding(T, J, u_vector):
     """
     J = frozenset(J)
     sizes_J = content_sizes(T, J)
-    sizes_JT = content_sizes(T, descents(T))
     sign = -1 if sum(j - 1 for j in J) % 2 else 1
     coeff = Fraction(sign, math.prod(math.factorial(m) for m in sizes_J))
     out = Vector()
-    for w, c in u_vector.items():
-        averaged = young_average(w, sizes_JT)
-        for w2, c2 in averaged.items():
+    for c, average in averaged:
+        for w2, c2 in average.items():
             out.accumulate(pi_map(w2, sizes_J), coeff * c * c2)
     return out
 
@@ -449,14 +455,20 @@ def schur_basis(T, gens):
     return basis
 
 
-def embedding_rank_check(n, gens):
-    """All embedded vectors together span the full rank-n cobar piece."""
+def schur_bases(n, gens):
+    """T -> ``schur_basis(T, gens)`` for the standard tableaux T of size n."""
+    return {T: schur_basis(T, gens) for T in tableaux_of_size(n)}
+
+
+def embedding_rank_check(n, gens, bases):
+    """All embedded vectors together span the full rank-n cobar piece;
+    ``bases`` is ``schur_bases(n, gens)``."""
     total = 0
     ech = Echelon()
-    for T in tableaux_of_size(n):
-        basis = schur_basis(T, gens)
+    for T, basis in bases.items():
+        averaged = [young_averaged(T, u) for u in basis]
         for J in descent_subsets(T):
-            for u in basis:
+            for u in averaged:
                 img = embedding(T, J, u)
                 if not img:
                     return CheckResult(False, (T, J), "embedding vanishes")
@@ -468,16 +480,20 @@ def embedding_rank_check(n, gens):
     return CheckResult(ok, None if ok else (total, ech.rank, expected))
 
 
-def embedding_chain_check(n, gens, delta_omega):
-    """delta_omega e(T, J) = e(d(T, J)) on every face and Schur basis vector."""
-    for T in tableaux_of_size(n):
-        basis = schur_basis(T, gens)
-        for J in descent_subsets(T):
-            for u in basis:
-                lhs = embedding(T, J, u).apply(delta_omega)
+def embedding_chain_check(bases, delta_omega):
+    """delta_omega e(T, J) = e(d(T, J)) on every face and Schur basis vector;
+    ``bases`` is ``schur_bases(n, gens)``.  The faces of d(T, J) are faces
+    (T, J') of the same T, so each e(T, J)(u) is computed once."""
+    for T, basis in bases.items():
+        averaged = [young_averaged(T, u) for u in basis]
+        faces = descent_subsets(T)
+        images = {J: [embedding(T, J, u) for u in averaged] for J in faces}
+        for J in faces:
+            for k, image in enumerate(images[J]):
+                lhs = image.apply(delta_omega)
                 rhs = Vector()
-                for (T2, J2), c in boundary_ct(T, J).items():
-                    rhs.accumulate(embedding(T2, J2, u), c)
+                for (_, J2), c in boundary_ct(T, J).items():
+                    rhs.accumulate(images[J2][k], c)
                 if lhs != rhs:
                     return CheckResult(False, (T, J), "chain map fails")
     return CheckResult(True)

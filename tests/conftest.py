@@ -72,6 +72,15 @@ def act_vector(sigma, vec):
     return out
 
 
+def nu_vector(vec):
+    """The block-reversal involution, extended linearly."""
+    out = Vector()
+    for f, c in vec.items():
+        s, g = permutahedra.nu(f)
+        out.add_term(g, s * c)
+    return out
+
+
 def t_complex(T):
     """T's cube complex: the (T, J) for J a set of descents, graded by -#J.
     Building it checks that it squares to zero."""

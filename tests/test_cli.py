@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report determinism, bundled inputs."""
 
+import functools
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from enveloping import permutahedra
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
@@ -178,6 +180,23 @@ def test_permutahedron_command_names_the_failing_face(top_cell_fault, capsys):
               for c in json.loads(out)["checks"] if c["status"] == "fail"}
     assert failed == {"contraction[n=1]": [], "contraction[n=2]": [[1, 2]],
                       "contraction[n=3]": [[1, 2, 3]]}
+
+
+def test_a_pivot_that_does_not_divide_exits_three(monkeypatch, capsys):
+    # boundary entries of 2 instead of +-1: the integer solve meets a pivot
+    # lead that does not divide, and stops there instead of rounding
+    index = permutahedra.FaceIndex.__init__
+
+    def doubled(self, n):
+        index(self, n)
+        self.boundary = [{g: 2 * c for g, c in col.items()} for col in self.boundary]
+
+    monkeypatch.setattr(permutahedra.FaceIndex, "__init__", doubled)
+    monkeypatch.setattr(permutahedra, "build_contraction",
+                        functools.lru_cache(maxsize=None)(permutahedra.PermutahedronContraction))
+    code, out, err = run(capsys, ["--n-cap", "2", "permutahedron"])
+    assert code == 3 and out == ""
+    assert "does not divide" in err
 
 
 def test_tableaux_command(capsys):

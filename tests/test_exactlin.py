@@ -226,3 +226,25 @@ def test_echelon_reduce_matches_reference(seed):
         if step % 2:
             ech.insert(vec, combo)
     assert ech.rank > 5
+
+
+def test_integer_echelon_stays_integer():
+    # integer input over numbered keys: integer pivots, residuals and combos
+    ech = Echelon()
+    ech.insert(Vector({0: 1, 2: -1}), Vector({"t1": 6}))
+    ech.insert(Vector({1: -1, 2: 1}), Vector({"t2": 6}))
+    residual, combo = ech.reduce(Vector({0: 3, 1: 2, 3: 5}))
+    assert list(residual.items()) == [(3, 5), (2, 5)]
+    assert list(combo.items()) == [("t1", -18), ("t2", 12)]
+    for v in (residual, combo, *(p for _, p, _ in ech.pivots.values())):
+        assert all(type(c) is int for _, c in v.items())
+
+
+def test_integer_echelon_rejects_a_pivot_that_does_not_divide():
+    ech = Echelon()
+    ech.insert(Vector({0: 2, 1: 1}))
+    with pytest.raises(RuntimeError, match="does not divide"):
+        ech.reduce(Vector({0: 3}))
+    # an exact multiple reduces
+    residual, _ = ech.reduce(Vector({0: 4}))
+    assert list(residual.items()) == [(1, -2)]

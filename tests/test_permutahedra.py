@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from enveloping.exactlin import (
+    Echelon,
     Vector,
     compositions,
     format_scalar,
@@ -15,8 +17,11 @@ from enveloping.exactlin import (
 )
 from enveloping.linfty import heisenberg
 from enveloping.permutahedra import (
+    FaceIndex,
     OrderedPartition,
     PermutahedronContraction,
+    _action,
+    _solve_homotopy,
     act,
     all_faces,
     boundary,
@@ -25,12 +30,11 @@ from enveloping.permutahedra import (
     cobar_h,
     enumerate_faces,
     nu,
-    nu_vector,
     standard_face,
 )
 from enveloping.words import CobarWord, cobar_words
 
-from conftest import act_vector, bundled, odd_abelian
+from conftest import act_vector, bundled, nu_vector, odd_abelian
 
 
 def brute_force_faces(n, d):
@@ -136,7 +140,7 @@ def test_contraction_identities(n):
     for f in faces:
         v = Vector.unit(f)
         # homotopy identity
-        lhs = v - con.GF(v)
+        lhs = v - con.G(con.F(v))
         rhs = boundary_vec(con.H(v)) + con.H(boundary_vec(v))
         assert lhs == rhs, (n, f)
         # side conditions
@@ -188,6 +192,106 @@ def test_homotopy_matches_pinned_digest(n):
         rows.append([f.serialize(), [[g.serialize(), format_scalar(c)] for g, c in col]])
     text = json.dumps(rows, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_H_DIGESTS[n]
+
+
+def _column_rows(con, faces):
+    rows = []
+    for f in faces:
+        col = con.homotopy_column(f).items()
+        rows.append([f.serialize(), [[g.serialize(), format_scalar(c)] for g, c in col]])
+    return rows
+
+
+# SHA-256 of the 32 standard columns of H at n = 6, each in its term order,
+# as the Fraction build (the solve and every stage over Q) gave them
+N6_STANDARD_COLUMNS_DIGEST = "af91f59940ef60a813ee09dda4d392f2b3eb7db5d77dd95a1d901cf0a48bb1f0"
+
+
+def test_n6_standard_columns_match_pinned_digest():
+    n = 6
+    con = PermutahedronContraction(n)  # not the cached one: freed afterwards
+    rows = _column_rows(con, [standard_face(n, sizes) for sizes in compositions(n)])
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == N6_STANDARD_COLUMNS_DIGEST
+
+
+def reference_solve_homotopy(n):
+    """The raw solve over Q, on faces: dH + Hd = 1 - GF degree by degree."""
+    faces_by_deg = {-(n - d): enumerate_faces(n, d) for d in range(1, n + 1)}
+    degrees = sorted(faces_by_deg)
+    nfact = math.factorial(n)
+
+    def proj(vec):  # 1 - GF
+        out = vec.copy()
+        total = sum((c for f, c in vec.items() if f.d == f.n), Fraction(0))
+        if total:
+            q = Fraction(total, nfact)
+            for v in faces_by_deg[0]:
+                out.add_term(v, -q)
+        return out
+
+    H = {}
+    pending = Echelon()
+    for p in degrees:
+        for f in faces_by_deg[p]:
+            x = Vector.unit(f)
+            if p == 0:
+                x = proj(x)
+            residual, combo = pending.reduce(x)
+            assert not (p == 0 and residual)
+            value = -1 * combo
+            if value:
+                H[f] = value
+        if p == degrees[-1]:
+            break
+        nxt = Echelon()
+        for f in faces_by_deg[p]:
+            rhs = proj(Vector.unit(f)) - H.get(f, Vector()).apply(boundary)
+            df = boundary(f)
+            if df:
+                fresh, acc = nxt.insert(df, rhs)
+                assert fresh or not acc
+            else:
+                assert not rhs
+        pending = nxt
+    return H
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_integer_solve_matches_the_fraction_solve(n):
+    faces = FaceIndex(n)
+    scale = math.factorial(n)
+    got = [
+        (faces.faces[i], [(faces.faces[j], Fraction(c, scale)) for j, c in col.items()])
+        for i, col in _solve_homotopy(faces).items()
+    ]
+    for _, col in got:
+        assert all(type(c) is Fraction for _, c in col)
+    # same faces, values and term order
+    want = [(f, list(col.items())) for f, col in reference_solve_homotopy(n).items()]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stored_columns_are_fractions(n):
+    con = PermutahedronContraction(n)
+    for f in all_faces(n):
+        con.H(Vector.unit(f))
+    assert len(con.columns) == len(all_faces(n))
+    for col in con.columns.values():
+        assert all(type(c) is Fraction for _, c in col.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_index_action_matches_act(n):
+    faces = FaceIndex(n)
+    for sigma in itertools.permutations(range(1, n + 1)):
+        action = _action(sigma)
+        for i, f in enumerate(faces.faces):
+            out = {}
+            faces.transport(out, action, {i: 5}, 3)
+            sign, g = act(sigma, f)
+            assert out == {faces.index[g]: 15 * sign}
 
 
 def test_homotopy_builds_only_standard_columns():

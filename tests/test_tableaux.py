@@ -24,11 +24,13 @@ from enveloping.tableaux import (
     h_ct,
     partitions,
     schur_basis,
+    schur_bases,
     schur_dimension_count,
     standard_tableaux,
     t_complex_contraction_check,
     tableaux_of_size,
     x_set_size,
+    young_averaged,
     zeta_map,
 )
 
@@ -176,7 +178,7 @@ def fitted_embedding_signs(n, gens, delta_omega):
     signs = {}
     failures = []
     for T in tableaux_of_size(n):
-        basis = schur_basis(T, gens)
+        basis = [young_averaged(T, u) for u in schur_basis(T, gens)]
         for J in descent_subsets(T)[1:]:
             fitted = None
             for u in basis:
@@ -211,10 +213,11 @@ def test_embedding_spans_and_chain_property(dims):
     V = dg_vector_space([(g.id, g.degree, {}) for g in gens])
     dOm = cobar_differential(CECoalgebra(V, 4, max_arity=1))
     for n in range(1, 5):
-        assert embedding_rank_check(n, gens), n
+        bases = schur_bases(n, gens)
+        assert embedding_rank_check(n, gens, bases), n
         # the reference: the signs fitted face by face are eps(J)
         signs, failures = fitted_embedding_signs(n, gens, dOm)
         assert failures == [], (n, failures)
         assert n == 1 or signs, n
         assert all(sign == epsilon(J) for (T, J), sign in signs.items()), n
-        assert embedding_chain_check(n, gens, dOm), n
+        assert embedding_chain_check(bases, dOm), n
