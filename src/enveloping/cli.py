@@ -8,6 +8,7 @@ parsed, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,19 +275,13 @@ def _theorem1_check(n_cap):
     con = hpt.Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
                           algebra_differential(V))
     words = [xw for r in range(1, min(n_cap, 4) + 1) for xw in cobar_words(C1.sgens, r)]
-    result = _verified(con, words, [])
+    result = con.verify_on(words, [])
     if not result:
         return result
     for xw in words:
         if iota_omega(xw).apply(con.H) != con.H(xw).apply(iota_omega):
             return CheckResult(False, xw)
     return CheckResult(True)
-
-
-def _verified(con, big_words, small_words):
-    """``verify_on`` as a check result naming the first failing basis element."""
-    ok, where = con.verify_on(big_words, small_words)
-    return CheckResult(ok, None if ok else where[1])
 
 
 def _permutahedron_checks(report, n_cap):
@@ -317,7 +312,7 @@ def _permutahedron_checks(report, n_cap):
             con = hpt.Contraction(lambda f: Vector.unit((), pc.F(Vector.unit(f))),
                                   lambda _: pc.G(1), lambda f: pc.H(Vector.unit(f)),
                                   permutahedra.boundary, lambda _: Vector())
-            return _verified(con, faces, [()])
+            return con.verify_on(faces, [()])
 
         report.run("contraction[n=%d]" % n, contraction)
     return payload
@@ -388,12 +383,8 @@ def cmd_tableaux(args):
     gens = tableaux.generators(*dims)
     space = linfty.dg_vector_space([(g.id, g.degree, {}) for g in gens])
     d_omega = hpt.cobar_differential(linfty.CECoalgebra(space, args.n_cap, max_arity=1))
-    bases = {}  # n -> Schur bases, shared by the two embedding rows
-
-    def schur_bases(n):
-        if n not in bases:
-            bases[n] = tableaux.schur_bases(n, gens)
-        return bases[n]
+    # n -> the embedding images, computed once for the two embedding rows
+    embedding_images = functools.cache(lambda n: tableaux.embedding_images(n, gens))
 
     for n in range(1, args.n_cap + 1):
         def cube(n=n):
@@ -405,9 +396,9 @@ def cmd_tableaux(args):
 
         report.run("cube_contraction[n=%d]" % n, cube)
         report.run("embedding_spans[n=%d]" % n,
-                   lambda n=n: tableaux.embedding_rank_check(n, gens, schur_bases(n)))
+                   lambda n=n: tableaux.embedding_rank_check(n, gens, embedding_images(n)))
         report.run("embedding_chain_map[n=%d]" % n,
-                   lambda n=n: tableaux.embedding_chain_check(schur_bases(n), d_omega))
+                   lambda n=n: tableaux.embedding_chain_check(embedding_images(n), d_omega))
     return report, {"profiles": profiles}
 
 

@@ -285,18 +285,6 @@ def _generic_key(word):
     return sk() if sk else repr(word)
 
 
-def add_ops(*ops):
-    def combined(word):
-        out = Vector()
-        for op in ops:
-            v = op(word)
-            if v:
-                out.accumulate(v)
-        return out
-
-    return combined
-
-
 def memo_op(op):
     """Memoize a one-argument op; on a bound method, one memo per instance."""
     cache = {}
@@ -485,3 +473,17 @@ def compositions(total, max_part=None):
     for first in range(1, top + 1):
         for rest in compositions(total - first, max_part):
             yield (first,) + rest
+
+
+def set_partitions(items):
+    """All set partitions of ``items``, as lists of blocks in a deterministic
+    order; each block keeps the order of ``items``."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part

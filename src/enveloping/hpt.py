@@ -1,5 +1,5 @@
-"""The perturbation engine: cobar and bar differentials, the lifted tensor
-contraction, the product/bracket perturbations, and the basic perturbation
+"""The perturbation engine: cobar differentials, the bar coderivation of
+k-ary components, the lifted tensor contraction, and the basic perturbation
 lemma with lazily evaluated transfer series.
 
 Truncation discipline: every operator here preserves or decreases both the
@@ -9,10 +9,10 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import Vector, add_ops, memo_op, sym_word
+from .exactlin import CheckResult, Vector, conjugation_sign, memo_op, sym_word
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
-from .words import BarWord, CobarWord, bar_letter_degree, concat, vector_product
+from .words import BarWord, CobarWord, bar_letter_degree, vector_product
 
 # The coproduct part of the cobar differential carries a global sign choice;
 # this one makes the transferred product on the symmetric coalgebra match the
@@ -61,16 +61,9 @@ def lift_contraction(
         bar_morphism(f_letter),
         bar_morphism(g_letter),
         lifted_homotopy(gf_letter, h_letter),
-        bar_coderivation(d_big_letter),
-        bar_coderivation(d_small_letter),
+        bar_coderivation({1: d_big_letter}),
+        bar_coderivation({1: d_small_letter}),
     )
-
-
-def perturbations(algebra, weight_cap):
-    """The two bar-differential perturbations: product and higher brackets."""
-    C2 = CECoalgebra(algebra, weight_cap, min_arity=2)
-    t_omega = memo_op(cobar_differential(C2, include_coproduct=False))
-    return t_mu, bar_coderivation(t_omega)
 
 
 def algebra_differential(L):
@@ -93,38 +86,40 @@ def algebra_differential(L):
     return on_word
 
 
-def bar_coderivation(letter_op):
-    """Coderivation on bar words from sx -> -s(letter_op x)."""
+def bar_coderivation(ops):
+    """The coderivation of the bar construction with components ``ops``, k ->
+    m_k on k consecutive letters: on [x_1|...|x_n], the sum over j and k of
+    (-1)^(sum_{i<j} (|x_i| - 1)) conjugation_sign(|x_j|, ..., |x_{j+k-1}|)
+    [x_1|...|m_k(x_j, ..., x_{j+k-1})|...|x_n].  For a letter differential
+    {1: d} the conjugation sign is -1; for concatenation as m_2, (-1)^|x_j|.
+    """
+    arities = sorted(ops.items())
 
     def on_bar(b):
+        letters = b.letters
         out = Vector()
         left = 0
-        for j, x in enumerate(b.letters):
-            prefix = -1 if left % 2 else 1
-            img = letter_op(x)
-            if img:
-                for x2, c in img.items():
-                    out.add_term(
-                        BarWord(b.letters[:j] + (x2,) + b.letters[j + 1 :]),
-                        -prefix * c,
-                    )
-            left += bar_letter_degree(x)
+        for j in range(len(letters)):
+            for k, op in arities:
+                chunk = letters[j : j + k]
+                if len(chunk) < k:
+                    break
+                image = op(*chunk)
+                if image:
+                    sign = conjugation_sign([x.degree for x in chunk])
+                    sign = -sign if left % 2 else sign
+                    head, tail = letters[:j], letters[j + k :]
+                    for x, c in image.items():
+                        out.add_term(BarWord(head + (x,) + tail), sign * c)
+            left += bar_letter_degree(letters[j])
         return out
 
     return on_bar
 
 
-def t_mu(b):
-    """Concatenate adjacent bar letters (the product perturbation)."""
-    out = Vector()
-    left = 0
-    for j in range(b.length - 1):
-        x = b.letters[j]
-        sign = -1 if (left + x.degree) % 2 else 1
-        merged = concat(x, b.letters[j + 1])
-        out.add_term(BarWord(b.letters[:j] + (merged,) + b.letters[j + 2 :]), sign)
-        left += bar_letter_degree(x)
-    return out
+def concatenation(x, y):
+    """The product of the cobar algebra on two letters."""
+    return Vector.unit(CobarWord(x.letters + y.letters))
 
 
 def bar_morphism(letter_map):
@@ -174,28 +169,28 @@ class Contraction:
         for w in small_words:
             v = Vector.unit(w)
             if v.apply(self.G).apply(self.F) != v:
-                return False, ("FG", w)
+                return CheckResult(False, w, "FG")
             if v.apply(self.G).apply(self.H):
-                return False, ("HG", w)
+                return CheckResult(False, w, "HG")
             lhs = v.apply(self.G).apply(self.d_big)
             rhs = v.apply(self.d_small).apply(self.G)
             if lhs != rhs:
-                return False, ("G chain map", w)
+                return CheckResult(False, w, "G chain map")
         for w in big_words:
             v = Vector.unit(w)
             gf = v.apply(self.F).apply(self.G)
             hom = v.apply(self.H).apply(self.d_big) + v.apply(self.d_big).apply(self.H)
             if v - gf != hom:
-                return False, ("homotopy identity", w)
+                return CheckResult(False, w, "homotopy identity")
             if v.apply(self.H).apply(self.F):
-                return False, ("FH", w)
+                return CheckResult(False, w, "FH")
             if v.apply(self.H).apply(self.H):
-                return False, ("HH", w)
+                return CheckResult(False, w, "HH")
             lhs = v.apply(self.F).apply(self.d_small)
             rhs = v.apply(self.d_big).apply(self.F)
             if lhs != rhs:
-                return False, ("F chain map", w)
-        return True, None
+                return CheckResult(False, w, "F chain map")
+        return CheckResult(True)
 
 
 class PerturbationError(RuntimeError):
@@ -289,8 +284,10 @@ class Transfer:
         self.weight_cap = weight_cap
         self.C1 = CECoalgebra(algebra, weight_cap, max_arity=1)
         self.Cfull = CECoalgebra(algebra, weight_cap)
-        self.t_mu, self.t_L = perturbations(algebra, weight_cap)
-        self.t = add_ops(self.t_mu, self.t_L)
+        C2 = CECoalgebra(algebra, weight_cap, min_arity=2)
+        t_omega = memo_op(cobar_differential(C2, include_coproduct=False))
+        # the perturbation: the higher brackets on one letter, the product on two
+        self.t = bar_coderivation({1: t_omega, 2: concatenation})
         self.con0 = lift_contraction(
             memo_op(cobar_f),
             memo_op(cobar_g),
@@ -300,7 +297,6 @@ class Transfer:
             memo_op(cobar_gf),
         )
         self.con = bpl(self.con0, self.t)
-        self.d_omega_full = memo_op(cobar_differential(self.Cfull))
 
     def unit_inclusion(self, word):
         """The adjunction unit of a coalgebra word, as a bar-word vector.

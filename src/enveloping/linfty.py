@@ -23,6 +23,7 @@ from .exactlin import (
     memo_op,
     parse_scalar,
     s_power_sign,
+    set_partitions,
     square_zero,
     sym_word,
     unshuffles,
@@ -272,26 +273,13 @@ class LInftyMorphism:
         n = len(letters)
         out = Vector()
         for partition in set_partitions(range(n)):
-            # blocks ordered by minimum; sign of the unshuffle to that order
+            # the sign of the unshuffle to the order of the blocks
             arrangement = [i for block in partition for i in block]
             sign = koszul_sign(tuple(arrangement), degs)
             factors = [self.suspended_component(tuple(letters[i] for i in block))
                        for block in partition]
             out.accumulate(vector_product(factors, sym_word), sign)
         return out
-
-
-def set_partitions(items):
-    """All set partitions; blocks sorted internally and by first element."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
 
 
 def identity_morphism(algebra):

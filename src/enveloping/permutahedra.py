@@ -27,6 +27,7 @@ from .exactlin import (
     Vector,
     koszul_sign,
     perm_parity,
+    set_partitions,
     sym_word,
     unshuffles,
 )
@@ -83,42 +84,19 @@ class OrderedPartition:
         return [list(b) for b in self.blocks]
 
 
-def _face(n, blocks):
-    """An OrderedPartition from increasing blocks already known to partition
-    {1..n}, e.g. the image of a valid face under a permutation."""
-    face = object.__new__(OrderedPartition)
-    face.n = n
-    face.blocks = blocks
-    face._hash = hash((n, blocks))
-    return face
-
-
 def enumerate_faces(n, d):
-    """All ordered partitions of {1..n} with d blocks, deterministic order."""
+    """All ordered partitions of {1..n} with d blocks, in ``sort_key`` order:
+    the orderings of the set partitions into d blocks."""
     if not (1 <= d <= n):
         raise ValueError("need 1 <= d <= n")
-    out = []
-
-    def rec(blocks, remaining):
-        if not remaining:
-            if len(blocks) == d:
-                out.append(OrderedPartition(n, blocks))
-            return
-        if len(blocks) > d:
-            return
-        # place the smallest remaining element into an existing block or a new one
-        x = remaining[0]
-        rest = remaining[1:]
-        for i, b in enumerate(blocks):
-            rec(blocks[:i] + [b + [x]] + blocks[i + 1 :], rest)
-        if len(blocks) < d:
-            # a new block can open in any position
-            for i in range(len(blocks) + 1):
-                rec(blocks[:i] + [[x]] + blocks[i:], rest)
-
-    rec([], list(range(1, n + 1)))
-    out.sort(key=lambda f: f.sort_key())
-    return out
+    faces = [
+        OrderedPartition(n, blocks)
+        for partition in set_partitions(range(1, n + 1))
+        if len(partition) == d
+        for blocks in itertools.permutations(partition)
+    ]
+    faces.sort(key=OrderedPartition.sort_key)
+    return faces
 
 
 def all_faces(n):
@@ -157,8 +135,8 @@ def act(sigma, face):
     for block in face.blocks:
         image = [sigma[x - 1] for x in block]
         sign *= perm_parity(image)
-        new_blocks.append(tuple(sorted(image)))
-    return sign, _face(face.n, tuple(new_blocks))
+        new_blocks.append(image)
+    return sign, OrderedPartition(face.n, new_blocks)
 
 
 def nu(face):

@@ -455,21 +455,27 @@ def schur_basis(T, gens):
     return basis
 
 
-def schur_bases(n, gens):
-    """T -> ``schur_basis(T, gens)`` for the standard tableaux T of size n."""
-    return {T: schur_basis(T, gens) for T in tableaux_of_size(n)}
+def embedding_images(n, gens):
+    """T -> J -> [e(T, J)(u) for u in a Schur basis of T], over the standard
+    tableaux T of size n and the sets J of descents of T: each image once,
+    for both embedding checks."""
+    images = {}
+    for T in tableaux_of_size(n):
+        averaged = [young_averaged(T, u) for u in schur_basis(T, gens)]
+        images[T] = {
+            J: [embedding(T, J, u) for u in averaged] for J in descent_subsets(T)
+        }
+    return images
 
 
-def embedding_rank_check(n, gens, bases):
+def embedding_rank_check(n, gens, images):
     """All embedded vectors together span the full rank-n cobar piece;
-    ``bases`` is ``schur_bases(n, gens)``."""
+    ``images`` is ``embedding_images(n, gens)``."""
     total = 0
     ech = Echelon()
-    for T, basis in bases.items():
-        averaged = [young_averaged(T, u) for u in basis]
-        for J in descent_subsets(T):
-            for u in averaged:
-                img = embedding(T, J, u)
+    for T, by_face in images.items():
+        for J, face_images in by_face.items():
+            for img in face_images:
                 if not img:
                     return CheckResult(False, (T, J), "embedding vanishes")
                 fresh, _ = ech.insert(img)
@@ -480,20 +486,17 @@ def embedding_rank_check(n, gens, bases):
     return CheckResult(ok, None if ok else (total, ech.rank, expected))
 
 
-def embedding_chain_check(bases, delta_omega):
+def embedding_chain_check(images, delta_omega):
     """delta_omega e(T, J) = e(d(T, J)) on every face and Schur basis vector;
-    ``bases`` is ``schur_bases(n, gens)``.  The faces of d(T, J) are faces
-    (T, J') of the same T, so each e(T, J)(u) is computed once."""
-    for T, basis in bases.items():
-        averaged = [young_averaged(T, u) for u in basis]
-        faces = descent_subsets(T)
-        images = {J: [embedding(T, J, u) for u in averaged] for J in faces}
-        for J in faces:
-            for k, image in enumerate(images[J]):
+    ``images`` is ``embedding_images(n, gens)``.  The faces of d(T, J) are
+    faces (T, J') of the same T."""
+    for T, by_face in images.items():
+        for J, face_images in by_face.items():
+            for k, image in enumerate(face_images):
                 lhs = image.apply(delta_omega)
                 rhs = Vector()
                 for (_, J2), c in boundary_ct(T, J).items():
-                    rhs.accumulate(images[J2][k], c)
+                    rhs.accumulate(by_face[J2][k], c)
                 if lhs != rhs:
                     return CheckResult(False, (T, J), "chain map fails")
     return CheckResult(True)

@@ -21,7 +21,7 @@ from .exactlin import (
     tensor_word,
     unshuffles,
 )
-from .hpt import Transfer, bar_morphism
+from .hpt import Transfer, bar_coderivation, bar_morphism
 from .linfty import LInftyAlgebra
 from .words import BarWord, CobarWord, bar_words_algebra, sym_words, vector_product
 
@@ -73,25 +73,10 @@ class AInftyStructure:
         )
 
     def bar_differential(self, bar):
-        """The coderivation on the tensor coalgebra assembled from products."""
-        out = Vector()
-        letters = bar.letters
-        n = len(letters)
-        left = 0
-        for j in range(n):
-            top = min(self.arity_cap, n - j)
-            for k in range(1, top + 1):
-                chunk = letters[j : j + k]
-                prefix = -1 if left % 2 else 1
-                csign = conjugation_sign([w.degree for w in chunk])
-                value = self.product(chunk)
-                for w, c in value.items():
-                    out.add_term(
-                        BarWord(letters[:j] + (w,) + letters[j + k :]),
-                        prefix * csign * c,
-                    )
-            left += letters[j].degree - 1
-        return out
+        """The bar coderivation with the products m_k, k <= arity cap."""
+        product = lambda *words: self.product(words)
+        ops = dict.fromkeys(range(1, self.arity_cap + 1), product)
+        return bar_coderivation(ops)(bar)
 
     def export_tables(self):
         """Product tables over all cap-bounded inputs, JSON-ready."""

@@ -54,10 +54,6 @@ class CobarWord:
         return [w.serialize() for w in self.letters]
 
 
-def concat(x, y):
-    return CobarWord(x.letters + y.letters)
-
-
 def bar_letter_degree(letter):
     # a bar letter is s(letter) for a cobar word or an algebra word
     return letter.degree - 1

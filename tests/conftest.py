@@ -8,8 +8,16 @@ import pytest
 from enveloping import permutahedra, tableaux
 from enveloping.bgg import functor_f, functor_g
 from enveloping.cli import load_input
-from enveloping.exactlin import CheckResult, FiniteComplex, Generator, Vector, sym_word
-from enveloping.linfty import LInftyAlgebra, LInftyModule
+from enveloping.exactlin import (
+    CheckResult,
+    FiniteComplex,
+    Generator,
+    Vector,
+    memo_op,
+    sym_word,
+)
+from enveloping.hpt import bar_coderivation, cobar_differential, concatenation
+from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule
 from enveloping.words import CobarWord, bar_words, cobar_words, vector_product
 
 
@@ -61,6 +69,20 @@ def bar_words_cobar(gens, rank_cap, length_cap):
     """Bar words over cobar words (the big side)."""
     pools = {r: cobar_words(gens, r) for r in range(1, rank_cap + 1)}
     return bar_words(pools, rank_cap, length_cap)
+
+
+def bracket_letter_differential(transfer):
+    """The letter differential t_omega of the brackets of arity >= 2, the
+    one-letter component of the perturbation ``transfer.t``."""
+    C2 = CECoalgebra(transfer.algebra, transfer.weight_cap, min_arity=2)
+    return memo_op(cobar_differential(C2, include_coproduct=False))
+
+
+def perturbation_parts(transfer):
+    """(t_mu, t_L): the product and bracket parts of ``transfer.t``, each a
+    bar coderivation, for perturbing in stages."""
+    return (bar_coderivation({2: concatenation}),
+            bar_coderivation({1: bracket_letter_differential(transfer)}))
 
 
 def act_vector(sigma, vec):

@@ -25,6 +25,7 @@ from conftest import (
     induced_algebra_map,
     nu_vector,
     odd_abelian,
+    perturbation_parts,
     roundtrip_gf_check,
     t_complex,
     trivial_module,
@@ -262,7 +263,8 @@ def test_criterion_08_perturbation_algebra():
     started = time.monotonic()
     ok = True
     T = Transfer(sl2(), 3)
-    staged = bpl(bpl(T.con0, T.t_mu), T.t_L)
+    t_mu, t_L = perturbation_parts(T)
+    staged = bpl(bpl(T.con0, t_mu), t_L)
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
         v = Vector.unit(bar)
         ok &= v.apply(staged.F) == v.apply(T.con.F)

@@ -13,8 +13,16 @@ from enveloping.bgg import (
     tau_value,
     twisted_tensor_acyclicity,
 )
-from enveloping.exactlin import CheckResult, FiniteComplex, Generator, Vector, square_zero, sym_word
-from enveloping.hpt import COPRODUCT_SIGN
+from enveloping.exactlin import (
+    CheckResult,
+    FiniteComplex,
+    Generator,
+    Vector,
+    memo_op,
+    square_zero,
+    sym_word,
+)
+from enveloping.hpt import COPRODUCT_SIGN, cobar_differential
 from enveloping.linfty import abelian, adjoint_module, check_module, heisenberg
 from enveloping.uea import AInftyStructure
 from enveloping.words import BarWord, bar_words_algebra, cobar_words, sym_words
@@ -45,9 +53,10 @@ def omega_to_enveloping_check(structure, rank_cap=None):
                 return Vector()
         return value
 
+    d_omega = cobar_differential(structure.transfer.Cfull)
     for r in range(1, cap + 1):
         for x in cobar_words(structure.transfer.Cfull.sgens, r):
-            lhs = structure.transfer.d_omega_full(x).apply(rho)
+            lhs = d_omega(x).apply(rho)
             rhs = rho(x).apply(structure.m1)
             if lhs != rhs:
                 return CheckResult(False, x, "algebra map is not a chain map")
@@ -67,7 +76,7 @@ def omega_comparison_check(structure, rank_cap=None):
     cap = rank_cap or min(structure.weight_cap, 3)
 
     omega_c = {}
-    d_omega = structure.transfer.d_omega_full
+    d_omega = memo_op(cobar_differential(structure.transfer.Cfull))
     for rank in range(1, cap + 1):
         by_degree = {}
         for x in cobar_words(structure.transfer.Cfull.sgens, rank):

@@ -6,23 +6,29 @@ import random
 
 import pytest
 
-from enveloping.exactlin import Vector, s_power_sign, unshuffles
+from enveloping.exactlin import Vector, conjugation_sign, memo_op, s_power_sign, unshuffles
 from enveloping.hpt import (
     Transfer,
     algebra_differential,
     bar_morphism,
     bpl,
     cobar_differential,
+    concatenation,
     default_budget,
     perturbation_series,
-    t_mu,
 )
 from enveloping.linfty import CECoalgebra, abelian, from_complete_intersection
 from enveloping.permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
-from enveloping.uea import star_product
-from enveloping.words import BarWord, CobarWord, bar_words_algebra, cobar_words, concat
+from enveloping.uea import AInftyStructure, star_product
+from enveloping.words import (
+    BarWord,
+    CobarWord,
+    bar_letter_degree,
+    bar_words_algebra,
+    cobar_words,
+)
 
-from conftest import bar_words_cobar, bundled
+from conftest import bar_words_cobar, bracket_letter_differential, bundled, perturbation_parts
 
 
 def shuffle_coproduct(x):
@@ -48,10 +54,11 @@ def sl2_transfer():
 
 def test_cobar_differential_squares_to_zero(sl2_transfer):
     T = sl2_transfer
+    d_omega = memo_op(cobar_differential(T.Cfull))
     for rank in range(1, 5):
         for x in cobar_words(T.C1.sgens, rank):
             v = Vector.unit(x)
-            assert not v.apply(T.d_omega_full).apply(T.d_omega_full), x
+            assert not v.apply(d_omega).apply(d_omega), x
 
 
 def test_abelian_cobar_differential_is_pure_coproduct():
@@ -80,8 +87,8 @@ def test_lifted_side_conditions_and_homotopy_identity(sl2_transfer):
     T = sl2_transfer
     big = bar_words_cobar(T.C1.sgens, 3, 3)
     small = bar_words_algebra(T.algebra.generators, 3, 3)
-    ok, where = T.con0.verify_on(big, small)
-    assert ok, where
+    result = T.con0.verify_on(big, small)
+    assert result, result
 
 
 def test_coalgebra_homotopy_condition(sl2_transfer):
@@ -160,12 +167,14 @@ def test_full_bar_differential_squares_to_zero(sl2_transfer):
 def test_abelian_perturbation_has_no_bracket_part():
     A = abelian([0, 0])
     T = Transfer(A, 3)
+    _, t_L = perturbation_parts(T)
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
-        assert not T.t_L(bar)
+        assert not t_L(bar)
 
 
 def test_geometric_degree_bookkeeping(sl2_transfer):
     T = sl2_transfer
+    t_mu, t_L = perturbation_parts(T)
 
     def geo(bar):
         # the geometric degree of a cobar word is its rank minus its length
@@ -176,7 +185,7 @@ def test_geometric_degree_bookkeeping(sl2_transfer):
             assert geo(b2) == geo(bar) + 1
         for b2 in t_mu(bar).terms:
             assert geo(b2) == geo(bar)
-        for b2 in T.t_L(bar).terms:
+        for b2 in t_L(bar).terms:
             assert geo(b2) < geo(bar)
         if bar.length == 1 and geo(bar) > 0:
             assert not T.con0.F(bar)
@@ -200,15 +209,16 @@ def test_perturbed_contraction_identities(sl2_transfer):
     T = sl2_transfer
     big = bar_words_cobar(T.C1.sgens, 3, 3)
     small = bar_words_algebra(T.algebra.generators, 3, 3)
-    ok, where = T.con.verify_on(big, small)
-    assert ok, where
+    result = T.con.verify_on(big, small)
+    assert result, result
 
 
 def test_composition_law(sl2_transfer):
     # perturbing by the product part and then the bracket part agrees with
     # perturbing by their sum, on every operator of the contraction
     T = sl2_transfer
-    staged = bpl(bpl(T.con0, T.t_mu), T.t_L)
+    t_mu, t_L = perturbation_parts(T)
+    staged = bpl(bpl(T.con0, t_mu), t_L)
     direct = T.con
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
         v = Vector.unit(bar)
@@ -359,19 +369,14 @@ def test_cobar_differential_is_a_derivation():
             for y in cobar_words(C.sgens, 1):
                 rhs = Vector()
                 for x2, c in d(x).items():
-                    rhs.add_term(concat(x2, y), c)
+                    rhs.accumulate(concatenation(x2, y), c)
                 for y2, c in d(y).items():
-                    rhs.add_term(concat(x, y2), sign * c)
-                assert d(concat(x, y)) == rhs, (x, y)
+                    rhs.accumulate(concatenation(x, y2), sign * c)
+                assert concatenation(x, y).apply(d) == rhs, (x, y)
 
 
 def test_named_lift_and_perturbations_match_the_transfer(sl2_transfer):
-    from enveloping.hpt import (
-        algebra_differential,
-        cobar_differential,
-        lift_contraction,
-        perturbations,
-    )
+    from enveloping.hpt import lift_contraction
 
     T = sl2_transfer
     con = lift_contraction(
@@ -386,7 +391,105 @@ def test_named_lift_and_perturbations_match_the_transfer(sl2_transfer):
         v = Vector.unit(bar)
         assert v.apply(con.F) == v.apply(T.con0.F)
         assert v.apply(con.H) == v.apply(T.con0.H)
-    tm, tl = perturbations(T.algebra, 4)
+    tm, tl = perturbation_parts(T)
+    t_L = reference_letter_coderivation(bracket_letter_differential(T))
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
-        assert tm(bar) == T.t_mu(bar)
-        assert tl(bar) == T.t_L(bar)
+        assert tm(bar) == reference_t_mu(bar)
+        assert tl(bar) == t_L(bar)
+        assert tm(bar) + tl(bar) == T.t(bar)
+
+
+# The coderivation rules written out one by one, each with its own sign: the
+# reference for ``bar_coderivation``.
+
+
+def reference_letter_coderivation(letter_op):
+    """sx -> -s(letter_op x) in each slot, times (-1)^(sum of |x_i| - 1 over
+    the letters before it)."""
+
+    def on_bar(b):
+        out = Vector()
+        left = 0
+        for j, x in enumerate(b.letters):
+            prefix = -1 if left % 2 else 1
+            img = letter_op(x)
+            if img:
+                for x2, c in img.items():
+                    out.add_term(
+                        BarWord(b.letters[:j] + (x2,) + b.letters[j + 1 :]),
+                        -prefix * c,
+                    )
+            left += bar_letter_degree(x)
+        return out
+
+    return on_bar
+
+
+def reference_t_mu(b):
+    """Concatenate adjacent bar letters x, y with sign (-1)^(prefix + |x|)."""
+    out = Vector()
+    left = 0
+    for j in range(b.length - 1):
+        x = b.letters[j]
+        sign = -1 if (left + x.degree) % 2 else 1
+        merged = CobarWord(x.letters + b.letters[j + 1].letters)
+        out.add_term(BarWord(b.letters[:j] + (merged,) + b.letters[j + 2 :]), sign)
+        left += bar_letter_degree(x)
+    return out
+
+
+def reference_bar_differential(structure, bar):
+    """The products m_k on each run of k adjacent letters, with the prefix
+    sign and the conjugation sign of the run."""
+    out = Vector()
+    letters = bar.letters
+    n = len(letters)
+    left = 0
+    for j in range(n):
+        top = min(structure.arity_cap, n - j)
+        for k in range(1, top + 1):
+            chunk = letters[j : j + k]
+            prefix = -1 if left % 2 else 1
+            csign = conjugation_sign([w.degree for w in chunk])
+            value = structure.product(chunk)
+            for w, c in value.items():
+                out.add_term(
+                    BarWord(letters[:j] + (w,) + letters[j + k :]),
+                    prefix * csign * c,
+                )
+        left += letters[j].degree - 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        bundled("sl2"),
+        bundled("l3only"),
+        bundled("odd2"),
+        from_complete_intersection(["x", "y"], {"w": [(1, ("x", "x", "y"))]}),
+    ],
+    ids=["sl2", "l3only", "odd2", "ci"],
+)
+def test_bar_coderivation_matches_the_written_out_rules(algebra):
+    # every coderivation of the package, term by term against its own rule,
+    # on every bar word at caps 3/3
+    T = Transfer(algebra, 3)
+    t_mu, t_L = perturbation_parts(T)
+    d_big = reference_letter_coderivation(cobar_differential(T.C1))
+    t_L_ref = reference_letter_coderivation(bracket_letter_differential(T))
+    big = bar_words_cobar(T.C1.sgens, 3, 3)
+    for b in big:
+        assert T.con0.d_big(b) == d_big(b), b
+        assert t_mu(b) == reference_t_mu(b), b
+        assert t_L(b) == t_L_ref(b), b
+        assert T.t(b) == reference_t_mu(b) + t_L_ref(b), b
+    d_small = reference_letter_coderivation(algebra_differential(algebra))
+    structure = AInftyStructure(algebra, 3, 3)
+    small = bar_words_algebra(algebra.generators, 3, 3)
+    for b in small:
+        assert T.con0.d_small(b) == d_small(b), b
+        assert structure.bar_differential(b) == reference_bar_differential(structure, b), b
+    assert any(t_mu(b) for b in big)
+    assert any(T.con0.d_big(b) for b in big)
+    assert any(structure.bar_differential(b) for b in small)
