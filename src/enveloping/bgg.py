@@ -19,7 +19,7 @@ from .linfty import LInftyModule
 
 def tau_value(word):
     """The canonical twisted cochain: desuspended weight-one projection."""
-    if word.weight != 1:
+    if word.rank != 1:
         return Vector()
     sign, w = sym_word([word.letters[0].shifted(1)])
     return Vector.unit(w, sign)
@@ -52,7 +52,7 @@ def generalized_cochain_check(structure, weight_cap=None):
     for word in C.all_words(cap):
         lhs = C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
         rhs = Vector()
-        for parts in range(2, min(word.weight, structure.arity_cap) + 1):
+        for parts in range(2, min(word.rank, structure.arity_cap) + 1):
             for split, c in C.iterated_reduced_coproduct(word, parts).items():
                 exp = parts
                 for a, piece in enumerate(split):
@@ -123,7 +123,7 @@ class TwistedComplex:
             for u2, c in self.structure.m1(uw).items():
                 out.add_term((cw, u2), sign * c)
         if cw is not None:
-            max_s = min(self.structure.arity_cap, cw.weight + 1)
+            max_s = min(self.structure.arity_cap, cw.rank + 1)
             for s in range(2, max_s + 1):
                 for split, c in _coaction_splits(self.C, cw, s).items():
                     c0, pieces = split[0], split[1:]
@@ -225,7 +225,7 @@ ZERO_OP = EndOp()
 class AInftyModule:
     """Module over the enveloping structure: a bar-word twisting cochain.
 
-    ``cochain``: {BarWord over algebra words: EndOp}; the empty-word slot is
+    ``cochain``: {bar word over algebra words: EndOp}; the empty-word slot is
     the module differential, stored separately.
     """
 

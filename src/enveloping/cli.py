@@ -102,14 +102,12 @@ def _serialize(obj):
     """JSON form of a counterexample; sequences keep their order, sets are sorted."""
     if obj is None:
         return None
-    if isinstance(obj, Generator):
-        return obj.id
+    if hasattr(obj, "serialize"):
+        return obj.serialize()
     if isinstance(obj, (frozenset, set)):
         return [_serialize(x) for x in sorted(obj, key=repr)]
     if isinstance(obj, (list, tuple)):
         return [_serialize(x) for x in obj]
-    if hasattr(obj, "serialize"):
-        return obj.serialize()
     return repr(obj)
 
 

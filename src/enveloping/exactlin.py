@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 ZERO = Fraction(0)
@@ -32,11 +33,16 @@ class Generator(NamedTuple):
     id: str
     degree: int
 
+    rank = 1  # a generator is one algebra letter
+
     def shifted(self, by):
         return Generator(self.id, self.degree + by)
 
     def __repr__(self):
         return "%s[%d]" % (self.id, self.degree)
+
+    def serialize(self):
+        return self.id
 
 
 def koszul_sign(perm, degrees):
@@ -129,14 +135,32 @@ def conjugation_sign(degrees):
 
 TENSOR = "tensor"
 SYMMETRIC = "symmetric"
+COBAR = "cobar"
+BAR = "bar"
+
+# kind -> (degree shift of a letter, open, separator, close, letter printer).
+# Tensor and symmetric words have generators as letters; a cobar word has
+# desuspended symmetric words, a bar word suspended cobar or symmetric words.
+_KINDS = {
+    TENSOR: (0, "(", "#", ")", attrgetter("id")),
+    SYMMETRIC: (0, "(", "*", ")", attrgetter("id")),
+    COBAR: (1, "<", "|", ">", lambda w: repr(w)[1:-1]),
+    BAR: (-1, "[", " ; ", "]", repr),
+}
+
+# ``degree`` and ``rank`` are read on every letter of every coderivation
+# term; map over an attrgetter is faster than a generator expression
+_degree, _rank = attrgetter("degree"), attrgetter("rank")
 
 
-class BasisWord:
-    """A basis word: an ordered tuple of generators, tensor or symmetric kind.
+class Word:
+    """A basis word: a kind and an ordered tuple of letters.
 
     Symmetric words are stored canonically sorted; use ``sym_word`` to build
     them (it returns the Koszul sign of the sort, and None for words that die
-    because an odd generator repeats).
+    because an odd generator repeats).  Words of one kind are ordered by
+    ``sort_key``: rank, then length, then letters; ``<`` compares sort keys,
+    so that the letters of a cobar or bar word compare by theirs.
     """
 
     __slots__ = ("kind", "letters", "_hash")
@@ -148,36 +172,40 @@ class BasisWord:
 
     @property
     def degree(self):
-        return sum(g.degree for g in self.letters)
+        return sum(map(_degree, self.letters)) + _KINDS[self.kind][0] * len(self.letters)
 
     @property
-    def weight(self):
+    def rank(self):
+        """The number of algebra letters."""
+        return sum(map(_rank, self.letters))
+
+    @property
+    def length(self):
         return len(self.letters)
 
     def sort_key(self):
-        return (len(self.letters), self.letters, self.kind)
+        return (self.rank, len(self.letters), self.letters, self.kind)
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
         return (
-            isinstance(other, BasisWord)
+            isinstance(other, Word)
             and self._hash == other._hash
             and self.kind == other.kind
             and self.letters == other.letters
         )
 
     def __repr__(self):
-        sep = "*" if self.kind == SYMMETRIC else "#"
-        return "(" + sep.join(g.id for g in self.letters) + ")"
+        _, start, sep, end, show = _KINDS[self.kind]
+        return start + sep.join(map(show, self.letters)) + end
 
     def serialize(self):
-        return [g.id for g in self.letters]
-
-
-def tensor_word(letters):
-    return BasisWord(TENSOR, letters)
+        return [x.serialize() for x in self.letters]
 
 
 def sym_word(letters):
@@ -186,7 +214,7 @@ def sym_word(letters):
     for a, b in zip(sorted_letters, sorted_letters[1:]):
         if a == b and a.degree % 2:
             return 0, None
-    return sign, BasisWord(SYMMETRIC, sorted_letters)
+    return sign, Word(SYMMETRIC, sorted_letters)
 
 
 class Vector:
@@ -460,7 +488,7 @@ def symmetrize(word):
     frac = Fraction(1, math.factorial(n))
     for perm in itertools.permutations(range(n)):
         sign = koszul_sign(perm, degs)
-        out.add_term(tensor_word(word.letters[i] for i in perm), sign * frac)
+        out.add_term(Word(TENSOR, (word.letters[i] for i in perm)), sign * frac)
     return out
 
 

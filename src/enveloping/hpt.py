@@ -9,10 +9,19 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from .exactlin import CheckResult, Vector, conjugation_sign, memo_op, sym_word
+from .exactlin import (
+    BAR,
+    COBAR,
+    CheckResult,
+    Vector,
+    Word,
+    conjugation_sign,
+    memo_op,
+    sym_word,
+)
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
-from .words import BarWord, CobarWord, bar_letter_degree, vector_product
+from .words import vector_product
 
 # The coproduct part of the cobar differential carries a global sign choice;
 # this one makes the transferred product on the symmetric coalgebra match the
@@ -35,13 +44,13 @@ def cobar_differential(C, include_coproduct=True):
             prefix = -1 if left % 2 else 1
             for c2, coeff in C.delta(c).items():
                 letters = x.letters[:j] + (c2,) + x.letters[j + 1 :]
-                out.add_term(CobarWord(letters), -prefix * coeff)
+                out.add_term(Word(COBAR, letters), -prefix * coeff)
             if include_coproduct:
                 for (cA, cB), coeff in C.reduced_coproduct(c).items():
                     sA = -1 if cA.degree % 2 else 1
                     letters = x.letters[:j] + (cA, cB) + x.letters[j + 1 :]
                     out.add_term(
-                        CobarWord(letters), COPRODUCT_SIGN * prefix * sA * coeff
+                        Word(COBAR, letters), COPRODUCT_SIGN * prefix * sA * coeff
                     )
             left += c.degree + 1
         return out
@@ -110,8 +119,8 @@ def bar_coderivation(ops):
                     sign = -sign if left % 2 else sign
                     head, tail = letters[:j], letters[j + k :]
                     for x, c in image.items():
-                        out.add_term(BarWord(head + (x,) + tail), sign * c)
-            left += bar_letter_degree(letters[j])
+                        out.add_term(Word(BAR, head + (x,) + tail), sign * c)
+            left += letters[j].degree - 1
         return out
 
     return on_bar
@@ -119,7 +128,7 @@ def bar_coderivation(ops):
 
 def concatenation(x, y):
     """The product of the cobar algebra on two letters."""
-    return Vector.unit(CobarWord(x.letters + y.letters))
+    return Vector.unit(Word(COBAR, x.letters + y.letters))
 
 
 def bar_morphism(letter_map):
@@ -127,7 +136,7 @@ def bar_morphism(letter_map):
 
     def on_bar(b):
         return vector_product(
-            [letter_map(x) for x in b.letters], lambda ws: (1, BarWord(ws))
+            [letter_map(x) for x in b.letters], lambda ws: (1, Word(BAR, ws))
         )
 
     return on_bar
@@ -144,8 +153,8 @@ def lifted_homotopy(letter_gf, letter_h):
             factors = [letter_gf(y) for y in b.letters[:t]]
             factors.append(letter_h(x))
             factors.extend(Vector.unit(y) for y in b.letters[t + 1 :])
-            out.accumulate(vector_product(factors, lambda ws: (1, BarWord(ws))), sign)
-            left += bar_letter_degree(x)
+            out.accumulate(vector_product(factors, lambda ws: (1, Word(BAR, ws))), sign)
+            left += x.degree - 1
         return out
 
     return on_bar
@@ -305,9 +314,9 @@ class Transfer:
         one-letter cobar word, resuspended (sign (-1)^{i(i-1)/2} at arity i).
         """
         out = Vector()
-        for parts in range(1, word.weight + 1):
+        for parts in range(1, word.rank + 1):
             sign = -1 if (parts * (parts - 1) // 2) % 2 else 1
             for split, c in self.Cfull.iterated_reduced_coproduct(word, parts).items():
-                letters = tuple(CobarWord((piece,)) for piece in split)
-                out.add_term(BarWord(letters), sign * c)
+                letters = tuple(Word(COBAR, (piece,)) for piece in split)
+                out.add_term(Word(BAR, letters), sign * c)
         return out

@@ -310,7 +310,7 @@ def compose_morphisms(psi, phi, weight_cap):
             image = phi.coalgebra_map(word).apply(psi.coalgebra_map)
             vec = Vector()
             for w2, c in image.items():
-                if w2.weight == 1:
+                if w2.rank == 1:
                     vec.add_term(w2.letters[0].shifted(1), c)
             if not vec:
                 continue

@@ -22,21 +22,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import (
+    COBAR,
+    TENSOR,
     Echelon,
     FiniteComplex,
     Vector,
+    Word,
     koszul_sign,
     perm_parity,
     set_partitions,
     sym_word,
+    symmetrize,
     unshuffles,
 )
-from .words import (
-    CobarWord,
-    desuspended_letter,
-    desuspended_word,
-    desuspension_sign,
-)
+from .words import desuspended_letter, desuspended_word, desuspension_sign
 
 
 class OrderedPartition:
@@ -349,7 +348,7 @@ class PermutahedronContraction:
         (interned per block of generators) and multiplies out the faces.
         """
         gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
-        shape = (tuple(w.weight for w in x.letters), tuple(g.degree % 2 for g in gens))
+        shape = (tuple(w.rank for w in x.letters), tuple(g.degree % 2 for g in gens))
         plan = self._plans.get(shape)
         if plan is None:
             plan = self._plans[shape] = self._compile_plan(x)
@@ -373,7 +372,7 @@ class PermutahedronContraction:
                 sign *= entry[0]
                 word.append(entry[1])
             else:
-                out.add_term(CobarWord(word), coeff if sign > 0 else negated)
+                out.add_term(Word(COBAR, word), coeff if sign > 0 else negated)
         return out
 
     def _compile_plan(self, x):
@@ -548,7 +547,7 @@ def cobar_f(x):
     """Multiplicative projection of a cobar word onto the symmetric algebra."""
     letters = []
     for w in x.letters:
-        if w.weight != 1:
+        if w.rank != 1:
             return Vector()
         letters.append(w.letters[0].shifted(1))
     sign, word = sym_word(letters)
@@ -558,20 +557,14 @@ def cobar_f(x):
 
 
 def cobar_g(word):
-    """Average of all weight-one-letter arrangements of an algebra word."""
-    gens = word.letters
-    n = len(gens)
-    degs = [g.degree for g in gens]
-    fact = math.factorial(n)
-    out = Vector()
-    for perm in itertools.permutations(range(n)):
-        sign = koszul_sign(perm, degs)
-        letters = []
-        for i in perm:
-            _, w = sym_word([gens[i].shifted(-1)])
-            letters.append(w)
-        out.add_term(CobarWord(tuple(letters)), Fraction(sign, fact))
-    return out
+    """Average of all weight-one-letter arrangements of an algebra word: the
+    graded average of the tensor word, one desuspended letter per generator."""
+
+    def arrangement(t):
+        letters = (desuspended_letter((g,))[1] for g in t.letters)
+        return Vector.unit(Word(COBAR, letters))
+
+    return symmetrize(Word(TENSOR, word.letters)).apply(arrangement)
 
 
 def cobar_gf(x):
@@ -583,7 +576,7 @@ def theta_factor(x):
     gens = []
     sizes = []
     for w in x.letters:
-        sizes.append(w.weight)
+        sizes.append(w.rank)
         gens.extend(g.shifted(1) for g in w.letters)
     face = standard_face(x.rank, sizes)
     img = theta(tuple(gens), face)
@@ -606,4 +599,4 @@ def iota_omega(x):
     cross = sum(degs[i] * degs[j] for i in range(d) for j in range(i + 1, d))
     if cross % 2:
         sign = -sign
-    return Vector.unit(CobarWord(tuple(reversed(x.letters))), sign)
+    return Vector.unit(Word(COBAR, reversed(x.letters)), sign)

@@ -15,13 +15,14 @@ from fractions import Fraction
 
 from .exactlin import (
     CheckResult,
+    TENSOR,
     Echelon,
     Generator,
     Vector,
+    Word,
     antisymmetric_sign,
     perm_parity,
     square_zero,
-    tensor_word,
 )
 from .words import cobar_words, desuspended_word, desuspension_sign
 
@@ -257,7 +258,7 @@ def right_act(word, sigma):
     letters = word.letters
     perm = tuple(sigma[k] - 1 for k in range(len(letters)))
     sign = antisymmetric_sign(perm, [g.degree for g in letters])
-    return Vector.unit(tensor_word(letters[i] for i in perm), sign)
+    return Vector.unit(Word(TENSOR, (letters[i] for i in perm)), sign)
 
 
 def young_idempotent(T, word):
@@ -448,7 +449,7 @@ def schur_basis(T, gens):
     ech = Echelon()
     basis = []
     for letters in itertools.product(sorted(gens), repeat=T.n):
-        v = young_idempotent(T, tensor_word(letters))
+        v = young_idempotent(T, Word(TENSOR, letters))
         fresh, _ = ech.insert(v)
         if fresh:
             basis.append(v)

@@ -1,109 +1,17 @@
-"""Words for the cobar and bar constructions.
+"""Enumeration of the words of the cobar and bar constructions, and
+desuspension.
 
 A cobar word is a nonempty tensor string of desuspended symmetric words
 (s^{-1}Sym^{k}); a bar word is a tensor string of suspended cobar words (big
-side) or of suspended symmetric-algebra words (small side).  Suspensions are
-implicit in the containers; all degree bookkeeping lives here.
+side) or of suspended symmetric-algebra words (small side).  Both are
+``exactlin.Word``s, whose kind carries the degree shift of a letter.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactlin import Vector, compositions, s_power_sign, sym_word
-
-
-class CobarWord:
-    """Tensor word in s^{-1}Sym^{>=1}(sL); letters are symmetric BasisWords."""
-
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters):
-        self.letters = tuple(letters)
-        self._hash = hash(("cobar", self.letters))
-
-    @property
-    def degree(self):
-        return sum(w.degree + 1 for w in self.letters)
-
-    @property
-    def rank(self):
-        return sum(w.weight for w in self.letters)
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-    def sort_key(self):
-        return (self.rank, self.length, tuple(w.sort_key() for w in self.letters))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CobarWord)
-            and self._hash == other._hash
-            and self.letters == other.letters
-        )
-
-    def __repr__(self):
-        return "<" + "|".join(repr(w)[1:-1] for w in self.letters) + ">"
-
-    def serialize(self):
-        return [w.serialize() for w in self.letters]
-
-
-def bar_letter_degree(letter):
-    # a bar letter is s(letter) for a cobar word or an algebra word
-    return letter.degree - 1
-
-
-def letter_rank(letter):
-    if isinstance(letter, CobarWord):
-        return letter.rank
-    return letter.weight
-
-
-class BarWord:
-    """Tensor-coalgebra word; letters are cobar words or algebra words."""
-
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters):
-        self.letters = tuple(letters)
-        self._hash = hash(("bar", self.letters))
-
-    @property
-    def degree(self):
-        return sum(bar_letter_degree(x) for x in self.letters)
-
-    @property
-    def rank(self):
-        return sum(letter_rank(x) for x in self.letters)
-
-    @property
-    def length(self):
-        return len(self.letters)
-
-    def sort_key(self):
-        return (self.rank, self.length, tuple(x.sort_key() for x in self.letters))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BarWord)
-            and self._hash == other._hash
-            and self.letters == other.letters
-        )
-
-    def __repr__(self):
-        return "[" + " ; ".join(repr(x) for x in self.letters) + "]"
-
-    def serialize(self):
-        return [x.serialize() for x in self.letters]
+from .exactlin import BAR, COBAR, Vector, Word, compositions, s_power_sign, sym_word
 
 
 def sym_words(gens, weight):
@@ -122,7 +30,7 @@ def cobar_words(gens, rank):
     for comp in compositions(rank):
         pools = [sym_words(gens, m) for m in comp]
         for letters in itertools.product(*pools):
-            out.append(CobarWord(letters))
+            out.append(Word(COBAR, letters))
     return out
 
 
@@ -132,7 +40,7 @@ def bar_words(letter_pools, rank_cap, length_cap):
 
     def rec(prefix, remaining):
         if prefix and len(prefix) <= length_cap:
-            out.append(BarWord(tuple(prefix)))
+            out.append(Word(BAR, prefix))
         if len(prefix) >= length_cap:
             return
         for r in sorted(letter_pools):
@@ -189,7 +97,7 @@ def desuspended_word(blocks):
             return 0, None
         sign *= s2
         letters.append(w)
-    return sign, CobarWord(letters)
+    return sign, Word(COBAR, letters)
 
 
 def vector_product(factors, combine):

@@ -9,16 +9,18 @@ from enveloping import permutahedra, tableaux
 from enveloping.bgg import functor_f, functor_g
 from enveloping.cli import load_input
 from enveloping.exactlin import (
+    COBAR,
     CheckResult,
     FiniteComplex,
     Generator,
     Vector,
+    Word,
     memo_op,
     sym_word,
 )
 from enveloping.hpt import bar_coderivation, cobar_differential, concatenation
 from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule
-from enveloping.words import CobarWord, bar_words, cobar_words, vector_product
+from enveloping.words import bar_words, cobar_words, vector_product
 
 
 @pytest.fixture
@@ -126,7 +128,7 @@ def induced_algebra_map(phi):
 
     def on_cobar(x):
         return vector_product(
-            [on_letter(letter) for letter in x.letters], lambda ws: (1, CobarWord(ws))
+            [on_letter(letter) for letter in x.letters], lambda ws: (1, Word(COBAR, ws))
         )
 
     return on_cobar

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from enveloping import bgg, linfty, permutahedra, tableaux, uea
-from enveloping.exactlin import Generator, Vector
+from enveloping.exactlin import BAR, Generator, Vector, Word
 from enveloping.hpt import Transfer, algebra_differential, bpl, cobar_differential
 from enveloping.linfty import CECoalgebra
-from enveloping.words import BarWord, bar_words_algebra, cobar_words, sym_words
+from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
 from conftest import (
     act_vector,
@@ -288,7 +288,7 @@ def test_criterion_08_perturbation_algebra():
             csign = s_power_sign([u.degree, w.degree])
             for w2, cc in uea.star_product(u, w).items():
                 direct.add_term(
-                    BarWord(letters[:j] + (w2,) + letters[j + 2 :]),
+                    Word(BAR, letters[:j] + (w2,) + letters[j + 2 :]),
                     prefix * csign * cc,
                 )
             left += u.degree - 1

@@ -14,10 +14,12 @@ from enveloping.bgg import (
     twisted_tensor_acyclicity,
 )
 from enveloping.exactlin import (
+    BAR,
     CheckResult,
     FiniteComplex,
     Generator,
     Vector,
+    Word,
     memo_op,
     square_zero,
     sym_word,
@@ -25,7 +27,7 @@ from enveloping.exactlin import (
 from enveloping.hpt import COPRODUCT_SIGN, cobar_differential
 from enveloping.linfty import abelian, adjoint_module, check_module, heisenberg
 from enveloping.uea import AInftyStructure
-from enveloping.words import BarWord, bar_words_algebra, cobar_words, sym_words
+from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
 from conftest import bundled, odd_abelian, roundtrip_gf_check, trivial_module
 
@@ -93,8 +95,8 @@ def omega_comparison_check(structure, rank_cap=None):
             for b2, c in structure.bar_differential(b).items():
                 out.add_term(bars[:j] + (b2,) + bars[j + 1 :], -prefix * c)
             for cut in range(1, b.length):
-                first = BarWord(b.letters[:cut])
-                second = BarWord(b.letters[cut:])
+                first = Word(BAR, b.letters[:cut])
+                second = Word(BAR, b.letters[cut:])
                 sA = -1 if (first.degree + 1) % 2 else 1
                 out.add_term(
                     bars[:j] + (first, second) + bars[j + 1 :],
@@ -139,7 +141,7 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
     structure = module.structure
     acap = arity_cap or structure.arity_cap
     wcap = weight_cap or structure.weight_cap
-    bars = [BarWord(())] + [
+    bars = [Word(BAR, ())] + [
         b
         for b in bar_words_algebra(structure.algebra.generators, wcap, acap)
         if b.length <= acap
@@ -155,8 +157,8 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
         for m2, c in module.d_m.apply(m).items():
             out.add_term((bar, m2), sign * c)
         for cut in range(0, bar.length):
-            pre = BarWord(bar.letters[:cut])
-            post = BarWord(bar.letters[cut:])
+            pre = Word(BAR, bar.letters[:cut])
+            post = Word(BAR, bar.letters[cut:])
             op = module.t(post)
             if not op:
                 continue
@@ -268,7 +270,7 @@ def test_functor_g_weight_one_action_is_the_given_one(sl2_small):
     GM = functor_g(M, sl2_small)
     for g in L.generators:
         _, word = sym_word([g])
-        bar = BarWord((word,))
+        bar = Word(BAR, (word,))
         op = GM.t(bar)
         _, sword = sym_word([g.shifted(-1)])
         for m in M.basis:
@@ -324,7 +326,7 @@ def test_enveloping_acts_on_itself():
                 if bar.length == 1:
                     table[m] = as_module(Vector.unit(bar.letters[0]))
                 continue
-            if w.weight + bar.rank <= 2 and bar.length + 1 <= 3:
+            if w.rank + bar.rank <= 2 and bar.length + 1 <= 3:
                 # left multiplication: the validator keeps the prefix and
                 # applies the suffix through the evaluation left-action
                 value = A.product(bar.letters + (w,))

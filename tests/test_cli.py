@@ -30,6 +30,21 @@ PRODUCT_DIGESTS_3_3 = {
     "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
 }
 
+# The same at arity cap 4 and weight cap 4: the first pin on arity-4 bar
+# words, whose order fixes the order of the table entries.
+PRODUCT_DIGESTS_4_4 = {
+    "abelian1": "2adeb210d01ab3f285af6fdcda31c112ce4bedd94eb2fd774e52679126f67ed2",
+    "abelian2": "434488308e61fcb4b263e6457706577e6046a33154ccdc021fc084dd26e096ed",
+    "abelian3": "b27fc9f15c643307d8290a3a309b7a0239f74c97a5c9fd9ceb1603a0300a2c40",
+    "sl2": "0e1a1caa904867653a274fa600f19662c7f1855bddc2d9a5ebaf265a7a6d7d66",
+    "sl2_adjoint": "478cd53f35f169da09e97896c2232da9a07a9148135cf6c4dd79cee624c5d35c",
+    "heisenberg": "2aaa91c237faa4799d4f296b1657545b4c937f48726e08c3578be5c1216f8d35",
+    "odd1": "06f59fc437377a7170c58ac070eaaa52dc243ee3717e26e61bc60cbdf136d514",
+    "odd2": "5413ad9725a5e11d7ec0f2b64267e8b92a8618cc3a9c8d15e4937e130b8dfc65",
+    "l3only": "3c324737474882487e66c1c14845c8e9938ba80a5701a2f5a1f2aafff5871a3f",
+    "ci_cubic": "f6e761c9ab753abb1dfaa58233930c09111591222712df1b9d2e06ca42c69d64",
+}
+
 # SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
 # 3, for every bundled input whose suite completes (the bgg twisted complex of
 # l3only and ci_cubic does not square to zero): the reports are pinned byte
@@ -236,6 +251,15 @@ def test_check_pbw_suite(capsys):
     assert "pbw" in out
 
 
+def test_check_pbw_suite_fails_cleanly_below_its_caps(capsys):
+    # the closed form on two generators needs weight 2
+    code, out, _ = run(capsys, ["--input", "bundled:sl2", "--weight-cap", "1",
+                                "--format", "json", "check", "--suite", "pbw"])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "pbw" and check["status"] == "fail"
+
+
 def test_check_morphism_and_theorem1_suites(capsys):
     code, out, _ = run(capsys, ["--n-cap", "3", "check", "--suite", "morphism"])
     assert code == 0
@@ -267,10 +291,14 @@ def test_check_timings_cover_every_suite(capsys):
     assert all(c["name"].startswith("morphism: ") and c["time_s"] > 0 for c in checks)
 
 
-def test_product_tables_are_pinned(capsys):
-    assert set(PRODUCT_DIGESTS_3_3) == set(BUNDLED)
-    for name, digest in PRODUCT_DIGESTS_3_3.items():
-        argv = ["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3",
+@pytest.mark.parametrize("caps, digests", [
+    ("3", PRODUCT_DIGESTS_3_3),
+    ("4", PRODUCT_DIGESTS_4_4),
+], ids=["3_3", "4_4"])
+def test_product_tables_are_pinned(capsys, caps, digests):
+    assert set(digests) == set(BUNDLED)
+    for name, digest in digests.items():
+        argv = ["--input", "bundled:%s" % name, "--arity-cap", caps, "--weight-cap", caps,
                 "--format", "json", "products"]
         code, out, _ = run(capsys, argv)
         assert code == 0, name

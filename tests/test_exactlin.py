@@ -5,10 +5,15 @@ from fractions import Fraction
 import pytest
 
 from enveloping.exactlin import (
+    BAR,
+    COBAR,
+    SYMMETRIC,
+    TENSOR,
     Echelon,
     FiniteComplex,
     Generator,
     Vector,
+    Word,
     _generic_key,
     antisymmetric_sign,
     format_scalar,
@@ -17,7 +22,6 @@ from enveloping.exactlin import (
     rank_of,
     sym_word,
     symmetrize,
-    tensor_word,
 )
 
 a0 = Generator("a", 0)
@@ -74,6 +78,23 @@ def test_sym_word_canonicalization():
     assert w is not None and sign == 1
 
 
+def test_word_kinds():
+    a, b, c = Generator("a", 0), Generator("b", 1), Generator("c", 2)
+    x_a, x_b, x_bc = (Word(SYMMETRIC, letters) for letters in ((a,), (b,), (b, c)))
+    tensor, symmetric = Word(TENSOR, (a, b)), Word(SYMMETRIC, (a, b))
+    cobar = Word(COBAR, (x_a, x_bc))
+    bar = Word(BAR, (Word(COBAR, (x_a,)), Word(COBAR, (x_b,))))
+    # a cobar letter adds 1 to the degree of its word, a bar letter takes 1
+    assert [(w.degree, w.rank) for w in (tensor, symmetric, cobar, bar)] == [
+        (1, 2), (1, 2), (1 + 4, 3), (0 + 1, 2)]
+    assert [repr(w) for w in (symmetric, tensor, cobar, bar)] == [
+        "(a*b)", "(a#b)", "<a|b*c>", "[<a> ; <b>]"]
+    assert cobar.serialize() == [["a"], ["b", "c"]]
+    assert Word(COBAR, cobar.letters) == cobar
+    assert Word(BAR, cobar.letters) != cobar
+    assert hash(cobar) == hash((COBAR, cobar.letters))
+
+
 def test_vector_arithmetic():
     _, w = sym_word([a0])
     _, w2 = sym_word([b0])
@@ -84,15 +105,15 @@ def test_vector_arithmetic():
 
 
 def test_symmetrize_is_projector():
-    word = tensor_word([a0, b0])
+    word = Word(TENSOR, [a0, b0])
     sym = symmetrize(word)
     assert sym == Vector(
-        {tensor_word([a0, b0]): Fraction(1, 2), tensor_word([b0, a0]): Fraction(1, 2)}
+        {Word(TENSOR, [a0, b0]): Fraction(1, 2), Word(TENSOR, [b0, a0]): Fraction(1, 2)}
     )
     again = sym.apply(symmetrize)
     assert again == sym
-    assert not symmetrize(tensor_word([v1, v1]))
-    assert symmetrize(tensor_word([a0])) == Vector.unit(tensor_word([a0]))
+    assert not symmetrize(Word(TENSOR, [v1, v1]))
+    assert symmetrize(Word(TENSOR, [a0])) == Vector.unit(Word(TENSOR, [a0]))
 
 
 def _dense_rank(vectors):
@@ -133,12 +154,12 @@ def _random_known_complex(rng, max_dim=6):
     d_cols = {}
     for p in degrees:
         for i in range(singles[p]):
-            g = tensor_word([Generator("s%d_%d" % (p, i), p)])
+            g = Word(TENSOR, [Generator("s%d_%d" % (p, i), p)])
             basis[p].append(g)
     for p, count in pairs.items():
         for i in range(count):
-            x = tensor_word([Generator("x%d_%d" % (p, i), p)])
-            y = tensor_word([Generator("y%d_%d" % (p, i), p + 1)])
+            x = Word(TENSOR, [Generator("x%d_%d" % (p, i), p)])
+            y = Word(TENSOR, [Generator("y%d_%d" % (p, i), p + 1)])
             basis[p].append(x)
             basis[p + 1].append(y)
             d_cols[x] = Vector.unit(y)
@@ -164,9 +185,9 @@ def test_homology_dims_matches_construction_and_dense_oracle():
 
 
 def test_complex_rejects_bad_differential():
-    x = tensor_word([Generator("x", 0)])
-    y = tensor_word([Generator("y", 1)])
-    z = tensor_word([Generator("z", 2)])
+    x = Word(TENSOR, [Generator("x", 0)])
+    y = Word(TENSOR, [Generator("y", 1)])
+    z = Word(TENSOR, [Generator("z", 2)])
     cols = {x: Vector.unit(y), y: Vector.unit(z)}
 
     def d(word):
@@ -177,8 +198,8 @@ def test_complex_rejects_bad_differential():
 
 
 def test_echelon_combination_tracking():
-    x = tensor_word([a0])
-    y = tensor_word([b0])
+    x = Word(TENSOR, [a0])
+    y = Word(TENSOR, [b0])
     ech = Echelon()
     ech.insert(Vector.unit(x) + Vector.unit(y), Vector.unit("t1"))
     ech.insert(Vector.unit(y, 2), Vector.unit("t2"))
@@ -209,7 +230,8 @@ def reference_reduce(ech, vec, combo=None):
 def test_echelon_reduce_matches_reference(seed):
     rng = random.Random(seed)
     letters = [a0, b0, v1, w1]
-    words = [tensor_word(ls) for k in (1, 2) for ls in itertools.product(letters, repeat=k)]
+    words = [Word(TENSOR, ls) for k in (1, 2)
+             for ls in itertools.product(letters, repeat=k)]
 
     def random_vector(size):
         return Vector({w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))

@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from enveloping.exactlin import Vector, conjugation_sign, memo_op, s_power_sign, unshuffles
+from enveloping.exactlin import (
+    BAR,
+    COBAR,
+    Vector,
+    Word,
+    conjugation_sign,
+    memo_op,
+    s_power_sign,
+    unshuffles,
+)
 from enveloping.hpt import (
     Transfer,
     algebra_differential,
@@ -20,13 +29,7 @@ from enveloping.hpt import (
 from enveloping.linfty import CECoalgebra, abelian, from_complete_intersection
 from enveloping.permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from enveloping.uea import AInftyStructure, star_product
-from enveloping.words import (
-    BarWord,
-    CobarWord,
-    bar_letter_degree,
-    bar_words_algebra,
-    cobar_words,
-)
+from enveloping.words import bar_words_algebra, cobar_words
 
 from conftest import bar_words_cobar, bracket_letter_differential, bundled, perturbation_parts
 
@@ -41,7 +44,7 @@ def shuffle_coproduct(x):
         left = tuple(letters[i] for i in inside)
         right = tuple(letters[i] for i in outside)
         out.add_term(
-            (CobarWord(left) if left else None, CobarWord(right) if right else None),
+            (Word(COBAR, left) if left else None, Word(COBAR, right) if right else None),
             sign,
         )
     return out
@@ -76,10 +79,10 @@ def test_bar_lift_reduces_to_single_letter_maps(sl2_transfer):
     F = bar_morphism(cobar_f)
     G = bar_morphism(cobar_g)
     for x in cobar_words(T.C1.sgens, 2):
-        bar = BarWord((x,))
+        bar = Word(BAR, (x,))
         expected = Vector()
         for w2, c in cobar_f(x).items():
-            expected.add_term(BarWord((w2,)), c)
+            expected.add_term(Word(BAR, (w2,)), c)
         assert F(bar) == expected
 
 
@@ -100,7 +103,7 @@ def test_coalgebra_homotopy_condition(sl2_transfer):
     def deconcat(bar):
         out = []
         for cut in range(len(bar.letters) + 1):
-            out.append((BarWord(bar.letters[:cut]), BarWord(bar.letters[cut:])))
+            out.append((Word(BAR, bar.letters[:cut]), Word(BAR, bar.letters[cut:])))
         return out
 
     rng = random.Random(3)
@@ -134,7 +137,7 @@ def test_perturbations_are_coalgebra_perturbations(sl2_transfer):
 
     def deconcat(bar):
         return [
-            (BarWord(bar.letters[:cut]), BarWord(bar.letters[cut:]))
+            (Word(BAR, bar.letters[:cut]), Word(BAR, bar.letters[cut:]))
             for cut in range(len(bar.letters) + 1)
         ]
 
@@ -244,7 +247,7 @@ def test_abelian_transfer_is_bar_of_symmetric_algebra():
             csign = s_power_sign([u.degree, wrd.degree])
             for w2, c in star_product(u, wrd).items():
                 out.add_term(
-                    BarWord(letters[:j] + (w2,) + letters[j + 2 :]),
+                    Word(BAR, letters[:j] + (w2,) + letters[j + 2 :]),
                     prefix * csign * c,
                 )
             left += u.degree - 1
@@ -260,7 +263,7 @@ def test_perturbed_maps_are_coalgebra_morphisms(sl2_transfer):
 
     def deconcat(bar):
         return [
-            (BarWord(bar.letters[:cut]), BarWord(bar.letters[cut:]))
+            (Word(BAR, bar.letters[:cut]), Word(BAR, bar.letters[cut:]))
             for cut in range(len(bar.letters) + 1)
         ]
 
@@ -416,10 +419,10 @@ def reference_letter_coderivation(letter_op):
             if img:
                 for x2, c in img.items():
                     out.add_term(
-                        BarWord(b.letters[:j] + (x2,) + b.letters[j + 1 :]),
+                        Word(BAR, b.letters[:j] + (x2,) + b.letters[j + 1 :]),
                         -prefix * c,
                     )
-            left += bar_letter_degree(x)
+            left += x.degree - 1
         return out
 
     return on_bar
@@ -432,9 +435,9 @@ def reference_t_mu(b):
     for j in range(b.length - 1):
         x = b.letters[j]
         sign = -1 if (left + x.degree) % 2 else 1
-        merged = CobarWord(x.letters + b.letters[j + 1].letters)
-        out.add_term(BarWord(b.letters[:j] + (merged,) + b.letters[j + 2 :]), sign)
-        left += bar_letter_degree(x)
+        merged = Word(COBAR, x.letters + b.letters[j + 1].letters)
+        out.add_term(Word(BAR, b.letters[:j] + (merged,) + b.letters[j + 2 :]), sign)
+        left += x.degree - 1
     return out
 
 
@@ -454,7 +457,7 @@ def reference_bar_differential(structure, bar):
             value = structure.product(chunk)
             for w, c in value.items():
                 out.add_term(
-                    BarWord(letters[:j] + (w,) + letters[j + k :]),
+                    Word(BAR, letters[:j] + (w,) + letters[j + k :]),
                     prefix * csign * c,
                 )
         left += letters[j].degree - 1

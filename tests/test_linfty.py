@@ -47,7 +47,7 @@ def test_dg_lie_coderivation_has_no_higher_arity():
     for word in C.all_words():
         for out_word in C.delta(word).terms:
             # binary brackets only merge two letters into one
-            assert out_word.weight in (word.weight, word.weight - 1)
+            assert out_word.rank in (word.rank, word.rank - 1)
     assert sorted(L.brackets) == [2]
 
 
@@ -80,7 +80,7 @@ def test_check_linfty_catches_corruption_at_weight_three():
     )
     result = check_linfty(bad, 3)
     assert not result
-    assert result.counterexample.weight == 3
+    assert result.counterexample.rank == 3
 
 
 def test_l3_gadget_satisfies_its_quadratic_constraint():
@@ -179,7 +179,7 @@ def test_non_chain_map_fails_at_weight_one():
     phi = LInftyMorphism(V, W, {1: {(v,): {W.by_id["v"]: 1}, (u,): {}}})
     result = check_morphism(phi, 3)
     assert not result
-    assert result.counterexample.weight == 1
+    assert result.counterexample.rank == 1
 
 
 def test_composition_arity_two_rule():
@@ -202,7 +202,7 @@ def test_composition_arity_two_rule():
     via_maps = phi.coalgebra_map(word).apply(psi.coalgebra_map)
     weight_one = Vector()
     for w2, coeff in via_maps.items():
-        if w2.weight == 1:
+        if w2.rank == 1:
             weight_one.add_term(w2.letters[0].shifted(1), coeff)
     sign = s_power_sign([a.degree, a.degree])
     assert got == weight_one.scaled(sign)

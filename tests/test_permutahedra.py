@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from enveloping.exactlin import (
+    COBAR,
     Echelon,
     Vector,
+    Word,
     compositions,
     format_scalar,
     koszul_sign,
@@ -32,7 +34,7 @@ from enveloping.permutahedra import (
     nu,
     standard_face,
 )
-from enveloping.words import CobarWord, cobar_words
+from enveloping.words import cobar_words
 
 from conftest import act_vector, bundled, nu_vector, odd_abelian
 
@@ -339,14 +341,14 @@ def reference_theta(gens, face):
         sign *= s2
         letters.append(w)
         seen_deg += sum(bdegs)
-    return Vector.unit(CobarWord(letters), sign)
+    return Vector.unit(Word(COBAR, letters), sign)
 
 
 def reference_cobar_h(x):
     """cobar_h as the per-face loop sum_f c theta(gens, f) -(-1)^|gens| / gamma
     over the column of the standard face of x."""
     gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
-    face = standard_face(x.rank, [w.weight for w in x.letters])
+    face = standard_face(x.rank, [w.rank for w in x.letters])
     gamma = reference_theta(gens, face).coeff(x)
     assert gamma
     sign = Fraction(-1 if sum(g.degree for g in gens) % 2 == 0 else 1, gamma)
@@ -385,7 +387,7 @@ def test_cobar_h_follows_a_faulted_contraction(top_cell_fault):
     # compiled for the same shape
     e, f, h = _suspended_generators(bundled("sl2"))
     _, letter = sym_word([e, f, h])
-    x = CobarWord((letter,))
+    x = Word(COBAR, (letter,))
     assert not cobar_h(x)  # H vanishes on the top cell
     top_cell_fault()
     # H(top) = top now, so cobar_h(x) = -(-1)^|gens| x, and the unsuspended

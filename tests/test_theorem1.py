@@ -144,26 +144,34 @@ def test_homotopy_commutes_with_reversal():
             )
 
 
-def test_functoriality_square():
-    # a random degree-zero chain map V -> W commutes with the homotopies
-    V = dg_vector_space([("v0", 0, {"v1": 1}), ("v1", 1, {})])
-    W = dg_vector_space([("w0", 0, {"w1": 1}), ("w1", 1, {})], name="W")
-    v0, v1 = V.by_id["v0"], V.by_id["v1"]
-    w0, w1 = W.by_id["w0"], W.by_id["w1"]
+# Degree-0 maps on two even generators a, b and two odd ones c, d, as
+# {generator: {image generator: coefficient}}; a generator left out is fixed.
+MIXING_MAPS = {
+    "elementary": {"a": {"a": 1, "b": 2}},
+    "signed permutation": {"a": {"b": -1}, "b": {"a": 1}, "c": {"d": 1}, "d": {"c": -1}},
+    "merge": {"b": {"a": 1}},
+    "projection": {"b": {}},
+    "odd mixing": {"c": {"c": 1, "d": 1}, "d": {"c": 2, "d": -3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXING_MAPS))
+def test_functoriality_square(name):
+    # the homotopy is natural: the cobar map induced by a degree-0 map that
+    # mixes, merges or kills generators commutes with it
+    V = dg_vector_space([("a", 0, {}), ("b", 0, {}), ("c", 1, {}), ("d", 1, {})])
+    table = MIXING_MAPS[name]
 
     def phi(g):
-        if g == v0:
-            return Vector.unit(w0, 3)
-        if g == v1:
-            return Vector.unit(w1, 3)
-        return Vector()
+        image = table.get(g.id, {g.id: 1})
+        return Vector({V.by_id[h]: c for h, c in image.items()})
 
     amap = induced_algebra_map(phi)
     sgens = tuple(g.shifted(-1) for g in V.generators)
     for rank in (1, 2, 3):
         for x in cobar_words(sgens, rank):
             v = Vector.unit(x)
-            assert v.apply(cobar_h).apply(amap) == v.apply(amap).apply(cobar_h)
+            assert v.apply(cobar_h).apply(amap) == v.apply(amap).apply(cobar_h), x
 
 
 def test_iota_is_an_involutive_chain_map():

@@ -111,12 +111,12 @@ def test_binary_product_top_weight_is_the_plain_product(sl2_structure):
         if bar.length != 2:
             continue
         u, v = bar.letters
-        total = u.weight + v.weight
+        total = u.rank + v.rank
         value = sl2_structure.m2(u, v)
-        top = Vector({w: c for w, c in value.items() if w.weight == total})
+        top = Vector({w: c for w, c in value.items() if w.rank == total})
         assert top == star_product(u, v)
         for w in value.terms:
-            assert w.weight <= total
+            assert w.rank <= total
 
 
 def test_stasheff_passes(sl2_structure, l3_structure):
