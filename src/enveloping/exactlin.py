@@ -20,7 +20,10 @@ ONE = Fraction(1)
 
 def parse_scalar(text) -> Fraction:
     """Parse a rational from a 'p/q' (or plain integer) string."""
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 def format_scalar(q) -> str:

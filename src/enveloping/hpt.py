@@ -9,6 +9,9 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .exactlin import (
     BAR,
     COBAR,
@@ -215,6 +218,11 @@ def perturbation_series(t, H, budget):
     (p, word): no full X vector is stored when only p X is read, and a tail
     that several words share is computed once.  Recursion depth counts
     against ``budget`` of the word asked for.
+
+    The memo holds each value as integers over one denominator,
+    ``(terms, den)`` with p X(w) = sum_v (terms[v] / den) v, reduced by the
+    gcd of den and the terms; Fractions appear only in p t(w), in Ht(w) and
+    in the vector that ``X`` returns.
     """
     memo = {}
 
@@ -227,14 +235,36 @@ def perturbation_series(t, H, budget):
                 raise PerturbationError(
                     "perturbation series failed to terminate at %r" % (word,)
                 )
-            out = tw.copy() if p is None else tw.apply(p)
+            head = (tw if p is None else tw.apply(p)).items()
+            den = lcm(*(c.denominator for _, c in head))
+            tail = []
             for u, c in tw.apply(H).items():
-                out.accumulate(value(u, p, steps - 1), -c)
-            memo[key] = out
+                terms_u, den_u = value(u, p, steps - 1)
+                # -c p X(u) = (a / b) terms_u, with a / b in lowest terms
+                b = c.denominator * den_u
+                g = gcd(c.numerator, b)
+                a, b = -c.numerator // g, b // g
+                tail.append((terms_u, a, b))
+                den = lcm(den, b)
+            terms = {v: c.numerator * (den // c.denominator) for v, c in head}
+            for terms_u, a, b in tail:
+                scale = a * (den // b)
+                for v, n in terms_u.items():
+                    n = terms.get(v, 0) + scale * n
+                    if n:
+                        terms[v] = n
+                    else:
+                        terms.pop(v, None)
+            g = gcd(den, *terms.values())
+            if g > 1:
+                den //= g
+                terms = {v: n // g for v, n in terms.items()}
+            out = memo[key] = (terms, den)
         return out
 
     def X(word, p=None):
-        return value(word, p, budget(word))
+        terms, den = value(word, p, budget(word))
+        return Vector({v: Fraction(n, den) for v, n in terms.items()})
 
     return X
 

@@ -455,6 +455,8 @@ def from_complete_intersection(variables, polynomials, divided_powers=False):
     multiplicity factorials.
     """
     xi = {v: Generator("xi_" + v, 1) for v in variables}
+    if len(xi) != len(variables):
+        raise ValueError("repeated variable in %r" % (list(variables),))
     zs = {}
     brackets = {}
     for pid, terms in polynomials.items():
@@ -503,21 +505,41 @@ def algebra_to_json(algebra):
     return {"name": algebra.name, "generators": gens, "brackets": brackets}
 
 
+def _integer(value, what):
+    """An integer field of the JSON input; a fractional number is refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return int(value)
+
+
+def _generators_from_json(entries):
+    """{id: Generator} from the JSON generator list; a repeated id is refused."""
+    gens = {}
+    for g in entries:
+        if g["id"] in gens:
+            raise ValueError("duplicate generator id %r" % (g["id"],))
+        degree = _integer(g["degree"], "the degree of %r" % (g["id"],))
+        gens[g["id"]] = Generator(g["id"], degree)
+    return gens
+
+
 def algebra_from_json(data):
     if "complete_intersection" in data:
         ci = data["complete_intersection"]
         polys = {}
         for rel in ci["relations"]:
+            if rel["id"] in polys:
+                raise ValueError("duplicate relation id %r" % (rel["id"],))
             polys[rel["id"]] = [
                 (parse_scalar(t["coeff"]), tuple(t["monomial"])) for t in rel["terms"]
             ]
         return from_complete_intersection(
             list(ci["variables"]), polys, bool(ci.get("divided_powers", False))
         )
-    gens = {g["id"]: Generator(g["id"], int(g["degree"])) for g in data["generators"]}
+    gens = _generators_from_json(data["generators"])
     brackets = {}
     for b in data.get("brackets", []):
-        arity = int(b["arity"])
+        arity = _integer(b["arity"], "arity")
         word = tuple(sorted(gens[i] for i in b["inputs"]))
         value = {}
         for t in b["value"]:
@@ -533,11 +555,11 @@ def algebra_from_json(data):
 
 
 def module_from_json(algebra, data):
-    gens = {g["id"]: Generator(g["id"], int(g["degree"])) for g in data["generators"]}
+    gens = _generators_from_json(data["generators"])
     d_m = {}
     action = {}
     for entry in data.get("actions", []):
-        arity = int(entry["arity"])
+        arity = _integer(entry["arity"], "arity")
         m = gens[entry["module_input"]]
         value = Vector()
         for t in entry["value"]:

@@ -16,7 +16,8 @@ from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
 # SHA-256 of `products --format json` at arity cap 3 and weight cap 3: the
-# product tables of every bundled input are pinned byte for byte.
+# product tables of every bundled input, and of each of FILE_INPUTS below,
+# are pinned byte for byte.
 PRODUCT_DIGESTS_3_3 = {
     "abelian1": "3920345d477cdffce9a1b30dc8dfbbbd045bd24649dc4babb7f4cc43b784a9b0",
     "abelian2": "e610c707a047fc9837a28b851415e6dca3377bf5662b7d7c00696352146d607e",
@@ -28,6 +29,7 @@ PRODUCT_DIGESTS_3_3 = {
     "odd2": "4c064926bfddc397ac82510fa34de38f4917ca8446c8a044a993a2373e24d7c5",
     "l3only": "9831241e01ef265f47718f4d07e8f62c1ee636515bdf7c11d26a8490925ee2c2",
     "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
+    "ci_rational": "d51187b9872ffc2440fa4315b73b10d8bed5d0d181bbd7d8de51612f0b4262f4",
 }
 
 # The same at arity cap 4 and weight cap 4: the first pin on arity-4 bar
@@ -43,6 +45,16 @@ PRODUCT_DIGESTS_4_4 = {
     "odd2": "5413ad9725a5e11d7ec0f2b64267e8b92a8618cc3a9c8d15e4937e130b8dfc65",
     "l3only": "3c324737474882487e66c1c14845c8e9938ba80a5701a2f5a1f2aafff5871a3f",
     "ci_cubic": "f6e761c9ab753abb1dfaa58233930c09111591222712df1b9d2e06ca42c69d64",
+    "ci_rational": "002e611de756c9e22261ce3fc466df24a382736e8d6c04e241fde0138ceccd3f",
+}
+
+# Pinned inputs that are not bundled, read from "<name>.json" in the working
+# directory: a complete intersection with rational coefficients (every
+# bundled input has integer brackets).
+FILE_INPUTS = {
+    "ci_rational": {"complete_intersection": {"variables": ["x", "y"], "relations": [
+        {"id": "w", "terms": [{"coeff": "1/2", "monomial": ["x", "x", "y"]},
+                              {"coeff": "-4/3", "monomial": ["x", "y", "y"]}]}]}},
 }
 
 # SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
@@ -148,6 +160,68 @@ def test_parser_defaults():
     assert args.suite == "all"
     args = build_parser().parse_args(["tableaux"])
     assert (args.dim_even, args.dim_odd) == (2, 0)
+
+
+def input_data(name):
+    """A fresh copy of the JSON of a bundled or a file input."""
+    if name in FILE_INPUTS:
+        return json.loads(json.dumps(FILE_INPUTS[name]))
+    return json.loads(resources.files("enveloping.data").joinpath(name + ".json").read_text())
+
+
+def with_entry(name, entry, key, value):
+    data = input_data(name)
+    entry(data)[key] = value
+    return data
+
+
+def with_repeat(name, entries):
+    data = input_data(name)
+    entries(data).append(entries(data)[0])
+    return data
+
+
+BAD_INPUTS = {
+    "zero denominator in a bracket": (
+        with_entry("sl2", lambda d: d["brackets"][1]["value"][0], "coeff", "1/0"),
+        "zero denominator in '1/0'"),
+    "zero denominator in a module action": (
+        with_entry("sl2_adjoint", lambda d: d["module"]["actions"][0]["value"][0],
+                   "coeff", "1/0"),
+        "zero denominator in '1/0'"),
+    "zero denominator in a relation": (
+        with_entry("ci_rational", lambda d: d["complete_intersection"]["relations"][0]["terms"][1],
+                   "coeff", "1/0"),
+        "zero denominator in '1/0'"),
+    "repeated generator id": (
+        with_entry("abelian2", lambda d: d["generators"][1], "id", "a1"),
+        "duplicate generator id 'a1'"),
+    "repeated module generator id": (
+        with_repeat("sl2_adjoint", lambda d: d["module"]["generators"]),
+        "duplicate generator id 'e'"),
+    "repeated variable": (
+        with_repeat("ci_rational", lambda d: d["complete_intersection"]["variables"]),
+        "repeated variable in ['x', 'y', 'x']"),
+    "repeated relation id": (
+        with_repeat("ci_rational", lambda d: d["complete_intersection"]["relations"]),
+        "duplicate relation id 'w'"),
+    "fractional degree": (
+        with_entry("abelian2", lambda d: d["generators"][0], "degree", 1.5),
+        "the degree of 'a1' must be an integer, not 1.5"),
+    "fractional arity": (
+        with_entry("sl2", lambda d: d["brackets"][0], "arity", 2.5),
+        "arity must be an integer, not 2.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_before_any_computation(tmp_path, capsys, name):
+    data, message = BAD_INPUTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["--input", str(path), "--weight-cap", "3", "validate"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and message in err, err
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
@@ -295,10 +369,14 @@ def test_check_timings_cover_every_suite(capsys):
     ("3", PRODUCT_DIGESTS_3_3),
     ("4", PRODUCT_DIGESTS_4_4),
 ], ids=["3_3", "4_4"])
-def test_product_tables_are_pinned(capsys, caps, digests):
-    assert set(digests) == set(BUNDLED)
+def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests):
+    assert set(digests) == set(BUNDLED) | set(FILE_INPUTS)
+    monkeypatch.chdir(tmp_path)  # the path of a file input is in the report
+    for name, data in FILE_INPUTS.items():
+        Path("%s.json" % name).write_text(json.dumps(data))
     for name, digest in digests.items():
-        argv = ["--input", "bundled:%s" % name, "--arity-cap", caps, "--weight-cap", caps,
+        source = "%s.json" % name if name in FILE_INPUTS else "bundled:%s" % name
+        argv = ["--input", source, "--arity-cap", caps, "--weight-cap", caps,
                 "--format", "json", "products"]
         code, out, _ = run(capsys, argv)
         assert code == 0, name

@@ -3,6 +3,7 @@ contraction and its coalgebra conditions, the perturbations, the basic
 perturbation lemma and its composition law."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -324,8 +325,11 @@ def unrolled_series(t, H, word):
         bundled("sl2"),
         bundled("l3only"),
         from_complete_intersection(["x", "y"], {"w": [(1, ("x", "x", "y"))]}),
+        # rational brackets: the memo's common denominators are not all 1
+        from_complete_intersection(["x", "y"], {"w": [
+            (Fraction(1, 2), ("x", "x", "y")), (Fraction(-4, 3), ("x", "y", "y"))]}),
     ],
-    ids=["sl2", "l3only", "ci"],
+    ids=["sl2", "l3only", "ci", "ci-rational"],
 )
 def test_projected_series_matches_unrolled_series(algebra):
     from enveloping.hpt import PerturbationError
