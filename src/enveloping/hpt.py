@@ -66,16 +66,19 @@ def lift_contraction(
 ):
     """Contraction on the tensor coalgebras from single-letter data.
 
-    The projection and inclusion act letterwise; the homotopy keeps the
-    round trip ``gf_letter`` (g after f) on a prefix and acts in one slot.
+    The projection and inclusion act letterwise; the homotopy is
+    ``lifted_homotopy``, which reads the homotopy of each suffix back from
+    the contraction's own memo.
     """
-    return Contraction(
+    H = lifted_homotopy(gf_letter, h_letter)
+    con = Contraction(
         bar_morphism(f_letter),
         bar_morphism(g_letter),
-        lifted_homotopy(gf_letter, h_letter),
+        lambda b: H(b, con.H),
         bar_coderivation({1: d_big_letter}),
         bar_coderivation({1: d_small_letter}),
     )
+    return con
 
 
 def algebra_differential(L):
@@ -146,18 +149,29 @@ def bar_morphism(letter_map):
 
 
 def lifted_homotopy(letter_gf, letter_h):
-    """H on the tensor coalgebra: gf on a prefix, the homotopy at one slot."""
+    """H on the tensor coalgebra, by recursion on the suffix: for a letter x
+    and a bar word w, H(x|w) = -h(x)|w + (-1)^(|x|-1) gf(x)|H(w), and H of
+    the empty word is 0 (the leading minus is the sign of -s h s^{-1}).
 
-    def on_bar(b):
+    ``on_bar(b, H)`` reads H(w) from ``H``; given the memoized homotopy
+    itself, it expands the round trip gf on each suffix once, not once per
+    slot.
+    """
+
+    def on_bar(b, H):
         out = Vector()
-        left = 0
-        for t, x in enumerate(b.letters):
-            sign = -1 if left % 2 == 0 else 1  # includes the -s h s^{-1} sign
-            factors = [letter_gf(y) for y in b.letters[:t]]
-            factors.append(letter_h(x))
-            factors.extend(Vector.unit(y) for y in b.letters[t + 1 :])
-            out.accumulate(vector_product(factors, lambda ws: (1, Word(BAR, ws))), sign)
-            left += x.degree - 1
+        if not b.letters:
+            return out
+        x, rest = b.letters[0], b.letters[1:]
+        for y, c in letter_h(x).items():
+            out.add_term(Word(BAR, (y,) + rest), -c)
+        tail = H(Word(BAR, rest)).items()
+        if tail:
+            sign = 1 if x.degree % 2 else -1
+            for y, c in letter_gf(x).items():
+                c = sign * c
+                for w, d in tail:
+                    out.add_term(Word(BAR, (y,) + w.letters), c * d)
         return out
 
     return on_bar

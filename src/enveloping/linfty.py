@@ -533,8 +533,16 @@ def algebra_from_json(data):
             polys[rel["id"]] = [
                 (parse_scalar(t["coeff"]), tuple(t["monomial"])) for t in rel["terms"]
             ]
+        variables = ci["variables"]
+        if not isinstance(variables, list) or not all(
+            isinstance(v, str) for v in variables
+        ):
+            raise ValueError(
+                "complete-intersection variables must be a list of ids, not %r"
+                % (variables,)
+            )
         return from_complete_intersection(
-            list(ci["variables"]), polys, bool(ci.get("divided_powers", False))
+            variables, polys, bool(ci.get("divided_powers", False))
         )
     gens = _generators_from_json(data["generators"])
     brackets = {}
@@ -555,23 +563,37 @@ def algebra_from_json(data):
 
 
 def module_from_json(algebra, data):
+    """The module of ``data`` over ``algebra``.  An action of arity k must
+    have k inputs and land in degree sum |x_i| + |m| + 1 - k, the degree of
+    l_{k+1}; the differential (arity 0) lands in degree |m| + 1."""
     gens = _generators_from_json(data["generators"])
     d_m = {}
     action = {}
     for entry in data.get("actions", []):
         arity = _integer(entry["arity"], "arity")
+        inputs = entry.get("inputs", [])
+        if arity != len(inputs):
+            raise ValueError(
+                "module action of arity %d has %d inputs" % (arity, len(inputs))
+            )
         m = gens[entry["module_input"]]
+        letters = [algebra.by_id[i].shifted(-1) for i in inputs]
+        # the desuspended inputs have total degree sum |x_i| - k
+        target_degree = sum(g.degree for g in letters) + m.degree + 1
         value = Vector()
         for t in entry["value"]:
             if len(t["monomial"]) != 1:
                 raise ValueError("module action values must be single generators")
-            value.add_term(gens[t["monomial"][0]], parse_scalar(t["coeff"]))
+            g = gens[t["monomial"][0]]
+            if g.degree != target_degree:
+                raise ValueError(
+                    "module action of %r on %r must land in degree %d"
+                    % (inputs, m, target_degree)
+                )
+            value.add_term(g, parse_scalar(t["coeff"]))
         if arity == 0:
-            if entry.get("inputs"):
-                raise ValueError("differential entries take no algebra inputs")
             d_m[m] = (d_m.get(m, Vector())) + value
             continue
-        letters = [algebra.by_id[i].shifted(-1) for i in entry["inputs"]]
         sign, word = sym_word(letters)
         if word is None:
             raise ValueError("action word repeats an odd suspended generator")

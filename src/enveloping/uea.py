@@ -122,9 +122,12 @@ def star_product(u, v):
 
 
 def stasheff_check(structure):
-    """Square-zero of the assembled coderivation on all capped bar words."""
+    """Square-zero of the assembled coderivation on all capped bar words;
+    d(b) is computed once per word for this check."""
     return square_zero(
-        structure.bar_words(), structure.bar_differential, "bar differential squares to %r"
+        structure.bar_words(),
+        memo_op(structure.bar_differential),
+        "bar differential squares to %r",
     )
 
 

@@ -30,6 +30,7 @@ PRODUCT_DIGESTS_3_3 = {
     "l3only": "9831241e01ef265f47718f4d07e8f62c1ee636515bdf7c11d26a8490925ee2c2",
     "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
     "ci_rational": "d51187b9872ffc2440fa4315b73b10d8bed5d0d181bbd7d8de51612f0b4262f4",
+    "ci_sweep": "80664a533883d89b36bd2d4367b5dde368e216d81cfe6c656686e15755d3e8ac",
 }
 
 # The same at arity cap 4 and weight cap 4: the first pin on arity-4 bar
@@ -46,15 +47,22 @@ PRODUCT_DIGESTS_4_4 = {
     "l3only": "3c324737474882487e66c1c14845c8e9938ba80a5701a2f5a1f2aafff5871a3f",
     "ci_cubic": "f6e761c9ab753abb1dfaa58233930c09111591222712df1b9d2e06ca42c69d64",
     "ci_rational": "002e611de756c9e22261ce3fc466df24a382736e8d6c04e241fde0138ceccd3f",
+    "ci_sweep": "3f1879a9ba2ad1dc4a27f2a296aceb2b7d7eb06c476ff1aaa09c64d6a0e89a22",
 }
 
 # Pinned inputs that are not bundled, read from "<name>.json" in the working
 # directory: a complete intersection with rational coefficients (every
-# bundled input has integer brackets).
+# bundled input has integer brackets), and one shaped like the benchmark's
+# generated inputs: two variables, two relations, an l_4 term.
 FILE_INPUTS = {
     "ci_rational": {"complete_intersection": {"variables": ["x", "y"], "relations": [
         {"id": "w", "terms": [{"coeff": "1/2", "monomial": ["x", "x", "y"]},
                               {"coeff": "-4/3", "monomial": ["x", "y", "y"]}]}]}},
+    "ci_sweep": {"complete_intersection": {"variables": ["x", "y"], "relations": [
+        {"id": "r1", "terms": [{"coeff": "-2/3", "monomial": ["x", "x", "y", "y"]},
+                               {"coeff": "1/1", "monomial": ["x", "y"]}]},
+        {"id": "r2", "terms": [{"coeff": "2/1", "monomial": ["x", "y", "y"]},
+                               {"coeff": "1/2", "monomial": ["y", "y"]}]}]}},
 }
 
 # SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
@@ -211,6 +219,19 @@ BAD_INPUTS = {
     "fractional arity": (
         with_entry("sl2", lambda d: d["brackets"][0], "arity", 2.5),
         "arity must be an integer, not 2.5"),
+    "module action arity": (
+        with_entry("sl2_adjoint", lambda d: d["module"]["actions"][0], "arity", 2),
+        "module action of arity 2 has 1 inputs"),
+    "module action degree": (
+        with_entry("sl2_adjoint", lambda d: d["module"]["generators"][0], "degree", 1),
+        "module action of ['e'] on h[0] must land in degree 0"),
+    "module differential degree": (
+        with_entry("sl2_adjoint", lambda d: d["module"], "actions", [
+            {"arity": 0, "module_input": "e", "value": [{"coeff": "1/1", "monomial": ["f"]}]}]),
+        "module action of [] on e[0] must land in degree 1"),
+    "variables as a string": (
+        with_entry("ci_rational", lambda d: d["complete_intersection"], "variables", "xy"),
+        "complete-intersection variables must be a list of ids, not 'xy'"),
 }
 
 

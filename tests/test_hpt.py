@@ -30,7 +30,7 @@ from enveloping.hpt import (
 from enveloping.linfty import CECoalgebra, abelian, from_complete_intersection
 from enveloping.permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from enveloping.uea import AInftyStructure, star_product
-from enveloping.words import bar_words_algebra, cobar_words
+from enveloping.words import bar_words_algebra, cobar_words, vector_product
 
 from conftest import bar_words_cobar, bracket_letter_differential, bundled, perturbation_parts
 
@@ -500,3 +500,45 @@ def test_bar_coderivation_matches_the_written_out_rules(algebra):
     assert any(t_mu(b) for b in big)
     assert any(T.con0.d_big(b) for b in big)
     assert any(structure.bar_differential(b) for b in small)
+
+
+def reference_lifted_homotopy(letter_gf, letter_h):
+    """The lifted homotopy slot by slot: in slot t, gf on the letters before
+    it, -h on its letter and the identity after it, times
+    (-1)^(sum of |x_i| - 1 over the letters before it)."""
+
+    def on_bar(b):
+        out = Vector()
+        left = 0
+        for t, x in enumerate(b.letters):
+            sign = -1 if left % 2 == 0 else 1  # includes the -s h s^{-1} sign
+            factors = [letter_gf(y) for y in b.letters[:t]]
+            factors.append(letter_h(x))
+            factors.extend(Vector.unit(y) for y in b.letters[t + 1 :])
+            out.accumulate(vector_product(factors, lambda ws: (1, Word(BAR, ws))), sign)
+            left += x.degree - 1
+        return out
+
+    return on_bar
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        bundled("sl2"),
+        bundled("l3only"),
+        bundled("odd2"),
+        from_complete_intersection(["x", "y"], {"w": [(1, ("x", "x", "y"))]}),
+    ],
+    ids=["sl2", "l3only", "odd2", "ci"],
+)
+def test_suffix_recursive_homotopy_matches_the_slot_sum(algebra):
+    # on every bar word at caps 3/3, and on the empty word
+    T = Transfer(algebra, 3)
+    H = reference_lifted_homotopy(memo_op(cobar_gf), memo_op(cobar_h))
+    big = bar_words_cobar(T.C1.sgens, 3, 3)
+    for b in big:
+        assert T.con0.H(b) == H(b), b
+    assert not T.con0.H(Word(BAR, ()))
+    # words where a slot past the first contributes, through gf on a prefix
+    assert any(T.con0.H(b) and T.con0.H(Word(BAR, b.letters[1:])) for b in big)
