@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .exactlin import CheckResult, FiniteComplex, Vector, memo_op, sym_word
 from .linfty import LInftyModule
+from .words import sym_words, vector_product
 
 
 def tau_value(word):
@@ -90,8 +91,6 @@ class TwistedComplex:
         self.weight_cap = weight_cap
         self.C = structure.transfer.Cfull
         gens = structure.algebra.generators
-        from .words import sym_words
-
         self.basis = [(None, None)]
         for wc in range(0, weight_cap + 1):
             cwords = [None] if wc == 0 else self.C.words(wc)
@@ -161,83 +160,48 @@ def twisted_tensor_acyclicity(structure, weight_cap=None):
 
 
 # ---------------------------------------------------------------------------
-# endomorphism operators
+# module operators: Vectors over pairs (m, m') of module generators, the
+# coefficient of m' in the image of m
 
 
-class EndOp:
-    """A finite-rank operator on the module space, as a column table."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table=None):
-        self.table = {}
-        for m, v in (table or {}).items():
-            if v:
-                self.table[m] = v
-
-    def __bool__(self):
-        return bool(self.table)
-
-    def apply(self, m):
-        return self.table.get(m, Vector())
-
-    def apply_vec(self, vec):
-        out = Vector()
-        for m, c in vec.items():
-            img = self.apply(m)
-            for m2, c2 in img.items():
-                out.add_term(m2, c * c2)
-        return out
-
-    def compose(self, other):
-        """self after other."""
-        out = {}
-        for m, v in other.table.items():
-            img = self.apply_vec(v)
-            if img:
-                out[m] = img
-        return EndOp(out)
-
-    def scaled(self, c):
-        return EndOp({m: v.scaled(c) for m, v in self.table.items()})
-
-    def plus(self, other):
-        out = dict(self.table)
-        op = EndOp(out)
-        for m, v in other.table.items():
-            merged = op.table.get(m, Vector()) + v
-            if merged:
-                op.table[m] = merged
-            else:
-                op.table.pop(m, None)
-        return op
-
-    def __eq__(self, other):
-        return isinstance(other, EndOp) and self.table == other.table
-
-    def __repr__(self):
-        return "EndOp(%r)" % (self.table,)
+def _compose(pairs):
+    """``vector_product`` combine for a chain of operators, rightmost first:
+    the pair (m, m'') of a composable path m -> ... -> m''."""
+    for (_, target), (source, _) in zip(pairs, pairs[1:]):
+        if target != source:
+            return 0, None
+    return 1, (pairs[0][0], pairs[-1][1])
 
 
-ZERO_OP = EndOp()
+def _operator(basis, column):
+    """The operator sending each m of ``basis`` to the Vector ``column(m)``."""
+    return Vector({(m, m2): c for m in basis for m2, c in column(m).items()})
+
+
+def _columns(op):
+    """An operator as a column table: {m: the Vector of its image of m}."""
+    table = {}
+    for (m, m2), c in op.items():
+        table.setdefault(m, Vector()).add_term(m2, c)
+    return table
 
 
 class AInftyModule:
     """Module over the enveloping structure: a bar-word twisting cochain.
 
-    ``cochain``: {bar word over algebra words: EndOp}; the empty-word slot is
-    the module differential, stored separately.
+    ``cochain``: {bar word over algebra words: operator}; the empty-word slot
+    is the module differential ``d_m``, stored separately.
     """
 
     def __init__(self, structure, basis, d_m, cochain, name=""):
         self.structure = structure
         self.basis = tuple(sorted(basis))
-        self.d_m = d_m  # EndOp
+        self.d_m = d_m
         self.cochain = {w: op for w, op in cochain.items() if op}
         self.name = name
 
     def t(self, bar):
-        return self.cochain.get(bar, ZERO_OP)
+        return self.cochain.get(bar, Vector())
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +209,14 @@ class AInftyModule:
 
 
 def _rho_cobar(module_l, x):
-    """Multiplicative extension of the module twisting to a cobar word."""
-    value = None
-    for c in x.letters:
-        op = _tau_op(module_l, c)
-        if not op:
-            return ZERO_OP
-        value = op if value is None else value.compose(op)
-    return value if value is not None else ZERO_OP
+    """Multiplicative extension of the module twisting to a cobar word: the
+    composite of the letters' operators, the last letter acting first."""
+    ops = [_tau_op(module_l, c) for c in reversed(x.letters)]
+    return vector_product(ops, _compose)
 
 
 def _tau_op(module_l, word):
-    table = {}
-    for m in module_l.basis:
-        v = module_l.tau(word, m)
-        if v:
-            table[m] = v
-    return EndOp(table)
+    return _operator(module_l.basis, lambda m: module_l.tau(word, m))
 
 
 def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
@@ -270,24 +225,20 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
     wcap = weight_cap or structure.weight_cap
     from .words import bar_words_algebra
 
-    d_m = EndOp({m: module_l.differential(m) for m in module_l.basis})
+    def rho(w):
+        return _rho_cobar(module_l, w.letters[0]) if w.length == 1 else None
+
+    d_m = _operator(module_l.basis, module_l.differential)
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
-        value = ZERO_OP
-        image = structure.transfer.con.G(bar)
-        for w, c in image.items():
-            if w.length != 1:
-                continue
-            op = _rho_cobar(module_l, w.letters[0])
-            if op:
-                value = value.plus(op.scaled(c))
+        value = structure.transfer.con.G(bar).apply(rho)
         if value:
             cochain[bar] = value
     return AInftyModule(structure, module_l.basis, d_m, cochain,
                         name=module_l.name + ">env")
 
 
-def functor_f(module_u, arity_cap=None, weight_cap=None):
+def functor_f(module_u, weight_cap=None):
     """From an enveloping-side module back to a coalgebra-side module."""
     structure = module_u.structure
     wcap = weight_cap or structure.weight_cap
@@ -295,22 +246,17 @@ def functor_f(module_u, arity_cap=None, weight_cap=None):
     action = {}
     for word in C.all_words(wcap):
         unit = structure.transfer.unit_inclusion(word)
-        value = ZERO_OP
-        for bar, c in unit.apply(structure.transfer.con.F).items():
-            op = module_u.t(bar)
-            if op:
-                value = value.plus(op.scaled(c))
+        value = unit.apply(structure.transfer.con.F).apply(module_u.cochain.get)
         if value:
-            action[word] = dict(value.table)
-    d_m = {m: module_u.d_m.apply(m) for m in module_u.basis}
-    return LInftyModule(structure.algebra, module_u.basis, d_m, action,
-                        name=module_u.name + ">coalg")
+            action[word] = _columns(value)
+    return LInftyModule(structure.algebra, module_u.basis, _columns(module_u.d_m),
+                        action, name=module_u.name + ">coalg")
 
 
 def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
     """F(G(M)) has exactly the original action tables."""
     forward = functor_g(module_l, structure, arity_cap, weight_cap)
-    back = functor_f(forward, arity_cap, weight_cap)
+    back = functor_f(forward, weight_cap)
     wcap = weight_cap or structure.weight_cap
     C = structure.transfer.Cfull
     for word in C.all_words(wcap):

@@ -183,21 +183,23 @@ def cmd_check(args):
         _validate_input(algebra, module, args.weight_cap)
     structure = None
 
-    def need_structure():
-        nonlocal structure
+    def need_algebra():
         if algebra is None:
             raise ParseFailure("suite %r needs --input" % (suite,))
+        return algebra
+
+    def need_structure():
+        nonlocal structure
         if structure is None:
-            structure = uea.AInftyStructure(algebra, args.arity_cap, args.weight_cap)
+            structure = uea.AInftyStructure(need_algebra(), args.arity_cap,
+                                            args.weight_cap)
         return structure
 
     for suite in suites:
         if suite == "stasheff":
             report.run("stasheff", lambda: uea.stasheff_check(need_structure()))
         elif suite == "pbw":
-            if algebra is not None and algebra.is_dg_lie():
-                report.run("pbw", lambda: uea.pbw_compare(need_structure()))
-            elif args.suite != "all":
+            if args.suite == "pbw" or (algebra is not None and algebra.is_dg_lie()):
                 report.run("pbw", lambda: uea.pbw_compare(need_structure()))
         elif suite == "alt":
             for n in range(2, min(args.arity_cap, 3) + 1):
@@ -211,7 +213,7 @@ def cmd_check(args):
                 need_structure(), min(args.arity_cap, 2), min(args.weight_cap, 3)))
         elif suite == "truncation":
             report.run("truncation", lambda: uea.truncation_agreement_check(
-                algebra if algebra is not None else _need(suite), args.weight_cap))
+                need_algebra(), args.weight_cap))
         elif suite == "morphism":
             _morphism_checks(report)
         elif suite == "theorem1":
@@ -233,10 +235,6 @@ def _validate_input(algebra, module, weight_cap):
         result = linfty.check_module(module, weight_cap)
     if not result:
         raise ParseFailure("not a valid L-infinity input: %r" % (result,))
-
-
-def _need(suite):
-    raise ParseFailure("suite %r needs --input" % suite)
 
 
 def _morphism_checks(report):

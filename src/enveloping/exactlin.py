@@ -255,16 +255,7 @@ class Vector:
 
     def accumulate(self, other, coeff=1):
         """self += coeff * other, in place; only for a vector being assembled."""
-        terms = self.terms
-        items = other.terms.items()
-        if coeff != 1:
-            items = [(w, coeff * c) for w, c in items]
-        for w, c in items:
-            c = terms.get(w, ZERO) + c
-            if c:
-                terms[w] = c
-            else:
-                terms.pop(w, None)
+        axpy(self.terms, other.terms, coeff)
         return self
 
     def __add__(self, other):
@@ -366,8 +357,8 @@ class Echelon:
             if not c:
                 continue
             factor = -_quotient(c, pvec.terms[lead])
-            _axpy(vec.terms, pvec.terms, factor)
-            _axpy(combo.terms, pcombo.terms, factor)
+            axpy(vec.terms, pvec.terms, factor)
+            axpy(combo.terms, pcombo.terms, factor)
             for w in pvec.terms:
                 k = key(w)
                 if k in pivots and k not in seen:
@@ -399,10 +390,14 @@ def _quotient(a, b):
     return a / b
 
 
-def _axpy(terms, other, factor):
-    """terms += factor * other, in place, keeping integer terms integer."""
+def axpy(terms, other, factor=1):
+    """terms += factor * other, in place, on term dicts: the one sparse
+    update of the package.  A key that cancels is deleted; integer terms
+    times an integer factor stay integer."""
+    scale = factor != 1
     for w, c in other.items():
-        c *= factor
+        if scale:
+            c *= factor
         old = terms.get(w)
         if old is not None:
             c += old

@@ -18,6 +18,7 @@ from .exactlin import (
     CheckResult,
     Vector,
     Word,
+    axpy,
     conjugation_sign,
     memo_op,
     sym_word,
@@ -33,28 +34,24 @@ from .words import vector_product
 COPRODUCT_SIGN = -1
 
 
-def cobar_differential(C, include_coproduct=True):
+def cobar_differential(C):
     """Derivation on cobar words from the coalgebra differential of C.
 
-    The letter part is -s^{-1} delta_C s; the coproduct part splits a letter
-    through the reduced coproduct with the usual desuspension signs.
+    The letter part -s^{-1} delta_C s is the coderivation with the one
+    component delta_C; the coproduct part splits a letter through the
+    reduced coproduct with the usual desuspension signs.
     """
+    letter_part = bar_coderivation({1: C.delta})
 
     def on_word(x):
-        out = Vector()
+        out = letter_part(x)
         left = 0
         for j, c in enumerate(x.letters):
             prefix = -1 if left % 2 else 1
-            for c2, coeff in C.delta(c).items():
-                letters = x.letters[:j] + (c2,) + x.letters[j + 1 :]
-                out.add_term(Word(COBAR, letters), -prefix * coeff)
-            if include_coproduct:
-                for (cA, cB), coeff in C.reduced_coproduct(c).items():
-                    sA = -1 if cA.degree % 2 else 1
-                    letters = x.letters[:j] + (cA, cB) + x.letters[j + 1 :]
-                    out.add_term(
-                        Word(COBAR, letters), COPRODUCT_SIGN * prefix * sA * coeff
-                    )
+            for (cA, cB), coeff in C.reduced_coproduct(c).items():
+                sA = -1 if cA.degree % 2 else 1
+                letters = x.letters[:j] + (cA, cB) + x.letters[j + 1 :]
+                out.add_term(Word(COBAR, letters), COPRODUCT_SIGN * prefix * sA * coeff)
             left += c.degree + 1
         return out
 
@@ -107,11 +104,14 @@ def bar_coderivation(ops):
     (-1)^(sum_{i<j} (|x_i| - 1)) conjugation_sign(|x_j|, ..., |x_{j+k-1}|)
     [x_1|...|m_k(x_j, ..., x_{j+k-1})|...|x_n].  For a letter differential
     {1: d} the conjugation sign is -1; for concatenation as m_2, (-1)^|x_j|.
+    The words built are of the input's kind: on cobar words, whose letters
+    shift by +1 where bar letters shift by -1, the prefix sign has the same
+    parity, and {1: delta} is the letter part of the cobar differential.
     """
     arities = sorted(ops.items())
 
     def on_bar(b):
-        letters = b.letters
+        kind, letters = b.kind, b.letters
         out = Vector()
         left = 0
         for j in range(len(letters)):
@@ -125,7 +125,7 @@ def bar_coderivation(ops):
                     sign = -sign if left % 2 else sign
                     head, tail = letters[:j], letters[j + k :]
                     for x, c in image.items():
-                        out.add_term(Word(BAR, head + (x,) + tail), sign * c)
+                        out.add_term(Word(kind, head + (x,) + tail), sign * c)
             left += letters[j].degree - 1
         return out
 
@@ -138,11 +138,13 @@ def concatenation(x, y):
 
 
 def bar_morphism(letter_map):
-    """Letterwise degree-0 map of bar words (no signs)."""
+    """Letterwise degree-0 map of bar or cobar words (no signs), into words
+    of the input's kind."""
 
     def on_bar(b):
+        kind = b.kind
         return vector_product(
-            [letter_map(x) for x in b.letters], lambda ws: (1, Word(BAR, ws))
+            [letter_map(x) for x in b.letters], lambda ws: (1, Word(kind, ws))
         )
 
     return on_bar
@@ -262,13 +264,7 @@ def perturbation_series(t, H, budget):
                 den = lcm(den, b)
             terms = {v: c.numerator * (den // c.denominator) for v, c in head}
             for terms_u, a, b in tail:
-                scale = a * (den // b)
-                for v, n in terms_u.items():
-                    n = terms.get(v, 0) + scale * n
-                    if n:
-                        terms[v] = n
-                    else:
-                        terms.pop(v, None)
+                axpy(terms, terms_u, a * (den // b))
             g = gcd(den, *terms.values())
             if g > 1:
                 den //= g
@@ -338,8 +334,8 @@ class Transfer:
         self.C1 = CECoalgebra(algebra, weight_cap, max_arity=1)
         self.Cfull = CECoalgebra(algebra, weight_cap)
         C2 = CECoalgebra(algebra, weight_cap, min_arity=2)
-        t_omega = memo_op(cobar_differential(C2, include_coproduct=False))
         # the perturbation: the higher brackets on one letter, the product on two
+        t_omega = memo_op(bar_coderivation({1: C2.delta}))
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
         self.con0 = lift_contraction(
             memo_op(cobar_f),

@@ -28,6 +28,7 @@ from .exactlin import (
     FiniteComplex,
     Vector,
     Word,
+    axpy,
     koszul_sign,
     perm_parity,
     set_partitions,
@@ -141,13 +142,9 @@ def act(sigma, face):
 def nu(face):
     """Block-reversal involution with its orientation sign."""
     n, d = face.n, face.d
-    sizes = [len(b) for b in face.blocks]
-    cross = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            cross += sizes[i] * sizes[j]
-    exponent = n * (d - 1) + (d - 1) * (d - 2) // 2 + cross
-    sign = -1 if exponent % 2 == 0 else 1
+    sign = koszul_sign(range(d - 1, -1, -1), [len(b) for b in face.blocks])
+    if (n * (d - 1) + (d - 1) * (d - 2) // 2) % 2 == 0:
+        sign = -sign
     return sign, OrderedPartition(n, tuple(reversed(face.blocks)))
 
 
@@ -232,7 +229,7 @@ class FaceIndex:
             if col is None:
                 col = memo[rep] = column(rep)
             if f == rep:
-                _accumulate(out, col, c)
+                axpy(out, col, c)
             else:
                 self.transport(out, self.carry[f], col, c)
         return out
@@ -253,21 +250,11 @@ def _action(sigma):
     return inverse, inversions
 
 
-def _accumulate(terms, other, c=1):
-    """terms += c other, in place, on integer chains."""
-    for key, value in other.items():
-        value = value * c + terms.get(key, 0)
-        if value:
-            terms[key] = value
-        else:
-            del terms[key]
-
-
 def _apply(vec, columns):
     """The linear extension of a map given by its integer columns."""
     out = {}
     for key, c in vec.items():
-        _accumulate(out, columns[key], c)
+        axpy(out, columns[key], c)
     return out
 
 
@@ -425,13 +412,13 @@ class PermutahedronContraction:
         if faces.faces[rep].d == self.n:
             vertex_sum = {}
             for _, col in self._raw.get(rep, ()):
-                _accumulate(vertex_sum, col)
+                axpy(vertex_sum, col)
             if vertex_sum:
                 raise RuntimeError("raw homotopy does not kill the vertex average")
         y = faces.extend(self._symmetrized, self._symmetrize, {rep: 1})
         sign, image = faces.nu[rep]
         reflected = faces.extend(self._symmetrized, self._symmetrize, {image: sign})
-        _accumulate(y, {faces.nu[g][1]: faces.nu[g][0] * c for g, c in reflected.items()})
+        axpy(y, {faces.nu[g][1]: faces.nu[g][0] * c for g, c in reflected.items()})
         return y
 
     def _repair(self, rep):
@@ -471,7 +458,7 @@ def _solve_homotopy(faces):
                 value = {j: -c for j, c in combo.items()}
             else:
                 x = {i: N}
-                _accumulate(x, vertex_sum, -1)  # N(1 - GF)(v)
+                axpy(x, vertex_sum, -1)  # N(1 - GF)(v)
                 residual, combo = pending.reduce(Vector(x))
                 if residual:
                     raise RuntimeError("degree-0 consistency failed in homotopy solve")
@@ -487,7 +474,7 @@ def _solve_homotopy(faces):
         for i in by_size[d]:
             rhs = {i: N}
             if i in H:
-                _accumulate(rhs, _apply(H[i], faces.boundary), -1)
+                axpy(rhs, _apply(H[i], faces.boundary), -1)
             df = faces.boundary[i]
             if df:
                 fresh, acc = nxt.insert(Vector(df), Vector(rhs))
@@ -593,10 +580,8 @@ def cobar_h(x):
 
 def iota_omega(x):
     """Algebra anti-involution acting by -1 on cobar generators."""
-    degs = [w.degree + 1 for w in x.letters]
-    d = len(degs)
-    sign = -1 if d % 2 else 1
-    cross = sum(degs[i] * degs[j] for i in range(d) for j in range(i + 1, d))
-    if cross % 2:
+    d = len(x.letters)
+    sign = koszul_sign(range(d - 1, -1, -1), [w.degree + 1 for w in x.letters])
+    if d % 2:
         sign = -sign
     return Vector.unit(Word(COBAR, reversed(x.letters)), sign)

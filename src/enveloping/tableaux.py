@@ -290,8 +290,6 @@ def schur_dimension_count(T, even_dim, odd_dim):
     def ok(grid, i, j, letter):
         if j > 0:
             prev = grid[i][j - 1]
-            if prev is None:
-                return True
             if letter[1] == 0:
                 if not prev <= letter:
                     return False
@@ -300,8 +298,6 @@ def schur_dimension_count(T, even_dim, odd_dim):
                     return False
         if i > 0:
             up = grid[i - 1][j]
-            if up is None:
-                return True
             if letter[1] == 0:
                 if not up < letter:
                     return False

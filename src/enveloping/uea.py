@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from .exactlin import (
     BAR,
-    COBAR,
     TENSOR,
     CheckResult,
     Generator,
@@ -373,9 +372,8 @@ class AInftyMorphismData:
         self.phi = phi
         self.source = source_structure
         self.target = target_structure
-        self._omega_map = bar_morphism(
-            _letterwise_coalgebra_map(phi)
-        )
+        # letterwise on bar words of cobar words, each letter by phi
+        self._omega_map = bar_morphism(bar_morphism(phi.coalgebra_map))
         self.apply = memo_op(self.apply)
 
     def apply(self, bar):
@@ -393,22 +391,6 @@ class AInftyMorphismData:
             if w.length == 1:
                 out.add_term(w.letters[0], c)
         return out
-
-
-def _letterwise_coalgebra_map(phi):
-    def on_letter(c):
-        out = Vector()
-        for w, coeff in phi.coalgebra_map(c).items():
-            out.add_term(Word(COBAR, (w,)), coeff)
-        return out
-
-    def on_cobar(x):
-        factors = [on_letter(c) for c in x.letters]
-        return vector_product(
-            factors, lambda ws: (1, Word(COBAR, (l for w in ws for l in w.letters)))
-        )
-
-    return on_cobar
 
 
 def u_morphism(phi, arity_cap=3, weight_cap=4):
@@ -459,15 +441,13 @@ class CompositionHomotopy:
     def __init__(self, data_phi, data_psi):
         self.data_phi = data_phi
         self.data_psi = data_psi
-        self._phi_map = bar_morphism(_letterwise_coalgebra_map(data_phi.phi))
-        self._psi_map = bar_morphism(_letterwise_coalgebra_map(data_psi.phi))
 
     def apply(self, bar):
         v = Vector.unit(bar)
         v = v.apply(self.data_phi.source.transfer.con.G)
-        v = v.apply(self._phi_map)
+        v = v.apply(self.data_phi._omega_map)
         v = v.apply(self.data_phi.target.transfer.con.H)
-        v = v.apply(self._psi_map)
+        v = v.apply(self.data_psi._omega_map)
         v = v.apply(self.data_psi.target.transfer.con.F)
         return v
 

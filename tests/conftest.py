@@ -18,7 +18,7 @@ from enveloping.exactlin import (
     memo_op,
     sym_word,
 )
-from enveloping.hpt import bar_coderivation, cobar_differential, concatenation
+from enveloping.hpt import bar_coderivation, concatenation
 from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule
 from enveloping.words import bar_words, cobar_words, vector_product
 
@@ -77,7 +77,7 @@ def bracket_letter_differential(transfer):
     """The letter differential t_omega of the brackets of arity >= 2, the
     one-letter component of the perturbation ``transfer.t``."""
     C2 = CECoalgebra(transfer.algebra, transfer.weight_cap, min_arity=2)
-    return memo_op(cobar_differential(C2, include_coproduct=False))
+    return memo_op(bar_coderivation({1: C2.delta}))
 
 
 def perturbation_parts(transfer):
@@ -137,7 +137,7 @@ def induced_algebra_map(phi):
 def roundtrip_gf_check(module_u, arity_cap=None, weight_cap=None):
     """G(F(M)) has exactly the original cochain tables."""
     structure = module_u.structure
-    back = functor_g(functor_f(module_u, arity_cap, weight_cap), structure,
+    back = functor_g(functor_f(module_u, weight_cap), structure,
                      arity_cap, weight_cap)
     keys = set(module_u.cochain) | set(back.cochain)
     for k in sorted(keys, key=lambda b: b.sort_key()):

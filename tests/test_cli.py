@@ -66,9 +66,9 @@ FILE_INPUTS = {
 }
 
 # SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
-# 3, for every bundled input whose suite completes (the bgg twisted complex of
-# l3only and ci_cubic does not square to zero): the reports are pinned byte
-# for byte.
+# 3 (and at 4 and 4, the caps of the benchmark's verify workload), for every
+# bundled input whose suite completes (the bgg twisted complex of l3only and
+# ci_cubic does not square to zero): the reports are pinned byte for byte.
 CHECK_DIGESTS_3_3 = {
     "abelian1": "2dd690ea08c269fa194931ab544f3274b450a031642cce846b09dd39d61ed4da",
     "abelian2": "5302e9f831ce042ada6dfece968cf5314ee3d1e256c3289fefd7d0aae6a9ac37",
@@ -78,6 +78,16 @@ CHECK_DIGESTS_3_3 = {
     "heisenberg": "d26580ee631df79e3e6653139f0a19eaad334f0a6bd98516dfbe0611a22e39bb",
     "odd1": "a00fbbfc8145e05bf3e16e3289d02a4b6ae769f250501be6c51e1b263d0eef53",
     "odd2": "84e138da24e1ff9356137f8869a6b4be690a83611daadc17353dc2b3fc821458",
+}
+CHECK_DIGESTS_4_4 = {
+    "abelian1": "81429340d2a27d519e967e3ba7e04aed802a3089219003d4bddfa52f0ad0382c",
+    "abelian2": "02330a81e9465cf9dde7431b1b19b55dc20d26c82a3b89fe94713541f66dbe9e",
+    "abelian3": "fa22755fb4091833ebedd7d193d08bf4ac9a041a982ce62ed7431600edf1e92f",
+    "sl2": "4ebdf497005ee9c7ad909abcb8c808e4a67abeb07655fe71f5bd2042cd8dfa6f",
+    "sl2_adjoint": "8ed8b629c69c8a4b8ad71fe9bb3f5a8d83a256217f3251819a7f138f93e2fc2c",
+    "heisenberg": "4034eaade7038ed685493e0e4f6333bb091e6269c896c8a7cabca90dec0be1f2",
+    "odd1": "2a056b83308f019899e15e137eb1850165492dfdff51f3a336bb623ceac99a80",
+    "odd2": "754caec9d23070f0461c38098ec0ba25d12a275ae4600ce9368a426a8a820399",
 }
 
 # SHA-256 of `--n-cap 4 --format json tableaux` at (dim_even, dim_odd): the
@@ -363,8 +373,14 @@ def test_check_morphism_and_theorem1_suites(capsys):
 
 
 def test_missing_input_is_a_parse_error(capsys):
-    code, _, err = run(capsys, ["check", "--suite", "stasheff"])
-    assert code == 2
+    # every suite that reads the algebra; the suite that runs them all stops
+    # at the first of them
+    for suite in ("stasheff", "pbw", "alt", "involution", "coproduct", "truncation",
+                  "bgg", "all"):
+        code, _, err = run(capsys, ["check", "--suite", suite])
+        first = "stasheff" if suite == "all" else suite
+        assert code == 2, suite
+        assert err == "input error: suite %r needs --input\n" % first, suite
 
 
 def test_timings_flag_adds_fields(capsys):
@@ -404,13 +420,21 @@ def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
-def test_check_reports_are_pinned(capsys):
-    for name, digest in CHECK_DIGESTS_3_3.items():
-        argv = ["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3",
+def _check_reports_match(capsys, caps, digests):
+    for name, digest in digests.items():
+        argv = ["--input", "bundled:%s" % name, "--arity-cap", caps, "--weight-cap", caps,
                 "--format", "json", "check", "--suite", "all"]
         code, out, _ = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+def test_check_reports_are_pinned(capsys):
+    _check_reports_match(capsys, "3", CHECK_DIGESTS_3_3)
+
+
+def test_check_reports_are_pinned_at_4_4(capsys):
+    _check_reports_match(capsys, "4", CHECK_DIGESTS_4_4)
 
 
 def test_counterexamples_keep_their_order():

@@ -16,6 +16,7 @@ from enveloping.exactlin import (
     Word,
     _generic_key,
     antisymmetric_sign,
+    axpy,
     format_scalar,
     koszul_sign,
     parse_scalar,
@@ -102,6 +103,29 @@ def test_vector_arithmetic():
     assert v.coeff(w) == 2
     assert not (v - v)
     assert Fraction(1, 2) * v == Vector({w: Fraction(1), w2: Fraction(-1, 2)})
+
+
+def test_axpy():
+    # integer chains stay integer, and a cancelled key is deleted
+    terms = {"a": 2, "b": 3}
+    axpy(terms, {"a": -1, "c": 5}, 2)
+    assert terms == {"b": 3, "c": 10}
+    assert all(type(c) is int for c in terms.values())
+    axpy(terms, {"b": -3})
+    assert terms == {"c": 10}
+    # Fractions stay Fractions, also where a sum is a whole number
+    terms = {"a": Fraction(1, 2)}
+    axpy(terms, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, 3)
+    assert terms == {"a": 2, "b": 1}
+    assert all(type(c) is Fraction for c in terms.values())
+    # so Vector.accumulate of Fraction vectors stores no int, whatever the factor
+    _, w = sym_word([a0])
+    _, w2 = sym_word([b0])
+    for coeff in (1, -1, 3, Fraction(1, 2)):
+        v = Vector.unit(w, Fraction(1, 2))
+        v.accumulate(Vector.unit(w, 1) + Vector.unit(w2, 1), coeff)
+        assert all(type(c) is Fraction for _, c in v.items()), coeff
+        assert not v.accumulate(v.copy(), -1)
 
 
 def test_symmetrize_is_projector():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import Generator, Vector
+from enveloping.exactlin import COBAR, Generator, Vector, Word
+from enveloping.hpt import bar_morphism
 from enveloping.linfty import (
     LInftyAlgebra,
     LInftyMorphism,
@@ -33,6 +34,7 @@ from enveloping.uea import (
     u_morphism,
     word_of,
 )
+from enveloping.words import cobar_words, vector_product
 
 from conftest import bundled, sl2_plus_l3
 
@@ -230,6 +232,45 @@ def test_non_strict_morphism_transfer():
         if bar.length >= 2 and data.component(bar.letters)
     ]
     assert higher, "expected a nonzero higher component"
+
+
+def reference_letterwise_coalgebra_map(phi):
+    """The cobar map of a morphism, built letter by letter: a letter c goes
+    to the one-letter cobar words of phi's coalgebra map of c, and the
+    images of the letters concatenate."""
+
+    def on_letter(c):
+        out = Vector()
+        for w, coeff in phi.coalgebra_map(c).items():
+            out.add_term(Word(COBAR, (w,)), coeff)
+        return out
+
+    def on_cobar(x):
+        factors = [on_letter(c) for c in x.letters]
+        return vector_product(
+            factors, lambda ws: (1, Word(COBAR, (l for w in ws for l in w.letters)))
+        )
+
+    return on_cobar
+
+
+def test_cobar_side_of_the_morphism_is_the_letterwise_map():
+    # the strict and the non-strict morphism of the CLI's morphism suite
+    H, A2 = heisenberg(), abelian([0, 0])
+    x, y, z = (H.by_id[k] for k in ("x", "y", "z"))
+    strict = LInftyMorphism(H, A2, {1: {(x,): {A2.by_id["a1"]: 1},
+                                        (y,): {A2.by_id["a2"]: 1}, (z,): {}}})
+    La, Lb = _one_odd("a"), _one_odd("b")
+    a, b = La.by_id["a"], Lb.by_id["b"]
+    bent = LInftyMorphism(La, Lb, {1: {(a,): {b: 1}}, 2: {(a, a): {b: 1}}})
+    for phi in (strict, bent):
+        expected = reference_letterwise_coalgebra_map(phi)
+        actual = bar_morphism(phi.coalgebra_map)
+        sgens = [g.shifted(-1) for g in phi.source.generators]
+        words = [w for r in (1, 2, 3) for w in cobar_words(sgens, r)]
+        assert any(expected(w) for w in words)
+        for w in words:
+            assert actual(w) == expected(w), (phi.source.name, w)
 
 
 def test_composition_homotopy():
