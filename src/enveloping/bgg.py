@@ -40,13 +40,24 @@ def _tau_inputs(pieces, c):
     return inputs, coeff
 
 
+def tau_sign(pieces, arity):
+    """(-1)^(arity + sum_a (arity - 1 - a)(|c_a| + 1)), a = 0, 1, ...: the
+    suspension conjugation sign of m_arity on the images tau c_a, of degree
+    |c_a| + 1, followed by arity - len(pieces) arguments that it does not
+    read (the last one is u in the twisted tensor complex)."""
+    exp = arity
+    for a, piece in enumerate(pieces):
+        exp += (arity - 1 - a) * (piece.degree + 1)
+    return -1 if exp % 2 else 1
+
+
 def generalized_cochain_check(structure, weight_cap=None):
     """tau d_C + d_A tau = sum_i m_i tau^{x i} Delta^(i) on capped words.
 
     The quadratic-and-higher side is evaluated through the degree-0 composite
     s tau, whose tensor powers carry no Koszul signs; unwinding the suspension
-    conjugation of the products gives the sign (-1)^{i + sum (i-a)(|c_a|+1)}
-    on each ordered split (c_1, ..., c_i).
+    conjugation of the products gives the sign ``tau_sign(split, i)`` on each
+    ordered split (c_1, ..., c_i).
     """
     cap = weight_cap or structure.weight_cap
     C = structure.transfer.Cfull
@@ -55,10 +66,7 @@ def generalized_cochain_check(structure, weight_cap=None):
         rhs = Vector()
         for parts in range(2, min(word.rank, structure.arity_cap) + 1):
             for split, c in C.iterated_reduced_coproduct(word, parts).items():
-                exp = parts
-                for a, piece in enumerate(split):
-                    exp += (parts - 1 - a) * (piece.degree + 1)
-                taus = _tau_inputs(split, c * (-1 if exp % 2 else 1))
+                taus = _tau_inputs(split, c * tau_sign(split, parts))
                 if taus is None:
                     continue
                 inputs, coeff = taus
@@ -111,34 +119,46 @@ class TwistedComplex:
         return self.structure.product(tuple(inputs) + (u,))
 
     def differential(self, key):
+        """D(c (x) u) = d_C c (x) u - (-1)^|c| times the sum, over the
+        coaction splits (c_0, c_1, ..., c_k) of c with k >= 0, of
+        tau_sign((c_1, ..., c_k), k + 1) c_0 (x) m_{k+1}(tau c_1, ..., tau c_k, u).
+
+        The sign is derived.  With the products' bar components
+        b_n(s x_1, ..., s x_n) = (conjugation sign) s m_n(x_1, ..., x_n), as in
+        ``hpt.bar_coderivation``, the twisted cochain equation reads
+        s tau d_C = sum_{n >= 1} b_n (s tau)^{x n} Delta^(n), where s tau has
+        degree 0.  So on C (x) sA the map
+            D' = d_C (x) 1 + sum_k (1 (x) b_{k+1})(1 (x) (s tau)^{x k} (x) 1)(Delta^(k) (x) 1)
+        squares to zero: where d_C hits c_0 it cancels against d_C (x) 1, b
+        being odd, and the rest is sum b(1 (x) b (x) 1) = 0, through the
+        cochain equation where d_C hits a piece and coassociativity where two
+        b compose.  D = -(1 (x) s)^-1 D' (1 (x) s), with
+        (1 (x) s)(c (x) u) = (-1)^|c| c (x) su.  In the k-th term, 1 (x) b_{k+1}
+        passes c_0 and (1 (x) s)^-1 passes it back, which cancels;
+        b_{k+1}(s tau c_1, ..., s tau c_k, su) is tau_sign(pieces, k + 1) times
+        s m_{k+1}(...), the last argument adding nothing to the sign; 1 (x) s
+        gives (-1)^|c|, and the overall minus keeps d_C (x) 1 as it is.  At
+        k = 0 this is the m_1 term (-1)^|c| c (x) m_1 u.  The Koszul sign of
+        (1 (x) m_{k+1})(1 (x) tau^{x k} (x) 1) alone,
+        (-1)^(|c_0| + sum_a (k - 1 - a)|c_a|), lacks the factor (-1)^(k(k - 1)/2).
+        """
         cw, uw = key
         out = Vector()
-        cdeg = 0 if cw is None else cw.degree
+        splits = Vector.unit((cw,))
         if cw is not None:
             for c2, c in self.C.delta(cw).items():
                 out.add_term((c2, uw), c)
-        if uw is not None:
-            sign = -1 if cdeg % 2 else 1
-            for u2, c in self.structure.m1(uw).items():
-                out.add_term((cw, u2), sign * c)
-        if cw is not None:
-            max_s = min(self.structure.arity_cap, cw.rank + 1)
-            for s in range(2, max_s + 1):
-                for split, c in _coaction_splits(self.C, cw, s).items():
-                    c0, pieces = split[0], split[1:]
-                    taus = _tau_inputs(pieces, c)
-                    if taus is None:
-                        continue
-                    inputs, coeff = taus
-                    deg0 = 0 if c0 is None else c0.degree
-                    exp = deg0
-                    before = 0
-                    for p in pieces[:-1]:
-                        before += p.degree
-                        exp += before
-                    sign = -1 if exp % 2 else 1
-                    for u2, c2 in self._m_ext(inputs, uw).items():
-                        out.add_term((c0, u2), sign * coeff * c2)
+            for s in range(2, min(self.structure.arity_cap, cw.rank + 1) + 1):
+                splits.accumulate(_coaction_splits(self.C, cw, s))
+        outer = 1 if cw is not None and cw.degree % 2 else -1
+        for split, c in splits.items():
+            c0, pieces = split[0], split[1:]
+            taus = _tau_inputs(pieces, outer * c * tau_sign(pieces, len(pieces) + 1))
+            if taus is None:
+                continue
+            inputs, coeff = taus
+            for u2, c2 in self._m_ext(inputs, uw).items():
+                out.add_term((c0, u2), coeff * c2)
         return out
 
     def complex(self):
@@ -151,8 +171,14 @@ class TwistedComplex:
 
 
 def twisted_tensor_acyclicity(structure, weight_cap=None):
-    """Homology of the capped twisted tensor complex: one class in degree 0."""
+    """Homology of the capped twisted tensor complex: one class in degree 0.
+
+    The complex needs the products up to m_2 and up to the top bracket arity
+    that its weight can reach; below that the caps are too small."""
     cap = weight_cap or structure.weight_cap
+    top = max([2] + [k for k in structure.algebra.arities() if k <= cap])
+    if structure.arity_cap < top:
+        return CheckResult(False, top, "caps too small for the check"), None
     cx = TwistedComplex(structure, cap).complex()
     dims = cx.homology_dims()
     ok = dims == {0: 1}
@@ -171,19 +197,6 @@ def _compose(pairs):
         if target != source:
             return 0, None
     return 1, (pairs[0][0], pairs[-1][1])
-
-
-def _operator(basis, column):
-    """The operator sending each m of ``basis`` to the Vector ``column(m)``."""
-    return Vector({(m, m2): c for m in basis for m2, c in column(m).items()})
-
-
-def _columns(op):
-    """An operator as a column table: {m: the Vector of its image of m}."""
-    table = {}
-    for (m, m2), c in op.items():
-        table.setdefault(m, Vector()).add_term(m2, c)
-    return table
 
 
 class AInftyModule:
@@ -211,12 +224,7 @@ class AInftyModule:
 def _rho_cobar(module_l, x):
     """Multiplicative extension of the module twisting to a cobar word: the
     composite of the letters' operators, the last letter acting first."""
-    ops = [_tau_op(module_l, c) for c in reversed(x.letters)]
-    return vector_product(ops, _compose)
-
-
-def _tau_op(module_l, word):
-    return _operator(module_l.basis, lambda m: module_l.tau(word, m))
+    return vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose)
 
 
 def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
@@ -228,13 +236,12 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
     def rho(w):
         return _rho_cobar(module_l, w.letters[0]) if w.length == 1 else None
 
-    d_m = _operator(module_l.basis, module_l.differential)
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
         value = structure.transfer.con.G(bar).apply(rho)
         if value:
             cochain[bar] = value
-    return AInftyModule(structure, module_l.basis, d_m, cochain,
+    return AInftyModule(structure, module_l.basis, module_l.d_m, cochain,
                         name=module_l.name + ">env")
 
 
@@ -246,11 +253,9 @@ def functor_f(module_u, weight_cap=None):
     action = {}
     for word in C.all_words(wcap):
         unit = structure.transfer.unit_inclusion(word)
-        value = unit.apply(structure.transfer.con.F).apply(module_u.cochain.get)
-        if value:
-            action[word] = _columns(value)
-    return LInftyModule(structure.algebra, module_u.basis, _columns(module_u.d_m),
-                        action, name=module_u.name + ">coalg")
+        action[word] = unit.apply(structure.transfer.con.F).apply(module_u.cochain.get)
+    return LInftyModule(structure.algebra, module_u.basis, module_u.d_m, action,
+                        name=module_u.name + ">coalg")
 
 
 def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
@@ -260,10 +265,8 @@ def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
     wcap = weight_cap or structure.weight_cap
     C = structure.transfer.Cfull
     for word in C.all_words(wcap):
-        before = _tau_op(module_l, word)
-        after = _tau_op(back, word)
-        if before != after:
+        if module_l.tau(word) != back.tau(word):
             return CheckResult(False, word, "action tables changed on the round trip")
-    if any(module_l.differential(m) != back.differential(m) for m in module_l.basis):
+    if module_l.d_m != back.d_m:
         return CheckResult(False, None, "module differential changed")
     return CheckResult(True)

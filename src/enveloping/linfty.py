@@ -46,35 +46,7 @@ class LInftyAlgebra:
         if len(set(ids)) != len(ids):
             raise ValueError("generator ids must be unique")
         self.by_id = {g.id: g for g in self.generators}
-        self.brackets = {}
-        for arity, table in brackets.items():
-            clean = {}
-            for word, value in table.items():
-                word = tuple(word)
-                if len(word) != arity:
-                    raise ValueError("bracket key has wrong arity")
-                if list(word) != sorted(word):
-                    raise ValueError("bracket keys must be sorted: %r" % (word,))
-                for a, b in zip(word, word[1:]):
-                    if a == b and a.degree % 2 == 0:
-                        raise ValueError(
-                            "repeated even generator in bracket key %r" % (word,)
-                        )
-                vec = Vector()
-                target_degree = sum(g.degree for g in word) + 2 - arity
-                for gen, coeff in dict(value).items():
-                    if gen not in self.by_id.values():
-                        raise ValueError("bracket value uses unknown generator")
-                    if gen.degree != target_degree:
-                        raise ValueError(
-                            "bracket l_%d on %r must land in degree %d"
-                            % (arity, word, target_degree)
-                        )
-                    vec.add_term(gen, Fraction(coeff))
-                if vec:
-                    clean[word] = vec
-            if clean:
-                self.brackets[arity] = clean
+        self.brackets = structure_tables(brackets, 2, self.generators, "bracket", "l")
 
     def arities(self):
         return sorted(self.brackets)
@@ -88,7 +60,7 @@ class LInftyAlgebra:
 
     def truncate_to_dg_lie(self):
         kept = {k: t for k, t in self.brackets.items() if k <= 2}
-        return LInftyAlgebra(self.generators, _raw_tables(kept), self.name + "_trunc")
+        return LInftyAlgebra(self.generators, kept, self.name + "_trunc")
 
     def __repr__(self):
         return "LInftyAlgebra(%s, dim %d)" % (self.name or "?", len(self.generators))
@@ -111,10 +83,56 @@ def antisymmetric_lookup(tables, gens):
     return vec.scaled(antisymmetric_sign(order, [g.degree for g in gens]))
 
 
-def _raw_tables(brackets):
-    return {
-        k: {w: dict(v.terms) for w, v in t.items()} for k, t in brackets.items()
-    }
+def structure_tables(tables, shift, targets, kind, symbol):
+    """{arity: {sorted key: Vector}} from {arity: {key: {target generator:
+    coefficient}}}: the brackets (shift 2) or a morphism's components (shift 1).
+
+    A key of arity k is a sorted tuple of k generators that repeats only odd
+    ones (even repeats vanish by graded antisymmetry); its value lies in the
+    span of ``targets``, in degree sum |x_i| + shift - k.
+    """
+    targets = frozenset(targets)
+    out = {}
+    for arity, table in tables.items():
+        clean = {}
+        for word, value in table.items():
+            word = tuple(word)
+            if len(word) != arity:
+                raise ValueError("%s key has wrong arity" % kind)
+            if list(word) != sorted(word):
+                raise ValueError("%s keys must be sorted: %r" % (kind, word))
+            for a, b in zip(word, word[1:]):
+                if a == b and a.degree % 2 == 0:
+                    raise ValueError("repeated even generator in %s key %r" % (kind, word))
+            vec = Vector()
+            target_degree = sum(g.degree for g in word) + shift - arity
+            for gen, coeff in value.items():
+                if gen not in targets:
+                    raise ValueError("%s value uses unknown generator" % kind)
+                if gen.degree != target_degree:
+                    raise ValueError(
+                        "%s %s_%d on %r must land in degree %d"
+                        % (kind, symbol, arity, word, target_degree)
+                    )
+                vec.add_term(gen, Fraction(coeff))
+            if vec:
+                clean[word] = vec
+        if clean:
+            out[arity] = clean
+    return out
+
+
+def suspended_lookup(tables, letters, sign_rule):
+    """The entry of ``tables`` on suspended letters, conjugated by the
+    suspension: unsuspend the letters, look the entry up by graded
+    antisymmetry, multiply by ``sign_rule`` of the unsuspended degrees and
+    suspend the value."""
+    unsus = tuple(g.shifted(1) for g in letters)
+    vec = antisymmetric_lookup(tables, unsus)
+    if not vec:
+        return vec
+    sign = sign_rule([g.degree for g in unsus])
+    return Vector({gen.shifted(-1): sign * coeff for gen, coeff in vec.items()})
 
 
 class CECoalgebra:
@@ -145,21 +163,9 @@ class CECoalgebra:
     def c_value(self, letters):
         """Corestricted coderivation on a block of suspended letters."""
         k = len(letters)
-        if self.max_arity is not None and k > self.max_arity:
+        if k < self.min_arity or (self.max_arity is not None and k > self.max_arity):
             return Vector()
-        if k < self.min_arity:
-            return Vector()
-        unsus = [g.shifted(1) for g in letters]
-        lk = self.algebra.bracket(tuple(unsus))
-        if not lk:
-            return Vector()
-        # the inverse suspension power picks up the Koszul sign evaluated on
-        # the unsuspended degrees
-        sign = conjugation_sign([g.degree for g in unsus])
-        out = Vector()
-        for gen, coeff in lk.items():
-            out.add_term(gen.shifted(-1), sign * coeff)
-        return out
+        return suspended_lookup(self.algebra.brackets, letters, conjugation_sign)
 
     def delta(self, word):
         """Coderivation on a symmetric word (sum over letter subsets)."""
@@ -221,26 +227,9 @@ class LInftyMorphism:
     def __init__(self, source, target, components):
         self.source = source
         self.target = target
-        self.components = {}
-        for arity, table in components.items():
-            clean = {}
-            for word, value in table.items():
-                word = tuple(word)
-                if list(word) != sorted(word):
-                    raise ValueError("morphism keys must be sorted")
-                vec = Vector()
-                target_degree = sum(g.degree for g in word) + 1 - arity
-                for gen, coeff in dict(value).items():
-                    if gen.degree != target_degree:
-                        raise ValueError(
-                            "phi_%d on %r must land in degree %d"
-                            % (arity, word, target_degree)
-                        )
-                    vec.add_term(gen, Fraction(coeff))
-                if vec:
-                    clean[word] = vec
-            if clean:
-                self.components[arity] = clean
+        self.components = structure_tables(
+            components, 1, target.generators, "morphism", "phi"
+        )
 
     def is_strict(self):
         return all(k <= 1 for k in self.components)
@@ -256,15 +245,7 @@ class LInftyMorphism:
         the identity coalgebra map, and the transferred first component must
         be the symmetrization of phi_1 on the nose.
         """
-        unsus = tuple(g.shifted(1) for g in letters)
-        vec = self.component(unsus)
-        if not vec:
-            return Vector()
-        sign = s_power_sign([g.degree for g in unsus])
-        out = Vector()
-        for gen, coeff in vec.items():
-            out.add_term(gen.shifted(-1), sign * coeff)
-        return out
+        return suspended_lookup(self.components, letters, s_power_sign)
 
     def coalgebra_map(self, word):
         """Induced coalgebra morphism on a symmetric word of the source."""
@@ -326,39 +307,21 @@ def compose_morphisms(psi, phi, weight_cap):
 class LInftyModule:
     """Module data: a graded space with a degree +1 twisting into End(M).
 
-    ``d_m``: {Generator: vector dict};  ``action``: {symmetric sL word:
-    {Generator: vector dict}} giving the operator of each coalgebra word.
+    An operator is a Vector over pairs (m, m') of module generators, the
+    coefficient of m' in the image of m.  ``d_m`` is the differential and
+    ``action`` maps a symmetric sL word to its operator.
     """
 
     def __init__(self, algebra, basis, d_m=None, action=None, name=""):
         self.algebra = algebra
         self.basis = tuple(sorted(basis))
         self.name = name
-        self.d_m = {g: _as_vector(v) for g, v in (d_m or {}).items() if _as_vector(v)}
-        self.action = {}
-        for word, table in (action or {}).items():
-            op = {g: _as_vector(v) for g, v in table.items() if _as_vector(v)}
-            if op:
-                self.action[word] = op
+        self.d_m = d_m or Vector()
+        self.action = {word: op for word, op in (action or {}).items() if op}
 
-    def differential(self, m):
-        return self.d_m.get(m, Vector())
-
-    def tau(self, word, m):
-        """Operator of a coalgebra word applied to a module generator."""
-        op = self.action.get(word)
-        if not op:
-            return Vector()
-        return op.get(m, Vector())
-
-
-def _as_vector(v):
-    if isinstance(v, Vector):
-        return v
-    vec = Vector()
-    for g, c in dict(v).items():
-        vec.add_term(g, Fraction(c))
-    return vec
+    def tau(self, word):
+        """The operator of a coalgebra word."""
+        return self.action.get(word, Vector())
 
 
 def check_module(module, weight_cap):
@@ -377,19 +340,16 @@ def check_module(module, weight_cap):
             for w2, c in C.delta(word).items():
                 out.add_term((w2, m), c)
         cdeg = 0 if word is None else word.degree
-        sign = -1 if cdeg % 2 else 1
-        for m2, c in module.differential(m).items():
-            out.add_term((word, m2), sign * c)
-        # reduced coaction terms: word -> (left, acted)
+        pieces = [(word, module.d_m, -1 if cdeg % 2 else 1)]
+        # (left factor, operator on m, sign): d_m, then the coaction terms
         if word is not None:
-            pieces = [(None, word, 1)]
+            pieces.append((None, module.tau(word), 1))
             for (wA, wB), c in C.reduced_coproduct(word).items():
-                pieces.append((wA, wB, c))
-            for left, right, c in pieces:
-                ldeg = 0 if left is None else left.degree
-                s2 = -1 if ldeg % 2 else 1
-                for m2, c2 in module.tau(right, m).items():
-                    out.add_term((left, m2), s2 * c * c2)
+                pieces.append((wA, module.tau(wB), -c if wA.degree % 2 else c))
+        for left, op, c in pieces:
+            for (m1, m2), c2 in op.items():
+                if m1 == m:
+                    out.add_term((left, m2), c * c2)
         return out
 
     keys = ((word, m) for word in words for m in module.basis)
@@ -402,22 +362,15 @@ def adjoint_module(algebra):
     Valid as stated for differential-free Lie algebras; the general validity
     test is check_module.
     """
-    action = {}
-    for g in algebra.generators:
-        sg = g.shifted(-1)
-        _, word = sym_word([sg])
-        table = {}
-        for m in algebra.generators:
-            vec = algebra.bracket((g, m))
-            if vec:
-                table[m] = vec
-        if table:
-            action[word] = table
-    d_m = {}
-    for m in algebra.generators:
-        img = algebra.bracket((m,))
-        if img:
-            d_m[m] = img
+    def operator(first):
+        return Vector({
+            (m, m2): c
+            for m in algebra.generators
+            for m2, c in algebra.bracket(first + (m,)).items()
+        })
+
+    action = {sym_word([g.shifted(-1)])[1]: operator((g,)) for g in algebra.generators}
+    d_m = operator(())
     return LInftyModule(algebra, algebra.generators, d_m, action, name="adjoint")
 
 
@@ -567,7 +520,7 @@ def module_from_json(algebra, data):
     have k inputs and land in degree sum |x_i| + |m| + 1 - k, the degree of
     l_{k+1}; the differential (arity 0) lands in degree |m| + 1."""
     gens = _generators_from_json(data["generators"])
-    d_m = {}
+    d_m = Vector()
     action = {}
     for entry in data.get("actions", []):
         arity = _integer(entry["arity"], "arity")
@@ -580,7 +533,7 @@ def module_from_json(algebra, data):
         letters = [algebra.by_id[i].shifted(-1) for i in inputs]
         # the desuspended inputs have total degree sum |x_i| - k
         target_degree = sum(g.degree for g in letters) + m.degree + 1
-        value = Vector()
+        terms = []
         for t in entry["value"]:
             if len(t["monomial"]) != 1:
                 raise ValueError("module action values must be single generators")
@@ -590,14 +543,14 @@ def module_from_json(algebra, data):
                     "module action of %r on %r must land in degree %d"
                     % (inputs, m, target_degree)
                 )
-            value.add_term(g, parse_scalar(t["coeff"]))
-        if arity == 0:
-            d_m[m] = (d_m.get(m, Vector())) + value
-            continue
-        sign, word = sym_word(letters)
-        if word is None:
-            raise ValueError("action word repeats an odd suspended generator")
-        table = action.setdefault(word, {})
-        table[m] = table.get(m, Vector()) + value.scaled(sign)
+            terms.append((g, parse_scalar(t["coeff"])))
+        op, sign = d_m, 1
+        if arity:
+            sign, word = sym_word(letters)
+            if word is None:
+                raise ValueError("action word repeats an odd suspended generator")
+            op = action.setdefault(word, Vector())
+        for g, c in terms:
+            op.add_term((m, g), sign * c)
     return LInftyModule(algebra, list(gens.values()), d_m, action,
                         name=data.get("name", ""))

@@ -59,10 +59,6 @@ class OrderedPartition:
     def degree(self):
         return -(self.n - self.d)
 
-    @property
-    def dim(self):
-        return self.n - self.d
-
     def sort_key(self):
         return (self.d, self.blocks)
 
@@ -125,18 +121,6 @@ def boundary(face):
             out.add_term(OrderedPartition(face.n, new_blocks), sign)
         prefix += mk
     return out
-
-
-def act(sigma, face):
-    """Left action of a permutation of {1..n} (one-line: sigma[i-1] is the
-    image of i)."""
-    sign = 1
-    new_blocks = []
-    for block in face.blocks:
-        image = [sigma[x - 1] for x in block]
-        sign *= perm_parity(image)
-        new_blocks.append(image)
-    return sign, OrderedPartition(face.n, new_blocks)
 
 
 def nu(face):
@@ -394,8 +378,10 @@ class PermutahedronContraction:
         if orbit_sum:
             face = faces.faces[rep]
             for parts in itertools.product(*map(itertools.permutations, face.blocks)):
+                # h permutes each block of the standard face rep in place, so
+                # it acts on rep with the product of the blocks' plain signs
                 h = tuple(x for part in parts for x in part)
-                sign, _ = act(h, face)
+                sign = math.prod(map(perm_parity, parts))
                 faces.transport(out, _action(h), orbit_sum, sign)
         return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .exactlin import (
@@ -78,36 +79,41 @@ class StandardTableau:
         return [list(r) for r in self.rows]
 
 
+def fillings(shape, alphabet, row_ok, col_ok):
+    """Fillings of a Young diagram from ``alphabet``, cell by cell in
+    row-major order: a value v goes next to a left neighbour a only if
+    row_ok(a, v), and below an upper neighbour b only if col_ok(b, v).
+    Yields the rows of each filling, in the order of the alphabet."""
+    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
+    grid = [[None] * r for r in shape]
+
+    def rec(pos):
+        if pos == len(cells):
+            yield tuple(map(tuple, grid))
+            return
+        i, j = cells[pos]
+        for v in alphabet:
+            if (j == 0 or row_ok(grid[i][j - 1], v)) and (i == 0 or col_ok(grid[i - 1][j], v)):
+                grid[i][j] = v
+                yield from rec(pos + 1)
+
+    return rec(0)
+
+
+def _surjective(rows, size):
+    return len({v for row in rows for v in row}) == size
+
+
 def standard_tableaux(shape):
-    """All standard tableaux of the given partition shape."""
+    """All standard tableaux of the given partition shape, in ``sort_key``
+    order."""
     shape = tuple(shape)
     if list(shape) != sorted(shape, reverse=True):
         raise ValueError("shape must be a partition")
     n = sum(shape)
-    out = []
-
-    def rec(filled, heights):
-        value = sum(heights) + 1
-        if value > n:
-            out.append(StandardTableau(
-                tuple(tuple(filled[i][: shape[i]]) for i in range(len(shape)))
-            ))
-            return
-        for i in range(len(shape)):
-            j = heights[i]
-            if j >= shape[i]:
-                continue
-            if i > 0 and heights[i - 1] <= j:
-                continue
-            filled[i][j] = value
-            heights[i] += 1
-            rec(filled, heights)
-            heights[i] -= 1
-        return
-
-    rec([[0] * s for s in shape], [0] * len(shape))
-    out.sort(key=lambda t: t.sort_key())
-    return out
+    return [StandardTableau(rows)
+            for rows in fillings(shape, range(1, n + 1), operator.lt, operator.lt)
+            if _surjective(rows, n)]
 
 
 def tableaux_of_size(n):
@@ -142,28 +148,8 @@ def column_tableau(T, subset):
 
 def column_semistandard_fillings(shape, values):
     """Surjective fillings weakly increasing in columns, strict in rows."""
-    shape = tuple(shape)
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-    out = []
-
-    def rec(pos, grid, used):
-        if pos == len(cells):
-            if len(used) == values:
-                out.append(tuple(tuple(row[: shape[i]]) for i, row in enumerate(grid)))
-            return
-        i, j = cells[pos]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1] + 1)
-        if i > 0:
-            lo = max(lo, grid[i - 1][j])
-        for v in range(lo, values + 1):
-            grid[i][j] = v
-            rec(pos + 1, grid, used | {v})
-            grid[i][j] = 0
-
-    rec(0, [[0] * (shape[0] if shape else 0) for _ in shape], frozenset())
-    return out
+    rows_of = fillings(tuple(shape), range(1, values + 1), operator.lt, operator.le)
+    return [rows for rows in rows_of if _surjective(rows, values)]
 
 
 def x_set_size(J, j):
@@ -282,44 +268,15 @@ def schur_dimension_count(T, even_dim, odd_dim):
     Even letters repeat along rows but not columns; odd letters the reverse
     (their suspensions flip parity, swapping the two constraints).
     """
-    shape = T.shape
-    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
     letters = [(k, 0) for k in range(even_dim)] + [(k, 1) for k in range(odd_dim)]
-    count = 0
 
-    def ok(grid, i, j, letter):
-        if j > 0:
-            prev = grid[i][j - 1]
-            if letter[1] == 0:
-                if not prev <= letter:
-                    return False
-            else:
-                if not prev < letter:
-                    return False
-        if i > 0:
-            up = grid[i - 1][j]
-            if letter[1] == 0:
-                if not up < letter:
-                    return False
-            else:
-                if not up <= letter:
-                    return False
-        return True
+    def row_ok(prev, letter):
+        return prev < letter or (prev == letter and letter[1] == 0)
 
-    def rec(pos, grid):
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        i, j = cells[pos]
-        for letter in letters:
-            if ok(grid, i, j, letter):
-                grid[i][j] = letter
-                rec(pos + 1, grid)
-                grid[i][j] = None
+    def col_ok(up, letter):
+        return up < letter or (up == letter and letter[1] == 1)
 
-    rec(0, [[None] * (shape[0] if shape else 0) for _ in shape])
-    return count
+    return sum(1 for _ in fillings(T.shape, letters, row_ok, col_ok))
 
 
 # ---------------------------------------------------------------------------

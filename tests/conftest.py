@@ -16,6 +16,7 @@ from enveloping.exactlin import (
     Vector,
     Word,
     memo_op,
+    perm_parity,
     sym_word,
 )
 from enveloping.hpt import bar_coderivation, concatenation
@@ -64,7 +65,7 @@ def sl2_plus_l3():
 
 
 def trivial_module(algebra):
-    return LInftyModule(algebra, [Generator("triv", 0)], {}, {}, name="trivial")
+    return LInftyModule(algebra, [Generator("triv", 0)], name="trivial")
 
 
 def bar_words_cobar(gens, rank_cap, length_cap):
@@ -87,11 +88,23 @@ def perturbation_parts(transfer):
             bar_coderivation({1: bracket_letter_differential(transfer)}))
 
 
+def act(sigma, face):
+    """Left action of a permutation of {1..n} on a face (one-line: sigma[i-1]
+    is the image of i), with the plain sign of each block's image."""
+    sign = 1
+    new_blocks = []
+    for block in face.blocks:
+        image = [sigma[x - 1] for x in block]
+        sign *= perm_parity(image)
+        new_blocks.append(image)
+    return sign, permutahedra.OrderedPartition(face.n, new_blocks)
+
+
 def act_vector(sigma, vec):
     """The permutation action on faces, extended linearly."""
     out = Vector()
     for f, c in vec.items():
-        s, g = permutahedra.act(sigma, f)
+        s, g = act(sigma, f)
         out.add_term(g, s * c)
     return out
 

@@ -19,6 +19,7 @@ from enveloping.linfty import CECoalgebra
 from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
 from conftest import (
+    act,
     act_vector,
     bar_words_cobar,
     bundled,
@@ -77,7 +78,7 @@ def test_criterion_01_permutahedra():
             v = Vector.unit(f)
             for sigma in gens:
                 # chain action commuting with the involution
-                s, g = permutahedra.act(sigma, f)
+                s, g = act(sigma, f)
                 ok &= boundaries[g].scaled(s) == act_vector(
                     sigma, boundaries[f]
                 )
@@ -93,9 +94,9 @@ def test_criterion_01_permutahedra():
                 for tau in perms:
                     comp = tuple(sigma[tau[i - 1] - 1] for i in (1, 2, 3))
                     for f in faces:
-                        s1, g1 = permutahedra.act(tau, f)
-                        s2, g2 = permutahedra.act(sigma, g1)
-                        ok &= (s1 * s2, g2) == permutahedra.act(comp, f)
+                        s1, g1 = act(tau, f)
+                        s2, g2 = act(sigma, g1)
+                        ok &= (s1 * s2, g2) == act(comp, f)
         con = permutahedra.build_contraction(n)
         ok &= con.F(con.G(Fraction(1))) == 1
         ok &= not con.H(con.G(Fraction(1)))

@@ -1,12 +1,12 @@
 """Twisted cochains, the twisted tensor complex, and the module functors."""
 
+from fractions import Fraction
+
 import pytest
 
 from enveloping.bgg import (
     AInftyModule,
     TwistedComplex,
-    _columns,
-    _operator,
     _rho_cobar,
     functor_f,
     functor_g,
@@ -28,7 +28,13 @@ from enveloping.exactlin import (
     sym_word,
 )
 from enveloping.hpt import COPRODUCT_SIGN, cobar_differential
-from enveloping.linfty import abelian, adjoint_module, check_module, heisenberg
+from enveloping.linfty import (
+    abelian,
+    adjoint_module,
+    check_module,
+    from_complete_intersection,
+    heisenberg,
+)
 from enveloping.uea import AInftyStructure
 from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
@@ -136,7 +142,7 @@ def omega_comparison_check(structure, rank_cap=None):
 
 def column(op, m):
     """The image of the module generator m under the operator op."""
-    return _columns(op).get(m, Vector())
+    return Vector({m2: c for (m1, m2), c in op.items() if m1 == m})
 
 
 def module_complex_check(module, arity_cap=None, weight_cap=None):
@@ -243,6 +249,38 @@ def test_twisted_complex_square_zero_is_checked(sl2_structure):
     assert cx.homology_dims() == {0: 1}
 
 
+# inputs with brackets of arity >= 3, where the sign of the higher products
+# in the twisted differential shows: name -> (algebra builder, caps)
+HIGHER_BRACKETS = {
+    "l3only": (lambda: bundled("l3only"), 3),
+    "ci_cubic": (lambda: bundled("ci_cubic"), 3),
+    "x^2 y": (lambda: from_complete_intersection(
+        ["x", "y"], {"r": [(1, ("x", "x", "y"))]}), 3),
+    "xy^2/2 + xy": (lambda: from_complete_intersection(
+        ["x", "y"], {"r": [(Fraction(1, 2), ("x", "y", "y")), (1, ("x", "y"))]}), 3),
+    "x^4": (lambda: from_complete_intersection(["x"], {"r": [(1, ("x",) * 4)]}), 4),
+    "x^2 y^2 + 2xy": (lambda: from_complete_intersection(
+        ["x", "y"], {"r": [(1, ("x", "x", "y", "y")), (2, ("x", "y"))]}), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(HIGHER_BRACKETS))
+def test_twisted_tensor_complex_with_higher_brackets(name):
+    # the complex checks D^2 = 0 as it is built
+    build, cap = HIGHER_BRACKETS[name]
+    res, dims = twisted_tensor_acyclicity(AInftyStructure(build(), cap, cap), cap)
+    assert res and dims == {0: 1}
+
+
+@pytest.mark.parametrize("name, arity_cap, top", [("l3only", 2, 3), ("abelian1", 1, 2)])
+def test_twisted_tensor_complex_refuses_caps_below_the_top_bracket(name, arity_cap, top):
+    # m_2 always enters, and a bracket l_k that the weight cap reaches needs m_k
+    A = AInftyStructure(bundled(name), arity_cap, 3)
+    res, dims = twisted_tensor_acyclicity(A, 3)
+    assert not res and dims is None
+    assert res.counterexample == top and res.detail == "caps too small for the check"
+
+
 def test_omega_to_enveloping_chain_map(sl2_structure):
     assert omega_to_enveloping_check(sl2_structure, 3)
     A = AInftyStructure(abelian([0, 1]), 3, 3)
@@ -281,8 +319,7 @@ def test_functor_g_weight_one_action_is_the_given_one(sl2_small):
         bar = Word(BAR, (word,))
         op = GM.t(bar)
         _, sword = sym_word([g.shifted(-1)])
-        for m in M.basis:
-            assert column(op, m) == M.tau(sword, m)
+        assert op == M.tau(sword)
 
 
 def test_cobar_word_acts_by_the_composite_last_letter_first():
@@ -292,7 +329,7 @@ def test_cobar_word_acts_by_the_composite_last_letter_first():
     e, f = (sym_word([M.algebra.by_id[k].shifted(-1)])[1] for k in "ef")
     expected = Vector()
     for m in M.basis:
-        for m2, c in M.tau(f, m).apply(lambda m1: M.tau(e, m1)).items():
+        for m2, c in column(M.tau(f), m).apply(lambda m1: column(M.tau(e), m1)).items():
             expected.add_term((m, m2), c)
     assert expected
     assert _rho_cobar(M, Word(COBAR, (e, f))) == expected
@@ -354,7 +391,7 @@ def test_enveloping_acts_on_itself():
                 value = A.product(bar.letters + (w,))
                 if value:
                     table[m] = as_module(value)
-        op = _operator(table, table.get)
+        op = Vector({(m, m2): c for m, image in table.items() for m2, c in image.items()})
         if op:
             cochain[bar] = op
     module = AInftyModule(A, list(basis.values()), Vector(), cochain, name="self")

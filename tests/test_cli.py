@@ -78,6 +78,8 @@ CHECK_DIGESTS_3_3 = {
     "heisenberg": "d26580ee631df79e3e6653139f0a19eaad334f0a6bd98516dfbe0611a22e39bb",
     "odd1": "a00fbbfc8145e05bf3e16e3289d02a4b6ae769f250501be6c51e1b263d0eef53",
     "odd2": "84e138da24e1ff9356137f8869a6b4be690a83611daadc17353dc2b3fc821458",
+    "l3only": "7edf2bc38734ae8d6d590c77596715cc904c7a9fa4914140021fa14c31d32621",
+    "ci_cubic": "e70b5c6e2a4924159adf7d229b37fd74bcbeca9651fb53428576f47db2724b6d",
 }
 CHECK_DIGESTS_4_4 = {
     "abelian1": "81429340d2a27d519e967e3ba7e04aed802a3089219003d4bddfa52f0ad0382c",
@@ -88,6 +90,8 @@ CHECK_DIGESTS_4_4 = {
     "heisenberg": "4034eaade7038ed685493e0e4f6333bb091e6269c896c8a7cabca90dec0be1f2",
     "odd1": "2a056b83308f019899e15e137eb1850165492dfdff51f3a336bb623ceac99a80",
     "odd2": "754caec9d23070f0461c38098ec0ba25d12a275ae4600ce9368a426a8a820399",
+    "l3only": "e9fc2b528ab18d0f86ae7d2d69e836ca0ce0b3dd464d3a2b612e8e1f79182047",
+    "ci_cubic": "ed68ccfa4e48d5be71f08efb5dc0f4d096935d57bcdb7b5b3e9d0a3cff8db216",
 }
 
 # SHA-256 of `--n-cap 4 --format json tableaux` at (dim_even, dim_odd): the
@@ -435,6 +439,18 @@ def test_check_reports_are_pinned(capsys):
 
 def test_check_reports_are_pinned_at_4_4(capsys):
     _check_reports_match(capsys, "4", CHECK_DIGESTS_4_4)
+
+
+def test_bgg_below_the_top_bracket_arity_reports_small_caps(capsys):
+    argv = ["--input", "bundled:l3only", "--arity-cap", "2", "--weight-cap", "3",
+            "--format", "json", "check", "--suite", "bgg"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["bgg: twisted tensor homology is one point"] == {
+        "name": "bgg: twisted tensor homology is one point",
+        "status": "fail", "counterexample": "3"}
+    assert len(checks) == 4
 
 
 def test_counterexamples_keep_their_order():

@@ -4,8 +4,10 @@ belongs to.
 
 Collects the module-level functions and classes of ``src/enveloping`` and
 the methods of those classes, and asserts that each name is referenced in
-``src/`` or ``perfbench/``: as a name, an attribute or an import, or, in
-``perfbench/``, as a string (the benchmark patches some attributes by name).
+``src/`` or ``perfbench/``: a module-level name as a name, an attribute or an
+import, a method only as an attribute (``x.name``; a local variable of the
+same name is no use of it), and either, in ``perfbench/``, as a string (the
+benchmark patches some attributes by name).
 A reference from ``tests/`` does not count: what only the tests reach lives
 in the tests.  Dunder methods are called by the language and are not
 checked.
@@ -48,27 +50,29 @@ def _sources(tops=SEARCHED):
 
 
 def _references():
-    names = set()
+    """(names, attributes): what a module-level definition and what a method
+    may be referenced by."""
+    names, attributes = set(), set()
     for top, strings in USERS.items():
         for _, tree in _sources((top,)):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    attributes.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
                 elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+                    attributes.add(node.value)
+    return names | attributes, attributes
 
 
 def test_every_definition_is_referenced():
-    used = _references()
+    names, attributes = _references()
     dead = [
         "%s.%s" % (module, name)
         for module, name in _definitions()
-        if name.split(".")[-1] not in used
+        if name.split(".")[-1] not in (attributes if "." in name else names)
     ]
     assert sorted(dead) == sorted(UNREFERENCED)
 

@@ -172,6 +172,28 @@ def test_strict_lie_map_is_a_morphism():
     assert check_morphism(phi, 4)
 
 
+def _heisenberg_to_abelian(table):
+    H, A = heisenberg(), abelian([0, 0])
+    return LInftyMorphism(H, A, {1: table(H.by_id, A.by_id)})
+
+
+def test_morphism_key_of_wrong_arity_is_refused():
+    with pytest.raises(ValueError, match="morphism key has wrong arity"):
+        _heisenberg_to_abelian(lambda h, a: {(h["x"], h["y"]): {a["a1"]: 1}})
+
+
+def test_morphism_value_on_an_unknown_generator_is_refused():
+    with pytest.raises(ValueError, match="morphism value uses unknown generator"):
+        _heisenberg_to_abelian(lambda h, a: {(h["x"],): {h["z"]: 1}})
+
+
+def test_morphism_key_repeating_an_even_generator_is_refused():
+    H, A = heisenberg(), abelian([-1])
+    x, a1 = H.by_id["x"], A.by_id["a1"]
+    with pytest.raises(ValueError, match="repeated even generator in morphism key"):
+        LInftyMorphism(H, A, {2: {(x, x): {a1: 1}}})
+
+
 def test_non_chain_map_fails_at_weight_one():
     V = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {})])
     W = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {})], name="dg2")
@@ -222,8 +244,22 @@ def test_corrupt_module_fails():
     L = bundled("sl2")
     M = adjoint_module(L)
     word = next(iter(M.action))
-    target = next(iter(M.action[word]))
-    M.action[word][target] = M.action[word][target].scaled(2)
+    pair, c = next(iter(M.action[word].items()))
+    M.action[word].add_term(pair, c)
+    assert not check_module(M, 3)
+
+
+def dg_adjoint():
+    """The adjoint module of the dg Lie algebra d a = b, [a, b] = b: a valid
+    module whose differential and action must agree."""
+    a, b = Generator("a", 0), Generator("b", 1)
+    return adjoint_module(LInftyAlgebra([a, b], {1: {(a,): {b: 1}}, 2: {(a, b): {b: 1}}}))
+
+
+def test_module_with_a_scaled_differential_fails():
+    M = dg_adjoint()
+    assert M.d_m and check_module(M, 3)
+    M.d_m = M.d_m.scaled(2)
     assert not check_module(M, 3)
 
 
@@ -250,21 +286,30 @@ def test_module_json_roundtrip():
     }
     from enveloping.exactlin import format_scalar
 
-    for word, table in M.action.items():
-        for m, vec in table.items():
+    for word, op in M.action.items():
+        for (m, m2), c in sorted(op.items()):
             data["actions"].append(
                 {
                     "arity": 1,
                     "inputs": [g.id for g in word.letters],
                     "module_input": m.id,
-                    "value": [
-                        {"coeff": format_scalar(c), "monomial": [g.id]}
-                        for g, c in sorted(vec.items())
-                    ],
+                    "value": [{"coeff": format_scalar(c), "monomial": [m2.id]}],
                 }
             )
     back = module_from_json(L, data)
     assert check_module(back, 3)
-    for word, table in M.action.items():
-        for m, vec in table.items():
-            assert back.tau(word, m) == vec
+    for word, op in M.action.items():
+        assert back.tau(word) == op
+
+
+def test_module_json_differential_lands_in_d_m_as_pairs():
+    M = dg_adjoint()
+    a, b = M.algebra.by_id["a"], M.algebra.by_id["b"]
+    data = {
+        "generators": [{"id": g.id, "degree": g.degree} for g in M.basis],
+        "actions": [{"arity": 0, "inputs": [], "module_input": "a",
+                     "value": [{"coeff": "3/2", "monomial": ["b"]}]}],
+    }
+    back = module_from_json(M.algebra, data)
+    assert back.d_m == Vector.unit((a, b), Fraction(3, 2))
+    assert not back.action

@@ -24,7 +24,6 @@ from enveloping.permutahedra import (
     PermutahedronContraction,
     _action,
     _solve_homotopy,
-    act,
     all_faces,
     boundary,
     build_contraction,
@@ -36,7 +35,7 @@ from enveloping.permutahedra import (
 )
 from enveloping.words import cobar_words
 
-from conftest import act_vector, bundled, nu_vector, odd_abelian
+from conftest import act, act_vector, bundled, nu_vector, odd_abelian
 
 
 def brute_force_faces(n, d):
@@ -66,7 +65,7 @@ def test_face_counts(n, total):
 def test_single_faces():
     assert enumerate_faces(1, 1)[0].blocks == ((1,),)
     top = enumerate_faces(3, 1)[0]
-    assert top.blocks == ((1, 2, 3),) and top.dim == 2
+    assert top.blocks == ((1, 2, 3),) and top.n - top.d == 2
 
 
 def F(*blocks):

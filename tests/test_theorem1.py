@@ -10,7 +10,6 @@ from enveloping.exactlin import Vector, koszul_sign
 from enveloping.hpt import cobar_differential
 from enveloping.linfty import CECoalgebra, dg_vector_space
 from enveloping.permutahedra import (
-    act,
     all_faces,
     boundary,
     cobar_f,
@@ -22,7 +21,7 @@ from enveloping.permutahedra import (
 )
 from enveloping.words import cobar_words, sym_words
 
-from conftest import induced_algebra_map
+from conftest import act, induced_algebra_map
 
 
 def make_space(pairs):
