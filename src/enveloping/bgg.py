@@ -11,44 +11,30 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactlin import CheckResult, FiniteComplex, Vector, memo_op, sym_word
+from .exactlin import CheckResult, FiniteComplex, Vector, conjugation_sign, memo_op, sym_word
 from .linfty import LInftyModule
+from .uea import caps_suffice
 from .words import sym_words, vector_product
+
+
+def _tau_inputs(pieces):
+    """The images tau c_a of coalgebra words: the unsuspended generator of a
+    weight-one word, with coefficient 1; None if a piece has another weight."""
+    if any(piece.rank != 1 for piece in pieces):
+        return None
+    return tuple(sym_word([piece.letters[0].shifted(1)])[1] for piece in pieces)
 
 
 def tau_value(word):
     """The canonical twisted cochain: desuspended weight-one projection."""
-    if word.rank != 1:
-        return Vector()
-    sign, w = sym_word([word.letters[0].shifted(1)])
-    return Vector.unit(w, sign)
+    inputs = _tau_inputs((word,))
+    return Vector() if inputs is None else Vector.unit(inputs[0])
 
 
-def _tau_inputs(pieces, c):
-    """(tau of each piece, c times their coefficients); None if one vanishes."""
-    inputs = []
-    coeff = Fraction(c)
-    for piece in pieces:
-        t = tau_value(piece)
-        if not t:
-            return None
-        ((w, cc),) = t.items()
-        inputs.append(w)
-        coeff *= cc
-    return inputs, coeff
-
-
-def tau_sign(pieces, arity):
-    """(-1)^(arity + sum_a (arity - 1 - a)(|c_a| + 1)), a = 0, 1, ...: the
-    suspension conjugation sign of m_arity on the images tau c_a, of degree
-    |c_a| + 1, followed by arity - len(pieces) arguments that it does not
-    read (the last one is u in the twisted tensor complex)."""
-    exp = arity
-    for a, piece in enumerate(pieces):
-        exp += (arity - 1 - a) * (piece.degree + 1)
-    return -1 if exp % 2 else 1
+def _arity_needed(structure, weight_cap):
+    """The products that the cochain equation and the twisted tensor complex
+    read: m_2, and m_k for each bracket arity k that ``weight_cap`` reaches."""
+    return max([2] + [k for k in structure.algebra.arities() if k <= weight_cap])
 
 
 def generalized_cochain_check(structure, weight_cap=None):
@@ -56,21 +42,24 @@ def generalized_cochain_check(structure, weight_cap=None):
 
     The quadratic-and-higher side is evaluated through the degree-0 composite
     s tau, whose tensor powers carry no Koszul signs; unwinding the suspension
-    conjugation of the products gives the sign ``tau_sign(split, i)`` on each
-    ordered split (c_1, ..., c_i).
+    conjugation of the products gives ``conjugation_sign`` of the degrees of
+    tau c_1, ..., tau c_i on each ordered split (c_1, ..., c_i).
     """
     cap = weight_cap or structure.weight_cap
+    caps = caps_suffice(structure, _arity_needed(structure, cap))
+    if not caps:
+        return caps
     C = structure.transfer.Cfull
     for word in C.all_words(cap):
         lhs = C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
         rhs = Vector()
         for parts in range(2, min(word.rank, structure.arity_cap) + 1):
             for split, c in C.iterated_reduced_coproduct(word, parts).items():
-                taus = _tau_inputs(split, c * tau_sign(split, parts))
-                if taus is None:
+                inputs = _tau_inputs(split)
+                if inputs is None:
                     continue
-                inputs, coeff = taus
-                rhs.accumulate(structure.product(tuple(inputs)), coeff)
+                sign = conjugation_sign([w.degree for w in inputs])
+                rhs.accumulate(structure.product(inputs), c * sign)
         if lhs != rhs:
             return CheckResult(False, word, "twisted cochain equation fails")
     return CheckResult(True)
@@ -116,12 +105,13 @@ class TwistedComplex:
             if len(inputs) == 1:
                 return Vector.unit(inputs[0])
             return Vector()
-        return self.structure.product(tuple(inputs) + (u,))
+        return self.structure.product(inputs + (u,))
 
     def differential(self, key):
         """D(c (x) u) = d_C c (x) u - (-1)^|c| times the sum, over the
         coaction splits (c_0, c_1, ..., c_k) of c with k >= 0, of
-        tau_sign((c_1, ..., c_k), k + 1) c_0 (x) m_{k+1}(tau c_1, ..., tau c_k, u).
+        conjugation_sign(|tau c_1|, ..., |tau c_k|, 0) c_0 (x)
+        m_{k+1}(tau c_1, ..., tau c_k, u).
 
         The sign is derived.  With the products' bar components
         b_n(s x_1, ..., s x_n) = (conjugation sign) s m_n(x_1, ..., x_n), as in
@@ -135,8 +125,9 @@ class TwistedComplex:
         b compose.  D = -(1 (x) s)^-1 D' (1 (x) s), with
         (1 (x) s)(c (x) u) = (-1)^|c| c (x) su.  In the k-th term, 1 (x) b_{k+1}
         passes c_0 and (1 (x) s)^-1 passes it back, which cancels;
-        b_{k+1}(s tau c_1, ..., s tau c_k, su) is tau_sign(pieces, k + 1) times
-        s m_{k+1}(...), the last argument adding nothing to the sign; 1 (x) s
+        b_{k+1}(s tau c_1, ..., s tau c_k, su) is that conjugation sign times
+        s m_{k+1}(...), the last slot adding nothing to the sign whatever the
+        degree of u, hence the 0 in its place; 1 (x) s
         gives (-1)^|c|, and the overall minus keeps d_C (x) 1 as it is.  At
         k = 0 this is the m_1 term (-1)^|c| c (x) m_1 u.  The Koszul sign of
         (1 (x) m_{k+1})(1 (x) tau^{x k} (x) 1) alone,
@@ -153,10 +144,10 @@ class TwistedComplex:
         outer = 1 if cw is not None and cw.degree % 2 else -1
         for split, c in splits.items():
             c0, pieces = split[0], split[1:]
-            taus = _tau_inputs(pieces, outer * c * tau_sign(pieces, len(pieces) + 1))
-            if taus is None:
+            inputs = _tau_inputs(pieces)
+            if inputs is None:
                 continue
-            inputs, coeff = taus
+            coeff = outer * c * conjugation_sign([w.degree for w in inputs] + [0])
             for u2, c2 in self._m_ext(inputs, uw).items():
                 out.add_term((c0, u2), coeff * c2)
         return out
@@ -176,9 +167,9 @@ def twisted_tensor_acyclicity(structure, weight_cap=None):
     The complex needs the products up to m_2 and up to the top bracket arity
     that its weight can reach; below that the caps are too small."""
     cap = weight_cap or structure.weight_cap
-    top = max([2] + [k for k in structure.algebra.arities() if k <= cap])
-    if structure.arity_cap < top:
-        return CheckResult(False, top, "caps too small for the check"), None
+    caps = caps_suffice(structure, _arity_needed(structure, cap))
+    if not caps:
+        return caps, None
     cx = TwistedComplex(structure, cap).complex()
     dims = cx.homology_dims()
     ok = dims == {0: 1}

@@ -15,7 +15,7 @@ import sys
 import time
 from importlib import resources
 
-from . import bgg, hpt, linfty, permutahedra, tableaux, uea
+from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
 from .exactlin import CheckResult, Generator, Vector, square_zero
 
 TEXT = "text"
@@ -49,8 +49,11 @@ class Report:
 
     def add(self, name, result, elapsed):
         entry = {"name": name, "status": "pass" if result else "fail"}
-        if not result and getattr(result, "counterexample", None) is not None:
-            entry["counterexample"] = _serialize(result.counterexample)
+        if not result:
+            if getattr(result, "counterexample", None) is not None:
+                entry["counterexample"] = _serialize(result.counterexample)
+            if getattr(result, "detail", ""):
+                entry["detail"] = result.detail
         entry["_elapsed"] = elapsed
         self.checks.append(entry)
 
@@ -95,6 +98,8 @@ class Report:
             print(line)
             if "counterexample" in c:
                 print("      counterexample: %s" % (c["counterexample"],))
+            if "detail" in c:
+                print("      detail: %s" % (c["detail"],))
         print("result: %s" % ("pass" if self.ok else "fail"))
 
 
@@ -212,8 +217,8 @@ def cmd_check(args):
             report.run("coproduct", lambda: uea.coproduct_strictness_check(
                 need_structure(), min(args.arity_cap, 2), min(args.weight_cap, 3)))
         elif suite == "truncation":
-            report.run("truncation", lambda: uea.truncation_agreement_check(
-                need_algebra(), args.weight_cap))
+            report.run("truncation",
+                       lambda: uea.truncation_agreement_check(need_structure()))
         elif suite == "morphism":
             _morphism_checks(report)
         elif suite == "theorem1":
@@ -261,21 +266,16 @@ def _morphism_checks(report):
 
 
 def _theorem1_check(n_cap):
-    from .hpt import algebra_differential, cobar_differential
-    from .linfty import CECoalgebra, dg_vector_space
-    from .permutahedra import cobar_f, cobar_g, cobar_h, iota_omega
-    from .words import cobar_words
-
-    V = dg_vector_space([("v", 0, {"w": 1}), ("w", 1, {})])
-    C1 = CECoalgebra(V, n_cap + 1, max_arity=1)
-    con = hpt.Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
-                          algebra_differential(V))
-    words = [xw for r in range(1, min(n_cap, 4) + 1) for xw in cobar_words(C1.sgens, r)]
-    result = con.verify_on(words, [])
+    V = linfty.dg_vector_space([("v", 0, {"w": 1}), ("w", 1, {})])
+    C1 = linfty.CECoalgebra(V, n_cap + 1, max_arity=1)
+    con = hpt.cobar_contraction(C1)
+    cobar = [xw for r in range(1, min(n_cap, 4) + 1) for xw in words.cobar_words(C1.sgens, r)]
+    result = con.verify_on(cobar, [])
     if not result:
         return result
-    for xw in words:
-        if iota_omega(xw).apply(con.H) != con.H(xw).apply(iota_omega):
+    iota = permutahedra.iota_omega
+    for xw in cobar:
+        if iota(xw).apply(con.H) != con.H(xw).apply(iota):
             return CheckResult(False, xw)
     return CheckResult(True)
 

@@ -58,24 +58,30 @@ def cobar_differential(C):
     return on_word
 
 
-def lift_contraction(
-    f_letter, g_letter, h_letter, d_big_letter, d_small_letter, gf_letter
-):
-    """Contraction on the tensor coalgebras from single-letter data.
+def cobar_contraction(C1):
+    """The letter contraction of the bracket-free cobar algebra of C1 onto the
+    symmetric algebra, with the linear part of the cobar differential."""
+    return Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
+                       algebra_differential(C1.algebra))
+
+
+def lift_contraction(con, gf_letter):
+    """Contraction on the tensor coalgebras from a letter contraction ``con``
+    and its round trip ``gf_letter`` = G F on letters.
 
     The projection and inclusion act letterwise; the homotopy is
     ``lifted_homotopy``, which reads the homotopy of each suffix back from
     the contraction's own memo.
     """
-    H = lifted_homotopy(gf_letter, h_letter)
-    con = Contraction(
-        bar_morphism(f_letter),
-        bar_morphism(g_letter),
-        lambda b: H(b, con.H),
-        bar_coderivation({1: d_big_letter}),
-        bar_coderivation({1: d_small_letter}),
+    H = lifted_homotopy(memo_op(gf_letter), con.H)
+    lifted = Contraction(
+        bar_morphism(con.F),
+        bar_morphism(con.G),
+        lambda b: H(b, lifted.H),
+        bar_coderivation({1: con.d_big}),
+        bar_coderivation({1: con.d_small}),
     )
-    return con
+    return lifted
 
 
 def algebra_differential(L):
@@ -337,14 +343,7 @@ class Transfer:
         # the perturbation: the higher brackets on one letter, the product on two
         t_omega = memo_op(bar_coderivation({1: C2.delta}))
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
-        self.con0 = lift_contraction(
-            memo_op(cobar_f),
-            memo_op(cobar_g),
-            memo_op(cobar_h),
-            memo_op(cobar_differential(self.C1)),
-            memo_op(algebra_differential(algebra)),
-            memo_op(cobar_gf),
-        )
+        self.con0 = lift_contraction(cobar_contraction(self.C1), cobar_gf)
         self.con = bpl(self.con0, self.t)
 
     def unit_inclusion(self, word):

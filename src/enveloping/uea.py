@@ -53,13 +53,8 @@ class AInftyStructure:
         cached = self._tables.get(words)
         if cached is not None:
             return cached
-        bar = Word(BAR, words)
-        image = self.transfer.con.d_small(bar)
-        value = Vector()
-        for w, c in image.items():
-            if w.length == 1:
-                value.add_term(w.letters[0], c)
-        value = value.scaled(conjugation_sign([w.degree for w in words]))
+        image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
+        value = image.scaled(conjugation_sign([w.degree for w in words]))
         self._tables[words] = value
         return value
 
@@ -103,6 +98,23 @@ class AInftyStructure:
                 }
             )
         return entries
+
+
+def corestriction(vector):
+    """The one-letter part of a vector of bar words, as a vector of letters."""
+    out = Vector()
+    for w, c in vector.items():
+        if w.length == 1:
+            out.add_term(w.letters[0], c)
+    return out
+
+
+def caps_suffice(structure, arity):
+    """Whether the arity cap reaches the arity of the products that a check
+    needs; the failure names that arity."""
+    if structure.arity_cap < arity:
+        return CheckResult(False, arity, "caps too small for the check")
+    return CheckResult(True)
 
 
 def word_of(*gens):
@@ -200,6 +212,9 @@ def pbw_compare(structure, weight_cap=None):
     algebra = structure.algebra
     if not algebra.is_dg_lie():
         return CheckResult(False, None, "input is not a binary-bracket algebra")
+    caps = caps_suffice(structure, 2)
+    if not caps:
+        return caps
     cap = weight_cap or structure.weight_cap
     oracle = ClassicalEnveloping(algebra)
     words = []
@@ -309,54 +324,52 @@ def direct_sum(algebra):
     return LInftyAlgebra(gens, brackets, name=algebra.name + "^2")
 
 
-def coproduct_map(algebra):
-    """The bialgebra coproduct as a map into words of the doubled algebra."""
-
-    def on_word(word):
-        letters = word.letters
-        out = Vector()
-        for inside, outside, sign in unshuffles(
-            [g.degree for g in letters], range(len(letters) + 1)
-        ):
-            first = [Generator(TAGS[0] + letters[i].id, letters[i].degree)
-                     for i in inside]
-            second = [Generator(TAGS[1] + letters[i].id, letters[i].degree)
-                      for i in outside]
-            s2, w2 = sym_word(first + second)
-            if w2 is None:
-                continue
-            out.add_term(w2, sign * s2)
-        return out
-
-    return on_word
+def coproduct_map(word):
+    """The bialgebra coproduct of a word, into words of the doubled algebra."""
+    letters = word.letters
+    out = Vector()
+    for inside, outside, sign in unshuffles(
+        [g.degree for g in letters], range(len(letters) + 1)
+    ):
+        first = [Generator(TAGS[0] + letters[i].id, letters[i].degree) for i in inside]
+        second = [Generator(TAGS[1] + letters[i].id, letters[i].degree) for i in outside]
+        s2, w2 = sym_word(first + second)
+        if w2 is None:
+            continue
+        out.add_term(w2, sign * s2)
+    return out
 
 
 def coproduct_strictness_check(structure, arity_cap=2, weight_cap=3):
     """The coproduct is a strict morphism into the doubled enveloping."""
     algebra = structure.algebra
     doubled = AInftyStructure(direct_sum(algebra), arity_cap, weight_cap)
-    delta = coproduct_map(algebra)
     for bar in structure.bar_words():
         if bar.length > arity_cap or bar.rank > weight_cap:
             continue
-        lhs = structure.product(bar.letters).apply(delta)
-        inputs = vector_product([delta(w) for w in bar.letters], lambda ws: (1, ws))
+        lhs = structure.product(bar.letters).apply(coproduct_map)
+        inputs = vector_product([coproduct_map(w) for w in bar.letters], lambda ws: (1, ws))
         if lhs != inputs.apply(doubled.product):
             return CheckResult(False, bar, "coproduct is not strict here")
     return CheckResult(True)
 
 
-def truncation_agreement_check(algebra, weight_cap=4):
-    """Differential and binary product agree with the 2-truncation's."""
-    truncated = algebra.truncate_to_dg_lie()
+def truncation_agreement_check(structure):
+    """Differential and binary product agree with the 2-truncation's: the
+    structure's own m_1 and m_2 against those of the 2-truncation at the
+    same weight cap."""
+    caps = caps_suffice(structure, 2)
+    if not caps:
+        return caps
+    weight_cap = structure.weight_cap
+    truncated = structure.algebra.truncate_to_dg_lie()
     from .linfty import check_linfty
 
     if not check_linfty(truncated, min(weight_cap + 1, 4)):
         return CheckResult(False, None, "the 2-truncation is not a dg Lie algebra")
-    full = AInftyStructure(algebra, 2, weight_cap)
     trunc = AInftyStructure(truncated, 2, weight_cap)
-    for bar in full.bar_words():
-        if full.product(bar.letters) != trunc.product(bar.letters):
+    for bar in trunc.bar_words():
+        if structure.product(bar.letters) != trunc.product(bar.letters):
             return CheckResult(False, bar, "products differ from the 2-truncation")
     return CheckResult(True)
 
@@ -385,12 +398,7 @@ class AInftyMorphismData:
 
     def component(self, words):
         """U(phi)_n: the corestriction on an input tuple, as algebra words."""
-        bar = Word(BAR, words)
-        out = Vector()
-        for w, c in self.apply(bar).items():
-            if w.length == 1:
-                out.add_term(w.letters[0], c)
-        return out
+        return corestriction(self.apply(Word(BAR, words)))
 
 
 def u_morphism(phi, arity_cap=3, weight_cap=4):

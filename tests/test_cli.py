@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from enveloping import permutahedra
+from enveloping import permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
@@ -447,10 +447,42 @@ def test_bgg_below_the_top_bracket_arity_reports_small_caps(capsys):
     code, out, err = run(capsys, argv)
     assert code == 1 and err == ""
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["bgg: twisted tensor homology is one point"] == {
-        "name": "bgg: twisted tensor homology is one point",
-        "status": "fail", "counterexample": "3"}
+    for name in ("bgg: twisted cochain equation", "bgg: twisted tensor homology is one point"):
+        assert checks[name] == {"name": name, "status": "fail", "counterexample": "3",
+                                "detail": "caps too small for the check"}
     assert len(checks) == 4
+    code, out, err = run(capsys, [a for a in argv if a not in ("--format", "json")])
+    assert code == 1 and err == ""
+    assert out.count("      counterexample: 3\n      detail: caps too small for the check\n") == 2
+
+
+@pytest.mark.parametrize("name", ["sl2", "l3only"])
+def test_arity_cap_one_reports_small_caps(capsys, name):
+    argv = ["--input", "bundled:%s" % name, "--arity-cap", "1", "--weight-cap", "2",
+            "--format", "json", "check", "--suite", "all"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and err == ""
+    failing = {c["name"]: c for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert failing and all(c["detail"] == "caps too small for the check"
+                           for c in failing.values())
+
+
+def test_check_transfers_its_input_once(capsys, monkeypatch):
+    # the truncation check reads the run's structure; only the 2-truncation
+    # (sl2_trunc), the doubled algebra and the morphism checks build their own
+    built = []
+    init = uea.AInftyStructure.__init__
+
+    def recording_init(self, algebra, arity_cap, weight_cap):
+        built.append(algebra.name)
+        init(self, algebra, arity_cap, weight_cap)
+
+    monkeypatch.setattr(uea.AInftyStructure, "__init__", recording_init)
+    argv = ["--input", "bundled:sl2", "--arity-cap", "3", "--weight-cap", "3",
+            "--format", "json", "check", "--suite", "all"]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert built.count("sl2") == 1 and "sl2_trunc" in built
 
 
 def test_counterexamples_keep_their_order():

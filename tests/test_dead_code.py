@@ -10,11 +10,13 @@ same name is no use of it), and either, in ``perfbench/``, as a string (the
 benchmark patches some attributes by name).
 A reference from ``tests/`` does not count: what only the tests reach lives
 in the tests.  Dunder methods are called by the language and are not
-checked.
+checked.  Every parameter of a function or method is read in its body
+(a method's ``self`` or ``cls`` aside).
 
 A process-global cache survives a test's monkeypatch of what it was built
 from, so state computed from a contraction lives on the contraction; the
-module-level caches are held to a short allowlist.
+module-level caches, and the dict or set attributes of a class body that
+a method fills, are held to a short allowlist.
 """
 
 import ast
@@ -94,6 +96,26 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {item for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            if fn in methods:
+                params = params[1:]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += ["%s.%s(%s)" % (path.stem, fn.name, p) for p in params if p not in read]
+    assert unread == []
+
+
 # the only process-global cache: one contraction per n, which the tests that
 # inject a fault replace as a whole
 GLOBAL_CACHES = {"permutahedra.build_contraction"}
@@ -114,7 +136,11 @@ def _is_dict_or_set(node):
             and node.func.id in {"dict", "set", "defaultdict", "OrderedDict", "Counter"})
 
 
-def _mutated_names(function):
+def _mutated_names(function, owner=None):
+    """The names that ``function`` fills by item assignment or a mutator
+    call, and ``Cls.X`` for an attribute of a name; in a method of class
+    ``owner``, the first parameter (``self`` or ``cls``) stands for it."""
+    first = function.args.args[0].arg if owner and function.args.args else None
     names = set()
     for node in ast.walk(function):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -126,6 +152,9 @@ def _mutated_names(function):
             continue
         if isinstance(target, ast.Name):
             names.add(target.id)
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+            name = target.value.id
+            names.add("%s.%s" % (owner if name == first else name, target.attr))
     return names
 
 
@@ -141,11 +170,18 @@ def _global_caches():
                 if any(_decorator_name(d) in CACHE_DECORATORS for d in fn.decorator_list):
                     yield "%s.%s" % (path.stem, fn.name)
         mutated = set().union(*map(_mutated_names, functions))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and _is_dict_or_set(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id in mutated:
-                        yield "%s.%s" % (path.stem, target.id)
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for cls in classes:
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    mutated |= _mutated_names(fn, cls.name)
+        # module-level tables, then class-level ones
+        for prefix, body in [("", tree.body)] + [(cls.name + ".", cls.body) for cls in classes]:
+            for node in body:
+                if isinstance(node, ast.Assign) and _is_dict_or_set(node.value):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name) and prefix + target.id in mutated:
+                            yield "%s.%s%s" % (path.stem, prefix, target.id)
 
 
 def test_no_process_global_cache_outside_the_allowlist():

@@ -383,17 +383,12 @@ def test_cobar_differential_is_a_derivation():
 
 
 def test_named_lift_and_perturbations_match_the_transfer(sl2_transfer):
-    from enveloping.hpt import lift_contraction
+    from enveloping.hpt import Contraction, lift_contraction
 
     T = sl2_transfer
-    con = lift_contraction(
-        cobar_f,
-        cobar_g,
-        cobar_h,
-        cobar_differential(T.C1),
-        algebra_differential(T.algebra),
-        cobar_gf,
-    )
+    letters = Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(T.C1),
+                          algebra_differential(T.algebra))
+    con = lift_contraction(letters, cobar_gf)
     for bar in bar_words_cobar(T.C1.sgens, 2, 2):
         v = Vector.unit(bar)
         assert v.apply(con.F) == v.apply(T.con0.F)

@@ -173,14 +173,14 @@ def test_coproduct_strictness(sl2_structure, l3_structure):
 
 
 def test_truncation_agreement():
-    assert truncation_agreement_check(sl2_plus_l3(), 3)
+    assert truncation_agreement_check(AInftyStructure(sl2_plus_l3(), 2, 3))
     # the gadget's own 2-truncation is abelian: binary product is symmetric
     A = AInftyStructure(bundled("l3only"), 2, 3)
     for bar in A.bar_words():
         if bar.length == 2:
             assert A.product(bar.letters) == star_product(*bar.letters)
     # vacuous agreement for an honest binary-bracket algebra
-    assert truncation_agreement_check(bundled("sl2"), 3)
+    assert truncation_agreement_check(AInftyStructure(bundled("sl2"), 2, 3))
 
 
 def test_determinism_of_product_tables():
