@@ -11,7 +11,8 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-from .exactlin import CheckResult, FiniteComplex, Vector, conjugation_sign, memo_op, sym_word
+from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, memo_op,
+                       square_zero, sym_word)
 from .linfty import LInftyModule
 from .uea import caps_suffice
 from .words import sym_words, vector_product
@@ -37,7 +38,7 @@ def _arity_needed(structure, weight_cap):
     return max([2] + [k for k in structure.algebra.arities() if k <= weight_cap])
 
 
-def generalized_cochain_check(structure, weight_cap=None):
+def generalized_cochain_check(structure):
     """tau d_C + d_A tau = sum_i m_i tau^{x i} Delta^(i) on capped words.
 
     The quadratic-and-higher side is evaluated through the degree-0 composite
@@ -45,24 +46,26 @@ def generalized_cochain_check(structure, weight_cap=None):
     conjugation of the products gives ``conjugation_sign`` of the degrees of
     tau c_1, ..., tau c_i on each ordered split (c_1, ..., c_i).
     """
-    cap = weight_cap or structure.weight_cap
-    caps = caps_suffice(structure, _arity_needed(structure, cap))
+    caps = caps_suffice(structure, _arity_needed(structure, structure.weight_cap))
     if not caps:
         return caps
     C = structure.transfer.Cfull
-    for word in C.all_words(cap):
-        lhs = C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
-        rhs = Vector()
+
+    def lhs(word):
+        return C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
+
+    def rhs(word):
+        out = Vector()
         for parts in range(2, min(word.rank, structure.arity_cap) + 1):
             for split, c in C.iterated_reduced_coproduct(word, parts).items():
                 inputs = _tau_inputs(split)
                 if inputs is None:
                     continue
                 sign = conjugation_sign([w.degree for w in inputs])
-                rhs.accumulate(structure.product(inputs), c * sign)
-        if lhs != rhs:
-            return CheckResult(False, word, "twisted cochain equation fails")
-    return CheckResult(True)
+                out.accumulate(structure.product(inputs), c * sign)
+        return out
+
+    return agree(C.all_words(), lhs, rhs, "twisted cochain equation fails")
 
 
 def _coaction_splits(C, word, parts):
@@ -158,20 +161,24 @@ class TwistedComplex:
             cw, uw = key
             deg = (0 if cw is None else cw.degree) + (0 if uw is None else uw.degree)
             by_degree.setdefault(deg, []).append(key)
-        return FiniteComplex(by_degree, self.differential, check=True)
+        return FiniteComplex(by_degree, self.differential)
 
 
-def twisted_tensor_acyclicity(structure, weight_cap=None):
+def twisted_tensor_acyclicity(structure, weight_cap):
     """Homology of the capped twisted tensor complex: one class in degree 0.
 
     The complex needs the products up to m_2 and up to the top bracket arity
-    that its weight can reach; below that the caps are too small."""
-    cap = weight_cap or structure.weight_cap
-    caps = caps_suffice(structure, _arity_needed(structure, cap))
+    that its weight can reach; below that the caps are too small.  Its
+    differential must square to zero before its homology means anything."""
+    caps = caps_suffice(structure, _arity_needed(structure, weight_cap))
     if not caps:
         return caps, None
-    cx = TwistedComplex(structure, cap).complex()
-    dims = cx.homology_dims()
+    twisted = TwistedComplex(structure, weight_cap)
+    square = square_zero(twisted.basis, twisted.differential,
+                         "twisted differential squares to %r")
+    if not square:
+        return square, None
+    dims = twisted.complex().homology_dims()
     ok = dims == {0: 1}
     return CheckResult(ok, None if ok else dims, "" if ok else "homology %r" % dims), dims
 
@@ -254,10 +261,10 @@ def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
     forward = functor_g(module_l, structure, arity_cap, weight_cap)
     back = functor_f(forward, weight_cap)
     wcap = weight_cap or structure.weight_cap
-    C = structure.transfer.Cfull
-    for word in C.all_words(wcap):
-        if module_l.tau(word) != back.tau(word):
-            return CheckResult(False, word, "action tables changed on the round trip")
+    tables = agree(structure.transfer.Cfull.all_words(wcap), module_l.tau, back.tau,
+                   "action tables changed on the round trip")
+    if not tables:
+        return tables
     if module_l.d_m != back.d_m:
         return CheckResult(False, None, "module differential changed")
     return CheckResult(True)

@@ -438,29 +438,73 @@ def square_zero(keys, d, detail):
     return CheckResult(True)
 
 
-class FiniteComplex:
-    """A finite complex: basis per degree plus a degree +1 differential."""
+def agree(keys, lhs, rhs, detail):
+    """Fails at the first key where lhs(key) != rhs(key), with ``detail``."""
+    for key in keys:
+        if lhs(key) != rhs(key):
+            return CheckResult(False, key, detail)
+    return CheckResult(True)
 
-    def __init__(self, components, differential, check=True):
+
+class Contraction:
+    """Big and small complexes with projection, inclusion and homotopy, each
+    a map on basis keys.
+
+    All five identities (FG = 1, 1 - GF = dH + Hd and the three side
+    conditions) are expected to hold; ``verify_on`` checks them, and that F
+    and G are chain maps, on a basis, and fails at the first basis key where
+    one breaks, with its name.
+    """
+
+    def __init__(self, F, G, H, d_big, d_small):
+        self.F = memo_op(F)
+        self.G = memo_op(G)
+        self.H = memo_op(H)
+        self.d_big = memo_op(d_big)
+        self.d_small = memo_op(d_small)
+
+    def verify_on(self, big_words, small_words):
+        for w in small_words:
+            v = Vector.unit(w)
+            if v.apply(self.G).apply(self.F) != v:
+                return CheckResult(False, w, "FG")
+            if v.apply(self.G).apply(self.H):
+                return CheckResult(False, w, "HG")
+            lhs = v.apply(self.G).apply(self.d_big)
+            rhs = v.apply(self.d_small).apply(self.G)
+            if lhs != rhs:
+                return CheckResult(False, w, "G chain map")
+        for w in big_words:
+            v = Vector.unit(w)
+            gf = v.apply(self.F).apply(self.G)
+            hom = v.apply(self.H).apply(self.d_big) + v.apply(self.d_big).apply(self.H)
+            if v - gf != hom:
+                return CheckResult(False, w, "homotopy identity")
+            if v.apply(self.H).apply(self.F):
+                return CheckResult(False, w, "FH")
+            if v.apply(self.H).apply(self.H):
+                return CheckResult(False, w, "HH")
+            lhs = v.apply(self.F).apply(self.d_small)
+            rhs = v.apply(self.d_big).apply(self.F)
+            if lhs != rhs:
+                return CheckResult(False, w, "F chain map")
+        return CheckResult(True)
+
+
+class FiniteComplex:
+    """A finite complex: basis per degree plus a degree +1 differential,
+    which is taken to square to zero (``square_zero`` checks that)."""
+
+    def __init__(self, components, differential):
         # components: {degree: sequence of basis keys}
         self.components = {p: tuple(ws) for p, ws in components.items() if ws}
         self.differential = differential
-        if check:
-            self.check_square_zero()
 
     def basis(self, p):
         return self.components.get(p, ())
 
     def degrees(self):
         return sorted(self.components)
-
-    def check_square_zero(self):
-        keys = (w for p in self.degrees() for w in self.basis(p))
-        result = square_zero(keys, self.differential, "%r")
-        if not result:
-            raise ValueError("differential does not square to zero at %r"
-                             % (result.counterexample,))
-        return True
 
     def homology_dims(self):
         """Exact homology dimensions per degree via sparse row reduction."""

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from .exactlin import (
     BAR,
     COBAR,
-    CheckResult,
+    Contraction,
     Vector,
     Word,
     axpy,
@@ -183,48 +183,6 @@ def lifted_homotopy(letter_gf, letter_h):
         return out
 
     return on_bar
-
-
-class Contraction:
-    """Big and small complexes with projection, inclusion and homotopy.
-
-    All five identities (FG = 1, 1 - GF = dH + Hd and the three side
-    conditions) are expected to hold; ``verify_on`` checks them on a basis.
-    """
-
-    def __init__(self, F, G, H, d_big, d_small):
-        self.F = memo_op(F)
-        self.G = memo_op(G)
-        self.H = memo_op(H)
-        self.d_big = memo_op(d_big)
-        self.d_small = memo_op(d_small)
-
-    def verify_on(self, big_words, small_words):
-        for w in small_words:
-            v = Vector.unit(w)
-            if v.apply(self.G).apply(self.F) != v:
-                return CheckResult(False, w, "FG")
-            if v.apply(self.G).apply(self.H):
-                return CheckResult(False, w, "HG")
-            lhs = v.apply(self.G).apply(self.d_big)
-            rhs = v.apply(self.d_small).apply(self.G)
-            if lhs != rhs:
-                return CheckResult(False, w, "G chain map")
-        for w in big_words:
-            v = Vector.unit(w)
-            gf = v.apply(self.F).apply(self.G)
-            hom = v.apply(self.H).apply(self.d_big) + v.apply(self.d_big).apply(self.H)
-            if v - gf != hom:
-                return CheckResult(False, w, "homotopy identity")
-            if v.apply(self.H).apply(self.F):
-                return CheckResult(False, w, "FH")
-            if v.apply(self.H).apply(self.H):
-                return CheckResult(False, w, "HH")
-            lhs = v.apply(self.F).apply(self.d_small)
-            rhs = v.apply(self.d_big).apply(self.F)
-            if lhs != rhs:
-                return CheckResult(False, w, "F chain map")
-        return CheckResult(True)
 
 
 class PerturbationError(RuntimeError):

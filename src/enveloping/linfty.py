@@ -13,9 +13,9 @@ import math
 from fractions import Fraction
 
 from .exactlin import (
-    CheckResult,
     Generator,
     Vector,
+    agree,
     antisymmetric_sign,
     conjugation_sign,
     format_scalar,
@@ -28,7 +28,7 @@ from .exactlin import (
     sym_word,
     unshuffles,
 )
-from .words import sym_words, vector_product
+from .words import sym_words, sym_words_upto, vector_product
 
 
 class LInftyAlgebra:
@@ -155,10 +155,7 @@ class CECoalgebra:
 
     def all_words(self, max_weight=None):
         cap = self.weight_cap if max_weight is None else max_weight
-        out = []
-        for w in range(1, cap + 1):
-            out.extend(self.words(w))
-        return out
+        return sym_words_upto(self.sgens, cap)
 
     def c_value(self, letters):
         """Corestricted coderivation on a block of suspended letters."""
@@ -272,12 +269,9 @@ def check_morphism(phi, weight_cap):
     """Commutation of the induced coalgebra map with both differentials."""
     CL = CECoalgebra(phi.source, weight_cap)
     CM = CECoalgebra(phi.target, weight_cap)
-    for word in CL.all_words():
-        lhs = CL.delta(word).apply(phi.coalgebra_map)
-        rhs = phi.coalgebra_map(word).apply(CM.delta)
-        if lhs != rhs:
-            return CheckResult(False, word, "coalgebra map is not a chain map")
-    return CheckResult(True)
+    return agree(CL.all_words(), lambda word: CL.delta(word).apply(phi.coalgebra_map),
+                 lambda word: phi.coalgebra_map(word).apply(CM.delta),
+                 "coalgebra map is not a chain map")
 
 
 def compose_morphisms(psi, phi, weight_cap):
@@ -465,6 +459,13 @@ def _integer(value, what):
     return int(value)
 
 
+def _ids(value, what):
+    """A list of ids in the JSON input; a string or other non-list is refused."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError("%s must be a list of ids, not %r" % (what, value))
+    return value
+
+
 def _generators_from_json(entries):
     """{id: Generator} from the JSON generator list; a repeated id is refused."""
     gens = {}
@@ -484,16 +485,10 @@ def algebra_from_json(data):
             if rel["id"] in polys:
                 raise ValueError("duplicate relation id %r" % (rel["id"],))
             polys[rel["id"]] = [
-                (parse_scalar(t["coeff"]), tuple(t["monomial"])) for t in rel["terms"]
+                (parse_scalar(t["coeff"]), tuple(_ids(t["monomial"], "a monomial")))
+                for t in rel["terms"]
             ]
-        variables = ci["variables"]
-        if not isinstance(variables, list) or not all(
-            isinstance(v, str) for v in variables
-        ):
-            raise ValueError(
-                "complete-intersection variables must be a list of ids, not %r"
-                % (variables,)
-            )
+        variables = _ids(ci["variables"], "complete-intersection variables")
         return from_complete_intersection(
             variables, polys, bool(ci.get("divided_powers", False))
         )
@@ -501,12 +496,13 @@ def algebra_from_json(data):
     brackets = {}
     for b in data.get("brackets", []):
         arity = _integer(b["arity"], "arity")
-        word = tuple(sorted(gens[i] for i in b["inputs"]))
+        word = tuple(sorted(gens[i] for i in _ids(b["inputs"], "bracket inputs")))
         value = {}
         for t in b["value"]:
-            if len(t["monomial"]) != 1:
+            monomial = _ids(t["monomial"], "a monomial")
+            if len(monomial) != 1:
                 raise ValueError("bracket values must be single generators")
-            g = gens[t["monomial"][0]]
+            g = gens[monomial[0]]
             value[g] = value.get(g, Fraction(0)) + parse_scalar(t["coeff"])
         table = brackets.setdefault(arity, {})
         if word in table:
@@ -524,7 +520,7 @@ def module_from_json(algebra, data):
     action = {}
     for entry in data.get("actions", []):
         arity = _integer(entry["arity"], "arity")
-        inputs = entry.get("inputs", [])
+        inputs = _ids(entry.get("inputs", []), "module action inputs")
         if arity != len(inputs):
             raise ValueError(
                 "module action of arity %d has %d inputs" % (arity, len(inputs))
@@ -535,9 +531,10 @@ def module_from_json(algebra, data):
         target_degree = sum(g.degree for g in letters) + m.degree + 1
         terms = []
         for t in entry["value"]:
-            if len(t["monomial"]) != 1:
+            monomial = _ids(t["monomial"], "a monomial")
+            if len(monomial) != 1:
                 raise ValueError("module action values must be single generators")
-            g = gens[t["monomial"][0]]
+            g = gens[monomial[0]]
             if g.degree != target_degree:
                 raise ValueError(
                     "module action of %r on %r must land in degree %d"

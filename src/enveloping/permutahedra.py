@@ -24,6 +24,7 @@ from functools import lru_cache
 from .exactlin import (
     COBAR,
     TENSOR,
+    Contraction,
     Echelon,
     FiniteComplex,
     Vector,
@@ -136,7 +137,7 @@ def chain_complex(n):
     faces = {}
     for d in range(1, n + 1):
         faces[-(n - d)] = enumerate_faces(n, d)
-    return FiniteComplex(faces, boundary, check=False)
+    return FiniteComplex(faces, boundary)
 
 
 class FaceIndex:
@@ -242,14 +243,15 @@ def _apply(vec, columns):
     return out
 
 
-class PermutahedronContraction:
-    """Equivariant contraction (F, G, H) of the face complex onto k.
+class PermutahedronContraction(Contraction):
+    """Equivariant contraction of the face complex onto k, whose one basis
+    element is ().
 
-    F is the vertex augmentation and G the normalized average of vertices.
-    H starts from a degreewise exact solve on every face, is averaged over
-    the group S_n x <nu> and repaired to satisfy the side conditions:
-    H' = (1 - GF) Havg (1 - GF), then H = H' d H'.  Every stage is
-    equivariant, so it is computed, on demand, only on the orbit
+    F sends a vertex to 1 and G sends 1 to the average of the vertices; d on
+    k is zero.  H starts from a degreewise exact solve on every face, is
+    averaged over the group S_n x <nu> and repaired to satisfy the side
+    conditions: H' = (1 - GF) Havg (1 - GF), then H = H' d H'.  Every stage
+    is equivariant, so it is computed, on demand, only on the orbit
     representatives (one standard face per composition of n) and reaches any
     other face through the action.  The stages run on integer chains over
     face numbers, scaled by N = n!: the solve yields N Hraw, the average
@@ -260,8 +262,15 @@ class PermutahedronContraction:
 
     def __init__(self, n):
         self.n = n
-        self.vertices = enumerate_faces(n, n)
         self._nfact = math.factorial(n)
+        average = Fraction(1, self._nfact)
+        super().__init__(
+            lambda f: Vector.unit((), 1 if f.d == n else 0),
+            lambda _: Vector(dict.fromkeys(enumerate_faces(n, n), average)),
+            self._column,
+            boundary,
+            lambda _: Vector(),
+        )
         self._faces = FaceIndex(n)
         self._raw = {}  # representative -> [(face, N Hraw column)] over its orbit
         for f, col in _solve_homotopy(self._faces).items():
@@ -272,26 +281,6 @@ class PermutahedronContraction:
         self.columns = {}
         self._plans = {}  # (composition, letter parities) -> compiled cobar_h
         self._letters = {}  # block of generators -> (sign, letter), or None
-
-    def F(self, vec):
-        total = Fraction(0)
-        for f, c in vec.items():
-            if f.d == f.n:
-                total += c
-        return total
-
-    def G(self, scalar):
-        out = Vector()
-        q = Fraction(scalar, self._nfact)
-        for v in self.vertices:
-            out.add_term(v, q)
-        return out
-
-    def H(self, vec):
-        out = Vector()
-        for f, c in vec.items():
-            out.accumulate(self._column(f), c)
-        return out
 
     def homotopy_column(self, face):
         return self._column(face)

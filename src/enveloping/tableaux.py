@@ -17,10 +17,12 @@ from fractions import Fraction
 from .exactlin import (
     CheckResult,
     TENSOR,
+    Contraction,
     Echelon,
     Generator,
     Vector,
     Word,
+    agree,
     antisymmetric_sign,
     perm_parity,
     square_zero,
@@ -191,19 +193,18 @@ def descent_subsets(T):
 
 
 def t_complex_contraction_check(T):
-    """T's cube complex squares to zero, and 1 - gf = dh + hd, with (f, g)
-    nonzero only on descent-free tableaux."""
+    """T's cube complex squares to zero and contracts by ``h_ct`` onto k,
+    whose one basis element is (), when T has no descents, and onto 0
+    otherwise: f and g are nonzero only on a descent-free T."""
     faces = [(T, J) for J in descent_subsets(T)]
     result = square_zero(faces, lambda k: boundary_ct(*k), "cube differential squares to %r")
     if not result:
         return result
-    for key in faces:
-        hom = h_ct(*key).apply(lambda k: boundary_ct(*k))
-        hom = hom + boundary_ct(*key).apply(lambda k: h_ct(*k))
-        # gf is the identity on the one face of a descent-free tableau
-        if hom != (Vector.unit(key) if len(faces) > 1 else Vector()):
-            return CheckResult(False, key, "contraction identity fails")
-    return CheckResult(True)
+    small = [()] if len(faces) == 1 else []  # one face: no descents
+    con = Contraction(lambda _: Vector.unit((), 1 if small else 0),
+                      lambda _: Vector.unit(faces[0]), lambda k: h_ct(*k),
+                      lambda k: boundary_ct(*k), lambda _: Vector())
+    return con.verify_on(faces, small)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +445,17 @@ def embedding_chain_check(images, delta_omega):
     """delta_omega e(T, J) = e(d(T, J)) on every face and Schur basis vector;
     ``images`` is ``embedding_images(n, gens)``.  The faces of d(T, J) are
     faces (T, J') of the same T."""
-    for T, by_face in images.items():
-        for J, face_images in by_face.items():
-            for k, image in enumerate(face_images):
-                lhs = image.apply(delta_omega)
-                rhs = Vector()
-                for (_, J2), c in boundary_ct(T, J).items():
-                    rhs.accumulate(by_face[J2][k], c)
-                if lhs != rhs:
-                    return CheckResult(False, (T, J), "chain map fails")
-    return CheckResult(True)
+    def lhs(face):
+        T, J = face
+        return [image.apply(delta_omega) for image in images[T][J]]
+
+    def rhs(face):
+        T, J = face
+        out = [Vector() for _ in images[T][J]]
+        for (_, J2), c in boundary_ct(T, J).items():
+            for v, image in zip(out, images[T][J2]):
+                v.accumulate(image, c)
+        return out
+
+    faces = [(T, J) for T, by_face in images.items() for J in by_face]
+    return agree(faces, lhs, rhs, "chain map fails")

@@ -14,6 +14,7 @@ from .exactlin import (
     Generator,
     Vector,
     Word,
+    agree,
     antisymmetric_sign,
     conjugation_sign,
     koszul_sign,
@@ -25,7 +26,7 @@ from .exactlin import (
 )
 from .hpt import Transfer, bar_coderivation, bar_morphism
 from .linfty import LInftyAlgebra
-from .words import bar_words_algebra, sym_words, vector_product
+from .words import bar_words_algebra, sym_words_upto, vector_product
 
 
 class AInftyStructure:
@@ -145,12 +146,9 @@ def stasheff_check(structure):
 def m1_matches_l1(structure):
     from .hpt import algebra_differential
 
-    d = algebra_differential(structure.algebra)
-    for weight in range(1, structure.weight_cap + 1):
-        for w in sym_words(structure.algebra.generators, weight):
-            if structure.m1(w) != d(w):
-                return CheckResult(False, w, "m_1 differs from the induced differential")
-    return CheckResult(True)
+    words = sym_words_upto(structure.algebra.generators, structure.weight_cap)
+    return agree(words, structure.m1, algebra_differential(structure.algebra),
+                 "m_1 differs from the induced differential")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +205,7 @@ class ClassicalEnveloping:
         )
 
 
-def pbw_compare(structure, weight_cap=None):
+def pbw_compare(structure):
     """Transported product equals classical multiplication; higher ones vanish."""
     algebra = structure.algebra
     if not algebra.is_dg_lie():
@@ -215,22 +213,20 @@ def pbw_compare(structure, weight_cap=None):
     caps = caps_suffice(structure, 2)
     if not caps:
         return caps
-    cap = weight_cap or structure.weight_cap
+    cap = structure.weight_cap
     oracle = ClassicalEnveloping(algebra)
-    words = []
-    for w in range(1, cap + 1):
-        words.extend(sym_words(algebra.generators, w))
-    for u in words:
-        for v in words:
-            if u.rank + v.rank > cap:
-                continue
-            lhs = structure.m2(u, v).apply(oracle.symmetrize)
-            rhs = oracle.multiply(oracle.symmetrize(u), oracle.symmetrize(v))
-            if lhs != rhs:
-                return CheckResult(False, (u, v), "transported product mismatch")
-    for bar in structure.bar_words():
-        if bar.length >= 3 and structure.product(bar.letters):
-            return CheckResult(False, bar, "higher product does not vanish")
+    words = sym_words_upto(algebra.generators, cap)
+    pairs = [(u, v) for u in words for v in words if u.rank + v.rank <= cap]
+    higher = [bar for bar in structure.bar_words() if bar.length >= 3]
+    result = (
+        agree(pairs, lambda uv: structure.m2(*uv).apply(oracle.symmetrize),
+              lambda uv: oracle.multiply(*map(oracle.symmetrize, uv)),
+              "transported product mismatch")
+        and agree(higher, lambda bar: structure.product(bar.letters), lambda _: Vector(),
+                  "higher product does not vanish")
+    )
+    if not result:
+        return result
     # closed form on generators
     for a in algebra.generators:
         for b in algebra.generators:
@@ -249,6 +245,9 @@ def pbw_compare(structure, weight_cap=None):
 
 def alt_bracket_check(structure, n):
     """Antisymmetrized n-fold product recovers the n-th bracket on generators."""
+    caps = caps_suffice(structure, n)
+    if not caps:
+        return caps
     algebra = structure.algebra
     for gens in itertools.product(algebra.generators, repeat=n):
         degs = [g.degree for g in gens]
@@ -270,32 +269,32 @@ def alt_bracket_check(structure, n):
     return CheckResult(True)
 
 
-def involution_check(structure, arities=(1, 2, 3)):
-    """The parity involution intertwines products with graded reversal.
+def involution_check(structure):
+    """The parity involution intertwines products with graded reversal, at
+    every arity up to the cap; it needs m_2.
 
     The reversal carries its Koszul sign together with the opposite-structure
     normalization (-1)^{(n-1)(n-2)/2}: this is the bar-level reversal
     threaded through the suspension powers.
     """
-    for bar in structure.bar_words():
-        n = bar.length
-        if n not in arities:
-            continue
-        words = bar.letters
-        value = structure.product(words)
-        lhs = value.scaled(1 if sum(w.rank for w in words) % 2 == 0 else -1)
-        rev = tuple(reversed(words))
-        sign = koszul_sign(
-            tuple(reversed(range(n))), [w.degree for w in words]
-        )
+    caps = caps_suffice(structure, 2)
+    if not caps:
+        return caps
+
+    def lhs(bar):
+        return structure.product(bar.letters).scaled(-1 if bar.rank % 2 else 1)
+
+    def rhs(bar):
+        n, words = bar.length, bar.letters
+        sign = koszul_sign(tuple(reversed(range(n))), [w.degree for w in words])
         if ((n - 1) * (n - 2) // 2) % 2:
             sign = -sign
-        rhs = Vector()
-        for w, c in structure.product(rev).items():
-            rhs.add_term(w, c * sign * (-1 if w.rank % 2 else 1))
-        if lhs != rhs:
-            return CheckResult(False, bar, "involution identity fails")
-    return CheckResult(True)
+        out = Vector()
+        for w, c in structure.product(tuple(reversed(words))).items():
+            out.add_term(w, c * sign * (-1 if w.rank % 2 else 1))
+        return out
+
+    return agree(structure.bar_words(), lhs, rhs, "involution identity fails")
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +339,22 @@ def coproduct_map(word):
     return out
 
 
-def coproduct_strictness_check(structure, arity_cap=2, weight_cap=3):
-    """The coproduct is a strict morphism into the doubled enveloping."""
-    algebra = structure.algebra
-    doubled = AInftyStructure(direct_sum(algebra), arity_cap, weight_cap)
-    for bar in structure.bar_words():
-        if bar.length > arity_cap or bar.rank > weight_cap:
-            continue
-        lhs = structure.product(bar.letters).apply(coproduct_map)
+def coproduct_strictness_check(structure, arity_cap, weight_cap):
+    """The coproduct is a strict morphism into the doubled enveloping, on bar
+    words within the two caps; it needs m_2."""
+    caps = caps_suffice(structure, 2)
+    if not caps:
+        return caps
+    doubled = AInftyStructure(direct_sum(structure.algebra), arity_cap, weight_cap)
+    bars = [bar for bar in structure.bar_words()
+            if bar.length <= arity_cap and bar.rank <= weight_cap]
+
+    def rhs(bar):
         inputs = vector_product([coproduct_map(w) for w in bar.letters], lambda ws: (1, ws))
-        if lhs != inputs.apply(doubled.product):
-            return CheckResult(False, bar, "coproduct is not strict here")
-    return CheckResult(True)
+        return inputs.apply(doubled.product)
+
+    return agree(bars, lambda bar: structure.product(bar.letters).apply(coproduct_map),
+                 rhs, "coproduct is not strict here")
 
 
 def truncation_agreement_check(structure):
@@ -368,10 +371,9 @@ def truncation_agreement_check(structure):
     if not check_linfty(truncated, min(weight_cap + 1, 4)):
         return CheckResult(False, None, "the 2-truncation is not a dg Lie algebra")
     trunc = AInftyStructure(truncated, 2, weight_cap)
-    for bar in trunc.bar_words():
-        if structure.product(bar.letters) != trunc.product(bar.letters):
-            return CheckResult(False, bar, "products differ from the 2-truncation")
-    return CheckResult(True)
+    return agree(trunc.bar_words(), lambda bar: structure.product(bar.letters),
+                 lambda bar: trunc.product(bar.letters),
+                 "products differ from the 2-truncation")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ class AInftyMorphismData:
         return corestriction(self.apply(Word(BAR, words)))
 
 
-def u_morphism(phi, arity_cap=3, weight_cap=4):
+def u_morphism(phi, arity_cap, weight_cap):
     src = AInftyStructure(phi.source, arity_cap, weight_cap)
     tgt = AInftyStructure(phi.target, arity_cap, weight_cap)
     return AInftyMorphismData(phi, src, tgt)
@@ -418,29 +420,23 @@ def sym_extension(phi):
 
 def check_first_component(data):
     """U(phi)_1 is the symmetrization of the first component."""
-    ext = sym_extension(data.phi)
-    for weight in range(1, data.source.weight_cap + 1):
-        for w in sym_words(data.source.algebra.generators, weight):
-            if data.component((w,)) != ext(w):
-                return CheckResult(False, w, "first component is not Sym(phi_1)")
-    return CheckResult(True)
+    words = sym_words_upto(data.source.algebra.generators, data.source.weight_cap)
+    return agree(words, lambda w: data.component((w,)), sym_extension(data.phi),
+                 "first component is not Sym(phi_1)")
 
 
 def check_strict_vanishing(data):
-    for bar in data.source.bar_words():
-        if bar.length >= 2 and data.component(bar.letters):
-            return CheckResult(False, bar, "strict morphism has a higher component")
-    return CheckResult(True)
+    higher = [bar for bar in data.source.bar_words() if bar.length >= 2]
+    return agree(higher, lambda bar: data.component(bar.letters), lambda _: Vector(),
+                 "strict morphism has a higher component")
 
 
 def check_morphism_chain_map(data):
     """The transferred map commutes with the two bar differentials."""
-    for bar in data.source.bar_words():
-        lhs = data.apply(bar).apply(data.target.bar_differential)
-        rhs = data.source.bar_differential(bar).apply(data.apply)
-        if lhs != rhs:
-            return CheckResult(False, bar, "transferred map is not a chain map")
-    return CheckResult(True)
+    return agree(data.source.bar_words(),
+                 lambda bar: data.apply(bar).apply(data.target.bar_differential),
+                 lambda bar: data.source.bar_differential(bar).apply(data.apply),
+                 "transferred map is not a chain map")
 
 
 class CompositionHomotopy:
@@ -460,7 +456,7 @@ class CompositionHomotopy:
         return v
 
 
-def composition_homotopy_check(phi, psi, arity_cap=3, weight_cap=4):
+def composition_homotopy_check(phi, psi, arity_cap, weight_cap):
     """The composite-transfer defect is the boundary of the homotopy."""
     data_phi = u_morphism(phi, arity_cap, weight_cap)
     mid = data_phi.target

@@ -24,6 +24,11 @@ def sym_words(gens, weight):
     return out
 
 
+def sym_words_upto(gens, weight_cap):
+    """All nonzero symmetric words of weight 1 to ``weight_cap``, by weight."""
+    return [w for weight in range(1, weight_cap + 1) for w in sym_words(gens, weight)]
+
+
 def cobar_words(gens, rank):
     """All cobar words of a given rank over suspended generators."""
     out = []

@@ -17,6 +17,7 @@ from enveloping.exactlin import (
     Word,
     memo_op,
     perm_parity,
+    square_zero,
     sym_word,
 )
 from enveloping.hpt import bar_coderivation, concatenation
@@ -118,13 +119,22 @@ def nu_vector(vec):
     return out
 
 
+def finite_complex(components, differential):
+    """The finite complex, after asserting that its differential squares to
+    zero on every basis key."""
+    keys = [key for basis in components.values() for key in basis]
+    result = square_zero(keys, differential, "%r")
+    assert result, result
+    return FiniteComplex(components, differential)
+
+
 def t_complex(T):
     """T's cube complex: the (T, J) for J a set of descents, graded by -#J.
-    Building it checks that it squares to zero."""
+    Building it asserts that it squares to zero."""
     components = {}
     for J in tableaux.descent_subsets(T):
         components.setdefault(-len(J), []).append((T, J))
-    return FiniteComplex(components, lambda key: tableaux.boundary_ct(*key))
+    return finite_complex(components, lambda key: tableaux.boundary_ct(*key))
 
 
 def induced_algebra_map(phi):

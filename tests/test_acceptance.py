@@ -98,20 +98,19 @@ def test_criterion_01_permutahedra():
                         s2, g2 = act(sigma, g1)
                         ok &= (s1 * s2, g2) == act(comp, f)
         con = permutahedra.build_contraction(n)
-        ok &= con.F(con.G(Fraction(1))) == 1
-        ok &= not con.H(con.G(Fraction(1)))
-        h_cols = {f: con.H(Vector.unit(f)) for f in faces}
+        one = Vector.unit(())  # the basis of k
+        ok &= one.apply(con.G).apply(con.F) == one
+        ok &= not one.apply(con.G).apply(con.H)
+        h_cols = {f: con.H(f) for f in faces}
         for f in faces:
             v = Vector.unit(f)
-            hom = h_cols[f].apply(permutahedra.boundary) + con.H(boundaries[f])
-            ok &= v - con.G(con.F(v)) == hom
-            ok &= con.F(h_cols[f]) == 0
-            ok &= not con.H(h_cols[f])
+            hom = h_cols[f].apply(permutahedra.boundary) + boundaries[f].apply(con.H)
+            ok &= v - v.apply(con.F).apply(con.G) == hom
+            ok &= not h_cols[f].apply(con.F)
+            ok &= not h_cols[f].apply(con.H)
             for sigma in gens:
-                ok &= con.H(
-                    act_vector(sigma, v)
-                ) == act_vector(sigma, h_cols[f])
-            ok &= con.H(nu_vector(v)) == nu_vector(h_cols[f])
+                ok &= act_vector(sigma, v).apply(con.H) == act_vector(sigma, h_cols[f])
+            ok &= nu_vector(v).apply(con.H) == nu_vector(h_cols[f])
     report("criterion 1: permutahedron suite n <= 5", ok, started)
 
 
@@ -194,7 +193,7 @@ def test_criterion_04_pbw():
     ok = True
     for algebra in (sl2(), linfty.heisenberg()):
         structure = uea.AInftyStructure(algebra, 3, 4)
-        ok &= bool(uea.pbw_compare(structure, 4))
+        ok &= bool(uea.pbw_compare(structure))
     report("criterion 4: classical enveloping comparison", ok, started)
 
 
@@ -212,7 +211,7 @@ def test_criterion_06_involution_and_coproduct():
     ok = True
     for algebra in (sl2(), l3_gadget()):
         structure = uea.AInftyStructure(algebra, 3, 3)
-        ok &= bool(uea.involution_check(structure, (1, 2, 3)))
+        ok &= bool(uea.involution_check(structure))
         ok &= bool(uea.coproduct_strictness_check(structure, 2, 3))
         structure3 = uea.AInftyStructure(algebra, 3, 4)
         ok &= bool(uea.coproduct_strictness_check(structure3, 3, 3))
@@ -310,7 +309,7 @@ def test_criterion_09_tableaux():
                         key = tableaux.column_tableau(T, frozenset(combo))
                         merged[key] = merged.get(key, 0) + 1
                 ok &= bool(tableaux.t_complex_contraction_check(T))
-                cx = t_complex(T)  # checks the square on construction
+                cx = t_complex(T)  # asserts that it squares to zero
                 dims = cx.homology_dims()
                 ok &= dims == ({0: 1} if not JT else {})
             direct = []
@@ -328,7 +327,7 @@ def test_criterion_10_bgg(top_cell_fault):
     started = time.monotonic()
     ok = True
     A4 = uea.AInftyStructure(sl2(), 4, 4)
-    ok &= bool(bgg.generalized_cochain_check(A4, 4))
+    ok &= bool(bgg.generalized_cochain_check(A4))
     for degrees in ([1], [1, 3]):
         AO = uea.AInftyStructure(odd_abelian(degrees), 3, 4)
         res, dims = bgg.twisted_tensor_acyclicity(AO, 4)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from enveloping import bgg
 from enveloping.bgg import (
     AInftyModule,
     TwistedComplex,
@@ -19,7 +20,6 @@ from enveloping.exactlin import (
     BAR,
     COBAR,
     CheckResult,
-    FiniteComplex,
     Generator,
     Vector,
     Word,
@@ -38,7 +38,7 @@ from enveloping.linfty import (
 from enveloping.uea import AInftyStructure
 from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
-from conftest import bundled, odd_abelian, roundtrip_gf_check, trivial_module
+from conftest import bundled, finite_complex, odd_abelian, roundtrip_gf_check, trivial_module
 
 
 def omega_to_enveloping_check(structure, rank_cap=None):
@@ -92,7 +92,7 @@ def omega_comparison_check(structure, rank_cap=None):
         by_degree = {}
         for x in cobar_words(structure.transfer.Cfull.sgens, rank):
             by_degree.setdefault(x.degree, []).append(x)
-        omega_c[rank] = FiniteComplex(by_degree, d_omega).homology_dims()
+        omega_c[rank] = finite_complex(by_degree, d_omega).homology_dims()
 
     # the second model: letters are suspended-inverse bar words; the letter
     # differential is the bar differential and the coproduct deconcatenates
@@ -134,7 +134,7 @@ def omega_comparison_check(structure, rank_cap=None):
             for deg, keys in words.items()
         }
         by_degree = {d: ks for d, ks in by_degree.items() if ks}
-        omega_bu[rank] = FiniteComplex(by_degree, d_omega_bu).homology_dims()
+        omega_bu[rank] = finite_complex(by_degree, d_omega_bu).homology_dims()
 
     ok = omega_c == omega_bu
     return CheckResult(ok, None if ok else (omega_c, omega_bu)), omega_c
@@ -205,13 +205,13 @@ def test_tau_is_the_weight_one_projection(sl2_structure):
 
 
 def test_generalized_cochain_equation(sl2_structure):
-    assert generalized_cochain_check(sl2_structure, 4)
+    assert generalized_cochain_check(sl2_structure)
 
 
-def test_canonical_tau_constructor(sl2_structure):
+def test_canonical_tau_constructor(sl2_small):
     # the canonical projection is a twisted cochain, sending s^-1 e to e
-    assert generalized_cochain_check(sl2_structure, 3)
-    L = sl2_structure.algebra
+    assert generalized_cochain_check(sl2_small)
+    L = sl2_small.algebra
     _, word = sym_word([L.by_id["e"].shifted(-1)])
     assert tau_value(word) == Vector.unit(sym_word([L.by_id["e"]])[1])
 
@@ -219,12 +219,12 @@ def test_canonical_tau_constructor(sl2_structure):
 def test_cochain_equation_weight_one_is_trivial():
     # both sides vanish on weight-one words when there is no differential
     A = AInftyStructure(abelian([0, 1]), 3, 3)
-    assert generalized_cochain_check(A, 3)
+    assert generalized_cochain_check(A)
 
 
 def test_cochain_equation_l3(sl2_structure):
     A = AInftyStructure(bundled("l3only"), 3, 4)
-    assert generalized_cochain_check(A, 4)
+    assert generalized_cochain_check(A)
 
 
 @pytest.mark.parametrize("degrees", [[1], [1, 3], [1, 1]])
@@ -243,10 +243,10 @@ def test_twisted_tensor_acyclic_capped(sl2_structure):
 
 
 def test_twisted_complex_square_zero_is_checked(sl2_structure):
-    # the complex constructor itself verifies the square; reaching homology
-    # means the twisted differential squared to zero on the truncation
-    cx = TwistedComplex(sl2_structure, 3).complex()
-    assert cx.homology_dims() == {0: 1}
+    # the twisted differential squares to zero on the truncation
+    twisted = TwistedComplex(sl2_structure, 3)
+    assert square_zero(twisted.basis, twisted.differential, "%r")
+    assert twisted.complex().homology_dims() == {0: 1}
 
 
 # inputs with brackets of arity >= 3, where the sign of the higher products
@@ -266,10 +266,22 @@ HIGHER_BRACKETS = {
 
 @pytest.mark.parametrize("name", list(HIGHER_BRACKETS))
 def test_twisted_tensor_complex_with_higher_brackets(name):
-    # the complex checks D^2 = 0 as it is built
+    # the check asserts D^2 = 0 before it computes homology
     build, cap = HIGHER_BRACKETS[name]
     res, dims = twisted_tensor_acyclicity(AInftyStructure(build(), cap, cap), cap)
     assert res and dims == {0: 1}
+
+
+def test_twisted_tensor_acyclicity_reports_a_differential_that_does_not_square(monkeypatch):
+    # a sign flipped on the m_2 terms of the twisted differential: the check
+    # fails where D^2 is nonzero, before any homology, and does not raise
+    sign = bgg.conjugation_sign
+    monkeypatch.setattr(bgg, "conjugation_sign",
+                        lambda degrees: -sign(degrees) if len(degrees) == 2 else sign(degrees))
+    res, dims = twisted_tensor_acyclicity(AInftyStructure(bundled("sl2"), 3, 3), 3)
+    assert not res and dims is None
+    assert res.counterexample is not None
+    assert res.detail.startswith("twisted differential squares to ")
 
 
 @pytest.mark.parametrize("name, arity_cap, top", [("l3only", 2, 3), ("abelian1", 1, 2)])

@@ -10,7 +10,6 @@ from enveloping.exactlin import (
     SYMMETRIC,
     TENSOR,
     Echelon,
-    FiniteComplex,
     Generator,
     Vector,
     Word,
@@ -21,9 +20,12 @@ from enveloping.exactlin import (
     koszul_sign,
     parse_scalar,
     rank_of,
+    square_zero,
     sym_word,
     symmetrize,
 )
+
+from conftest import finite_complex
 
 a0 = Generator("a", 0)
 b0 = Generator("b", 0)
@@ -198,7 +200,7 @@ def test_homology_dims_matches_construction_and_dense_oracle():
     rng = random.Random(7)
     for _ in range(15):
         basis, differential, singles = _random_known_complex(rng)
-        cx = FiniteComplex(basis, differential)
+        cx = finite_complex(basis, differential)
         dims = cx.homology_dims()
         expected = {p: n for p, n in singles.items() if n}
         assert dims == expected
@@ -217,8 +219,8 @@ def test_complex_rejects_bad_differential():
     def d(word):
         return cols.get(word, Vector())
 
-    with pytest.raises(ValueError):
-        FiniteComplex({0: [x], 1: [y], 2: [z]}, d)
+    result = square_zero([x, y, z], d, "%r")
+    assert not result and result.counterexample == x
 
 
 def test_echelon_combination_tracking():

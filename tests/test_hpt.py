@@ -383,7 +383,8 @@ def test_cobar_differential_is_a_derivation():
 
 
 def test_named_lift_and_perturbations_match_the_transfer(sl2_transfer):
-    from enveloping.hpt import Contraction, lift_contraction
+    from enveloping.exactlin import Contraction
+    from enveloping.hpt import lift_contraction
 
     T = sl2_transfer
     letters = Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(T.C1),
