@@ -257,7 +257,10 @@ def functor_f(module_u, weight_cap=None):
 
 
 def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
-    """F(G(M)) has exactly the original action tables."""
+    """F(G(M)) has exactly the original action tables; it needs m_2."""
+    caps = caps_suffice(structure, 2)
+    if not caps:
+        return caps
     forward = functor_g(module_l, structure, arity_cap, weight_cap)
     back = functor_f(forward, weight_cap)
     wcap = weight_cap or structure.weight_cap

@@ -449,7 +449,7 @@ def main(argv=None):
     except ParseFailure as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except Exception as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return 3
     report.emit(args.format, timings=args.timings, payload=payload)

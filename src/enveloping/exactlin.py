@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import weakref
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
@@ -159,6 +160,10 @@ _degree, _rank = attrgetter("degree"), attrgetter("rank")
 class Word:
     """A basis word: a kind and an ordered tuple of letters.
 
+    Words are interned: there is one live object for each (kind, letters),
+    so equality and hashing are by identity.  The table holds its words
+    weakly, so a word lives only as long as something else holds it.
+
     Symmetric words are stored canonically sorted; use ``sym_word`` to build
     them (it returns the Koszul sign of the sort, and None for words that die
     because an odd generator repeats).  Words of one kind are ordered by
@@ -166,12 +171,18 @@ class Word:
     so that the letters of a cobar or bar word compare by theirs.
     """
 
-    __slots__ = ("kind", "letters", "_hash")
+    __slots__ = ("kind", "letters", "__weakref__")
 
-    def __init__(self, kind, letters):
-        self.kind = kind
-        self.letters = tuple(letters)
-        self._hash = hash((kind, self.letters))
+    _table = weakref.WeakValueDictionary()
+
+    def __new__(cls, kind, letters):
+        key = (kind, tuple(letters))
+        word = cls._table.get(key)
+        if word is None:
+            word = object.__new__(cls)
+            word.kind, word.letters = key
+            cls._table[key] = word
+        return word
 
     @property
     def degree(self):
@@ -192,16 +203,8 @@ class Word:
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Word)
-            and self._hash == other._hash
-            and self.kind == other.kind
-            and self.letters == other.letters
-        )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __repr__(self):
         _, start, sep, end, show = _KINDS[self.kind]

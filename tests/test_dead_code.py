@@ -116,24 +116,31 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
-# the only process-global cache: one contraction per n, which the tests that
-# inject a fault replace as a whole
-GLOBAL_CACHES = {"permutahedra.build_contraction"}
+# the process-global caches: one contraction per n, which the tests that
+# inject a fault replace as a whole; and the word intern table, a weak table
+# of immutable values, which cannot go stale and keeps no word alive
+GLOBAL_CACHES = {"permutahedra.build_contraction", "exactlin.Word._table"}
 CACHE_DECORATORS = {"cache", "lru_cache"}
 MUTATORS = {"add", "update", "setdefault", "pop", "popitem", "clear", "discard", "remove"}
 
 
-def _decorator_name(node):
+def _name_of(node):
+    """The last name of ``f``, ``a.f``, ``f(...)`` or ``a.f(...)``."""
     if isinstance(node, ast.Call):
         node = node.func
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+TABLE_TYPES = {"dict", "set", "defaultdict", "OrderedDict", "Counter",
+               "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+
+
 def _is_dict_or_set(node):
+    """A display, a comprehension, or a call of a table type, by its bare
+    name or as an attribute (``weakref.WeakSet()``)."""
     if isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
         return True
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in {"dict", "set", "defaultdict", "OrderedDict", "Counter"})
+    return isinstance(node, ast.Call) and _name_of(node.func) in TABLE_TYPES
 
 
 def _mutated_names(function, owner=None):
@@ -167,7 +174,7 @@ def _global_caches():
             if isinstance(node, ast.ClassDef):
                 defs = [n for n in node.body if isinstance(n, ast.FunctionDef)]
             for fn in defs:
-                if any(_decorator_name(d) in CACHE_DECORATORS for d in fn.decorator_list):
+                if any(_name_of(d) in CACHE_DECORATORS for d in fn.decorator_list):
                     yield "%s.%s" % (path.stem, fn.name)
         mutated = set().union(*map(_mutated_names, functions))
         classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -95,7 +96,19 @@ def test_word_kinds():
     assert cobar.serialize() == [["a"], ["b", "c"]]
     assert Word(COBAR, cobar.letters) == cobar
     assert Word(BAR, cobar.letters) != cobar
-    assert hash(cobar) == hash((COBAR, cobar.letters))
+    # one object per (kind, letters)
+    assert Word(COBAR, cobar.letters) is cobar
+    assert Word(BAR, cobar.letters) is not cobar
+    assert sym_word([c, b])[1] is sym_word([b, c])[1] is x_bc
+
+
+def test_intern_table_keeps_no_dead_word():
+    z = Generator("zz_unique", 0)
+    word = Word(TENSOR, (z, z))
+    assert (TENSOR, (z, z)) in Word._table
+    del word
+    gc.collect()
+    assert not any(z in letters for _, letters in list(Word._table.keys()))
 
 
 def test_vector_arithmetic():
