@@ -3,6 +3,9 @@
 Generators carry a cohomological degree (differentials have degree +1).
 Vectors and maps are sparse dictionaries with Fraction coefficients; every
 operation is exact, there is no floating point anywhere in the package.
+Where the transfer adds many rational terms, a vector is held exact as a
+pair (terms, den): integer terms over one positive denominator, reduced by
+their gcd (``exact_sum``), and becomes a ``Vector`` through ``to_vector``.
 """
 
 from __future__ import annotations
@@ -410,6 +413,42 @@ def axpy(terms, other, factor=1):
         terms[w] = c
 
 
+def exact_sum(parts):
+    """The sum of (a / b) terms over ``parts`` of (terms, a, b), integer term
+    dicts with integers a and b > 0, as one exact pair (terms, den): integer
+    terms over the least common denominator, divided by the gcd of den and
+    the terms.  The terms add in the order given, so keys come out in the
+    order that adding the rationals one by one would give."""
+    scaled = []
+    den = 1
+    for terms, a, b in parts:
+        if terms and a:
+            g = math.gcd(a, b)
+            if g > 1:
+                a, b = a // g, b // g
+            scaled.append((terms, a, b))
+            den = math.lcm(den, b)
+    out = {}
+    for terms, a, b in scaled:
+        axpy(out, terms, a * (den // b))
+    g = math.gcd(den, *out.values())
+    if g > 1:
+        den //= g
+        out = {w: c // g for w, c in out.items()}
+    return out, den
+
+
+def to_vector(pair):
+    """The ``Vector`` of an exact pair (terms, den)."""
+    terms, den = pair
+    return Vector({w: Fraction(n, den) for w, n in terms.items()})
+
+
+def vector_view(op):
+    """The ``Vector`` map of an exact map, converted on each call."""
+    return lambda word: to_vector(op(word))
+
+
 def rank_of(vectors):
     ech = Echelon()
     for v in vectors:
@@ -492,6 +531,18 @@ class Contraction:
             if lhs != rhs:
                 return CheckResult(False, w, "F chain map")
         return CheckResult(True)
+
+
+class ExactContraction(Contraction):
+    """A contraction whose F, G and H are given exact, each returning a pair
+    (terms, den).  ``exact_F``, ``exact_G`` and ``exact_H`` memoize those
+    pairs; ``F``, ``G`` and ``H`` are their ``Vector`` views, converted on
+    each call and not stored, so each map has one memo."""
+
+    def __init__(self, F, G, H, d_big, d_small):
+        super().__init__(F, G, H, d_big, d_small)
+        self.exact_F, self.exact_G, self.exact_H = self.F, self.G, self.H
+        self.F, self.G, self.H = map(vector_view, (self.F, self.G, self.H))
 
 
 class FiniteComplex:

@@ -9,19 +9,17 @@ by (rank, length) are exact, never approximate.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
 from .exactlin import (
     BAR,
     COBAR,
-    Contraction,
+    ExactContraction,
     Vector,
     Word,
-    axpy,
     conjugation_sign,
+    exact_sum,
     memo_op,
     sym_word,
+    to_vector,
 )
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
@@ -60,24 +58,25 @@ def cobar_differential(C):
 
 def cobar_contraction(C1):
     """The letter contraction of the bracket-free cobar algebra of C1 onto the
-    symmetric algebra, with the linear part of the cobar differential."""
-    return Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
-                       algebra_differential(C1.algebra))
+    symmetric algebra, with the linear part of the cobar differential; its
+    F, G and H are exact."""
+    return ExactContraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
+                            algebra_differential(C1.algebra))
 
 
 def lift_contraction(con, gf_letter):
-    """Contraction on the tensor coalgebras from a letter contraction ``con``
-    and its round trip ``gf_letter`` = G F on letters.
+    """Contraction on the tensor coalgebras from an exact letter contraction
+    ``con`` and its exact round trip ``gf_letter`` = G F on letters.
 
     The projection and inclusion act letterwise; the homotopy is
     ``lifted_homotopy``, which reads the homotopy of each suffix back from
-    the contraction's own memo.
+    the contraction's own memo.  F, G and H are exact.
     """
-    H = lifted_homotopy(memo_op(gf_letter), con.H)
-    lifted = Contraction(
-        bar_morphism(con.F),
-        bar_morphism(con.G),
-        lambda b: H(b, lifted.H),
+    H = lifted_homotopy(memo_op(gf_letter), con.exact_H)
+    lifted = ExactContraction(
+        exact_bar_morphism(con.exact_F),
+        exact_bar_morphism(con.exact_G),
+        lambda b: H(b, lifted.exact_H),
         bar_coderivation({1: con.d_big}),
         bar_coderivation({1: con.d_small}),
     )
@@ -156,31 +155,47 @@ def bar_morphism(letter_map):
     return on_bar
 
 
+def exact_bar_morphism(letter_map):
+    """``bar_morphism`` of an exact letter map, exact: the letterwise product
+    of the letters' pairs."""
+
+    def on_bar(b):
+        products, den = {(): 1}, 1
+        for x in b.letters:
+            terms, d = letter_map(x)
+            products = {ws + (w,): c * e for ws, c in products.items()
+                        for w, e in terms.items()}
+            den *= d
+        kind = b.kind
+        return exact_sum([({Word(kind, ws): c for ws, c in products.items()}, 1, den)])
+
+    return on_bar
+
+
 def lifted_homotopy(letter_gf, letter_h):
     """H on the tensor coalgebra, by recursion on the suffix: for a letter x
     and a bar word w, H(x|w) = -h(x)|w + (-1)^(|x|-1) gf(x)|H(w), and H of
     the empty word is 0 (the leading minus is the sign of -s h s^{-1}).
 
-    ``on_bar(b, H)`` reads H(w) from ``H``; given the memoized homotopy
-    itself, it expands the round trip gf on each suffix once, not once per
-    slot.
+    Everything is exact: ``letter_h`` and ``letter_gf`` return pairs
+    (terms, den), and so does ``on_bar(b, H)``, which reads H(w) from ``H``;
+    given the memoized homotopy itself, it expands the round trip gf on each
+    suffix once, not once per slot.
     """
 
     def on_bar(b, H):
-        out = Vector()
         if not b.letters:
-            return out
+            return {}, 1
         x, rest = b.letters[0], b.letters[1:]
-        for y, c in letter_h(x).items():
-            out.add_term(Word(BAR, (y,) + rest), -c)
-        tail = H(Word(BAR, rest)).items()
+        h_terms, h_den = letter_h(x)
+        parts = [({Word(BAR, (y,) + rest): c for y, c in h_terms.items()}, -1, h_den)]
+        tail, tail_den = H(Word(BAR, rest))
         if tail:
-            sign = 1 if x.degree % 2 else -1
-            for y, c in letter_gf(x).items():
-                c = sign * c
-                for w, d in tail:
-                    out.add_term(Word(BAR, (y,) + w.letters), c * d)
-        return out
+            gf_terms, gf_den = letter_gf(x)
+            product = {Word(BAR, (y,) + w.letters): c * d
+                       for y, c in gf_terms.items() for w, d in tail.items()}
+            parts.append((product, 1 if x.degree % 2 else -1, gf_den * tail_den))
+        return exact_sum(parts)
 
     return on_bar
 
@@ -192,17 +207,15 @@ class PerturbationError(RuntimeError):
 def perturbation_series(t, H, budget):
     """X = t - tHt + tHtHt - ..., evaluated as X = t - X(Ht) through a memo.
 
-    ``X(word, p)`` is p(X(word)) for a linear map p on words, and X(word)
-    itself when p is None.  A projected value recurses on projected values,
-    p X(w) = p t(w) - sum_u c_u p X(u) over Ht(w) = sum_u c_u u, memoized by
-    (p, word): no full X vector is stored when only p X is read, and a tail
-    that several words share is computed once.  Recursion depth counts
-    against ``budget`` of the word asked for.
+    ``X(word, p)`` is p(X(word)) for a linear map p on words.  A projected
+    value recurses on projected values, p X(w) = p t(w) - sum_u c_u p X(u)
+    over Ht(w) = sum_u c_u u, memoized by (p, word): no full X vector is
+    stored, and a tail that several words share is computed once.
+    Recursion depth counts against ``budget`` of the word asked for.
 
-    The memo holds each value as integers over one denominator,
-    ``(terms, den)`` with p X(w) = sum_v (terms[v] / den) v, reduced by the
-    gcd of den and the terms; Fractions appear only in p t(w), in Ht(w) and
-    in the vector that ``X`` returns.
+    H and p are exact, and so is X: ``X(word, p)`` returns the memo entry,
+    the pair (terms, den) of ``exactlin.exact_sum``.  Fractions appear only
+    in t(w), which carries the input's rational brackets.
     """
     memo = {}
 
@@ -210,35 +223,27 @@ def perturbation_series(t, H, budget):
         key = (p, word)
         out = memo.get(key)
         if out is None:
-            tw = t(word)
+            tw = t(word).items()
             if tw and steps < 0:
                 raise PerturbationError(
                     "perturbation series failed to terminate at %r" % (word,)
                 )
-            head = (tw if p is None else tw.apply(p)).items()
-            den = lcm(*(c.denominator for _, c in head))
-            tail = []
-            for u, c in tw.apply(H).items():
+            parts, images = [], []
+            for v, c in tw:
+                a, b = c.numerator, c.denominator
+                terms, den = p(v)
+                parts.append((terms, a, b * den))
+                terms, den = H(v)
+                images.append((terms, a, b * den))
+            terms, den = exact_sum(images)  # Ht(w)
+            for u, n in terms.items():
                 terms_u, den_u = value(u, p, steps - 1)
-                # -c p X(u) = (a / b) terms_u, with a / b in lowest terms
-                b = c.denominator * den_u
-                g = gcd(c.numerator, b)
-                a, b = -c.numerator // g, b // g
-                tail.append((terms_u, a, b))
-                den = lcm(den, b)
-            terms = {v: c.numerator * (den // c.denominator) for v, c in head}
-            for terms_u, a, b in tail:
-                axpy(terms, terms_u, a * (den // b))
-            g = gcd(den, *terms.values())
-            if g > 1:
-                den //= g
-                terms = {v: n // g for v, n in terms.items()}
-            out = memo[key] = (terms, den)
+                parts.append((terms_u, -n, den * den_u))
+            out = memo[key] = exact_sum(parts)
         return out
 
-    def X(word, p=None):
-        terms, den = value(word, p, budget(word))
-        return Vector({v: Fraction(n, den) for v, n in terms.items()})
+    def X(word, p):
+        return value(word, p, budget(word))
 
     return X
 
@@ -248,40 +253,44 @@ def default_budget(word):
 
 
 def bpl(con, t):
-    """Basic perturbation lemma: the perturbed contraction.
+    """Basic perturbation lemma: the perturbed contraction of an exact
+    contraction ``con``, itself exact.
 
     F_t = F(1 - XH), G_t = (1 - HX)G, H_t = H - HXH, d_small + FXG; the
     series terminates because every perturbation strictly decreases rank or
-    bar length, which are bounded below.
+    bar length, which are bounded below.  The corrections are summed exactly
+    from the series' pairs; d_small_t, which the products read, converts its
+    sum once.
     """
-    X = perturbation_series(t, con.H, default_budget)
+    F, G, H = con.exact_F, con.exact_G, con.exact_H
+    X = perturbation_series(t, H, default_budget)
 
-    def FX(w):
-        return X(w, con.F)
+    def after(pair, p):
+        """p X of an exact vector, exact."""
+        terms, den = pair
+        parts = []
+        for u, n in terms.items():
+            terms_u, den_u = X(u, p)
+            parts.append((terms_u, n, den * den_u))
+        return exact_sum(parts)
 
-    def HX(w):
-        return X(w, con.H)
+    def corrected(first, second, p):
+        """w -> first(w) - p X second(w), exact."""
 
-    def F_t(w):
-        v = Vector.unit(w)
-        return v.apply(con.F) - v.apply(con.H).apply(FX)
+        def op(w):
+            (a, den_a), (b, den_b) = first(w), after(second(w), p)
+            return exact_sum([(a, 1, den_a), (b, -1, den_b)])
 
-    def G_t(w):
-        v = Vector.unit(w).apply(con.G)
-        return v - v.apply(HX)
-
-    def H_t(w):
-        v = Vector.unit(w).apply(con.H)
-        return v - v.apply(HX)
+        return op
 
     def d_big_t(w):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
-        v = Vector.unit(w).apply(con.G)
-        return Vector.unit(w).apply(con.d_small) + v.apply(FX)
+        return con.d_small(w) + to_vector(after(G(w), F))
 
-    return Contraction(F_t, G_t, H_t, d_big_t, d_small_t)
+    return ExactContraction(corrected(F, H, F), corrected(G, G, H), corrected(H, H, H),
+                            d_big_t, d_small_t)
 
 
 class Transfer:

@@ -7,10 +7,12 @@ solved once on every face, then averaged and repaired only on the orbit
 representatives, one standard face per composition of n; the action carries
 it to every other face.  All of that runs on integer chains over numbered
 faces, scaled by powers of n!; a column of the homotopy becomes a Fraction
-vector over faces once, when it is stored.  Transporting the contraction along the face/cobar
-dictionary yields the contracting homotopy of the cobar construction of a
-symmetric coalgebra; each contraction compiles that transport once per shape
-of cobar word.
+vector over faces once, when it is stored.  Transporting the contraction
+along the face/cobar dictionary yields the contracting homotopy of the cobar
+construction of a symmetric coalgebra; each contraction compiles that
+transport once per shape of cobar word, with integer coefficients over one
+denominator.  The cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and
+``cobar_gf`` return exact pairs (terms, den), see ``exactlin.exact_sum``.
 """
 
 from __future__ import annotations
@@ -23,18 +25,17 @@ from functools import lru_cache
 
 from .exactlin import (
     COBAR,
-    TENSOR,
     Contraction,
     Echelon,
     FiniteComplex,
     Vector,
     Word,
     axpy,
+    exact_sum,
     koszul_sign,
     perm_parity,
     set_partitions,
     sym_word,
-    symmetrize,
     unshuffles,
 )
 from .words import desuspended_letter, desuspended_word, desuspension_sign
@@ -297,22 +298,23 @@ class PermutahedronContraction(Contraction):
         return col
 
     def cobar_homotopy(self, x):
-        """``cobar_h`` on a cobar word of rank n.
+        """``cobar_h`` on a cobar word of rank n, exact: a pair (terms, den).
 
         The value is the sum of c theta(gens, f) over the column of x's
         standard face, times -(-1)^|gens| / gamma.  All of it but the sort
         sign and word of each block's letter depends only on the composition
         of x and the parities of its letters, so it is compiled once per such
         shape: each face as indices into the shape's distinct blocks of
-        positions, with one coefficient.  A call looks up each block's letter
-        (interned per block of generators) and multiplies out the faces.
+        positions, with one integer coefficient over the plan's denominator.
+        A call looks up each block's letter (interned per block of
+        generators), multiplies out the faces and adds integers.
         """
         gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
         shape = (tuple(w.rank for w in x.letters), tuple(g.degree % 2 for g in gens))
         plan = self._plans.get(shape)
         if plan is None:
             plan = self._plans[shape] = self._compile_plan(x)
-        positions, terms = plan
+        positions, terms, den = plan
         letters = self._letters
         found = []
         for block in positions:
@@ -321,7 +323,7 @@ class PermutahedronContraction(Contraction):
                 sign, letter = desuspended_letter(block)
                 letters[block] = None if letter is None else (sign, letter)
             found.append(letters[block])
-        out = Vector()
+        out = {}
         for indices, coeff, negated in terms:
             word = []
             sign = 1
@@ -332,23 +334,37 @@ class PermutahedronContraction(Contraction):
                 sign *= entry[0]
                 word.append(entry[1])
             else:
-                out.add_term(Word(COBAR, word), coeff if sign > 0 else negated)
-        return out
+                word = Word(COBAR, word)
+                c = out.get(word, 0) + (coeff if sign > 0 else negated)
+                if c:
+                    out[word] = c
+                else:
+                    del out[word]
+        return exact_sum([(out, 1, den)])
 
     def _compile_plan(self, x):
+        """(block positions, [(block indices, coefficient, its negative)],
+        denominator) for the shape of x.  A face's coefficient is
+        c theta_sign(f) -(-1)^|gens| / gamma, for the entry c of the stored
+        column (the integer chain over (2N^2)^2); the plan holds each as an
+        integer over their least common denominator."""
         gens, face, gamma = theta_factor(x)
         degs = [g.degree for g in gens]
         scale = Fraction(-1 if sum(degs) % 2 == 0 else 1, gamma)
         positions = {}  # position set of a block -> its index
-        terms = []
+        faces = []
         for f, c in self.homotopy_column(face).items():
             indices = tuple(
                 positions.setdefault(tuple(i - 1 for i in b), len(positions))
                 for b in f.blocks
             )
-            coeff = scale * c * theta_sign(degs, f)
+            faces.append((indices, scale * c * theta_sign(degs, f)))
+        den = math.lcm(*(c.denominator for _, c in faces))
+        terms = []
+        for indices, c in faces:
+            coeff = c.numerator * (den // c.denominator)
             terms.append((indices, coeff, -coeff))
-        return tuple(positions), terms
+        return tuple(positions), terms, den
 
     def _symmetrize(self, rep):
         """N^2 A(rep), A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
@@ -506,31 +522,39 @@ def standard_face(n, sizes):
 
 
 def cobar_f(x):
-    """Multiplicative projection of a cobar word onto the symmetric algebra."""
+    """Multiplicative projection of a cobar word onto the symmetric algebra,
+    exact: a pair (terms, den)."""
     letters = []
     for w in x.letters:
         if w.rank != 1:
-            return Vector()
+            return {}, 1
         letters.append(w.letters[0].shifted(1))
     sign, word = sym_word(letters)
     if word is None:
-        return Vector()
-    return Vector.unit(word, sign)
+        return {}, 1
+    return {word: sign}, 1
 
 
 def cobar_g(word):
     """Average of all weight-one-letter arrangements of an algebra word: the
-    graded average of the tensor word, one desuspended letter per generator."""
-
-    def arrangement(t):
-        letters = (desuspended_letter((g,))[1] for g in t.letters)
-        return Vector.unit(Word(COBAR, letters))
-
-    return symmetrize(Word(TENSOR, word.letters)).apply(arrangement)
+    graded average of the tensor word, one desuspended letter per generator,
+    exact: integer terms over n!."""
+    letters = [desuspended_letter((g,))[1] for g in word.letters]
+    degs = [g.degree for g in word.letters]
+    terms = {}
+    for perm in itertools.permutations(range(len(letters))):
+        axpy(terms, {Word(COBAR, (letters[i] for i in perm)): koszul_sign(perm, degs)})
+    return exact_sum([(terms, 1, math.factorial(len(letters)))])
 
 
 def cobar_gf(x):
-    return cobar_f(x).apply(cobar_g)
+    """G F on a cobar word, exact."""
+    terms, _ = cobar_f(x)
+    parts = []
+    for w, c in terms.items():
+        g_terms, den = cobar_g(w)
+        parts.append((g_terms, c, den))
+    return exact_sum(parts)
 
 
 def theta_factor(x):

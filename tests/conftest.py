@@ -2,6 +2,7 @@
 more than one test module uses."""
 
 import functools
+import math
 
 import pytest
 
@@ -41,6 +42,15 @@ def top_cell_fault(monkeypatch):
         monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)
 
     return install
+
+
+def assert_reduced(pair):
+    """An exact pair (terms, den): nonzero integer terms over a positive
+    denominator that shares no factor with all of them."""
+    terms, den = pair
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in terms.values())
+    assert math.gcd(den, *terms.values()) == 1
 
 
 def bundled(name):

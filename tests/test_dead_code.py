@@ -182,11 +182,18 @@ def _global_caches():
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef):
                     mutated |= _mutated_names(fn, cls.name)
-        # module-level tables, then class-level ones
+        # module-level tables, then class-level ones, plain (``_seen = {}``)
+        # or annotated (``_seen: dict = {}``)
         for prefix, body in [("", tree.body)] + [(cls.name + ".", cls.body) for cls in classes]:
             for node in body:
-                if isinstance(node, ast.Assign) and _is_dict_or_set(node.value):
-                    for target in node.targets:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets = [node.target]
+                else:
+                    continue
+                if _is_dict_or_set(node.value):
+                    for target in targets:
                         if isinstance(target, ast.Name) and prefix + target.id in mutated:
                             yield "%s.%s%s" % (path.stem, prefix, target.id)
 

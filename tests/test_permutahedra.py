@@ -16,6 +16,7 @@ from enveloping.exactlin import (
     koszul_sign,
     s_power_sign,
     sym_word,
+    to_vector,
 )
 from enveloping.linfty import heisenberg
 from enveloping.permutahedra import (
@@ -35,7 +36,7 @@ from enveloping.permutahedra import (
 )
 from enveloping.words import cobar_words
 
-from conftest import act, act_vector, bundled, nu_vector, odd_abelian
+from conftest import act, act_vector, assert_reduced, bundled, nu_vector, odd_abelian
 
 
 def brute_force_faces(n, d):
@@ -377,8 +378,11 @@ def test_cobar_h_matches_theta_reference(algebra, rank_cap):
     sgens = _suspended_generators(algebra)
     for rank in range(1, rank_cap + 1):
         for x in cobar_words(sgens, rank):
+            terms, den = pair = cobar_h(x)
+            assert_reduced(pair)
             # same terms in the same order, so every later sum is unchanged
-            assert list(cobar_h(x).items()) == list(reference_cobar_h(x).items()), x
+            assert list(to_vector(pair).items()) == list(reference_cobar_h(x).items()), x
+            assert terms == {w: c * den for w, c in reference_cobar_h(x).items()}, x
 
 
 def test_cobar_h_follows_a_faulted_contraction(top_cell_fault):
@@ -388,8 +392,8 @@ def test_cobar_h_follows_a_faulted_contraction(top_cell_fault):
     e, f, h = _suspended_generators(bundled("sl2"))
     _, letter = sym_word([e, f, h])
     x = Word(COBAR, (letter,))
-    assert not cobar_h(x)  # H vanishes on the top cell
+    assert cobar_h(x) == ({}, 1)  # H vanishes on the top cell
     top_cell_fault()
     # H(top) = top now, so cobar_h(x) = -(-1)^|gens| x, and the unsuspended
     # letters e, f, h are even
-    assert cobar_h(x) == Vector.unit(x, -1)
+    assert cobar_h(x) == ({x: -1}, 1)
