@@ -12,7 +12,7 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 from __future__ import annotations
 
 from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, memo_op,
-                       square_zero, sym_word)
+                       square_zero, sym_word, to_vector, vector_view)
 from .linfty import LInftyModule
 from .uea import caps_suffice
 from .words import sym_words, vector_product
@@ -222,7 +222,7 @@ class AInftyModule:
 def _rho_cobar(module_l, x):
     """Multiplicative extension of the module twisting to a cobar word: the
     composite of the letters' operators, the last letter acting first."""
-    return vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose)
+    return Vector(vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose))
 
 
 def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
@@ -236,7 +236,7 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
 
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
-        value = structure.transfer.con.G(bar).apply(rho)
+        value = to_vector(structure.transfer.con.G(bar)).apply(rho)
         if value:
             cochain[bar] = value
     return AInftyModule(structure, module_l.basis, module_l.d_m, cochain,
@@ -251,7 +251,8 @@ def functor_f(module_u, weight_cap=None):
     action = {}
     for word in C.all_words(wcap):
         unit = structure.transfer.unit_inclusion(word)
-        action[word] = unit.apply(structure.transfer.con.F).apply(module_u.cochain.get)
+        action[word] = unit.apply(vector_view(structure.transfer.con.F)).apply(
+            module_u.cochain.get)
     return LInftyModule(structure.algebra, module_u.basis, module_u.d_m, action,
                         name=module_u.name + ">coalg")
 

@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
-from .exactlin import CheckResult, Generator, agree, square_zero
+from .exactlin import CheckResult, Generator, agree, square_zero, vector_view
 
 TEXT = "text"
 JSON = "json"
@@ -273,8 +273,8 @@ def _theorem1_check(n_cap):
     result = con.verify_on(cobar, [])
     if not result:
         return result
-    iota = permutahedra.iota_omega
-    return agree(cobar, lambda xw: iota(xw).apply(con.H), lambda xw: con.H(xw).apply(iota),
+    iota, H = permutahedra.iota_omega, vector_view(con.H)
+    return agree(cobar, lambda xw: iota(xw).apply(H), lambda xw: H(xw).apply(iota),
                  "h does not commute with iota_omega")
 
 

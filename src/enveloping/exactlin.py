@@ -5,7 +5,9 @@ Vectors and maps are sparse dictionaries with Fraction coefficients; every
 operation is exact, there is no floating point anywhere in the package.
 Where the transfer adds many rational terms, a vector is held exact as a
 pair (terms, den): integer terms over one positive denominator, reduced by
-their gcd (``exact_sum``), and becomes a ``Vector`` through ``to_vector``.
+their gcd (``exact_sum``).  ``exact_apply`` is the linear extension of a map
+on such pairs, and ``to_vector`` and ``to_pair`` convert between the two
+forms.
 """
 
 from __future__ import annotations
@@ -438,10 +440,29 @@ def exact_sum(parts):
     return out, den
 
 
+def exact_apply(pair, op):
+    """The linear extension of an exact map ``op``, basis key -> pair, to an
+    exact pair: the one exact counterpart of ``Vector.apply``."""
+    terms, den = pair
+    parts = []
+    for w, c in terms.items():
+        image, d = op(w)
+        parts.append((image, c, den * d))
+    return exact_sum(parts)
+
+
 def to_vector(pair):
     """The ``Vector`` of an exact pair (terms, den)."""
     terms, den = pair
     return Vector({w: Fraction(n, den) for w, n in terms.items()})
+
+
+def to_pair(vector):
+    """The exact pair of a ``Vector``, the inverse of ``to_vector``: integer
+    terms over the least common denominator of its coefficients, which is
+    the reduced pair."""
+    den = math.lcm(*(c.denominator for c in vector.terms.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in vector.items()}, den
 
 
 def vector_view(op):
@@ -490,7 +511,8 @@ def agree(keys, lhs, rhs, detail):
 
 class Contraction:
     """Big and small complexes with projection, inclusion and homotopy, each
-    a map on basis keys.
+    a map on basis keys.  F, G and H are exact: each returns a pair (terms,
+    den), memoized; the differentials d_big and d_small return ``Vector``s.
 
     All five identities (FG = 1, 1 - GF = dH + Hd and the three side
     conditions) are expected to hold; ``verify_on`` checks them, and that F
@@ -506,43 +528,33 @@ class Contraction:
         self.d_small = memo_op(d_small)
 
     def verify_on(self, big_words, small_words):
+        # each key is converted once per check
+        F, G, H = (memo_op(vector_view(op)) for op in (self.F, self.G, self.H))
         for w in small_words:
             v = Vector.unit(w)
-            if v.apply(self.G).apply(self.F) != v:
+            if v.apply(G).apply(F) != v:
                 return CheckResult(False, w, "FG")
-            if v.apply(self.G).apply(self.H):
+            if v.apply(G).apply(H):
                 return CheckResult(False, w, "HG")
-            lhs = v.apply(self.G).apply(self.d_big)
-            rhs = v.apply(self.d_small).apply(self.G)
+            lhs = v.apply(G).apply(self.d_big)
+            rhs = v.apply(self.d_small).apply(G)
             if lhs != rhs:
                 return CheckResult(False, w, "G chain map")
         for w in big_words:
             v = Vector.unit(w)
-            gf = v.apply(self.F).apply(self.G)
-            hom = v.apply(self.H).apply(self.d_big) + v.apply(self.d_big).apply(self.H)
+            gf = v.apply(F).apply(G)
+            hom = v.apply(H).apply(self.d_big) + v.apply(self.d_big).apply(H)
             if v - gf != hom:
                 return CheckResult(False, w, "homotopy identity")
-            if v.apply(self.H).apply(self.F):
+            if v.apply(H).apply(F):
                 return CheckResult(False, w, "FH")
-            if v.apply(self.H).apply(self.H):
+            if v.apply(H).apply(H):
                 return CheckResult(False, w, "HH")
-            lhs = v.apply(self.F).apply(self.d_small)
-            rhs = v.apply(self.d_big).apply(self.F)
+            lhs = v.apply(F).apply(self.d_small)
+            rhs = v.apply(self.d_big).apply(F)
             if lhs != rhs:
                 return CheckResult(False, w, "F chain map")
         return CheckResult(True)
-
-
-class ExactContraction(Contraction):
-    """A contraction whose F, G and H are given exact, each returning a pair
-    (terms, den).  ``exact_F``, ``exact_G`` and ``exact_H`` memoize those
-    pairs; ``F``, ``G`` and ``H`` are their ``Vector`` views, converted on
-    each call and not stored, so each map has one memo."""
-
-    def __init__(self, F, G, H, d_big, d_small):
-        super().__init__(F, G, H, d_big, d_small)
-        self.exact_F, self.exact_G, self.exact_H = self.F, self.G, self.H
-        self.F, self.G, self.H = map(vector_view, (self.F, self.G, self.H))
 
 
 class FiniteComplex:
@@ -575,27 +587,26 @@ class FiniteComplex:
 
 
 def symmetrize(word):
-    """Average of all graded permutations of a tensor word."""
-    if word.kind != TENSOR:
-        raise ValueError("symmetrize expects a tensor word")
-    n = len(word.letters)
-    degs = [g.degree for g in word.letters]
-    out = Vector()
-    frac = Fraction(1, math.factorial(n))
-    for perm in itertools.permutations(range(n)):
-        sign = koszul_sign(perm, degs)
-        out.add_term(Word(TENSOR, (word.letters[i] for i in perm)), sign * frac)
-    return out
+    """The graded average of all rearrangements of a word's letters, words of
+    its kind, exact: integer terms over n!.  Each permutation is signed by
+    the Koszul sign of the letters' degrees in the word, which for a cobar
+    letter is one above its own."""
+    kind, letters = word.kind, word.letters
+    shift = _KINDS[kind][0]
+    degs = [x.degree + shift for x in letters]
+    terms = {}
+    for perm in itertools.permutations(range(len(letters))):
+        axpy(terms, {Word(kind, (letters[i] for i in perm)): koszul_sign(perm, degs)})
+    return exact_sum([(terms, 1, math.factorial(len(letters)))])
 
 
-def compositions(total, max_part=None):
+def compositions(total):
     """Ordered compositions of a positive integer, deterministic order."""
     if total == 0:
         yield ()
         return
-    top = total if max_part is None else min(total, max_part)
-    for first in range(1, top + 1):
-        for rest in compositions(total - first, max_part):
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
             yield (first,) + rest
 
 

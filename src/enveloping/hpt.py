@@ -12,10 +12,11 @@ from __future__ import annotations
 from .exactlin import (
     BAR,
     COBAR,
-    ExactContraction,
+    Contraction,
     Vector,
     Word,
     conjugation_sign,
+    exact_apply,
     exact_sum,
     memo_op,
     sym_word,
@@ -58,25 +59,24 @@ def cobar_differential(C):
 
 def cobar_contraction(C1):
     """The letter contraction of the bracket-free cobar algebra of C1 onto the
-    symmetric algebra, with the linear part of the cobar differential; its
-    F, G and H are exact."""
-    return ExactContraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
-                            algebra_differential(C1.algebra))
+    symmetric algebra, with the linear part of the cobar differential."""
+    return Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(C1),
+                       algebra_differential(C1.algebra))
 
 
 def lift_contraction(con, gf_letter):
-    """Contraction on the tensor coalgebras from an exact letter contraction
-    ``con`` and its exact round trip ``gf_letter`` = G F on letters.
+    """Contraction on the tensor coalgebras from a letter contraction ``con``
+    and its exact round trip ``gf_letter`` = G F on letters.
 
     The projection and inclusion act letterwise; the homotopy is
     ``lifted_homotopy``, which reads the homotopy of each suffix back from
-    the contraction's own memo.  F, G and H are exact.
+    the contraction's own memo.
     """
-    H = lifted_homotopy(memo_op(gf_letter), con.exact_H)
-    lifted = ExactContraction(
-        exact_bar_morphism(con.exact_F),
-        exact_bar_morphism(con.exact_G),
-        lambda b: H(b, lifted.exact_H),
+    H = lifted_homotopy(memo_op(gf_letter), con.H)
+    lifted = Contraction(
+        bar_morphism(con.F),
+        bar_morphism(con.G),
+        lambda b: H(b, lifted.H),
         bar_coderivation({1: con.d_big}),
         bar_coderivation({1: con.d_small}),
     )
@@ -144,30 +144,18 @@ def concatenation(x, y):
 
 def bar_morphism(letter_map):
     """Letterwise degree-0 map of bar or cobar words (no signs), into words
-    of the input's kind."""
+    of the input's kind, exact: the product of the letters' pairs (terms,
+    den) under the exact ``letter_map``."""
 
     def on_bar(b):
         kind = b.kind
-        return vector_product(
-            [letter_map(x) for x in b.letters], lambda ws: (1, Word(kind, ws))
-        )
-
-    return on_bar
-
-
-def exact_bar_morphism(letter_map):
-    """``bar_morphism`` of an exact letter map, exact: the letterwise product
-    of the letters' pairs."""
-
-    def on_bar(b):
-        products, den = {(): 1}, 1
+        factors, den = [], 1
         for x in b.letters:
             terms, d = letter_map(x)
-            products = {ws + (w,): c * e for ws, c in products.items()
-                        for w, e in terms.items()}
+            factors.append(terms)
             den *= d
-        kind = b.kind
-        return exact_sum([({Word(kind, ws): c for ws, c in products.items()}, 1, den)])
+        terms = vector_product(factors, lambda ws: (1, Word(kind, ws)))
+        return exact_sum([(terms, 1, den)])
 
     return on_bar
 
@@ -253,8 +241,7 @@ def default_budget(word):
 
 
 def bpl(con, t):
-    """Basic perturbation lemma: the perturbed contraction of an exact
-    contraction ``con``, itself exact.
+    """Basic perturbation lemma: the perturbed contraction of ``con``.
 
     F_t = F(1 - XH), G_t = (1 - HX)G, H_t = H - HXH, d_small + FXG; the
     series terminates because every perturbation strictly decreases rank or
@@ -262,23 +249,14 @@ def bpl(con, t):
     from the series' pairs; d_small_t, which the products read, converts its
     sum once.
     """
-    F, G, H = con.exact_F, con.exact_G, con.exact_H
+    F, G, H = con.F, con.G, con.H
     X = perturbation_series(t, H, default_budget)
-
-    def after(pair, p):
-        """p X of an exact vector, exact."""
-        terms, den = pair
-        parts = []
-        for u, n in terms.items():
-            terms_u, den_u = X(u, p)
-            parts.append((terms_u, n, den * den_u))
-        return exact_sum(parts)
 
     def corrected(first, second, p):
         """w -> first(w) - p X second(w), exact."""
 
         def op(w):
-            (a, den_a), (b, den_b) = first(w), after(second(w), p)
+            (a, den_a), (b, den_b) = first(w), exact_apply(second(w), lambda u: X(u, p))
             return exact_sum([(a, 1, den_a), (b, -1, den_b)])
 
         return op
@@ -287,10 +265,10 @@ def bpl(con, t):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
-        return con.d_small(w) + to_vector(after(G(w), F))
+        return con.d_small(w) + to_vector(exact_apply(G(w), lambda u: X(u, F)))
 
-    return ExactContraction(corrected(F, H, F), corrected(G, G, H), corrected(H, H, H),
-                            d_big_t, d_small_t)
+    return Contraction(corrected(F, H, F), corrected(G, G, H), corrected(H, H, H),
+                       d_big_t, d_small_t)
 
 
 class Transfer:

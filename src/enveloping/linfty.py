@@ -256,7 +256,7 @@ class LInftyMorphism:
             sign = koszul_sign(tuple(arrangement), degs)
             factors = [self.suspended_component(tuple(letters[i] for i in block))
                        for block in partition]
-            out.accumulate(vector_product(factors, sym_word), sign)
+            out.accumulate(Vector(vector_product(factors, sym_word)), sign)
         return out
 
 
@@ -372,9 +372,9 @@ def adjoint_module(algebra):
 # bundled algebra builders
 
 
-def abelian(degrees, name="abelian"):
+def abelian(degrees):
     gens = [Generator("a%d" % i, d) for i, d in enumerate(degrees, 1)]
-    return LInftyAlgebra(gens, {}, name=name)
+    return LInftyAlgebra(gens, {}, name="abelian")
 
 
 def heisenberg():
@@ -382,14 +382,14 @@ def heisenberg():
     return LInftyAlgebra([x, y, z], {2: {(x, y): {z: 1}}}, name="heisenberg")
 
 
-def dg_vector_space(pairs, name="dg"):
+def dg_vector_space(pairs):
     """A complex as an L-infinity algebra: pairs (id, degree, dict image)."""
     gens = {gid: Generator(gid, d) for gid, d, _ in pairs}
     table = {}
     for gid, _, image in pairs:
         if image:
             table[(gens[gid],)] = {gens[t]: Fraction(c) for t, c in image.items()}
-    return LInftyAlgebra(list(gens.values()), {1: table} if table else {}, name=name)
+    return LInftyAlgebra(list(gens.values()), {1: table} if table else {}, name="dg")
 
 
 def from_complete_intersection(variables, polynomials, divided_powers=False):

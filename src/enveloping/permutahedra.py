@@ -11,8 +11,9 @@ vector over faces once, when it is stored.  Transporting the contraction
 along the face/cobar dictionary yields the contracting homotopy of the cobar
 construction of a symmetric coalgebra; each contraction compiles that
 transport once per shape of cobar word, with integer coefficients over one
-denominator.  The cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and
-``cobar_gf`` return exact pairs (terms, den), see ``exactlin.exact_sum``.
+denominator.  The contraction's F, G and H and the cobar maps ``cobar_f``,
+``cobar_g``, ``cobar_h`` and ``cobar_gf`` return exact pairs (terms, den),
+see ``exactlin.exact_sum``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ from .exactlin import (
     Vector,
     Word,
     axpy,
+    exact_apply,
     exact_sum,
     koszul_sign,
     perm_parity,
     set_partitions,
     sym_word,
+    symmetrize,
+    to_pair,
     unshuffles,
 )
 from .words import desuspended_letter, desuspended_word, desuspension_sign
@@ -258,17 +262,16 @@ class PermutahedronContraction(Contraction):
     face numbers, scaled by N = n!: the solve yields N Hraw, the average
     N^2 A, the projection 2N^2 H' and the repair (2N^2)^2 H.  ``columns``
     holds the columns of H built so far, over faces, with Fraction
-    coefficients.
+    coefficients; H is their exact pair.
     """
 
     def __init__(self, n):
         self.n = n
         self._nfact = math.factorial(n)
-        average = Fraction(1, self._nfact)
         super().__init__(
-            lambda f: Vector.unit((), 1 if f.d == n else 0),
-            lambda _: Vector(dict.fromkeys(enumerate_faces(n, n), average)),
-            self._column,
+            lambda f: ({(): 1} if f.d == n else {}, 1),
+            lambda _: (dict.fromkeys(enumerate_faces(n, n), 1), self._nfact),
+            lambda face: to_pair(self._column(face)),
             boundary,
             lambda _: Vector(),
         )
@@ -537,24 +540,14 @@ def cobar_f(x):
 
 def cobar_g(word):
     """Average of all weight-one-letter arrangements of an algebra word: the
-    graded average of the tensor word, one desuspended letter per generator,
-    exact: integer terms over n!."""
-    letters = [desuspended_letter((g,))[1] for g in word.letters]
-    degs = [g.degree for g in word.letters]
-    terms = {}
-    for perm in itertools.permutations(range(len(letters))):
-        axpy(terms, {Word(COBAR, (letters[i] for i in perm)): koszul_sign(perm, degs)})
-    return exact_sum([(terms, 1, math.factorial(len(letters)))])
+    graded average of the cobar word with one desuspended letter per
+    generator, exact: integer terms over n!."""
+    return symmetrize(Word(COBAR, [desuspended_letter((g,))[1] for g in word.letters]))
 
 
 def cobar_gf(x):
     """G F on a cobar word, exact."""
-    terms, _ = cobar_f(x)
-    parts = []
-    for w, c in terms.items():
-        g_terms, den = cobar_g(w)
-        parts.append((g_terms, c, den))
-    return exact_sum(parts)
+    return exact_apply(cobar_f(x), cobar_g)
 
 
 def theta_factor(x):

@@ -26,6 +26,7 @@ from .exactlin import (
     antisymmetric_sign,
     perm_parity,
     square_zero,
+    to_pair,
 )
 from .words import cobar_words, desuspended_word, desuspension_sign
 
@@ -201,8 +202,8 @@ def t_complex_contraction_check(T):
     if not result:
         return result
     small = [()] if len(faces) == 1 else []  # one face: no descents
-    con = Contraction(lambda _: Vector.unit((), 1 if small else 0),
-                      lambda _: Vector.unit(faces[0]), lambda k: h_ct(*k),
+    con = Contraction(lambda _: ({(): 1} if small else {}, 1),
+                      lambda _: ({faces[0]: 1}, 1), lambda k: to_pair(h_ct(*k)),
                       lambda k: boundary_ct(*k), lambda _: Vector())
     return con.verify_on(faces, small)
 

@@ -17,11 +17,14 @@ from .exactlin import (
     agree,
     antisymmetric_sign,
     conjugation_sign,
+    exact_apply,
     koszul_sign,
     memo_op,
     square_zero,
     sym_word,
     symmetrize,
+    to_pair,
+    to_vector,
     unshuffles,
 )
 from .hpt import Transfer, bar_coderivation, bar_morphism
@@ -200,7 +203,7 @@ class ClassicalEnveloping:
 
     def symmetrize(self, word):
         """The coalgebra isomorphism from symmetric words to the enveloping."""
-        return symmetrize(Word(TENSOR, word.letters)).apply(
+        return to_vector(symmetrize(Word(TENSOR, word.letters))).apply(
             lambda t: self.straighten(t.letters)
         )
 
@@ -350,7 +353,8 @@ def coproduct_strictness_check(structure, arity_cap, weight_cap):
             if bar.length <= arity_cap and bar.rank <= weight_cap]
 
     def rhs(bar):
-        inputs = vector_product([coproduct_map(w) for w in bar.letters], lambda ws: (1, ws))
+        inputs = Vector(vector_product([coproduct_map(w) for w in bar.letters],
+                                       lambda ws: (1, ws)))
         return inputs.apply(doubled.product)
 
     return agree(bars, lambda bar: structure.product(bar.letters).apply(coproduct_map),
@@ -388,15 +392,16 @@ class AInftyMorphismData:
         self.source = source_structure
         self.target = target_structure
         # letterwise on bar words of cobar words, each letter by phi
-        self._omega_map = bar_morphism(bar_morphism(phi.coalgebra_map))
+        self._omega_map = bar_morphism(bar_morphism(lambda w: to_pair(phi.coalgebra_map(w))))
         self.apply = memo_op(self.apply)
 
     def apply(self, bar):
-        """The full transferred coalgebra map on a bar word."""
-        v = Vector.unit(bar)
-        v = v.apply(self.source.transfer.con.G)
-        v = v.apply(self._omega_map)
-        return v.apply(self.target.transfer.con.F)
+        """The full transferred coalgebra map on a bar word, composed exact
+        and converted once."""
+        pair = self.source.transfer.con.G(bar)
+        for op in (self._omega_map, self.target.transfer.con.F):
+            pair = exact_apply(pair, op)
+        return to_vector(pair)
 
     def component(self, words):
         """U(phi)_n: the corestriction on an input tuple, as algebra words."""
@@ -413,7 +418,7 @@ def sym_extension(phi):
     """Symmetrization of the first component, on algebra words."""
 
     def on_word(word):
-        return vector_product([phi.component((g,)) for g in word.letters], sym_word)
+        return Vector(vector_product([phi.component((g,)) for g in word.letters], sym_word))
 
     return on_word
 
@@ -447,13 +452,12 @@ class CompositionHomotopy:
         self.data_psi = data_psi
 
     def apply(self, bar):
-        v = Vector.unit(bar)
-        v = v.apply(self.data_phi.source.transfer.con.G)
-        v = v.apply(self.data_phi._omega_map)
-        v = v.apply(self.data_phi.target.transfer.con.H)
-        v = v.apply(self.data_psi._omega_map)
-        v = v.apply(self.data_psi.target.transfer.con.F)
-        return v
+        phi, psi = self.data_phi, self.data_psi
+        pair = phi.source.transfer.con.G(bar)
+        for op in (phi._omega_map, phi.target.transfer.con.H, psi._omega_map,
+                   psi.target.transfer.con.F):
+            pair = exact_apply(pair, op)
+        return to_vector(pair)
 
 
 def composition_homotopy_check(phi, psi, arity_cap, weight_cap):

@@ -10,8 +10,10 @@ side) or of suspended symmetric-algebra words (small side).  Both are
 from __future__ import annotations
 
 import itertools
+import math
+from operator import itemgetter
 
-from .exactlin import BAR, COBAR, Vector, Word, compositions, s_power_sign, sym_word
+from .exactlin import BAR, COBAR, Word, axpy, compositions, s_power_sign, sym_word
 
 
 def sym_words(gens, weight):
@@ -105,15 +107,18 @@ def desuspended_word(blocks):
     return sign, Word(COBAR, letters)
 
 
+# the word and the coefficient of every pick of every product; map over an
+# itemgetter is faster than a generator expression
+_word, _coeff = itemgetter(0), itemgetter(1)
+
+
 def vector_product(factors, combine):
-    """Product of term dictionaries: combine(tuple_of_words) -> (coeff, key)."""
-    out = Vector()
-    for picks in itertools.product(*[list(f.items()) for f in factors]):
-        words = tuple(p[0] for p in picks)
-        coeff = 1
-        for p in picks:
-            coeff = coeff * p[1]
-        c2, key = combine(words)
+    """Product of term dictionaries, combine(tuple_of_words) -> (coeff, key),
+    as a term dictionary: the one multilinear expansion of the package.  Its
+    coefficients are integers where the factors' and combine's are."""
+    out = {}
+    for picks in itertools.product(*[f.items() for f in factors]):
+        c2, key = combine(tuple(map(_word, picks)))
         if key is not None and c2:
-            out.add_term(key, coeff * c2)
+            axpy(out, {key: math.prod(map(_coeff, picks), start=c2)})
     return out

@@ -160,9 +160,9 @@ def induced_algebra_map(phi):
         )
 
     def on_cobar(x):
-        return vector_product(
+        return Vector(vector_product(
             [on_letter(letter) for letter in x.letters], lambda ws: (1, Word(COBAR, ws))
-        )
+        ))
 
     return on_cobar
 

@@ -50,6 +50,23 @@ PRODUCT_DIGESTS_4_4 = {
     "ci_sweep": "3f1879a9ba2ad1dc4a27f2a296aceb2b7d7eb06c476ff1aaa09c64d6a0e89a22",
 }
 
+# The same at the default caps, arity cap 4 and weight cap 5: the tables that
+# a plain `products` prints.
+PRODUCT_DIGESTS_4_5 = {
+    "abelian1": "825d5d88f524436990117fa1e58e7781d758ee3c3bf5d654a030a1299928ae71",
+    "abelian2": "f309d8bbff9659a0cc0ab985ffb8e0f66f5518f480aaf19244e1cf8ed1e70ad8",
+    "abelian3": "5eb38bf9fc28fdfaa63aea36a40daa464d9bae32118154705c298eee66bf731f",
+    "sl2": "d270abff9ba6c7c9bf682f5431f16d086b7c2d68d2310421a72f32deae7bb7ee",
+    "sl2_adjoint": "ed7ed0c965db798f70e3d3628c33edae6b6504a60003806602b1058df9893876",
+    "heisenberg": "b63c20495a7edb04573c5321c66b7be0b806a940b582495a6ee87686f596eb5d",
+    "odd1": "969b05da8c7a18fb010ef1a368b0704b8f44d1e5ebd118066a38d375c9d2ebb9",
+    "odd2": "3c2bed36352243672af1a24272b187a10d0ba8fa1e0b14cd07d6d278d0b592ef",
+    "l3only": "666e4f1b6359a66fee25f554317eb1c6a7926d9896eb686000c80c64cbf0bdc0",
+    "ci_cubic": "9885516b5471208c4cfcccd91eb2ba7b3ea797b81cdcb6636b236b931c337880",
+    "ci_rational": "65e65f0583d22927775b525fd2278c8dd3a51c510439fd3a8ee5c1e1b9c006c6",
+    "ci_sweep": "78bf7b3211aeaacaace800c29526b47eddd61b9dfe75e12821ca59dc151b714d",
+}
+
 # Pinned inputs that are not bundled, read from "<name>.json" in the working
 # directory: a complete intersection with rational coefficients (every
 # bundled input has integer brackets), and one shaped like the benchmark's
@@ -434,9 +451,10 @@ def test_check_timings_cover_every_suite(capsys):
 
 
 @pytest.mark.parametrize("caps, digests", [
-    ("3", PRODUCT_DIGESTS_3_3),
-    ("4", PRODUCT_DIGESTS_4_4),
-], ids=["3_3", "4_4"])
+    (("3", "3"), PRODUCT_DIGESTS_3_3),
+    (("4", "4"), PRODUCT_DIGESTS_4_4),
+    (("4", "5"), PRODUCT_DIGESTS_4_5),
+], ids=["3_3", "4_4", "4_5"])
 def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests):
     assert set(digests) == set(BUNDLED) | set(FILE_INPUTS)
     monkeypatch.chdir(tmp_path)  # the path of a file input is in the report
@@ -444,7 +462,7 @@ def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests)
         Path("%s.json" % name).write_text(json.dumps(data))
     for name, digest in digests.items():
         source = "%s.json" % name if name in FILE_INPUTS else "bundled:%s" % name
-        argv = ["--input", source, "--arity-cap", caps, "--weight-cap", caps,
+        argv = ["--input", source, "--arity-cap", caps[0], "--weight-cap", caps[1],
                 "--format", "json", "products"]
         code, out, _ = run(capsys, argv)
         assert code == 0, name

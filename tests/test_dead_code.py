@@ -11,7 +11,8 @@ benchmark patches some attributes by name).
 A reference from ``tests/`` does not count: what only the tests reach lives
 in the tests.  Dunder methods are called by the language and are not
 checked.  Every parameter of a function or method is read in its body
-(a method's ``self`` or ``cls`` aside).
+(a method's ``self`` or ``cls`` aside), and every parameter default is
+overridden by some call in ``src/`` or ``perfbench/`` outside the function.
 
 A process-global cache survives a test's monkeypatch of what it was built
 from, so state computed from a contraction lives on the contraction; the
@@ -200,3 +201,63 @@ def _global_caches():
 
 def test_no_process_global_cache_outside_the_allowlist():
     assert set(_global_caches()) == GLOBAL_CACHES
+
+
+def _calls():
+    """(called name, call, (path, line) of the enclosing module-level
+    function or method) for every call in ``src/`` and ``perfbench/``."""
+    for path, tree in _sources(tuple(USERS)):
+        tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        tops += [item for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, ast.FunctionDef)]
+        inside = {}
+        for top in tops:
+            for node in ast.walk(top):
+                inside.setdefault(node, (path, top.lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                yield _name_of(node.func), node, inside.get(node)
+
+
+def _passes(call, shift, index, name):
+    """Whether ``call`` passes the parameter ``name``, the ``index``-th
+    positional one (None when keyword-only); a bound call's arguments start
+    ``shift`` places later.  A splat passes whatever it may hold."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    for position, arg in enumerate(call.args, shift):
+        if isinstance(arg, ast.Starred) or position == index:
+            return True
+    return False
+
+
+def test_every_default_is_overridden():
+    # a default that every call takes is a constant: the parameter goes.
+    # ``__init__`` is called by its class name, and only a call outside the
+    # function itself counts, so a default passed on only by recursion is
+    # reported
+    calls = {}
+    for name, call, within in _calls():
+        calls.setdefault(name, []).append((call, within))
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(None, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        functions += [(cls, item) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for cls, fn in functions:
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = [(p, i) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            shift = 0 if cls is None else 1  # self or cls
+            for p, index in defaulted:
+                if not any(within != (path, fn.lineno) and _passes(call, shift, index, p)
+                           for call, within in calls.get(name, ())):
+                    never.append("%s.%s(%s)" % (path.stem, fn.name, p))
+    assert never == []

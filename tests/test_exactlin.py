@@ -17,6 +17,7 @@ from enveloping.exactlin import (
     _generic_key,
     antisymmetric_sign,
     axpy,
+    exact_apply,
     format_scalar,
     koszul_sign,
     parse_scalar,
@@ -24,9 +25,12 @@ from enveloping.exactlin import (
     square_zero,
     sym_word,
     symmetrize,
+    to_pair,
+    to_vector,
+    vector_view,
 )
 
-from conftest import finite_complex
+from conftest import assert_reduced, finite_complex
 
 a0 = Generator("a", 0)
 b0 = Generator("b", 0)
@@ -145,14 +149,42 @@ def test_axpy():
 
 def test_symmetrize_is_projector():
     word = Word(TENSOR, [a0, b0])
-    sym = symmetrize(word)
+    sym = to_vector(symmetrize(word))
     assert sym == Vector(
         {Word(TENSOR, [a0, b0]): Fraction(1, 2), Word(TENSOR, [b0, a0]): Fraction(1, 2)}
     )
-    again = sym.apply(symmetrize)
+    again = sym.apply(vector_view(symmetrize))
     assert again == sym
-    assert not symmetrize(Word(TENSOR, [v1, v1]))
-    assert symmetrize(Word(TENSOR, [a0])) == Vector.unit(Word(TENSOR, [a0]))
+    assert not to_vector(symmetrize(Word(TENSOR, [v1, v1])))
+    assert to_vector(symmetrize(Word(TENSOR, [a0]))) == Vector.unit(Word(TENSOR, [a0]))
+
+
+def test_to_pair_inverts_to_vector():
+    a, b, c = (Word(TENSOR, [g]) for g in (a0, b0, v1))
+    # reduced pairs only: to_pair gives the reduced pair of a Vector
+    for pair in [({}, 1), ({a: 1}, 1), ({a: 1, b: 1}, 2), ({a: 3, b: -2, c: 4}, 5),
+                 ({c: -7, a: 2}, 12), ({b: 6, c: 10}, 9)]:
+        assert to_pair(to_vector(pair)) == pair
+        assert list(to_pair(to_vector(pair))[0]) == list(pair[0])
+    for v in [Vector(), Vector.unit(a, 3), Vector({a: Fraction(2, 3), b: Fraction(-5, 6)}),
+              Vector({c: Fraction(1, 4), b: Fraction(7, 4), a: Fraction(-3, 2)})]:
+        pair = to_pair(v)
+        assert_reduced(pair)
+        assert to_vector(pair) == v
+        assert list(to_vector(pair).items()) == list(v.items())
+
+
+def test_exact_apply_agrees_with_vector_apply():
+    a, b, c = (Word(TENSOR, [g]) for g in (a0, b0, v1))
+    images = {a: ({b: 1, c: -1}, 2), b: ({c: 2}, 3), c: ({}, 1)}
+    op = images.__getitem__
+    # the last pair's c terms cancel: a and b send 2c/5 and -2c/5
+    for pair in [({}, 1), ({a: 1}, 1), ({a: 2, b: 3}, 7), ({c: 5}, 1), ({a: 4, b: 3}, 5)]:
+        got = exact_apply(pair, op)
+        assert_reduced(got)
+        expected = to_vector(pair).apply(vector_view(op))
+        assert list(to_vector(got).items()) == list(expected.items()), pair
+    assert exact_apply(({a: 4, b: 3}, 5), op) == ({b: 2}, 5)
 
 
 def _dense_rank(vectors):

@@ -10,7 +10,7 @@ import pytest
 from enveloping.exactlin import (
     BAR,
     COBAR,
-    ExactContraction,
+    Contraction,
     Vector,
     Word,
     conjugation_sign,
@@ -86,8 +86,8 @@ def test_abelian_cobar_differential_is_pure_coproduct():
 
 def test_bar_lift_reduces_to_single_letter_maps(sl2_transfer):
     T = sl2_transfer
-    F = bar_morphism(vector_view(cobar_f))
-    G = bar_morphism(vector_view(cobar_g))
+    F = vector_view(bar_morphism(cobar_f))
+    G = vector_view(bar_morphism(cobar_g))
     for x in cobar_words(T.C1.sgens, 2):
         bar = Word(BAR, (x,))
         expected = Vector()
@@ -107,8 +107,8 @@ def test_lifted_side_conditions_and_homotopy_identity(sl2_transfer):
 def test_coalgebra_homotopy_condition(sl2_transfer):
     # Delta_B H = (H x 1 + GF x H) Delta_B on the lifted homotopy
     T = sl2_transfer
-    H = T.con0.H
-    GF = lambda b: Vector.unit(b).apply(T.con0.F).apply(T.con0.G)
+    H = vector_view(T.con0.H)
+    GF = lambda b: Vector.unit(b).apply(vector_view(T.con0.F)).apply(vector_view(T.con0.G))
 
     def deconcat(bar):
         out = []
@@ -194,14 +194,14 @@ def test_geometric_degree_bookkeeping(sl2_transfer):
         return sum(x.rank - x.length for x in bar.letters)
 
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
-        for b2 in T.con0.H(bar).terms:
+        for b2 in T.con0.H(bar)[0]:
             assert geo(b2) == geo(bar) + 1
         for b2 in t_mu(bar).terms:
             assert geo(b2) == geo(bar)
         for b2 in t_L(bar).terms:
             assert geo(b2) < geo(bar)
         if bar.length == 1 and geo(bar) > 0:
-            assert not T.con0.F(bar)
+            assert not T.con0.F(bar)[0]
 
 
 def test_bpl_with_zero_perturbation_is_identity(sl2_transfer):
@@ -209,12 +209,10 @@ def test_bpl_with_zero_perturbation_is_identity(sl2_transfer):
     zero = lambda word: Vector()
     con = bpl(T.con0, zero)
     for bar in bar_words_cobar(T.C1.sgens, 2, 2):
-        v = Vector.unit(bar)
-        assert v.apply(con.F) == v.apply(T.con0.F)
-        assert v.apply(con.H) == v.apply(T.con0.H)
+        assert con.F(bar) == T.con0.F(bar)
+        assert con.H(bar) == T.con0.H(bar)
     for bar in bar_words_algebra(T.algebra.generators, 2, 2):
-        v = Vector.unit(bar)
-        assert v.apply(con.G) == v.apply(T.con0.G)
+        assert con.G(bar) == T.con0.G(bar)
         assert con.d_small(bar) == T.con0.d_small(bar)
 
 
@@ -234,12 +232,10 @@ def test_composition_law(sl2_transfer):
     staged = bpl(bpl(T.con0, t_mu), t_L)
     direct = T.con
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
-        v = Vector.unit(bar)
-        assert v.apply(staged.F) == v.apply(direct.F)
-        assert v.apply(staged.H) == v.apply(direct.H)
+        assert staged.F(bar) == direct.F(bar)
+        assert staged.H(bar) == direct.H(bar)
     for bar in bar_words_algebra(T.algebra.generators, 3, 3):
-        v = Vector.unit(bar)
-        assert v.apply(staged.G) == v.apply(direct.G)
+        assert staged.G(bar) == direct.G(bar)
         assert staged.d_small(bar) == direct.d_small(bar)
 
 
@@ -296,10 +292,10 @@ def test_perturbed_maps_are_coalgebra_morphisms(sl2_transfer):
         return None
 
     def F_op(bar):
-        return Vector.unit(bar).apply(T.con.F) if bar.length else Vector.unit(bar)
+        return to_vector(T.con.F(bar)) if bar.length else Vector.unit(bar)
 
     def G_op(bar):
-        return Vector.unit(bar).apply(T.con.G) if bar.length else Vector.unit(bar)
+        return to_vector(T.con.G(bar)) if bar.length else Vector.unit(bar)
 
     big = rng.sample(bar_words_cobar(T.C1.sgens, 3, 3), 25)
     small = bar_words_algebra(T.algebra.generators, 3, 3)
@@ -345,18 +341,18 @@ def test_projected_series_matches_unrolled_series(algebra):
     from enveloping.hpt import PerturbationError
 
     T = Transfer(algebra, 3)
-    F, H = T.con0.exact_F, T.con0.exact_H
+    F, H = T.con0.F, T.con0.H
     identity = lambda word: ({word: 1}, 1)
     X = perturbation_series(T.t, H, default_budget)
     words = set()
     for bar in bar_words_algebra(algebra.generators, 3, 3):
-        words.update(T.con0.G(bar).terms)
+        words.update(T.con0.G(bar)[0])
     words = sorted(words, key=repr)
     assert words
     for w in words:
-        expected = unrolled_series(T.t, T.con0.H, w)
+        expected = unrolled_series(T.t, vector_view(H), w)
         # a memo that ignored the projection would return X(w, F) below
-        for p, view in ((F, T.con0.F), (H, T.con0.H), (identity, Vector.unit)):
+        for p, view in ((F, vector_view(F)), (H, vector_view(H)), (identity, Vector.unit)):
             assert_reduced(X(w, p))
             assert to_vector(X(w, p)) == expected.apply(view), w
     assert any(X(w, F)[0] for w in words)
@@ -397,13 +393,12 @@ def test_named_lift_and_perturbations_match_the_transfer(sl2_transfer):
     from enveloping.hpt import lift_contraction
 
     T = sl2_transfer
-    letters = ExactContraction(cobar_f, cobar_g, cobar_h, cobar_differential(T.C1),
-                               algebra_differential(T.algebra))
+    letters = Contraction(cobar_f, cobar_g, cobar_h, cobar_differential(T.C1),
+                          algebra_differential(T.algebra))
     con = lift_contraction(letters, cobar_gf)
     for bar in bar_words_cobar(T.C1.sgens, 2, 2):
-        v = Vector.unit(bar)
-        assert v.apply(con.F) == v.apply(T.con0.F)
-        assert v.apply(con.H) == v.apply(T.con0.H)
+        assert con.F(bar) == T.con0.F(bar)
+        assert con.H(bar) == T.con0.H(bar)
     tm, tl = perturbation_parts(T)
     t_L = reference_letter_coderivation(bracket_letter_differential(T))
     for bar in bar_words_cobar(T.C1.sgens, 3, 3):
@@ -521,7 +516,7 @@ def reference_lifted_homotopy(letter_gf, letter_h):
             factors = [letter_gf(y) for y in b.letters[:t]]
             factors.append(letter_h(x))
             factors.extend(Vector.unit(y) for y in b.letters[t + 1 :])
-            out.accumulate(vector_product(factors, lambda ws: (1, Word(BAR, ws))), sign)
+            out.accumulate(Vector(vector_product(factors, lambda ws: (1, Word(BAR, ws)))), sign)
             left += x.degree - 1
         return out
 
@@ -545,10 +540,10 @@ def test_suffix_recursive_homotopy_matches_the_slot_sum(algebra):
     big = bar_words_cobar(T.C1.sgens, 3, 3)
     for b in big:
         # the memo holds H(b) exact
-        pair = T.con0.exact_H(b)
+        pair = T.con0.H(b)
         assert_reduced(pair)
         assert to_vector(pair) == H(b), b
-        assert T.con0.H(b) == H(b), b
-    assert T.con0.exact_H(Word(BAR, ())) == ({}, 1)
+        assert T.con0.H(b) is pair, b
+    assert T.con0.H(Word(BAR, ())) == ({}, 1)
     # words where a slot past the first contributes, through gf on a prefix
-    assert any(T.con0.H(b) and T.con0.H(Word(BAR, b.letters[1:])) for b in big)
+    assert any(T.con0.H(b)[0] and T.con0.H(Word(BAR, b.letters[1:]))[0] for b in big)

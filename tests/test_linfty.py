@@ -196,7 +196,7 @@ def test_morphism_key_repeating_an_even_generator_is_refused():
 
 def test_non_chain_map_fails_at_weight_one():
     V = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {})])
-    W = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {})], name="dg2")
+    W = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {})])
     v, u = V.by_id["v"], V.by_id["u"]
     phi = LInftyMorphism(V, W, {1: {(v,): {W.by_id["v"]: 1}, (u,): {}}})
     result = check_morphism(phi, 3)

@@ -11,14 +11,18 @@ from enveloping.exactlin import (
     Echelon,
     Vector,
     Word,
+    axpy,
     compositions,
+    exact_sum,
     format_scalar,
     koszul_sign,
     s_power_sign,
     sym_word,
+    symmetrize,
     to_vector,
+    vector_view,
 )
-from enveloping.linfty import heisenberg
+from enveloping.linfty import abelian, heisenberg
 from enveloping.permutahedra import (
     FaceIndex,
     OrderedPartition,
@@ -29,12 +33,15 @@ from enveloping.permutahedra import (
     boundary,
     build_contraction,
     chain_complex,
+    cobar_f,
+    cobar_g,
+    cobar_gf,
     cobar_h,
     enumerate_faces,
     nu,
     standard_face,
 )
-from enveloping.words import cobar_words
+from enveloping.words import cobar_words, desuspended_letter, sym_words
 
 from conftest import act, act_vector, assert_reduced, bundled, nu_vector, odd_abelian
 
@@ -136,22 +143,23 @@ def test_involution_values_and_properties():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_contraction_identities(n):
     con = build_contraction(n)
+    F, G, H = map(vector_view, (con.F, con.G, con.H))
     faces = all_faces(n)
     # FG = 1 on k, whose one basis element is ()
     one = Vector.unit(())
-    assert one.apply(con.G).apply(con.F) == one
+    assert one.apply(G).apply(F) == one
     for f in faces:
         v = Vector.unit(f)
         # homotopy identity
-        lhs = v - v.apply(con.F).apply(con.G)
-        rhs = boundary_vec(v.apply(con.H)) + boundary_vec(v).apply(con.H)
+        lhs = v - v.apply(F).apply(G)
+        rhs = boundary_vec(v.apply(H)) + boundary_vec(v).apply(H)
         assert lhs == rhs, (n, f)
         # side conditions
-        assert not v.apply(con.H).apply(con.F)
-        assert not v.apply(con.H).apply(con.H)
-    assert not one.apply(con.G).apply(con.H)
+        assert not v.apply(H).apply(F)
+        assert not v.apply(H).apply(H)
+    assert not one.apply(G).apply(H)
     # H kills the top cell
-    assert not con.H(enumerate_faces(n, 1)[0])
+    assert not H(enumerate_faces(n, 1)[0])
 
 
 def boundary_vec(v):
@@ -160,7 +168,7 @@ def boundary_vec(v):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_contraction_equivariance(n):
-    con = build_contraction(n)
+    H = vector_view(build_contraction(n).H)
     gens = []
     for i in range(1, n):
         sigma = list(range(1, n + 1))
@@ -168,10 +176,10 @@ def test_contraction_equivariance(n):
         gens.append(tuple(sigma))
     for f in all_faces(n):
         v = Vector.unit(f)
-        hv = v.apply(con.H)
+        hv = v.apply(H)
         for sigma in gens:
-            assert act_vector(sigma, v).apply(con.H) == act_vector(sigma, hv)
-        assert nu_vector(v).apply(con.H) == nu_vector(hv)
+            assert act_vector(sigma, v).apply(H) == act_vector(sigma, hv)
+        assert nu_vector(v).apply(H) == nu_vector(hv)
 
 
 # SHA-256 of every column of H, taken from the homotopy that averaged and
@@ -310,8 +318,9 @@ def test_n2_homotopy_matches_hand_computation():
     e12 = F((1,), (2,))
     e21 = F((2,), (1,))
     top = F((1, 2))
-    assert con.H(e12) == Vector.unit(top, Fraction(-1, 2))
-    assert con.H(e21) == Vector.unit(top, Fraction(1, 2))
+    H = vector_view(con.H)
+    assert H(e12) == Vector.unit(top, Fraction(-1, 2))
+    assert H(e21) == Vector.unit(top, Fraction(1, 2))
 
 
 def test_face_serialization():
@@ -397,3 +406,42 @@ def test_cobar_h_follows_a_faulted_contraction(top_cell_fault):
     # H(top) = top now, so cobar_h(x) = -(-1)^|gens| x, and the unsuspended
     # letters e, f, h are even
     assert cobar_h(x) == ({x: -1}, 1)
+
+
+def reference_cobar_g(word):
+    """``cobar_g`` as it was written out on its own: every arrangement of the
+    one-generator letters, signed by the Koszul sign of the generators'
+    degrees, over n!."""
+    letters = [desuspended_letter((g,))[1] for g in word.letters]
+    degs = [g.degree for g in word.letters]
+    terms = {}
+    for perm in itertools.permutations(range(len(letters))):
+        axpy(terms, {Word(COBAR, (letters[i] for i in perm)): koszul_sign(perm, degs)})
+    return exact_sum([(terms, 1, math.factorial(len(letters)))])
+
+
+# even generators, odd ones, and both
+@pytest.mark.parametrize("algebra", [bundled("sl2"), odd_abelian([1, 3]), abelian([0, 1, 2])],
+                         ids=["even", "odd", "mixed"])
+def test_symmetrize_of_a_cobar_word_is_the_cobar_average(algebra):
+    for weight in range(1, 5):
+        for word in sym_words(algebra.generators, weight):
+            expected = reference_cobar_g(word)
+            got = symmetrize(Word(COBAR, [desuspended_letter((g,))[1] for g in word.letters]))
+            assert got == expected, word
+            assert list(got[0]) == list(expected[0]), word
+            assert cobar_g(word) == expected, word
+
+
+def test_cobar_gf_is_g_applied_to_f():
+    # exact_apply against Vector.apply through vector_view, on every cobar
+    # word of rank <= 4
+    hit = 0
+    for rank in range(1, 5):
+        for x in cobar_words(_suspended_generators(bundled("sl2")), rank):
+            pair = cobar_gf(x)
+            assert_reduced(pair)
+            expected = to_vector(cobar_f(x)).apply(vector_view(cobar_g))
+            assert list(to_vector(pair).items()) == list(expected.items()), x
+            hit += bool(pair[0])
+    assert hit
