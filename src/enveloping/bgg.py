@@ -232,11 +232,12 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
     from .words import bar_words_algebra
 
     def rho(w):
-        return _rho_cobar(module_l, w.letters[0]) if w.length == 1 else None
+        return _rho_cobar(module_l, w.letters[0])
 
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
-        value = to_vector(structure.transfer.con.G(bar)).apply(rho)
+        # rho reads the one-letter part of the perturbed inclusion: Phi
+        value = to_vector(structure.transfer.phi(bar.letters)).apply(rho)
         if value:
             cochain[bar] = value
     return AInftyModule(structure, module_l.basis, module_l.d_m, cochain,

@@ -151,9 +151,31 @@ def cmd_validate(args):
     return report, None
 
 
+# the largest permutahedron contraction that a run may build: the solve at
+# rank 7 alone takes minutes and most of a gigabyte
+MAX_CONTRACTION_RANK = 6
+
+
+def _refuse_large_contraction(rank, cap):
+    """Exit 2, before any computation, when a request needs a permutahedron
+    contraction above MAX_CONTRACTION_RANK; ``cap`` names the option."""
+    if rank > MAX_CONTRACTION_RANK:
+        raise ParseFailure("%s needs the rank-%d permutahedron contraction; the largest "
+                           "that a run may build is rank %d" % (cap, rank, MAX_CONTRACTION_RANK))
+
+
+def _refuse_large_transfer(algebra, args):
+    rank = uea.contraction_rank(algebra, args.arity_cap, args.weight_cap)
+    cap = "--weight-cap %d" % args.weight_cap
+    if rank < args.weight_cap:
+        cap = "--arity-cap %d with %s" % (args.arity_cap, cap)
+    _refuse_large_contraction(rank, cap)
+
+
 def cmd_products(args):
     report = Report("products", _config(args))
     algebra, _ = load_input(args.input)
+    _refuse_large_transfer(algebra, args)
     result = report.run("check_linfty", lambda: linfty.check_linfty(algebra, args.weight_cap))
     if not result:
         return report, None
@@ -179,12 +201,20 @@ SUITES = (
 )
 
 
+# the suites that transfer the input
+STRUCTURE_SUITES = {"stasheff", "pbw", "alt", "involution", "coproduct", "truncation", "bgg"}
+
+
 def cmd_check(args):
     report = Report("check", _config(args))
     suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    if "permutahedron" in suites:
+        _refuse_large_contraction(args.n_cap, "--n-cap %d" % args.n_cap)
     algebra = None
     if args.input is not None:
         algebra, module = load_input(args.input)
+        if STRUCTURE_SUITES.intersection(suites):
+            _refuse_large_transfer(algebra, args)
         _validate_input(algebra, module, args.weight_cap)
     structure = None
 
@@ -359,6 +389,7 @@ def _bgg_checks(report, args, structure):
 
 
 def cmd_permutahedron(args):
+    _refuse_large_contraction(args.n_cap, "--n-cap %d" % args.n_cap)
     report = Report("permutahedron", _config(args))
     return report, _permutahedron_checks(report, args.n_cap)
 

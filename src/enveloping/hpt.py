@@ -1,6 +1,14 @@
 """The perturbation engine: cobar differentials, the bar coderivation of
-k-ary components, the lifted tensor contraction, and the basic perturbation
-lemma with lazily evaluated transfer series.
+k-ary components, the lifted tensor contraction, the basic perturbation
+lemma with lazily evaluated transfer series, and the tree form of the
+transfer.
+
+Two forms of the transfer read the lifted contraction.  The series (``bpl``)
+perturbs it on bar words of cobar words; m_1, the morphism transfer, the
+composition homotopy and the perturbed projection of bgg read it.  The tree
+form (``Transfer.phi``, ``Transfer.tree_product``) recurses on one-letter bar
+words only; the products of arity n >= 2 and the perturbed inclusion of bgg
+read it.
 
 Truncation discipline: every operator here preserves or decreases both the
 rank (number of algebra letters) and the bar length, so computations capped
@@ -20,6 +28,7 @@ from .exactlin import (
     exact_sum,
     memo_op,
     sym_word,
+    to_pair,
     to_vector,
 )
 from .linfty import CECoalgebra
@@ -140,6 +149,15 @@ def bar_coderivation(ops):
 def concatenation(x, y):
     """The product of the cobar algebra on two letters."""
     return Vector.unit(Word(COBAR, x.letters + y.letters))
+
+
+def _t2(pair):
+    """``vector_product`` combine of the tree form: t_2([x], [y]) =
+    conjugation_sign(|x|, |y|) [xy] = (-1)^|x| [xy], the concatenation part
+    of the perturbation on one-letter bar words, as ``bar_coderivation``
+    gives it on [x|y]."""
+    x, y = pair[0].letters[0], pair[1].letters[0]
+    return -1 if x.degree % 2 else 1, Word(BAR, (Word(COBAR, x.letters + y.letters),))
 
 
 def bar_morphism(letter_map):
@@ -276,7 +294,20 @@ class Transfer:
 
     ``con0`` contracts the bar construction of the bracket-free cobar algebra
     onto the bar construction of the symmetric algebra; ``con`` is the
-    perturbed contraction computing the enveloping structure.
+    perturbed contraction computing the enveloping structure, by the series.
+
+    The products of arity n >= 2 read the tree form instead (Markl,
+    arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3), on
+    one-letter bar words [x], x a cobar word, through ``con0``'s H, F and G:
+    with t_1 the unary part of ``t`` and t_2([x], [y]) its concatenation
+    part, conjugation_sign(|x|, |y|) [xy],
+        P = sum (-H t_1)^k,  Phi(u) = P G[u],
+        B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
+        Phi(u_1..u_n) = -P H B(u_1..u_n)  for n >= 2,
+    and the one-letter part of F X G on [u_1|..|u_n] is F(B + t_1 Phi): the
+    series' F Q B, Q = sum (-t_1 H)^k, rewritten by F Q = F - F t_1 P H.
+    Phi is the one-letter part of the perturbed inclusion ``con.G``.  P and
+    Phi are memoized here, per transfer.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -290,6 +321,48 @@ class Transfer:
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
         self.con0 = lift_contraction(cobar_contraction(self.C1), cobar_gf)
         self.con = bpl(self.con0, self.t)
+        # on a one-letter bar word t is its unary part t_1
+        self.t1 = memo_op(lambda b: to_pair(self.t(b)))
+        self.P = memo_op(self.P)
+        self._phi = {}
+
+    def P(self, b):
+        """P(b) = sum (-H t_1)^k b on a one-letter bar word, exact, by
+        P(b) = b - P(H t_1 b).  t_1 lowers the rank and H keeps it, so the
+        recursion ends."""
+        tail = exact_apply(exact_apply(self.t1(b), self.con0.H), self.P)
+        return exact_sum([({b: 1}, 1, 1), (tail[0], -1, tail[1])])
+
+    def phi(self, words):
+        """Phi(u_1..u_n) on a tuple of symmetric words, exact, memoized."""
+        out = self._phi.get(words)
+        if out is None:
+            if len(words) == 1:
+                out = self._phi[words] = exact_apply(self.con0.G(Word(BAR, words)), self.P)
+            else:
+                out = self.tree(words)[1]
+        return out
+
+    def tree(self, words):
+        """(B, Phi) of n >= 2 symmetric words, exact; Phi is memoized, B is
+        read once more, by ``tree_product``."""
+        parts = []
+        for k in range(1, len(words)):
+            (left, a), (right, b) = self.phi(words[:k]), self.phi(words[k:])
+            parts.append((vector_product([left, right], _t2), 1, a * b))
+        split = exact_sum(parts)
+        phi = self._phi.get(words)
+        if phi is None:
+            terms, den = exact_apply(exact_apply(split, self.con0.H), self.P)
+            phi = self._phi[words] = exact_sum([(terms, -1, den)])
+        return split, phi
+
+    def tree_product(self, words):
+        """F(B + t_1 Phi) on n >= 2 symmetric words: one-letter bar words
+        whose letters are m_n before its conjugation sign, exact."""
+        (split, a), phi = self.tree(words)
+        terms, den = exact_apply(phi, self.t1)
+        return exact_apply(exact_sum([(split, 1, a), (terms, 1, den)]), self.con0.F)
 
     def unit_inclusion(self, word):
         """The adjunction unit of a coalgebra word, as a bar-word vector.

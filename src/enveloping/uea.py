@@ -35,8 +35,11 @@ from .words import bar_words_algebra, sym_words_upto, vector_product
 class AInftyStructure:
     """Products m_n of degree 2 - n on symmetric words, within caps.
 
-    Tables are computed lazily from the perturbed transfer and memoized; the
-    structure is deterministic given the algebra and the caps.
+    Tables are computed lazily from the transfer and memoized; the structure
+    is deterministic given the algebra and the caps.  m_1 reads the series,
+    the one-letter part of the perturbed d_small on [u]; m_n for n >= 2 reads
+    the tree form, ``Transfer.tree_product``, which builds no bar word of
+    two or more cobar words.
     """
 
     def __init__(self, algebra, arity_cap, weight_cap):
@@ -57,7 +60,10 @@ class AInftyStructure:
         cached = self._tables.get(words)
         if cached is not None:
             return cached
-        image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
+        if n == 1:
+            image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
+        else:
+            image = corestriction(to_vector(self.transfer.tree_product(words)))
         value = image.scaled(conjugation_sign([w.degree for w in words]))
         self._tables[words] = value
         return value
@@ -102,6 +108,17 @@ class AInftyStructure:
                 }
             )
         return entries
+
+
+def contraction_rank(algebra, arity_cap, weight_cap):
+    """The largest rank of permutahedron contraction that the transfer at
+    these caps can build: a product reads cobar words of its inputs' total
+    rank, at most the weight cap and at most the arity cap times the largest
+    rank of a nonzero symmetric word, which is unbounded when a generator is
+    even and the number of generators when all are odd."""
+    if any(g.degree % 2 == 0 for g in algebra.generators):
+        return weight_cap
+    return min(weight_cap, arity_cap * len(algebra.generators))
 
 
 def corestriction(vector):

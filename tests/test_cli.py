@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from enveloping import cli, permutahedra, uea
+from enveloping import cli, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
@@ -567,3 +567,43 @@ def test_products_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
     digest = hashlib.sha256(outputs[0].encode()).hexdigest()
     assert digest == PRODUCT_DIGESTS_3_3["l3only"]
+
+
+@pytest.mark.parametrize("argv, cap, rank", [
+    (["--input", "bundled:odd2", "--weight-cap", "12", "products"],
+     "--arity-cap 4 with --weight-cap 12", 8),
+    (["--input", "bundled:sl2", "--weight-cap", "7", "check", "--suite", "stasheff"],
+     "--weight-cap 7", 7),
+    (["--input", "bundled:l3only", "--arity-cap", "2", "--weight-cap", "9", "check"],
+     "--weight-cap 9", 9),
+    (["--n-cap", "7", "permutahedron"], "--n-cap 7", 7),
+    (["--input", "bundled:sl2", "--n-cap", "8", "check"], "--n-cap 8", 8),
+], ids=["odd2-products", "sl2-stasheff", "l3only-all", "permutahedron", "check-n-cap"])
+def test_a_contraction_above_rank_6_is_refused_before_any_computation(
+        capsys, monkeypatch, argv, cap, rank):
+    # a computation that started would raise, and exit 3
+    def computed(*args):
+        raise AssertionError("computed")
+
+    monkeypatch.setattr(linfty, "check_linfty", computed)
+    monkeypatch.setattr(permutahedra, "all_faces", computed)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("input error: %s needs the rank-%d permutahedron contraction; the largest "
+                   "that a run may build is rank 6\n" % (cap, rank))
+
+
+def test_contraction_rank_of_the_transfer():
+    # all generators odd: at most one of each in a symmetric word
+    ranks = {name: uea.contraction_rank(cli.load_input("bundled:" + name)[0], 4, 12)
+             for name in ("odd1", "odd2", "l3only", "sl2")}
+    assert ranks == {"odd1": 4, "odd2": 8, "l3only": 12, "sl2": 12}
+    assert uea.contraction_rank(cli.load_input("bundled:odd2")[0], 3, 5) == 5
+
+
+def test_odd1_runs_at_weight_cap_12(capsys):
+    # its transfer needs only the rank-4 contraction
+    code, out, err = run(capsys, ["--input", "bundled:odd1", "--weight-cap", "12",
+                                  "--format", "json", "products"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["weight_cap"] == 12
