@@ -1,14 +1,14 @@
 """The perturbation engine: cobar differentials, the bar coderivation of
 k-ary components, the lifted tensor contraction, the basic perturbation
-lemma with lazily evaluated transfer series, and the tree form of the
-transfer.
+lemma and the tree form of the transfer.
 
-Two forms of the transfer read the lifted contraction.  The series (``bpl``)
-perturbs it on bar words of cobar words; m_1, the morphism transfer, the
-composition homotopy and the perturbed projection of bgg read it.  The tree
-form (``Transfer.phi``, ``Transfer.tree_product``) recurses on one-letter bar
-words only; the products of arity n >= 2 and the perturbed inclusion of bgg
-read it.
+One series serves the transfer: P = sum (-Ht)^k, memoized per transfer.
+``bpl`` reads the perturbed contraction from it (G_t = P G, H_t = P H,
+F_t = F - F t P H); m_1, the morphism transfer, the composition homotopy and
+the perturbed projection of bgg read that contraction.  The tree form
+(``Transfer.phi``, ``Transfer.tree_product``) reads P on one-letter bar words
+only; the products of arity n >= 2 and the perturbed inclusion of bgg read
+it.
 
 Truncation discipline: every operator here preserves or decreases both the
 rank (number of algebra letters) and the bar length, so computations capped
@@ -211,47 +211,32 @@ class PerturbationError(RuntimeError):
 
 
 def perturbation_series(t, H, budget):
-    """X = t - tHt + tHtHt - ..., evaluated as X = t - X(Ht) through a memo.
+    """P = 1 - Ht + HtHt - ... = sum (-Ht)^k, one memoized exact map, by
+    P(w) = w - P(H t w).
 
-    ``X(word, p)`` is p(X(word)) for a linear map p on words.  A projected
-    value recurses on projected values, p X(w) = p t(w) - sum_u c_u p X(u)
-    over Ht(w) = sum_u c_u u, memoized by (p, word): no full X vector is
-    stored, and a tail that several words share is computed once.
-    Recursion depth counts against ``budget`` of the word asked for.
-
-    H and p are exact, and so is X: ``X(word, p)`` returns the memo entry,
-    the pair (terms, den) of ``exactlin.exact_sum``.  Fractions appear only
-    in t(w), which carries the input's rational brackets.
+    t and H are exact, word -> pair (terms, den), and so is P: each word's
+    value is stored once, as the pair of ``exactlin.exact_sum``, and a tail
+    that several words share is computed once.  A word is looked up in the
+    memo before ``budget(word)`` is read; the budget bounds the recursion
+    below a word that the memo does not hold yet.
     """
     memo = {}
 
-    def value(word, p, steps):
-        key = (p, word)
-        out = memo.get(key)
-        if out is None:
-            tw = t(word).items()
-            if tw and steps < 0:
-                raise PerturbationError(
-                    "perturbation series failed to terminate at %r" % (word,)
-                )
-            parts, images = [], []
-            for v, c in tw:
-                a, b = c.numerator, c.denominator
-                terms, den = p(v)
-                parts.append((terms, a, b * den))
-                terms, den = H(v)
-                images.append((terms, a, b * den))
-            terms, den = exact_sum(images)  # Ht(w)
-            for u, n in terms.items():
-                terms_u, den_u = value(u, p, steps - 1)
-                parts.append((terms_u, -n, den * den_u))
-            out = memo[key] = exact_sum(parts)
+    def value(word, steps):
+        tail, den = exact_apply(t(word), H)  # H t(w)
+        if tail and steps < 0:
+            raise PerturbationError("perturbation series failed to terminate at %r" % (word,))
+        parts = [({word: 1}, 1, 1)]
+        for u, n in tail.items():
+            terms, den_u = memo.get(u) or value(u, steps - 1)
+            parts.append((terms, -n, den * den_u))
+        out = memo[word] = exact_sum(parts)
         return out
 
-    def X(word, p):
-        return value(word, p, budget(word))
+    def P(word):
+        return memo.get(word) or value(word, budget(word))
 
-    return X
+    return P
 
 
 def default_budget(word):
@@ -259,55 +244,60 @@ def default_budget(word):
 
 
 def bpl(con, t):
-    """Basic perturbation lemma: the perturbed contraction of ``con``.
+    """Basic perturbation lemma: the perturbed contraction of ``con`` by t.
 
-    F_t = F(1 - XH), G_t = (1 - HX)G, H_t = H - HXH, d_small + FXG; the
-    series terminates because every perturbation strictly decreases rank or
-    bar length, which are bounded below.  The corrections are summed exactly
-    from the series' pairs; d_small_t, which the products read, converts its
-    sum once.
+    With P = sum (-Ht)^k, the one series (``perturbation_series``),
+    G_t = P G, H_t = P H, F_t = F - F t P H and d_small_t = d_small + F t P G;
+    the series terminates because every perturbation strictly decreases rank
+    or bar length, which are bounded below.  t's exact pair is memoized once;
+    the contraction carries it as ``t_exact``, and the series as ``P``, for
+    the tree form of ``Transfer``.
     """
-    F, G, H = con.F, con.G, con.H
-    X = perturbation_series(t, H, default_budget)
+    F, H = con.F, con.H
+    t_exact = memo_op(lambda w: to_pair(t(w)))
+    P = perturbation_series(t_exact, H, default_budget)
 
-    def corrected(first, second, p):
-        """w -> first(w) - p X second(w), exact."""
+    def then_P(op):
+        return lambda w: exact_apply(op(w), P)
 
-        def op(w):
-            (a, den_a), (b, den_b) = first(w), exact_apply(second(w), lambda u: X(u, p))
-            return exact_sum([(a, 1, den_a), (b, -1, den_b)])
+    def F_after_t(pair):
+        return exact_apply(exact_apply(pair, t_exact), F)
 
-        return op
+    def F_t(w):
+        (a, den_a), (b, den_b) = F(w), F_after_t(perturbed.H(w))
+        return exact_sum([(a, 1, den_a), (b, -1, den_b)])
 
     def d_big_t(w):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
-        return con.d_small(w) + to_vector(exact_apply(G(w), lambda u: X(u, F)))
+        return con.d_small(w) + to_vector(F_after_t(perturbed.G(w)))
 
-    return Contraction(corrected(F, H, F), corrected(G, G, H), corrected(H, H, H),
-                       d_big_t, d_small_t)
+    perturbed = Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
+    perturbed.P, perturbed.t_exact = P, t_exact
+    return perturbed
 
 
 class Transfer:
     """The full tower for one algebra: lifted contraction plus perturbation.
 
     ``con0`` contracts the bar construction of the bracket-free cobar algebra
-    onto the bar construction of the symmetric algebra; ``con`` is the
-    perturbed contraction computing the enveloping structure, by the series.
+    onto the bar construction of the symmetric algebra; ``con`` is its
+    perturbation by ``t``, the enveloping structure, through one series
+    P = sum (-H t)^k (``bpl``).
 
-    The products of arity n >= 2 read the tree form instead (Markl,
-    arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3), on
-    one-letter bar words [x], x a cobar word, through ``con0``'s H, F and G:
-    with t_1 the unary part of ``t`` and t_2([x], [y]) its concatenation
-    part, conjugation_sign(|x|, |y|) [xy],
-        P = sum (-H t_1)^k,  Phi(u) = P G[u],
+    The products of arity n >= 2 read the tree form of the same transfer
+    (Markl, arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3), on
+    one-letter bar words [x], x a cobar word, through ``con0``'s H and F and
+    ``con``'s P and exact t.  On a one-letter word t is its unary part t_1;
+    t_2([x], [y]) = conjugation_sign(|x|, |y|) [xy] is its concatenation
+    part.  Then
+        Phi(u) = G_t[u] = P G[u],
         B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
         Phi(u_1..u_n) = -P H B(u_1..u_n)  for n >= 2,
-    and the one-letter part of F X G on [u_1|..|u_n] is F(B + t_1 Phi): the
-    series' F Q B, Q = sum (-t_1 H)^k, rewritten by F Q = F - F t_1 P H.
-    Phi is the one-letter part of the perturbed inclusion ``con.G``.  P and
-    Phi are memoized here, per transfer.
+    and the one-letter part of F t G_t on [u_1|..|u_n] is
+    F(B + t Phi) = F_t B.  Phi is the one-letter part of the perturbed
+    inclusion ``con.G``; it is memoized here, per transfer.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -321,24 +311,14 @@ class Transfer:
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
         self.con0 = lift_contraction(cobar_contraction(self.C1), cobar_gf)
         self.con = bpl(self.con0, self.t)
-        # on a one-letter bar word t is its unary part t_1
-        self.t1 = memo_op(lambda b: to_pair(self.t(b)))
-        self.P = memo_op(self.P)
         self._phi = {}
-
-    def P(self, b):
-        """P(b) = sum (-H t_1)^k b on a one-letter bar word, exact, by
-        P(b) = b - P(H t_1 b).  t_1 lowers the rank and H keeps it, so the
-        recursion ends."""
-        tail = exact_apply(exact_apply(self.t1(b), self.con0.H), self.P)
-        return exact_sum([({b: 1}, 1, 1), (tail[0], -1, tail[1])])
 
     def phi(self, words):
         """Phi(u_1..u_n) on a tuple of symmetric words, exact, memoized."""
         out = self._phi.get(words)
         if out is None:
             if len(words) == 1:
-                out = self._phi[words] = exact_apply(self.con0.G(Word(BAR, words)), self.P)
+                out = self._phi[words] = self.con.G(Word(BAR, words))
             else:
                 out = self.tree(words)[1]
         return out
@@ -353,15 +333,15 @@ class Transfer:
         split = exact_sum(parts)
         phi = self._phi.get(words)
         if phi is None:
-            terms, den = exact_apply(exact_apply(split, self.con0.H), self.P)
+            terms, den = exact_apply(exact_apply(split, self.con0.H), self.con.P)
             phi = self._phi[words] = exact_sum([(terms, -1, den)])
         return split, phi
 
     def tree_product(self, words):
-        """F(B + t_1 Phi) on n >= 2 symmetric words: one-letter bar words
+        """F(B + t Phi) on n >= 2 symmetric words: one-letter bar words
         whose letters are m_n before its conjugation sign, exact."""
         (split, a), phi = self.tree(words)
-        terms, den = exact_apply(phi, self.t1)
+        terms, den = exact_apply(phi, self.con.t_exact)
         return exact_apply(exact_sum([(split, 1, a), (terms, 1, den)]), self.con0.F)
 
     def unit_inclusion(self, word):

@@ -453,10 +453,19 @@ def algebra_to_json(algebra):
 
 
 def _integer(value, what):
-    """An integer field of the JSON input; a fractional number is refused."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer field of the JSON input; a fractional number, a boolean or
+    a value of another type is refused."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
         raise ValueError("%s must be an integer, not %r" % (what, value))
     return int(value)
+
+
+def _string(value, what):
+    """A string field of the JSON input; a number, null or list is refused."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, not %r" % (what, value))
+    return value
 
 
 def _ids(value, what):
@@ -470,10 +479,10 @@ def _generators_from_json(entries):
     """{id: Generator} from the JSON generator list; a repeated id is refused."""
     gens = {}
     for g in entries:
-        if g["id"] in gens:
-            raise ValueError("duplicate generator id %r" % (g["id"],))
-        degree = _integer(g["degree"], "the degree of %r" % (g["id"],))
-        gens[g["id"]] = Generator(g["id"], degree)
+        gid = _string(g["id"], "a generator id")
+        if gid in gens:
+            raise ValueError("duplicate generator id %r" % (gid,))
+        gens[gid] = Generator(gid, _integer(g["degree"], "the degree of %r" % (gid,)))
     return gens
 
 
@@ -508,7 +517,8 @@ def algebra_from_json(data):
         if word in table:
             raise ValueError("duplicate bracket entry for %r" % (word,))
         table[word] = value
-    return LInftyAlgebra(list(gens.values()), brackets, name=data.get("name", ""))
+    return LInftyAlgebra(list(gens.values()), brackets,
+                         name=_string(data.get("name", ""), "the input name"))
 
 
 def module_from_json(algebra, data):
@@ -550,4 +560,4 @@ def module_from_json(algebra, data):
         for g, c in terms:
             op.add_term((m, g), sign * c)
     return LInftyModule(algebra, list(gens.values()), d_m, action,
-                        name=data.get("name", ""))
+                        name=_string(data.get("name", ""), "the module name"))

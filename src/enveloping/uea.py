@@ -36,10 +36,10 @@ class AInftyStructure:
     """Products m_n of degree 2 - n on symmetric words, within caps.
 
     Tables are computed lazily from the transfer and memoized; the structure
-    is deterministic given the algebra and the caps.  m_1 reads the series,
-    the one-letter part of the perturbed d_small on [u]; m_n for n >= 2 reads
-    the tree form, ``Transfer.tree_product``, which builds no bar word of
-    two or more cobar words.
+    is deterministic given the algebra and the caps.  m_1 reads the perturbed
+    contraction, the one-letter part of its d_small on [u]; m_n for n >= 2
+    reads the tree form, ``Transfer.tree_product``, which builds no bar word
+    of two or more cobar words.  Both read the transfer's one series.
     """
 
     def __init__(self, algebra, arity_cap, weight_cap):

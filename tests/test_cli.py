@@ -280,6 +280,22 @@ BAD_INPUTS = {
         with_entry("sl2_adjoint", lambda d: d["module"]["actions"][0]["value"][0],
                    "monomial", "h"),
         "a monomial must be a list of ids, not 'h'"),
+    # each of the next three loaded at validate and broke a later direct sum
+    "null generator id": (
+        with_entry("abelian1", lambda d: d["generators"][0], "id", None),
+        "a generator id must be a string, not None"),
+    "generator id as a number": (
+        with_entry("abelian1", lambda d: d["generators"][0], "id", 7),
+        "a generator id must be a string, not 7"),
+    "name as a number": (
+        with_entry("sl2", lambda d: d, "name", 3),
+        "the input name must be a string, not 3"),
+    "boolean degree": (
+        with_entry("abelian2", lambda d: d["generators"][0], "degree", True),
+        "the degree of 'a1' must be an integer, not True"),
+    "module name as a number": (
+        with_entry("sl2_adjoint", lambda d: d["module"], "name", 5),
+        "the module name must be a string, not 5"),
 }
 
 

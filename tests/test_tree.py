@@ -1,10 +1,10 @@
-"""The tree form of the transfer against the series, while both exist.
+"""The tree form of the transfer against the perturbed contraction.
 
 ``Transfer.tree_product`` computes the products of arity n >= 2 by a
-recursion on one-letter bar words; the series ``bpl`` perturbs the lifted
-contraction on bar words of cobar words.  The one-letter part of F X G on
-[u_1|..|u_n] must be the tree's F(B + t_1 Phi), and Phi the one-letter part
-of the perturbed inclusion.
+recursion on one-letter bar words; ``bpl`` perturbs the lifted contraction on
+bar words of cobar words.  Both read the one series P of the transfer.  The
+one-letter part of the perturbed d_small on [u_1|..|u_n] must be the tree's
+F(B + t Phi), and Phi the one-letter part of the perturbed inclusion.
 """
 
 from fractions import Fraction
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enveloping.cli import BUNDLED
+from enveloping import hpt
 from enveloping.exactlin import to_vector
 from enveloping.hpt import Transfer
 from enveloping.linfty import from_complete_intersection
@@ -76,12 +77,16 @@ def test_phi_is_the_one_letter_part_of_the_perturbed_inclusion(name):
     assert any(transfer.phi(bar.letters)[0] for bar in bars if bar.length >= 2)
 
 
+def test_phi_shares_the_perturbed_inclusion():
+    transfer = Transfer(bundled("sl2"), 3)
+    for bar in bar_words_algebra(transfer.algebra.generators, 3, 1):
+        assert transfer.phi(bar.letters) is transfer.con.G(bar), bar
+
+
 @pytest.mark.parametrize("name", ["sl2", "l3only", "ci_cubic"])
-def test_products_build_no_bar_word_of_several_cobar_words(name):
-    # every map of the tree is recorded; the series is out of reach
-    structure = AInftyStructure(bundled(name), 3, 3)
-    transfer = structure.transfer
-    transfer.con = None
+def test_products_build_no_bar_word_of_several_cobar_words(name, monkeypatch):
+    # con0's F, G and H and the perturbation t are recorded as the transfer
+    # is built, so the series and the tree both read the recorded maps
     lengths = set()
 
     def recording(op):
@@ -90,12 +95,20 @@ def test_products_build_no_bar_word_of_several_cobar_words(name):
             return op(b)
         return recorded
 
-    for attr in ("F", "G", "H"):
-        setattr(transfer.con0, attr, recording(getattr(transfer.con0, attr)))
-    transfer.t = recording(transfer.t)
-    values = [structure.product(bar.letters) for bar in structure.bar_words()
-              if bar.length >= 2]
-    assert any(values)
+    lift, perturb = hpt.lift_contraction, hpt.bpl
+
+    def lift_recorded(*args):
+        con = lift(*args)
+        for attr in ("F", "G", "H"):
+            setattr(con, attr, recording(getattr(con, attr)))
+        return con
+
+    monkeypatch.setattr(hpt, "lift_contraction", lift_recorded)
+    monkeypatch.setattr(hpt, "bpl", lambda con, t: perturb(con, recording(t)))
+    structure = AInftyStructure(bundled(name), 3, 3)
+    bars = structure.bar_words()
+    assert any(structure.product(bar.letters) for bar in bars)
+    assert {bar.length for bar in bars} == {1, 2, 3}
     # H of a one-letter word reads H of its empty suffix
     assert max(lengths) == 1
-    assert all(w.length == 1 for terms, _ in transfer._phi.values() for w in terms)
+    assert all(w.length == 1 for terms, _ in structure.transfer._phi.values() for w in terms)
