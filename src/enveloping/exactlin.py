@@ -528,31 +528,31 @@ class Contraction:
         self.d_small = memo_op(d_small)
 
     def verify_on(self, big_words, small_words):
-        # each key is converted once per check
-        F, G, H = (memo_op(vector_view(op)) for op in (self.F, self.G, self.H))
+        # exact throughout: the differentials are converted once per key, and
+        # both sides of each identity compare as reduced pairs
+        F, G, H = self.F, self.G, self.H
+        d_big, d_small = (memo_op(lambda w, d=d: to_pair(d(w)))
+                          for d in (self.d_big, self.d_small))
+        zero = ({}, 1)
         for w in small_words:
-            v = Vector.unit(w)
-            if v.apply(G).apply(F) != v:
+            g = G(w)
+            if exact_apply(g, F) != ({w: 1}, 1):
                 return CheckResult(False, w, "FG")
-            if v.apply(G).apply(H):
+            if exact_apply(g, H) != zero:
                 return CheckResult(False, w, "HG")
-            lhs = v.apply(G).apply(self.d_big)
-            rhs = v.apply(self.d_small).apply(G)
-            if lhs != rhs:
+            if exact_apply(g, d_big) != exact_apply(d_small(w), G):
                 return CheckResult(False, w, "G chain map")
         for w in big_words:
-            v = Vector.unit(w)
-            gf = v.apply(F).apply(G)
-            hom = v.apply(H).apply(self.d_big) + v.apply(self.d_big).apply(H)
-            if v - gf != hom:
+            f, h, d = F(w), H(w), d_big(w)
+            (gf, a), (dh, b) = exact_apply(f, G), exact_apply(h, d_big)
+            hd, c = exact_apply(d, H)
+            if exact_sum([({w: 1}, 1, 1), (gf, -1, a)]) != exact_sum([(dh, 1, b), (hd, 1, c)]):
                 return CheckResult(False, w, "homotopy identity")
-            if v.apply(H).apply(F):
+            if exact_apply(h, F) != zero:
                 return CheckResult(False, w, "FH")
-            if v.apply(H).apply(H):
+            if exact_apply(h, H) != zero:
                 return CheckResult(False, w, "HH")
-            lhs = v.apply(F).apply(self.d_small)
-            rhs = v.apply(self.d_big).apply(F)
-            if lhs != rhs:
+            if exact_apply(f, d_small) != exact_apply(d, F):
                 return CheckResult(False, w, "F chain map")
         return CheckResult(True)
 

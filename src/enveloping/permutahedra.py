@@ -240,6 +240,14 @@ def _action(sigma):
     return inverse, inversions
 
 
+def _picker(indices):
+    """The map from a sequence to the tuple of its entries at ``indices``."""
+    if len(indices) == 1:
+        (k,) = indices
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices)
+
+
 def _apply(vec, columns):
     """The linear extension of a map given by its integer columns."""
     out = {}
@@ -284,6 +292,7 @@ class PermutahedronContraction(Contraction):
         self._repaired = {}  # representative -> (2N^2)^2 H column
         self.columns = {}
         self._plans = {}  # (composition, letter parities) -> compiled cobar_h
+        self._pickers = {}  # block indices of a plan face -> (picker, block mask)
         self._letters = {}  # block of generators -> (sign, letter), or None
 
     def homotopy_column(self, face):
@@ -307,10 +316,13 @@ class PermutahedronContraction(Contraction):
         standard face, times -(-1)^|gens| / gamma.  All of it but the sort
         sign and word of each block's letter depends only on the composition
         of x and the parities of its letters, so it is compiled once per such
-        shape: each face as indices into the shape's distinct blocks of
-        positions, with one integer coefficient over the plan's denominator.
-        A call looks up each block's letter (interned per block of
-        generators), multiplies out the faces and adds integers.
+        shape: each face as a picker of the shape's distinct blocks of
+        positions and a bit mask of them, with one integer coefficient over
+        the plan's denominator.  A call looks up each block's letter
+        (interned per block of generators) and the masks of the blocks that
+        die and of those whose sort sign is negative; a face that holds a
+        dying block is skipped, and the others add integers by the tuple of
+        their letters.  Only the words that survive are interned.
         """
         gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
         shape = (tuple(w.rank for w in x.letters), tuple(g.degree % 2 for g in gens))
@@ -320,34 +332,40 @@ class PermutahedronContraction(Contraction):
         positions, terms, den = plan
         letters = self._letters
         found = []
-        for block in positions:
+        dead = negative = 0
+        for k, block in enumerate(positions):
             block = tuple(gens[i] for i in block)
             if block not in letters:
                 sign, letter = desuspended_letter(block)
                 letters[block] = None if letter is None else (sign, letter)
-            found.append(letters[block])
-        out = {}
-        for indices, coeff, negated in terms:
-            word = []
-            sign = 1
-            for k in indices:
-                entry = found[k]
-                if entry is None:
-                    break
-                sign *= entry[0]
-                word.append(entry[1])
+            entry = letters[block]
+            if entry is None:
+                dead |= 1 << k
+                found.append(None)
             else:
-                word = Word(COBAR, word)
-                c = out.get(word, 0) + (coeff if sign > 0 else negated)
-                if c:
-                    out[word] = c
-                else:
-                    del out[word]
+                if entry[0] < 0:
+                    negative |= 1 << k
+                found.append(entry[1])
+        out = {}  # letters of a cobar word -> its integer coefficient
+        for pick, mask, coeff, negated in terms:
+            if mask & dead:
+                continue
+            key = pick(found)
+            c = out.get(key, 0) + (negated if (mask & negative).bit_count() & 1 else coeff)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+        out = {Word(COBAR, key): c for key, c in out.items()}
         return exact_sum([(out, 1, den)])
 
     def _compile_plan(self, x):
-        """(block positions, [(block indices, coefficient, its negative)],
-        denominator) for the shape of x.  A face's coefficient is
+        """(block positions, [(picker, block mask, coefficient, its
+        negative)], denominator) for the shape of x.  A face's picker takes
+        the tuple of its blocks' entries, in order, from a list indexed like
+        the block positions, and its mask has bit k for each block k it
+        holds; the plans of one composition number their blocks alike, so
+        they share both.  A face's coefficient is
         c theta_sign(f) -(-1)^|gens| / gamma, for the entry c of the stored
         column (the integer chain over (2N^2)^2); the plan holds each as an
         integer over their least common denominator."""
@@ -366,7 +384,10 @@ class PermutahedronContraction(Contraction):
         terms = []
         for indices, c in faces:
             coeff = c.numerator * (den // c.denominator)
-            terms.append((indices, coeff, -coeff))
+            pick = self._pickers.get(indices)
+            if pick is None:
+                pick = self._pickers[indices] = (_picker(indices), sum(1 << k for k in indices))
+            terms.append((*pick, coeff, -coeff))
         return tuple(positions), terms, den
 
     def _symmetrize(self, rep):

@@ -40,6 +40,16 @@ class AInftyStructure:
     contraction, the one-letter part of its d_small on [u]; m_n for n >= 2
     reads the tree form, ``Transfer.tree_product``, which builds no bar word
     of two or more cobar words.  Both read the transfer's one series.
+
+    Degree selection: m_n(u_1, ..., u_n) lies in degree sum |u_i| + 2 - n,
+    on symmetric words of rank at most sum rank(u_i), since no operator of
+    the transfer raises the rank (see ``hpt``).  For n >= 2, a product whose
+    degree no such word has is zero, and it is stored without computing the
+    tree; ``reachable_degrees`` holds those degrees by rank bound.  m_1 is
+    left out of the rule: it reads one-letter words of d_small, which cost
+    little, and ``perfbench/tracing.py`` counts d_small through it; on an
+    input concentrated in degree 0, such as sl2, the rule would skip every
+    m_1, and d_small would never be read.
     """
 
     def __init__(self, algebra, arity_cap, weight_cap):
@@ -48,6 +58,10 @@ class AInftyStructure:
         self.weight_cap = weight_cap
         self.transfer = Transfer(algebra, weight_cap)
         self._tables = {}
+        # rank bound r -> the degrees of the symmetric words of rank <= r
+        words = sym_words_upto(algebra.generators, weight_cap)
+        self.reachable_degrees = [{w.degree for w in words if w.rank <= r}
+                                  for r in range(weight_cap + 1)]
 
     def product(self, words):
         """m_n on a tuple of symmetric words (each of weight >= 1)."""
@@ -55,16 +69,20 @@ class AInftyStructure:
         n = len(words)
         if n > self.arity_cap:
             raise ValueError("arity cap exceeded")
-        if sum(w.rank for w in words) > self.weight_cap:
+        rank = sum(w.rank for w in words)
+        if rank > self.weight_cap:
             raise ValueError("weight cap exceeded")
         cached = self._tables.get(words)
         if cached is not None:
             return cached
+        degrees = [w.degree for w in words]
         if n == 1:
             image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
-        else:
+        elif sum(degrees) + 2 - n in self.reachable_degrees[rank]:
             image = corestriction(to_vector(self.transfer.tree_product(words)))
-        value = image.scaled(conjugation_sign([w.degree for w in words]))
+        else:
+            image = Vector()
+        value = image.scaled(conjugation_sign(degrees))
         self._tables[words] = value
         return value
 

@@ -1,15 +1,20 @@
 """Command-line surface: exit codes, report determinism, bundled inputs."""
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enveloping import cli, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
@@ -65,6 +70,13 @@ PRODUCT_DIGESTS_4_5 = {
     "ci_cubic": "9885516b5471208c4cfcccd91eb2ba7b3ea797b81cdcb6636b236b931c337880",
     "ci_rational": "65e65f0583d22927775b525fd2278c8dd3a51c510439fd3a8ee5c1e1b9c006c6",
     "ci_sweep": "78bf7b3211aeaacaace800c29526b47eddd61b9dfe75e12821ca59dc151b714d",
+}
+
+# The same for sl2 alone at arity cap 3, weight cap 5 (the operation of the
+# benchmark's rank5 workload) and at arity cap 4, weight cap 6.
+SL2_PRODUCT_DIGESTS = {
+    ("3", "5"): "277ddf0a73e47365d1634446a710c214c72ef00d042af2023eae889ae31fa923",
+    ("4", "6"): "6321260016e08518501741ec105ff58f501fc5970dafecaecc7edfa034067845",
 }
 
 # Pinned inputs that are not bundled, read from "<name>.json" in the working
@@ -309,6 +321,52 @@ def test_bad_input_exits_two_before_any_computation(tmp_path, capsys, name):
     assert err.startswith("input error: ") and message in err, err
 
 
+def json_paths(data, path=()):
+    """The path of keys and indices to every value inside a JSON value."""
+    items = data.items() if isinstance(data, dict) else (
+        enumerate(data) if isinstance(data, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+DELETE = "delete"
+REPLACEMENTS = (None, True, False, 0, -1, 3, 1.5, "", "x", "1/0", [], ["x"], {}, {"id": "x"})
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A bundled input with one value deleted, or replaced by a JSON value
+    of any type."""
+    data = input_data(draw(st.sampled_from(BUNDLED)))
+    path = draw(st.sampled_from(list(json_paths(data))))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    change = draw(st.sampled_from((DELETE,) + REPLACEMENTS))
+    if change == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = change
+    return data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(malformed_inputs())
+def test_a_malformed_input_gets_a_documented_outcome(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        Path(path).write_text(json.dumps(data))
+        for command in (["validate"],
+                        ["--arity-cap", "2", "--weight-cap", "2", "check", "--suite", "all"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--input", path] + command)
+            err = err.getvalue()
+            assert code in (0, 1, 2), (command, err)
+            assert "Traceback" not in err and "internal invariant violation" not in err, err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -483,6 +541,15 @@ def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests)
         code, out, _ = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("caps", list(SL2_PRODUCT_DIGESTS), ids=["3_5", "4_6"])
+def test_sl2_product_tables_are_pinned_at_weight_5_and_6(capsys, caps):
+    argv = ["--input", "bundled:sl2", "--arity-cap", caps[0], "--weight-cap", caps[1],
+            "--format", "json", "products"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SL2_PRODUCT_DIGESTS[caps]
 
 
 def _check_reports_match(capsys, caps, digests):

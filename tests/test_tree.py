@@ -5,6 +5,8 @@ recursion on one-letter bar words; ``bpl`` perturbs the lifted contraction on
 bar words of cobar words.  Both read the one series P of the transfer.  The
 one-letter part of the perturbed d_small on [u_1|..|u_n] must be the tree's
 F(B + t Phi), and Phi the one-letter part of the perturbed inclusion.
+The degree rule of ``AInftyStructure.product`` skips the tree only where
+the tree is zero.
 """
 
 from fractions import Fraction
@@ -14,13 +16,13 @@ from conftest import bundled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enveloping.cli import BUNDLED
+from enveloping.cli import BUNDLED, main
 from enveloping import hpt
 from enveloping.exactlin import to_vector
 from enveloping.hpt import Transfer
 from enveloping.linfty import from_complete_intersection
 from enveloping.uea import AInftyStructure, corestriction
-from enveloping.words import bar_words_algebra
+from enveloping.words import bar_words_algebra, sym_words_upto
 
 
 def assert_tree_matches_series(algebra, arity_cap, weight_cap):
@@ -112,3 +114,72 @@ def test_products_build_no_bar_word_of_several_cobar_words(name, monkeypatch):
     # H of a one-letter word reads H of its empty suffix
     assert max(lengths) == 1
     assert all(w.length == 1 for terms, _ in structure.transfer._phi.values() for w in terms)
+
+
+def ruled_out_by_degree(algebra, bars, weight_cap):
+    """The bar words of two or more letters whose product m_n, of degree
+    sum |u_i| + 2 - n, has no symmetric word of rank at most theirs in that
+    degree: the products that the degree rule skips."""
+    words = sym_words_upto(algebra.generators, weight_cap)
+    return [bar for bar in bars if bar.length >= 2
+            and not any(w.degree == bar.degree + 2 and w.rank <= bar.rank for w in words)]
+
+
+def assert_degree_rule_skips_only_zeros(algebra, arity_cap, weight_cap):
+    """The structure computes the tree on exactly the products that the rule
+    keeps, and the tree is zero on every one that it skips; returns how many
+    it skips."""
+    structure = AInftyStructure(algebra, arity_cap, weight_cap)
+    transfer, computed = structure.transfer, []
+    tree_product = transfer.tree_product
+    transfer.tree_product = lambda words: computed.append(words) or tree_product(words)
+    bars = structure.bar_words()
+    for bar in bars:
+        structure.product(bar.letters)
+    skipped = ruled_out_by_degree(algebra, bars, weight_cap)
+    assert computed == [bar.letters for bar in bars if bar.length >= 2 and bar not in skipped]
+    for bar in skipped:
+        assert not structure.product(bar.letters), bar
+        assert tree_product(bar.letters) == ({}, 1), bar
+    return len(skipped)
+
+
+@pytest.mark.parametrize("caps", [(3, 3), (4, 4)], ids=["3_3", "4_4"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_degree_rule_skips_only_zero_products(name, caps):
+    skipped = assert_degree_rule_skips_only_zeros(bundled(name), *caps)
+    # sl2 sits in degree 0: every m_n, n >= 3, lands in a degree below it
+    if name == "sl2":
+        assert skipped > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complete_intersections(), st.integers(2, 3))
+def test_the_degree_rule_skips_only_zero_products_on_complete_intersections(
+        algebra, arity_cap):
+    assert_degree_rule_skips_only_zeros(algebra, arity_cap, 3)
+
+
+def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):
+    arities, d_small_lengths = [], []
+    tree_product, perturb = hpt.Transfer.tree_product, hpt.bpl
+
+    def tree_product_recorded(self, words):
+        arities.append(len(words))
+        return tree_product(self, words)
+
+    def bpl_recorded(con, t):
+        perturbed = perturb(con, t)
+        d_small = perturbed.d_small
+        perturbed.d_small = lambda b: d_small_lengths.append(b.length) or d_small(b)
+        return perturbed
+
+    monkeypatch.setattr(hpt.Transfer, "tree_product", tree_product_recorded)
+    monkeypatch.setattr(hpt, "bpl", bpl_recorded)
+    argv = ["--input", "bundled:sl2", "--arity-cap", "3", "--weight-cap", "5",
+            "--format", "json", "products"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    # the pairs are computed, no triple is; m_1 still reads d_small
+    assert arities and set(arities) == {2}
+    assert d_small_lengths and set(d_small_lengths) == {1}
