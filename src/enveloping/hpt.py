@@ -296,8 +296,10 @@ class Transfer:
         B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
         Phi(u_1..u_n) = -P H B(u_1..u_n)  for n >= 2,
     and the one-letter part of F t G_t on [u_1|..|u_n] is
-    F(B + t Phi) = F_t B.  Phi is the one-letter part of the perturbed
-    inclusion ``con.G``; it is memoized here, per transfer.
+    F(B + t Phi) = F_t B, computed as F(B) + F(t Phi): ``split_product`` is
+    the first half, which reads Phi of the proper parts only.  Phi is the
+    one-letter part of the perturbed inclusion ``con.G``; it is memoized
+    here, per transfer.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -320,29 +322,37 @@ class Transfer:
             if len(words) == 1:
                 out = self._phi[words] = self.con.G(Word(BAR, words))
             else:
-                out = self.tree(words)[1]
+                out = self._phi_of(words, self.split(words))
         return out
 
-    def tree(self, words):
-        """(B, Phi) of n >= 2 symmetric words, exact; Phi is memoized, B is
-        read once more, by ``tree_product``."""
+    def _phi_of(self, words, split):
+        """Phi = -P H B of n >= 2 symmetric words from their B, memoized."""
+        terms, den = exact_apply(exact_apply(split, self.con0.H), self.con.P)
+        out = self._phi[words] = exact_sum([(terms, -1, den)])
+        return out
+
+    def split(self, words):
+        """B of n >= 2 symmetric words, exact; not memoized."""
         parts = []
         for k in range(1, len(words)):
             (left, a), (right, b) = self.phi(words[:k]), self.phi(words[k:])
             parts.append((vector_product([left, right], _t2), 1, a * b))
-        split = exact_sum(parts)
-        phi = self._phi.get(words)
-        if phi is None:
-            terms, den = exact_apply(exact_apply(split, self.con0.H), self.con.P)
-            phi = self._phi[words] = exact_sum([(terms, -1, den)])
-        return split, phi
+        return exact_sum(parts)
+
+    def split_product(self, words, split=None):
+        """F(B) on n >= 2 symmetric words (``split`` is their B where the
+        caller holds it), exact: the half of ``tree_product`` that reads no
+        Phi(u_1..u_n), and all of it where F t Phi(u_1..u_n) is zero."""
+        return exact_apply(self.split(words) if split is None else split, self.con0.F)
 
     def tree_product(self, words):
-        """F(B + t Phi) on n >= 2 symmetric words: one-letter bar words
+        """F(B) + F(t Phi) on n >= 2 symmetric words: one-letter bar words
         whose letters are m_n before its conjugation sign, exact."""
-        (split, a), phi = self.tree(words)
-        terms, den = exact_apply(phi, self.con.t_exact)
-        return exact_apply(exact_sum([(split, 1, a), (terms, 1, den)]), self.con0.F)
+        split = self.split(words)
+        phi = self._phi.get(words) or self._phi_of(words, split)
+        a, den_a = self.split_product(words, split)
+        b, den_b = exact_apply(exact_apply(phi, self.con.t_exact), self.con0.F)
+        return exact_sum([(a, 1, den_a), (b, 1, den_b)])
 
     def unit_inclusion(self, word):
         """The adjunction unit of a coalgebra word, as a bar-word vector.

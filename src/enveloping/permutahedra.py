@@ -31,6 +31,7 @@ from .exactlin import (
     FiniteComplex,
     Vector,
     Word,
+    _quotient,
     axpy,
     exact_apply,
     exact_sum,
@@ -452,7 +453,8 @@ def _solve_homotopy(faces):
     integers: the boundary entries are +-1, and each pivot lead divides the
     entries it eliminates (``Echelon`` raises RuntimeError where one does
     not).  A face reduces to N Hraw of itself; a vertex v, reduced as
-    N(1 - GF)(v), to N^2 Hraw(v), which is divided by N exactly.
+    N(1 - GF)(v), to N^2 Hraw(v), which is divided by N exactly
+    (``_quotient`` raises RuntimeError on a remainder).
     """
     n = faces.n
     N = math.factorial(n)
@@ -477,8 +479,9 @@ def _solve_homotopy(faces):
                 residual, combo = pending.reduce(Vector(x))
                 if residual:
                     raise RuntimeError("degree-0 consistency failed in homotopy solve")
-                # exact: every tag N f - d(N Hraw f) is a multiple of N
-                value = {j: -c // N for j, c in combo.items()}
+                # every tag N f - d(N Hraw f) is a multiple of N; a
+                # remainder raises RuntimeError
+                value = {j: _quotient(-c, N) for j, c in combo.items()}
             if value:
                 H[i] = value
         if d == n:

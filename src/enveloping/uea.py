@@ -41,15 +41,38 @@ class AInftyStructure:
     reads the tree form, ``Transfer.tree_product``, which builds no bar word
     of two or more cobar words.  Both read the transfer's one series.
 
-    Degree selection: m_n(u_1, ..., u_n) lies in degree sum |u_i| + 2 - n,
-    on symmetric words of rank at most sum rank(u_i), since no operator of
-    the transfer raises the rank (see ``hpt``).  For n >= 2, a product whose
-    degree no such word has is zero, and it is stored without computing the
-    tree; ``reachable_degrees`` holds those degrees by rank bound.  m_1 is
-    left out of the rule: it reads one-letter words of d_small, which cost
-    little, and ``perfbench/tracing.py`` counts d_small through it; on an
-    input concentrated in degree 0, such as sl2, the rule would skip every
-    m_1, and d_small would never be read.
+    Bracket selection, for n >= 2.  Let C be the multiset of the generators
+    of u_1, ..., u_n.  A move replaces, inside C, the key of a nonzero
+    bracket l_k (k >= 2) by one generator of its value; its excess is
+    k - 2.  A multiset is live when no odd generator repeats in it, that is,
+    when it is the multiset of a nonzero symmetric word.  The tree form of
+    m_n(u_1, ..., u_n) is computed only if a sequence of moves of total
+    excess n - 2 ends on a live multiset; otherwise the product is zero and
+    stored without computing anything.  For n = 2, where only the empty
+    sequence qualifies (C is live, and no nonempty sequence of moves of
+    excess 0 ends live), m_2 is ``Transfer.split_product`` alone, F(B) with
+    B = t_2(Phi(u_1), Phi(u_2)), and Phi(u_1 u_2) is never built.
+
+    Proof.  Count the generators that a term holds, over all its letters,
+    as a multiset.  On the tree path, G, H and F (the permutahedron
+    contraction, letterwise) and t_2 (concatenation) rearrange the
+    generators of a term and keep its multiset; so does P = sum (-H t_1)^k
+    apart from its t_1.  t_1, the higher brackets on one letter (``hpt``'s
+    C2, arity >= 2), applies l_k to k letters of one symmetric word: it makes
+    one move.  l_1 lies in the differential of the contraction, not in the
+    perturbation: it reaches m_1 only, through d_small.  So every output
+    word of m_n is C after the moves that the t_1 along its tree made, and
+    it is a nonzero symmetric word, so that multiset is live.  A move by
+    l_k, of degree 2 - k, lowers the total degree of C by k - 2, its
+    excess; m_n has degree 2 - n, so the excesses of the moves sum to
+    n - 2.  In m_2 = F(B) + F(t Phi(u_1 u_2)), the second term holds at
+    least one move, of excess 0.  Since a move lowers the rank, a live end
+    of such a sequence is a symmetric word of rank at most sum rank(u_i) in
+    degree sum |u_i| + 2 - n: whatever this rule keeps, a rule by degree and
+    rank would keep too.
+
+    m_1 is outside the rule: l_1 makes no move, and it reaches m_1 through
+    d_small, whose one-letter words cost little.
     """
 
     def __init__(self, algebra, arity_cap, weight_cap):
@@ -58,30 +81,58 @@ class AInftyStructure:
         self.weight_cap = weight_cap
         self.transfer = Transfer(algebra, weight_cap)
         self._tables = {}
-        # rank bound r -> the degrees of the symmetric words of rank <= r
-        words = sym_words_upto(algebra.generators, weight_cap)
-        self.reachable_degrees = [{w.degree for w in words if w.rank <= r}
-                                  for r in range(weight_cap + 1)]
+        # sorted multiset of generators -> excesses of the live nonempty
+        # move sequences from it
+        self._excesses = {}
+        # the moves: (bracket key, its value's generators, excess)
+        self._moves = [(key, tuple(value.terms), k - 2)
+                       for k, table in sorted(algebra.brackets.items()) if k >= 2
+                       for key, value in table.items()]
+
+    def excesses(self, gens):
+        """The total excesses of the nonempty sequences of moves that lead
+        from the sorted multiset ``gens`` to a live one, memoized."""
+        out = self._excesses.get(gens)
+        if out is None:
+            out = set()
+            for key, targets, excess in self._moves:
+                rest = list(gens)
+                try:
+                    for g in key:
+                        rest.remove(g)
+                except ValueError:
+                    continue
+                for target in targets:
+                    after = tuple(sorted(rest + [target]))
+                    if live(after):
+                        out.add(excess)
+                    out.update(excess + e for e in self.excesses(after))
+            self._excesses[gens] = out = frozenset(out)
+        return out
 
     def product(self, words):
         """m_n on a tuple of symmetric words (each of weight >= 1)."""
         words = tuple(words)
-        n = len(words)
-        if n > self.arity_cap:
-            raise ValueError("arity cap exceeded")
-        rank = sum(w.rank for w in words)
-        if rank > self.weight_cap:
-            raise ValueError("weight cap exceeded")
         cached = self._tables.get(words)
         if cached is not None:
             return cached
+        n = len(words)
+        if n > self.arity_cap:
+            raise ValueError("arity cap exceeded")
+        if sum(w.rank for w in words) > self.weight_cap:
+            raise ValueError("weight cap exceeded")
         degrees = [w.degree for w in words]
         if n == 1:
             image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
-        elif sum(degrees) + 2 - n in self.reachable_degrees[rank]:
-            image = corestriction(to_vector(self.transfer.tree_product(words)))
         else:
-            image = Vector()
+            gens = tuple(sorted(g for w in words for g in w.letters))
+            if n - 2 in self.excesses(gens):
+                pair = self.transfer.tree_product(words)
+            elif n == 2 and live(gens):
+                pair = self.transfer.split_product(words)
+            else:
+                pair = None
+            image = corestriction(to_vector(pair)) if pair else Vector()
         value = image.scaled(conjugation_sign(degrees))
         self._tables[words] = value
         return value
@@ -139,6 +190,12 @@ def contraction_rank(algebra, arity_cap, weight_cap):
     return min(weight_cap, arity_cap * len(algebra.generators))
 
 
+def live(gens):
+    """Whether a sorted multiset of generators repeats no odd one: whether
+    it is the multiset of a nonzero symmetric word."""
+    return all(a != b or a.degree % 2 == 0 for a, b in zip(gens, gens[1:]))
+
+
 def corestriction(vector):
     """The one-letter part of a vector of bar words, as a vector of letters."""
     out = Vector()
@@ -172,13 +229,44 @@ def star_product(u, v):
 
 
 def stasheff_check(structure):
-    """Square-zero of the assembled coderivation on all capped bar words;
-    d(b) is computed once per word for this check."""
-    return square_zero(
-        structure.bar_words(),
-        memo_op(structure.bar_differential),
-        "bar differential squares to %r",
-    )
+    """Square-zero of the assembled coderivation on all capped bar words.
+
+    d^2 is a coderivation, so it vanishes on every capped bar word exactly
+    when its one-letter part does, ``stasheff_sum``, which reads the tables
+    only.  Where a sum is nonzero, d(d(b)) is built on the same bar words,
+    with d(b) computed once per word, and the first b where it is nonzero is
+    reported.
+    """
+    bars = structure.bar_words()
+    if not any(stasheff_sum(structure, bar.letters) for bar in bars):
+        return CheckResult(True)
+    return square_zero(bars, memo_op(structure.bar_differential),
+                       "bar differential squares to %r")
+
+
+def stasheff_sum(structure, letters):
+    """The one-letter part of d^2 on the bar word of ``letters``:
+    sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the signs of
+    ``hpt.bar_coderivation``, as a vector of symmetric words."""
+    degrees = [x.degree for x in letters]
+    out = Vector()
+    left = 0
+    for j in range(len(letters)):
+        head = letters[:j]
+        for k in range(1, len(letters) - j + 1):
+            image = structure.product(letters[j : j + k])
+            if not image:
+                continue
+            sign = conjugation_sign(degrees[j : j + k])
+            sign = -sign if left % 2 else sign
+            tail = letters[j + k :]
+            for x, c in image.items():
+                value = structure.product(head + (x,) + tail)
+                if value:
+                    outer = degrees[:j] + [x.degree] + degrees[j + k :]
+                    out.accumulate(value, sign * c * conjugation_sign(outer))
+        left += degrees[j] - 1
+    return out
 
 
 def m1_matches_l1(structure):

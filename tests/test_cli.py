@@ -79,6 +79,10 @@ SL2_PRODUCT_DIGESTS = {
     ("4", "6"): "6321260016e08518501741ec105ff58f501fc5970dafecaecc7edfa034067845",
 }
 
+# The same for l3only at arity cap 4, weight cap 6, where the bracket
+# selection skips the most trees: only l_3, so no pair runs the full tree.
+L3ONLY_PRODUCT_DIGEST_4_6 = "2bc3a5e754f4596d99c3e0b6adff73bf7e1af3af7a1a3c7fa760268cdf60a571"
+
 # Pinned inputs that are not bundled, read from "<name>.json" in the working
 # directory: a complete intersection with rational coefficients (every
 # bundled input has integer brackets), and one shaped like the benchmark's
@@ -550,6 +554,14 @@ def test_sl2_product_tables_are_pinned_at_weight_5_and_6(capsys, caps):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SL2_PRODUCT_DIGESTS[caps]
+
+
+def test_l3only_product_table_is_pinned_at_weight_6(capsys):
+    argv = ["--input", "bundled:l3only", "--arity-cap", "4", "--weight-cap", "6",
+            "--format", "json", "products"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == L3ONLY_PRODUCT_DIGEST_4_6
 
 
 def _check_reports_match(capsys, caps, digests):

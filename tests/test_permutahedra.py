@@ -283,6 +283,22 @@ def test_integer_solve_matches_the_fraction_solve(n):
     assert got == want
 
 
+def test_integer_solve_raises_on_a_vertex_tag_off_a_multiple_of_n(monkeypatch):
+    # a vertex is reduced with no seed combo, and its vector has several
+    # terms; one tag off by one is no longer a multiple of N = 3! = 6
+    reduce = Echelon.reduce
+
+    def perturbed(self, vec, combo=None):
+        residual, used = reduce(self, vec, combo)
+        if combo is None and len(vec.terms) > 1 and used:
+            used.add_term(next(iter(used.terms)), 1)
+        return residual, used
+
+    monkeypatch.setattr(Echelon, "reduce", perturbed)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        _solve_homotopy(FaceIndex(3))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stored_columns_are_fractions(n):
     con = PermutahedronContraction(n)

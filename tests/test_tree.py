@@ -5,10 +5,11 @@ recursion on one-letter bar words; ``bpl`` perturbs the lifted contraction on
 bar words of cobar words.  Both read the one series P of the transfer.  The
 one-letter part of the perturbed d_small on [u_1|..|u_n] must be the tree's
 F(B + t Phi), and Phi the one-letter part of the perturbed inclusion.
-The degree rule of ``AInftyStructure.product`` skips the tree only where
-the tree is zero.
+The bracket selection of ``AInftyStructure.product`` skips the tree only
+where the tree is zero, and F t Phi only where it is zero.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,9 @@ from enveloping.cli import BUNDLED, main
 from enveloping import hpt
 from enveloping.exactlin import to_vector
 from enveloping.hpt import Transfer
-from enveloping.linfty import from_complete_intersection
+from enveloping.linfty import dg_vector_space, from_complete_intersection
 from enveloping.uea import AInftyStructure, corestriction
-from enveloping.words import bar_words_algebra, sym_words_upto
+from enveloping.words import bar_words_algebra
 
 
 def assert_tree_matches_series(algebra, arity_cap, weight_cap):
@@ -116,48 +117,106 @@ def test_products_build_no_bar_word_of_several_cobar_words(name, monkeypatch):
     assert all(w.length == 1 for terms, _ in structure.transfer._phi.values() for w in terms)
 
 
-def ruled_out_by_degree(algebra, bars, weight_cap):
-    """The bar words of two or more letters whose product m_n, of degree
-    sum |u_i| + 2 - n, has no symmetric word of rank at most theirs in that
-    degree: the products that the degree rule skips."""
-    words = sym_words_upto(algebra.generators, weight_cap)
-    return [bar for bar in bars if bar.length >= 2
-            and not any(w.degree == bar.degree + 2 and w.rank <= bar.rank for w in words)]
+def move_ends(algebra, gens):
+    """(total excess, end) of every nonempty sequence of moves from the
+    multiset ``gens``, by brute force: a move takes the key of a bracket
+    l_k, k >= 2, out of the multiset and puts one generator of its value
+    in, with excess k - 2."""
+    ends = []
+    frontier = [(0, Counter(gens))]
+    while frontier:
+        excess, current = frontier.pop()
+        for k, table in algebra.brackets.items():
+            for key, value in table.items():
+                if k < 2 or not Counter(key) <= current:
+                    continue
+                for g in value.terms:
+                    step = (excess + k - 2, current - Counter(key) + Counter([g]))
+                    ends.append(step)
+                    frontier.append(step)
+    return ends
 
 
-def assert_degree_rule_skips_only_zeros(algebra, arity_cap, weight_cap):
-    """The structure computes the tree on exactly the products that the rule
-    keeps, and the tree is zero on every one that it skips; returns how many
-    it skips."""
+def is_live(multiset):
+    return all(count == 1 or g.degree % 2 == 0 for g, count in multiset.items())
+
+
+def selection(algebra, bar):
+    """"tree" where the tree of m_n runs, "split" where m_2 is F(B) alone,
+    "skip" where the product is zero: the rule of ``AInftyStructure``, from
+    an enumeration of the move sequences."""
+    gens = [g for w in bar.letters for g in w.letters]
+    if any(excess == bar.length - 2 and is_live(end) for excess, end in move_ends(algebra, gens)):
+        return "tree"
+    if bar.length == 2 and is_live(Counter(gens)):
+        return "split"
+    return "skip"
+
+
+def assert_bracket_selection(algebra, arity_cap, weight_cap):
+    """The structure runs the full tree on exactly the products that the
+    rule keeps and F(B) alone on exactly its split pairs; the tree is zero
+    on every product that it skips, and F(B) is the whole tree on every
+    split pair.  Returns the number of products of each selection and
+    arity."""
     structure = AInftyStructure(algebra, arity_cap, weight_cap)
-    transfer, computed = structure.transfer, []
-    tree_product = transfer.tree_product
-    transfer.tree_product = lambda words: computed.append(words) or tree_product(words)
-    bars = structure.bar_words()
+    transfer, calls = structure.transfer, {"tree": [], "split": []}
+    tree_product, split_product = transfer.tree_product, transfer.split_product
+
+    def split_recorded(words, split=None):
+        if split is None:  # a call of the structure, not one of tree_product
+            calls["split"].append(words)
+        return split_product(words, split)
+
+    transfer.tree_product = lambda words: calls["tree"].append(words) or tree_product(words)
+    transfer.split_product = split_recorded
+    bars = [bar for bar in structure.bar_words() if bar.length >= 2]
     for bar in bars:
         structure.product(bar.letters)
-    skipped = ruled_out_by_degree(algebra, bars, weight_cap)
-    assert computed == [bar.letters for bar in bars if bar.length >= 2 and bar not in skipped]
-    for bar in skipped:
-        assert not structure.product(bar.letters), bar
-        assert tree_product(bar.letters) == ({}, 1), bar
-    return len(skipped)
+    selected = {bar: selection(algebra, bar) for bar in bars}
+    for kind in ("tree", "split"):
+        assert calls[kind] == [bar.letters for bar in bars if selected[bar] == kind], kind
+    for bar in bars:
+        if selected[bar] == "skip":
+            assert not structure.product(bar.letters), bar
+            assert tree_product(bar.letters) == ({}, 1), bar
+        elif selected[bar] == "split":
+            assert split_product(bar.letters) == tree_product(bar.letters), bar
+    return Counter((kind, bar.length) for bar, kind in selected.items())
 
 
 @pytest.mark.parametrize("caps", [(3, 3), (4, 4)], ids=["3_3", "4_4"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_degree_rule_skips_only_zero_products(name, caps):
-    skipped = assert_degree_rule_skips_only_zeros(bundled(name), *caps)
-    # sl2 sits in degree 0: every m_n, n >= 3, lands in a degree below it
+    # the rule reaches m_n's degree through chains of brackets; sl2 has
+    # only l_2, so no sequence of moves has an excess above 0, and only
+    # pairs run the tree
+    selected = assert_bracket_selection(bundled(name), *caps)
     if name == "sl2":
-        assert skipped > 0
+        assert {arity for kind, arity in selected if kind == "tree"} == {2}
+        assert selected["skip", 3] > 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(complete_intersections(), st.integers(2, 3))
 def test_the_degree_rule_skips_only_zero_products_on_complete_intersections(
         algebra, arity_cap):
-    assert_degree_rule_skips_only_zeros(algebra, arity_cap, 3)
+    assert_bracket_selection(algebra, arity_cap, 3)
+
+
+def test_bracket_selection_on_l3only_at_4_5_runs_no_pair_tree():
+    # l3only has only l_3, whose moves have excess 1: every pair is F(B)
+    # alone or zero, and only the triples run the tree
+    selected = assert_bracket_selection(bundled("l3only"), 4, 5)
+    assert {arity for kind, arity in selected if kind == "tree"} == {3}
+    assert selected["split", 2] > 0
+
+
+def test_bracket_selection_on_a_complex():
+    # l_1 only: no move at all, so every pair is F(B) alone or zero
+    algebra = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {}), ("w", 0, {})])
+    selected = assert_bracket_selection(algebra, 3, 3)
+    assert {kind for kind, _ in selected} == {"split", "skip"}
 
 
 def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from enveloping.exactlin import COBAR, Generator, Vector, Word, to_pair, vector_view
+from enveloping.exactlin import (
+    COBAR,
+    Generator,
+    Vector,
+    Word,
+    memo_op,
+    square_zero,
+    to_pair,
+    vector_view,
+)
 from enveloping.hpt import bar_morphism
 from enveloping.linfty import (
     LInftyAlgebra,
@@ -135,6 +144,34 @@ def test_stasheff_catches_corruption(sl2_structure):
     A.product(key)
     A._tables[key] = A._tables[key] + Vector.unit(word_of(f), Fraction(1))
     assert not stasheff_check(A)
+
+
+def reference_stasheff_check(structure):
+    """d(d(b)) on every capped bar word, as the check built it before it
+    read the one-letter part of d^2 first."""
+    return square_zero(structure.bar_words(), memo_op(structure.bar_differential),
+                       "bar differential squares to %r")
+
+
+@pytest.mark.parametrize("name, inputs, extra", [
+    ("sl2", ("e", "f"), "f"),
+    ("sl2", ("h", "ef"), "ef"),
+    ("l3only", ("a", "b"), "z"),
+], ids=["sl2_pair", "sl2_rank3", "l3only_pair"])
+def test_a_corrupted_table_fails_as_the_reference_does(name, inputs, extra):
+    # one entry is poisoned; the failing report is the reference's,
+    # counterexample and detail alike
+    L = bundled(name)
+    word = lambda ids: word_of(*(L.by_id[i] for i in ids))
+    key = tuple(map(word, inputs))
+    reports = []
+    for check in (stasheff_check, reference_stasheff_check):
+        A = AInftyStructure(L, 3, 4)
+        A._tables[key] = A.product(key) + Vector.unit(word(extra), 1)
+        result = check(A)
+        reports.append((result.ok, result.counterexample, result.detail))
+    assert not reports[0][0]
+    assert reports[0] == reports[1]
 
 
 def test_pbw_sl2_and_heisenberg():
