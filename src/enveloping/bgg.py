@@ -231,13 +231,11 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
     wcap = weight_cap or structure.weight_cap
     from .words import bar_words_algebra
 
-    def rho(w):
-        return _rho_cobar(module_l, w.letters[0])
-
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
-        # rho reads the one-letter part of the perturbed inclusion: Phi
-        value = to_vector(structure.transfer.phi(bar.letters)).apply(rho)
+        # Phi, the one-letter part of the perturbed inclusion, on cobar words
+        value = to_vector(structure.transfer.phi(bar.letters)).apply(
+            lambda x: _rho_cobar(module_l, x))
         if value:
             cochain[bar] = value
     return AInftyModule(structure, module_l.basis, module_l.d_m, cochain,

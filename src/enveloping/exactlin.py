@@ -610,6 +610,12 @@ def compositions(total):
             yield (first,) + rest
 
 
+def consecutive_blocks(items, sizes):
+    """``items`` cut into consecutive blocks of the given sizes, as tuples."""
+    items = tuple(items)
+    return [items[end - m : end] for m, end in zip(sizes, itertools.accumulate(sizes))]
+
+
 def set_partitions(items):
     """All set partitions of ``items``, as lists of blocks in a deterministic
     order; each block keeps the order of ``items``."""

@@ -2,13 +2,13 @@
 k-ary components, the lifted tensor contraction, the basic perturbation
 lemma and the tree form of the transfer.
 
-One series serves the transfer: P = sum (-Ht)^k, memoized per transfer.
-``bpl`` reads the perturbed contraction from it (G_t = P G, H_t = P H,
-F_t = F - F t P H); m_1, the morphism transfer, the composition homotopy and
-the perturbed projection of bgg read that contraction.  The tree form
-(``Transfer.phi``, ``Transfer.tree_product``) reads P on one-letter bar words
-only; the products of arity n >= 2 and the perturbed inclusion of bgg read
-it.
+``bpl`` perturbs a contraction through one memoized series P = sum (-Ht)^k:
+G_t = P G, H_t = P H, F_t = F - F t P H.  The transfer perturbs two
+contractions that share one letter contraction: the letter contraction of
+the cobar algebra by the higher brackets t_omega, which the products read
+(``Transfer.letters``, the tree form), and its lift to bar words by the whole
+perturbation t, which the morphism transfer, the composition homotopy and
+the perturbed projection of bgg read (``Transfer.con``).
 
 Truncation discipline: every operator here preserves or decreases both the
 rank (number of algebra letters) and the bar length, so computations capped
@@ -152,12 +152,12 @@ def concatenation(x, y):
 
 
 def _t2(pair):
-    """``vector_product`` combine of the tree form: t_2([x], [y]) =
-    conjugation_sign(|x|, |y|) [xy] = (-1)^|x| [xy], the concatenation part
-    of the perturbation on one-letter bar words, as ``bar_coderivation``
-    gives it on [x|y]."""
-    x, y = pair[0].letters[0], pair[1].letters[0]
-    return -1 if x.degree % 2 else 1, Word(BAR, (Word(COBAR, x.letters + y.letters),))
+    """``vector_product`` combine of the tree form: t_2(x, y) = (-1)^|x| xy on
+    cobar words, the concatenation part of the perturbation as
+    ``bar_coderivation`` gives it on the bar word [x|y], read off its one
+    letter."""
+    x, y = pair
+    return -1 if x.degree % 2 else 1, Word(COBAR, x.letters + y.letters)
 
 
 def bar_morphism(letter_map):
@@ -249,9 +249,7 @@ def bpl(con, t):
     With P = sum (-Ht)^k, the one series (``perturbation_series``),
     G_t = P G, H_t = P H, F_t = F - F t P H and d_small_t = d_small + F t P G;
     the series terminates because every perturbation strictly decreases rank
-    or bar length, which are bounded below.  t's exact pair is memoized once;
-    the contraction carries it as ``t_exact``, and the series as ``P``, for
-    the tree form of ``Transfer``.
+    or bar length, which are bounded below.  t's exact pair is memoized once.
     """
     F, H = con.F, con.H
     t_exact = memo_op(lambda w: to_pair(t(w)))
@@ -274,32 +272,35 @@ def bpl(con, t):
         return con.d_small(w) + to_vector(F_after_t(perturbed.G(w)))
 
     perturbed = Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
-    perturbed.P, perturbed.t_exact = P, t_exact
     return perturbed
 
 
 class Transfer:
-    """The full tower for one algebra: lifted contraction plus perturbation.
+    """The full tower for one algebra: one letter contraction, perturbed on
+    letters and lifted to bar words.
 
-    ``con0`` contracts the bar construction of the bracket-free cobar algebra
-    onto the bar construction of the symmetric algebra; ``con`` is its
-    perturbation by ``t``, the enveloping structure, through one series
-    P = sum (-H t)^k (``bpl``).
+    ``letters`` is the letter contraction of the bracket-free cobar algebra
+    onto the symmetric algebra (``cobar_contraction``) perturbed by the
+    higher brackets t_omega (``bpl``).  ``con0`` lifts the same letter
+    contraction, with the same memos of f, g and h, to the bar constructions;
+    ``con`` is its perturbation by t, t_omega on one letter and
+    concatenation on two: the enveloping structure as a coalgebra map, which
+    the morphism transfer, the composition homotopy and bgg's ``functor_f``
+    read.
 
-    The products of arity n >= 2 read the tree form of the same transfer
-    (Markl, arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3), on
-    one-letter bar words [x], x a cobar word, through ``con0``'s H and F and
-    ``con``'s P and exact t.  On a one-letter word t is its unary part t_1;
-    t_2([x], [y]) = conjugation_sign(|x|, |y|) [xy] is its concatenation
-    part.  Then
-        Phi(u) = G_t[u] = P G[u],
+    The products read ``letters`` alone, in the tree form of the transfer
+    (Markl, arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3).
+    On a one-letter bar word t is t_1[x] = -[t_omega x] and the lifted
+    homotopy H[x] = -[h x], so the series of ``con`` on [x] is [P x] with
+    P = sum (-h t_omega)^k, the series of ``letters``.  So, on cobar words,
+        Phi(u) = G_t(u) = P g(u),
         B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
-        Phi(u_1..u_n) = -P H B(u_1..u_n)  for n >= 2,
-    and the one-letter part of F t G_t on [u_1|..|u_n] is
-    F(B + t Phi) = F_t B, computed as F(B) + F(t Phi): ``split_product`` is
-    the first half, which reads Phi of the proper parts only.  Phi is the
-    one-letter part of the perturbed inclusion ``con.G``; it is memoized
-    here, per transfer.
+        Phi(u_1..u_n) = H_t(B) = P h B  for n >= 2,
+    with t_2(x, y) = (-1)^|x| xy, and the one-letter part of F t G_t on
+    [u_1|..|u_n] is [F_t(B)]: m_n before its conjugation sign
+    (``tree_product``), and f(B) where the perturbation cannot reach the
+    product (``split_product``).  Phi is the one-letter part of ``con.G``;
+    Phi and B are memoized per tuple.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -311,48 +312,36 @@ class Transfer:
         # the perturbation: the higher brackets on one letter, the product on two
         t_omega = memo_op(bar_coderivation({1: C2.delta}))
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
-        self.con0 = lift_contraction(cobar_contraction(self.C1), cobar_gf)
+        letter = cobar_contraction(self.C1)
+        self.letters = bpl(letter, t_omega)
+        self.con0 = lift_contraction(letter, cobar_gf)
         self.con = bpl(self.con0, self.t)
-        self._phi = {}
+        self.phi = memo_op(self.phi)
+        self.split = memo_op(self.split)
 
     def phi(self, words):
-        """Phi(u_1..u_n) on a tuple of symmetric words, exact, memoized."""
-        out = self._phi.get(words)
-        if out is None:
-            if len(words) == 1:
-                out = self._phi[words] = self.con.G(Word(BAR, words))
-            else:
-                out = self._phi_of(words, self.split(words))
-        return out
-
-    def _phi_of(self, words, split):
-        """Phi = -P H B of n >= 2 symmetric words from their B, memoized."""
-        terms, den = exact_apply(exact_apply(split, self.con0.H), self.con.P)
-        out = self._phi[words] = exact_sum([(terms, -1, den)])
-        return out
+        """Phi(u_1..u_n) on a tuple of symmetric words, as cobar words, exact."""
+        if len(words) == 1:
+            return self.letters.G(words[0])
+        return exact_apply(self.split(words), self.letters.H)
 
     def split(self, words):
-        """B of n >= 2 symmetric words, exact; not memoized."""
+        """B of n >= 2 symmetric words, as cobar words, exact."""
         parts = []
         for k in range(1, len(words)):
             (left, a), (right, b) = self.phi(words[:k]), self.phi(words[k:])
             parts.append((vector_product([left, right], _t2), 1, a * b))
         return exact_sum(parts)
 
-    def split_product(self, words, split=None):
-        """F(B) on n >= 2 symmetric words (``split`` is their B where the
-        caller holds it), exact: the half of ``tree_product`` that reads no
-        Phi(u_1..u_n), and all of it where F t Phi(u_1..u_n) is zero."""
-        return exact_apply(self.split(words) if split is None else split, self.con0.F)
+    def split_product(self, words):
+        """f(B) on n >= 2 symmetric words, exact: ``tree_product`` where
+        f t_omega P h B is zero, without Phi(u_1..u_n)."""
+        return exact_apply(self.split(words), cobar_f)
 
     def tree_product(self, words):
-        """F(B) + F(t Phi) on n >= 2 symmetric words: one-letter bar words
-        whose letters are m_n before its conjugation sign, exact."""
-        split = self.split(words)
-        phi = self._phi.get(words) or self._phi_of(words, split)
-        a, den_a = self.split_product(words, split)
-        b, den_b = exact_apply(exact_apply(phi, self.con.t_exact), self.con0.F)
-        return exact_sum([(a, 1, den_a), (b, 1, den_b)])
+        """F_t(B) on n >= 2 symmetric words, exact: m_n before its
+        conjugation sign."""
+        return exact_apply(self.split(words), self.letters.F)
 
     def unit_inclusion(self, word):
         """The adjunction unit of a coalgebra word, as a bar-word vector.

@@ -33,6 +33,7 @@ from .exactlin import (
     Word,
     _quotient,
     axpy,
+    consecutive_blocks,
     exact_apply,
     exact_sum,
     koszul_sign,
@@ -540,12 +541,7 @@ def theta(gens, face):
 
 def standard_face(n, sizes):
     """The composition face [1..m1 | m1+1..m1+m2 | ...]."""
-    blocks = []
-    start = 1
-    for m in sizes:
-        blocks.append(tuple(range(start, start + m)))
-        start += m
-    return OrderedPartition(n, blocks)
+    return OrderedPartition(n, consecutive_blocks(range(1, n + 1), sizes))
 
 
 def cobar_f(x):

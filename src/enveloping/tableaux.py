@@ -24,6 +24,7 @@ from .exactlin import (
     Word,
     agree,
     antisymmetric_sign,
+    consecutive_blocks,
     perm_parity,
     square_zero,
     to_pair,
@@ -332,11 +333,7 @@ def content_sizes(T, J):
 
 def pi_map(word, sizes):
     """Split positions into blocks, symmetrize and desuspend each."""
-    blocks = []
-    start = 0
-    for m in sizes:
-        blocks.append(word.letters[start : start + m])
-        start += m
+    blocks = consecutive_blocks(word.letters, sizes)
     sign, cobar = desuspended_word(blocks)
     sign *= desuspension_sign([[g.degree for g in b] for b in blocks])
     return Vector.unit(cobar, sign)
@@ -344,12 +341,9 @@ def pi_map(word, sizes):
 
 def young_average(word, sizes):
     """Average of the value-block symmetric group, acting on the right."""
-    groups = []
-    start = 1
-    for m in sizes:
-        groups.append(tuple(range(start, start + m)))
-        start += m
-    perms = _value_permutations([g for g in groups if len(g) > 1], sum(sizes))
+    n = sum(sizes)
+    groups = consecutive_blocks(range(1, n + 1), sizes)
+    perms = _value_permutations([g for g in groups if len(g) > 1], n)
     out = Vector()
     q = Fraction(1, len(perms))
     for sigma in perms:

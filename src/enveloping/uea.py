@@ -36,10 +36,11 @@ class AInftyStructure:
     """Products m_n of degree 2 - n on symmetric words, within caps.
 
     Tables are computed lazily from the transfer and memoized; the structure
-    is deterministic given the algebra and the caps.  m_1 reads the perturbed
-    contraction, the one-letter part of its d_small on [u]; m_n for n >= 2
-    reads the tree form, ``Transfer.tree_product``, which builds no bar word
-    of two or more cobar words.  Both read the transfer's one series.
+    is deterministic given the algebra and the caps.  Every product reads
+    the letters' perturbed contraction ``Transfer.letters`` on cobar words,
+    and no product builds a bar word: m_1 is its d_small, and m_n for
+    n >= 2 is ``conjugation_sign`` times its F_t(B), the tree form
+    ``Transfer.tree_product``.
 
     Bracket selection, for n >= 2.  Let C be the multiset of the generators
     of u_1, ..., u_n.  A move replaces, inside C, the key of a nonzero
@@ -50,29 +51,30 @@ class AInftyStructure:
     excess n - 2 ends on a live multiset; otherwise the product is zero and
     stored without computing anything.  For n = 2, where only the empty
     sequence qualifies (C is live, and no nonempty sequence of moves of
-    excess 0 ends live), m_2 is ``Transfer.split_product`` alone, F(B) with
+    excess 0 ends live), m_2 is ``Transfer.split_product`` alone, f(B) with
     B = t_2(Phi(u_1), Phi(u_2)), and Phi(u_1 u_2) is never built.
 
     Proof.  Count the generators that a term holds, over all its letters,
-    as a multiset.  On the tree path, G, H and F (the permutahedron
+    as a multiset.  On the tree path, g, h and f (the permutahedron
     contraction, letterwise) and t_2 (concatenation) rearrange the
-    generators of a term and keep its multiset; so does P = sum (-H t_1)^k
-    apart from its t_1.  t_1, the higher brackets on one letter (``hpt``'s
-    C2, arity >= 2), applies l_k to k letters of one symmetric word: it makes
-    one move.  l_1 lies in the differential of the contraction, not in the
-    perturbation: it reaches m_1 only, through d_small.  So every output
-    word of m_n is C after the moves that the t_1 along its tree made, and
-    it is a nonzero symmetric word, so that multiset is live.  A move by
-    l_k, of degree 2 - k, lowers the total degree of C by k - 2, its
-    excess; m_n has degree 2 - n, so the excesses of the moves sum to
-    n - 2.  In m_2 = F(B) + F(t Phi(u_1 u_2)), the second term holds at
-    least one move, of excess 0.  Since a move lowers the rank, a live end
-    of such a sequence is a symmetric word of rank at most sum rank(u_i) in
-    degree sum |u_i| + 2 - n: whatever this rule keeps, a rule by degree and
-    rank would keep too.
+    generators of a term and keep its multiset; so does the letters' series
+    P = sum (-h t_omega)^k on cobar words apart from its t_omega.  t_omega,
+    the higher brackets on one letter (``hpt``'s C2, arity >= 2), applies
+    l_k to k letters of one symmetric word: it makes one move.  l_1 lies in
+    the differential of the contraction, not in the perturbation: it
+    reaches m_1 only, through d_small.  So every output word of m_n is C
+    after the moves that the t_omega along its tree made, and it is a
+    nonzero symmetric word, so that multiset is live.  A move by l_k, of
+    degree 2 - k, lowers the total degree of C by k - 2, its excess; m_n
+    has degree 2 - n, so the excesses of the moves sum to n - 2.  In
+    m_2 = F_t(B) = f(B) - f t_omega P h B, the second term holds at least
+    one move, of excess 0.  Since a move lowers the rank, a live end of such
+    a sequence is a symmetric word of rank at most sum rank(u_i) in degree
+    sum |u_i| + 2 - n: whatever this rule keeps, a rule by degree and rank
+    would keep too.
 
     m_1 is outside the rule: l_1 makes no move, and it reaches m_1 through
-    d_small, whose one-letter words cost little.
+    d_small, on one symmetric word.
     """
 
     def __init__(self, algebra, arity_cap, weight_cap):
@@ -121,9 +123,8 @@ class AInftyStructure:
             raise ValueError("arity cap exceeded")
         if sum(w.rank for w in words) > self.weight_cap:
             raise ValueError("weight cap exceeded")
-        degrees = [w.degree for w in words]
         if n == 1:
-            image = corestriction(self.transfer.con.d_small(Word(BAR, words)))
+            value = self.transfer.letters.d_small(words[0])
         else:
             gens = tuple(sorted(g for w in words for g in w.letters))
             if n - 2 in self.excesses(gens):
@@ -132,8 +133,8 @@ class AInftyStructure:
                 pair = self.transfer.split_product(words)
             else:
                 pair = None
-            image = corestriction(to_vector(pair)) if pair else Vector()
-        value = image.scaled(conjugation_sign(degrees))
+            sign = conjugation_sign([w.degree for w in words])
+            value = to_vector(pair).scaled(sign) if pair else Vector()
         self._tables[words] = value
         return value
 

@@ -22,7 +22,7 @@ from enveloping.exactlin import (
     sym_word,
 )
 from enveloping.hpt import bar_coderivation, concatenation
-from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule
+from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule, algebra_from_json
 from enveloping.words import bar_words, cobar_words, vector_product
 
 
@@ -57,6 +57,29 @@ def bundled(name):
     """The bundled algebra ``name``, loaded as ``--input bundled:<name>`` is."""
     algebra, _ = load_input("bundled:" + name)
     return algebra
+
+
+def _generator(gid, degree):
+    return {"id": gid, "degree": degree}
+
+
+def _bracket(inputs, output):
+    return {"arity": len(inputs), "inputs": inputs,
+            "value": [{"coeff": "1/1", "monomial": [output]}]}
+
+
+# A dg Lie algebra with l_1 != 0, in the input format: x, y, z in degree 0,
+# s, t in degree 1, l_1 x = s, l_1 z = t, [x, y] = z and [s, y] = t.  No
+# bundled input has a nonzero m_1; this one has.
+DG_LIE = {"name": "dg_lie",
+          "generators": [_generator("x", 0), _generator("y", 0), _generator("z", 0),
+                         _generator("s", 1), _generator("t", 1)],
+          "brackets": [_bracket(["x"], "s"), _bracket(["z"], "t"),
+                       _bracket(["x", "y"], "z"), _bracket(["s", "y"], "t")]}
+
+
+def dg_lie():
+    return algebra_from_json(DG_LIE)
 
 
 def odd_abelian(degrees, name="odd"):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DG_LIE
 from enveloping import cli, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
@@ -36,6 +37,7 @@ PRODUCT_DIGESTS_3_3 = {
     "ci_cubic": "0f7e30e4fa27a4174466049a4f1035d0234208a8c25463b6a86493f497cb998f",
     "ci_rational": "d51187b9872ffc2440fa4315b73b10d8bed5d0d181bbd7d8de51612f0b4262f4",
     "ci_sweep": "80664a533883d89b36bd2d4367b5dde368e216d81cfe6c656686e15755d3e8ac",
+    "dg_lie": "313b9f88692e1c66216856a15df7fa9950e87249137cae5dcc9e4055bb1cd76c",
 }
 
 # The same at arity cap 4 and weight cap 4: the first pin on arity-4 bar
@@ -53,6 +55,7 @@ PRODUCT_DIGESTS_4_4 = {
     "ci_cubic": "f6e761c9ab753abb1dfaa58233930c09111591222712df1b9d2e06ca42c69d64",
     "ci_rational": "002e611de756c9e22261ce3fc466df24a382736e8d6c04e241fde0138ceccd3f",
     "ci_sweep": "3f1879a9ba2ad1dc4a27f2a296aceb2b7d7eb06c476ff1aaa09c64d6a0e89a22",
+    "dg_lie": "3a6e4ad58becee05e4c914c62f8d279f7e6d5313a8a5be974f08d9f3e2723b82",
 }
 
 # The same at the default caps, arity cap 4 and weight cap 5: the tables that
@@ -70,6 +73,7 @@ PRODUCT_DIGESTS_4_5 = {
     "ci_cubic": "9885516b5471208c4cfcccd91eb2ba7b3ea797b81cdcb6636b236b931c337880",
     "ci_rational": "65e65f0583d22927775b525fd2278c8dd3a51c510439fd3a8ee5c1e1b9c006c6",
     "ci_sweep": "78bf7b3211aeaacaace800c29526b47eddd61b9dfe75e12821ca59dc151b714d",
+    "dg_lie": "24c19ff303cc333d689ae1a8fba94526ab173110d0d347cdefd2d8c798dec8da",
 }
 
 # The same for sl2 alone at arity cap 3, weight cap 5 (the operation of the
@@ -85,9 +89,11 @@ L3ONLY_PRODUCT_DIGEST_4_6 = "2bc3a5e754f4596d99c3e0b6adff73bf7e1af3af7a1a3c7fa76
 
 # Pinned inputs that are not bundled, read from "<name>.json" in the working
 # directory: a complete intersection with rational coefficients (every
-# bundled input has integer brackets), and one shaped like the benchmark's
-# generated inputs: two variables, two relations, an l_4 term.
+# bundled input has integer brackets), one shaped like the benchmark's
+# generated inputs: two variables, two relations, an l_4 term, and a dg Lie
+# algebra, whose m_1 is nonzero (every bundled input has l_1 = 0).
 FILE_INPUTS = {
+    "dg_lie": DG_LIE,
     "ci_rational": {"complete_intersection": {"variables": ["x", "y"], "relations": [
         {"id": "w", "terms": [{"coeff": "1/2", "monomial": ["x", "x", "y"]},
                               {"coeff": "-4/3", "monomial": ["x", "y", "y"]}]}]}},

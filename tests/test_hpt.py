@@ -14,8 +14,10 @@ from enveloping.exactlin import (
     Vector,
     Word,
     conjugation_sign,
+    exact_apply,
     memo_op,
     s_power_sign,
+    to_pair,
     to_vector,
     unshuffles,
     vector_view,
@@ -336,23 +338,35 @@ def unrolled_series(t, H, word):
     ids=["sl2", "l3only", "ci", "ci-rational"],
 )
 def test_projected_series_matches_unrolled_series(algebra):
-    # the series P of the transfer, on every word of G(b), against the sum
-    # of its terms (the name predates P, which is no longer projected)
-    from enveloping.hpt import PerturbationError
+    # the series P = sum (-Ht)^k of the bar-level transfer, on every word of
+    # G(b), against the sum of its terms, and the perturbed maps of
+    # ``Transfer.con`` that read it; then the letters' series, through their
+    # perturbed inclusion.  (The name predates P, which is not projected.)
+    from enveloping.hpt import PerturbationError, default_budget
 
     T = Transfer(algebra, 3)
-    P, H = T.con.P, vector_view(T.con0.H)
+    H = vector_view(T.con0.H)
+    P = perturbation_series(memo_op(lambda w: to_pair(T.t(w))), T.con0.H, default_budget)
+    bars = bar_words_algebra(algebra.generators, 3, 3)
     words = set()
-    for bar in bar_words_algebra(algebra.generators, 3, 3):
+    for bar in bars:
         words.update(T.con0.G(bar)[0])
     words = sorted(words, key=repr)
     assert words
     for w in words:
-        assert to_vector(T.con.t_exact(w)) == T.t(w), w
         assert_reduced(P(w))
         assert to_vector(P(w)) == unrolled_series(T.t, H, w), w
         assert P(w) is P(w)
+        assert T.con.H(w) == exact_apply(T.con0.H(w), P), w
     assert any(len(P(w)[0]) > 1 for w in words)
+    for bar in bars:
+        assert T.con.G(bar) == exact_apply(T.con0.G(bar), P), bar
+    t_omega, h = bracket_letter_differential(T), vector_view(cobar_h)
+    for bar in bars:
+        if bar.length == 1:
+            (u,) = bar.letters
+            G_t = to_vector(cobar_g(u)).apply(lambda x: unrolled_series(t_omega, h, x))
+            assert to_vector(T.letters.G(u)) == G_t, u
 
     identity = lambda word: ({word: 1}, 1)
     with pytest.raises(PerturbationError):

@@ -1,25 +1,29 @@
-"""The tree form of the transfer against the perturbed contraction.
+"""The tree form of the transfer against the perturbed contraction on bar
+words.
 
-``Transfer.tree_product`` computes the products of arity n >= 2 by a
-recursion on one-letter bar words; ``bpl`` perturbs the lifted contraction on
-bar words of cobar words.  Both read the one series P of the transfer.  The
-one-letter part of the perturbed d_small on [u_1|..|u_n] must be the tree's
-F(B + t Phi), and Phi the one-letter part of the perturbed inclusion.
-The bracket selection of ``AInftyStructure.product`` skips the tree only
-where the tree is zero, and F t Phi only where it is zero.
+``AInftyStructure.product`` reads ``Transfer.letters``, the letter
+contraction of the cobar algebra perturbed by the higher brackets, on cobar
+words only: m_1 is its d_small, and m_n for n >= 2 is ``tree_product``,
+F_t(B), by a recursion on Phi.  ``Transfer.con`` perturbs the lifted
+contraction on bar words of cobar words by the whole perturbation, and is the
+independent reference here.  The one-letter part of its d_small on
+[u_1|..|u_n] must be m_n before its conjugation sign, and Phi the one-letter
+part of its inclusion.  The bracket selection of ``AInftyStructure.product``
+skips the tree only where the tree is zero, and f t_omega P h B only where it
+is zero.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import bundled
+from conftest import bundled, dg_lie
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enveloping.cli import BUNDLED, main
 from enveloping import hpt
-from enveloping.exactlin import to_vector
+from enveloping.exactlin import BAR, SYMMETRIC, Word, to_vector
 from enveloping.hpt import Transfer
 from enveloping.linfty import dg_vector_space, from_complete_intersection
 from enveloping.uea import AInftyStructure, corestriction
@@ -27,19 +31,31 @@ from enveloping.words import bar_words_algebra
 
 
 def assert_tree_matches_series(algebra, arity_cap, weight_cap):
+    """m_n from the letters against the one-letter part of the bar-level
+    d_small: at arity 1, m_1 = d_small_t(u) is -1 times it (the conjugation
+    sign of one letter), at arity n >= 2 F_t(B) is it.  Returns whether some
+    product of arity n >= 2 is nonzero."""
     transfer = Transfer(algebra, weight_cap)
-    bars = [bar for bar in bar_words_algebra(algebra.generators, weight_cap, arity_cap)
-            if bar.length >= 2]
+    bars = bar_words_algebra(algebra.generators, weight_cap, arity_cap)
     for bar in bars:
-        tree = corestriction(to_vector(transfer.tree_product(bar.letters)))
-        assert tree == corestriction(transfer.con.d_small(bar)), bar
-    return any(transfer.tree_product(bar.letters)[0] for bar in bars)
+        series = corestriction(transfer.con.d_small(bar))
+        if bar.length == 1:
+            assert transfer.letters.d_small(bar.letters[0]) == -series, bar
+        else:
+            assert to_vector(transfer.tree_product(bar.letters)) == series, bar
+    return any(transfer.tree_product(bar.letters)[0] for bar in bars if bar.length >= 2)
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+def algebra_of(name):
+    """A bundled input, or the dg input ``dg_lie`` of ``conftest``."""
+    return dg_lie() if name == "dg_lie" else bundled(name)
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
 def test_tree_products_match_the_series(name):
-    # on odd1 every product of arity >= 2 vanishes: t1 * t1 = 0
-    assert assert_tree_matches_series(bundled(name), 3, 3) == (name != "odd1")
+    # on odd1 every product of arity >= 2 vanishes: t1 * t1 = 0; on dg_lie,
+    # m_1 holds terms of l_1 and of the perturbation
+    assert assert_tree_matches_series(algebra_of(name), 3, 3) == (name != "odd1")
 
 
 VARIABLES = ("x", "y")
@@ -75,46 +91,69 @@ def test_phi_is_the_one_letter_part_of_the_perturbed_inclusion(name):
     bars = bar_words_algebra(algebra.generators, 3, 3)
     for bar in bars:
         G = to_vector(transfer.con.G(bar))
-        one_letter = {w: c for w, c in G.items() if w.length == 1}
+        one_letter = {w.letters[0]: c for w, c in G.items() if w.length == 1}
         assert to_vector(transfer.phi(bar.letters)).terms == one_letter, bar
     assert any(transfer.phi(bar.letters)[0] for bar in bars if bar.length >= 2)
 
 
 def test_phi_shares_the_perturbed_inclusion():
+    # Phi of one word is the memo entry of the letters' perturbed inclusion
     transfer = Transfer(bundled("sl2"), 3)
     for bar in bar_words_algebra(transfer.algebra.generators, 3, 1):
-        assert transfer.phi(bar.letters) is transfer.con.G(bar), bar
+        (u,) = bar.letters
+        assert transfer.phi(bar.letters) is transfer.letters.G(u), bar
 
 
-@pytest.mark.parametrize("name", ["sl2", "l3only", "ci_cubic"])
+@pytest.mark.parametrize("name", ["sl2", "l3only", "ci_cubic", "dg_lie"])
 def test_products_build_no_bar_word_of_several_cobar_words(name, monkeypatch):
-    # con0's F, G and H and the perturbation t are recorded as the transfer
-    # is built, so the series and the tree both read the recorded maps
-    lengths = set()
+    # stricter: while the products are computed, m_1 included (nonzero on
+    # dg_lie), no bar word is built and no map of the bar-level contractions
+    # or the perturbation t receives one
+    structure = AInftyStructure(algebra_of(name), 3, 3)
+    transfer = structure.transfer
+    bars = structure.bar_words()
+    assert {bar.length for bar in bars} == {1, 2, 3}
+    received, built = [], []
 
     def recording(op):
-        def recorded(b):
-            lengths.add(b.length)
-            return op(b)
-        return recorded
+        return lambda b: received.append(b) or op(b)
 
-    lift, perturb = hpt.lift_contraction, hpt.bpl
+    for con, attrs in ((transfer.con0, ("F", "G", "H", "d_big", "d_small")),
+                       (transfer.con, ("F", "G", "H", "d_big", "d_small"))):
+        for attr in attrs:
+            monkeypatch.setattr(con, attr, recording(getattr(con, attr)))
+    monkeypatch.setattr(transfer, "t", recording(transfer.t))
+    new = Word.__new__
 
-    def lift_recorded(*args):
-        con = lift(*args)
-        for attr in ("F", "G", "H"):
-            setattr(con, attr, recording(getattr(con, attr)))
-        return con
+    def new_recorded(cls, kind, letters):
+        if kind == BAR:
+            built.append(letters)
+        return new(cls, kind, letters)
 
-    monkeypatch.setattr(hpt, "lift_contraction", lift_recorded)
-    monkeypatch.setattr(hpt, "bpl", lambda con, t: perturb(con, recording(t)))
-    structure = AInftyStructure(bundled(name), 3, 3)
-    bars = structure.bar_words()
-    assert any(structure.product(bar.letters) for bar in bars)
-    assert {bar.length for bar in bars} == {1, 2, 3}
-    # H of a one-letter word reads H of its empty suffix
-    assert max(lengths) == 1
-    assert all(w.length == 1 for terms, _ in structure.transfer._phi.values() for w in terms)
+    monkeypatch.setattr(Word, "__new__", new_recorded)
+    m1 = [structure.product(bar.letters) for bar in bars if bar.length == 1]
+    assert any(structure.product(bar.letters) for bar in bars if bar.length >= 2)
+    assert any(m1) == (name == "dg_lie")
+    assert received == [] and built == []
+
+
+def test_each_B_is_built_once(monkeypatch, capsys):
+    # B(u_1..u_n) is memoized per tuple: Phi(u_1..u_n) and m_n read one
+    # build.  l3only at 4/5 builds 682 of them.
+    built = Counter()
+    split = hpt.Transfer.split
+
+    def split_recorded(self, words):
+        built[words] += 1
+        return split(self, words)
+
+    monkeypatch.setattr(hpt.Transfer, "split", split_recorded)
+    argv = ["--input", "bundled:l3only", "--arity-cap", "4", "--weight-cap", "5",
+            "--format", "json", "products"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert len(built) == 682
+    assert set(built.values()) == {1}
 
 
 def move_ends(algebra, gens):
@@ -142,7 +181,7 @@ def is_live(multiset):
 
 
 def selection(algebra, bar):
-    """"tree" where the tree of m_n runs, "split" where m_2 is F(B) alone,
+    """"tree" where the tree of m_n runs, "split" where m_2 is f(B) alone,
     "skip" where the product is zero: the rule of ``AInftyStructure``, from
     an enumeration of the move sequences."""
     gens = [g for w in bar.letters for g in w.letters]
@@ -155,21 +194,15 @@ def selection(algebra, bar):
 
 def assert_bracket_selection(algebra, arity_cap, weight_cap):
     """The structure runs the full tree on exactly the products that the
-    rule keeps and F(B) alone on exactly its split pairs; the tree is zero
-    on every product that it skips, and F(B) is the whole tree on every
+    rule keeps and f(B) alone on exactly its split pairs; the tree is zero
+    on every product that it skips, and f(B) is the whole tree on every
     split pair.  Returns the number of products of each selection and
     arity."""
     structure = AInftyStructure(algebra, arity_cap, weight_cap)
     transfer, calls = structure.transfer, {"tree": [], "split": []}
     tree_product, split_product = transfer.tree_product, transfer.split_product
-
-    def split_recorded(words, split=None):
-        if split is None:  # a call of the structure, not one of tree_product
-            calls["split"].append(words)
-        return split_product(words, split)
-
     transfer.tree_product = lambda words: calls["tree"].append(words) or tree_product(words)
-    transfer.split_product = split_recorded
+    transfer.split_product = lambda words: calls["split"].append(words) or split_product(words)
     bars = [bar for bar in structure.bar_words() if bar.length >= 2]
     for bar in bars:
         structure.product(bar.letters)
@@ -205,7 +238,7 @@ def test_the_degree_rule_skips_only_zero_products_on_complete_intersections(
 
 
 def test_bracket_selection_on_l3only_at_4_5_runs_no_pair_tree():
-    # l3only has only l_3, whose moves have excess 1: every pair is F(B)
+    # l3only has only l_3, whose moves have excess 1: every pair is f(B)
     # alone or zero, and only the triples run the tree
     selected = assert_bracket_selection(bundled("l3only"), 4, 5)
     assert {arity for kind, arity in selected if kind == "tree"} == {3}
@@ -213,14 +246,14 @@ def test_bracket_selection_on_l3only_at_4_5_runs_no_pair_tree():
 
 
 def test_bracket_selection_on_a_complex():
-    # l_1 only: no move at all, so every pair is F(B) alone or zero
+    # l_1 only: no move at all, so every pair is f(B) alone or zero
     algebra = dg_vector_space([("v", 0, {"u": 1}), ("u", 1, {}), ("w", 0, {})])
     selected = assert_bracket_selection(algebra, 3, 3)
     assert {kind for kind, _ in selected} == {"split", "skip"}
 
 
 def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):
-    arities, d_small_lengths = [], []
+    arities, d_small_kinds = [], set()
     tree_product, perturb = hpt.Transfer.tree_product, hpt.bpl
 
     def tree_product_recorded(self, words):
@@ -230,7 +263,7 @@ def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):
     def bpl_recorded(con, t):
         perturbed = perturb(con, t)
         d_small = perturbed.d_small
-        perturbed.d_small = lambda b: d_small_lengths.append(b.length) or d_small(b)
+        perturbed.d_small = lambda w: d_small_kinds.add(w.kind) or d_small(w)
         return perturbed
 
     monkeypatch.setattr(hpt.Transfer, "tree_product", tree_product_recorded)
@@ -239,6 +272,7 @@ def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):
             "--format", "json", "products"]
     assert main(argv) == 0
     assert capsys.readouterr().out
-    # the pairs are computed, no triple is; m_1 still reads d_small
+    # the pairs are computed, no triple is; m_1 reads the letters' d_small
+    # on symmetric words
     assert arities and set(arities) == {2}
-    assert d_small_lengths and set(d_small_lengths) == {1}
+    assert d_small_kinds == {SYMMETRIC}
