@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
-from .exactlin import CheckResult, Generator, agree, square_zero, vector_view
+from .exactlin import CheckResult, Generator, agree, memo_op, square_zero, vector_view
 
 TEXT = "text"
 JSON = "json"
@@ -311,6 +311,7 @@ def _theorem1_check(n_cap):
 def _permutahedron_checks(report, n_cap):
     """Run the checks for n <= n_cap; returns the face counts and homology."""
     payload = {"face_counts": {}, "homology": {}}
+    boundary = memo_op(permutahedra.boundary)
     for n in range(1, n_cap + 1):
         faces = permutahedra.all_faces(n)
         counts = {}
@@ -321,7 +322,7 @@ def _permutahedron_checks(report, n_cap):
         report.run("faces[n=%d]" % n,
                    lambda c=counts, e=expected: CheckResult(c == e, (c, e)))
         report.run("boundary_squares[n=%d]" % n, lambda fs=faces: square_zero(
-            fs, permutahedra.boundary, "boundary squares to %r"))
+            fs, boundary, "boundary squares to %r"))
 
         def homology(n=n):
             dims = permutahedra.chain_complex(n).homology_dims()

@@ -149,6 +149,7 @@ class CECoalgebra:
         self.max_arity = max_arity
         self.sgens = tuple(g.shifted(-1) for g in algebra.generators)
         self.delta = memo_op(self.delta)
+        self.reduced_coproduct = memo_op(self.reduced_coproduct)
 
     def words(self, weight):
         return sym_words(self.sgens, weight)
@@ -227,6 +228,7 @@ class LInftyMorphism:
         self.components = structure_tables(
             components, 1, target.generators, "morphism", "phi"
         )
+        self.coalgebra_map = memo_op(self.coalgebra_map)
 
     def is_strict(self):
         return all(k <= 1 for k in self.components)

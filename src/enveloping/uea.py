@@ -83,6 +83,7 @@ class AInftyStructure:
         self.weight_cap = weight_cap
         self.transfer = Transfer(algebra, weight_cap)
         self._tables = {}
+        self._bar_words = None
         # sorted multiset of generators -> excesses of the live nonempty
         # move sequences from it
         self._excesses = {}
@@ -145,9 +146,11 @@ class AInftyStructure:
         return self.product((u, v))
 
     def bar_words(self):
-        return bar_words_algebra(
-            self.algebra.generators, self.weight_cap, self.arity_cap
-        )
+        """The capped bar words, enumerated once per structure."""
+        if self._bar_words is None:
+            self._bar_words = tuple(bar_words_algebra(
+                self.algebra.generators, self.weight_cap, self.arity_cap))
+        return self._bar_words
 
     def bar_differential(self, bar):
         """The bar coderivation with the products m_k, k <= arity cap."""
@@ -290,6 +293,7 @@ class ClassicalEnveloping:
             raise ValueError("the straightening oracle needs a binary-bracket algebra")
         self.algebra = algebra
         self.straighten = memo_op(self.straighten)
+        self.symmetrize = memo_op(self.symmetrize)
 
     def straighten(self, letters):
         """Express a raw tensor string (a tuple) in the sorted-monomial basis."""
@@ -475,13 +479,14 @@ def coproduct_strictness_check(structure, arity_cap, weight_cap):
     doubled = AInftyStructure(direct_sum(structure.algebra), arity_cap, weight_cap)
     bars = [bar for bar in structure.bar_words()
             if bar.length <= arity_cap and bar.rank <= weight_cap]
+    coproduct = memo_op(coproduct_map)
 
     def rhs(bar):
-        inputs = Vector(vector_product([coproduct_map(w) for w in bar.letters],
+        inputs = Vector(vector_product([coproduct(w) for w in bar.letters],
                                        lambda ws: (1, ws)))
         return inputs.apply(doubled.product)
 
-    return agree(bars, lambda bar: structure.product(bar.letters).apply(coproduct_map),
+    return agree(bars, lambda bar: structure.product(bar.letters).apply(coproduct),
                  rhs, "coproduct is not strict here")
 
 
@@ -516,13 +521,16 @@ class AInftyMorphismData:
         self.source = source_structure
         self.target = target_structure
         # letterwise on bar words of cobar words, each letter by phi
-        self._omega_map = bar_morphism(bar_morphism(lambda w: to_pair(phi.coalgebra_map(w))))
+        cobar_map = memo_op(bar_morphism(lambda w: to_pair(phi.coalgebra_map(w))))
+        self._omega_map = bar_morphism(cobar_map)
         self.apply = memo_op(self.apply)
 
     def apply(self, bar):
-        """The full transferred coalgebra map on a bar word, composed exact
-        and converted once."""
-        pair = self.source.transfer.con.G(bar)
+        """The full transferred coalgebra map on a bar word, F_t B(phi) G_t,
+        composed exact and converted once: the source's G_t is
+        ``Transfer.inclusion``, built from Phi, and the target's F_t is the
+        projection of its ``con``."""
+        pair = self.source.transfer.inclusion(bar)
         for op in (self._omega_map, self.target.transfer.con.F):
             pair = exact_apply(pair, op)
         return to_vector(pair)
@@ -569,7 +577,9 @@ def check_morphism_chain_map(data):
 
 
 class CompositionHomotopy:
-    """F_N B(psi) H_M B(phi) G_L between the two transferred composites."""
+    """F_N B(psi) H_M B(phi) G_L between the two transferred composites:
+    G_L is the source's ``Transfer.inclusion``, H_M and F_N the middle's and
+    the target's ``Transfer.con``."""
 
     def __init__(self, data_phi, data_psi):
         self.data_phi = data_phi
@@ -577,7 +587,7 @@ class CompositionHomotopy:
 
     def apply(self, bar):
         phi, psi = self.data_phi, self.data_psi
-        pair = phi.source.transfer.con.G(bar)
+        pair = phi.source.transfer.inclusion(bar)
         for op in (phi._omega_map, phi.target.transfer.con.H, psi._omega_map,
                    psi.target.transfer.con.F):
             pair = exact_apply(pair, op)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -638,6 +639,71 @@ def test_check_transfers_its_input_once(capsys, monkeypatch):
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert built.count("sl2") == 1 and "sl2_trunc" in built
+
+
+# the maps that the checkers re-read, each memoized on its owner: name ->
+# (owner, method) or (module, function)
+MEMOIZED_MAPS = {
+    "coalgebra_map": (linfty.LInftyMorphism, "coalgebra_map"),
+    "reduced_coproduct": (linfty.CECoalgebra, "reduced_coproduct"),
+    "symmetrize": (uea.ClassicalEnveloping, "symmetrize"),
+    "coproduct_map": (uea, "coproduct_map"),
+}
+
+# the same maps on a fresh owner, with empty memos
+FRESH = {
+    "coalgebra_map": lambda phi, word: linfty.LInftyMorphism(
+        phi.source, phi.target, phi.components).coalgebra_map(word),
+    "reduced_coproduct": lambda C, word: linfty.CECoalgebra(
+        C.algebra, C.weight_cap, C.min_arity, C.max_arity).reduced_coproduct(word),
+    "symmetrize": lambda oracle, word: uea.ClassicalEnveloping(oracle.algebra).symmetrize(word),
+    "coproduct_map": uea.coproduct_map,
+    "bar_words": lambda structure: uea.AInftyStructure(
+        structure.algebra, structure.arity_cap, structure.weight_cap).bar_words(),
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "l3only"])
+def test_check_computes_each_map_once(capsys, monkeypatch, name):
+    # one run computes each map that the checkers re-read once per owner
+    # and argument, and enumerates each structure's bar words once; every
+    # value still equals a fresh evaluation after the run, so no caller
+    # changed a shared Vector
+    computed = []
+
+    def recording(key, fn):
+        def wrapped(*args):
+            value = fn(*args)
+            computed.append(((key,) + args, value))
+            return value
+        return wrapped
+
+    for key, (owner, attr) in MEMOIZED_MAPS.items():
+        monkeypatch.setattr(owner, attr, recording(key, getattr(owner, attr)))
+    enumerations = []
+    enumerate_words = uea.bar_words_algebra
+    monkeypatch.setattr(uea, "bar_words_algebra",
+                        lambda *caps: enumerations.append(caps) or enumerate_words(*caps))
+    bar_words = uea.AInftyStructure.bar_words
+
+    def recording_bar_words(self):
+        before = len(enumerations)
+        words = bar_words(self)
+        computed.extend((("bar_words", self), words) for _ in enumerations[before:])
+        return words
+
+    monkeypatch.setattr(uea.AInftyStructure, "bar_words", recording_bar_words)
+    argv = ["--input", "bundled:" + name, "--arity-cap", "3", "--weight-cap", "3",
+            "--format", "json", "check", "--suite", "all"]
+    code, _, _ = run(capsys, argv)
+    monkeypatch.undo()
+    assert code == 0
+    counts = Counter(key for key, _ in computed)
+    assert [key for key, n in counts.items() if n > 1] == []
+    expected = set(FRESH) - ({"symmetrize"} if name == "l3only" else set())
+    assert {key[0] for key in counts} == expected
+    for (key, *args), value in computed:
+        assert FRESH[key](*args) == value, (key, args[1:])
 
 
 def test_counterexamples_keep_their_order():

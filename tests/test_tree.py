@@ -7,8 +7,9 @@ words only: m_1 is its d_small, and m_n for n >= 2 is ``tree_product``,
 F_t(B), by a recursion on Phi.  ``Transfer.con`` perturbs the lifted
 contraction on bar words of cobar words by the whole perturbation, and is the
 independent reference here.  The one-letter part of its d_small on
-[u_1|..|u_n] must be m_n before its conjugation sign, and Phi the one-letter
-part of its inclusion.  The bracket selection of ``AInftyStructure.product``
+[u_1|..|u_n] must be m_n before its conjugation sign, Phi the one-letter
+part of its inclusion, and ``Transfer.inclusion``, the coalgebra map with the
+components Phi, its whole inclusion.  The bracket selection of ``AInftyStructure.product``
 skips the tree only where the tree is zero, and f t_omega P h B only where it
 is zero.
 """
@@ -94,6 +95,18 @@ def test_phi_is_the_one_letter_part_of_the_perturbed_inclusion(name):
         one_letter = {w.letters[0]: c for w, c in G.items() if w.length == 1}
         assert to_vector(transfer.phi(bar.letters)).terms == one_letter, bar
     assert any(transfer.phi(bar.letters)[0] for bar in bars if bar.length >= 2)
+
+
+@pytest.mark.parametrize("caps", [(3, 3), (4, 4)])
+@pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
+def test_inclusion_from_phi_is_the_perturbed_inclusion(name, caps):
+    # G_t as the coalgebra map with the one-letter components Phi, against
+    # the bar-level series P G, as exact pairs on every bar word
+    arity_cap, weight_cap = caps
+    algebra = algebra_of(name)
+    transfer = Transfer(algebra, weight_cap)
+    for bar in bar_words_algebra(algebra.generators, weight_cap, arity_cap):
+        assert transfer.inclusion(bar) == transfer.con.G(bar), bar
 
 
 def test_phi_shares_the_perturbed_inclusion():
