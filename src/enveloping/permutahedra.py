@@ -58,6 +58,8 @@ class OrderedPartition:
         self._hash = hash((n, self.blocks))
         if sorted(x for b in self.blocks for x in b) != list(range(1, n + 1)):
             raise ValueError("blocks must partition {1..%d}" % n)
+        if not all(self.blocks):
+            raise ValueError("blocks must be nonempty")
 
     @property
     def d(self):
@@ -133,11 +135,17 @@ def boundary(face):
 
 def nu(face):
     """Block-reversal involution with its orientation sign."""
-    n, d = face.n, face.d
-    sign = koszul_sign(range(d - 1, -1, -1), [len(b) for b in face.blocks])
-    if (n * (d - 1) + (d - 1) * (d - 2) // 2) % 2 == 0:
-        sign = -sign
-    return sign, OrderedPartition(n, tuple(reversed(face.blocks)))
+    sign = _nu_sign(face.n, [len(b) for b in face.blocks])
+    return sign, OrderedPartition(face.n, tuple(reversed(face.blocks)))
+
+
+def _nu_sign(n, sizes):
+    """The sign of nu on a face with blocks of these sizes: the Koszul sign
+    of reversing the blocks, each of the parity of its size, times
+    -(-1)^(n(d - 1) + (d - 1)(d - 2)/2)."""
+    d = len(sizes)
+    odd = sum(m % 2 for m in sizes)
+    return -1 if (odd * (odd - 1) // 2 + n * (d - 1) + (d - 1) * (d - 2) // 2) % 2 == 0 else 1
 
 
 def chain_complex(n):
@@ -156,44 +164,76 @@ class FaceIndex:
     A face is known by its block vector (the block of each element): sigma
     sends the block vector b to b o sigma^-1, and the sign of the action is
     the parity of the pairs inside one block that sigma inverts, read off two
-    bit masks.  Chains are integer vectors, dicts from face numbers to ints.
+    bit masks.  The boundary and nu are read off block vectors too, with no
+    face built.  Chains are integer vectors, dicts from face numbers to ints.
     """
 
     def __init__(self, n):
         self.n = n
         self.faces = all_faces(n)
         self.index = index = {f: i for i, f in enumerate(self.faces)}
-        self.boundary = [{index[g]: int(c) for g, c in boundary(f).items()}
-                         for f in self.faces]
-        self.nu = []  # face number -> (sign, number of its image)
-        self.rep = []  # face number -> number of its representative
-        self.carry = []  # face number -> action carrying its representative onto it
         self._blocks = []  # face number -> block vector
-        self._pairs = []  # face number -> bits x * n + y of the pairs x < y in one block
-        reps = {}
         for f in self.faces:
-            sign, g = nu(f)
-            self.nu.append((sign, index[g]))
-            sizes = tuple(len(b) for b in f.blocks)
-            if sizes not in reps:
-                reps[sizes] = index[standard_face(n, sizes)]
-            self.rep.append(reps[sizes])
-            self.carry.append(_action(tuple(x for b in f.blocks for x in b)))
             blocks = [0] * n
             for k, b in enumerate(f.blocks):
                 for x in b:
                     blocks[x - 1] = k
             self._blocks.append(tuple(blocks))
-            pairs = 0
-            for x in range(n):
-                for y in range(x + 1, n):
-                    if blocks[x] == blocks[y]:
-                        pairs |= 1 << (x * n + y)
-            self._pairs.append(pairs)
         # keyed as transport's itemgetter reads a block vector: as a tuple,
         # or at n = 1 as its one entry
         identity = itemgetter(*range(n))
-        self._by_blocks = {identity(b): i for i, b in enumerate(self._blocks)}
+        self._by_blocks = by_blocks = {identity(b): i for i, b in enumerate(self._blocks)}
+        self.boundary = []  # face number -> its boundary, an integer chain
+        self.nu = []  # face number -> (sign, number of its image)
+        self.rep = []  # face number -> number of its representative
+        self.carry = []  # face number -> action carrying its representative onto it
+        self._pairs = []  # face number -> bits x * n + y of the pairs x < y in one block
+        reps = {}
+        # block size -> [(positions split off, sign)], in ``boundary``'s
+        # order: the unshuffle sign with every element odd, times
+        # (-1)^(number split off)
+        splits = {
+            m: [(inside, -sign if len(inside) % 2 else sign)
+                for inside, _, sign in unshuffles([1] * m, range(1, m))]
+            for m in range(2, n + 1)
+        }
+        for f, b in zip(self.faces, self._blocks):
+            sizes = tuple(len(block) for block in f.blocks)
+            self.boundary.append(self._boundary(f.blocks, b, splits))
+            last = len(sizes) - 1  # nu numbers block k as last - k
+            self.nu.append((_nu_sign(n, sizes), by_blocks[identity(tuple(last - k for k in b))]))
+            if sizes not in reps:
+                reps[sizes] = index[standard_face(n, sizes)]
+            self.rep.append(reps[sizes])
+            self.carry.append(_action(tuple(x for block in f.blocks for x in block)))
+            pairs = 0
+            for block in f.blocks:
+                for x, y in itertools.combinations(block, 2):
+                    pairs |= 1 << ((x - 1) * n + y - 1)
+            self._pairs.append(pairs)
+
+    def _boundary(self, blocks, vector, splits):
+        """``boundary`` of the face with these blocks and block vector, as an
+        integer chain with its terms in the same order.  Splitting block k
+        moves the blocks after it up by one; the subset split off keeps
+        number k and the rest takes k + 1.  ``splits`` gives the splits of a
+        block of each size with their signs before the sign of the block's
+        place, (-1)^(k + elements before it)."""
+        by_blocks = self._by_blocks
+        out = {}
+        prefix = 0
+        for k, block in enumerate(blocks):
+            m = len(block)
+            if m > 1:
+                shifted = [c + 1 if c >= k else c for c in vector]
+                flip = (prefix + k) % 2
+                for inside, sign in splits[m]:
+                    image = shifted.copy()
+                    for i in inside:
+                        image[block[i] - 1] = k
+                    out[by_blocks[tuple(image)]] = -sign if flip else sign
+            prefix += m
+        return out
 
     def transport(self, out, action, col, c):
         """out += c sigma(col), term by term, for sigma given by ``_action``."""
@@ -453,40 +493,26 @@ def _solve_homotopy(faces):
     N f - F(f) (sum of vertices), and the elimination runs over the
     integers: the boundary entries are +-1, and each pivot lead divides the
     entries it eliminates (``Echelon`` raises RuntimeError where one does
-    not).  A face reduces to N Hraw of itself; a vertex v, reduced as
+    not).  A face reduces to N Hraw of itself; a vertex v, through
     N(1 - GF)(v), to N^2 Hraw(v), which is divided by N exactly
-    (``_quotient`` raises RuntimeError on a remainder).
+    (``_quotient`` raises RuntimeError on a remainder).  Reduction is
+    linear, so the vertex sum is reduced once and each vertex alone.
     """
     n = faces.n
     N = math.factorial(n)
     by_size = {}  # number of blocks -> face numbers
     for i, f in enumerate(faces.faces):
         by_size.setdefault(f.d, []).append(i)
-    vertex_sum = dict.fromkeys(by_size[n], 1)
     H = {}
     # constraints for the next degree: echelon of d-columns with rhs combos
     pending = Echelon()
-    for d in range(1, n + 1):
-        # define H on this degree from the constraints accumulated below it;
-        # at degree 0, the canonical split im(d) + span of the vertex sum
+    for d in range(1, n):
+        # define H on this degree from the constraints accumulated below it
         for i in by_size[d]:
             # reduce() accumulates tags negatively
-            if d < n:
-                residual, combo = pending.reduce(Vector({i: 1}))
-                value = {j: -c for j, c in combo.items()}
-            else:
-                x = {i: N}
-                axpy(x, vertex_sum, -1)  # N(1 - GF)(v)
-                residual, combo = pending.reduce(Vector(x))
-                if residual:
-                    raise RuntimeError("degree-0 consistency failed in homotopy solve")
-                # every tag N f - d(N Hraw f) is a multiple of N; a
-                # remainder raises RuntimeError
-                value = {j: _quotient(-c, N) for j, c in combo.items()}
-            if value:
-                H[i] = value
-        if d == n:
-            break
+            _, combo = pending.reduce(Vector({i: 1}))
+            if combo:
+                H[i] = {j: -c for j, c in combo.items()}
         # record constraints H(d f) = N(1 - GF)(f) - d(H(f)) for the next
         # degree; off the vertices, N(1 - GF)(f) = N f
         nxt = Echelon()
@@ -504,6 +530,24 @@ def _solve_homotopy(faces):
                 raise RuntimeError("inconsistent homotopy constraint at %r"
                                    % (faces.faces[i],))
         pending = nxt
+    # degree 0, on the canonical split im(d) + span of the vertex sum.
+    # N(1 - GF)(v) = N v - (vertex sum) reduces, by linearity, to N times
+    # v's residual and combo c_v minus the vertex sum's; the residual must
+    # vanish, and the combo N c_v - c_sum is -N (N Hraw(v)).  Every tag
+    # N f - d(N Hraw f) is a multiple of N, so that combo is, and so c_sum
+    # is; a remainder raises RuntimeError
+    sum_residual, sum_combo = pending.reduce(Vector(dict.fromkeys(by_size[n], 1)))
+    shared = {j: _quotient(c, N) for j, c in sum_combo.items()}
+    for i in by_size[n]:
+        residual, combo = pending.reduce(Vector({i: 1}))
+        residual = {j: N * c for j, c in residual.items()}
+        axpy(residual, sum_residual.terms, -1)
+        if residual:
+            raise RuntimeError("degree-0 consistency failed in homotopy solve")
+        value = shared.copy()
+        axpy(value, combo.terms, -1)
+        if value:
+            H[i] = value
     return H
 
 

@@ -22,6 +22,7 @@ from enveloping.exactlin import (
     to_vector,
     vector_view,
 )
+from enveloping import permutahedra
 from enveloping.linfty import abelian, heisenberg
 from enveloping.permutahedra import (
     FaceIndex,
@@ -208,14 +209,14 @@ def test_homotopy_matches_pinned_digest(n):
 def _column_rows(con, faces):
     rows = []
     for f in faces:
-        col = con.homotopy_column(f).items()
+        col = sorted(con.homotopy_column(f).items(), key=lambda t: t[0].sort_key())
         rows.append([f.serialize(), [[g.serialize(), format_scalar(c)] for g, c in col]])
     return rows
 
 
-# SHA-256 of the 32 standard columns of H at n = 6, each in its term order,
-# as the Fraction build (the solve and every stage over Q) gave them
-N6_STANDARD_COLUMNS_DIGEST = "af91f59940ef60a813ee09dda4d392f2b3eb7db5d77dd95a1d901cf0a48bb1f0"
+# SHA-256 of the 32 standard columns of H at n = 6, each sorted by face
+# sort_key, as the Fraction build (the solve and every stage over Q) gave them
+N6_STANDARD_COLUMNS_DIGEST = "fe103ff5e0af64e1679ab9fcfca9019e50fd9c48db803a5a0006cbc4fb709f23"
 
 
 def test_n6_standard_columns_match_pinned_digest():
@@ -273,13 +274,14 @@ def test_integer_solve_matches_the_fraction_solve(n):
     faces = FaceIndex(n)
     scale = math.factorial(n)
     got = [
-        (faces.faces[i], [(faces.faces[j], Fraction(c, scale)) for j, c in col.items()])
+        (faces.faces[i], {faces.faces[j]: Fraction(c, scale) for j, c in col.items()})
         for i, col in _solve_homotopy(faces).items()
     ]
     for _, col in got:
-        assert all(type(c) is Fraction for _, c in col)
-    # same faces, values and term order
-    want = [(f, list(col.items())) for f, col in reference_solve_homotopy(n).items()]
+        assert all(type(c) is Fraction for c in col.values())
+    # same faces in the same order, and the same values; the terms of a
+    # column come in the order of the elimination that found them
+    want = [(f, dict(col.items())) for f, col in reference_solve_homotopy(n).items()]
     assert got == want
 
 
@@ -297,6 +299,96 @@ def test_integer_solve_raises_on_a_vertex_tag_off_a_multiple_of_n(monkeypatch):
     monkeypatch.setattr(Echelon, "reduce", perturbed)
     with pytest.raises(RuntimeError, match="does not divide"):
         _solve_homotopy(FaceIndex(3))
+
+
+def test_the_degree0_stage_reduces_the_vertex_sum_once(monkeypatch):
+    # by linearity each vertex is reduced alone; the one reduction of a
+    # vector with several terms is that of the vertex sum
+    n = 4
+    faces = FaceIndex(n)
+    reduce = Echelon.reduce
+    reduced = []
+
+    def counted(self, vec, combo=None):
+        if combo is None:
+            reduced.append(dict(vec.terms))
+        return reduce(self, vec, combo)
+
+    monkeypatch.setattr(Echelon, "reduce", counted)
+    _solve_homotopy(faces)
+    vertices = [i for i, f in enumerate(faces.faces) if f.d == n]
+    assert len(reduced) == len(faces.faces) + 1
+    assert [vec for vec in reduced if len(vec) > 1] == [dict.fromkeys(vertices, 1)]
+
+
+def test_integer_solve_raises_on_a_vertex_sum_residual_off_n_times_a_vertex(monkeypatch):
+    # N v - (vertex sum) lies in the image of d, so N times v's residual is
+    # the vertex sum's; a vertex sum with its residual off by one breaks that
+    reduce = Echelon.reduce
+
+    def perturbed(self, vec, combo=None):
+        residual, used = reduce(self, vec, combo)
+        if combo is None and len(vec.terms) > 1:
+            residual.add_term(next(iter(residual.terms)), 1)
+        return residual, used
+
+    monkeypatch.setattr(Echelon, "reduce", perturbed)
+    with pytest.raises(RuntimeError, match="degree-0 consistency failed"):
+        _solve_homotopy(FaceIndex(3))
+
+
+def test_integer_solve_raises_on_a_boundary_dependent_on_an_earlier_one():
+    # [2|13] given the boundary of [1|23]: its constraint reduces to zero
+    # while its right-hand side does not
+    faces = FaceIndex(3)
+    first, second = faces.index[F((1,), (2, 3))], faces.index[F((2,), (1, 3))]
+    assert first < second
+    faces.boundary[second] = dict(faces.boundary[first])
+    with pytest.raises(RuntimeError, match=r"inconsistent homotopy constraint at \[2\|13\]"):
+        _solve_homotopy(faces)
+
+
+def test_integer_solve_raises_on_a_face_without_boundary():
+    # a face off the vertices with no boundary leaves N f unmatched
+    faces = FaceIndex(2)
+    faces.boundary[faces.index[F((1, 2))]] = {}
+    with pytest.raises(RuntimeError, match=r"inconsistent homotopy constraint at \[12\]"):
+        _solve_homotopy(faces)
+
+
+def test_a_raw_homotopy_that_moves_the_vertex_sum_is_refused(monkeypatch):
+    # one vertex column off by an edge: Hraw no longer kills the vertex sum,
+    # which the projection reads when it builds H on a vertex
+    solve = permutahedra._solve_homotopy
+
+    def perturbed(faces):
+        H = solve(faces)
+        edge = next(i for i, f in enumerate(faces.faces) if f.d == faces.n - 1)
+        vertex = next(i for i, f in enumerate(faces.faces) if f.d == faces.n)
+        axpy(H.setdefault(vertex, {}), {edge: 1})
+        return H
+
+    monkeypatch.setattr(permutahedra, "_solve_homotopy", perturbed)
+    con = PermutahedronContraction(3)
+    with pytest.raises(RuntimeError, match="raw homotopy does not kill the vertex average"):
+        con.homotopy_column(F((1,), (2,), (3,)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_face_index_boundary_and_nu_match_the_face_maps(n):
+    faces = FaceIndex(n)
+    for f, col, (sign, image) in zip(faces.faces, faces.boundary, faces.nu):
+        # term by term and in order, with integer coefficients
+        assert [(faces.faces[g], c) for g, c in col.items()] == list(boundary(f).items())
+        assert all(type(c) is int for c in col.values())
+        assert (sign, faces.faces[image]) == nu(f)
+
+
+def test_an_empty_block_is_refused():
+    with pytest.raises(ValueError, match="nonempty"):
+        OrderedPartition(2, [(1, 2), ()])
+    with pytest.raises(ValueError, match="nonempty"):
+        standard_face(3, (3, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
