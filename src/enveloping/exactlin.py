@@ -316,7 +316,11 @@ def _generic_key(word):
 
 
 def memo_op(op):
-    """Memoize a one-argument op; on a bound method, one memo per instance."""
+    """Memoize a one-argument op; on a bound method, one memo per instance.
+    The memo dict is the ``memo`` attribute of the map returned, and a map
+    that has one is returned as it is, so no map is memoized twice."""
+    if getattr(op, "memo", None) is not None:
+        return op
     cache = {}
 
     def wrapped(word):
@@ -326,6 +330,7 @@ def memo_op(op):
             cache[word] = v
         return v
 
+    wrapped.memo = cache
     return wrapped
 
 

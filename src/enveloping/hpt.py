@@ -2,15 +2,18 @@
 k-ary components, the lifted tensor contraction, the basic perturbation
 lemma and the tree form of the transfer.
 
-``bpl`` perturbs a contraction through one memoized series P = sum (-Ht)^k:
-G_t = P G, H_t = P H, F_t = F - F t P H.  The transfer perturbs two
-contractions that share one letter contraction: the letter contraction of
-the cobar algebra by the higher brackets t_omega, which the products read
-(``Transfer.letters``, the tree form), and its lift to bar words by the whole
-perturbation t (``Transfer.con``), whose F and H the target side of the
-morphism transfer, the composition homotopy and the perturbed projection of
-bgg read.  G_t on bar words is built from the tree's Phi as a coalgebra map
-(``Transfer.inclusion``), without the bar-level series.
+``bpl`` perturbs a contraction through two memoized series of one
+recursion X(w) = A(w) - X(K w): P = sum (-Ht)^k, with G_t = P G and
+H_t = P H, and F_t = F sum (-tH)^k, the lemma's F (1 + tH)^-1 (Crainic,
+arXiv math/0403266), whose memo holds F's images only.  The transfer
+perturbs two contractions that share one letter contraction: the letter
+contraction of the cobar algebra by the higher brackets t_omega, which the
+products read (``Transfer.letters``, the tree form), and its lift to bar
+words by the whole perturbation t (``Transfer.con``), whose F and H the
+target side of the morphism transfer, the composition homotopy and the
+perturbed projection of bgg read.  G_t on bar words is built from the
+tree's Phi as a coalgebra map (``Transfer.inclusion``), without the
+bar-level series.
 
 Truncation discipline: every operator here preserves or decreases both the
 rank (number of algebra letters) and the bar length, so computations capped
@@ -216,31 +219,41 @@ class PerturbationError(RuntimeError):
 
 def perturbation_series(t, H, budget):
     """P = 1 - Ht + HtHt - ... = sum (-Ht)^k, one memoized exact map, by
-    P(w) = w - P(H t w).
+    P(w) = w - P(H t w): the series ``_series`` with A = 1 and K = Ht.
 
-    t and H are exact, word -> pair (terms, den), and so is P: each word's
-    value is stored once, as the pair of ``exactlin.exact_sum``, and a tail
-    that several words share is computed once.  A word is looked up in the
-    memo before ``budget(word)`` is read; the budget bounds the recursion
-    below a word that the memo does not hold yet.
+    t and H are exact, word -> pair (terms, den), and so is P.
+    """
+    return _series(lambda word: ({word: 1}, 1), lambda word: exact_apply(t(word), H), budget)
+
+
+def _series(A, K, budget):
+    """X(w) = A(w) - X(K w), one memoized exact map: A and K are exact, word
+    -> pair (terms, den), and each word's value is stored once, as the pair
+    of ``exactlin.exact_sum``, so a tail that several words share is
+    computed once.  A word is looked up in the memo before ``budget(word)``
+    is read; the budget bounds the recursion below a word that the memo does
+    not hold yet, and a word whose K w is nonzero past it raises
+    ``PerturbationError``.
     """
     memo = {}
 
     def value(word, steps):
-        tail, den = exact_apply(t(word), H)  # H t(w)
+        tail, den = K(word)
         if tail and steps < 0:
             raise PerturbationError("perturbation series failed to terminate at %r" % (word,))
-        parts = [({word: 1}, 1, 1)]
+        head, den_a = A(word)
+        parts = [(head, 1, den_a)]
         for u, n in tail.items():
             terms, den_u = memo.get(u) or value(u, steps - 1)
             parts.append((terms, -n, den * den_u))
         out = memo[word] = exact_sum(parts)
         return out
 
-    def P(word):
+    def X(word):
         return memo.get(word) or value(word, budget(word))
 
-    return P
+    X.memo = memo
+    return X
 
 
 def default_budget(word):
@@ -250,30 +263,27 @@ def default_budget(word):
 def bpl(con, t):
     """Basic perturbation lemma: the perturbed contraction of ``con`` by t.
 
-    With P = sum (-Ht)^k, the one series (``perturbation_series``),
-    G_t = P G, H_t = P H, F_t = F - F t P H and d_small_t = d_small + F t P G;
-    the series terminates because every perturbation strictly decreases rank
-    or bar length, which are bounded below.  t's exact pair is memoized once.
+    With P = sum (-Ht)^k, the series of ``perturbation_series``, G_t = P G,
+    H_t = P H and d_small_t = d_small + F t P G.  Since
+    t sum (-Ht)^k H = sum (-tH)^k tH, F_t = F - F t P H is F sum (-tH)^k,
+    that is F (1 + tH)^-1, the series F_t(w) = F(w) - F_t(tH w), whose memo
+    holds F's images only.  The series terminate because every perturbation
+    strictly decreases rank or bar length, which are bounded below.  t's
+    exact pair is memoized once.
     """
     F, H = con.F, con.H
     t_exact = memo_op(lambda w: to_pair(t(w)))
     P = perturbation_series(t_exact, H, default_budget)
+    F_t = _series(F, lambda w: exact_apply(H(w), t_exact), default_budget)
 
     def then_P(op):
         return lambda w: exact_apply(op(w), P)
-
-    def F_after_t(pair):
-        return exact_apply(exact_apply(pair, t_exact), F)
-
-    def F_t(w):
-        (a, den_a), (b, den_b) = F(w), F_after_t(perturbed.H(w))
-        return exact_sum([(a, 1, den_a), (b, -1, den_b)])
 
     def d_big_t(w):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
-        return con.d_small(w) + to_vector(F_after_t(perturbed.G(w)))
+        return con.d_small(w) + to_vector(exact_apply(exact_apply(perturbed.G(w), t_exact), F))
 
     perturbed = Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
     return perturbed

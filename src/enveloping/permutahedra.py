@@ -61,6 +61,16 @@ class OrderedPartition:
         if not all(self.blocks):
             raise ValueError("blocks must be nonempty")
 
+    @classmethod
+    def _valid(cls, n, blocks):
+        """The face with these blocks, which must be increasing tuples that
+        partition {1..n}; nothing is checked."""
+        face = object.__new__(cls)
+        face.n = n
+        face.blocks = blocks
+        face._hash = hash((n, blocks))
+        return face
+
     @property
     def d(self):
         return len(self.blocks)
@@ -92,14 +102,15 @@ class OrderedPartition:
 
 def enumerate_faces(n, d):
     """All ordered partitions of {1..n} with d blocks, in ``sort_key`` order:
-    the orderings of the set partitions into d blocks."""
+    the orderings of the set partitions into d blocks, whose blocks
+    ``set_partitions`` gives increasing, so they are built unchecked."""
     if not (1 <= d <= n):
         raise ValueError("need 1 <= d <= n")
     faces = [
-        OrderedPartition(n, blocks)
+        OrderedPartition._valid(n, blocks)
         for partition in set_partitions(range(1, n + 1))
         if len(partition) == d
-        for blocks in itertools.permutations(partition)
+        for blocks in itertools.permutations(map(tuple, partition))
     ]
     faces.sort(key=OrderedPartition.sort_key)
     return faces
@@ -326,7 +337,9 @@ class PermutahedronContraction(Contraction):
             lambda _: Vector(),
         )
         self._faces = FaceIndex(n)
-        self._raw = {}  # representative -> [(face, N Hraw column)] over its orbit
+        # representative -> [(face, N Hraw column)] over its orbit, until
+        # ``_symmetrize`` has read them
+        self._raw = {}
         for f, col in _solve_homotopy(self._faces).items():
             self._raw.setdefault(self._faces.rep[f], []).append((f, col))
         self._symmetrized = {}  # representative -> N^2 A column
@@ -438,10 +451,12 @@ class PermutahedronContraction(Contraction):
         sigma^-1 rep = +-f exactly when sigma = h sigma_f^-1, with sigma_f
         carrying rep onto f and h in the stabilizer S_m1 x ... x S_mk of rep,
         so the sum runs once over the orbit and once over the stabilizer.
+        The raw columns of the orbit are read only here, and dropped: at
+        n = 6 the vertex columns alone hold over half a million terms.
         """
         faces = self._faces
         orbit_sum = {}
-        for f, col in self._raw.get(rep, ()):
+        for f, col in self._raw.pop(rep, ()):
             # sigma_f^-1 in one-line notation is 1 + the inverse of sigma_f
             sigma_f_inverse = [x + 1 for x in faces.carry[f][0]]
             faces.transport(orbit_sum, _action(sigma_f_inverse), col, 1)

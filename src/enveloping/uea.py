@@ -18,6 +18,7 @@ from .exactlin import (
     antisymmetric_sign,
     conjugation_sign,
     exact_apply,
+    exact_sum,
     koszul_sign,
     memo_op,
     square_zero,
@@ -236,41 +237,43 @@ def stasheff_check(structure):
     """Square-zero of the assembled coderivation on all capped bar words.
 
     d^2 is a coderivation, so it vanishes on every capped bar word exactly
-    when its one-letter part does, ``stasheff_sum``, which reads the tables
-    only.  Where a sum is nonzero, d(d(b)) is built on the same bar words,
-    with d(b) computed once per word, and the first b where it is nonzero is
-    reported.
+    when its one-letter part does, ``stasheff_sum``, which reads each table
+    entry once, as an exact pair.  Where a sum is nonzero, d(d(b)) is built
+    on the same bar words, with d(b) computed once per word, and the first b
+    where it is nonzero is reported.
     """
     bars = structure.bar_words()
-    if not any(stasheff_sum(structure, bar.letters) for bar in bars):
+    table = memo_op(lambda words: to_pair(structure.product(words)))
+    if not any(stasheff_sum(table, bar.letters)[0] for bar in bars):
         return CheckResult(True)
     return square_zero(bars, memo_op(structure.bar_differential),
                        "bar differential squares to %r")
 
 
-def stasheff_sum(structure, letters):
+def stasheff_sum(table, letters):
     """The one-letter part of d^2 on the bar word of ``letters``:
     sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the signs of
-    ``hpt.bar_coderivation``, as a vector of symmetric words."""
+    ``hpt.bar_coderivation``, as an exact pair of symmetric words.  ``table``
+    gives m_k of a tuple of words as an exact pair."""
     degrees = [x.degree for x in letters]
-    out = Vector()
+    parts = []
     left = 0
     for j in range(len(letters)):
         head = letters[:j]
         for k in range(1, len(letters) - j + 1):
-            image = structure.product(letters[j : j + k])
+            image, den = table(letters[j : j + k])
             if not image:
                 continue
             sign = conjugation_sign(degrees[j : j + k])
             sign = -sign if left % 2 else sign
             tail = letters[j + k :]
             for x, c in image.items():
-                value = structure.product(head + (x,) + tail)
+                value, den_x = table(head + (x,) + tail)
                 if value:
                     outer = degrees[:j] + [x.degree] + degrees[j + k :]
-                    out.accumulate(value, sign * c * conjugation_sign(outer))
+                    parts.append((value, sign * c * conjugation_sign(outer), den * den_x))
         left += degrees[j] - 1
-    return out
+    return exact_sum(parts)
 
 
 def m1_matches_l1(structure):

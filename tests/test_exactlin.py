@@ -20,6 +20,7 @@ from enveloping.exactlin import (
     exact_apply,
     format_scalar,
     koszul_sign,
+    memo_op,
     parse_scalar,
     rank_of,
     square_zero,
@@ -145,6 +146,15 @@ def test_axpy():
         v.accumulate(Vector.unit(w, 1) + Vector.unit(w2, 1), coeff)
         assert all(type(c) is Fraction for _, c in v.items()), coeff
         assert not v.accumulate(v.copy(), -1)
+
+
+def test_a_memo_is_not_memoized_again():
+    # a map with a memo, such as a perturbation series, is returned as it is
+    calls = []
+    square = memo_op(lambda x: calls.append(x) or x * x)
+    assert memo_op(square) is square
+    assert square(3) == square(3) == 9
+    assert calls == [3] and square.memo == {3: 9}
 
 
 def test_symmetrize_is_projector():

@@ -27,6 +27,7 @@ from enveloping.hpt import (
     algebra_differential,
     bar_morphism,
     bpl,
+    cobar_contraction,
     cobar_differential,
     concatenation,
     perturbation_series,
@@ -41,6 +42,7 @@ from conftest import (
     bar_words_cobar,
     bracket_letter_differential,
     bundled,
+    dg_lie,
     perturbation_parts,
 )
 
@@ -371,6 +373,51 @@ def test_projected_series_matches_unrolled_series(algebra):
     identity = lambda word: ({word: 1}, 1)
     with pytest.raises(PerturbationError):
         perturbation_series(identity, identity, lambda w: 3)(words[0])
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        bundled("sl2"),
+        bundled("l3only"),
+        dg_lie(),
+        from_complete_intersection(["x", "y"], {"w": [
+            (Fraction(1, 2), ("x", "x", "y")), (Fraction(-4, 3), ("x", "y", "y"))]}),
+    ],
+    ids=["sl2", "l3only", "dg_lie", "ci-rational"],
+)
+def test_perturbed_projection_matches_unrolled_reference(algebra):
+    # bpl's F_t, the series F_t(w) = F(w) - F_t(tH w), against
+    # F - F t P H with P unrolled term by term, on every word that the
+    # products read through letters.F (the words of B) and the morphism
+    # transfer through con.F (the words of G_t), at 3/3.  Each word's tails
+    # tH w are read before it, and every value read stays the memo's.
+    from enveloping.hpt import PerturbationError
+
+    T = Transfer(algebra, 3)
+    bars = bar_words_algebra(algebra.generators, 3, 3)
+    of_products = {u for bar in bars if bar.length > 1 for u in T.split(bar.letters)[0]}
+    of_morphisms = {b for bar in bars for b in T.inclusion(bar)[0]}
+    cases = [(T.letters.F, cobar_contraction(T.C1), bracket_letter_differential(T), of_products),
+             (T.con.F, T.con0, T.t, of_morphisms)]
+    for F_t, con, t, words in cases:
+        F, H = vector_view(con.F), vector_view(con.H)
+        read = {}
+        for w in sorted(words, key=repr):
+            tails = H(w).apply(t)
+            for u in tails.terms:
+                read.setdefault(u, F_t(u))
+            read.setdefault(w, F_t(w))
+            P_H = H(w).apply(lambda u: unrolled_series(t, H, u))
+            assert_reduced(F_t(w))
+            assert to_vector(F_t(w)) == F(w) - P_H.apply(t).apply(F), w
+        assert any(H(w).apply(t) for w in words)
+        assert all(F_t(w) is value for w, value in read.items())
+
+    identity = lambda word: ({word: 1}, 1)
+    stuck = bpl(Contraction(identity, identity, identity, Vector.unit, Vector.unit), Vector.unit)
+    with pytest.raises(PerturbationError):
+        stuck.F(min(of_products, key=repr))
 
 
 def test_shuffle_coproduct_counit_and_symmetry(sl2_transfer):

@@ -77,6 +77,17 @@ def test_single_faces():
     assert top.blocks == ((1, 2, 3),) and top.n - top.d == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerated_faces_equal_their_validated_construction(n):
+    # enumerate_faces builds its faces unchecked; each must be the face that
+    # the public constructor builds and validates from the same blocks
+    for d in range(1, n + 1):
+        for face in enumerate_faces(n, d):
+            checked = OrderedPartition(n, face.blocks)
+            assert face == checked and hash(face) == hash(checked)
+            assert (face.n, face.blocks) == (checked.n, checked.blocks)
+
+
 def F(*blocks):
     n = sum(len(b) for b in blocks)
     return OrderedPartition(n, blocks)
@@ -372,6 +383,14 @@ def test_a_raw_homotopy_that_moves_the_vertex_sum_is_refused(monkeypatch):
     con = PermutahedronContraction(3)
     with pytest.raises(RuntimeError, match="raw homotopy does not kill the vertex average"):
         con.homotopy_column(F((1,), (2,), (3,)))
+
+
+def test_raw_columns_are_dropped_once_symmetrized():
+    con = PermutahedronContraction(4)
+    assert con._raw
+    for sizes in compositions(4):
+        con.homotopy_column(standard_face(4, sizes))
+    assert con._raw == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -14,6 +14,7 @@ from enveloping.exactlin import (
     memo_op,
     square_zero,
     to_pair,
+    to_vector,
     vector_view,
 )
 from enveloping.hpt import Transfer, bar_morphism
@@ -34,18 +35,20 @@ from enveloping.uea import (
     check_strict_vanishing,
     composition_homotopy_check,
     coproduct_strictness_check,
+    corestriction,
     involution_check,
     m1_matches_l1,
     pbw_compare,
     star_product,
     stasheff_check,
+    stasheff_sum,
     truncation_agreement_check,
     u_morphism,
     word_of,
 )
 from enveloping.words import cobar_words, vector_product
 
-from conftest import bundled, sl2_plus_l3
+from conftest import assert_reduced, bundled, dg_lie, sl2_plus_l3
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +175,34 @@ def test_a_corrupted_table_fails_as_the_reference_does(name, inputs, extra):
         reports.append((result.ok, result.counterexample, result.detail))
     assert not reports[0][0]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, poison", [
+    ("sl2", None),
+    ("l3only", None),
+    ("dg_lie", None),
+    # the poisoned tables of test_a_corrupted_table_fails_as_the_reference_does
+    ("sl2", (("e", "f"), "f")),
+    ("sl2", (("h", "ef"), "ef")),
+    ("l3only", (("a", "b"), "z")),
+], ids=["sl2", "l3only", "dg_lie", "sl2_pair", "sl2_rank3", "l3only_pair"])
+def test_stasheff_sum_is_the_one_letter_part_of_d_squared(name, poison):
+    L = dg_lie() if name == "dg_lie" else bundled(name)
+    A = AInftyStructure(L, 3, 4)
+    if poison:
+        inputs, extra = poison
+        word = lambda ids: word_of(*(L.by_id[i] for i in ids))
+        key = tuple(map(word, inputs))
+        A._tables[key] = A.product(key) + Vector.unit(word(extra), 1)
+    table = memo_op(lambda words: to_pair(A.product(words)))
+    d = memo_op(A.bar_differential)
+    failing = 0
+    for bar in A.bar_words():
+        pair = stasheff_sum(table, bar.letters)
+        assert_reduced(pair)
+        assert to_vector(pair) == corestriction(d(bar).apply(d)), bar
+        failing += bool(pair[0])
+    assert bool(failing) == bool(poison)
 
 
 def test_pbw_sl2_and_heisenberg():
