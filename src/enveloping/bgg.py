@@ -211,9 +211,6 @@ class AInftyModule:
         self.cochain = {w: op for w, op in cochain.items() if op}
         self.name = name
 
-    def t(self, bar):
-        return self.cochain.get(bar, Vector())
-
 
 # ---------------------------------------------------------------------------
 # the functors
@@ -225,14 +222,12 @@ def _rho_cobar(module_l, x):
     return Vector(vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose))
 
 
-def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
+def functor_g(module_l, structure, arity_cap, weight_cap):
     """From a coalgebra-side module to an enveloping-side module."""
-    acap = arity_cap or structure.arity_cap
-    wcap = weight_cap or structure.weight_cap
     from .words import bar_words_algebra
 
     cochain = {}
-    for bar in bar_words_algebra(structure.algebra.generators, wcap, acap):
+    for bar in bar_words_algebra(structure.algebra.generators, weight_cap, arity_cap):
         # Phi, the one-letter part of the perturbed inclusion, on cobar words
         value = to_vector(structure.transfer.phi(bar.letters)).apply(
             lambda x: _rho_cobar(module_l, x))
@@ -242,13 +237,12 @@ def functor_g(module_l, structure, arity_cap=None, weight_cap=None):
                         name=module_l.name + ">env")
 
 
-def functor_f(module_u, weight_cap=None):
+def functor_f(module_u, weight_cap):
     """From an enveloping-side module back to a coalgebra-side module."""
     structure = module_u.structure
-    wcap = weight_cap or structure.weight_cap
     C = structure.transfer.Cfull
     action = {}
-    for word in C.all_words(wcap):
+    for word in C.all_words(weight_cap):
         unit = structure.transfer.unit_inclusion(word)
         action[word] = unit.apply(vector_view(structure.transfer.con.F)).apply(
             module_u.cochain.get)
@@ -256,15 +250,14 @@ def functor_f(module_u, weight_cap=None):
                         name=module_u.name + ">coalg")
 
 
-def roundtrip_fg_check(module_l, structure, arity_cap=None, weight_cap=None):
+def roundtrip_fg_check(module_l, structure, arity_cap, weight_cap):
     """F(G(M)) has exactly the original action tables; it needs m_2."""
     caps = caps_suffice(structure, 2)
     if not caps:
         return caps
     forward = functor_g(module_l, structure, arity_cap, weight_cap)
     back = functor_f(forward, weight_cap)
-    wcap = weight_cap or structure.weight_cap
-    tables = agree(structure.transfer.Cfull.all_words(wcap), module_l.tau, back.tau,
+    tables = agree(structure.transfer.Cfull.all_words(weight_cap), module_l.tau, back.tau,
                    "action tables changed on the round trip")
     if not tables:
         return tables

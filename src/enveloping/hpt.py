@@ -9,11 +9,9 @@ arXiv math/0403266), whose memo holds F's images only.  The transfer
 perturbs two contractions that share one letter contraction: the letter
 contraction of the cobar algebra by the higher brackets t_omega, which the
 products read (``Transfer.letters``, the tree form), and its lift to bar
-words by the whole perturbation t (``Transfer.con``), whose F and H the
-target side of the morphism transfer, the composition homotopy and the
-perturbed projection of bgg read.  G_t on bar words is built from the
-tree's Phi as a coalgebra map (``Transfer.inclusion``), without the
-bar-level series.
+words by the whole perturbation t (``Transfer.con``), the one contraction
+that every map on bar words reads: the morphism transfer, the composition
+homotopy and the perturbed projection of bgg.
 
 Truncation discipline: every operator here preserves or decreases both the
 rank (number of algebra letters) and the bar length, so computations capped
@@ -28,9 +26,7 @@ from .exactlin import (
     Contraction,
     Vector,
     Word,
-    compositions,
     conjugation_sign,
-    consecutive_blocks,
     exact_apply,
     exact_sum,
     memo_op,
@@ -299,8 +295,8 @@ class Transfer:
     contraction, with the same memos of f, g and h, to the bar constructions;
     ``con`` is its perturbation by t, t_omega on one letter and
     concatenation on two: the enveloping structure as a coalgebra map, whose
-    F and H the target side of the morphism transfer, the composition
-    homotopy and bgg's ``functor_f`` read.
+    G, F and H the morphism transfer, the composition homotopy and bgg's
+    ``functor_f`` read.
 
     The products read ``letters`` alone, in the tree form of the transfer
     (Markl, arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3).
@@ -313,11 +309,9 @@ class Transfer:
     with t_2(x, y) = (-1)^|x| xy, and the one-letter part of F t G_t on
     [u_1|..|u_n] is [F_t(B)]: m_n before its conjugation sign
     (``tree_product``), and f(B) where the perturbation cannot reach the
-    product (``split_product``).  Phi is the one-letter part of ``con.G``,
-    and ``con.G`` is the coalgebra map with the components Phi
-    (``inclusion``), which the source side of the morphism transfer and the
-    composition homotopy read instead.  Phi and B are memoized per tuple,
-    ``inclusion`` per bar word.
+    product (``split_product``).  Phi is the one-letter part of ``con.G``;
+    the products and the maps on bar words meet only in the checks.  Phi and
+    B are memoized per tuple.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -335,7 +329,6 @@ class Transfer:
         self.con = bpl(self.con0, self.t)
         self.phi = memo_op(self.phi)
         self.split = memo_op(self.split)
-        self.inclusion = memo_op(self.inclusion)
 
     def phi(self, words):
         """Phi(u_1..u_n) on a tuple of symmetric words, as cobar words, exact."""
@@ -349,23 +342,6 @@ class Transfer:
         for k in range(1, len(words)):
             (left, a), (right, b) = self.phi(words[:k]), self.phi(words[k:])
             parts.append((vector_product([left, right], _t2), 1, a * b))
-        return exact_sum(parts)
-
-    def inclusion(self, bar):
-        """G_t on a bar word of symmetric words, exact: the coalgebra map
-        whose one-letter components are Phi, the sum over the splittings of
-        the letters into consecutive blocks of [Phi(b_1)|..|Phi(b_k)], with
-        no signs (Phi has degree 0).  It equals ``con.G`` without running
-        the bar-level series."""
-        words = bar.letters
-        parts = []
-        for sizes in compositions(len(words)):
-            factors, den = [], 1
-            for block in consecutive_blocks(words, sizes):
-                terms, d = self.phi(block)
-                factors.append(terms)
-                den *= d
-            parts.append((vector_product(factors, lambda ws: (1, Word(BAR, ws))), 1, den))
         return exact_sum(parts)
 
     def split_product(self, words):

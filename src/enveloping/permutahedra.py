@@ -144,12 +144,6 @@ def boundary(face):
     return out
 
 
-def nu(face):
-    """Block-reversal involution with its orientation sign."""
-    sign = _nu_sign(face.n, [len(b) for b in face.blocks])
-    return sign, OrderedPartition(face.n, tuple(reversed(face.blocks)))
-
-
 def _nu_sign(n, sizes):
     """The sign of nu on a face with blocks of these sizes: the Koszul sign
     of reversing the blocks, each of the parity of its size, times

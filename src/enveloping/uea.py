@@ -530,10 +530,9 @@ class AInftyMorphismData:
 
     def apply(self, bar):
         """The full transferred coalgebra map on a bar word, F_t B(phi) G_t,
-        composed exact and converted once: the source's G_t is
-        ``Transfer.inclusion``, built from Phi, and the target's F_t is the
-        projection of its ``con``."""
-        pair = self.source.transfer.inclusion(bar)
+        composed exact and converted once: G_t is the source's ``con.G`` and
+        F_t the target's ``con.F``."""
+        pair = self.source.transfer.con.G(bar)
         for op in (self._omega_map, self.target.transfer.con.F):
             pair = exact_apply(pair, op)
         return to_vector(pair)
@@ -581,8 +580,8 @@ def check_morphism_chain_map(data):
 
 class CompositionHomotopy:
     """F_N B(psi) H_M B(phi) G_L between the two transferred composites:
-    G_L is the source's ``Transfer.inclusion``, H_M and F_N the middle's and
-    the target's ``Transfer.con``."""
+    G_L, H_M and F_N from the source's, the middle's and the target's
+    ``Transfer.con``."""
 
     def __init__(self, data_phi, data_psi):
         self.data_phi = data_phi
@@ -590,7 +589,7 @@ class CompositionHomotopy:
 
     def apply(self, bar):
         phi, psi = self.data_phi, self.data_psi
-        pair = phi.source.transfer.inclusion(bar)
+        pair = phi.source.transfer.con.G(bar)
         for op in (phi._omega_map, phi.target.transfer.con.H, psi._omega_map,
                    psi.target.transfer.con.F):
             pair = exact_apply(pair, op)

@@ -24,6 +24,7 @@ from conftest import (
     bar_words_cobar,
     bundled,
     induced_algebra_map,
+    nu,
     nu_vector,
     odd_abelian,
     perturbation_parts,
@@ -85,7 +86,7 @@ def test_criterion_01_permutahedra():
                 ok &= act_vector(
                     sigma, nu_vector(v)
                 ) == nu_vector(act_vector(sigma, v))
-            s, g = permutahedra.nu(f)
+            s, g = nu(f)
             ok &= boundaries[g].scaled(s) == nu_vector(boundaries[f])
         # multiplicativity including signs, exhaustive at n = 3
         if n == 3:

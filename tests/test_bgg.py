@@ -38,7 +38,8 @@ from enveloping.linfty import (
 from enveloping.uea import AInftyStructure
 from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
-from conftest import bundled, finite_complex, odd_abelian, roundtrip_gf_check, trivial_module
+from conftest import (bundled, cochain_at, finite_complex, odd_abelian, roundtrip_gf_check,
+                      trivial_module)
 
 
 def omega_to_enveloping_check(structure, rank_cap=None):
@@ -173,7 +174,7 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
         for cut in range(0, bar.length):
             pre = Word(BAR, bar.letters[:cut])
             post = Word(BAR, bar.letters[cut:])
-            op = module.t(post)
+            op = cochain_at(module, post)
             if not op:
                 continue
             pre_sign = -1 if pre.degree % 2 else 1
@@ -318,18 +319,18 @@ def test_two_cobar_models_have_matching_homology():
 def test_functor_g_validates(sl2_small):
     L = sl2_small.algebra
     for M in (trivial_module(L), adjoint_module(L)):
-        GM = functor_g(M, sl2_small)
+        GM = functor_g(M, sl2_small, 3, 3)
         assert module_complex_check(GM, 3, 3), M.name
 
 
 def test_functor_g_weight_one_action_is_the_given_one(sl2_small):
     L = sl2_small.algebra
     M = adjoint_module(L)
-    GM = functor_g(M, sl2_small)
+    GM = functor_g(M, sl2_small, 3, 3)
     for g in L.generators:
         _, word = sym_word([g])
         bar = Word(BAR, (word,))
-        op = GM.t(bar)
+        op = cochain_at(GM, bar)
         _, sword = sym_word([g.shifted(-1)])
         assert op == M.tau(sword)
 
@@ -351,7 +352,7 @@ def test_cobar_word_acts_by_the_composite_last_letter_first():
 def test_functor_f_of_g_is_a_valid_module(sl2_small):
     L = sl2_small.algebra
     M = adjoint_module(L)
-    FM = functor_f(functor_g(M, sl2_small), 3)
+    FM = functor_f(functor_g(M, sl2_small, 3, 3), 3)
     assert check_module(FM, 3)
 
 
@@ -359,7 +360,7 @@ def test_roundtrips(sl2_small):
     L = sl2_small.algebra
     for M in (trivial_module(L), adjoint_module(L)):
         assert roundtrip_fg_check(M, sl2_small, 3, 3), M.name
-        GM = functor_g(M, sl2_small)
+        GM = functor_g(M, sl2_small, 3, 3)
         assert roundtrip_gf_check(GM, 3, 3), M.name
 
 

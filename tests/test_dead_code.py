@@ -4,8 +4,10 @@ belongs to.
 
 Collects the module-level functions and classes of ``src/enveloping`` and
 the methods of those classes, and asserts that each name is referenced in
-``src/`` or ``perfbench/``: a module-level name as a name, an attribute or an
-import, a method only as an attribute (``x.name``; a local variable of the
+``src/`` or ``perfbench/``: a module-level name as a name, an import or an
+attribute of a package module (``hpt.name``; ``x.name`` of any other ``x``
+is no use of it, so an instance attribute of the same name keeps nothing
+alive), a method only as an attribute (``x.name``; a local variable of the
 same name is no use of it), and either, in ``perfbench/``, as a string (the
 benchmark patches some attributes by name).
 A reference from ``tests/`` does not count: what only the tests reach lives
@@ -55,6 +57,7 @@ def _sources(tops=SEARCHED):
 def _references():
     """(names, attributes): what a module-level definition and what a method
     may be referenced by."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     names, attributes = set(), set()
     for top, strings in USERS.items():
         for _, tree in _sources((top,)):
@@ -63,11 +66,14 @@ def _references():
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
+                    if isinstance(node.value, ast.Name) and node.value.id in modules:
+                        names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
                 elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
                     attributes.add(node.value)
-    return names | attributes, attributes
+    return names, attributes
 
 
 def test_every_definition_is_referenced():

@@ -397,7 +397,7 @@ def test_perturbed_projection_matches_unrolled_reference(algebra):
     T = Transfer(algebra, 3)
     bars = bar_words_algebra(algebra.generators, 3, 3)
     of_products = {u for bar in bars if bar.length > 1 for u in T.split(bar.letters)[0]}
-    of_morphisms = {b for bar in bars for b in T.inclusion(bar)[0]}
+    of_morphisms = {b for bar in bars for b in T.con.G(bar)[0]}
     cases = [(T.letters.F, cobar_contraction(T.C1), bracket_letter_differential(T), of_products),
              (T.con.F, T.con0, T.t, of_morphisms)]
     for F_t, con, t, words in cases:

@@ -39,12 +39,11 @@ from enveloping.permutahedra import (
     cobar_gf,
     cobar_h,
     enumerate_faces,
-    nu,
     standard_face,
 )
 from enveloping.words import cobar_words, desuspended_letter, sym_words
 
-from conftest import act, act_vector, assert_reduced, bundled, nu_vector, odd_abelian
+from conftest import act, act_vector, assert_reduced, bundled, nu, nu_vector, odd_abelian
 
 
 def brute_force_faces(n, d):

@@ -7,28 +7,33 @@ words only: m_1 is its d_small, and m_n for n >= 2 is ``tree_product``,
 F_t(B), by a recursion on Phi.  ``Transfer.con`` perturbs the lifted
 contraction on bar words of cobar words by the whole perturbation, and is the
 independent reference here.  The one-letter part of its d_small on
-[u_1|..|u_n] must be m_n before its conjugation sign, Phi the one-letter
-part of its inclusion, and ``Transfer.inclusion``, the coalgebra map with the
-components Phi, its whole inclusion.  The bracket selection of ``AInftyStructure.product``
-skips the tree only where the tree is zero, and f t_omega P h B only where it
-is zero.
+[u_1|..|u_n] must be m_n before its conjugation sign, and Phi the one-letter
+part of its inclusion.  The whole of ``Transfer.con`` has a tree form too,
+built here from the letters' maps alone: G is the coalgebra map with the
+components Phi, F the coalgebra map with the components p below, and H a
+sum over the prefixes; the engine keeps the bar-level series, which this
+form cannot replace (``test_the_tree_projection_hides_a_top_cell_fault``).
+The bracket selection of ``AInftyStructure.product`` skips the tree only
+where the tree is zero, and f t_omega P h B only where it is zero.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import bundled, dg_lie
+from conftest import bar_words_cobar, bundled, dg_lie
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enveloping.bgg import roundtrip_fg_check
 from enveloping.cli import BUNDLED, main
 from enveloping import hpt
-from enveloping.exactlin import BAR, SYMMETRIC, Word, to_vector
+from enveloping.exactlin import (BAR, SYMMETRIC, Word, compositions, consecutive_blocks,
+                                 exact_apply, exact_sum, memo_op, to_vector)
 from enveloping.hpt import Transfer
-from enveloping.linfty import dg_vector_space, from_complete_intersection
+from enveloping.linfty import adjoint_module, dg_vector_space, from_complete_intersection
 from enveloping.uea import AInftyStructure, corestriction
-from enveloping.words import bar_words_algebra
+from enveloping.words import bar_words_algebra, vector_product
 
 
 def assert_tree_matches_series(algebra, arity_cap, weight_cap):
@@ -97,6 +102,108 @@ def test_phi_is_the_one_letter_part_of_the_perturbed_inclusion(name):
     assert any(transfer.phi(bar.letters)[0] for bar in bars if bar.length >= 2)
 
 
+def coalgebra_map(component):
+    """The coalgebra map of bar words with the one-letter components
+    ``component``, a tuple of letters -> exact pair: on [x_1|..|x_n], the sum
+    over the splittings of the letters into consecutive blocks of
+    [c(b_1)|..|c(b_k)], with no signs (the components have degree 0)."""
+
+    def on_bar(bar):
+        words = bar.letters
+        parts = []
+        for sizes in compositions(len(words)):
+            factors, den = [], 1
+            for block in consecutive_blocks(words, sizes):
+                terms, d = component(block)
+                factors.append(terms)
+                den *= d
+            parts.append((vector_product(factors, lambda ws: (1, Word(BAR, ws))), 1, den))
+        return exact_sum(parts)
+
+    return on_bar
+
+
+def product(left, right, combine, sign=1):
+    """The product of two exact pairs under the ``vector_product`` combine
+    ``combine``, with a sign, as a part (terms, sign, den) of
+    ``exact_sum``."""
+    (a, da), (b, db) = left, right
+    return vector_product([a, b], combine), sign, da * db
+
+
+def t2(left, right, sign=1):
+    """t_2(x, y) = (-1)^|x| xy on two exact pairs of cobar words."""
+    return product(left, right, hpt._t2, sign)
+
+
+def prepend(left, right, sign):
+    """[x|w] for x in the exact pair ``left`` of cobar words and w in the
+    exact pair ``right`` of bar words."""
+    return product(left, right, lambda xw: (1, Word(BAR, (xw[0],) + xw[1].letters)), sign)
+
+
+class BarTree:
+    """``Transfer.con`` in tree form, from the letters' perturbed maps F_t,
+    G_t and H_t alone, on tuples of cobar words x_1..x_n:
+        Psi(x_1..x_n) = t_2(q(x_1..x_n-1), x_n)
+            - sum_k<n (-1)^(|x_1|+..+|x_k|) t_2(r(x_1..x_k), q(x_k+1..x_n)),
+        p = F_t x and q = H_t x on one letter, p = F_t Psi and q = H_t Psi
+            on n >= 2,
+        r = G_t F_t x on one letter, and on n >= 2
+            r = G_t p + H_t sum_k t_2(r(x_1..x_k), r(x_k+1..x_n)),
+        H(w) = sum_j (-[q(w_<=j)|w_>j]
+                      + (-1)^(|w_<=j| + j) [r(w_<=j)|H(w_>j)]).
+    p are the one-letter components of con.F, -q those of con.H, and r those
+    of con.G con.F.  Every map is exact and memoized per tuple.
+    """
+
+    def __init__(self, transfer):
+        self.letters = transfer.letters
+        self.psi = memo_op(self.psi)
+        self.p = memo_op(self.p)
+        self.q = memo_op(self.q)
+        self.r = memo_op(self.r)
+        self.h = memo_op(self.h)
+
+    def psi(self, xs):
+        parts = [t2(self.q(xs[:-1]), ({xs[-1]: 1}, 1))]
+        left = 0
+        for k in range(1, len(xs)):
+            left += xs[k - 1].degree
+            parts.append(t2(self.r(xs[:k]), self.q(xs[k:]), 1 if left % 2 else -1))
+        return exact_sum(parts)
+
+    def p(self, xs):
+        if len(xs) == 1:
+            return self.letters.F(xs[0])
+        return exact_apply(self.psi(xs), self.letters.F)
+
+    def q(self, xs):
+        if len(xs) == 1:
+            return self.letters.H(xs[0])
+        return exact_apply(self.psi(xs), self.letters.H)
+
+    def r(self, xs):
+        G, H = self.letters.G, self.letters.H
+        if len(xs) == 1:
+            return exact_apply(self.letters.F(xs[0]), G)
+        products = exact_sum([t2(self.r(xs[:k]), self.r(xs[k:])) for k in range(1, len(xs))])
+        (a, da), (b, db) = exact_apply(self.p(xs), G), exact_apply(products, H)
+        return exact_sum([(a, 1, da), (b, 1, db)])
+
+    def h(self, xs):
+        parts = []
+        left = 0
+        for j in range(1, len(xs) + 1):
+            head, rest = xs[:j], xs[j:]
+            left += xs[j - 1].degree + 1
+            terms, den = self.q(head)
+            parts.append(({Word(BAR, (y,) + rest): c for y, c in terms.items()}, -1, den))
+            if rest:
+                parts.append(prepend(self.r(head), self.h(rest), -1 if left % 2 else 1))
+        return exact_sum(parts)
+
+
 @pytest.mark.parametrize("caps", [(3, 3), (4, 4)])
 @pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
 def test_inclusion_from_phi_is_the_perturbed_inclusion(name, caps):
@@ -105,8 +212,53 @@ def test_inclusion_from_phi_is_the_perturbed_inclusion(name, caps):
     arity_cap, weight_cap = caps
     algebra = algebra_of(name)
     transfer = Transfer(algebra, weight_cap)
+    inclusion = coalgebra_map(transfer.phi)
     for bar in bar_words_algebra(algebra.generators, weight_cap, arity_cap):
-        assert transfer.inclusion(bar) == transfer.con.G(bar), bar
+        assert inclusion(bar) == transfer.con.G(bar), bar
+
+
+def assert_tree_form_matches_the_series(algebra, arity_cap, weight_cap):
+    """con.F and con.H against ``BarTree``, as exact pairs on every bar word
+    of cobar words within the caps.  Returns whether some component p_n,
+    n >= 2, and whether some H(w) is nonzero."""
+    transfer = Transfer(algebra, weight_cap)
+    tree = BarTree(transfer)
+    projection = coalgebra_map(tree.p)
+    bars = bar_words_cobar(transfer.C1.sgens, weight_cap, arity_cap)
+    for bar in bars:
+        assert projection(bar) == transfer.con.F(bar), bar
+        assert tree.h(bar.letters) == transfer.con.H(bar), bar
+    return (any(tree.p(bar.letters)[0] for bar in bars if bar.length >= 2),
+            any(tree.h(bar.letters)[0] for bar in bars))
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
+def test_tree_form_is_the_bar_contraction(name):
+    # F's higher components need a bracket of arity >= 3; abelian1 has one
+    # even generator, whose bar words H kills
+    higher, homotopy = assert_tree_form_matches_the_series(algebra_of(name), 3, 3)
+    assert higher == (name in ("l3only", "ci_cubic"))
+    assert homotopy == (name != "abelian1")
+
+
+@pytest.mark.parametrize("name", ["l3only", "dg_lie"])
+def test_tree_form_is_the_bar_contraction_at_4_4(name):
+    higher, homotopy = assert_tree_form_matches_the_series(algebra_of(name), 4, 4)
+    assert higher == (name == "l3only") and homotopy
+
+
+def test_the_tree_projection_hides_a_top_cell_fault(top_cell_fault, monkeypatch):
+    # with the tree's F_t, F(G(M)) is the identity whatever the homotopy:
+    # the round trip that detects a faulted top cell through the bar-level
+    # series no longer does, so the engine keeps the series for con.F
+    top_cell_fault()
+    for tree_projection in (False, True):
+        faulty = AInftyStructure(bundled("sl2"), 3, 3)
+        if tree_projection:
+            tree = BarTree(faulty.transfer)
+            monkeypatch.setattr(faulty.transfer.con, "F", coalgebra_map(tree.p))
+        M = adjoint_module(faulty.algebra)
+        assert bool(roundtrip_fg_check(M, faulty, 3, 3)) == tree_projection
 
 
 def test_phi_shares_the_perturbed_inclusion():

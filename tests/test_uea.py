@@ -17,7 +17,7 @@ from enveloping.exactlin import (
     to_vector,
     vector_view,
 )
-from enveloping.hpt import Transfer, bar_morphism
+from enveloping.hpt import bar_morphism
 from enveloping.linfty import (
     LInftyAlgebra,
     LInftyMorphism,
@@ -354,25 +354,6 @@ def test_composition_homotopy():
     assert res
     for bar in u_morphism(phi, 2, 3).source.bar_words():
         assert not H.apply(bar)
-
-
-def test_the_morphism_transfer_reads_no_bar_level_inclusion(monkeypatch):
-    # both sides of the morphism transfer and the composition homotopy read
-    # G_t as ``Transfer.inclusion``, built from Phi: no transfer's ``con.G``
-    # is read
-    init = Transfer.__init__
-
-    def refusing_init(self, algebra, weight_cap):
-        init(self, algebra, weight_cap)
-        self.con.G = lambda bar: pytest.fail("con.G read on %r" % (bar,))
-
-    monkeypatch.setattr(Transfer, "__init__", refusing_init)
-    La, Lb, Lc = _one_odd("a"), _one_odd("b"), _one_odd("c")
-    a, b, c = La.by_id["a"], Lb.by_id["b"], Lc.by_id["c"]
-    phi = LInftyMorphism(La, Lb, {1: {(a,): {b: 1}}, 2: {(a, a): {b: 1}}})
-    psi = LInftyMorphism(Lb, Lc, {1: {(b,): {c: 1}}, 2: {(b, b): {c: 1}}})
-    assert check_morphism_chain_map(u_morphism(phi, 3, 4))
-    assert composition_homotopy_check(phi, psi, 3, 4)[0]
 
 
 def test_compute_products_entry_point():
