@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
-from .exactlin import CheckResult, Generator, agree, memo_op, square_zero, vector_view
+from .exactlin import CheckResult, Generator, Vector, agree, memo_op, square_zero, vector_view
 
 TEXT = "text"
 JSON = "json"
@@ -309,31 +309,44 @@ def _theorem1_check(n_cap):
 
 
 def _permutahedron_checks(report, n_cap):
-    """Run the checks for n <= n_cap; returns the face counts and homology."""
+    """Run the checks for n <= n_cap; returns the face counts and homology.
+    Every check runs on face numbers; a failing row names its face."""
     payload = {"face_counts": {}, "homology": {}}
-    boundary = memo_op(permutahedra.boundary)
     for n in range(1, n_cap + 1):
-        faces = permutahedra.all_faces(n)
-        counts = {}
-        for f in faces:
-            counts[f.d] = counts.get(f.d, 0) + 1
+        cx = permutahedra.chain_complex(n)
+        counts = {p + n: len(cx.basis(p)) for p in cx.degrees()}
+        numbers = range(sum(counts.values()))
         payload["face_counts"][str(n)] = {str(d): counts[d] for d in sorted(counts)}
         expected = {d: _stirling(n, d) * math.factorial(d) for d in range(1, n + 1)}
         report.run("faces[n=%d]" % n,
                    lambda c=counts, e=expected: CheckResult(c == e, (c, e)))
-        report.run("boundary_squares[n=%d]" % n, lambda fs=faces: square_zero(
-            fs, boundary, "boundary squares to %r"))
+        report.run("boundary_squares[n=%d]" % n, lambda n=n, d=memo_op(cx.differential):
+                   _on_faces(n, square_zero(numbers, d, "%r"), d))
 
-        def homology(n=n):
-            dims = permutahedra.chain_complex(n).homology_dims()
+        def homology(n=n, cx=cx):
+            dims = cx.homology_dims()
             payload["homology"][str(n)] = {str(p): v for p, v in sorted(dims.items())}
             return CheckResult(dims == {0: 1})
 
         report.run("homology[n=%d]" % n, homology)
 
-        report.run("contraction[n=%d]" % n, lambda n=n, faces=faces:
-                   permutahedra.build_contraction(n).verify_on(faces, [()]))
+        report.run("contraction[n=%d]" % n, lambda n=n: _on_faces(
+            n, permutahedra.build_contraction(n).verify_on(numbers, [()])))
     return payload
+
+
+def _on_faces(n, result, d=None):
+    """A check's ``result`` over the face numbers of the n-th permutahedron,
+    with a failing face number named by its face; for ``square_zero`` on
+    the boundary ``d``, the detail names the faces of d(d(face)) too."""
+    if result or type(result.counterexample) is not int:
+        return result
+    faces = permutahedra.all_faces(n)
+    detail = result.detail
+    if d is not None:
+        dd = d(result.counterexample).apply(d)
+        detail = "boundary squares to %r" % (Vector({faces[g]: c for g, c in dd.items()}),)
+    return CheckResult(False, faces[result.counterexample], detail)
 
 
 def _stirling(n, d):

@@ -303,7 +303,7 @@ class Transfer:
     On a one-letter bar word t is t_1[x] = -[t_omega x] and the lifted
     homotopy H[x] = -[h x], so the series of ``con`` on [x] is [P x] with
     P = sum (-h t_omega)^k, the series of ``letters``.  So, on cobar words,
-        Phi(u) = G_t(u) = P g(u),
+        Phi(u) = G_t(u) = P g(u) = g(u),
         B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
         Phi(u_1..u_n) = H_t(B) = P h B  for n >= 2,
     with t_2(x, y) = (-1)^|x| xy, and the one-letter part of F t G_t on
@@ -325,6 +325,9 @@ class Transfer:
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
         letter = cobar_contraction(self.C1)
         self.letters = bpl(letter, t_omega)
+        # t_omega kills every letter of g(u), one desuspended generator each,
+        # so the series P g(u) is g(u): the letters read the unperturbed g
+        self.letters.G = letter.G
         self.con0 = lift_contraction(letter, cobar_gf)
         self.con = bpl(self.con0, self.t)
         self.phi = memo_op(self.phi)

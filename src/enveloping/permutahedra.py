@@ -2,18 +2,20 @@
 
 Faces of the n-th permutahedron are ordered partitions of {1..n}; the chain
 complex carries a left symmetric-group action and a block-reversal involution,
-and contracts equivariantly onto its degree-0 homology.  The homotopy is
+and contracts equivariantly onto its degree-0 homology.  ``FaceIndex``
+numbers the faces, and everything past their enumeration runs on those
+numbers: the boundary, the chain complex and the contraction's F, G, H and
+d_big, whose chains are integer dicts over face numbers.  The homotopy is
 solved once on every face, then averaged and repaired only on the orbit
 representatives, one standard face per composition of n; the action carries
-it to every other face.  All of that runs on integer chains over numbered
-faces, scaled by powers of n!; a column of the homotopy becomes a Fraction
-vector over faces once, when it is stored.  Transporting the contraction
-along the face/cobar dictionary yields the contracting homotopy of the cobar
-construction of a symmetric coalgebra; each contraction compiles that
-transport once per shape of cobar word, with integer coefficients over one
-denominator.  The contraction's F, G and H and the cobar maps ``cobar_f``,
-``cobar_g``, ``cobar_h`` and ``cobar_gf`` return exact pairs (terms, den),
-see ``exactlin.exact_sum``.
+it to every other face.  Those stages are scaled by powers of n!, and a
+column of the homotopy is stored as the integer chain they give, over one
+scale.  Transporting the contraction along the face/cobar dictionary yields
+the contracting homotopy of the cobar construction of a symmetric coalgebra;
+each contraction compiles that transport once per shape of cobar word, with
+integer coefficients over one denominator.  The contraction's F, G and H and
+the cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and ``cobar_gf`` return
+exact pairs (terms, den), see ``exactlin.exact_sum``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .exactlin import (
     set_partitions,
     sym_word,
     symmetrize,
-    to_pair,
     unshuffles,
 )
 from .words import desuspended_letter, desuspended_word, desuspension_sign
@@ -123,27 +124,6 @@ def all_faces(n):
     return faces
 
 
-def boundary(face):
-    """Cellular boundary: split one block into an ordered pair of subsets.
-
-    The sign of a split is that of the unshuffle of the block, every element
-    counting as odd.
-    """
-    out = Vector()
-    prefix = 0
-    for k, block in enumerate(face.blocks):
-        mk = len(block)
-        for inside, outside, sign in unshuffles([1] * mk, range(1, mk)):
-            if (prefix + k + len(inside)) % 2:
-                sign = -sign
-            subset = tuple(block[i] for i in inside)
-            rest = tuple(block[i] for i in outside)
-            new_blocks = face.blocks[:k] + (subset, rest) + face.blocks[k + 1 :]
-            out.add_term(OrderedPartition(face.n, new_blocks), sign)
-        prefix += mk
-    return out
-
-
 def _nu_sign(n, sizes):
     """The sign of nu on a face with blocks of these sizes: the Koszul sign
     of reversing the blocks, each of the parity of its size, times
@@ -154,17 +134,18 @@ def _nu_sign(n, sizes):
 
 
 def chain_complex(n):
-    faces = {}
-    for d in range(1, n + 1):
-        faces[-(n - d)] = enumerate_faces(n, d)
-    return FiniteComplex(faces, boundary)
+    """The cellular chains of the n-th permutahedron on face numbers: the
+    faces with d blocks in degree d - n, and ``FaceIndex``'s boundary."""
+    faces = FaceIndex(n)
+    return FiniteComplex({d - n: numbers for d, numbers in faces.by_size.items()},
+                         faces.differential)
 
 
 class FaceIndex:
     """The faces of the n-th permutahedron numbered in ``sort_key`` order,
-    with what the contraction build reads of each face by its number: the
-    boundary, the image under nu, the orbit representative, and what carries
-    the face through the S_n action without building faces.
+    with what the contraction and the checks read of each face by its
+    number: the boundary, the image under nu, the orbit representative, and
+    what carries the face through the S_n action without building faces.
 
     A face is known by its block vector (the block of each element): sigma
     sends the block vector b to b o sigma^-1, and the sign of the action is
@@ -175,7 +156,12 @@ class FaceIndex:
 
     def __init__(self, n):
         self.n = n
-        self.faces = all_faces(n)
+        self.faces = []
+        self.by_size = {}  # number of blocks -> the range of their face numbers
+        for d in range(1, n + 1):
+            start = len(self.faces)
+            self.faces.extend(enumerate_faces(n, d))
+            self.by_size[d] = range(start, len(self.faces))
         self.index = index = {f: i for i, f in enumerate(self.faces)}
         self._blocks = []  # face number -> block vector
         for f in self.faces:
@@ -194,7 +180,7 @@ class FaceIndex:
         self.carry = []  # face number -> action carrying its representative onto it
         self._pairs = []  # face number -> bits x * n + y of the pairs x < y in one block
         reps = {}
-        # block size -> [(positions split off, sign)], in ``boundary``'s
+        # block size -> [(positions split off, sign)], in ``unshuffles``
         # order: the unshuffle sign with every element odd, times
         # (-1)^(number split off)
         splits = {
@@ -218,12 +204,14 @@ class FaceIndex:
             self._pairs.append(pairs)
 
     def _boundary(self, blocks, vector, splits):
-        """``boundary`` of the face with these blocks and block vector, as an
-        integer chain with its terms in the same order.  Splitting block k
-        moves the blocks after it up by one; the subset split off keeps
-        number k and the rest takes k + 1.  ``splits`` gives the splits of a
-        block of each size with their signs before the sign of the block's
-        place, (-1)^(k + elements before it)."""
+        """The cellular boundary of the face with these blocks and block
+        vector, as an integer chain: block k split into an ordered pair of
+        subsets, in ``unshuffles`` order, signed by the unshuffle of the
+        block with every element odd, times (-1)^(k + elements before it +
+        number split off).  Splitting block k moves the blocks after it up
+        by one; the subset split off keeps number k and the rest takes
+        k + 1.  ``splits`` gives the splits of a block of each size with
+        their signs before the sign of the block's place."""
         by_blocks = self._by_blocks
         out = {}
         prefix = 0
@@ -239,6 +227,10 @@ class FaceIndex:
                     out[by_blocks[tuple(image)]] = -sign if flip else sign
             prefix += m
         return out
+
+    def differential(self, face):
+        """The boundary of face number ``face``, as a ``Vector``."""
+        return Vector(self.boundary[face])
 
     def transport(self, out, action, col, c):
         """out += c sigma(col), term by term, for sigma given by ``_action``."""
@@ -307,35 +299,39 @@ class PermutahedronContraction(Contraction):
     """Equivariant contraction of the face complex onto k, whose one basis
     element is ().
 
-    F sends a vertex to 1 and G sends 1 to the average of the vertices; d on
-    k is zero.  H starts from a degreewise exact solve on every face, is
-    averaged over the group S_n x <nu> and repaired to satisfy the side
-    conditions: H' = (1 - GF) Havg (1 - GF), then H = H' d H'.  Every stage
-    is equivariant, so it is computed, on demand, only on the orbit
-    representatives (one standard face per composition of n) and reaches any
-    other face through the action.  The stages run on integer chains over
-    face numbers, scaled by N = n!: the solve yields N Hraw, the average
-    N^2 A, the projection 2N^2 H' and the repair (2N^2)^2 H.  ``columns``
-    holds the columns of H built so far, over faces, with Fraction
-    coefficients; H is their exact pair.
+    The faces are known by their ``FaceIndex`` numbers.  F sends a vertex
+    to 1 and G sends 1 to the average of the vertices; d on k is zero, and
+    d_big is the boundary of ``FaceIndex``.  H starts from a degreewise
+    exact solve on every face, is averaged over the group S_n x <nu> and
+    repaired to satisfy the side conditions: H' = (1 - GF) Havg (1 - GF),
+    then H = H' d H'.  Every stage is equivariant, so it is computed, on
+    demand, only on the orbit representatives (one standard face per
+    composition of n) and reaches any other face through the action.  The
+    stages run on integer chains over face numbers, scaled by N = n!: the
+    solve yields N Hraw, the average N^2 A, the projection 2N^2 H' and the
+    repair (2N^2)^2 H.  ``columns`` holds the columns of H built so far,
+    face number -> the integer ``Vector`` of (2N^2)^2 H, and H is its exact
+    pair over ``scale`` = (2N^2)^2.
     """
 
     def __init__(self, n):
         self.n = n
         self._nfact = math.factorial(n)
+        self.scale = (2 * self._nfact ** 2) ** 2
+        self.faces = faces = FaceIndex(n)
+        vertices = faces.by_size[n]
         super().__init__(
-            lambda f: ({(): 1} if f.d == n else {}, 1),
-            lambda _: (dict.fromkeys(enumerate_faces(n, n), 1), self._nfact),
-            lambda face: to_pair(self._column(face)),
-            boundary,
+            lambda f: ({(): 1} if f in vertices else {}, 1),
+            lambda _: (dict.fromkeys(vertices, 1), self._nfact),
+            lambda f: exact_sum([(self._column(f).terms, 1, self.scale)]),
+            faces.differential,
             lambda _: Vector(),
         )
-        self._faces = FaceIndex(n)
         # representative -> [(face, N Hraw column)] over its orbit, until
         # ``_symmetrize`` has read them
         self._raw = {}
-        for f, col in _solve_homotopy(self._faces).items():
-            self._raw.setdefault(self._faces.rep[f], []).append((f, col))
+        for f, col in _solve_homotopy(faces).items():
+            self._raw.setdefault(faces.rep[f], []).append((f, col))
         self._symmetrized = {}  # representative -> N^2 A column
         self._projected = {}  # representative -> 2N^2 H' column
         self._repaired = {}  # representative -> (2N^2)^2 H column
@@ -348,14 +344,12 @@ class PermutahedronContraction(Contraction):
         return self._column(face)
 
     def _column(self, face):
-        """H(face), converted from the integer chain once and stored."""
+        """(2N^2)^2 H(face), an integer ``Vector`` over face numbers, built
+        once and stored."""
         col = self.columns.get(face)
         if col is None:
-            faces = self._faces
-            scaled = faces.extend(self._repaired, self._repair, {faces.index[face]: 1})
-            scale = (2 * self._nfact ** 2) ** 2
             col = self.columns[face] = Vector(
-                {faces.faces[g]: Fraction(c, scale) for g, c in scaled.items()})
+                self.faces.extend(self._repaired, self._repair, {face: 1}))
         return col
 
     def cobar_homotopy(self, x):
@@ -415,24 +409,29 @@ class PermutahedronContraction(Contraction):
         the block positions, and its mask has bit k for each block k it
         holds; the plans of one composition number their blocks alike, so
         they share both.  A face's coefficient is
-        c theta_sign(f) -(-1)^|gens| / gamma, for the entry c of the stored
-        column (the integer chain over (2N^2)^2); the plan holds each as an
-        integer over their least common denominator."""
+        c theta_sign(f) -(-1)^|gens| / gamma over ``scale``, for the entry c
+        of the stored column, each face's blocks read by its number; the plan
+        holds each as an integer over one denominator, reduced by the gcd of
+        them all."""
         gens, face, gamma = theta_factor(x)
         degs = [g.degree for g in gens]
-        scale = Fraction(-1 if sum(degs) % 2 == 0 else 1, gamma)
+        sign = Fraction(-1 if sum(degs) % 2 == 0 else 1, gamma)
+        faces = self.faces.faces
         positions = {}  # position set of a block -> its index
-        faces = []
-        for f, c in self.homotopy_column(face).items():
+        entries = []
+        for g, c in self.homotopy_column(self.faces.index[face]).items():
+            f = faces[g]
             indices = tuple(
                 positions.setdefault(tuple(i - 1 for i in b), len(positions))
                 for b in f.blocks
             )
-            faces.append((indices, scale * c * theta_sign(degs, f)))
-        den = math.lcm(*(c.denominator for _, c in faces))
+            entries.append((indices, sign.numerator * c * theta_sign(degs, f)))
+        den = sign.denominator * self.scale
+        common = math.gcd(den, *(c for _, c in entries))
+        den //= common
         terms = []
-        for indices, c in faces:
-            coeff = c.numerator * (den // c.denominator)
+        for indices, c in entries:
+            coeff = c // common
             pick = self._pickers.get(indices)
             if pick is None:
                 pick = self._pickers[indices] = (_picker(indices), sum(1 << k for k in indices))
@@ -448,7 +447,7 @@ class PermutahedronContraction(Contraction):
         The raw columns of the orbit are read only here, and dropped: at
         n = 6 the vertex columns alone hold over half a million terms.
         """
-        faces = self._faces
+        faces = self.faces
         orbit_sum = {}
         for f, col in self._raw.pop(rep, ()):
             # sigma_f^-1 in one-line notation is 1 + the inverse of sigma_f
@@ -474,8 +473,8 @@ class PermutahedronContraction(Contraction):
         instead of averaging G(1) vertex by vertex.  The GF on the left is
         zero: Havg lowers the degree, and only the vertices have degree 0.
         """
-        faces = self._faces
-        if faces.faces[rep].d == self.n:
+        faces = self.faces
+        if rep in faces.by_size[self.n]:
             vertex_sum = {}
             for _, col in self._raw.get(rep, ()):
                 axpy(vertex_sum, col)
@@ -489,7 +488,7 @@ class PermutahedronContraction(Contraction):
 
     def _repair(self, rep):
         """(2N^2)^2 H''(rep), H'' = H' d H'."""
-        faces = self._faces
+        faces = self.faces
         once = faces.extend(self._projected, self._project, {rep: 1})
         return faces.extend(self._projected, self._project, _apply(once, faces.boundary))
 
@@ -507,11 +506,8 @@ def _solve_homotopy(faces):
     (``_quotient`` raises RuntimeError on a remainder).  Reduction is
     linear, so the vertex sum is reduced once and each vertex alone.
     """
-    n = faces.n
+    n, by_size = faces.n, faces.by_size
     N = math.factorial(n)
-    by_size = {}  # number of blocks -> face numbers
-    for i, f in enumerate(faces.faces):
-        by_size.setdefault(f.d, []).append(i)
     H = {}
     # constraints for the next degree: echelon of d-columns with rhs combos
     pending = Echelon()

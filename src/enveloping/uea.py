@@ -37,7 +37,9 @@ class AInftyStructure:
     """Products m_n of degree 2 - n on symmetric words, within caps.
 
     Tables are computed lazily from the transfer and memoized; the structure
-    is deterministic given the algebra and the caps.  Every product reads
+    is deterministic given the algebra and the caps.  A ``transfer`` given
+    to it must be one of the same brackets at the same weight cap; it is
+    read in place of a transfer of its own.  Every product reads
     the letters' perturbed contraction ``Transfer.letters`` on cobar words,
     and no product builds a bar word: m_1 is its d_small, and m_n for
     n >= 2 is ``conjugation_sign`` times its F_t(B), the tree form
@@ -78,11 +80,11 @@ class AInftyStructure:
     d_small, on one symmetric word.
     """
 
-    def __init__(self, algebra, arity_cap, weight_cap):
+    def __init__(self, algebra, arity_cap, weight_cap, transfer=None):
         self.algebra = algebra
         self.arity_cap = arity_cap
         self.weight_cap = weight_cap
-        self.transfer = Transfer(algebra, weight_cap)
+        self.transfer = transfer or Transfer(algebra, weight_cap)
         self._tables = {}
         self._bar_words = None
         # sorted multiset of generators -> excesses of the live nonempty
@@ -506,7 +508,10 @@ def truncation_agreement_check(structure):
 
     if not check_linfty(truncated, min(weight_cap + 1, 4)):
         return CheckResult(False, None, "the 2-truncation is not a dg Lie algebra")
-    trunc = AInftyStructure(truncated, 2, weight_cap)
+    # a dg Lie algebra is its own 2-truncation, which then reads the run's
+    # transfer of the same brackets
+    shared = structure.transfer if structure.algebra.is_dg_lie() else None
+    trunc = AInftyStructure(truncated, 2, weight_cap, shared)
     return agree(trunc.bar_words(), lambda bar: structure.product(bar.letters),
                  lambda bar: trunc.product(bar.letters),
                  "products differ from the 2-truncation")

@@ -3,6 +3,7 @@ more than one test module uses."""
 
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,8 @@ from enveloping.exactlin import (
     perm_parity,
     square_zero,
     sym_word,
+    to_vector,
+    unshuffles,
 )
 from enveloping.hpt import bar_coderivation, concatenation
 from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule, algebra_from_json
@@ -35,8 +38,8 @@ def top_cell_fault(monkeypatch):
         @functools.lru_cache(maxsize=None)
         def faulty_contraction(n):
             con = permutahedra.PermutahedronContraction(n)
-            top_cell = permutahedra.enumerate_faces(n, 1)[0]
-            con.columns[top_cell] = Vector.unit(top_cell)
+            (top_cell,) = con.faces.by_size[1]  # the one face with one block
+            con.columns[top_cell] = Vector({top_cell: con.scale})  # H(top) = top
             return con
 
         monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)
@@ -120,6 +123,51 @@ def perturbation_parts(transfer):
     bar coderivation, for perturbing in stages."""
     return (bar_coderivation({2: concatenation}),
             bar_coderivation({1: bracket_letter_differential(transfer)}))
+
+
+def boundary(face):
+    """Cellular boundary of one face: split one block into an ordered pair of
+    subsets.  The sign of a split is that of the unshuffle of the block,
+    every element counting as odd, times (-1)^(k + elements before it +
+    number split off) for block k.  The oracle for ``FaceIndex.boundary``,
+    which the engine reads on face numbers."""
+    out = Vector()
+    prefix = 0
+    for k, block in enumerate(face.blocks):
+        mk = len(block)
+        for inside, outside, sign in unshuffles([1] * mk, range(1, mk)):
+            if (prefix + k + len(inside)) % 2:
+                sign = -sign
+            subset = tuple(block[i] for i in inside)
+            rest = tuple(block[i] for i in outside)
+            new_blocks = face.blocks[:k] + (subset, rest) + face.blocks[k + 1 :]
+            out.add_term(permutahedra.OrderedPartition(face.n, new_blocks), sign)
+        prefix += mk
+    return out
+
+
+def face_vector(faces, pair):
+    """The ``Vector`` over faces of an exact pair over face numbers, with
+    ``faces`` the faces by number."""
+    terms, den = pair
+    return Vector({faces[g]: Fraction(c, den) for g, c in terms.items()})
+
+
+def face_maps(con):
+    """(F, G, H) of a permutahedron contraction as ``Vector`` maps on faces,
+    read from its exact maps on face numbers."""
+    faces, index = con.faces.faces, con.faces.index
+    return (lambda f: to_vector(con.F(index[f])),
+            lambda one: face_vector(faces, con.G(one)),
+            lambda f: face_vector(faces, con.H(index[f])))
+
+
+def fraction_column(con, face):
+    """The stored column of ``face``, the integer chain of (2N^2)^2 H over
+    face numbers, as H(face) over faces with Fraction coefficients, its
+    terms in the stored order."""
+    return face_vector(con.faces.faces, (con.homotopy_column(con.faces.index[face]).terms,
+                                         con.scale))
 
 
 def act(sigma, face):

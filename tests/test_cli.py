@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DG_LIE
+from conftest import DG_LIE, boundary
 from enveloping import cli, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
@@ -425,6 +425,54 @@ def test_permutahedron_command_names_the_failing_face(top_cell_fault, capsys):
                       "contraction[n=3]": [[1, 2, 3]]}
 
 
+def _failed_rows(out):
+    return {c["name"]: (c["counterexample"], c["detail"])
+            for c in json.loads(out)["checks"] if c["status"] == "fail"}
+
+
+def test_a_wrong_entry_in_a_numbered_column_names_its_face(monkeypatch, capsys):
+    # one entry added to the stored integer column of the top cell at n = 3,
+    # the one face whose column no face before it reads: H(top) gains an
+    # edge, and the homotopy identity fails there, named by the face
+    @functools.lru_cache(maxsize=None)
+    def faulty_contraction(n):
+        con = permutahedra.PermutahedronContraction(n)
+        if n == 3:
+            (top,) = con.faces.by_size[1]
+            con.homotopy_column(top).terms[con.faces.by_size[2][0]] = 1
+        return con
+
+    monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)
+    code, out, _ = run(capsys, ["--n-cap", "3", "--format", "json", "permutahedron"])
+    assert code == 1
+    assert _failed_rows(out) == {"contraction[n=3]": ([[1, 2, 3]], "homotopy identity")}
+
+
+def test_a_flipped_sign_in_the_numbered_boundary_fails_boundary_squares(monkeypatch, capsys):
+    # the checks read FaceIndex.boundary: one sign flipped in the boundary
+    # of the top cell at n = 3 leaves d d(top) = -2 c d(e) for its first
+    # term c e.  The contractions are built before the fault, so that only
+    # the boundary row fails, and it names the face and d d(top) by faces
+    contractions = {n: permutahedra.PermutahedronContraction(n) for n in (1, 2, 3)}
+    index = permutahedra.FaceIndex.__init__
+
+    def flipped(self, n):
+        index(self, n)
+        if n == 3:
+            top = self.boundary[0]
+            first = next(iter(top))
+            top[first] = -top[first]
+
+    monkeypatch.setattr(permutahedra.FaceIndex, "__init__", flipped)
+    monkeypatch.setattr(permutahedra, "build_contraction", contractions.__getitem__)
+    code, out, _ = run(capsys, ["--n-cap", "3", "--format", "json", "permutahedron"])
+    assert code == 1
+    top = permutahedra.enumerate_faces(3, 1)[0]
+    edge, c = next(iter(boundary(top).items()))
+    expected = "boundary squares to %r" % (boundary(edge).scaled(-2 * c),)
+    assert _failed_rows(out) == {"boundary_squares[n=3]": ([[1, 2, 3]], expected)}
+
+
 def test_a_pivot_that_does_not_divide_exits_three(monkeypatch, capsys):
     # boundary entries of 2 instead of +-1: the integer solve meets a pivot
     # lead that does not divide, and stops there instead of rounding
@@ -625,20 +673,28 @@ def test_arity_cap_one_reports_small_caps(capsys, name):
 
 def test_check_transfers_its_input_once(capsys, monkeypatch):
     # the truncation check reads the run's structure; only the 2-truncation
-    # (sl2_trunc), the doubled algebra and the morphism checks build their own
-    built = []
-    init = uea.AInftyStructure.__init__
+    # (sl2_trunc), the doubled algebra and the morphism checks build their
+    # own, and sl2, a dg Lie algebra, is its own 2-truncation, whose
+    # structure reads the run's transfer
+    built, transferred = [], []
+    init, transfer_init = uea.AInftyStructure.__init__, uea.Transfer.__init__
 
-    def recording_init(self, algebra, arity_cap, weight_cap):
+    def recording_init(self, algebra, arity_cap, weight_cap, transfer=None):
         built.append(algebra.name)
-        init(self, algebra, arity_cap, weight_cap)
+        init(self, algebra, arity_cap, weight_cap, transfer)
+
+    def recording_transfer(self, algebra, weight_cap):
+        transferred.append(algebra.name)
+        transfer_init(self, algebra, weight_cap)
 
     monkeypatch.setattr(uea.AInftyStructure, "__init__", recording_init)
+    monkeypatch.setattr(uea.Transfer, "__init__", recording_transfer)
     argv = ["--input", "bundled:sl2", "--arity-cap", "3", "--weight-cap", "3",
             "--format", "json", "check", "--suite", "all"]
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert built.count("sl2") == 1 and "sl2_trunc" in built
+    assert transferred.count("sl2") == 1 and "sl2_trunc" not in transferred
 
 
 # the maps that the checkers re-read, each memoized on its owner: name ->

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from enveloping.cli import BUNDLED
 from enveloping.exactlin import (
     BAR,
     COBAR,
@@ -35,7 +36,7 @@ from enveloping.hpt import (
 from enveloping.linfty import CECoalgebra, abelian, from_complete_intersection
 from enveloping.permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
 from enveloping.uea import AInftyStructure, star_product
-from enveloping.words import bar_words_algebra, cobar_words, vector_product
+from enveloping.words import bar_words_algebra, cobar_words, sym_words, vector_product
 
 from conftest import (
     assert_reduced,
@@ -373,6 +374,20 @@ def test_projected_series_matches_unrolled_series(algebra):
     identity = lambda word: ({word: 1}, 1)
     with pytest.raises(PerturbationError):
         perturbation_series(identity, identity, lambda w: 3)(words[0])
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_letters_perturbed_inclusion_is_g(name):
+    # t_omega kills every letter of g(u), one desuspended generator each, so
+    # the letters' series P g(u) is g(u) as an exact pair, on every
+    # symmetric word of weight <= 4; the transfer reads g itself
+    algebra = bundled(name)
+    T = Transfer(algebra, 4)
+    P_g = bpl(cobar_contraction(T.C1), bracket_letter_differential(T)).G
+    for weight in range(1, 5):
+        for u in sym_words(algebra.generators, weight):
+            assert P_g(u) == cobar_g(u), u
+            assert T.letters.G(u) == cobar_g(u), u
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,10 @@ from enveloping import permutahedra
 from enveloping.exactlin import Vector, koszul_sign, vector_view
 from enveloping.hpt import cobar_differential
 from enveloping.linfty import CECoalgebra, dg_vector_space
-from enveloping.permutahedra import all_faces, boundary, iota_omega, theta
+from enveloping.permutahedra import all_faces, iota_omega, theta
 from enveloping.words import cobar_words, sym_words
 
-from conftest import act, induced_algebra_map, nu
+from conftest import act, boundary, induced_algebra_map, nu
 
 # the exact cobar maps, read as Vector maps
 cobar_f, cobar_g, cobar_h = map(
