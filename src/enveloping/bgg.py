@@ -11,7 +11,7 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, memo_op,
+from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, memo_method,
                        square_zero, sym_word, to_vector, vector_view)
 from .linfty import LInftyModule
 from .uea import caps_suffice
@@ -100,7 +100,6 @@ class TwistedComplex:
                     for uw in uwords:
                         if (cw, uw) != (None, None):
                             self.basis.append((cw, uw))
-        self.differential = memo_op(self.differential)
 
     def _m_ext(self, inputs, u):
         """Product with a possibly-unit last argument (strict unitality)."""
@@ -110,6 +109,7 @@ class TwistedComplex:
             return Vector()
         return self.structure.product(inputs + (u,))
 
+    @memo_method
     def differential(self, key):
         """D(c (x) u) = d_C c (x) u - (-1)^|c| times the sum, over the
         coaction splits (c_0, c_1, ..., c_k) of c with k >= 0, of

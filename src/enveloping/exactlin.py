@@ -162,12 +162,29 @@ _KINDS = {
 _degree, _rank = attrgetter("degree"), attrgetter("rank")
 
 
+class _WordRef(weakref.ref):
+    """The intern table's weak reference to a word, with the word's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    """Drop a dead word from the intern table, unless its key already names
+    a new word."""
+    table = Word._table
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
 class Word:
     """A basis word: a kind and an ordered tuple of letters.
 
     Words are interned: there is one live object for each (kind, letters),
     so equality and hashing are by identity.  The table holds its words
-    weakly, so a word lives only as long as something else holds it.
+    weakly, so a word lives only as long as something else holds it: a dead
+    word's entry goes with it.  A word dies as soon as its last holder
+    does, so a run makes its words again where an earlier run's are gone;
+    the table is a plain dict of ``_WordRef``s, which makes that cheap.
 
     Symmetric words are stored canonically sorted; use ``sym_word`` to build
     them (it returns the Koszul sign of the sort, and None for words that die
@@ -178,15 +195,17 @@ class Word:
 
     __slots__ = ("kind", "letters", "__weakref__")
 
-    _table = weakref.WeakValueDictionary()
+    _table = {}  # (kind, letters) -> _WordRef of the live word
 
     def __new__(cls, kind, letters):
         key = (kind, tuple(letters))
-        word = cls._table.get(key)
+        ref = cls._table.get(key)
+        word = None if ref is None else ref()
         if word is None:
             word = object.__new__(cls)
             word.kind, word.letters = key
-            cls._table[key] = word
+            ref = cls._table[key] = _WordRef(word, _forget)
+            ref.key = key
         return word
 
     @property
@@ -316,9 +335,12 @@ def _generic_key(word):
 
 
 def memo_op(op):
-    """Memoize a one-argument op; on a bound method, one memo per instance.
-    The memo dict is the ``memo`` attribute of the map returned, and a map
-    that has one is returned as it is, so no map is memoized twice."""
+    """Memoize a one-argument op.  The memo dict is the ``memo`` attribute
+    of the map returned, and a map that has one is returned as it is, so no
+    map is memoized twice.  The map holds ``op`` and its memo; an object
+    that stores the map must not be reachable from ``op``, or the two form
+    a cycle that only the cyclic collector frees: a method memoized per
+    instance is a ``memo_method``."""
     if getattr(op, "memo", None) is not None:
         return op
     cache = {}
@@ -332,6 +354,66 @@ def memo_op(op):
 
     wrapped.memo = cache
     return wrapped
+
+
+class memo_method(property):
+    """A one-argument method memoized per instance, read as an attribute.
+
+    The memo dict lives on the instance, and the instance never stores the
+    map: each read of the attribute returns a fresh map over the instance's
+    memo, whose ``memo`` attribute is that dict.  So the instance and its
+    memo are freed by reference counting when the last reference to the
+    instance goes, and a map taken from an instance keeps the instance
+    alive for as long as the map lives.  A read costs a closure, so a
+    recursion reads its maps once per call, not once per argument.  The
+    unmemoized method is ``fn``, looked up on each read.
+    """
+
+    def __init__(self, fn):
+        super().__init__(self.bind, doc=fn.__doc__)
+        self.fn = fn
+        self.key = "_%s_memo" % fn.__name__
+
+    def bind(self, obj):
+        """The map of ``obj``: ``fn`` on obj, over obj's memo."""
+        memo = obj.__dict__.get(self.key)
+        if memo is None:
+            memo = obj.__dict__[self.key] = {}
+        fn = self.fn
+
+        def bound(arg):
+            v = memo.get(arg)
+            if v is None:
+                v = fn(obj, arg)
+                memo[arg] = v
+            return v
+
+        bound.memo = memo
+        return bound
+
+
+def memo_recursion(step):
+    """The memoized map X with X(word) = step(word, X), for a ``step`` that
+    reads X on other words; its memo is its ``memo`` attribute.  X holds
+    ``step`` and the memo but never itself: on a miss, ``step`` reads a
+    fresh map over the same memo."""
+    memo = {}
+
+    def X(word):
+        v = memo.get(word)
+        return _recursion_step(memo, step, word) if v is None else v
+
+    X.memo = memo
+    return X
+
+
+def _recursion_step(memo, step, word):
+    """``memo_recursion``'s value of ``word``, from its memo or computed."""
+    v = memo.get(word)
+    if v is None:
+        v = step(word, lambda w: _recursion_step(memo, step, w))
+        memo[word] = v
+    return v
 
 
 class Echelon:

@@ -29,7 +29,9 @@ from .exactlin import (
     conjugation_sign,
     exact_apply,
     exact_sum,
+    memo_method,
     memo_op,
+    memo_recursion,
     sym_word,
     to_pair,
     to_vector,
@@ -53,13 +55,14 @@ def cobar_differential(C):
     reduced coproduct with the usual desuspension signs.
     """
     letter_part = bar_coderivation({1: C.delta})
+    reduced_coproduct = C.reduced_coproduct
 
     def on_word(x):
         out = letter_part(x)
         left = 0
         for j, c in enumerate(x.letters):
             prefix = -1 if left % 2 else 1
-            for (cA, cB), coeff in C.reduced_coproduct(c).items():
+            for (cA, cB), coeff in reduced_coproduct(c).items():
                 sA = -1 if cA.degree % 2 else 1
                 letters = x.letters[:j] + (cA, cB) + x.letters[j + 1 :]
                 out.add_term(Word(COBAR, letters), COPRODUCT_SIGN * prefix * sA * coeff)
@@ -81,18 +84,16 @@ def lift_contraction(con, gf_letter):
     and its exact round trip ``gf_letter`` = G F on letters.
 
     The projection and inclusion act letterwise; the homotopy is
-    ``lifted_homotopy``, which reads the homotopy of each suffix back from
-    the contraction's own memo.
+    ``lifted_homotopy`` as a ``memo_recursion``, which reads the homotopy of
+    each suffix back from its own memo, the contraction's.
     """
-    H = lifted_homotopy(memo_op(gf_letter), con.H)
-    lifted = Contraction(
+    return Contraction(
         bar_morphism(con.F),
         bar_morphism(con.G),
-        lambda b: H(b, lifted.H),
+        memo_recursion(lifted_homotopy(memo_op(gf_letter), con.H)),
         bar_coderivation({1: con.d_big}),
         bar_coderivation({1: con.d_small}),
     )
-    return lifted
 
 
 def algebra_differential(L):
@@ -233,23 +234,26 @@ def _series(A, K, budget):
     """
     memo = {}
 
-    def value(word, steps):
-        tail, den = K(word)
-        if tail and steps < 0:
-            raise PerturbationError("perturbation series failed to terminate at %r" % (word,))
-        head, den_a = A(word)
-        parts = [(head, 1, den_a)]
-        for u, n in tail.items():
-            terms, den_u = memo.get(u) or value(u, steps - 1)
-            parts.append((terms, -n, den * den_u))
-        out = memo[word] = exact_sum(parts)
-        return out
-
     def X(word):
-        return memo.get(word) or value(word, budget(word))
+        return memo.get(word) or _series_value(memo, A, K, word, budget(word))
 
     X.memo = memo
     return X
+
+
+def _series_value(memo, A, K, word, steps):
+    """``_series``'s value of a word that its memo does not hold, with
+    ``steps`` left of the budget."""
+    tail, den = K(word)
+    if tail and steps < 0:
+        raise PerturbationError("perturbation series failed to terminate at %r" % (word,))
+    head, den_a = A(word)
+    parts = [(head, 1, den_a)]
+    for u, n in tail.items():
+        terms, den_u = memo.get(u) or _series_value(memo, A, K, u, steps - 1)
+        parts.append((terms, -n, den * den_u))
+    out = memo[word] = exact_sum(parts)
+    return out
 
 
 def default_budget(word):
@@ -261,11 +265,13 @@ def bpl(con, t):
 
     With P = sum (-Ht)^k, the series of ``perturbation_series``, G_t = P G,
     H_t = P H and d_small_t = d_small + F t P G.  Since
-    t sum (-Ht)^k H = sum (-tH)^k tH, F_t = F - F t P H is F sum (-tH)^k,
+    t sum (-Ht)^k = sum (-tH)^k t, F_t = F - F t P H is F sum (-tH)^k,
     that is F (1 + tH)^-1, the series F_t(w) = F(w) - F_t(tH w), whose memo
-    holds F's images only.  The series terminate because every perturbation
-    strictly decreases rank or bar length, which are bounded below.  t's
-    exact pair is memoized once.
+    holds F's images only, and d_small_t = d_small + F_t t G, which reads
+    no map of the perturbed contraction: where t kills the image of G, as on
+    the letters, it adds nothing.  The series terminate because every
+    perturbation strictly decreases rank or bar length, which are bounded
+    below.  t's exact pair is memoized once.
     """
     F, H = con.F, con.H
     t_exact = memo_op(lambda w: to_pair(t(w)))
@@ -279,10 +285,9 @@ def bpl(con, t):
         return Vector.unit(w).apply(con.d_big) + t(w)
 
     def d_small_t(w):
-        return con.d_small(w) + to_vector(exact_apply(exact_apply(perturbed.G(w), t_exact), F))
+        return con.d_small(w) + to_vector(exact_apply(exact_apply(con.G(w), t_exact), F_t))
 
-    perturbed = Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
-    return perturbed
+    return Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
 
 
 class Transfer:
@@ -330,20 +335,21 @@ class Transfer:
         self.letters.G = letter.G
         self.con0 = lift_contraction(letter, cobar_gf)
         self.con = bpl(self.con0, self.t)
-        self.phi = memo_op(self.phi)
-        self.split = memo_op(self.split)
 
+    @memo_method
     def phi(self, words):
         """Phi(u_1..u_n) on a tuple of symmetric words, as cobar words, exact."""
         if len(words) == 1:
             return self.letters.G(words[0])
         return exact_apply(self.split(words), self.letters.H)
 
+    @memo_method
     def split(self, words):
         """B of n >= 2 symmetric words, as cobar words, exact."""
+        phi = self.phi
         parts = []
         for k in range(1, len(words)):
-            (left, a), (right, b) = self.phi(words[:k]), self.phi(words[k:])
+            (left, a), (right, b) = phi(words[:k]), phi(words[k:])
             parts.append((vector_product([left, right], _t2), 1, a * b))
         return exact_sum(parts)
 

@@ -20,7 +20,7 @@ from .exactlin import (
     conjugation_sign,
     format_scalar,
     koszul_sign,
-    memo_op,
+    memo_method,
     parse_scalar,
     s_power_sign,
     set_partitions,
@@ -148,8 +148,6 @@ class CECoalgebra:
         self.min_arity = min_arity
         self.max_arity = max_arity
         self.sgens = tuple(g.shifted(-1) for g in algebra.generators)
-        self.delta = memo_op(self.delta)
-        self.reduced_coproduct = memo_op(self.reduced_coproduct)
 
     def words(self, weight):
         return sym_words(self.sgens, weight)
@@ -165,6 +163,7 @@ class CECoalgebra:
             return Vector()
         return suspended_lookup(self.algebra.brackets, letters, conjugation_sign)
 
+    @memo_method
     def delta(self, word):
         """Coderivation on a symmetric word (sum over letter subsets)."""
         letters = word.letters
@@ -185,6 +184,7 @@ class CECoalgebra:
                 out.add_term(w2, sign * coeff * s2)
         return out
 
+    @memo_method
     def reduced_coproduct(self, word):
         """Position-split reduced coproduct; Vector over ordered pairs."""
         letters = word.letters
@@ -228,7 +228,6 @@ class LInftyMorphism:
         self.components = structure_tables(
             components, 1, target.generators, "morphism", "phi"
         )
-        self.coalgebra_map = memo_op(self.coalgebra_map)
 
     def is_strict(self):
         return all(k <= 1 for k in self.components)
@@ -246,6 +245,7 @@ class LInftyMorphism:
         """
         return suspended_lookup(self.components, letters, s_power_sign)
 
+    @memo_method
     def coalgebra_map(self, word):
         """Induced coalgebra morphism on a symmetric word of the source."""
         letters = word.letters

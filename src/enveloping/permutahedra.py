@@ -135,8 +135,9 @@ def _nu_sign(n, sizes):
 
 def chain_complex(n):
     """The cellular chains of the n-th permutahedron on face numbers: the
-    faces with d blocks in degree d - n, and ``FaceIndex``'s boundary."""
-    faces = FaceIndex(n)
+    faces with d blocks in degree d - n, and ``FaceIndex``'s boundary, read
+    off the contraction's ``FaceIndex``.  Each call returns a new complex."""
+    faces = build_contraction(n).faces
     return FiniteComplex({d - n: numbers for d, numbers in faces.by_size.items()},
                          faces.differential)
 

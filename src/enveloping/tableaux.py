@@ -89,19 +89,20 @@ def fillings(shape, alphabet, row_ok, col_ok):
     row_ok(a, v), and below an upper neighbour b only if col_ok(b, v).
     Yields the rows of each filling, in the order of the alphabet."""
     cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
-    grid = [[None] * r for r in shape]
+    return _fill(cells, [[None] * r for r in shape], 0, alphabet, row_ok, col_ok)
 
-    def rec(pos):
-        if pos == len(cells):
-            yield tuple(map(tuple, grid))
-            return
-        i, j = cells[pos]
-        for v in alphabet:
-            if (j == 0 or row_ok(grid[i][j - 1], v)) and (i == 0 or col_ok(grid[i - 1][j], v)):
-                grid[i][j] = v
-                yield from rec(pos + 1)
 
-    return rec(0)
+def _fill(cells, grid, pos, alphabet, row_ok, col_ok):
+    """The fillings of ``fillings`` that complete ``grid``, filled before
+    cell number ``pos``."""
+    if pos == len(cells):
+        yield tuple(map(tuple, grid))
+        return
+    i, j = cells[pos]
+    for v in alphabet:
+        if (j == 0 or row_ok(grid[i][j - 1], v)) and (i == 0 or col_ok(grid[i - 1][j], v)):
+            grid[i][j] = v
+            yield from _fill(cells, grid, pos + 1, alphabet, row_ok, col_ok)
 
 
 def _surjective(rows, size):

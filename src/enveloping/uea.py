@@ -20,6 +20,7 @@ from .exactlin import (
     exact_apply,
     exact_sum,
     koszul_sign,
+    memo_method,
     memo_op,
     square_zero,
     sym_word,
@@ -297,9 +298,8 @@ class ClassicalEnveloping:
         if not algebra.is_dg_lie():
             raise ValueError("the straightening oracle needs a binary-bracket algebra")
         self.algebra = algebra
-        self.straighten = memo_op(self.straighten)
-        self.symmetrize = memo_op(self.symmetrize)
 
+    @memo_method
     def straighten(self, letters):
         """Express a raw tensor string (a tuple) in the sorted-monomial basis."""
         out = Vector()
@@ -327,17 +327,20 @@ class ClassicalEnveloping:
         return Vector.unit(letters)
 
     def multiply(self, left, right):
+        straighten = self.straighten
         out = Vector()
         for u, cu in left.items():
             for v, cv in right.items():
-                for w, c in self.straighten(u + v).items():
+                for w, c in straighten(u + v).items():
                     out.add_term(w, cu * cv * c)
         return out
 
+    @memo_method
     def symmetrize(self, word):
         """The coalgebra isomorphism from symmetric words to the enveloping."""
+        straighten = self.straighten
         return to_vector(symmetrize(Word(TENSOR, word.letters))).apply(
-            lambda t: self.straighten(t.letters)
+            lambda t: straighten(t.letters)
         )
 
 
@@ -529,10 +532,11 @@ class AInftyMorphismData:
         self.source = source_structure
         self.target = target_structure
         # letterwise on bar words of cobar words, each letter by phi
-        cobar_map = memo_op(bar_morphism(lambda w: to_pair(phi.coalgebra_map(w))))
+        coalgebra_map = phi.coalgebra_map
+        cobar_map = memo_op(bar_morphism(lambda w: to_pair(coalgebra_map(w))))
         self._omega_map = bar_morphism(cobar_map)
-        self.apply = memo_op(self.apply)
 
+    @memo_method
     def apply(self, bar):
         """The full transferred coalgebra map on a bar word, F_t B(phi) G_t,
         composed exact and converted once: G_t is the source's ``con.G`` and

@@ -44,22 +44,25 @@ def cobar_words(gens, rank):
 def bar_words(letter_pools, rank_cap, length_cap):
     """Bar words with letters drawn from {rank: pool}, within both caps."""
     out = []
-
-    def rec(prefix, remaining):
-        if prefix and len(prefix) <= length_cap:
-            out.append(Word(BAR, prefix))
-        if len(prefix) >= length_cap:
-            return
-        for r in sorted(letter_pools):
-            if r > remaining:
-                break
-            for letter in letter_pools[r]:
-                prefix.append(letter)
-                rec(prefix, remaining - r)
-                prefix.pop()
-
-    rec([], rank_cap)
+    _extend_bar_words(out, sorted(letter_pools.items()), [], rank_cap, length_cap)
     return out
+
+
+def _extend_bar_words(out, pools, prefix, remaining, length_cap):
+    """Append to ``out`` the bar word of ``prefix``, if nonempty, and then
+    every extension of it by letters from ``pools``, sorted (rank, pool)
+    pairs, of total rank at most ``remaining``, depth first."""
+    if prefix:
+        out.append(Word(BAR, prefix))
+    if len(prefix) >= length_cap:
+        return
+    for r, pool in pools:
+        if r > remaining:
+            break
+        for letter in pool:
+            prefix.append(letter)
+            _extend_bar_words(out, pools, prefix, remaining - r, length_cap)
+            prefix.pop()
 
 
 def bar_words_algebra(gens, rank_cap, length_cap):

@@ -451,26 +451,21 @@ def test_a_wrong_entry_in_a_numbered_column_names_its_face(monkeypatch, capsys):
 def test_a_flipped_sign_in_the_numbered_boundary_fails_boundary_squares(monkeypatch, capsys):
     # the checks read FaceIndex.boundary: one sign flipped in the boundary
     # of the top cell at n = 3 leaves d d(top) = -2 c d(e) for its first
-    # term c e.  The contractions are built before the fault, so that only
-    # the boundary row fails, and it names the face and d d(top) by faces
+    # term c e.  The contraction is built before the fault, and the complex
+    # reads its FaceIndex, so the boundary row names the face and d d(top)
+    # by faces, and the contraction's homotopy identity fails on the top
     contractions = {n: permutahedra.PermutahedronContraction(n) for n in (1, 2, 3)}
-    index = permutahedra.FaceIndex.__init__
-
-    def flipped(self, n):
-        index(self, n)
-        if n == 3:
-            top = self.boundary[0]
-            first = next(iter(top))
-            top[first] = -top[first]
-
-    monkeypatch.setattr(permutahedra.FaceIndex, "__init__", flipped)
+    top_boundary = contractions[3].faces.boundary[0]
+    first = next(iter(top_boundary))
+    top_boundary[first] = -top_boundary[first]
     monkeypatch.setattr(permutahedra, "build_contraction", contractions.__getitem__)
     code, out, _ = run(capsys, ["--n-cap", "3", "--format", "json", "permutahedron"])
     assert code == 1
     top = permutahedra.enumerate_faces(3, 1)[0]
     edge, c = next(iter(boundary(top).items()))
     expected = "boundary squares to %r" % (boundary(edge).scaled(-2 * c),)
-    assert _failed_rows(out) == {"boundary_squares[n=3]": ([[1, 2, 3]], expected)}
+    assert _failed_rows(out) == {"boundary_squares[n=3]": ([[1, 2, 3]], expected),
+                                 "contraction[n=3]": ([[1, 2, 3]], "homotopy identity")}
 
 
 def test_a_pivot_that_does_not_divide_exits_three(monkeypatch, capsys):
@@ -698,11 +693,12 @@ def test_check_transfers_its_input_once(capsys, monkeypatch):
 
 
 # the maps that the checkers re-read, each memoized on its owner: name ->
-# (owner, method) or (module, function)
+# where the unmemoized computation is patched, (memo_method, "fn") or
+# (module, function)
 MEMOIZED_MAPS = {
-    "coalgebra_map": (linfty.LInftyMorphism, "coalgebra_map"),
-    "reduced_coproduct": (linfty.CECoalgebra, "reduced_coproduct"),
-    "symmetrize": (uea.ClassicalEnveloping, "symmetrize"),
+    "coalgebra_map": (linfty.LInftyMorphism.coalgebra_map, "fn"),
+    "reduced_coproduct": (linfty.CECoalgebra.reduced_coproduct, "fn"),
+    "symmetrize": (uea.ClassicalEnveloping.symmetrize, "fn"),
     "coproduct_map": (uea, "coproduct_map"),
 }
 

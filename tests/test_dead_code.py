@@ -20,6 +20,11 @@ A process-global cache survives a test's monkeypatch of what it was built
 from, so state computed from a contraction lives on the contraction; the
 module-level caches, and the dict or set attributes of a class body that
 a method fills, are held to a short allowlist.
+
+No map closes a reference cycle through its owner or itself, so that a
+run's state is freed by reference counting: no ``x.name = memo_op(x.name)``
+(a memoized method is an ``exactlin.memo_method``), and no nested function
+or lambda that calls itself by name.
 """
 
 import ast
@@ -267,3 +272,43 @@ def test_every_default_is_overridden():
                            for call, within in calls.get(name, ())):
                     never.append("%s.%s(%s)" % (path.stem, fn.name, p))
     assert never == []
+
+
+def _self_calls(function):
+    """The nested functions and named lambdas in ``function`` that call
+    themselves by name, as (name, line)."""
+    found = []
+    for node in ast.walk(function):
+        if node is not function and isinstance(node, ast.FunctionDef):
+            name, body = node.name, node
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)
+              and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)):
+            name, body = node.targets[0].id, node.value
+        else:
+            continue
+        if any(isinstance(call, ast.Call) and _name_of(call.func) == name
+               and isinstance(call.func, ast.Name) for call in ast.walk(body)):
+            found.append((name, node.lineno))
+    return found
+
+
+def test_no_map_closes_a_cycle():
+    # a map stored on its own owner, or a closure that calls itself, keeps
+    # everything it reaches alive until the cyclic collector runs
+    cycles = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cycles.update("%s:%d nested %s calls itself" % (path.stem, line, name)
+                              for name, line in _self_calls(node))
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and _name_of(node.value.func) == "memo_op" and node.value.args):
+                continue
+            arg = node.value.args[0]
+            for target in node.targets:
+                if (isinstance(target, ast.Attribute) and isinstance(arg, ast.Attribute)
+                        and ast.dump(target.value) == ast.dump(arg.value)):
+                    cycles.add("%s:%d %s memoized on its owner"
+                               % (path.stem, node.lineno, ast.unparse(arg)))
+    assert sorted(cycles) == []

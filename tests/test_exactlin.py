@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from enveloping.exactlin import (
     exact_apply,
     format_scalar,
     koszul_sign,
+    memo_method,
     memo_op,
+    memo_recursion,
     parse_scalar,
     rank_of,
     square_zero,
@@ -31,7 +34,9 @@ from enveloping.exactlin import (
     vector_view,
 )
 
-from conftest import assert_reduced, finite_complex
+from enveloping.linfty import CECoalgebra
+
+from conftest import assert_reduced, bundled, finite_complex
 
 a0 = Generator("a", 0)
 b0 = Generator("b", 0)
@@ -155,6 +160,80 @@ def test_a_memo_is_not_memoized_again():
     assert memo_op(square) is square
     assert square(3) == square(3) == 9
     assert calls == [3] and square.memo == {3: 9}
+
+
+class Squares:
+    """An owner of one memoized method, which records its misses."""
+
+    def __init__(self):
+        self.calls = []
+
+    @memo_method
+    def square(self, x):
+        self.calls.append(x)
+        return x * x
+
+
+def test_two_owners_never_share_a_memo():
+    a, b = Squares(), Squares()
+    assert a.square(3) == a.square(3) == b.square(3) == 9
+    assert a.calls == b.calls == [3]
+    # each read is a new map over the one memo of its owner
+    assert a.square is not a.square
+    assert a.square.memo is a.square.memo == {3: 9}
+    assert a.square.memo is not b.square.memo
+    assert memo_op(a.square).memo is a.square.memo
+    # the unmemoized method, read on the class
+    assert Squares.square.fn(a, 4) == 16 and a.calls == [3, 4]
+    assert a.square.memo == {3: 9}
+
+
+def test_a_map_keeps_working_after_its_owner_is_dropped():
+    # a map taken from a local owner, as the perturbation takes a
+    # coalgebra's delta, holds the owner for as long as it lives
+    square = Squares().square
+    assert square(5) == square(5) == 25 and square.memo == {5: 25}
+    owner = Squares()
+    square = owner.square
+    ref = weakref.ref(owner)
+    del owner
+    assert square(6) == 36 and ref().calls == [6]
+    # the coalgebra's own case: the higher brackets' delta of sl2
+    sl2 = bundled("sl2")
+    delta = CECoalgebra(sl2, 3, min_arity=2).delta
+    fresh = CECoalgebra(sl2, 3, min_arity=2)
+    assert all(delta(w) == fresh.delta(w) for w in fresh.all_words())
+
+
+def test_an_owner_and_its_memo_die_by_reference_counting():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        owner = Squares()
+        owner.square(2)
+        square = owner.square
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is not None  # the map holds its owner
+        del square
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_memo_recursion_reads_its_own_memo():
+    # X(n) = X(n - 1) + X(n - 2) from its own memo: each value computed once
+    calls = []
+
+    def step(n, X):
+        calls.append(n)
+        return n if n < 2 else X(n - 1) + X(n - 2)
+
+    X = memo_recursion(step)
+    assert X(30) == 832040 and X(30) == 832040
+    assert sorted(calls) == list(range(31))
+    assert X.memo[30] == 832040 and memo_op(X) is X
 
 
 def test_symmetrize_is_projector():

@@ -306,13 +306,13 @@ def test_each_B_is_built_once(monkeypatch, capsys):
     # B(u_1..u_n) is memoized per tuple: Phi(u_1..u_n) and m_n read one
     # build.  l3only at 4/5 builds 682 of them.
     built = Counter()
-    split = hpt.Transfer.split
+    split = hpt.Transfer.split.fn
 
     def split_recorded(self, words):
         built[words] += 1
         return split(self, words)
 
-    monkeypatch.setattr(hpt.Transfer, "split", split_recorded)
+    monkeypatch.setattr(hpt.Transfer.split, "fn", split_recorded)
     argv = ["--input", "bundled:l3only", "--arity-cap", "4", "--weight-cap", "5",
             "--format", "json", "products"]
     assert main(argv) == 0
