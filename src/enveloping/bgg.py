@@ -56,27 +56,15 @@ def generalized_cochain_check(structure):
 
     def rhs(word):
         out = Vector()
-        for parts in range(2, min(word.rank, structure.arity_cap) + 1):
-            for split, c in C.iterated_reduced_coproduct(word, parts).items():
-                inputs = _tau_inputs(split)
-                if inputs is None:
-                    continue
-                sign = conjugation_sign([w.degree for w in inputs])
-                out.accumulate(structure.product(inputs), c * sign)
+        for split, c in C.splits(word).items():
+            inputs = _tau_inputs(split)
+            if inputs is None or not 2 <= len(split) <= structure.arity_cap:
+                continue
+            sign = conjugation_sign([w.degree for w in inputs])
+            out.accumulate(structure.product(inputs), c * sign)
         return out
 
     return agree(C.all_words(), lhs, rhs, "twisted cochain equation fails")
-
-
-def _coaction_splits(C, word, parts):
-    """Ordered splits (c_0, c_1 .. c_{parts-1}) of a word, for parts >= 2.
-
-    c_0 may be empty (None); the other factors are nonempty.
-    """
-    out = Vector()
-    for split, c in C.iterated_reduced_coproduct(word, parts - 1).items():
-        out.add_term((None,) + split, c)
-    return out.accumulate(C.iterated_reduced_coproduct(word, parts))
 
 
 class TwistedComplex:
@@ -138,14 +126,16 @@ class TwistedComplex:
         """
         cw, uw = key
         out = Vector()
-        splits = Vector.unit((cw,))
+        splits = [((cw,), 1)]
         if cw is not None:
             for c2, c in self.C.delta(cw).items():
                 out.add_term((c2, uw), c)
-            for s in range(2, min(self.structure.arity_cap, cw.rank + 1) + 1):
-                splits.accumulate(_coaction_splits(self.C, cw, s))
+            # (c_0, .., c_k) with k < top: a split of cw, or None and a split
+            top = min(self.structure.arity_cap, cw.rank + 1)
+            splits = [(split, c) for split, c in self.C.splits(cw).items() if len(split) <= top]
+            splits += [((None,) + split, c) for split, c in splits if len(split) < top]
         outer = 1 if cw is not None and cw.degree % 2 else -1
-        for split, c in splits.items():
+        for split, c in splits:
             c0, pieces = split[0], split[1:]
             inputs = _tau_inputs(pieces)
             if inputs is None:

@@ -282,7 +282,7 @@ def bpl(con, t):
         return lambda w: exact_apply(op(w), P)
 
     def d_big_t(w):
-        return Vector.unit(w).apply(con.d_big) + t(w)
+        return con.d_big(w) + t(w)
 
     def d_small_t(w):
         return con.d_small(w) + to_vector(exact_apply(exact_apply(con.G(w), t_exact), F_t))
@@ -366,13 +366,12 @@ class Transfer:
     def unit_inclusion(self, word):
         """The adjunction unit of a coalgebra word, as a bar-word vector.
 
-        Components run over all iterated reduced coproducts; each factor is a
+        Components run over all the word's splits; each factor is a
         one-letter cobar word, resuspended (sign (-1)^{i(i-1)/2} at arity i).
         """
         out = Vector()
-        for parts in range(1, word.rank + 1):
-            sign = -1 if (parts * (parts - 1) // 2) % 2 else 1
-            for split, c in self.Cfull.iterated_reduced_coproduct(word, parts).items():
-                letters = tuple(Word(COBAR, (piece,)) for piece in split)
-                out.add_term(Word(BAR, letters), sign * c)
+        for split, c in self.Cfull.splits(word).items():
+            sign = -1 if (len(split) * (len(split) - 1) // 2) % 2 else 1
+            letters = tuple(Word(COBAR, (piece,)) for piece in split)
+            out.add_term(Word(BAR, letters), sign * c)
         return out

@@ -87,13 +87,16 @@ def structure_tables(tables, shift, targets, kind, symbol):
     """{arity: {sorted key: Vector}} from {arity: {key: {target generator:
     coefficient}}}: the brackets (shift 2) or a morphism's components (shift 1).
 
-    A key of arity k is a sorted tuple of k generators that repeats only odd
-    ones (even repeats vanish by graded antisymmetry); its value lies in the
-    span of ``targets``, in degree sum |x_i| + shift - k.
+    An arity is at least 1: the coalgebra differential and the transfer read
+    no arity 0.  A key of arity k is a sorted tuple of k generators that
+    repeats only odd ones (even repeats vanish by graded antisymmetry); its
+    value lies in the span of ``targets``, in degree sum |x_i| + shift - k.
     """
     targets = frozenset(targets)
     out = {}
     for arity, table in tables.items():
+        if arity < 1:
+            raise ValueError("%s arity must be at least 1, not %r" % (kind, arity))
         clean = {}
         for word, value in table.items():
             word = tuple(word)
@@ -156,13 +159,6 @@ class CECoalgebra:
         cap = self.weight_cap if max_weight is None else max_weight
         return sym_words_upto(self.sgens, cap)
 
-    def c_value(self, letters):
-        """Corestricted coderivation on a block of suspended letters."""
-        k = len(letters)
-        if k < self.min_arity or (self.max_arity is not None and k > self.max_arity):
-            return Vector()
-        return suspended_lookup(self.algebra.brackets, letters, conjugation_sign)
-
     @memo_method
     def delta(self, word):
         """Coderivation on a symmetric word (sum over letter subsets)."""
@@ -173,7 +169,8 @@ class CECoalgebra:
         for inside, outside, sign in unshuffles(
             [g.degree for g in letters], range(self.min_arity, max_k + 1)
         ):
-            value = self.c_value(tuple(letters[i] for i in inside))
+            value = suspended_lookup(self.algebra.brackets, tuple(letters[i] for i in inside),
+                                     conjugation_sign)
             if not value:
                 continue
             rest = [letters[i] for i in outside]
@@ -199,18 +196,17 @@ class CECoalgebra:
             out.add_term((wA, wB), sign * sA * sB)
         return out
 
-    def iterated_reduced_coproduct(self, word, parts):
-        """Ordered splits into ``parts`` nonempty symmetric words."""
-        if parts == 1:
-            return Vector.unit((word,))
-        out = Vector()
+    @memo_method
+    def splits(self, word):
+        """The iterated reduced coproducts Delta^(k) of a word for every
+        k >= 1: its ordered splits into k nonempty symmetric words, a Vector
+        over k-tuples ordered by k, by recursion on the second factor."""
+        splits = self.splits
+        out = Vector({(word,): 1})
         for (wA, wB), c in self.reduced_coproduct(word).items():
-            if parts == 2:
-                out.add_term((wA, wB), c)
-            else:
-                for rest, c2 in self.iterated_reduced_coproduct(wB, parts - 1).items():
-                    out.add_term((wA,) + rest, c * c2)
-        return out
+            for rest, c2 in splits(wB).items():
+                out.add_term((wA,) + rest, c * c2)
+        return Vector(sorted(out.items(), key=lambda term: len(term[0])))
 
 
 def check_linfty(algebra, weight_cap):
@@ -470,6 +466,13 @@ def _string(value, what):
     return value
 
 
+def _boolean(value, what):
+    """A boolean field of the JSON input; a string such as "false" is refused."""
+    if not isinstance(value, bool):
+        raise ValueError("%s must be a boolean, not %r" % (what, value))
+    return value
+
+
 def _ids(value, what):
     """A list of ids in the JSON input; a string or other non-list is refused."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -501,7 +504,7 @@ def algebra_from_json(data):
             ]
         variables = _ids(ci["variables"], "complete-intersection variables")
         return from_complete_intersection(
-            variables, polys, bool(ci.get("divided_powers", False))
+            variables, polys, _boolean(ci.get("divided_powers", False), "divided_powers")
         )
     gens = _generators_from_json(data["generators"])
     brackets = {}

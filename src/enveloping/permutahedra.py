@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import (
@@ -411,12 +410,12 @@ class PermutahedronContraction(Contraction):
         holds; the plans of one composition number their blocks alike, so
         they share both.  A face's coefficient is
         c theta_sign(f) -(-1)^|gens| / gamma over ``scale``, for the entry c
-        of the stored column, each face's blocks read by its number; the plan
-        holds each as an integer over one denominator, reduced by the gcd of
-        them all."""
+        of the stored column, each face's blocks read by its number, and
+        gamma = +-1; the plan holds each as an integer over one denominator,
+        reduced by the gcd of them all."""
         gens, face, gamma = theta_factor(x)
         degs = [g.degree for g in gens]
-        sign = Fraction(-1 if sum(degs) % 2 == 0 else 1, gamma)
+        sign = (-1 if sum(degs) % 2 == 0 else 1) * int(gamma)
         faces = self.faces.faces
         positions = {}  # position set of a block -> its index
         entries = []
@@ -426,8 +425,8 @@ class PermutahedronContraction(Contraction):
                 positions.setdefault(tuple(i - 1 for i in b), len(positions))
                 for b in f.blocks
             )
-            entries.append((indices, sign.numerator * c * theta_sign(degs, f)))
-        den = sign.denominator * self.scale
+            entries.append((indices, sign * c * theta_sign(degs, f)))
+        den = self.scale
         common = math.gcd(den, *(c for _, c in entries))
         den //= common
         terms = []
@@ -621,7 +620,8 @@ def cobar_gf(x):
 
 
 def theta_factor(x):
-    """Coefficient gamma with theta(word_of(x), face_of(x)) = gamma * x."""
+    """Coefficient gamma with theta(word_of(x), face_of(x)) = gamma * x: a
+    sign, since theta gives one word with coefficient +-1."""
     gens = []
     sizes = []
     for w in x.letters:

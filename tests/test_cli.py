@@ -316,6 +316,15 @@ BAD_INPUTS = {
     "boolean degree": (
         with_entry("abelian2", lambda d: d["generators"][0], "degree", True),
         "the degree of 'a1' must be an integer, not True"),
+    # each of the next two was accepted and then read wrongly: a curvature
+    # l_0 was ignored, and the string "false" read as true
+    "bracket of arity 0": (
+        {"generators": [{"id": "z", "degree": 2}], "brackets": [
+            {"arity": 0, "inputs": [], "value": [{"coeff": "1", "monomial": ["z"]}]}]},
+        "bracket arity must be at least 1, not 0"),
+    "divided powers as a string": (
+        with_entry("ci_cubic", lambda d: d["complete_intersection"], "divided_powers", "false"),
+        "divided_powers must be a boolean, not 'false'"),
     "module name as a number": (
         with_entry("sl2_adjoint", lambda d: d["module"], "name", 5),
         "the module name must be a string, not 5"),
@@ -698,6 +707,7 @@ def test_check_transfers_its_input_once(capsys, monkeypatch):
 MEMOIZED_MAPS = {
     "coalgebra_map": (linfty.LInftyMorphism.coalgebra_map, "fn"),
     "reduced_coproduct": (linfty.CECoalgebra.reduced_coproduct, "fn"),
+    "splits": (linfty.CECoalgebra.splits, "fn"),
     "symmetrize": (uea.ClassicalEnveloping.symmetrize, "fn"),
     "coproduct_map": (uea, "coproduct_map"),
 }
@@ -708,6 +718,8 @@ FRESH = {
         phi.source, phi.target, phi.components).coalgebra_map(word),
     "reduced_coproduct": lambda C, word: linfty.CECoalgebra(
         C.algebra, C.weight_cap, C.min_arity, C.max_arity).reduced_coproduct(word),
+    "splits": lambda C, word: linfty.CECoalgebra(
+        C.algebra, C.weight_cap, C.min_arity, C.max_arity).splits(word),
     "symmetrize": lambda oracle, word: uea.ClassicalEnveloping(oracle.algebra).symmetrize(word),
     "coproduct_map": uea.coproduct_map,
     "bar_words": lambda structure: uea.AInftyStructure(

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from enveloping.cli import BUNDLED
 from enveloping.exactlin import Generator, Vector, s_power_sign, sym_word
+from enveloping.hpt import Transfer
 from enveloping.linfty import (
     CECoalgebra,
     LInftyAlgebra,
@@ -130,6 +132,18 @@ def test_ci_square_divided_powers_flag():
     assert L.bracket((xi, xi)) == Vector.unit(L.by_id["z_w"], 1)
 
 
+def test_ci_divided_powers_from_json_is_a_boolean():
+    def cube(**flag):
+        data = {"complete_intersection": dict(variables=["x"], relations=[
+            {"id": "w", "terms": [{"coeff": "1", "monomial": ["x", "x", "x"]}]}], **flag)}
+        L = algebra_from_json(data)
+        return L.bracket((L.by_id["xi_x"],) * 3).coeff(L.by_id["z_w"])
+
+    assert (cube(), cube(divided_powers=False), cube(divided_powers=True)) == (6, 6, 1)
+    with pytest.raises(ValueError, match="divided_powers must be a boolean, not 'no'"):
+        cube(divided_powers="no")
+
+
 def test_ci_cube_gives_ternary_bracket_only():
     L = from_complete_intersection(["x"], {"w": [(1, ("x", "x", "x"))]})
     assert sorted(L.brackets) == [3]
@@ -180,6 +194,11 @@ def _heisenberg_to_abelian(table):
 def test_morphism_key_of_wrong_arity_is_refused():
     with pytest.raises(ValueError, match="morphism key has wrong arity"):
         _heisenberg_to_abelian(lambda h, a: {(h["x"], h["y"]): {a["a1"]: 1}})
+
+
+def test_morphism_component_of_arity_zero_is_refused():
+    with pytest.raises(ValueError, match="morphism arity must be at least 1, not 0"):
+        LInftyMorphism(heisenberg(), abelian([2]), {0: {(): {Generator("a1", 2): 1}}})
 
 
 def test_morphism_value_on_an_unknown_generator_is_refused():
@@ -313,3 +332,30 @@ def test_module_json_differential_lands_in_d_m_as_pairs():
     back = module_from_json(M.algebra, data)
     assert back.d_m == Vector.unit((a, b), Fraction(3, 2))
     assert not back.action
+
+
+def iterated_reduced_coproduct(C, word, parts):
+    """Delta^(parts) of a word by the recursion on ``parts``: the reference
+    for ``CECoalgebra.splits``."""
+    if parts == 1:
+        return Vector.unit((word,))
+    out = Vector()
+    for (wA, wB), c in C.reduced_coproduct(word).items():
+        if parts == 2:
+            out.add_term((wA, wB), c)
+        else:
+            for rest, c2 in iterated_reduced_coproduct(C, wB, parts - 1).items():
+                out.add_term((wA,) + rest, c * c2)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_splits_are_the_iterated_reduced_coproducts(name):
+    # for each k, the k-piece terms of splits are Delta^(k), in its order,
+    # and splits holds nothing else
+    C = Transfer(bundled(name), 4).Cfull
+    for word in C.all_words(4):
+        splits = list(C.splits(word).items())
+        expected = [term for parts in range(1, word.rank + 1)
+                    for term in iterated_reduced_coproduct(C, word, parts).items()]
+        assert splits == expected, word
