@@ -260,7 +260,7 @@ def default_budget(word):
     return word.rank + word.length + 2
 
 
-def bpl(con, t):
+def bpl(con, t, h_t=None):
     """Basic perturbation lemma: the perturbed contraction of ``con`` by t.
 
     With P = sum (-Ht)^k, the series of ``perturbation_series``, G_t = P G,
@@ -272,11 +272,16 @@ def bpl(con, t):
     the letters, it adds nothing.  The series terminate because every
     perturbation strictly decreases rank or bar length, which are bounded
     below.  t's exact pair is memoized once.
+
+    F_t's step t H(w) reads H through ``h_t``, by default H itself: an
+    exact map that agrees with H wherever t is nonzero, so that it may drop
+    the terms of H(w) that t kills; nothing else reads ``h_t``.
     """
     F, H = con.F, con.H
+    h_t = h_t or H
     t_exact = memo_op(lambda w: to_pair(t(w)))
     P = perturbation_series(t_exact, H, default_budget)
-    F_t = _series(F, lambda w: exact_apply(H(w), t_exact), default_budget)
+    F_t = _series(F, lambda w: exact_apply(h_t(w), t_exact), default_budget)
 
     def then_P(op):
         return lambda w: exact_apply(op(w), P)
@@ -313,10 +318,10 @@ class Transfer:
         Phi(u_1..u_n) = H_t(B) = P h B  for n >= 2,
     with t_2(x, y) = (-1)^|x| xy, and the one-letter part of F t G_t on
     [u_1|..|u_n] is [F_t(B)]: m_n before its conjugation sign
-    (``tree_product``), and f(B) where the perturbation cannot reach the
-    product (``split_product``).  Phi is the one-letter part of ``con.G``;
-    the products and the maps on bar words meet only in the checks.  Phi and
-    B are memoized per tuple.
+    (``tree_product``), and on a pair that the perturbation cannot reach,
+    f(B) = (-1)^|u_1| u_1 u_2 (``split_product``).  Phi is the one-letter
+    part of ``con.G``; the products and the maps on bar words meet only in
+    the checks.  Phi and B are memoized per tuple.
     """
 
     def __init__(self, algebra, weight_cap):
@@ -329,7 +334,10 @@ class Transfer:
         t_omega = memo_op(bar_coderivation({1: C2.delta}))
         self.t = bar_coderivation({1: t_omega, 2: concatenation})
         letter = cobar_contraction(self.C1)
-        self.letters = bpl(letter, t_omega)
+        # t_omega acts letter by letter, so it kills every term of h whose
+        # letters C2.delta all kill: F_t's step reads h on the others alone
+        live = memo_op(lambda letter: bool(C2.delta(letter)))
+        self.letters = bpl(letter, t_omega, lambda x: cobar_h(x, live))
         # t_omega kills every letter of g(u), one desuspended generator each,
         # so the series P g(u) is g(u): the letters read the unperturbed g
         self.letters.G = letter.G
@@ -354,9 +362,14 @@ class Transfer:
         return exact_sum(parts)
 
     def split_product(self, words):
-        """f(B) on n >= 2 symmetric words, exact: ``tree_product`` where
-        f t_omega P h B is zero, without Phi(u_1..u_n)."""
-        return exact_apply(self.split(words), cobar_f)
+        """f(B) on two symmetric words u and v, exact: ``tree_product`` where
+        f t_omega P h B is zero.  f is multiplicative, fg = 1 and |g u| = |u|,
+        so f(B) = f(t_2(g u, g v)) is (-1)^|u| uv, built without B."""
+        u, v = words
+        sign, word = sym_word(u.letters + v.letters)
+        if word is None:
+            return {}, 1
+        return {word: -sign if u.degree % 2 else sign}, 1
 
     def tree_product(self, words):
         """F_t(B) on n >= 2 symmetric words, exact: m_n before its

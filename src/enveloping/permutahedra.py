@@ -352,7 +352,7 @@ class PermutahedronContraction(Contraction):
                 self.faces.extend(self._repaired, self._repair, {face: 1}))
         return col
 
-    def cobar_homotopy(self, x):
+    def cobar_homotopy(self, x, live=None):
         """``cobar_h`` on a cobar word of rank n, exact: a pair (terms, den).
 
         The value is the sum of c theta(gens, f) over the column of x's
@@ -366,6 +366,13 @@ class PermutahedronContraction(Contraction):
         die and of those whose sort sign is negative; a face that holds a
         dying block is skipped, and the others add integers by the tuple of
         their letters.  Only the words that survive are interned.
+
+        Given ``live``, a predicate on letters, the faces none of whose
+        letters pass it are skipped too, by the mask of the live blocks, and
+        a word with no live block is zero: that is the homotopy's part on
+        the words that a map killing every letter that fails ``live``
+        reads, with the same terms in the same order.  Without ``live``,
+        every block that does not die is live.
         """
         gens = tuple(g.shifted(1) for w in x.letters for g in w.letters)
         shape = (tuple(w.rank for w in x.letters), tuple(g.degree % 2 for g in gens))
@@ -375,7 +382,7 @@ class PermutahedronContraction(Contraction):
         positions, terms, den = plan
         letters = self._letters
         found = []
-        dead = negative = 0
+        dead = negative = alive = 0
         for k, block in enumerate(positions):
             block = tuple(gens[i] for i in block)
             if block not in letters:
@@ -388,10 +395,14 @@ class PermutahedronContraction(Contraction):
             else:
                 if entry[0] < 0:
                     negative |= 1 << k
+                if live is None or live(entry[1]):
+                    alive |= 1 << k
                 found.append(entry[1])
+        if not alive:
+            return {}, 1
         out = {}  # letters of a cobar word -> its integer coefficient
         for pick, mask, coeff, negated in terms:
-            if mask & dead:
+            if mask & dead or not mask & alive:
                 continue
             key = pick(found)
             c = out.get(key, 0) + (negated if (mask & negative).bit_count() & 1 else coeff)
@@ -635,9 +646,11 @@ def theta_factor(x):
     return tuple(gens), face, gamma
 
 
-def cobar_h(x):
-    """Contracting homotopy on a cobar word via the face-complex homotopy."""
-    return build_contraction(x.rank).cobar_homotopy(x)
+def cobar_h(x, live=None):
+    """Contracting homotopy on a cobar word via the face-complex homotopy;
+    given ``live``, a predicate on letters, only its terms that hold a
+    letter passing it (``PermutahedronContraction.cobar_homotopy``)."""
+    return build_contraction(x.rank).cobar_homotopy(x, live)
 
 
 def iota_omega(x):

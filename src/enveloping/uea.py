@@ -56,7 +56,8 @@ class AInftyStructure:
     stored without computing anything.  For n = 2, where only the empty
     sequence qualifies (C is live, and no nonempty sequence of moves of
     excess 0 ends live), m_2 is ``Transfer.split_product`` alone, f(B) with
-    B = t_2(Phi(u_1), Phi(u_2)), and Phi(u_1 u_2) is never built.
+    B = t_2(Phi(u_1), Phi(u_2)), which is (-1)^|u_1| u_1 u_2: neither B nor
+    Phi(u_1 u_2) is built.
 
     Proof.  Count the generators that a term holds, over all its letters,
     as a multiset.  On the tree path, g, h and f (the permutahedron
@@ -167,7 +168,7 @@ class AInftyStructure:
         from .exactlin import format_scalar
 
         entries = []
-        for bar in sorted(self.bar_words(), key=lambda b: b.sort_key()):
+        for bar in sorted(self.bar_words(), key=_bar_key):
             value = self.product(bar.letters)
             if not value:
                 continue
@@ -185,6 +186,12 @@ class AInftyStructure:
                 }
             )
         return entries
+
+
+def _bar_key(bar):
+    """``Word.sort_key`` of a bar word with its letters' sort keys in place
+    of the letters: the same order, with each letter's key computed once."""
+    return (bar.rank, bar.length, tuple(x.sort_key() for x in bar.letters), bar.kind)
 
 
 def contraction_rank(algebra, arity_cap, weight_cap):
@@ -240,43 +247,54 @@ def stasheff_check(structure):
     """Square-zero of the assembled coderivation on all capped bar words.
 
     d^2 is a coderivation, so it vanishes on every capped bar word exactly
-    when its one-letter part does, ``stasheff_sum``, which reads each table
-    entry once, as an exact pair.  Where a sum is nonzero, d(d(b)) is built
-    on the same bar words, with d(b) computed once per word, and the first b
-    where it is nonzero is reported.
+    when its one-letter part does, ``stasheff_sums``.  Where a sum is
+    nonzero, d(d(b)) is built on the same bar words, with d(b) computed once
+    per word, and the first b where it is nonzero is reported.
     """
-    bars = structure.bar_words()
-    table = memo_op(lambda words: to_pair(structure.product(words)))
-    if not any(stasheff_sum(table, bar.letters)[0] for bar in bars):
+    if not any(terms for terms, _ in stasheff_sums(structure).values()):
         return CheckResult(True)
-    return square_zero(bars, memo_op(structure.bar_differential),
+    return square_zero(structure.bar_words(), memo_op(structure.bar_differential),
                        "bar differential squares to %r")
 
 
-def stasheff_sum(table, letters):
-    """The one-letter part of d^2 on the bar word of ``letters``:
+def stasheff_sums(structure):
+    """The one-letter part of d^2 on the capped bar words, as exact pairs
+    of symmetric words keyed by a bar word's letters, for every bar word
+    where it has a term before cancelling:
     sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the signs of
-    ``hpt.bar_coderivation``, as an exact pair of symmetric words.  ``table``
-    gives m_k of a tuple of words as an exact pair."""
-    degrees = [x.degree for x in letters]
-    parts = []
-    left = 0
-    for j in range(len(letters)):
-        head = letters[:j]
-        for k in range(1, len(letters) - j + 1):
-            image, den = table(letters[j : j + k])
-            if not image:
-                continue
-            sign = conjugation_sign(degrees[j : j + k])
-            sign = -sign if left % 2 else sign
-            tail = letters[j + k :]
-            for x, c in image.items():
-                value, den_x = table(head + (x,) + tail)
-                if value:
-                    outer = degrees[:j] + [x.degree] + degrees[j + k :]
-                    parts.append((value, sign * c * conjugation_sign(outer), den * den_x))
-        left += degrees[j] - 1
-    return exact_sum(parts)
+    ``hpt.bar_coderivation``.
+
+    The nonzero table entries are read once, as exact pairs, and indexed by
+    the words of their output.  A term of the sum composes an outer entry,
+    one of its slots and an inner entry whose output holds the slot's word;
+    the composite is capped exactly when its length and rank, read off the
+    two entries, are.
+    """
+    arity_cap, weight_cap = structure.arity_cap, structure.weight_cap
+    entries = []  # (inputs, their degrees, rank, terms, den)
+    inner = {}  # output word -> [(inputs, rank, signed coefficient, den)]
+    for bar in structure.bar_words():
+        terms, den = to_pair(structure.product(bar.letters))
+        if terms:
+            degrees = [x.degree for x in bar.letters]
+            entries.append((bar.letters, degrees, bar.rank, terms, den))
+            sign = conjugation_sign(degrees)
+            for x, c in terms.items():
+                inner.setdefault(x, []).append((bar.letters, bar.rank, sign * c, den))
+    parts = {}  # letters of a bar word -> its parts of exact_sum
+    for letters, degrees, rank, terms, den in entries:
+        outer = conjugation_sign(degrees)
+        length_left = arity_cap - len(letters) + 1
+        left = 0
+        for j, x in enumerate(letters):
+            rank_left = weight_cap - rank + x.rank
+            for inputs, inputs_rank, c, inputs_den in inner.get(x, ()):
+                if len(inputs) <= length_left and inputs_rank <= rank_left:
+                    key = letters[:j] + inputs + letters[j + 1 :]
+                    a = -outer * c if left % 2 else outer * c
+                    parts.setdefault(key, []).append((terms, a, den * inputs_den))
+            left += degrees[j] - 1
+    return {key: exact_sum(p) for key, p in parts.items()}
 
 
 def m1_matches_l1(structure):

@@ -105,6 +105,30 @@ FILE_INPUTS = {
                                {"coeff": "1/2", "monomial": ["y", "y"]}]}]}},
 }
 
+# SHA-256 of `products --format json` at arity cap 4 and weight cap 4 on
+# complete intersections, read from "<name>.json" in the working directory,
+# on which F_t's step drops most faces of h: no l_2 acts on most pairs of
+# generators, and no bracket at all on some letters.  One has l_2 and l_3,
+# one l_3 and l_4 only, one three variables.
+CI_INPUTS = {
+    "ci_l2_l3": {"complete_intersection": {"variables": ["x", "y"], "relations": [
+        {"id": "r1", "terms": [{"coeff": "1/1", "monomial": ["x", "y"]},
+                               {"coeff": "-1/2", "monomial": ["x", "x", "y"]}]},
+        {"id": "r2", "terms": [{"coeff": "3/1", "monomial": ["y", "y", "y"]}]}]}},
+    "ci_l3_l4": {"complete_intersection": {"variables": ["x", "y"], "relations": [
+        {"id": "r1", "terms": [{"coeff": "2/1", "monomial": ["x", "x", "y"]},
+                               {"coeff": "-2/3", "monomial": ["x", "y", "y", "y"]}]}]}},
+    "ci_three": {"complete_intersection": {"variables": ["x", "y", "w"], "relations": [
+        {"id": "r1", "terms": [{"coeff": "1/1", "monomial": ["x", "y"]},
+                               {"coeff": "-1/2", "monomial": ["y", "w", "w"]},
+                               {"coeff": "3/1", "monomial": ["x", "x", "y", "w"]}]}]}},
+}
+CI_PRODUCT_DIGESTS_4_4 = {
+    "ci_l2_l3": "d0e4d410337d5405c88d5bea4e35fefb3aa03019c96468815282aee5ff35bdee",
+    "ci_l3_l4": "5d5bfb29e73c7371f053b1611d66231d7b470ac8e897d656c08d717e626fb2f4",
+    "ci_three": "265d72492cab66293e5ce203e824f1ec65ae3a08acf77c2b43c613a2d4adb421",
+}
+
 # SHA-256 of `check --suite all --format json` at arity cap 3 and weight cap
 # 3 (and at 4 and 4, the caps of the benchmark's verify workload), for every
 # bundled input: the reports, all passing, are pinned byte for byte.
@@ -604,6 +628,17 @@ def test_product_tables_are_pinned(capsys, tmp_path, monkeypatch, caps, digests)
         code, out, _ = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("name", list(CI_INPUTS))
+def test_complete_intersection_tables_are_pinned_at_4_4(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # the path of a file input is in the report
+    Path("%s.json" % name).write_text(json.dumps(CI_INPUTS[name]))
+    argv = ["--input", "%s.json" % name, "--arity-cap", "4", "--weight-cap", "4",
+            "--format", "json", "products"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CI_PRODUCT_DIGESTS_4_4[name]
 
 
 @pytest.mark.parametrize("caps", list(SL2_PRODUCT_DIGESTS), ids=["3_5", "4_6"])

@@ -29,9 +29,11 @@ from enveloping.bgg import roundtrip_fg_check
 from enveloping.cli import BUNDLED, main
 from enveloping import hpt
 from enveloping.exactlin import (BAR, SYMMETRIC, Word, compositions, consecutive_blocks,
-                                 exact_apply, exact_sum, memo_op, to_vector)
+                                 exact_apply, exact_sum, memo_op, to_pair, to_vector)
 from enveloping.hpt import Transfer
-from enveloping.linfty import adjoint_module, dg_vector_space, from_complete_intersection
+from enveloping.linfty import (CECoalgebra, adjoint_module, dg_vector_space,
+                               from_complete_intersection)
+from enveloping.permutahedra import cobar_f, cobar_h
 from enveloping.uea import AInftyStructure, corestriction
 from enveloping.words import bar_words_algebra, vector_product
 
@@ -87,6 +89,56 @@ def complete_intersections(draw):
 @given(complete_intersections(), st.integers(2, 3))
 def test_tree_products_match_the_series_on_complete_intersections(algebra, arity_cap):
     assert assert_tree_matches_series(algebra, arity_cap, 3)
+
+
+def assert_live_steps(algebra, arity_cap, weight_cap):
+    """F_t's step on the letters, t_omega h(w) with h read only on the
+    faces that hold a letter t_omega acts on, is t_omega h(w) with the whole
+    h on every word that the series reaches in a run of the product tables,
+    and its F_t is that of the series with the whole h.  Returns the number
+    of those words on which the step's h drops terms."""
+    recorded = []
+    series = hpt._series
+
+    def recording(A, K, budget):
+        X = series(A, K, budget)
+        recorded.append((K, X))
+        return X
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hpt, "_series", recording)
+        structure = AInftyStructure(algebra, arity_cap, weight_cap)
+        structure.export_tables()
+    transfer = structure.transfer
+    (step, F_t), = [(K, X) for K, X in recorded if X is transfer.letters.F]
+    C2 = CECoalgebra(algebra, weight_cap, min_arity=2)
+    t_omega = hpt.bar_coderivation({1: C2.delta})
+    t_exact = memo_op(lambda w: to_pair(t_omega(w)))
+    letter = hpt.cobar_contraction(transfer.C1)
+    reference = hpt.bpl(letter, t_omega)
+    live = lambda letter: bool(C2.delta(letter))
+    dropped = 0
+    for w in list(F_t.memo):
+        assert step(w) == exact_apply(cobar_h(w), t_exact), w
+        assert F_t(w) == reference.F(w), w
+        dropped += cobar_h(w, live) != cobar_h(w)
+    return dropped
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
+def test_the_live_step_of_F_t_is_the_whole_step(name):
+    # l3only's brackets act only on three generators of one letter, so the
+    # step drops the faces whose letters all have fewer
+    dropped = assert_live_steps(algebra_of(name), 3, 4)
+    if name == "l3only":
+        assert dropped > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complete_intersections(), st.integers(2, 3))
+def test_the_live_step_of_F_t_is_the_whole_step_on_complete_intersections(
+        algebra, arity_cap):
+    assert_live_steps(algebra, arity_cap, 3)
 
 
 @pytest.mark.parametrize("name", ["sl2", "l3only", "odd2", "ci_cubic", "heisenberg",
@@ -304,7 +356,8 @@ def test_products_build_no_bar_word_of_several_cobar_words(name, monkeypatch):
 
 def test_each_B_is_built_once(monkeypatch, capsys):
     # B(u_1..u_n) is memoized per tuple: Phi(u_1..u_n) and m_n read one
-    # build.  l3only at 4/5 builds 682 of them.
+    # build.  l3only at 4/5 builds 567 of them; a pair that only f(B)
+    # reaches builds none, since f(B) there is +-u_1 u_2.
     built = Counter()
     split = hpt.Transfer.split.fn
 
@@ -317,7 +370,7 @@ def test_each_B_is_built_once(monkeypatch, capsys):
             "--format", "json", "products"]
     assert main(argv) == 0
     assert capsys.readouterr().out
-    assert len(built) == 682
+    assert len(built) == 567
     assert set(built.values()) == {1}
 
 
@@ -380,6 +433,10 @@ def assert_bracket_selection(algebra, arity_cap, weight_cap):
             assert tree_product(bar.letters) == ({}, 1), bar
         elif selected[bar] == "split":
             assert split_product(bar.letters) == tree_product(bar.letters), bar
+        # +-u_1 u_2 is f(B) on every pair, whichever path the pair takes
+        if bar.length == 2:
+            f_of_B = exact_apply(transfer.split(bar.letters), cobar_f)
+            assert split_product(bar.letters) == f_of_B, bar
     return Counter((kind, bar.length) for bar, kind in selected.items())
 
 
@@ -425,8 +482,8 @@ def test_products_on_sl2_at_3_5_compute_no_triple(monkeypatch, capsys):
         arities.append(len(words))
         return tree_product(self, words)
 
-    def bpl_recorded(con, t):
-        perturbed = perturb(con, t)
+    def bpl_recorded(con, t, *h_t):
+        perturbed = perturb(con, t, *h_t)
         d_small = perturbed.d_small
         perturbed.d_small = lambda w: d_small_kinds.add(w.kind) or d_small(w)
         return perturbed

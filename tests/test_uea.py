@@ -11,6 +11,8 @@ from enveloping.exactlin import (
     Generator,
     Vector,
     Word,
+    conjugation_sign,
+    exact_sum,
     memo_op,
     square_zero,
     to_pair,
@@ -41,7 +43,7 @@ from enveloping.uea import (
     pbw_compare,
     star_product,
     stasheff_check,
-    stasheff_sum,
+    stasheff_sums,
     truncation_agreement_check,
     u_morphism,
     word_of,
@@ -177,6 +179,32 @@ def test_a_corrupted_table_fails_as_the_reference_does(name, inputs, extra):
     assert reports[0] == reports[1]
 
 
+def stasheff_sum(table, letters):
+    """The one-letter part of d^2 on the bar word of ``letters``, slot by
+    slot: sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the
+    signs of ``hpt.bar_coderivation``, as an exact pair of symmetric words.
+    ``table`` gives m_k of a tuple of words as an exact pair."""
+    degrees = [x.degree for x in letters]
+    parts = []
+    left = 0
+    for j in range(len(letters)):
+        head = letters[:j]
+        for k in range(1, len(letters) - j + 1):
+            image, den = table(letters[j : j + k])
+            if not image:
+                continue
+            sign = conjugation_sign(degrees[j : j + k])
+            sign = -sign if left % 2 else sign
+            tail = letters[j + k :]
+            for x, c in image.items():
+                value, den_x = table(head + (x,) + tail)
+                if value:
+                    outer = degrees[:j] + [x.degree] + degrees[j + k :]
+                    parts.append((value, sign * c * conjugation_sign(outer), den * den_x))
+        left += degrees[j] - 1
+    return exact_sum(parts)
+
+
 @pytest.mark.parametrize("name, poison", [
     ("sl2", None),
     ("l3only", None),
@@ -196,13 +224,49 @@ def test_stasheff_sum_is_the_one_letter_part_of_d_squared(name, poison):
         A._tables[key] = A.product(key) + Vector.unit(word(extra), 1)
     table = memo_op(lambda words: to_pair(A.product(words)))
     d = memo_op(A.bar_differential)
+    # the sums over the compositions of nonzero entries against the sums
+    # slot by slot, bar by bar
+    sums = stasheff_sums(A)
+    assert set(sums) <= {bar.letters for bar in A.bar_words()}
     failing = 0
     for bar in A.bar_words():
         pair = stasheff_sum(table, bar.letters)
         assert_reduced(pair)
         assert to_vector(pair) == corestriction(d(bar).apply(d)), bar
+        grouped = sums.get(bar.letters, ({}, 1))
+        assert_reduced(grouped)
+        assert grouped == pair, bar
         failing += bool(pair[0])
     assert bool(failing) == bool(poison)
+
+
+# one product negated at caps 4/4, its input words as tuples of generator
+# ids; odd2's m_2(t1, t2) is the one whose negation no Stasheff identity
+# within the caps sees
+NEGATED = {
+    "sl2-e-e": ("sl2", (("e",), ("e",))),
+    "sl2-e-f": ("sl2", (("e",), ("f",))),
+    "heisenberg-x-x": ("heisenberg", (("x",), ("x",))),
+    "l3only-a-b": ("l3only", (("a",), ("b",))),
+    "l3only-a-ab-c": ("l3only", (("a",), ("a", "b"), ("c",))),
+    "ci_cubic-x-x-x": ("ci_cubic", (("xi_x",),) * 3),
+    "odd2-t1-t2": ("odd2", (("t1",), ("t2",))),
+}
+
+
+@pytest.mark.parametrize("name, inputs", NEGATED.values(), ids=NEGATED)
+def test_a_negated_product_fails_as_the_reference_does(name, inputs):
+    L = bundled(name)
+    key = tuple(word_of(*(L.by_id[i] for i in ids)) for ids in inputs)
+    reports = []
+    for check in (stasheff_check, reference_stasheff_check):
+        A = AInftyStructure(L, 4, 4)
+        assert A.product(key)
+        A._tables[key] = -A.product(key)
+        result = check(A)
+        reports.append((result.ok, result.counterexample, result.detail))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == (name == "odd2")
 
 
 def test_pbw_sl2_and_heisenberg():
