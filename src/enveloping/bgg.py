@@ -19,17 +19,14 @@ from .words import sym_words, vector_product
 
 
 def _tau_inputs(pieces):
-    """The images tau c_a of coalgebra words: the unsuspended generator of a
-    weight-one word, with coefficient 1; None if a piece has another weight."""
-    if any(piece.rank != 1 for piece in pieces):
-        return None
+    """The images tau c_a of weight-one coalgebra words: the unsuspended
+    generator of each, with coefficient 1."""
     return tuple(sym_word([piece.letters[0].shifted(1)])[1] for piece in pieces)
 
 
 def tau_value(word):
     """The canonical twisted cochain: desuspended weight-one projection."""
-    inputs = _tau_inputs((word,))
-    return Vector() if inputs is None else Vector.unit(inputs[0])
+    return Vector.unit(_tau_inputs((word,))[0]) if word.rank == 1 else Vector()
 
 
 def _arity_needed(structure, weight_cap):
@@ -54,17 +51,23 @@ def generalized_cochain_check(structure):
     def lhs(word):
         return C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
 
-    def rhs(word):
-        out = Vector()
-        for split, c in C.splits(word).items():
+    return agree(C.all_words(), lhs, lambda word: tau_products(structure, word),
+                 "twisted cochain equation fails")
+
+
+def tau_products(structure, word):
+    """The right side of the cochain equation on a coalgebra word:
+    sum over 2 <= i <= arity cap of m_i tau^{x i} Delta^(i)(word), each
+    split with ``conjugation_sign`` of its tau images' degrees.  tau vanishes
+    off weight one, so only the split into single letters, i = the word's
+    weight, is read."""
+    out = Vector()
+    if 2 <= word.rank <= structure.arity_cap:
+        for split, c in structure.transfer.Cfull.letter_splits(word).items():
             inputs = _tau_inputs(split)
-            if inputs is None or not 2 <= len(split) <= structure.arity_cap:
-                continue
             sign = conjugation_sign([w.degree for w in inputs])
             out.accumulate(structure.product(inputs), c * sign)
-        return out
-
-    return agree(C.all_words(), lhs, rhs, "twisted cochain equation fails")
+    return out
 
 
 class TwistedComplex:
@@ -130,16 +133,21 @@ class TwistedComplex:
         if cw is not None:
             for c2, c in self.C.delta(cw).items():
                 out.add_term((c2, uw), c)
-            # (c_0, .., c_k) with k < top: a split of cw, or None and a split
+            # (c_0, .., c_k) with c_1, .., c_k single letters, the only ones
+            # tau keeps, and k < top: c_0 = cw, or c_0 and a split of the
+            # rest of cw into letters, or None and a split of cw into letters
             top = min(self.structure.arity_cap, cw.rank + 1)
-            splits = [(split, c) for split, c in self.C.splits(cw).items() if len(split) <= top]
-            splits += [((None,) + split, c) for split, c in splits if len(split) < top]
+            letter_splits = self.C.letter_splits
+            for (c0, rest), c in self.C.reduced_coproduct(cw).items():
+                if rest.rank < top:
+                    splits += [((c0,) + split, c * c2)
+                               for split, c2 in letter_splits(rest).items()]
+            if cw.rank < top:
+                splits += [((None,) + split, c) for split, c in letter_splits(cw).items()]
         outer = 1 if cw is not None and cw.degree % 2 else -1
         for split, c in splits:
             c0, pieces = split[0], split[1:]
             inputs = _tau_inputs(pieces)
-            if inputs is None:
-                continue
             coeff = outer * c * conjugation_sign([w.degree for w in inputs] + [0])
             for u2, c2 in self._m_ext(inputs, uw).items():
                 out.add_term((c0, u2), coeff * c2)

@@ -208,6 +208,21 @@ class CECoalgebra:
                 out.add_term((wA,) + rest, c * c2)
         return Vector(sorted(out.items(), key=lambda term: len(term[0])))
 
+    @memo_method
+    def letter_splits(self, word):
+        """Delta^(n) of a word of weight n: its ordered splits into single
+        letters, the terms of ``splits`` whose pieces all have weight one,
+        by the same recursion with a first piece of weight one."""
+        if word.rank == 1:
+            return Vector({(word,): 1})
+        letter_splits = self.letter_splits
+        out = Vector()
+        for (wA, wB), c in self.reduced_coproduct(word).items():
+            if wA.rank == 1:
+                for rest, c2 in letter_splits(wB).items():
+                    out.add_term((wA,) + rest, c * c2)
+        return out
+
 
 def check_linfty(algebra, weight_cap):
     """Assert the coderivation squares to zero on all words within the cap."""

@@ -311,46 +311,34 @@ class PermutahedronContraction(Contraction):
     solve yields N Hraw, the average N^2 A, the projection 2N^2 H' and the
     repair (2N^2)^2 H.  ``columns`` holds the columns of H built so far,
     face number -> the integer ``Vector`` of (2N^2)^2 H, and H is its exact
-    pair over ``scale`` = (2N^2)^2.
+    pair over ``scale`` = (2N^2)^2.  The columns are built by a
+    ``HomotopyColumns`` of the face index, and F, G and H close over it and
+    the face index, not over the contraction, so that a contraction is freed
+    by reference counting.
     """
 
     def __init__(self, n):
         self.n = n
-        self._nfact = math.factorial(n)
-        self.scale = (2 * self._nfact ** 2) ** 2
         self.faces = faces = FaceIndex(n)
+        self._homotopy = homotopy = HomotopyColumns(faces)
+        self.scale = scale = homotopy.scale
+        self.columns = homotopy.columns
         vertices = faces.by_size[n]
+        nfact = math.factorial(n)
         super().__init__(
             lambda f: ({(): 1} if f in vertices else {}, 1),
-            lambda _: (dict.fromkeys(vertices, 1), self._nfact),
-            lambda f: exact_sum([(self._column(f).terms, 1, self.scale)]),
+            lambda _: (dict.fromkeys(vertices, 1), nfact),
+            lambda f: exact_sum([(homotopy.column(f).terms, 1, scale)]),
             faces.differential,
             lambda _: Vector(),
         )
-        # representative -> [(face, N Hraw column)] over its orbit, until
-        # ``_symmetrize`` has read them
-        self._raw = {}
-        for f, col in _solve_homotopy(faces).items():
-            self._raw.setdefault(faces.rep[f], []).append((f, col))
-        self._symmetrized = {}  # representative -> N^2 A column
-        self._projected = {}  # representative -> 2N^2 H' column
-        self._repaired = {}  # representative -> (2N^2)^2 H column
-        self.columns = {}
         self._plans = {}  # (composition, letter parities) -> compiled cobar_h
         self._pickers = {}  # block indices of a plan face -> (picker, block mask)
         self._letters = {}  # block of generators -> (sign, letter), or None
 
     def homotopy_column(self, face):
-        return self._column(face)
-
-    def _column(self, face):
-        """(2N^2)^2 H(face), an integer ``Vector`` over face numbers, built
-        once and stored."""
-        col = self.columns.get(face)
-        if col is None:
-            col = self.columns[face] = Vector(
-                self.faces.extend(self._repaired, self._repair, {face: 1}))
-        return col
+        """(2N^2)^2 H(face), an integer ``Vector`` over face numbers."""
+        return self._homotopy.column(face)
 
     def cobar_homotopy(self, x, live=None):
         """``cobar_h`` on a cobar word of rank n, exact: a pair (terms, den).
@@ -449,6 +437,35 @@ class PermutahedronContraction(Contraction):
             terms.append((*pick, coeff, -coeff))
         return tuple(positions), terms, den
 
+
+class HomotopyColumns:
+    """The columns of the permutahedron contraction's homotopy on a
+    ``FaceIndex``, built on demand and stored: the raw solve of every face,
+    then per orbit representative the average, the projection and the
+    repair, each scaled to integers as ``PermutahedronContraction`` says."""
+
+    def __init__(self, faces):
+        self.faces = faces
+        self.scale = (2 * math.factorial(faces.n) ** 2) ** 2
+        # representative -> [(face, N Hraw column)] over its orbit, until
+        # ``_symmetrize`` has read them
+        self.raw = {}
+        for f, col in _solve_homotopy(faces).items():
+            self.raw.setdefault(faces.rep[f], []).append((f, col))
+        self._symmetrized = {}  # representative -> N^2 A column
+        self._projected = {}  # representative -> 2N^2 H' column
+        self._repaired = {}  # representative -> (2N^2)^2 H column
+        self.columns = {}
+
+    def column(self, face):
+        """(2N^2)^2 H(face), an integer ``Vector`` over face numbers, built
+        once and stored."""
+        col = self.columns.get(face)
+        if col is None:
+            col = self.columns[face] = Vector(
+                self.faces.extend(self._repaired, self._repair, {face: 1}))
+        return col
+
     def _symmetrize(self, rep):
         """N^2 A(rep), A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
 
@@ -460,7 +477,7 @@ class PermutahedronContraction(Contraction):
         """
         faces = self.faces
         orbit_sum = {}
-        for f, col in self._raw.pop(rep, ()):
+        for f, col in self.raw.pop(rep, ()):
             # sigma_f^-1 in one-line notation is 1 + the inverse of sigma_f
             sigma_f_inverse = [x + 1 for x in faces.carry[f][0]]
             faces.transport(orbit_sum, _action(sigma_f_inverse), col, 1)
@@ -485,9 +502,9 @@ class PermutahedronContraction(Contraction):
         zero: Havg lowers the degree, and only the vertices have degree 0.
         """
         faces = self.faces
-        if rep in faces.by_size[self.n]:
+        if rep in faces.by_size[faces.n]:
             vertex_sum = {}
-            for _, col in self._raw.get(rep, ()):
+            for _, col in self.raw.get(rep, ()):
                 axpy(vertex_sum, col)
             if vertex_sum:
                 raise RuntimeError("raw homotopy does not kill the vertex average")

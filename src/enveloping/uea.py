@@ -44,7 +44,8 @@ class AInftyStructure:
     the letters' perturbed contraction ``Transfer.letters`` on cobar words,
     and no product builds a bar word: m_1 is its d_small, and m_n for
     n >= 2 is ``conjugation_sign`` times its F_t(B), the tree form
-    ``Transfer.tree_product``.
+    ``Transfer.tree_product``.  A zero entry is stored as an empty
+    ``Vector``: only an entry with terms is signed and converted.
 
     Bracket selection, for n >= 2.  Let C be the multiset of the generators
     of u_1, ..., u_n.  A move replaces, inside C, the key of a nonzero
@@ -139,8 +140,10 @@ class AInftyStructure:
                 pair = self.transfer.split_product(words)
             else:
                 pair = None
-            sign = conjugation_sign([w.degree for w in words])
-            value = to_vector(pair).scaled(sign) if pair else Vector()
+            if pair and pair[0]:
+                value = to_vector(pair).scaled(conjugation_sign([w.degree for w in words]))
+            else:
+                value = Vector()
         self._tables[words] = value
         return value
 
@@ -168,7 +171,7 @@ class AInftyStructure:
         from .exactlin import format_scalar
 
         entries = []
-        for bar in sorted(self.bar_words(), key=_bar_key):
+        for bar in self.bar_words():
             value = self.product(bar.letters)
             if not value:
                 continue
@@ -186,12 +189,6 @@ class AInftyStructure:
                 }
             )
         return entries
-
-
-def _bar_key(bar):
-    """``Word.sort_key`` of a bar word with its letters' sort keys in place
-    of the letters: the same order, with each letter's key computed once."""
-    return (bar.rank, bar.length, tuple(x.sort_key() for x in bar.letters), bar.kind)
 
 
 def contraction_rank(algebra, arity_cap, weight_cap):
@@ -274,13 +271,15 @@ def stasheff_sums(structure):
     entries = []  # (inputs, their degrees, rank, terms, den)
     inner = {}  # output word -> [(inputs, rank, signed coefficient, den)]
     for bar in structure.bar_words():
-        terms, den = to_pair(structure.product(bar.letters))
-        if terms:
-            degrees = [x.degree for x in bar.letters]
-            entries.append((bar.letters, degrees, bar.rank, terms, den))
-            sign = conjugation_sign(degrees)
-            for x, c in terms.items():
-                inner.setdefault(x, []).append((bar.letters, bar.rank, sign * c, den))
+        value = structure.product(bar.letters)
+        if not value:
+            continue
+        terms, den = to_pair(value)
+        degrees = [x.degree for x in bar.letters]
+        entries.append((bar.letters, degrees, bar.rank, terms, den))
+        sign = conjugation_sign(degrees)
+        for x, c in terms.items():
+            inner.setdefault(x, []).append((bar.letters, bar.rank, sign * c, den))
     parts = {}  # letters of a bar word -> its parts of exact_sum
     for letters, degrees, rank, terms, den in entries:
         outer = conjugation_sign(degrees)

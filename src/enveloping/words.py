@@ -42,27 +42,32 @@ def cobar_words(gens, rank):
 
 
 def bar_words(letter_pools, rank_cap, length_cap):
-    """Bar words with letters drawn from {rank: pool}, within both caps."""
+    """Bar words with letters drawn from {rank: pool}, ranks >= 1, within
+    both caps, each once, in report order: by total rank, then by length,
+    then by letters, each letter ordered by (its pool's rank, its position
+    in the pool).  Over pools in ``sort_key`` order, such as ``sym_words``,
+    that is the order of the bar words' ``sort_key``."""
     out = []
-    _extend_bar_words(out, sorted(letter_pools.items()), [], rank_cap, length_cap)
+    pools = sorted(letter_pools.items())
+    for rank in range(1, rank_cap + 1):
+        for length in range(1, min(rank, length_cap) + 1):
+            _extend_bar_words(out, pools, letter_pools, (), rank, length)
     return out
 
 
-def _extend_bar_words(out, pools, prefix, remaining, length_cap):
-    """Append to ``out`` the bar word of ``prefix``, if nonempty, and then
-    every extension of it by letters from ``pools``, sorted (rank, pool)
-    pairs, of total rank at most ``remaining``, depth first."""
-    if prefix:
-        out.append(Word(BAR, prefix))
-    if len(prefix) >= length_cap:
+def _extend_bar_words(out, pools, by_rank, prefix, remaining, slots):
+    """Append to ``out`` every bar word of ``prefix`` followed by ``slots``
+    letters of total rank ``remaining``, in order: the last letter takes
+    exactly the rank that is left, each other one at most what leaves a rank
+    of 1 for every later slot."""
+    if slots == 1:
+        out.extend(Word(BAR, prefix + (letter,)) for letter in by_rank.get(remaining, ()))
         return
     for r, pool in pools:
-        if r > remaining:
+        if r > remaining - slots + 1:
             break
         for letter in pool:
-            prefix.append(letter)
-            _extend_bar_words(out, pools, prefix, remaining - r, length_cap)
-            prefix.pop()
+            _extend_bar_words(out, pools, by_rank, prefix + (letter,), remaining - r, slots - 1)
 
 
 def bar_words_algebra(gens, rank_cap, length_cap):

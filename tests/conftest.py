@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from enveloping import permutahedra, tableaux
 from enveloping.bgg import functor_f, functor_g
@@ -25,7 +26,8 @@ from enveloping.exactlin import (
     unshuffles,
 )
 from enveloping.hpt import bar_coderivation, concatenation
-from enveloping.linfty import CECoalgebra, LInftyAlgebra, LInftyModule, algebra_from_json
+from enveloping.linfty import (CECoalgebra, LInftyAlgebra, LInftyModule, algebra_from_json,
+                               from_complete_intersection)
 from enveloping.words import bar_words, cobar_words, vector_product
 
 
@@ -99,6 +101,25 @@ def sl2_plus_l3():
     two = {(e, f): {h: 1}, (e, h): {e: -2}, (f, h): {f: 2}}
     three = {(a, b, c): {z: 1}}
     return LInftyAlgebra([e, f, h, a, b, c, z], {2: two, 3: three}, name="sl2+l3")
+
+
+VARIABLES = ("x", "y")
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def complete_intersections(draw):
+    """A complete intersection on one or two variables with one or two
+    relations of one or two terms of degree 2 or 3, built as the bundled
+    ``ci`` inputs are: valid by construction."""
+    variables = VARIABLES[: draw(st.integers(1, 2))]
+    monomials = st.lists(st.sampled_from(variables), min_size=2, max_size=3).map(
+        lambda m: tuple(sorted(m)))
+    terms = st.lists(st.tuples(st.sampled_from(COEFFS), monomials), min_size=1, max_size=2,
+                     unique_by=lambda term: term[1])
+    relations = draw(st.lists(terms, min_size=1, max_size=2))
+    return from_complete_intersection(
+        list(variables), {"r%d" % i: rel for i, rel in enumerate(relations, 1)})
 
 
 def trivial_module(algebra):

@@ -16,6 +16,7 @@ from enveloping.bgg import (
     tau_value,
     twisted_tensor_acyclicity,
 )
+from enveloping.cli import BUNDLED
 from enveloping.exactlin import (
     BAR,
     COBAR,
@@ -23,6 +24,7 @@ from enveloping.exactlin import (
     Generator,
     Vector,
     Word,
+    conjugation_sign,
     memo_op,
     square_zero,
     sym_word,
@@ -248,6 +250,67 @@ def test_twisted_complex_square_zero_is_checked(sl2_structure):
     twisted = TwistedComplex(sl2_structure, 3)
     assert square_zero(twisted.basis, twisted.differential, "%r")
     assert twisted.complex().homology_dims() == {0: 1}
+
+
+def enumerated_tau_inputs(pieces):
+    """tau of each piece, or None where a piece has another weight than one."""
+    if any(piece.rank != 1 for piece in pieces):
+        return None
+    return tuple(sym_word([piece.letters[0].shifted(1)])[1] for piece in pieces)
+
+
+def enumerated_tau_products(structure, word):
+    """The cochain equation's right side over every split of the word, the
+    splits that tau kills dropped after they are built."""
+    out = Vector()
+    for split, c in structure.transfer.Cfull.splits(word).items():
+        inputs = enumerated_tau_inputs(split)
+        if inputs is None or not 2 <= len(split) <= structure.arity_cap:
+            continue
+        sign = conjugation_sign([w.degree for w in inputs])
+        out.accumulate(structure.product(inputs), c * sign)
+    return out
+
+
+def enumerated_differential(twisted, key):
+    """D of the twisted complex over every coaction split, the splits that
+    tau kills dropped after they are built."""
+    cw, uw = key
+    out = Vector()
+    splits = [((cw,), 1)]
+    if cw is not None:
+        for c2, c in twisted.C.delta(cw).items():
+            out.add_term((c2, uw), c)
+        top = min(twisted.structure.arity_cap, cw.rank + 1)
+        splits = [(split, c) for split, c in twisted.C.splits(cw).items() if len(split) <= top]
+        splits += [((None,) + split, c) for split, c in splits if len(split) < top]
+    outer = 1 if cw is not None and cw.degree % 2 else -1
+    for split, c in splits:
+        c0, pieces = split[0], split[1:]
+        inputs = enumerated_tau_inputs(pieces)
+        if inputs is None:
+            continue
+        coeff = outer * c * conjugation_sign([w.degree for w in inputs] + [0])
+        for u2, c2 in twisted._m_ext(inputs, uw).items():
+            out.add_term((c0, u2), coeff * c2)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_tau_reads_only_the_splits_into_letters(name):
+    # the cochain equation's right side and the twisted differential build
+    # only the splits whose tau pieces have weight one, with the values of
+    # the enumerate-then-filter reference
+    structure = AInftyStructure(bundled(name), 4, 4)
+    C = structure.transfer.Cfull
+    twisted = TwistedComplex(structure, 4)
+    sides = {word: bgg.tau_products(structure, word) for word in C.all_words()}
+    differentials = {key: twisted.differential(key) for key in twisted.basis}
+    assert not C.splits.memo
+    for word, side in sides.items():
+        assert side == enumerated_tau_products(structure, word), word
+    for key, value in differentials.items():
+        assert value == enumerated_differential(twisted, key), key
 
 
 # inputs with brackets of arity >= 3, where the sign of the higher products

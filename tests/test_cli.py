@@ -446,6 +446,32 @@ def test_permutahedron_command(capsys):
     assert report["homology"]["4"] == {"0": 1}
 
 
+def test_the_contraction_build_is_charged_to_the_faces_row(monkeypatch, capsys):
+    # --timings reads each row's time, so the raw solve of the n-th
+    # contraction runs inside faces[n=N], not between rows
+    rows, built = [], []
+    run_row, init = Report.run, permutahedra.PermutahedronContraction.__init__
+
+    def recording_run(self, name, fn):
+        rows.append(name)
+        try:
+            return run_row(self, name, fn)
+        finally:
+            rows.pop()
+
+    def recording_init(self, n):
+        built.append((n, rows[-1] if rows else None))
+        init(self, n)
+
+    monkeypatch.setattr(Report, "run", recording_run)
+    monkeypatch.setattr(permutahedra.PermutahedronContraction, "__init__", recording_init)
+    monkeypatch.setattr(permutahedra, "build_contraction",
+                        functools.lru_cache(maxsize=None)(permutahedra.PermutahedronContraction))
+    code, _, _ = run(capsys, ["--n-cap", "4", "--timings", "permutahedron"])
+    assert code == 0
+    assert built == [(n, "faces[n=%d]" % n) for n in range(1, 5)]
+
+
 def test_permutahedron_command_names_the_failing_face(top_cell_fault, capsys):
     # H must kill the top cell; at n = 1 the top cell is the vertex, and the
     # fault shows first on the basis element () of k, through H G
@@ -743,6 +769,7 @@ MEMOIZED_MAPS = {
     "coalgebra_map": (linfty.LInftyMorphism.coalgebra_map, "fn"),
     "reduced_coproduct": (linfty.CECoalgebra.reduced_coproduct, "fn"),
     "splits": (linfty.CECoalgebra.splits, "fn"),
+    "letter_splits": (linfty.CECoalgebra.letter_splits, "fn"),
     "symmetrize": (uea.ClassicalEnveloping.symmetrize, "fn"),
     "coproduct_map": (uea, "coproduct_map"),
 }
@@ -755,6 +782,8 @@ FRESH = {
         C.algebra, C.weight_cap, C.min_arity, C.max_arity).reduced_coproduct(word),
     "splits": lambda C, word: linfty.CECoalgebra(
         C.algebra, C.weight_cap, C.min_arity, C.max_arity).splits(word),
+    "letter_splits": lambda C, word: linfty.CECoalgebra(
+        C.algebra, C.weight_cap, C.min_arity, C.max_arity).letter_splits(word),
     "symmetrize": lambda oracle, word: uea.ClassicalEnveloping(oracle.algebra).symmetrize(word),
     "coproduct_map": uea.coproduct_map,
     "bar_words": lambda structure: uea.AInftyStructure(

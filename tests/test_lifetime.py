@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from enveloping.cli import main
+from enveloping.permutahedra import PermutahedronContraction
 
 PACKAGE = str(Path(__file__).resolve().parents[1] / "src" / "enveloping")
 
@@ -37,21 +38,45 @@ def engine_name(obj):
     return None
 
 
-def test_a_run_leaves_nothing_for_the_cyclic_collector(capsys):
+def left_for_the_collector(work):
+    """The package objects that a collection finds after ``work()`` runs
+    with the collector paused, counted by ``engine_name``."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for argv in RUNS:
-            assert main(argv) == 0, argv
-            assert capsys.readouterr().out
+        work()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        leaked = Counter(filter(None, map(engine_name, gc.garbage)))
+        return Counter(filter(None, map(engine_name, gc.garbage)))
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if enabled:
             gc.enable()
-    assert not leaked, "left for the cyclic collector: %s" % (
+
+
+def describe(leaked):
+    return "left for the cyclic collector: %s" % (
         ", ".join("%d %s" % (n, name) for name, n in leaked.most_common()))
+
+
+def test_a_run_leaves_nothing_for_the_cyclic_collector(capsys):
+    def runs():
+        for argv in RUNS:
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out
+
+    leaked = left_for_the_collector(runs)
+    assert not leaked, describe(leaked)
+
+
+def test_a_contraction_outside_the_cache_is_freed_by_reference_counting():
+    # its F, G and H close over its columns, not over the contraction
+    def check():
+        con = PermutahedronContraction(4)
+        numbers = range(len(con.faces.faces))
+        assert con.verify_on(numbers, [()])
+
+    leaked = left_for_the_collector(check)
+    assert not leaked, describe(leaked)

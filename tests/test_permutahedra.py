@@ -395,10 +395,10 @@ def test_a_raw_homotopy_that_moves_the_vertex_sum_is_refused(monkeypatch):
 
 def test_raw_columns_are_dropped_once_symmetrized():
     con = PermutahedronContraction(4)
-    assert con._raw
+    assert con._homotopy.raw
     for sizes in compositions(4):
         con.homotopy_column(con.faces.index[standard_face(4, sizes)])
-    assert con._raw == {}
+    assert con._homotopy.raw == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

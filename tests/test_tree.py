@@ -18,10 +18,9 @@ where the tree is zero, and f t_omega P h B only where it is zero.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 import pytest
-from conftest import bar_words_cobar, bundled, dg_lie
+from conftest import bar_words_cobar, bundled, complete_intersections, dg_lie
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +30,7 @@ from enveloping import hpt
 from enveloping.exactlin import (BAR, SYMMETRIC, Word, compositions, consecutive_blocks,
                                  exact_apply, exact_sum, memo_op, to_pair, to_vector)
 from enveloping.hpt import Transfer
-from enveloping.linfty import (CECoalgebra, adjoint_module, dg_vector_space,
-                               from_complete_intersection)
+from enveloping.linfty import CECoalgebra, adjoint_module, dg_vector_space
 from enveloping.permutahedra import cobar_f, cobar_h
 from enveloping.uea import AInftyStructure, corestriction
 from enveloping.words import bar_words_algebra, vector_product
@@ -64,25 +62,6 @@ def test_tree_products_match_the_series(name):
     # on odd1 every product of arity >= 2 vanishes: t1 * t1 = 0; on dg_lie,
     # m_1 holds terms of l_1 and of the perturbation
     assert assert_tree_matches_series(algebra_of(name), 3, 3) == (name != "odd1")
-
-
-VARIABLES = ("x", "y")
-COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
-
-
-@st.composite
-def complete_intersections(draw):
-    """A complete intersection on one or two variables with one or two
-    relations of one or two terms of degree 2 or 3, built as the bundled
-    ``ci`` inputs are: valid by construction."""
-    variables = VARIABLES[: draw(st.integers(1, 2))]
-    monomials = st.lists(st.sampled_from(variables), min_size=2, max_size=3).map(
-        lambda m: tuple(sorted(m)))
-    terms = st.lists(st.tuples(st.sampled_from(COEFFS), monomials), min_size=1, max_size=2,
-                     unique_by=lambda term: term[1])
-    relations = draw(st.lists(terms, min_size=1, max_size=2))
-    return from_complete_intersection(
-        list(variables), {"r%d" % i: rel for i, rel in enumerate(relations, 1)})
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

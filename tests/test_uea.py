@@ -2,10 +2,12 @@
 comparison, and the structural identity checkers."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from enveloping import uea
 from enveloping.exactlin import (
     COBAR,
     Generator,
@@ -238,6 +240,30 @@ def test_stasheff_sum_is_the_one_letter_part_of_d_squared(name, poison):
         assert grouped == pair, bar
         failing += bool(pair[0])
     assert bool(failing) == bool(poison)
+
+
+@pytest.mark.parametrize("name", ["l3only", "ci_cubic", "sl2"])
+def test_zero_entries_cost_nothing_past_bracket_selection(monkeypatch, name):
+    # product signs only the entries with terms, and stasheff_sums converts
+    # only those to exact pairs
+    calls = Counter()
+
+    def counted(fn):
+        def wrapped(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapped
+
+    A = AInftyStructure(bundled(name), 4, 4)
+    monkeypatch.setattr(uea, "conjugation_sign", counted(uea.conjugation_sign))
+    values = [A.product(bar.letters) for bar in A.bar_words()]
+    nonzero = sum(map(bool, values))
+    higher = sum(bool(v) for bar, v in zip(A.bar_words(), values) if bar.length >= 2)
+    assert 0 < nonzero < len(values)
+    assert calls["conjugation_sign"] == higher
+    monkeypatch.setattr(uea, "to_pair", counted(uea.to_pair))
+    stasheff_sums(A)
+    assert calls["to_pair"] == nonzero
 
 
 # one product negated at caps 4/4, its input words as tuples of generator
