@@ -151,8 +151,8 @@ def cmd_validate(args):
     return report, None
 
 
-# the largest permutahedron contraction that a run may build: the solve at
-# rank 7 alone takes minutes and most of a gigabyte
+# the largest permutahedron contraction that a run may build: the largest
+# rank whose homotopy is stored (``permutahedra.HOMOTOPY_CRC32``)
 MAX_CONTRACTION_RANK = 6
 
 

@@ -5,25 +5,37 @@ complex carries a left symmetric-group action and a block-reversal involution,
 and contracts equivariantly onto its degree-0 homology.  ``FaceIndex``
 numbers the faces, and everything past their enumeration runs on those
 numbers: the boundary, the chain complex and the contraction's F, G, H and
-d_big, whose chains are integer dicts over face numbers.  The homotopy is
-solved once on every face, then averaged and repaired only on the orbit
-representatives, one standard face per composition of n; the action carries
-it to every other face.  Those stages are scaled by powers of n!, and a
-column of the homotopy is stored as the integer chain they give, over one
-scale.  Transporting the contraction along the face/cobar dictionary yields
-the contracting homotopy of the cobar construction of a symmetric coalgebra;
-each contraction compiles that transport once per shape of cobar word, with
-integer coefficients over one denominator.  The contraction's F, G and H and
-the cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and ``cobar_gf`` return
+d_big, whose chains are integer dicts over face numbers.  The homotopy
+depends on n alone.  Its columns on the orbit representatives, one standard
+face per composition of n, are package data: ``data/homotopy/n<N>.json``,
+each column the integer chain of (2N^2)^2 H, N = n!, keyed by block
+vectors, and each file checked against a crc32 pinned in
+``HOMOTOPY_CRC32``.  A contraction loads the file of its n, and the action
+carries those columns to every other face; no run solves.  The generator,
+``python -m enveloping.permutahedra DIR [N_MAX]``, writes the files: it
+solves the homotopy once on every face, then averages and repairs it on the
+representatives, each stage scaled by powers of n!.  Transporting the
+contraction along the face/cobar dictionary yields the contracting homotopy
+of the cobar construction of a symmetric coalgebra; each contraction
+compiles that transport once per shape of cobar word, with integer
+coefficients over one denominator.  The contraction's F, G and H and the
+cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and ``cobar_gf`` return
 exact pairs (terms, den), see ``exactlin.exact_sum``.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import json
 import math
-from operator import itemgetter
+import sys
+import time
+import zlib
 from functools import lru_cache
+from importlib import resources
+from operator import itemgetter
+from pathlib import Path
 
 from .exactlin import (
     COBAR,
@@ -247,16 +259,14 @@ class FaceIndex:
             else:
                 del out[image]
 
-    def extend(self, memo, column, vec):
-        """Apply an equivariant map, known by ``column`` on the orbit
-        representatives (memoized in ``memo``), to a chain.  A face off its
+    def extend(self, columns, vec):
+        """Apply an equivariant map, known by its ``columns`` on the orbit
+        representatives of the faces of ``vec``, to a chain.  A face off its
         representative takes sigma of the representative's column."""
         out = {}
         for f, c in vec.items():
             rep = self.rep[f]
-            col = memo.get(rep)
-            if col is None:
-                col = memo[rep] = column(rep)
+            col = columns[rep]
             if f == rep:
                 axpy(out, col, c)
             else:
@@ -301,26 +311,23 @@ class PermutahedronContraction(Contraction):
 
     The faces are known by their ``FaceIndex`` numbers.  F sends a vertex
     to 1 and G sends 1 to the average of the vertices; d on k is zero, and
-    d_big is the boundary of ``FaceIndex``.  H starts from a degreewise
-    exact solve on every face, is averaged over the group S_n x <nu> and
-    repaired to satisfy the side conditions: H' = (1 - GF) Havg (1 - GF),
-    then H = H' d H'.  Every stage is equivariant, so it is computed, on
-    demand, only on the orbit representatives (one standard face per
-    composition of n) and reaches any other face through the action.  The
-    stages run on integer chains over face numbers, scaled by N = n!: the
-    solve yields N Hraw, the average N^2 A, the projection 2N^2 H' and the
-    repair (2N^2)^2 H.  ``columns`` holds the columns of H built so far,
-    face number -> the integer ``Vector`` of (2N^2)^2 H, and H is its exact
-    pair over ``scale`` = (2N^2)^2.  The columns are built by a
-    ``HomotopyColumns`` of the face index, and F, G and H close over it and
-    the face index, not over the contraction, so that a contraction is freed
-    by reference counting.
+    d_big is the boundary of ``FaceIndex``.  H is equivariant under
+    S_n x <nu>: its columns on the orbit representatives (one standard face
+    per composition of n) are the stored data of ``stored_homotopy(n)``,
+    and it reaches any other face through the action.  ``columns`` holds
+    the columns of H built so far, face number -> the integer ``Vector`` of
+    (2N^2)^2 H, N = n!, and H is its exact pair over ``scale`` = (2N^2)^2.
+    The columns are built by a ``HomotopyColumns`` of the face index, and F,
+    G and H close over it and the face index, not over the contraction, so
+    that a contraction is freed by reference counting.  A rank with no
+    stored columns is refused before its faces are built.
     """
 
     def __init__(self, n):
         self.n = n
+        stored = stored_homotopy(n)
         self.faces = faces = FaceIndex(n)
-        self._homotopy = homotopy = HomotopyColumns(faces)
+        self._homotopy = homotopy = HomotopyColumns(faces, stored)
         self.scale = scale = homotopy.scale
         self.columns = homotopy.columns
         vertices = faces.by_size[n]
@@ -440,21 +447,17 @@ class PermutahedronContraction(Contraction):
 
 class HomotopyColumns:
     """The columns of the permutahedron contraction's homotopy on a
-    ``FaceIndex``, built on demand and stored: the raw solve of every face,
-    then per orbit representative the average, the projection and the
-    repair, each scaled to integers as ``PermutahedronContraction`` says."""
+    ``FaceIndex``, built on demand and stored: the stored columns of the
+    orbit representatives (``stored_homotopy``), read onto face numbers,
+    and sigma of them on every other face."""
 
-    def __init__(self, faces):
+    def __init__(self, faces, stored):
         self.faces = faces
         self.scale = (2 * math.factorial(faces.n) ** 2) ** 2
-        # representative -> [(face, N Hraw column)] over its orbit, until
-        # ``_symmetrize`` has read them
-        self.raw = {}
-        for f, col in _solve_homotopy(faces).items():
-            self.raw.setdefault(faces.rep[f], []).append((f, col))
-        self._symmetrized = {}  # representative -> N^2 A column
-        self._projected = {}  # representative -> 2N^2 H' column
-        self._repaired = {}  # representative -> (2N^2)^2 H column
+        number = {_block_key(b): i for i, b in enumerate(faces._blocks)}
+        # representative -> (2N^2)^2 H column, in the stored order
+        self._stored = {number[rep]: {number[g]: c for g, c in col}
+                        for rep, col in stored.items()}
         self.columns = {}
 
     def column(self, face):
@@ -462,9 +465,81 @@ class HomotopyColumns:
         once and stored."""
         col = self.columns.get(face)
         if col is None:
-            col = self.columns[face] = Vector(
-                self.faces.extend(self._repaired, self._repair, {face: 1}))
+            col = self.columns[face] = Vector(self.faces.extend(self._stored, {face: 1}))
         return col
+
+
+def _block_key(blocks):
+    """The key of a face in the stored homotopy: its block vector as a
+    string of digits, the block of each element of {1..n} in turn."""
+    return "".join(map(str, blocks))
+
+
+# zlib.crc32 of data/homotopy/n<N>.json, the stored columns of the rank-N
+# homotopy, as the generator (``main``) wrote them; no contraction of a rank
+# missing here is built
+HOMOTOPY_CRC32 = {
+    1: 0xad9ff6df,
+    2: 0x68ba454b,
+    3: 0x3ae1de76,
+    4: 0x8a484533,
+    5: 0x16b00cad,
+    6: 0xd6b8cd0e,
+}
+
+
+def _homotopy_file(n):
+    """The stored homotopy of rank n, a resource of the package."""
+    return resources.files("enveloping.data").joinpath("homotopy").joinpath("n%d.json" % n)
+
+
+def stored_homotopy(n):
+    """The stored columns of the rank-n homotopy on the standard faces: the
+    standard face's block vector (``_block_key``) -> [[face block vector,
+    integer of (2N^2)^2 H]], each column in the order the repair gave it.
+    A rank with no stored file raises ValueError, which names the largest
+    stored rank, and a file that does not match its pinned crc32 raises
+    RuntimeError."""
+    if n not in HOMOTOPY_CRC32:
+        raise ValueError("no stored homotopy for the rank-%d permutahedron; the largest "
+                         "stored rank is %d" % (n, max(HOMOTOPY_CRC32)))
+    data = _homotopy_file(n).read_bytes()
+    if zlib.crc32(data) != HOMOTOPY_CRC32[n]:
+        raise RuntimeError("stored homotopy n%d.json does not match its pinned crc32" % n)
+    return json.loads(data)
+
+
+# The generator of the stored homotopy, and the only code that solves:
+# ``main`` runs it, and no run of the engine reaches it.
+
+
+class HomotopySolve:
+    """The homotopy on the orbit representatives of a ``FaceIndex``, solved:
+    the raw solve of every face, then per representative the average, the
+    projection and the repair, each built on demand and stored, and scaled
+    to integers: ``_solve_homotopy`` gives N Hraw, N = n!, ``_symmetrize``
+    N^2 A, ``_project`` 2N^2 H' and ``repair`` (2N^2)^2 H, the stored
+    column."""
+
+    def __init__(self, faces):
+        self.faces = faces
+        # representative -> [(face, N Hraw column)] over its orbit, until
+        # ``_symmetrize`` has read them
+        self.raw = {}
+        for f, col in _solve_homotopy(faces).items():
+            self.raw.setdefault(faces.rep[f], []).append((f, col))
+        self._symmetrized = {}  # representative -> N^2 A column
+        self._projected = {}  # representative -> 2N^2 H' column
+
+    def _extend(self, memo, build, vec):
+        """``FaceIndex.extend`` of the map that ``build`` gives on the
+        representatives, each built once into ``memo`` in the order the
+        faces of ``vec`` reach it."""
+        for f in vec:
+            rep = self.faces.rep[f]
+            if rep not in memo:
+                memo[rep] = build(rep)
+        return self.faces.extend(memo, vec)
 
     def _symmetrize(self, rep):
         """N^2 A(rep), A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
@@ -508,17 +583,18 @@ class HomotopyColumns:
                 axpy(vertex_sum, col)
             if vertex_sum:
                 raise RuntimeError("raw homotopy does not kill the vertex average")
-        y = faces.extend(self._symmetrized, self._symmetrize, {rep: 1})
+        y = self._extend(self._symmetrized, self._symmetrize, {rep: 1})
         sign, image = faces.nu[rep]
-        reflected = faces.extend(self._symmetrized, self._symmetrize, {image: sign})
+        reflected = self._extend(self._symmetrized, self._symmetrize, {image: sign})
         axpy(y, {faces.nu[g][1]: faces.nu[g][0] * c for g, c in reflected.items()})
         return y
 
-    def _repair(self, rep):
-        """(2N^2)^2 H''(rep), H'' = H' d H'."""
+    def repair(self, rep):
+        """(2N^2)^2 H''(rep), H'' = H' d H': the stored column of the
+        representative ``rep``."""
         faces = self.faces
-        once = faces.extend(self._projected, self._project, {rep: 1})
-        return faces.extend(self._projected, self._project, _apply(once, faces.boundary))
+        once = self._extend(self._projected, self._project, {rep: 1})
+        return self._extend(self._projected, self._project, _apply(once, faces.boundary))
 
 
 def _solve_homotopy(faces):
@@ -584,11 +660,18 @@ def _solve_homotopy(faces):
     return H
 
 
+def homotopy_data(faces):
+    """The stored homotopy of ``faces``' rank, solved: ``stored_homotopy``'s
+    map, the standard columns in face-number order."""
+    solve = HomotopySolve(faces)
+    keys = [_block_key(b) for b in faces._blocks]
+    return {keys[rep]: [[keys[g], c] for g, c in solve.repair(rep).items()]
+            for rep in sorted(set(faces.rep))}
+
+
 @lru_cache(maxsize=None)
 def build_contraction(n):
     """Memoized equivariant contraction for the n-th permutahedron."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return PermutahedronContraction(n)
 
 
@@ -677,3 +760,35 @@ def iota_omega(x):
     if d % 2:
         sign = -sign
     return Vector.unit(Word(COBAR, reversed(x.letters)), sign)
+
+
+def main(argv):
+    """``python -m enveloping.permutahedra DIR [N_MAX]``: solve the homotopy
+    for n = 1..N_MAX and write each rank's standard columns to DIR/n<N>.json,
+    printing each n, its face count, the CPU time of the solve and the
+    file's crc32, for ``HOMOTOPY_CRC32``."""
+    parser = argparse.ArgumentParser(
+        prog="python -m enveloping.permutahedra",
+        description="Solve the permutahedron homotopy and write its stored columns.")
+    parser.add_argument("directory", type=Path,
+                        help="where n<N>.json is written, for n = 1..N_MAX")
+    parser.add_argument("n_max", metavar="N_MAX", type=int, nargs="?",
+                        default=max(HOMOTOPY_CRC32),
+                        help="the largest rank written (default: the largest stored)")
+    args = parser.parse_args(argv)
+    if args.n_max < 1:
+        parser.error("N_MAX must be positive")
+    args.directory.mkdir(parents=True, exist_ok=True)
+    for n in range(1, args.n_max + 1):
+        start = time.process_time()
+        faces = FaceIndex(n)
+        data = json.dumps(homotopy_data(faces), separators=(",", ":")).encode()
+        elapsed = time.process_time() - start
+        (args.directory / ("n%d.json" % n)).write_bytes(data)
+        print("n=%d faces=%d cpu_s=%.3f crc32=0x%08x" % (n, len(faces.faces), elapsed,
+                                                         zlib.crc32(data)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -527,9 +527,10 @@ def test_a_flipped_sign_in_the_numbered_boundary_fails_boundary_squares(monkeypa
                                  "contraction[n=3]": ([[1, 2, 3]], "homotopy identity")}
 
 
-def test_a_pivot_that_does_not_divide_exits_three(monkeypatch, capsys):
-    # boundary entries of 2 instead of +-1: the integer solve meets a pivot
-    # lead that does not divide, and stops there instead of rounding
+def test_a_doubled_boundary_fails_the_contraction_row(monkeypatch, capsys):
+    # boundary entries of 2 instead of +-1: the stored homotopy no longer
+    # contracts the complex, d d is still zero and the homology is still one
+    # point, so only the contraction row fails, at the first face of n = 2
     index = permutahedra.FaceIndex.__init__
 
     def doubled(self, n):
@@ -539,9 +540,9 @@ def test_a_pivot_that_does_not_divide_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(permutahedra.FaceIndex, "__init__", doubled)
     monkeypatch.setattr(permutahedra, "build_contraction",
                         functools.lru_cache(maxsize=None)(permutahedra.PermutahedronContraction))
-    code, out, err = run(capsys, ["--n-cap", "2", "permutahedron"])
-    assert code == 3 and out == ""
-    assert "does not divide" in err
+    code, out, err = run(capsys, ["--n-cap", "2", "--format", "json", "permutahedron"])
+    assert (code, err) == (1, "")
+    assert _failed_rows(out) == {"contraction[n=2]": ([[1, 2]], "homotopy identity")}
 
 
 def test_any_other_exception_exits_three(monkeypatch, capsys):

@@ -26,6 +26,7 @@ from enveloping import permutahedra
 from enveloping.linfty import abelian, heisenberg
 from enveloping.permutahedra import (
     FaceIndex,
+    HomotopySolve,
     OrderedPartition,
     PermutahedronContraction,
     _action,
@@ -38,6 +39,7 @@ from enveloping.permutahedra import (
     cobar_gf,
     cobar_h,
     enumerate_faces,
+    homotopy_data,
     standard_face,
 )
 from enveloping.words import cobar_words, desuspended_letter, sym_words
@@ -377,7 +379,7 @@ def test_integer_solve_raises_on_a_face_without_boundary():
 
 def test_a_raw_homotopy_that_moves_the_vertex_sum_is_refused(monkeypatch):
     # one vertex column off by an edge: Hraw no longer kills the vertex sum,
-    # which the projection reads when it builds H on a vertex
+    # which the generator's projection reads when it builds H on a vertex
     solve = permutahedra._solve_homotopy
 
     def perturbed(faces):
@@ -388,17 +390,38 @@ def test_a_raw_homotopy_that_moves_the_vertex_sum_is_refused(monkeypatch):
         return H
 
     monkeypatch.setattr(permutahedra, "_solve_homotopy", perturbed)
-    con = PermutahedronContraction(3)
+    faces = FaceIndex(3)
+    solved = HomotopySolve(faces)
     with pytest.raises(RuntimeError, match="raw homotopy does not kill the vertex average"):
-        con.homotopy_column(con.faces.index[F((1,), (2,), (3,))])
+        solved.repair(faces.index[F((1,), (2,), (3,))])
+    with pytest.raises(RuntimeError, match="raw homotopy does not kill the vertex average"):
+        homotopy_data(FaceIndex(3))
 
 
 def test_raw_columns_are_dropped_once_symmetrized():
-    con = PermutahedronContraction(4)
-    assert con._homotopy.raw
+    faces = FaceIndex(4)
+    solved = HomotopySolve(faces)
+    assert solved.raw
     for sizes in compositions(4):
-        con.homotopy_column(con.faces.index[standard_face(4, sizes)])
-    assert con._homotopy.raw == {}
+        solved.repair(faces.index[standard_face(4, sizes)])
+    assert solved.raw == {}
+
+
+def test_a_pivot_that_does_not_divide_stops_the_generator(monkeypatch, tmp_path, capsys):
+    # boundary entries of 2 instead of +-1: the integer solve meets a pivot
+    # lead that does not divide, and stops there instead of rounding; n = 1,
+    # which has no boundary, is written, and n = 2 is not
+    index = permutahedra.FaceIndex.__init__
+
+    def doubled(self, n):
+        index(self, n)
+        self.boundary = [{g: 2 * c for g, c in col.items()} for col in self.boundary]
+
+    monkeypatch.setattr(permutahedra.FaceIndex, "__init__", doubled)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        permutahedra.main([str(tmp_path), "2"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n1.json"]
+    assert capsys.readouterr().out.startswith("n=1 faces=1 ")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
