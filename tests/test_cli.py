@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DG_LIE, boundary
-from enveloping import cli, linfty, permutahedra, uea
+from conftest import DG_LIE
+from enveloping import cli, hpt, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
 from enveloping.exactlin import CheckResult, Generator, sym_word
 
@@ -520,11 +520,42 @@ def test_a_flipped_sign_in_the_numbered_boundary_fails_boundary_squares(monkeypa
     monkeypatch.setattr(permutahedra, "build_contraction", contractions.__getitem__)
     code, out, _ = run(capsys, ["--n-cap", "3", "--format", "json", "permutahedron"])
     assert code == 1
-    top = permutahedra.enumerate_faces(3, 1)[0]
-    edge, c = next(iter(boundary(top).items()))
-    expected = "boundary squares to %r" % (boundary(edge).scaled(-2 * c),)
+    expected = "boundary squares to -2 [1|2|3] + 2 [1|3|2]"
     assert _failed_rows(out) == {"boundary_squares[n=3]": ([[1, 2, 3]], expected),
                                  "contraction[n=3]": ([[1, 2, 3]], "homotopy identity")}
+
+
+def _negate_tree_product(monkeypatch, inputs):
+    """Negate the table entry m_n on ``inputs``, a repr of its input words,
+    where the products read it: the tree form of the transfer."""
+    tree_product = hpt.Transfer.tree_product
+
+    def negated(self, words):
+        terms, den = tree_product(self, words)
+        if "".join(map(repr, words)) == inputs:
+            return {w: -c for w, c in terms.items()}, den
+        return terms, den
+
+    monkeypatch.setattr(hpt.Transfer, "tree_product", negated)
+
+
+# the failing rows of ``check`` on sl2 at 3/3 with m_2(e, f) negated
+NEGATED_EF_FAILURES = {
+    "alt": {"alt[n=2]": (["e", "f"], "antisymmetrized product -2 (e*f) != bracket 1 (h)")},
+    "stasheff": {"stasheff": ([["e"], ["e"], ["f"]],
+                              "bar differential squares to -2/3 [(e)] + 2 [(e*h)] + 2 [(e*e*f)]")},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(NEGATED_EF_FAILURES))
+def test_a_negated_table_entry_fails_with_its_pinned_detail(monkeypatch, capsys, suite):
+    # the detail prints vectors: the antisymmetrized product and the bracket,
+    # or d d of a bar word, with a coefficient that is not an integer
+    _negate_tree_product(monkeypatch, "(e)(f)")
+    code, out, _ = run(capsys, ["--input", "bundled:sl2", "--arity-cap", "3", "--weight-cap",
+                                "3", "--format", "json", "check", "--suite", suite])
+    assert code == 1
+    assert _failed_rows(out) == NEGATED_EF_FAILURES[suite]
 
 
 def test_a_doubled_boundary_fails_the_contraction_row(monkeypatch, capsys):
