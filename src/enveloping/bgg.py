@@ -11,8 +11,10 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, memo_method,
-                       square_zero, sym_word, to_vector, vector_view)
+import math
+
+from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, exact_apply,
+                       exact_sum, memo_method, square_zero, sym_word)
 from .linfty import LInftyModule
 from .uea import caps_suffice
 from .words import sym_words, vector_product
@@ -26,7 +28,7 @@ def _tau_inputs(pieces):
 
 def tau_value(word):
     """The canonical twisted cochain: desuspended weight-one projection."""
-    return Vector.unit(_tau_inputs((word,))[0]) if word.rank == 1 else Vector()
+    return Vector({_tau_inputs((word,))[0]: 1} if word.rank == 1 else {})
 
 
 def _arity_needed(structure, weight_cap):
@@ -49,7 +51,9 @@ def generalized_cochain_check(structure):
     C = structure.transfer.Cfull
 
     def lhs(word):
-        return C.delta(word).apply(tau_value) + tau_value(word).apply(structure.m1)
+        dc = exact_apply(C.delta(word), tau_value)
+        da = exact_apply(tau_value(word), structure.m1)
+        return exact_sum([(dc.terms, 1, dc.den), (da.terms, 1, da.den)])
 
     return agree(C.all_words(), lhs, lambda word: tau_products(structure, word),
                  "twisted cochain equation fails")
@@ -61,13 +65,14 @@ def tau_products(structure, word):
     split with ``conjugation_sign`` of its tau images' degrees.  tau vanishes
     off weight one, so only the split into single letters, i = the word's
     weight, is read."""
-    out = Vector()
+    parts = []
     if 2 <= word.rank <= structure.arity_cap:
-        for split, c in structure.transfer.Cfull.letter_splits(word).items():
+        for split, c in structure.transfer.Cfull.letter_splits(word).terms.items():
             inputs = _tau_inputs(split)
             sign = conjugation_sign([w.degree for w in inputs])
-            out.accumulate(structure.product(inputs), c * sign)
-    return out
+            terms, den = structure.product(inputs)
+            parts.append((terms, c * sign, den))
+    return exact_sum(parts)
 
 
 class TwistedComplex:
@@ -95,9 +100,7 @@ class TwistedComplex:
     def _m_ext(self, inputs, u):
         """Product with a possibly-unit last argument (strict unitality)."""
         if u is None:
-            if len(inputs) == 1:
-                return Vector.unit(inputs[0])
-            return Vector()
+            return Vector({inputs[0]: 1} if len(inputs) == 1 else {})
         return self.structure.product(inputs + (u,))
 
     @memo_method
@@ -128,30 +131,31 @@ class TwistedComplex:
         (-1)^(|c_0| + sum_a (k - 1 - a)|c_a|), lacks the factor (-1)^(k(k - 1)/2).
         """
         cw, uw = key
-        out = Vector()
+        parts = []
         splits = [((cw,), 1)]
         if cw is not None:
-            for c2, c in self.C.delta(cw).items():
-                out.add_term((c2, uw), c)
+            terms, den = self.C.delta(cw)
+            parts.append(({(c2, uw): c for c2, c in terms.items()}, 1, den))
             # (c_0, .., c_k) with c_1, .., c_k single letters, the only ones
             # tau keeps, and k < top: c_0 = cw, or c_0 and a split of the
             # rest of cw into letters, or None and a split of cw into letters
             top = min(self.structure.arity_cap, cw.rank + 1)
             letter_splits = self.C.letter_splits
-            for (c0, rest), c in self.C.reduced_coproduct(cw).items():
+            for (c0, rest), c in self.C.reduced_coproduct(cw).terms.items():
                 if rest.rank < top:
                     splits += [((c0,) + split, c * c2)
-                               for split, c2 in letter_splits(rest).items()]
+                               for split, c2 in letter_splits(rest).terms.items()]
             if cw.rank < top:
-                splits += [((None,) + split, c) for split, c in letter_splits(cw).items()]
+                splits += [((None,) + split, c)
+                           for split, c in letter_splits(cw).terms.items()]
         outer = 1 if cw is not None and cw.degree % 2 else -1
         for split, c in splits:
             c0, pieces = split[0], split[1:]
             inputs = _tau_inputs(pieces)
             coeff = outer * c * conjugation_sign([w.degree for w in inputs] + [0])
-            for u2, c2 in self._m_ext(inputs, uw).items():
-                out.add_term((c0, u2), coeff * c2)
-        return out
+            terms, den = self._m_ext(inputs, uw)
+            parts.append(({(c0, u2): c2 for u2, c2 in terms.items()}, coeff, den))
+        return exact_sum(parts)
 
     def complex(self):
         by_degree = {}
@@ -182,7 +186,7 @@ def twisted_tensor_acyclicity(structure, weight_cap):
 
 
 # ---------------------------------------------------------------------------
-# module operators: Vectors over pairs (m, m') of module generators, the
+# module operators: ``Vector``s over pairs (m, m') of module generators, the
 # coefficient of m' in the image of m
 
 
@@ -217,7 +221,9 @@ class AInftyModule:
 def _rho_cobar(module_l, x):
     """Multiplicative extension of the module twisting to a cobar word: the
     composite of the letters' operators, the last letter acting first."""
-    return Vector(vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose))
+    factors = [module_l.tau(c) for c in reversed(x.letters)]
+    return exact_sum([(vector_product([f.terms for f in factors], _compose), 1,
+                       math.prod(f.den for f in factors))])
 
 
 def functor_g(module_l, structure, arity_cap, weight_cap):
@@ -227,8 +233,8 @@ def functor_g(module_l, structure, arity_cap, weight_cap):
     cochain = {}
     for bar in bar_words_algebra(structure.algebra.generators, weight_cap, arity_cap):
         # Phi, the one-letter part of the perturbed inclusion, on cobar words
-        value = to_vector(structure.transfer.phi(bar.letters)).apply(
-            lambda x: _rho_cobar(module_l, x))
+        value = exact_apply(structure.transfer.phi(bar.letters),
+                            lambda x: _rho_cobar(module_l, x))
         if value:
             cochain[bar] = value
     return AInftyModule(structure, module_l.basis, module_l.d_m, cochain,
@@ -239,11 +245,12 @@ def functor_f(module_u, weight_cap):
     """From an enveloping-side module back to a coalgebra-side module."""
     structure = module_u.structure
     C = structure.transfer.Cfull
+    zero = Vector({})
     action = {}
     for word in C.all_words(weight_cap):
         unit = structure.transfer.unit_inclusion(word)
-        action[word] = unit.apply(vector_view(structure.transfer.con.F)).apply(
-            module_u.cochain.get)
+        action[word] = exact_apply(exact_apply(unit, structure.transfer.con.F),
+                                   lambda bar: module_u.cochain.get(bar, zero))
     return LInftyModule(structure.algebra, module_u.basis, module_u.d_m, action,
                         name=module_u.name + ">coalg")
 

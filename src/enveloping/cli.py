@@ -16,7 +16,7 @@ import time
 from importlib import resources
 
 from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
-from .exactlin import CheckResult, Generator, Vector, agree, memo_op, square_zero, vector_view
+from .exactlin import CheckResult, Generator, Vector, agree, exact_apply, memo_op, square_zero
 
 TEXT = "text"
 JSON = "json"
@@ -303,8 +303,8 @@ def _theorem1_check(n_cap):
     result = con.verify_on(cobar, [])
     if not result:
         return result
-    iota, H = permutahedra.iota_omega, vector_view(con.H)
-    return agree(cobar, lambda xw: iota(xw).apply(H), lambda xw: H(xw).apply(iota),
+    iota, H = permutahedra.iota_omega, con.H
+    return agree(cobar, lambda xw: exact_apply(iota(xw), H), lambda xw: exact_apply(H(xw), iota),
                  "h does not commute with iota_omega")
 
 
@@ -350,8 +350,8 @@ def _on_faces(n, result, d=None):
     faces = permutahedra.all_faces(n)
     detail = result.detail
     if d is not None:
-        dd = d(result.counterexample).apply(d)
-        detail = "boundary squares to %r" % (Vector({faces[g]: c for g, c in dd.items()}),)
+        terms, den = exact_apply(d(result.counterexample), d)
+        detail = "boundary squares to %r" % (Vector({faces[g]: c for g, c in terms.items()}, den),)
     return CheckResult(False, faces[result.counterexample], detail)
 
 

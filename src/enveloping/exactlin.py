@@ -1,13 +1,12 @@
 """Exact rational graded linear algebra over named bases.
 
 Generators carry a cohomological degree (differentials have degree +1).
-Vectors and maps are sparse dictionaries with Fraction coefficients; every
-operation is exact, there is no floating point anywhere in the package.
-Where the transfer adds many rational terms, a vector is held exact as a
-pair (terms, den): integer terms over one positive denominator, reduced by
-their gcd (``exact_sum``).  ``exact_apply`` is the linear extension of a map
-on such pairs, and ``to_vector`` and ``to_pair`` convert between the two
-forms.
+A vector is a ``Vector``, the exact pair (terms, den): integer terms over
+one positive denominator, reduced by their gcd (``exact_sum``), and a map
+sends a basis key to a ``Vector``; every operation is exact, there is no
+floating point anywhere in the package.  ``exact_apply`` is the linear
+extension of a map.  ``Fraction`` is read only where a scalar is parsed or
+printed and in row reduction over Q.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_scalar(text) -> Fraction:
     """Parse a rational from a 'p/q' (or plain integer) string."""
@@ -32,10 +28,17 @@ def parse_scalar(text) -> Fraction:
         raise ValueError("zero denominator in %r" % (text,)) from None
 
 
-def format_scalar(q) -> str:
-    """Serialize a rational as an explicit 'p/q' string."""
-    q = Fraction(q)
+def format_scalar(n, den=1) -> str:
+    """Serialize the rational n / den as an explicit, reduced 'p/q' string."""
+    q = Fraction(n, den)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def rationals(vector):
+    """The coefficients of a ``Vector`` as 'p/q' strings, the form in which
+    the input gives them to ``parse_scalar``."""
+    terms, den = vector
+    return {w: format_scalar(c, den) for w, c in terms.items()}
 
 
 class Generator(NamedTuple):
@@ -247,84 +250,29 @@ def sym_word(letters):
     return sign, Word(SYMMETRIC, sorted_letters)
 
 
-class Vector:
-    """Sparse vector: finite map from basis keys to nonzero Fractions."""
+class Vector(NamedTuple):
+    """Sparse exact vector: integer ``terms``, a finite map from basis keys
+    to nonzero ints, over one positive denominator ``den``.  Built by
+    ``exact_sum``, or directly where the terms share no factor with den
+    (den = 1, or every term +-1), it is reduced, so that ``==`` is equality
+    of vectors.  It unpacks as ``terms, den``, is false when it has no
+    terms, and is never changed once built."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    @classmethod
-    def unit(cls, word, coeff=ONE):
-        if coeff == 0 or word is None:
-            return cls()
-        v = cls()
-        v.terms[word] = Fraction(coeff)
-        return v
+    terms: dict
+    den: int = 1
 
     def __bool__(self):
         return bool(self.terms)
 
-    def items(self):
-        return self.terms.items()
-
-    def copy(self):
-        return Vector(self.terms)
-
-    def add_term(self, word, coeff):
-        # in-place accumulation; only used while assembling a new vector
-        c = self.terms.get(word, ZERO) + coeff
-        if c:
-            self.terms[word] = c
-        else:
-            self.terms.pop(word, None)
-
-    def accumulate(self, other, coeff=1):
-        """self += coeff * other, in place; only for a vector being assembled."""
-        axpy(self.terms, other.terms, coeff)
-        return self
-
-    def __add__(self, other):
-        return Vector(self.terms).accumulate(other)
-
-    def __sub__(self, other):
-        return Vector(self.terms).accumulate(-other)
-
-    def __neg__(self):
-        return Vector({w: -c for w, c in self.terms.items()})
-
-    def scaled(self, a):
-        a = Fraction(a)
-        if a == 0:
-            return Vector()
-        return Vector({w: a * c for w, c in self.terms.items()})
-
-    def __rmul__(self, a):
-        return self.scaled(a)
-
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.terms == other.terms
-
-    def apply(self, op):
-        """Linear extension: op maps a basis key to a Vector (or None)."""
-        out = Vector()
-        for w, c in self.terms.items():
-            image = op(w)
-            if image:
-                out.accumulate(image, c)
-        return out
-
-    def coeff(self, word):
-        return self.terms.get(word, ZERO)
+    # a tuple's + and * concatenate and repeat; a vector has neither
+    __add__ = __mul__ = __rmul__ = None
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for w in sorted(self.terms, key=_generic_key):
-            bits.append("%s %r" % (self.terms[w], w))
-        return " + ".join(bits)
+        return " + ".join(
+            "%s %r" % (format_scalar(self.terms[w], self.den).removesuffix("/1"), w)
+            for w in sorted(self.terms, key=_generic_key))
 
 
 def _generic_key(word):
@@ -417,13 +365,14 @@ def _recursion_step(memo, step, word):
 
 
 class Echelon:
-    """Sparse Gaussian elimination over Q with combination tracking.
+    """Sparse Gaussian elimination on term dicts with combination tracking.
 
     Pivots are keyed by the minimal basis element (under sort_key) in the
     support of the reduced vector; insertion order is up to the caller, which
     makes the whole reduction deterministic.  Integer input stays integer:
     each pivot lead must then divide the entry it eliminates, or reduction
-    raises RuntimeError.
+    raises RuntimeError; ``over_q`` gives the terms of a ``Vector`` for
+    elimination over Q.
     """
 
     def __init__(self):
@@ -438,23 +387,23 @@ class Echelon:
         span.  combo_used collects, in the caller's tag space, the pivot-tag
         combination that was subtracted (plus the passed-in seed combo).
         """
-        combo = combo.copy() if combo is not None else Vector()
-        vec = vec.copy()
+        combo = dict(combo or ())
+        vec = dict(vec)
         key, pivots = _generic_key, self.pivots
         # every pivot key met so far; an elimination only brings in keys above
         # its lead, so the heap yields the hits in increasing order
-        hits = [k for k in map(key, vec.terms) if k in pivots]
+        hits = [k for k in map(key, vec) if k in pivots]
         seen = set(hits)
         heapq.heapify(hits)
         while hits:
             lead, pvec, pcombo = pivots[heapq.heappop(hits)]
-            c = vec.terms.get(lead)
+            c = vec.get(lead)
             if not c:
                 continue
-            factor = -_quotient(c, pvec.terms[lead])
-            axpy(vec.terms, pvec.terms, factor)
-            axpy(combo.terms, pcombo.terms, factor)
-            for w in pvec.terms:
+            factor = -_quotient(c, pvec[lead])
+            axpy(vec, pvec, factor)
+            axpy(combo, pcombo, factor)
+            for w in pvec:
                 k = key(w)
                 if k in pivots and k not in seen:
                     seen.add(k)
@@ -466,7 +415,7 @@ class Echelon:
         residual, acc = self.reduce(vec, combo)
         if not residual:
             return False, acc
-        lead = min(residual.terms, key=_generic_key)
+        lead = min(residual, key=_generic_key)
         self.pivots[_generic_key(lead)] = (lead, residual, acc)
         return True, acc
 
@@ -504,7 +453,7 @@ def axpy(terms, other, factor=1):
 
 def exact_sum(parts):
     """The sum of (a / b) terms over ``parts`` of (terms, a, b), integer term
-    dicts with integers a and b > 0, as one exact pair (terms, den): integer
+    dicts with integers a and b > 0, as one reduced ``Vector``: integer
     terms over the least common denominator, divided by the gcd of den and
     the terms.  The terms add in the order given, so keys come out in the
     order that adding the rationals one by one would give."""
@@ -524,13 +473,13 @@ def exact_sum(parts):
     if g > 1:
         den //= g
         out = {w: c // g for w, c in out.items()}
-    return out, den
+    return Vector(out, den)
 
 
-def exact_apply(pair, op):
-    """The linear extension of an exact map ``op``, basis key -> pair, to an
-    exact pair: the one exact counterpart of ``Vector.apply``."""
-    terms, den = pair
+def exact_apply(vector, op):
+    """The linear extension of a map ``op``, basis key -> ``Vector``, to a
+    ``Vector``."""
+    terms, den = vector
     parts = []
     for w, c in terms.items():
         image, d = op(w)
@@ -538,29 +487,18 @@ def exact_apply(pair, op):
     return exact_sum(parts)
 
 
-def to_vector(pair):
-    """The ``Vector`` of an exact pair (terms, den)."""
-    terms, den = pair
-    return Vector({w: Fraction(n, den) for w, n in terms.items()})
-
-
-def to_pair(vector):
-    """The exact pair of a ``Vector``, the inverse of ``to_vector``: integer
-    terms over the least common denominator of its coefficients, which is
-    the reduced pair."""
-    den = math.lcm(*(c.denominator for c in vector.terms.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in vector.items()}, den
-
-
-def vector_view(op):
-    """The ``Vector`` map of an exact map, converted on each call."""
-    return lambda word: to_vector(op(word))
+def over_q(vector):
+    """The coefficients of a ``Vector`` as Fractions, a term dict for
+    ``Echelon`` over Q."""
+    terms, den = vector
+    return {w: Fraction(c, den) for w, c in terms.items()}
 
 
 def rank_of(vectors):
+    """The rank over Q of ``Vector``s."""
     ech = Echelon()
     for v in vectors:
-        ech.insert(v)
+        ech.insert(over_q(v))
     return ech.rank
 
 
@@ -582,7 +520,7 @@ class CheckResult:
 def square_zero(keys, d, detail):
     """Fails at the first key where d(d(key)) is nonzero, with detail % (dd,)."""
     for key in keys:
-        dd = d(key).apply(d)
+        dd = exact_apply(d(key), d)
         if dd:
             return CheckResult(False, key, detail % (dd,))
     return CheckResult(True)
@@ -598,8 +536,7 @@ def agree(keys, lhs, rhs, detail):
 
 class Contraction:
     """Big and small complexes with projection, inclusion and homotopy, each
-    a map on basis keys.  F, G and H are exact: each returns a pair (terms,
-    den), memoized; the differentials d_big and d_small return ``Vector``s.
+    a map from basis keys to ``Vector``s, memoized.
 
     All five identities (FG = 1, 1 - GF = dH + Hd and the three side
     conditions) are expected to hold; ``verify_on`` checks them, and that F
@@ -615,15 +552,11 @@ class Contraction:
         self.d_small = memo_op(d_small)
 
     def verify_on(self, big_words, small_words):
-        # exact throughout: the differentials are converted once per key, and
-        # both sides of each identity compare as reduced pairs
-        F, G, H = self.F, self.G, self.H
-        d_big, d_small = (memo_op(lambda w, d=d: to_pair(d(w)))
-                          for d in (self.d_big, self.d_small))
-        zero = ({}, 1)
+        F, G, H, d_big, d_small = self.F, self.G, self.H, self.d_big, self.d_small
+        zero = Vector({})
         for w in small_words:
             g = G(w)
-            if exact_apply(g, F) != ({w: 1}, 1):
+            if exact_apply(g, F) != Vector({w: 1}):
                 return CheckResult(False, w, "FG")
             if exact_apply(g, H) != zero:
                 return CheckResult(False, w, "HG")

@@ -33,8 +33,6 @@ from .exactlin import (
     memo_op,
     memo_recursion,
     sym_word,
-    to_pair,
-    to_vector,
 )
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
@@ -58,16 +56,16 @@ def cobar_differential(C):
     reduced_coproduct = C.reduced_coproduct
 
     def on_word(x):
-        out = letter_part(x)
+        terms, den = letter_part(x)
+        parts = [(terms, 1, den)]
         left = 0
         for j, c in enumerate(x.letters):
-            prefix = -1 if left % 2 else 1
-            for (cA, cB), coeff in reduced_coproduct(c).items():
-                sA = -1 if cA.degree % 2 else 1
-                letters = x.letters[:j] + (cA, cB) + x.letters[j + 1 :]
-                out.add_term(Word(COBAR, letters), COPRODUCT_SIGN * prefix * sA * coeff)
+            head, tail = x.letters[:j], x.letters[j + 1 :]
+            split = {Word(COBAR, head + pair + tail): -coeff if pair[0].degree % 2 else coeff
+                     for pair, coeff in reduced_coproduct(c).terms.items()}
+            parts.append((split, -COPRODUCT_SIGN if left % 2 else COPRODUCT_SIGN, 1))
             left += c.degree + 1
-        return out
+        return exact_sum(parts)
 
     return on_word
 
@@ -100,18 +98,19 @@ def algebra_differential(L):
     """Derivation extension of l_1 to symmetric-algebra words."""
 
     def on_word(w):
-        out = Vector()
+        parts = []
         left = 0
         for i, g in enumerate(w.letters):
-            prefix = -1 if left % 2 else 1
-            img = L.bracket((g,))
-            for g2, c in img.items():
+            terms, den = L.bracket((g,))
+            # distinct generators give distinct words
+            image = {}
+            for g2, c in terms.items():
                 s2, w2 = sym_word(w.letters[:i] + (g2,) + w.letters[i + 1 :])
-                if w2 is None:
-                    continue
-                out.add_term(w2, prefix * c * s2)
+                if w2 is not None:
+                    image[w2] = c * s2
+            parts.append((image, -1 if left % 2 else 1, den))
             left += g.degree
-        return out
+        return exact_sum(parts)
 
     return on_word
 
@@ -130,29 +129,29 @@ def bar_coderivation(ops):
 
     def on_bar(b):
         kind, letters = b.kind, b.letters
-        out = Vector()
+        parts = []
         left = 0
         for j in range(len(letters)):
             for k, op in arities:
                 chunk = letters[j : j + k]
                 if len(chunk) < k:
                     break
-                image = op(*chunk)
-                if image:
+                terms, den = op(*chunk)
+                if terms:
                     sign = conjugation_sign([x.degree for x in chunk])
                     sign = -sign if left % 2 else sign
                     head, tail = letters[:j], letters[j + k :]
-                    for x, c in image.items():
-                        out.add_term(Word(kind, head + (x,) + tail), sign * c)
+                    parts.append(({Word(kind, head + (x,) + tail): c for x, c in terms.items()},
+                                  sign, den))
             left += letters[j].degree - 1
-        return out
+        return exact_sum(parts)
 
     return on_bar
 
 
 def concatenation(x, y):
     """The product of the cobar algebra on two letters."""
-    return Vector.unit(Word(COBAR, x.letters + y.letters))
+    return Vector({Word(COBAR, x.letters + y.letters): 1})
 
 
 def _t2(pair):
@@ -166,8 +165,8 @@ def _t2(pair):
 
 def bar_morphism(letter_map):
     """Letterwise degree-0 map of bar or cobar words (no signs), into words
-    of the input's kind, exact: the product of the letters' pairs (terms,
-    den) under the exact ``letter_map``."""
+    of the input's kind: the product of the letters' images under
+    ``letter_map``."""
 
     def on_bar(b):
         kind = b.kind
@@ -187,15 +186,14 @@ def lifted_homotopy(letter_gf, letter_h):
     and a bar word w, H(x|w) = -h(x)|w + (-1)^(|x|-1) gf(x)|H(w), and H of
     the empty word is 0 (the leading minus is the sign of -s h s^{-1}).
 
-    Everything is exact: ``letter_h`` and ``letter_gf`` return pairs
-    (terms, den), and so does ``on_bar(b, H)``, which reads H(w) from ``H``;
-    given the memoized homotopy itself, it expands the round trip gf on each
-    suffix once, not once per slot.
+    ``on_bar(b, H)`` reads H(w) from ``H``; given the memoized homotopy
+    itself, it expands the round trip gf on each suffix once, not once per
+    slot.
     """
 
     def on_bar(b, H):
         if not b.letters:
-            return {}, 1
+            return Vector({})
         x, rest = b.letters[0], b.letters[1:]
         h_terms, h_den = letter_h(x)
         parts = [({Word(BAR, (y,) + rest): c for y, c in h_terms.items()}, -1, h_den)]
@@ -215,27 +213,24 @@ class PerturbationError(RuntimeError):
 
 
 def perturbation_series(t, H, budget):
-    """P = 1 - Ht + HtHt - ... = sum (-Ht)^k, one memoized exact map, by
-    P(w) = w - P(H t w): the series ``_series`` with A = 1 and K = Ht.
-
-    t and H are exact, word -> pair (terms, den), and so is P.
-    """
-    return _series(lambda word: ({word: 1}, 1), lambda word: exact_apply(t(word), H), budget)
+    """P = 1 - Ht + HtHt - ... = sum (-Ht)^k, one memoized map, by
+    P(w) = w - P(H t w): the series ``_series`` with A = 1 and K = Ht."""
+    return _series(lambda word: Vector({word: 1}), lambda word: exact_apply(t(word), H), budget)
 
 
 def _series(A, K, budget):
-    """X(w) = A(w) - X(K w), one memoized exact map: A and K are exact, word
-    -> pair (terms, den), and each word's value is stored once, as the pair
-    of ``exactlin.exact_sum``, so a tail that several words share is
-    computed once.  A word is looked up in the memo before ``budget(word)``
-    is read; the budget bounds the recursion below a word that the memo does
-    not hold yet, and a word whose K w is nonzero past it raises
-    ``PerturbationError``.
+    """X(w) = A(w) - X(K w), one memoized map, word -> ``Vector``, as are A
+    and K: each word's value is stored once, so a tail that several words
+    share is computed once.  A word is looked up in the memo before
+    ``budget(word)`` is read; the budget bounds the recursion below a word
+    that the memo does not hold yet, and a word whose K w is nonzero past it
+    raises ``PerturbationError``.
     """
     memo = {}
 
     def X(word):
-        return memo.get(word) or _series_value(memo, A, K, word, budget(word))
+        v = memo.get(word)
+        return _series_value(memo, A, K, word, budget(word)) if v is None else v
 
     X.memo = memo
     return X
@@ -250,7 +245,8 @@ def _series_value(memo, A, K, word, steps):
     head, den_a = A(word)
     parts = [(head, 1, den_a)]
     for u, n in tail.items():
-        terms, den_u = memo.get(u) or _series_value(memo, A, K, u, steps - 1)
+        v = memo.get(u)
+        terms, den_u = _series_value(memo, A, K, u, steps - 1) if v is None else v
         parts.append((terms, -n, den * den_u))
     out = memo[word] = exact_sum(parts)
     return out
@@ -271,28 +267,33 @@ def bpl(con, t, h_t=None):
     no map of the perturbed contraction: where t kills the image of G, as on
     the letters, it adds nothing.  The series terminate because every
     perturbation strictly decreases rank or bar length, which are bounded
-    below.  t's exact pair is memoized once.
+    below.  t is memoized once.
 
-    F_t's step t H(w) reads H through ``h_t``, by default H itself: an
-    exact map that agrees with H wherever t is nonzero, so that it may drop
-    the terms of H(w) that t kills; nothing else reads ``h_t``.
+    F_t's step t H(w) reads H through ``h_t``, by default H itself: a map
+    that agrees with H wherever t is nonzero, so that it may drop the terms
+    of H(w) that t kills; nothing else reads ``h_t``.
     """
     F, H = con.F, con.H
     h_t = h_t or H
-    t_exact = memo_op(lambda w: to_pair(t(w)))
-    P = perturbation_series(t_exact, H, default_budget)
-    F_t = _series(F, lambda w: exact_apply(h_t(w), t_exact), default_budget)
+    t = memo_op(t)
+    P = perturbation_series(t, H, default_budget)
+    F_t = _series(F, lambda w: exact_apply(h_t(w), t), default_budget)
 
     def then_P(op):
         return lambda w: exact_apply(op(w), P)
 
     def d_big_t(w):
-        return con.d_big(w) + t(w)
+        return _plus(con.d_big(w), t(w))
 
     def d_small_t(w):
-        return con.d_small(w) + to_vector(exact_apply(exact_apply(con.G(w), t_exact), F_t))
+        return _plus(con.d_small(w), exact_apply(exact_apply(con.G(w), t), F_t))
 
     return Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
+
+
+def _plus(u, v):
+    """The sum of two ``Vector``s."""
+    return exact_sum([(u.terms, 1, u.den), (v.terms, 1, v.den)])
 
 
 class Transfer:
@@ -346,14 +347,14 @@ class Transfer:
 
     @memo_method
     def phi(self, words):
-        """Phi(u_1..u_n) on a tuple of symmetric words, as cobar words, exact."""
+        """Phi(u_1..u_n) on a tuple of symmetric words, as cobar words."""
         if len(words) == 1:
             return self.letters.G(words[0])
         return exact_apply(self.split(words), self.letters.H)
 
     @memo_method
     def split(self, words):
-        """B of n >= 2 symmetric words, as cobar words, exact."""
+        """B of n >= 2 symmetric words, as cobar words."""
         phi = self.phi
         parts = []
         for k in range(1, len(words)):
@@ -362,18 +363,18 @@ class Transfer:
         return exact_sum(parts)
 
     def split_product(self, words):
-        """f(B) on two symmetric words u and v, exact: ``tree_product`` where
+        """f(B) on two symmetric words u and v: ``tree_product`` where
         f t_omega P h B is zero.  f is multiplicative, fg = 1 and |g u| = |u|,
         so f(B) = f(t_2(g u, g v)) is (-1)^|u| uv, built without B."""
         u, v = words
         sign, word = sym_word(u.letters + v.letters)
         if word is None:
-            return {}, 1
-        return {word: -sign if u.degree % 2 else sign}, 1
+            return Vector({})
+        return Vector({word: -sign if u.degree % 2 else sign})
 
     def tree_product(self, words):
-        """F_t(B) on n >= 2 symmetric words, exact: m_n before its
-        conjugation sign."""
+        """F_t(B) on n >= 2 symmetric words: m_n before its conjugation
+        sign."""
         return exact_apply(self.split(words), self.letters.F)
 
     def unit_inclusion(self, word):
@@ -382,9 +383,8 @@ class Transfer:
         Components run over all the word's splits; each factor is a
         one-letter cobar word, resuspended (sign (-1)^{i(i-1)/2} at arity i).
         """
-        out = Vector()
-        for split, c in self.Cfull.splits(word).items():
+        out = {}
+        for split, c in self.Cfull.splits(word).terms.items():
             sign = -1 if (len(split) * (len(split) - 1) // 2) % 2 else 1
-            letters = tuple(Word(COBAR, (piece,)) for piece in split)
-            out.add_term(Word(BAR, letters), sign * c)
-        return out
+            out[Word(BAR, tuple(Word(COBAR, (piece,)) for piece in split))] = sign * c
+        return Vector(out)

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .exactlin import (
     Generator,
     Vector,
     agree,
     antisymmetric_sign,
+    axpy,
     conjugation_sign,
-    format_scalar,
+    exact_apply,
+    exact_sum,
     koszul_sign,
     memo_method,
     parse_scalar,
+    rationals,
     s_power_sign,
     set_partitions,
     square_zero,
@@ -34,9 +36,12 @@ from .words import sym_words, sym_words_upto, vector_product
 class LInftyAlgebra:
     """Generators with degrees plus bracket tables l_k of degree 2 - k.
 
-    ``brackets``: {arity: {sorted generator tuple: {Generator: Fraction}}}.
-    Keys must be sorted by (id, degree); a repeated generator is allowed only
-    if it is odd (even repeats vanish by graded antisymmetry).
+    ``brackets``: {arity: {sorted generator tuple: {Generator: coefficient}}},
+    each coefficient a rational that ``parse_scalar`` reads (an int, a
+    Fraction or a 'p/q' string); ``self.brackets`` holds each value as a
+    ``Vector``.  Keys must be sorted by (id, degree); a repeated generator
+    is allowed only if it is odd (even repeats vanish by graded
+    antisymmetry).
     """
 
     def __init__(self, generators, brackets, name=""):
@@ -59,7 +64,8 @@ class LInftyAlgebra:
         return all(k <= 2 for k in self.brackets)
 
     def truncate_to_dg_lie(self):
-        kept = {k: t for k, t in self.brackets.items() if k <= 2}
+        kept = {k: {key: rationals(v) for key, v in t.items()}
+                for k, t in self.brackets.items() if k <= 2}
         return LInftyAlgebra(self.generators, kept, self.name + "_trunc")
 
     def __repr__(self):
@@ -75,12 +81,14 @@ def antisymmetric_lookup(tables, gens):
     k = len(gens)
     table = tables.get(k)
     if not table:
-        return Vector()
+        return Vector({})
     order = sorted(range(k), key=lambda i: gens[i])
     vec = table.get(tuple(gens[i] for i in order))
     if not vec:
-        return Vector()
-    return vec.scaled(antisymmetric_sign(order, [g.degree for g in gens]))
+        return Vector({})
+    if antisymmetric_sign(order, [g.degree for g in gens]) > 0:
+        return vec
+    return Vector({g: -c for g, c in vec.terms.items()}, vec.den)
 
 
 def structure_tables(tables, shift, targets, kind, symbol):
@@ -91,6 +99,7 @@ def structure_tables(tables, shift, targets, kind, symbol):
     no arity 0.  A key of arity k is a sorted tuple of k generators that
     repeats only odd ones (even repeats vanish by graded antisymmetry); its
     value lies in the span of ``targets``, in degree sum |x_i| + shift - k.
+    Each coefficient is read by ``parse_scalar``.
     """
     targets = frozenset(targets)
     out = {}
@@ -107,7 +116,7 @@ def structure_tables(tables, shift, targets, kind, symbol):
             for a, b in zip(word, word[1:]):
                 if a == b and a.degree % 2 == 0:
                     raise ValueError("repeated even generator in %s key %r" % (kind, word))
-            vec = Vector()
+            parts = []
             target_degree = sum(g.degree for g in word) + shift - arity
             for gen, coeff in value.items():
                 if gen not in targets:
@@ -117,7 +126,9 @@ def structure_tables(tables, shift, targets, kind, symbol):
                         "%s %s_%d on %r must land in degree %d"
                         % (kind, symbol, arity, word, target_degree)
                     )
-                vec.add_term(gen, Fraction(coeff))
+                q = parse_scalar(coeff)
+                parts.append(({gen: 1}, q.numerator, q.denominator))
+            vec = exact_sum(parts)
             if vec:
                 clean[word] = vec
         if clean:
@@ -131,11 +142,11 @@ def suspended_lookup(tables, letters, sign_rule):
     antisymmetry, multiply by ``sign_rule`` of the unsuspended degrees and
     suspend the value."""
     unsus = tuple(g.shifted(1) for g in letters)
-    vec = antisymmetric_lookup(tables, unsus)
-    if not vec:
-        return vec
+    terms, den = antisymmetric_lookup(tables, unsus)
+    if not terms:
+        return Vector({})
     sign = sign_rule([g.degree for g in unsus])
-    return Vector({gen.shifted(-1): sign * coeff for gen, coeff in vec.items()})
+    return Vector({gen.shifted(-1): sign * coeff for gen, coeff in terms.items()}, den)
 
 
 class CECoalgebra:
@@ -164,28 +175,31 @@ class CECoalgebra:
         """Coderivation on a symmetric word (sum over letter subsets)."""
         letters = word.letters
         n = len(letters)
-        out = Vector()
+        parts = []
         max_k = n if self.max_arity is None else min(n, self.max_arity)
         for inside, outside, sign in unshuffles(
             [g.degree for g in letters], range(self.min_arity, max_k + 1)
         ):
-            value = suspended_lookup(self.algebra.brackets, tuple(letters[i] for i in inside),
-                                     conjugation_sign)
-            if not value:
+            terms, den = suspended_lookup(self.algebra.brackets,
+                                          tuple(letters[i] for i in inside), conjugation_sign)
+            if not terms:
                 continue
             rest = [letters[i] for i in outside]
-            for gen, coeff in value.items():
+            # distinct generators give distinct words
+            image = {}
+            for gen, coeff in terms.items():
                 s2, w2 = sym_word([gen] + rest)
-                if w2 is None:
-                    continue
-                out.add_term(w2, sign * coeff * s2)
-        return out
+                if w2 is not None:
+                    image[w2] = coeff * s2
+            parts.append((image, sign, den))
+        return exact_sum(parts)
 
     @memo_method
     def reduced_coproduct(self, word):
-        """Position-split reduced coproduct; Vector over ordered pairs."""
+        """Position-split reduced coproduct; an integer Vector over ordered
+        pairs."""
         letters = word.letters
-        out = Vector()
+        out = {}
         for inside, outside, sign in unshuffles(
             [g.degree for g in letters], range(1, len(letters))
         ):
@@ -193,20 +207,19 @@ class CECoalgebra:
             sB, wB = sym_word([letters[i] for i in outside])
             if wA is None or wB is None:
                 continue
-            out.add_term((wA, wB), sign * sA * sB)
-        return out
+            axpy(out, {(wA, wB): sign * sA * sB})
+        return Vector(out)
 
     @memo_method
     def splits(self, word):
         """The iterated reduced coproducts Delta^(k) of a word for every
-        k >= 1: its ordered splits into k nonempty symmetric words, a Vector
-        over k-tuples ordered by k, by recursion on the second factor."""
+        k >= 1: its ordered splits into k nonempty symmetric words, an integer
+        Vector over k-tuples ordered by k, by recursion on the second factor."""
         splits = self.splits
-        out = Vector({(word,): 1})
-        for (wA, wB), c in self.reduced_coproduct(word).items():
-            for rest, c2 in splits(wB).items():
-                out.add_term((wA,) + rest, c * c2)
-        return Vector(sorted(out.items(), key=lambda term: len(term[0])))
+        out = {(word,): 1}
+        for (wA, wB), c in self.reduced_coproduct(word).terms.items():
+            axpy(out, {(wA,) + rest: c2 for rest, c2 in splits(wB).terms.items()}, c)
+        return Vector(dict(sorted(out.items(), key=lambda term: len(term[0]))))
 
     @memo_method
     def letter_splits(self, word):
@@ -216,12 +229,11 @@ class CECoalgebra:
         if word.rank == 1:
             return Vector({(word,): 1})
         letter_splits = self.letter_splits
-        out = Vector()
-        for (wA, wB), c in self.reduced_coproduct(word).items():
+        out = {}
+        for (wA, wB), c in self.reduced_coproduct(word).terms.items():
             if wA.rank == 1:
-                for rest, c2 in letter_splits(wB).items():
-                    out.add_term((wA,) + rest, c * c2)
-        return out
+                axpy(out, {(wA,) + rest: c2 for rest, c2 in letter_splits(wB).terms.items()}, c)
+        return Vector(out)
 
 
 def check_linfty(algebra, weight_cap):
@@ -262,15 +274,16 @@ class LInftyMorphism:
         letters = word.letters
         degs = [g.degree for g in letters]
         n = len(letters)
-        out = Vector()
+        parts = []
         for partition in set_partitions(range(n)):
             # the sign of the unshuffle to the order of the blocks
             arrangement = [i for block in partition for i in block]
             sign = koszul_sign(tuple(arrangement), degs)
             factors = [self.suspended_component(tuple(letters[i] for i in block))
                        for block in partition]
-            out.accumulate(Vector(vector_product(factors, sym_word)), sign)
-        return out
+            parts.append((vector_product([f.terms for f in factors], sym_word), sign,
+                          math.prod(f.den for f in factors)))
+        return exact_sum(parts)
 
 
 def identity_morphism(algebra):
@@ -282,8 +295,8 @@ def check_morphism(phi, weight_cap):
     """Commutation of the induced coalgebra map with both differentials."""
     CL = CECoalgebra(phi.source, weight_cap)
     CM = CECoalgebra(phi.target, weight_cap)
-    return agree(CL.all_words(), lambda word: CL.delta(word).apply(phi.coalgebra_map),
-                 lambda word: phi.coalgebra_map(word).apply(CM.delta),
+    return agree(CL.all_words(), lambda word: exact_apply(CL.delta(word), phi.coalgebra_map),
+                 lambda word: exact_apply(phi.coalgebra_map(word), CM.delta),
                  "coalgebra map is not a chain map")
 
 
@@ -295,17 +308,13 @@ def compose_morphisms(psi, phi, weight_cap):
     for arity in range(1, weight_cap + 1):
         table = {}
         for word in sym_words(tuple(g.shifted(-1) for g in phi.source.generators), arity):
-            image = phi.coalgebra_map(word).apply(psi.coalgebra_map)
-            vec = Vector()
-            for w2, c in image.items():
-                if w2.rank == 1:
-                    vec.add_term(w2.letters[0].shifted(1), c)
-            if not vec:
-                continue
+            image, den = exact_apply(phi.coalgebra_map(word), psi.coalgebra_map)
             unsus = tuple(g.shifted(1) for g in word.letters)
-            sign = s_power_sign([g.degree for g in unsus])
             # invert the suspension conjugation to recover plain components
-            table[unsus] = {g: sign * c for g, c in vec.items()}
+            sign = s_power_sign([g.degree for g in unsus])
+            vec = {w2.letters[0].shifted(1): sign * c for w2, c in image.items() if w2.rank == 1}
+            if vec:
+                table[unsus] = rationals(Vector(vec, den))
         if table:
             components[arity] = table
     return LInftyMorphism(phi.source, psi.target, components)
@@ -314,7 +323,7 @@ def compose_morphisms(psi, phi, weight_cap):
 class LInftyModule:
     """Module data: a graded space with a degree +1 twisting into End(M).
 
-    An operator is a Vector over pairs (m, m') of module generators, the
+    An operator is a ``Vector`` over pairs (m, m') of module generators, the
     coefficient of m' in the image of m.  ``d_m`` is the differential and
     ``action`` maps a symmetric sL word to its operator.
     """
@@ -323,12 +332,12 @@ class LInftyModule:
         self.algebra = algebra
         self.basis = tuple(sorted(basis))
         self.name = name
-        self.d_m = d_m or Vector()
+        self.d_m = d_m or Vector({})
         self.action = {word: op for word, op in (action or {}).items() if op}
 
     def tau(self, word):
         """The operator of a coalgebra word."""
-        return self.action.get(word, Vector())
+        return self.action.get(word) or Vector({})
 
 
 def check_module(module, weight_cap):
@@ -342,22 +351,20 @@ def check_module(module, weight_cap):
 
     def D(key):
         word, m = key
-        out = Vector()
+        parts = []
         if word is not None:
-            for w2, c in C.delta(word).items():
-                out.add_term((w2, m), c)
+            terms, den = C.delta(word)
+            parts.append(({(w2, m): c for w2, c in terms.items()}, 1, den))
         cdeg = 0 if word is None else word.degree
         pieces = [(word, module.d_m, -1 if cdeg % 2 else 1)]
         # (left factor, operator on m, sign): d_m, then the coaction terms
         if word is not None:
             pieces.append((None, module.tau(word), 1))
-            for (wA, wB), c in C.reduced_coproduct(word).items():
+            for (wA, wB), c in C.reduced_coproduct(word).terms.items():
                 pieces.append((wA, module.tau(wB), -c if wA.degree % 2 else c))
-        for left, op, c in pieces:
-            for (m1, m2), c2 in op.items():
-                if m1 == m:
-                    out.add_term((left, m2), c * c2)
-        return out
+        for left, (terms, den), c in pieces:
+            parts.append(({(left, m2): c2 for (m1, m2), c2 in terms.items() if m1 == m}, c, den))
+        return exact_sum(parts)
 
     keys = ((word, m) for word in words for m in module.basis)
     return square_zero(keys, D, "module differential squares to %r")
@@ -370,11 +377,11 @@ def adjoint_module(algebra):
     test is check_module.
     """
     def operator(first):
-        return Vector({
-            (m, m2): c
-            for m in algebra.generators
-            for m2, c in algebra.bracket(first + (m,)).items()
-        })
+        parts = []
+        for m in algebra.generators:
+            terms, den = algebra.bracket(first + (m,))
+            parts.append(({(m, m2): c for m2, c in terms.items()}, 1, den))
+        return exact_sum(parts)
 
     action = {sym_word([g.shifted(-1)])[1]: operator((g,)) for g in algebra.generators}
     d_m = operator(())
@@ -401,7 +408,7 @@ def dg_vector_space(pairs):
     table = {}
     for gid, _, image in pairs:
         if image:
-            table[(gens[gid],)] = {gens[t]: Fraction(c) for t, c in image.items()}
+            table[(gens[gid],)] = {gens[t]: c for t, c in image.items()}
     return LInftyAlgebra(list(gens.values()), {1: table} if table else {}, name="dg")
 
 
@@ -423,7 +430,7 @@ def from_complete_intersection(variables, polynomials, divided_powers=False):
         z = Generator("z_" + pid, 2)
         zs[pid] = z
         for coeff, monomial in terms:
-            coeff = Fraction(coeff)
+            coeff = parse_scalar(coeff)
             if len(monomial) < 2:
                 raise ValueError("polynomial %s has a term of degree < 2" % pid)
             if any(v not in xi for v in monomial):
@@ -432,13 +439,13 @@ def from_complete_intersection(variables, polynomials, divided_powers=False):
                 continue
             key = tuple(sorted(xi[v] for v in monomial))
             k = len(key)
-            mult = Fraction(1)
+            mult = 1
             if not divided_powers:
                 for _, grp in itertools.groupby(key):
                     mult *= math.factorial(len(list(grp)))
             table = brackets.setdefault(k, {})
             entry = table.setdefault(key, {})
-            entry[z] = entry.get(z, Fraction(0)) + coeff * mult
+            entry[z] = entry.get(z, 0) + coeff * mult
     gens = list(xi.values()) + list(zs.values())
     return LInftyAlgebra(gens, brackets, name="ci")
 
@@ -457,8 +464,8 @@ def algebra_to_json(algebra):
                     "arity": arity,
                     "inputs": [g.id for g in word],
                     "value": [
-                        {"coeff": format_scalar(c), "monomial": [g.id]}
-                        for g, c in sorted(vec.items())
+                        {"coeff": c, "monomial": [g.id]}
+                        for g, c in sorted(rationals(vec).items())
                     ],
                 }
             )
@@ -532,7 +539,7 @@ def algebra_from_json(data):
             if len(monomial) != 1:
                 raise ValueError("bracket values must be single generators")
             g = gens[monomial[0]]
-            value[g] = value.get(g, Fraction(0)) + parse_scalar(t["coeff"])
+            value[g] = value.get(g, 0) + parse_scalar(t["coeff"])
         table = brackets.setdefault(arity, {})
         if word in table:
             raise ValueError("duplicate bracket entry for %r" % (word,))
@@ -546,8 +553,7 @@ def module_from_json(algebra, data):
     have k inputs and land in degree sum |x_i| + |m| + 1 - k, the degree of
     l_{k+1}; the differential (arity 0) lands in degree |m| + 1."""
     gens = _generators_from_json(data["generators"])
-    d_m = Vector()
-    action = {}
+    parts = {}  # None for d_m, or an action word -> the parts of its operator
     for entry in data.get("actions", []):
         arity = _integer(entry["arity"], "arity")
         inputs = _ids(entry.get("inputs", []), "module action inputs")
@@ -571,13 +577,14 @@ def module_from_json(algebra, data):
                     % (inputs, m, target_degree)
                 )
             terms.append((g, parse_scalar(t["coeff"])))
-        op, sign = d_m, 1
+        word, sign = None, 1
         if arity:
             sign, word = sym_word(letters)
             if word is None:
                 raise ValueError("action word repeats an odd suspended generator")
-            op = action.setdefault(word, Vector())
-        for g, c in terms:
-            op.add_term((m, g), sign * c)
-    return LInftyModule(algebra, list(gens.values()), d_m, action,
+        parts.setdefault(word, []).extend(
+            ({(m, g): 1}, sign * c.numerator, c.denominator) for g, c in terms)
+    ops = {word: exact_sum(p) for word, p in parts.items()}
+    d_m = ops.pop(None, None)
+    return LInftyModule(algebra, list(gens.values()), d_m, ops,
                         name=_string(data.get("name", ""), "the module name"))

@@ -18,9 +18,7 @@ representatives, each stage scaled by powers of n!.  Transporting the
 contraction along the face/cobar dictionary yields the contracting homotopy
 of the cobar construction of a symmetric coalgebra; each contraction
 compiles that transport once per shape of cobar word, with integer
-coefficients over one denominator.  The contraction's F, G and H and the
-cobar maps ``cobar_f``, ``cobar_g``, ``cobar_h`` and ``cobar_gf`` return
-exact pairs (terms, den), see ``exactlin.exact_sum``.
+coefficients over one denominator.
 """
 
 from __future__ import annotations
@@ -241,7 +239,7 @@ class FaceIndex:
         return out
 
     def differential(self, face):
-        """The boundary of face number ``face``, as a ``Vector``."""
+        """The boundary of face number ``face``, as an integer ``Vector``."""
         return Vector(self.boundary[face])
 
     def transport(self, out, action, col, c):
@@ -333,11 +331,11 @@ class PermutahedronContraction(Contraction):
         vertices = faces.by_size[n]
         nfact = math.factorial(n)
         super().__init__(
-            lambda f: ({(): 1} if f in vertices else {}, 1),
-            lambda _: (dict.fromkeys(vertices, 1), nfact),
+            lambda f: Vector({(): 1} if f in vertices else {}),
+            lambda _: Vector(dict.fromkeys(vertices, 1), nfact),
             lambda f: exact_sum([(homotopy.column(f).terms, 1, scale)]),
             faces.differential,
-            lambda _: Vector(),
+            lambda _: Vector({}),
         )
         self._plans = {}  # (composition, letter parities) -> compiled cobar_h
         self._pickers = {}  # block indices of a plan face -> (picker, block mask)
@@ -348,7 +346,7 @@ class PermutahedronContraction(Contraction):
         return self._homotopy.column(face)
 
     def cobar_homotopy(self, x, live=None):
-        """``cobar_h`` on a cobar word of rank n, exact: a pair (terms, den).
+        """``cobar_h`` on a cobar word of rank n.
 
         The value is the sum of c theta(gens, f) over the column of x's
         standard face, times -(-1)^|gens| / gamma.  All of it but the sort
@@ -394,7 +392,7 @@ class PermutahedronContraction(Contraction):
                     alive |= 1 << k
                 found.append(entry[1])
         if not alive:
-            return {}, 1
+            return Vector({})
         out = {}  # letters of a cobar word -> its integer coefficient
         for pick, mask, coeff, negated in terms:
             if mask & dead or not mask & alive:
@@ -425,7 +423,7 @@ class PermutahedronContraction(Contraction):
         faces = self.faces.faces
         positions = {}  # position set of a block -> its index
         entries = []
-        for g, c in self.homotopy_column(self.faces.index[face]).items():
+        for g, c in self.homotopy_column(self.faces.index[face]).terms.items():
             f = faces[g]
             indices = tuple(
                 positions.setdefault(tuple(i - 1 for i in b), len(positions))
@@ -619,7 +617,7 @@ def _solve_homotopy(faces):
         # define H on this degree from the constraints accumulated below it
         for i in by_size[d]:
             # reduce() accumulates tags negatively
-            _, combo = pending.reduce(Vector({i: 1}))
+            _, combo = pending.reduce({i: 1})
             if combo:
                 H[i] = {j: -c for j, c in combo.items()}
         # record constraints H(d f) = N(1 - GF)(f) - d(H(f)) for the next
@@ -631,7 +629,7 @@ def _solve_homotopy(faces):
                 axpy(rhs, _apply(H[i], faces.boundary), -1)
             df = faces.boundary[i]
             if df:
-                fresh, acc = nxt.insert(Vector(df), Vector(rhs))
+                fresh, acc = nxt.insert(df, rhs)
                 if not fresh and acc:
                     raise RuntimeError("inconsistent homotopy constraint at %r"
                                        % (faces.faces[i],))
@@ -645,16 +643,16 @@ def _solve_homotopy(faces):
     # vanish, and the combo N c_v - c_sum is -N (N Hraw(v)).  Every tag
     # N f - d(N Hraw f) is a multiple of N, so that combo is, and so c_sum
     # is; a remainder raises RuntimeError
-    sum_residual, sum_combo = pending.reduce(Vector(dict.fromkeys(by_size[n], 1)))
+    sum_residual, sum_combo = pending.reduce(dict.fromkeys(by_size[n], 1))
     shared = {j: _quotient(c, N) for j, c in sum_combo.items()}
     for i in by_size[n]:
-        residual, combo = pending.reduce(Vector({i: 1}))
+        residual, combo = pending.reduce({i: 1})
         residual = {j: N * c for j, c in residual.items()}
-        axpy(residual, sum_residual.terms, -1)
+        axpy(residual, sum_residual, -1)
         if residual:
             raise RuntimeError("degree-0 consistency failed in homotopy solve")
         value = shared.copy()
-        axpy(value, combo.terms, -1)
+        axpy(value, combo, -1)
         if value:
             H[i] = value
     return H
@@ -696,7 +694,9 @@ def theta(gens, face):
     if len(gens) != face.n:
         raise ValueError("word length must match the face")
     s2, word = desuspended_word([gens[x - 1] for x in b] for b in face.blocks)
-    return Vector.unit(word, theta_sign([g.degree for g in gens], face) * s2)
+    if word is None:
+        return Vector({})
+    return Vector({word: theta_sign([g.degree for g in gens], face) * s2})
 
 
 def standard_face(n, sizes):
@@ -705,28 +705,25 @@ def standard_face(n, sizes):
 
 
 def cobar_f(x):
-    """Multiplicative projection of a cobar word onto the symmetric algebra,
-    exact: a pair (terms, den)."""
+    """Multiplicative projection of a cobar word onto the symmetric algebra."""
     letters = []
     for w in x.letters:
         if w.rank != 1:
-            return {}, 1
+            return Vector({})
         letters.append(w.letters[0].shifted(1))
     sign, word = sym_word(letters)
-    if word is None:
-        return {}, 1
-    return {word: sign}, 1
+    return Vector({word: sign} if word is not None else {})
 
 
 def cobar_g(word):
     """Average of all weight-one-letter arrangements of an algebra word: the
     graded average of the cobar word with one desuspended letter per
-    generator, exact: integer terms over n!."""
+    generator: integer terms over n!."""
     return symmetrize(Word(COBAR, [desuspended_letter((g,))[1] for g in word.letters]))
 
 
 def cobar_gf(x):
-    """G F on a cobar word, exact."""
+    """G F on a cobar word."""
     return exact_apply(cobar_f(x), cobar_g)
 
 
@@ -740,7 +737,7 @@ def theta_factor(x):
         gens.extend(g.shifted(1) for g in w.letters)
     face = standard_face(x.rank, sizes)
     img = theta(tuple(gens), face)
-    gamma = img.coeff(x)
+    gamma = img.terms.get(x, 0)
     if gamma == 0:
         raise RuntimeError("theta normalization failed for %r" % (x,))
     return tuple(gens), face, gamma
@@ -759,7 +756,7 @@ def iota_omega(x):
     sign = koszul_sign(range(d - 1, -1, -1), [w.degree + 1 for w in x.letters])
     if d % 2:
         sign = -sign
-    return Vector.unit(Word(COBAR, reversed(x.letters)), sign)
+    return Vector({Word(COBAR, reversed(x.letters)): sign})
 
 
 def main(argv):

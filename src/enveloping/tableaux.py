@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .exactlin import (
     CheckResult,
@@ -24,10 +23,13 @@ from .exactlin import (
     Word,
     agree,
     antisymmetric_sign,
+    axpy,
     consecutive_blocks,
+    exact_apply,
+    exact_sum,
+    over_q,
     perm_parity,
     square_zero,
-    to_pair,
 )
 from .words import cobar_words, desuspended_word, desuspension_sign
 
@@ -167,24 +169,20 @@ def boundary_ct(T, J):
     JT = descents(T)
     if not frozenset(J) <= JT:
         raise ValueError("J must consist of descents of T")
-    out = Vector()
+    out = {}
     for j in sorted(J):
-        sign = -1 if x_set_size(J, j) % 2 else 1
-        out.add_term((T, frozenset(J) - {j}), sign)
-    return out
+        out[(T, frozenset(J) - {j})] = -1 if x_set_size(J, j) % 2 else 1
+    return Vector(out)
 
 
 def h_ct(T, J):
     """The normalized contracting homotopy of the cube complex."""
     JT = descents(T)
     J = frozenset(J)
-    if not JT:
-        return Vector()
-    out = Vector()
+    out = {}
     for j in sorted(JT - J):
-        sign = -1 if x_set_size(J, j) % 2 else 1
-        out.add_term((T, J | {j}), Fraction(sign, len(JT)))
-    return out
+        out[(T, J | {j})] = -1 if x_set_size(J, j) % 2 else 1
+    return exact_sum([(out, 1, len(JT))])
 
 
 def descent_subsets(T):
@@ -204,9 +202,9 @@ def t_complex_contraction_check(T):
     if not result:
         return result
     small = [()] if len(faces) == 1 else []  # one face: no descents
-    con = Contraction(lambda _: ({(): 1} if small else {}, 1),
-                      lambda _: ({faces[0]: 1}, 1), lambda k: to_pair(h_ct(*k)),
-                      lambda k: boundary_ct(*k), lambda _: Vector())
+    con = Contraction(lambda _: Vector({(): 1} if small else {}),
+                      lambda _: Vector({faces[0]: 1}), lambda k: h_ct(*k),
+                      lambda k: boundary_ct(*k), lambda _: Vector({}))
     return con.verify_on(faces, small)
 
 
@@ -248,22 +246,21 @@ def right_act(word, sigma):
     letters = word.letters
     perm = tuple(sigma[k] - 1 for k in range(len(letters)))
     sign = antisymmetric_sign(perm, [g.degree for g in letters])
-    return Vector.unit(Word(TENSOR, (letters[i] for i in perm)), sign)
+    return Vector({Word(TENSOR, (letters[i] for i in perm)): sign})
 
 
 def young_idempotent(T, word):
     """c_T r_T^- acting on the right of a tensor word (up to scalar)."""
-    out = Vector()
+    out = {}
     n = T.n
     rows = row_groups(T)
     cols = col_groups(T)
     for rho in _value_permutations(rows, n):
         rho_sign = perm_parity(tuple(rho[k] - 1 for k in range(n)))
-        step = right_act(word, rho).scaled(rho_sign)
-        for tau in _value_permutations(cols, n):
-            for w, c in step.items():
-                out.accumulate(right_act(w, tau), c)
-    return out
+        for w, c in right_act(word, rho).terms.items():
+            for tau in _value_permutations(cols, n):
+                axpy(out, right_act(w, tau).terms, c * rho_sign)
+    return Vector(out)
 
 
 def schur_dimension_count(T, even_dim, odd_dim):
@@ -337,7 +334,7 @@ def pi_map(word, sizes):
     blocks = consecutive_blocks(word.letters, sizes)
     sign, cobar = desuspended_word(blocks)
     sign *= desuspension_sign([[g.degree for g in b] for b in blocks])
-    return Vector.unit(cobar, sign)
+    return Vector({cobar: sign} if cobar is not None else {})
 
 
 def young_average(word, sizes):
@@ -345,18 +342,14 @@ def young_average(word, sizes):
     n = sum(sizes)
     groups = consecutive_blocks(range(1, n + 1), sizes)
     perms = _value_permutations([g for g in groups if len(g) > 1], n)
-    out = Vector()
-    q = Fraction(1, len(perms))
-    for sigma in perms:
-        out.accumulate(right_act(word, sigma), q)
-    return out
+    return exact_sum((right_act(word, sigma).terms, 1, len(perms)) for sigma in perms)
 
 
 def young_averaged(T, u_vector):
-    """The Young average of u on the blocks of the descents of T, term by
-    term: [(c, average of w)] over u = sum c w.  It does not depend on J."""
+    """The Young average of u on the blocks of the descents of T.  It does
+    not depend on J."""
     sizes_JT = content_sizes(T, descents(T))
-    return [(c, young_average(w, sizes_JT)) for w, c in u_vector.items()]
+    return exact_apply(u_vector, lambda w: young_average(w, sizes_JT))
 
 
 def embedding(T, J, averaged):
@@ -386,12 +379,8 @@ def embedding(T, J, averaged):
     J = frozenset(J)
     sizes_J = content_sizes(T, J)
     sign = -1 if sum(j - 1 for j in J) % 2 else 1
-    coeff = Fraction(sign, math.prod(math.factorial(m) for m in sizes_J))
-    out = Vector()
-    for c, average in averaged:
-        for w2, c2 in average.items():
-            out.accumulate(pi_map(w2, sizes_J), coeff * c * c2)
-    return out
+    terms, den = exact_apply(averaged, lambda w: pi_map(w, sizes_J))
+    return exact_sum([(terms, sign, den * math.prod(math.factorial(m) for m in sizes_J))])
 
 
 def schur_basis(T, gens):
@@ -400,7 +389,7 @@ def schur_basis(T, gens):
     basis = []
     for letters in itertools.product(sorted(gens), repeat=T.n):
         v = young_idempotent(T, Word(TENSOR, letters))
-        fresh, _ = ech.insert(v)
+        fresh, _ = ech.insert(over_q(v))
         if fresh:
             basis.append(v)
     return basis
@@ -429,7 +418,7 @@ def embedding_rank_check(n, gens, images):
             for img in face_images:
                 if not img:
                     return CheckResult(False, (T, J), "embedding vanishes")
-                fresh, _ = ech.insert(img)
+                fresh, _ = ech.insert(over_q(img))
                 if fresh:
                     total += 1
     expected = len(cobar_words(tuple(g.shifted(-1) for g in gens), n))
@@ -443,15 +432,14 @@ def embedding_chain_check(images, delta_omega):
     faces (T, J') of the same T."""
     def lhs(face):
         T, J = face
-        return [image.apply(delta_omega) for image in images[T][J]]
+        return [exact_apply(image, delta_omega) for image in images[T][J]]
 
     def rhs(face):
         T, J = face
-        out = [Vector() for _ in images[T][J]]
-        for (_, J2), c in boundary_ct(T, J).items():
-            for v, image in zip(out, images[T][J2]):
-                v.accumulate(image, c)
-        return out
+        boundary = boundary_ct(T, J).terms
+        return [exact_sum((images[T][J2][i].terms, c, images[T][J2][i].den)
+                          for (_, J2), c in boundary.items())
+                for i in range(len(images[T][J]))]
 
     faces = [(T, J) for T, by_face in images.items() for J in by_face]
     return agree(faces, lhs, rhs, "chain map fails")

@@ -5,7 +5,7 @@ their checkers, the classical straightening oracle, and transfer of morphisms.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .exactlin import (
     BAR,
@@ -16,17 +16,18 @@ from .exactlin import (
     Word,
     agree,
     antisymmetric_sign,
+    axpy,
     conjugation_sign,
     exact_apply,
     exact_sum,
+    format_scalar,
     koszul_sign,
     memo_method,
     memo_op,
+    rationals,
     square_zero,
     sym_word,
     symmetrize,
-    to_pair,
-    to_vector,
     unshuffles,
 )
 from .hpt import Transfer, bar_coderivation, bar_morphism
@@ -45,7 +46,7 @@ class AInftyStructure:
     and no product builds a bar word: m_1 is its d_small, and m_n for
     n >= 2 is ``conjugation_sign`` times its F_t(B), the tree form
     ``Transfer.tree_product``.  A zero entry is stored as an empty
-    ``Vector``: only an entry with terms is signed and converted.
+    ``Vector``: only an entry with terms is signed.
 
     Bracket selection, for n >= 2.  Let C be the multiset of the generators
     of u_1, ..., u_n.  A move replaces, inside C, the key of a nonzero
@@ -135,15 +136,14 @@ class AInftyStructure:
         else:
             gens = tuple(sorted(g for w in words for g in w.letters))
             if n - 2 in self.excesses(gens):
-                pair = self.transfer.tree_product(words)
+                terms, den = self.transfer.tree_product(words)
             elif n == 2 and live(gens):
-                pair = self.transfer.split_product(words)
+                terms, den = self.transfer.split_product(words)
             else:
-                pair = None
-            if pair and pair[0]:
-                value = to_vector(pair).scaled(conjugation_sign([w.degree for w in words]))
-            else:
-                value = Vector()
+                terms, den = {}, 1
+            if terms and conjugation_sign([w.degree for w in words]) < 0:
+                terms = {w: -c for w, c in terms.items()}
+            value = Vector(terms, den)
         self._tables[words] = value
         return value
 
@@ -168,12 +168,10 @@ class AInftyStructure:
 
     def export_tables(self):
         """Product tables over all cap-bounded inputs, JSON-ready."""
-        from .exactlin import format_scalar
-
         entries = []
         for bar in self.bar_words():
-            value = self.product(bar.letters)
-            if not value:
+            terms, den = self.product(bar.letters)
+            if not terms:
                 continue
             entries.append(
                 {
@@ -181,10 +179,10 @@ class AInftyStructure:
                     "inputs": [[g.id for g in w.letters] for w in bar.letters],
                     "output": [
                         {
-                            "coeff": format_scalar(c),
+                            "coeff": format_scalar(c, den),
                             "monomial": [g.id for g in w.letters],
                         }
-                        for w, c in sorted(value.items(), key=lambda t: t[0].sort_key())
+                        for w, c in sorted(terms.items(), key=lambda t: t[0].sort_key())
                     ],
                 }
             )
@@ -210,11 +208,8 @@ def live(gens):
 
 def corestriction(vector):
     """The one-letter part of a vector of bar words, as a vector of letters."""
-    out = Vector()
-    for w, c in vector.items():
-        if w.length == 1:
-            out.add_term(w.letters[0], c)
-    return out
+    terms, den = vector
+    return exact_sum([({w.letters[0]: c for w, c in terms.items() if w.length == 1}, 1, den)])
 
 
 def caps_suffice(structure, arity):
@@ -237,7 +232,7 @@ def word_of(*gens):
 def star_product(u, v):
     """The plain symmetric product of two words."""
     sign, w = sym_word(u.letters + v.letters)
-    return Vector.unit(w, sign) if w is not None else Vector()
+    return Vector({w: sign} if w is not None else {})
 
 
 def stasheff_check(structure):
@@ -271,10 +266,9 @@ def stasheff_sums(structure):
     entries = []  # (inputs, their degrees, rank, terms, den)
     inner = {}  # output word -> [(inputs, rank, signed coefficient, den)]
     for bar in structure.bar_words():
-        value = structure.product(bar.letters)
-        if not value:
+        terms, den = structure.product(bar.letters)
+        if not terms:
             continue
-        terms, den = to_pair(value)
         degrees = [x.degree for x in bar.letters]
         entries.append((bar.letters, degrees, bar.rank, terms, den))
         sign = conjugation_sign(degrees)
@@ -319,46 +313,36 @@ class ClassicalEnveloping:
     @memo_method
     def straighten(self, letters):
         """Express a raw tensor string (a tuple) in the sorted-monomial basis."""
-        out = Vector()
         for i in range(len(letters) - 1):
             a, b = letters[i], letters[i + 1]
-            if a > b:
-                sign = -1 if (a.degree % 2 and b.degree % 2) else 1
-                swapped = letters[:i] + (b, a) + letters[i + 2 :]
-                out.accumulate(self.straighten(swapped), sign)
-                bracket = self.algebra.bracket((a, b))
-                for g, c in bracket.items():
-                    out.accumulate(
-                        self.straighten(letters[:i] + (g,) + letters[i + 2 :]), c
-                    )
-                return out
-            if a == b and a.degree % 2:
-                # odd square: x x = [x, x] / 2 in characteristic zero
-                bracket = self.algebra.bracket((a, b))
-                for g, c in bracket.items():
-                    out.accumulate(
-                        self.straighten(letters[:i] + (g,) + letters[i + 2 :]),
-                        Fraction(c, 2),
-                    )
-                return out
-        return Vector.unit(letters)
+            if a > b or a == b and a.degree % 2:
+                head, tail = letters[:i], letters[i + 2 :]
+                if a > b:
+                    sign = -1 if (a.degree % 2 and b.degree % 2) else 1
+                    swapped = self.straighten(head + (b, a) + tail)
+                    parts, half = [(swapped.terms, sign, swapped.den)], 1
+                else:
+                    # odd square: x x = [x, x] / 2 in characteristic zero
+                    parts, half = [], 2
+                terms, den = self.algebra.bracket((a, b))
+                for g, c in terms.items():
+                    image = self.straighten(head + (g,) + tail)
+                    parts.append((image.terms, c, half * den * image.den))
+                return exact_sum(parts)
+        return Vector({letters: 1})
 
     def multiply(self, left, right):
         straighten = self.straighten
-        out = Vector()
-        for u, cu in left.items():
-            for v, cv in right.items():
-                for w, c in straighten(u + v).items():
-                    out.add_term(w, cu * cv * c)
-        return out
+        return exact_sum((image.terms, cu * cv, left.den * right.den * image.den)
+                         for u, cu in left.terms.items() for v, cv in right.terms.items()
+                         for image in (straighten(u + v),))
 
     @memo_method
     def symmetrize(self, word):
         """The coalgebra isomorphism from symmetric words to the enveloping."""
         straighten = self.straighten
-        return to_vector(symmetrize(Word(TENSOR, word.letters))).apply(
-            lambda t: straighten(t.letters)
-        )
+        return exact_apply(symmetrize(Word(TENSOR, word.letters)),
+                           lambda t: straighten(t.letters))
 
 
 def pbw_compare(structure):
@@ -375,10 +359,10 @@ def pbw_compare(structure):
     pairs = [(u, v) for u in words for v in words if u.rank + v.rank <= cap]
     higher = [bar for bar in structure.bar_words() if bar.length >= 3]
     result = (
-        agree(pairs, lambda uv: structure.m2(*uv).apply(oracle.symmetrize),
+        agree(pairs, lambda uv: exact_apply(structure.m2(*uv), oracle.symmetrize),
               lambda uv: oracle.multiply(*map(oracle.symmetrize, uv)),
               "transported product mismatch")
-        and agree(higher, lambda bar: structure.product(bar.letters), lambda _: Vector(),
+        and agree(higher, lambda bar: structure.product(bar.letters), lambda _: Vector({}),
                   "higher product does not vanish")
     )
     if not result:
@@ -387,9 +371,9 @@ def pbw_compare(structure):
     for a in algebra.generators:
         for b in algebra.generators:
             u, v = word_of(a), word_of(b)
-            expected = star_product(u, v)
-            for g, c in algebra.bracket((a, b)).items():
-                expected.add_term(word_of(g), Fraction(c, 2))
+            terms, den = algebra.bracket((a, b))
+            expected = exact_sum([(star_product(u, v).terms, 1, 1),
+                                  ({word_of(g): c for g, c in terms.items()}, 1, 2 * den)])
             try:
                 value = structure.m2(u, v)
             except ValueError:
@@ -407,17 +391,17 @@ def alt_bracket_check(structure, n):
     algebra = structure.algebra
     for gens in itertools.product(algebra.generators, repeat=n):
         degs = [g.degree for g in gens]
-        total = Vector()
+        parts = []
         for perm in itertools.permutations(range(n)):
             sign = antisymmetric_sign(perm, degs)
             try:
-                value = structure.product(tuple(word_of(gens[i]) for i in perm))
+                terms, den = structure.product(tuple(word_of(gens[i]) for i in perm))
             except ValueError:
                 return CheckResult(False, gens, "caps too small for the check")
-            total.accumulate(value, sign)
-        expected = Vector()
-        for g, c in algebra.bracket(gens).items():
-            expected.add_term(word_of(g), c)
+            parts.append((terms, sign, den))
+        total = exact_sum(parts)
+        terms, den = algebra.bracket(gens)
+        expected = Vector({word_of(g): c for g, c in terms.items()}, den)
         if total != expected:
             return CheckResult(
                 False, gens, "antisymmetrized product %r != bracket %r" % (total, expected)
@@ -438,17 +422,16 @@ def involution_check(structure):
         return caps
 
     def lhs(bar):
-        return structure.product(bar.letters).scaled(-1 if bar.rank % 2 else 1)
+        terms, den = structure.product(bar.letters)
+        return Vector({w: -c for w, c in terms.items()} if bar.rank % 2 else terms, den)
 
     def rhs(bar):
         n, words = bar.length, bar.letters
         sign = koszul_sign(tuple(reversed(range(n))), [w.degree for w in words])
         if ((n - 1) * (n - 2) // 2) % 2:
             sign = -sign
-        out = Vector()
-        for w, c in structure.product(tuple(reversed(words))).items():
-            out.add_term(w, c * sign * (-1 if w.rank % 2 else 1))
-        return out
+        terms, den = structure.product(tuple(reversed(words)))
+        return Vector({w: -sign * c if w.rank % 2 else sign * c for w, c in terms.items()}, den)
 
     return agree(structure.bar_words(), lhs, rhs, "involution identity fails")
 
@@ -473,7 +456,7 @@ def direct_sum(algebra):
             for tag in TAGS:
                 key = tuple(Generator(tag + g.id, g.degree) for g in word)
                 new[key] = {
-                    Generator(tag + g.id, g.degree): c for g, c in vec.items()
+                    Generator(tag + g.id, g.degree): c for g, c in rationals(vec).items()
                 }
         brackets[arity] = new
     return LInftyAlgebra(gens, brackets, name=algebra.name + "^2")
@@ -482,7 +465,7 @@ def direct_sum(algebra):
 def coproduct_map(word):
     """The bialgebra coproduct of a word, into words of the doubled algebra."""
     letters = word.letters
-    out = Vector()
+    out = {}
     for inside, outside, sign in unshuffles(
         [g.degree for g in letters], range(len(letters) + 1)
     ):
@@ -491,8 +474,8 @@ def coproduct_map(word):
         s2, w2 = sym_word(first + second)
         if w2 is None:
             continue
-        out.add_term(w2, sign * s2)
-    return out
+        axpy(out, {w2: sign * s2})
+    return Vector(out)
 
 
 def coproduct_strictness_check(structure, arity_cap, weight_cap):
@@ -507,11 +490,11 @@ def coproduct_strictness_check(structure, arity_cap, weight_cap):
     coproduct = memo_op(coproduct_map)
 
     def rhs(bar):
-        inputs = Vector(vector_product([coproduct(w) for w in bar.letters],
+        inputs = Vector(vector_product([coproduct(w).terms for w in bar.letters],
                                        lambda ws: (1, ws)))
-        return inputs.apply(doubled.product)
+        return exact_apply(inputs, doubled.product)
 
-    return agree(bars, lambda bar: structure.product(bar.letters).apply(coproduct),
+    return agree(bars, lambda bar: exact_apply(structure.product(bar.letters), coproduct),
                  rhs, "coproduct is not strict here")
 
 
@@ -549,19 +532,17 @@ class AInftyMorphismData:
         self.source = source_structure
         self.target = target_structure
         # letterwise on bar words of cobar words, each letter by phi
-        coalgebra_map = phi.coalgebra_map
-        cobar_map = memo_op(bar_morphism(lambda w: to_pair(coalgebra_map(w))))
+        cobar_map = memo_op(bar_morphism(phi.coalgebra_map))
         self._omega_map = bar_morphism(cobar_map)
 
     @memo_method
     def apply(self, bar):
-        """The full transferred coalgebra map on a bar word, F_t B(phi) G_t,
-        composed exact and converted once: G_t is the source's ``con.G`` and
-        F_t the target's ``con.F``."""
-        pair = self.source.transfer.con.G(bar)
+        """The full transferred coalgebra map on a bar word, F_t B(phi) G_t:
+        G_t is the source's ``con.G`` and F_t the target's ``con.F``."""
+        vector = self.source.transfer.con.G(bar)
         for op in (self._omega_map, self.target.transfer.con.F):
-            pair = exact_apply(pair, op)
-        return to_vector(pair)
+            vector = exact_apply(vector, op)
+        return vector
 
     def component(self, words):
         """U(phi)_n: the corestriction on an input tuple, as algebra words."""
@@ -578,7 +559,9 @@ def sym_extension(phi):
     """Symmetrization of the first component, on algebra words."""
 
     def on_word(word):
-        return Vector(vector_product([phi.component((g,)) for g in word.letters], sym_word))
+        factors = [phi.component((g,)) for g in word.letters]
+        return exact_sum([(vector_product([f.terms for f in factors], sym_word), 1,
+                           math.prod(f.den for f in factors))])
 
     return on_word
 
@@ -592,15 +575,15 @@ def check_first_component(data):
 
 def check_strict_vanishing(data):
     higher = [bar for bar in data.source.bar_words() if bar.length >= 2]
-    return agree(higher, lambda bar: data.component(bar.letters), lambda _: Vector(),
+    return agree(higher, lambda bar: data.component(bar.letters), lambda _: Vector({}),
                  "strict morphism has a higher component")
 
 
 def check_morphism_chain_map(data):
     """The transferred map commutes with the two bar differentials."""
     return agree(data.source.bar_words(),
-                 lambda bar: data.apply(bar).apply(data.target.bar_differential),
-                 lambda bar: data.source.bar_differential(bar).apply(data.apply),
+                 lambda bar: exact_apply(data.apply(bar), data.target.bar_differential),
+                 lambda bar: exact_apply(data.source.bar_differential(bar), data.apply),
                  "transferred map is not a chain map")
 
 
@@ -615,11 +598,11 @@ class CompositionHomotopy:
 
     def apply(self, bar):
         phi, psi = self.data_phi, self.data_psi
-        pair = phi.source.transfer.con.G(bar)
+        vector = phi.source.transfer.con.G(bar)
         for op in (phi._omega_map, phi.target.transfer.con.H, psi._omega_map,
                    psi.target.transfer.con.F):
-            pair = exact_apply(pair, op)
-        return to_vector(pair)
+            vector = exact_apply(vector, op)
+        return vector
 
 
 def composition_homotopy_check(phi, psi, arity_cap, weight_cap):
@@ -635,10 +618,11 @@ def composition_homotopy_check(phi, psi, arity_cap, weight_cap):
     strict = phi.is_strict() or psi.is_strict()
     for bar in data_phi.source.bar_words():
         direct = data_comp.apply(bar)
-        composed = data_phi.apply(bar).apply(data_psi.apply)
-        hterm = H.apply(bar).apply(data_psi.target.bar_differential)
-        hterm = hterm + data_phi.source.bar_differential(bar).apply(H.apply)
-        if direct - composed != hterm:
+        composed = exact_apply(data_phi.apply(bar), data_psi.apply)
+        dh = exact_apply(H.apply(bar), data_psi.target.bar_differential)
+        hd = exact_apply(data_phi.source.bar_differential(bar), H.apply)
+        if (exact_sum([(direct.terms, 1, direct.den), (composed.terms, -1, composed.den)])
+                != exact_sum([(dh.terms, 1, dh.den), (hd.terms, 1, hd.den)])):
             return CheckResult(False, bar, "homotopy identity fails"), H
         if strict and H.apply(bar):
             return CheckResult(False, bar, "homotopy does not vanish, factor strict"), H

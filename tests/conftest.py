@@ -18,11 +18,11 @@ from enveloping.exactlin import (
     Generator,
     Vector,
     Word,
+    exact_sum,
     memo_op,
     perm_parity,
     square_zero,
     sym_word,
-    to_vector,
     unshuffles,
 )
 from enveloping.hpt import bar_coderivation, concatenation
@@ -47,6 +47,30 @@ def top_cell_fault(monkeypatch):
         monkeypatch.setattr(permutahedra, "build_contraction", faulty_contraction)
 
     return install
+
+
+def vector_of(coefficients):
+    """The ``Vector`` of a map from basis keys to rationals (ints or
+    Fractions): the oracle side of a comparison with the engine's vectors."""
+    return exact_sum(({w: 1}, Fraction(q).numerator, Fraction(q).denominator)
+                     for w, q in coefficients.items())
+
+
+def fractions_of(vector):
+    """The coefficients of a ``Vector`` as Fractions, by basis key."""
+    terms, den = vector
+    return {w: Fraction(c, den) for w, c in terms.items()}
+
+
+def scaled(vector, q):
+    """q times a ``Vector``, for a rational q."""
+    q = Fraction(q)
+    return exact_sum([(vector.terms, q.numerator, q.denominator * vector.den)])
+
+
+def vector_sum(*vectors):
+    """The sum of ``Vector``s."""
+    return exact_sum((v.terms, 1, v.den) for v in vectors)
 
 
 def assert_reduced(pair):
@@ -152,7 +176,7 @@ def boundary(face):
     every element counting as odd, times (-1)^(k + elements before it +
     number split off) for block k.  The oracle for ``FaceIndex.boundary``,
     which the engine reads on face numbers."""
-    out = Vector()
+    out = {}
     prefix = 0
     for k, block in enumerate(face.blocks):
         mk = len(block)
@@ -162,33 +186,32 @@ def boundary(face):
             subset = tuple(block[i] for i in inside)
             rest = tuple(block[i] for i in outside)
             new_blocks = face.blocks[:k] + (subset, rest) + face.blocks[k + 1 :]
-            out.add_term(permutahedra.OrderedPartition(face.n, new_blocks), sign)
+            out[permutahedra.OrderedPartition(face.n, new_blocks)] = sign
         prefix += mk
-    return out
+    return Vector(out)
 
 
-def face_vector(faces, pair):
-    """The ``Vector`` over faces of an exact pair over face numbers, with
+def face_vector(faces, vector):
+    """A ``Vector`` over face numbers as a ``Vector`` over faces, with
     ``faces`` the faces by number."""
-    terms, den = pair
-    return Vector({faces[g]: Fraction(c, den) for g, c in terms.items()})
+    terms, den = vector
+    return Vector({faces[g]: c for g, c in terms.items()}, den)
 
 
 def face_maps(con):
-    """(F, G, H) of a permutahedron contraction as ``Vector`` maps on faces,
-    read from its exact maps on face numbers."""
+    """(F, G, H) of a permutahedron contraction as maps on faces, read from
+    its maps on face numbers."""
     faces, index = con.faces.faces, con.faces.index
-    return (lambda f: to_vector(con.F(index[f])),
+    return (lambda f: con.F(index[f]),
             lambda one: face_vector(faces, con.G(one)),
             lambda f: face_vector(faces, con.H(index[f])))
 
 
-def fraction_column(con, face):
-    """The stored column of ``face``, the integer chain of (2N^2)^2 H over
-    face numbers, as H(face) over faces with Fraction coefficients, its
-    terms in the stored order."""
-    return face_vector(con.faces.faces, (con.homotopy_column(con.faces.index[face]).terms,
-                                         con.scale))
+def face_column(con, face):
+    """H(face) over faces, read from the stored column of ``face``, the
+    integer chain of (2N^2)^2 H over face numbers, its terms in the stored
+    order."""
+    return face_vector(con.faces.faces, con.H(con.faces.index[face]))
 
 
 def act(sigma, face):
@@ -212,20 +235,20 @@ def nu(face):
 
 def act_vector(sigma, vec):
     """The permutation action on faces, extended linearly."""
-    out = Vector()
-    for f, c in vec.items():
+    out = {}
+    for f, c in vec.terms.items():
         s, g = act(sigma, f)
-        out.add_term(g, s * c)
-    return out
+        out[g] = s * c
+    return Vector(out, vec.den)
 
 
 def nu_vector(vec):
     """The block-reversal involution, extended linearly."""
-    out = Vector()
-    for f, c in vec.items():
+    out = {}
+    for f, c in vec.terms.items():
         s, g = nu(f)
-        out.add_term(g, s * c)
-    return out
+        out[g] = s * c
+    return Vector(out, vec.den)
 
 
 def finite_complex(components, differential):
@@ -249,7 +272,8 @@ def t_complex(T):
 def induced_algebra_map(phi):
     """Functorial cobar map of a degree-0 chain map given on generators.
 
-    ``phi``: maps an unsuspended generator to a Vector over target generators.
+    ``phi``: maps an unsuspended generator to an integer term dict over
+    target generators.
     """
 
     def on_letter(letter):
@@ -269,7 +293,7 @@ def induced_algebra_map(phi):
 def cochain_at(module, bar):
     """The operator of an enveloping-side module on a bar word, zero where
     its cochain has none."""
-    return module.cochain.get(bar, Vector())
+    return module.cochain.get(bar, Vector({}))
 
 
 def roundtrip_gf_check(module_u, arity_cap, weight_cap):

@@ -24,7 +24,9 @@ from enveloping.exactlin import (
     Generator,
     Vector,
     Word,
+    axpy,
     conjugation_sign,
+    exact_apply,
     memo_op,
     square_zero,
     sym_word,
@@ -40,8 +42,8 @@ from enveloping.linfty import (
 from enveloping.uea import AInftyStructure
 from enveloping.words import bar_words_algebra, cobar_words, sym_words
 
-from conftest import (bundled, cochain_at, finite_complex, odd_abelian, roundtrip_gf_check,
-                      trivial_module)
+from conftest import (bundled, cochain_at, finite_complex, fractions_of, odd_abelian,
+                      roundtrip_gf_check, trivial_module, vector_of)
 
 
 def omega_to_enveloping_check(structure, rank_cap=None):
@@ -50,28 +52,28 @@ def omega_to_enveloping_check(structure, rank_cap=None):
     cap = rank_cap or structure.weight_cap
 
     def m2(left, right):
-        out = Vector()
-        for u, cu in left.items():
-            for v, cv in right.items():
-                out.accumulate(structure.m2(u, v), cu * cv)
-        return out
+        out = {}
+        for u, cu in fractions_of(left).items():
+            for v, cv in fractions_of(right).items():
+                axpy(out, fractions_of(structure.m2(u, v)), cu * cv)
+        return vector_of(out)
 
     def rho(x):
         value = None
         for letter in x.letters:
             t = tau_value(letter)
             if not t:
-                return Vector()
+                return Vector({})
             value = t if value is None else m2(value, t)
             if not value:
-                return Vector()
+                return Vector({})
         return value
 
     d_omega = cobar_differential(structure.transfer.Cfull)
     for r in range(1, cap + 1):
         for x in cobar_words(structure.transfer.Cfull.sgens, r):
-            lhs = d_omega(x).apply(rho)
-            rhs = rho(x).apply(structure.m1)
+            lhs = exact_apply(d_omega(x), rho)
+            rhs = exact_apply(rho(x), structure.m1)
             if lhs != rhs:
                 return CheckResult(False, x, "algebra map is not a chain map")
     return CheckResult(True)
@@ -100,22 +102,20 @@ def omega_comparison_check(structure, rank_cap=None):
     # the second model: letters are suspended-inverse bar words; the letter
     # differential is the bar differential and the coproduct deconcatenates
     def d_omega_bu(bars):
-        out = Vector()
+        out = {}
         left = 0
         for j, b in enumerate(bars):
             prefix = -1 if left % 2 else 1
-            for b2, c in structure.bar_differential(b).items():
-                out.add_term(bars[:j] + (b2,) + bars[j + 1 :], -prefix * c)
+            for b2, c in fractions_of(structure.bar_differential(b)).items():
+                axpy(out, {bars[:j] + (b2,) + bars[j + 1 :]: -prefix * c})
             for cut in range(1, b.length):
                 first = Word(BAR, b.letters[:cut])
                 second = Word(BAR, b.letters[cut:])
                 sA = -1 if (first.degree + 1) % 2 else 1
-                out.add_term(
-                    bars[:j] + (first, second) + bars[j + 1 :],
-                    COPRODUCT_SIGN * prefix * sA,
-                )
+                axpy(out, {bars[:j] + (first, second) + bars[j + 1 :]:
+                           COPRODUCT_SIGN * prefix * sA})
             left += b.degree + 1  # degree of the desuspended bar-word letter
-        return out
+        return vector_of(out)
 
     omega_bu = {}
     pool = bar_words_algebra(algebra.generators, cap, cap)
@@ -144,8 +144,9 @@ def omega_comparison_check(structure, rank_cap=None):
 
 
 def column(op, m):
-    """The image of the module generator m under the operator op."""
-    return Vector({m2: c for (m1, m2), c in op.items() if m1 == m})
+    """The image of the module generator m under the operator op, as
+    Fractions by module generator."""
+    return {m2: c for (m1, m2), c in fractions_of(op).items() if m1 == m}
 
 
 def module_complex_check(module, arity_cap=None, weight_cap=None):
@@ -166,13 +167,13 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
 
     def D(key):
         bar, m = key
-        out = Vector()
+        out = {}
         if bar.length:
-            for b2, c in structure.bar_differential(bar).items():
-                out.add_term((b2, m), c)
+            for b2, c in fractions_of(structure.bar_differential(bar)).items():
+                axpy(out, {(b2, m): c})
         sign = -1 if bar.degree % 2 else 1
         for m2, c in column(module.d_m, m).items():
-            out.add_term((bar, m2), sign * c)
+            axpy(out, {(bar, m2): sign * c})
         for cut in range(0, bar.length):
             pre = Word(BAR, bar.letters[:cut])
             post = Word(BAR, bar.letters[cut:])
@@ -181,8 +182,8 @@ def module_complex_check(module, arity_cap=None, weight_cap=None):
                 continue
             pre_sign = -1 if pre.degree % 2 else 1
             for m2, c in column(op, m).items():
-                out.add_term((pre, m2), pre_sign * c)
-        return out
+                axpy(out, {(pre, m2): pre_sign * c})
+        return vector_of(out)
 
     keys = ((bar, m) for bar in bars for m in module.basis)
     return square_zero(keys, D, "module differential squares to %r")
@@ -202,7 +203,7 @@ def test_tau_is_the_weight_one_projection(sl2_structure):
     L = sl2_structure.algebra
     e = L.by_id["e"]
     _, word = sym_word([e.shifted(-1)])
-    assert tau_value(word) == Vector.unit(sym_word([e])[1])
+    assert tau_value(word) == Vector({sym_word([e])[1]: 1})
     _, w2 = sym_word([e.shifted(-1), L.by_id["f"].shifted(-1)])
     assert not tau_value(w2)
 
@@ -216,7 +217,7 @@ def test_canonical_tau_constructor(sl2_small):
     assert generalized_cochain_check(sl2_small)
     L = sl2_small.algebra
     _, word = sym_word([L.by_id["e"].shifted(-1)])
-    assert tau_value(word) == Vector.unit(sym_word([L.by_id["e"]])[1])
+    assert tau_value(word) == Vector({sym_word([L.by_id["e"]])[1]: 1})
 
 
 def test_cochain_equation_weight_one_is_trivial():
@@ -262,27 +263,28 @@ def enumerated_tau_inputs(pieces):
 def enumerated_tau_products(structure, word):
     """The cochain equation's right side over every split of the word, the
     splits that tau kills dropped after they are built."""
-    out = Vector()
-    for split, c in structure.transfer.Cfull.splits(word).items():
+    out = {}
+    for split, c in structure.transfer.Cfull.splits(word).terms.items():
         inputs = enumerated_tau_inputs(split)
         if inputs is None or not 2 <= len(split) <= structure.arity_cap:
             continue
         sign = conjugation_sign([w.degree for w in inputs])
-        out.accumulate(structure.product(inputs), c * sign)
-    return out
+        axpy(out, fractions_of(structure.product(inputs)), c * sign)
+    return vector_of(out)
 
 
 def enumerated_differential(twisted, key):
     """D of the twisted complex over every coaction split, the splits that
     tau kills dropped after they are built."""
     cw, uw = key
-    out = Vector()
+    out = {}
     splits = [((cw,), 1)]
     if cw is not None:
-        for c2, c in twisted.C.delta(cw).items():
-            out.add_term((c2, uw), c)
+        for c2, c in fractions_of(twisted.C.delta(cw)).items():
+            axpy(out, {(c2, uw): c})
         top = min(twisted.structure.arity_cap, cw.rank + 1)
-        splits = [(split, c) for split, c in twisted.C.splits(cw).items() if len(split) <= top]
+        splits = [(split, c) for split, c in twisted.C.splits(cw).terms.items()
+                  if len(split) <= top]
         splits += [((None,) + split, c) for split, c in splits if len(split) < top]
     outer = 1 if cw is not None and cw.degree % 2 else -1
     for split, c in splits:
@@ -291,9 +293,9 @@ def enumerated_differential(twisted, key):
         if inputs is None:
             continue
         coeff = outer * c * conjugation_sign([w.degree for w in inputs] + [0])
-        for u2, c2 in twisted._m_ext(inputs, uw).items():
-            out.add_term((c0, u2), coeff * c2)
-    return out
+        for u2, c2 in fractions_of(twisted._m_ext(inputs, uw)).items():
+            axpy(out, {(c0, u2): coeff * c2})
+    return vector_of(out)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -403,10 +405,12 @@ def test_cobar_word_acts_by_the_composite_last_letter_first():
     # module of sl2 the order shows, as [ad e, ad f] = ad h
     M = adjoint_module(bundled("sl2"))
     e, f = (sym_word([M.algebra.by_id[k].shifted(-1)])[1] for k in "ef")
-    expected = Vector()
+    expected = {}
     for m in M.basis:
-        for m2, c in column(M.tau(f), m).apply(lambda m1: column(M.tau(e), m1)).items():
-            expected.add_term((m, m2), c)
+        for m1, c in column(M.tau(f), m).items():
+            for m2, c2 in column(M.tau(e), m1).items():
+                axpy(expected, {(m, m2): c * c2})
+    expected = vector_of(expected)
     assert expected
     assert _rho_cobar(M, Word(COBAR, (e, f))) == expected
     assert _rho_cobar(M, Word(COBAR, (f, e))) != expected
@@ -447,11 +451,7 @@ def test_enveloping_acts_on_itself():
             basis[w] = Generator("m_" + "".join(g.id for g in w.letters), w.degree)
 
     def as_module(vec):
-        out = Vector()
-        for w, c in vec.items():
-            if w in basis:
-                out.add_term(basis[w], c)
-        return out
+        return {basis[w]: c for w, c in fractions_of(vec).items() if w in basis}
 
     cochain = {}
     for bar in bar_words_algebra(O.generators, 2, 2):
@@ -459,7 +459,7 @@ def test_enveloping_acts_on_itself():
         for w, m in basis.items():
             if w is None:
                 if bar.length == 1:
-                    table[m] = as_module(Vector.unit(bar.letters[0]))
+                    table[m] = as_module(Vector({bar.letters[0]: 1}))
                 continue
             if w.rank + bar.rank <= 2 and bar.length + 1 <= 3:
                 # left multiplication: the validator keeps the prefix and
@@ -467,10 +467,10 @@ def test_enveloping_acts_on_itself():
                 value = A.product(bar.letters + (w,))
                 if value:
                     table[m] = as_module(value)
-        op = Vector({(m, m2): c for m, image in table.items() for m2, c in image.items()})
+        op = vector_of({(m, m2): c for m, image in table.items() for m2, c in image.items()})
         if op:
             cochain[bar] = op
-    module = AInftyModule(A, list(basis.values()), Vector(), cochain, name="self")
+    module = AInftyModule(A, list(basis.values()), Vector({}), cochain, name="self")
     assert module_complex_check(module, 2, 2)
     back = functor_f(module, 2)
     assert check_module(back, 2)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import DG_LIE
 from enveloping import cli, hpt, linfty, permutahedra, uea
 from enveloping.cli import BUNDLED, Report, build_parser, main
-from enveloping.exactlin import CheckResult, Generator, sym_word
+from enveloping.exactlin import CheckResult, Generator, rationals, sym_word
 
 # SHA-256 of `products --format json` at arity cap 3 and weight cap 3: the
 # product tables of every bundled input, and of each of FILE_INPUTS below,
@@ -809,7 +809,9 @@ MEMOIZED_MAPS = {
 # the same maps on a fresh owner, with empty memos
 FRESH = {
     "coalgebra_map": lambda phi, word: linfty.LInftyMorphism(
-        phi.source, phi.target, phi.components).coalgebra_map(word),
+        phi.source, phi.target,
+        {k: {key: rationals(v) for key, v in table.items()}
+         for k, table in phi.components.items()}).coalgebra_map(word),
     "reduced_coproduct": lambda C, word: linfty.CECoalgebra(
         C.algebra, C.weight_cap, C.min_arity, C.max_arity).reduced_coproduct(word),
     "splits": lambda C, word: linfty.CECoalgebra(

@@ -1,10 +1,13 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from enveloping.exactlin import (
     BAR,
@@ -19,24 +22,24 @@ from enveloping.exactlin import (
     antisymmetric_sign,
     axpy,
     exact_apply,
+    exact_sum,
     format_scalar,
     koszul_sign,
     memo_method,
     memo_op,
     memo_recursion,
+    over_q,
     parse_scalar,
     rank_of,
+    rationals,
     square_zero,
     sym_word,
     symmetrize,
-    to_pair,
-    to_vector,
-    vector_view,
 )
 
 from enveloping.linfty import CECoalgebra
 
-from conftest import assert_reduced, bundled, finite_complex
+from conftest import assert_reduced, bundled, finite_complex, fractions_of, scaled
 
 a0 = Generator("a", 0)
 b0 = Generator("b", 0)
@@ -50,6 +53,11 @@ def test_scalar_roundtrip():
     assert parse_scalar("-2") == Fraction(-2)
     assert format_scalar(Fraction(6, 4)) == "3/2"
     assert format_scalar(5) == "5/1"
+    # n / den, each reduced on its own
+    assert format_scalar(6, 4) == "3/2"
+    assert format_scalar(-4, 6) == "-2/3"
+    assert format_scalar(0, 7) == "0/1"
+    assert rationals(Vector({"a": 2, "b": -3}, 4)) == {"a": "1/2", "b": "-3/4"}
 
 
 def test_koszul_sign_basics():
@@ -124,10 +132,23 @@ def test_intern_table_keeps_no_dead_word():
 def test_vector_arithmetic():
     _, w = sym_word([a0])
     _, w2 = sym_word([b0])
-    v = Vector.unit(w, 2) + Vector.unit(w2, -1)
-    assert v.coeff(w) == 2
-    assert not (v - v)
-    assert Fraction(1, 2) * v == Vector({w: Fraction(1), w2: Fraction(-1, 2)})
+    v = Vector({w: 2, w2: -1})
+    terms, den = v
+    assert (terms, den) == ({w: 2, w2: -1}, 1) and v.terms[w] == 2
+    assert v and not Vector({}) and Vector({}) == Vector({}, 1)
+    # sums and multiples are exact_sum's reduced pairs
+    assert not exact_sum([(v.terms, 1, 1), (v.terms, -1, 1)])
+    half = exact_sum([(v.terms, 1, 2)])
+    assert half == Vector({w: 2, w2: -1}, 2) == scaled(v, Fraction(1, 2))
+    assert half != Vector({w: 4, w2: -2}, 4)
+    assert exact_sum([(half.terms, 1, half.den), ({w2: 1}, 1, 2)]) == Vector({w: 1})
+    assert fractions_of(half) == {w: 1, w2: Fraction(-1, 2)}
+    # printed as the Fraction coefficients, by key
+    assert repr(half) == "1 (a) + -1/2 (b)" and repr(Vector({})) == "0"
+    # a tuple's + and * would concatenate and repeat: a vector refuses both
+    for op in (lambda: v + v, lambda: v * 2, lambda: 2 * v, lambda: v - v, lambda: -v):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_axpy():
@@ -138,19 +159,18 @@ def test_axpy():
     assert all(type(c) is int for c in terms.values())
     axpy(terms, {"b": -3})
     assert terms == {"c": 10}
-    # Fractions stay Fractions, also where a sum is a whole number
+    # Fractions stay Fractions, also where a sum is a whole number: the
+    # terms of row reduction over Q, whatever the factor
     terms = {"a": Fraction(1, 2)}
     axpy(terms, {"a": Fraction(1, 2), "b": Fraction(1, 3)}, 3)
     assert terms == {"a": 2, "b": 1}
     assert all(type(c) is Fraction for c in terms.values())
-    # so Vector.accumulate of Fraction vectors stores no int, whatever the factor
-    _, w = sym_word([a0])
-    _, w2 = sym_word([b0])
     for coeff in (1, -1, 3, Fraction(1, 2)):
-        v = Vector.unit(w, Fraction(1, 2))
-        v.accumulate(Vector.unit(w, 1) + Vector.unit(w2, 1), coeff)
-        assert all(type(c) is Fraction for _, c in v.items()), coeff
-        assert not v.accumulate(v.copy(), -1)
+        terms = over_q(Vector({"a": 1}, 2))
+        axpy(terms, over_q(Vector({"a": 1, "b": 1})), coeff)
+        assert all(type(c) is Fraction for c in terms.values()), coeff
+        axpy(terms, dict(terms), -1)
+        assert not terms
 
 
 def test_a_memo_is_not_memoized_again():
@@ -238,42 +258,57 @@ def test_a_memo_recursion_reads_its_own_memo():
 
 def test_symmetrize_is_projector():
     word = Word(TENSOR, [a0, b0])
-    sym = to_vector(symmetrize(word))
-    assert sym == Vector(
-        {Word(TENSOR, [a0, b0]): Fraction(1, 2), Word(TENSOR, [b0, a0]): Fraction(1, 2)}
-    )
-    again = sym.apply(vector_view(symmetrize))
+    sym = symmetrize(word)
+    assert sym == Vector({Word(TENSOR, [a0, b0]): 1, Word(TENSOR, [b0, a0]): 1}, 2)
+    again = exact_apply(sym, symmetrize)
     assert again == sym
-    assert not to_vector(symmetrize(Word(TENSOR, [v1, v1])))
-    assert to_vector(symmetrize(Word(TENSOR, [a0]))) == Vector.unit(Word(TENSOR, [a0]))
+    assert not symmetrize(Word(TENSOR, [v1, v1]))
+    assert symmetrize(Word(TENSOR, [a0])) == Vector({Word(TENSOR, [a0]): 1})
 
 
-def test_to_pair_inverts_to_vector():
-    a, b, c = (Word(TENSOR, [g]) for g in (a0, b0, v1))
-    # reduced pairs only: to_pair gives the reduced pair of a Vector
-    for pair in [({}, 1), ({a: 1}, 1), ({a: 1, b: 1}, 2), ({a: 3, b: -2, c: 4}, 5),
-                 ({c: -7, a: 2}, 12), ({b: 6, c: 10}, 9)]:
-        assert to_pair(to_vector(pair)) == pair
-        assert list(to_pair(to_vector(pair))[0]) == list(pair[0])
-    for v in [Vector(), Vector.unit(a, 3), Vector({a: Fraction(2, 3), b: Fraction(-5, 6)}),
-              Vector({c: Fraction(1, 4), b: Fraction(7, 4), a: Fraction(-3, 2)})]:
-        pair = to_pair(v)
-        assert_reduced(pair)
-        assert to_vector(pair) == v
-        assert list(to_vector(pair).items()) == list(v.items())
+KEYS = "abcd"
+# parts of exact_sum: (integer term dict, integer a, positive b), with zero
+# and negative a, and empty term dicts
+PARTS = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(KEYS), st.integers(-12, 12).filter(bool), max_size=4),
+    st.integers(-6, 6), st.integers(1, 12)), max_size=5)
+
+
+@given(PARTS, st.randoms(use_true_random=False))
+def test_exact_sum_gives_the_reduced_pair(parts, rng):
+    # == on vectors is every checker's equality: exact_sum must give one
+    # pair per rational vector
+    terms, den = got = exact_sum(parts)
+    assert_reduced(got)
+    assert den >= 1 and 0 not in terms.values()
+    assert math.gcd(den, *terms.values()) == 1
+    expected = {}
+    for part, a, b in parts:
+        for w, c in part.items():
+            expected[w] = expected.get(w, 0) + Fraction(a * c, b)
+    assert fractions_of(got) == {w: q for w, q in expected.items() if q}
+    shuffled = list(parts)
+    rng.shuffle(shuffled)
+    assert exact_sum(shuffled) == got
 
 
 def test_exact_apply_agrees_with_vector_apply():
+    # against the linear extension in Fractions, term by term and in order
     a, b, c = (Word(TENSOR, [g]) for g in (a0, b0, v1))
-    images = {a: ({b: 1, c: -1}, 2), b: ({c: 2}, 3), c: ({}, 1)}
+    images = {a: Vector({b: 1, c: -1}, 2), b: Vector({c: 2}, 3), c: Vector({})}
     op = images.__getitem__
-    # the last pair's c terms cancel: a and b send 2c/5 and -2c/5
-    for pair in [({}, 1), ({a: 1}, 1), ({a: 2, b: 3}, 7), ({c: 5}, 1), ({a: 4, b: 3}, 5)]:
-        got = exact_apply(pair, op)
+    # the last vector's c terms cancel: a and b send 2c/5 and -2c/5
+    for v in [Vector({}), Vector({a: 1}), Vector({a: 2, b: 3}, 7), Vector({c: 5}),
+              Vector({a: 4, b: 3}, 5)]:
+        got = exact_apply(v, op)
         assert_reduced(got)
-        expected = to_vector(pair).apply(vector_view(op))
-        assert list(to_vector(got).items()) == list(expected.items()), pair
-    assert exact_apply(({a: 4, b: 3}, 5), op) == ({b: 2}, 5)
+        expected = {}
+        for w, q in fractions_of(v).items():
+            for w2, q2 in fractions_of(op(w)).items():
+                expected[w2] = expected.get(w2, 0) + q * q2
+        assert list(fractions_of(got).items()) == [
+            (w, q) for w, q in expected.items() if q], v
+    assert exact_apply(Vector({a: 4, b: 3}, 5), op) == Vector({b: 2}, 5)
 
 
 def _dense_rank(vectors):
@@ -281,7 +316,7 @@ def _dense_rank(vectors):
     idx = {w: i for i, w in enumerate(basis)}
     rows = [[Fraction(0)] * len(basis) for _ in vectors]
     for r, v in enumerate(vectors):
-        for w, c in v.items():
+        for w, c in fractions_of(v).items():
             rows[r][idx[w]] = c
     rank = 0
     col = 0
@@ -322,10 +357,10 @@ def _random_known_complex(rng, max_dim=6):
             y = Word(TENSOR, [Generator("y%d_%d" % (p, i), p + 1)])
             basis[p].append(x)
             basis[p + 1].append(y)
-            d_cols[x] = Vector.unit(y)
+            d_cols[x] = Vector({y: 1})
     # mix the basis by a random invertible upper-triangular change per degree
     def differential(word):
-        return d_cols.get(word, Vector())
+        return d_cols.get(word, Vector({}))
 
     return basis, differential, singles
 
@@ -348,10 +383,10 @@ def test_complex_rejects_bad_differential():
     x = Word(TENSOR, [Generator("x", 0)])
     y = Word(TENSOR, [Generator("y", 1)])
     z = Word(TENSOR, [Generator("z", 2)])
-    cols = {x: Vector.unit(y), y: Vector.unit(z)}
+    cols = {x: Vector({y: 1}), y: Vector({z: 1})}
 
     def d(word):
-        return cols.get(word, Vector())
+        return cols.get(word, Vector({}))
 
     result = square_zero([x, y, z], d, "%r")
     assert not result and result.counterexample == x
@@ -361,28 +396,34 @@ def test_echelon_combination_tracking():
     x = Word(TENSOR, [a0])
     y = Word(TENSOR, [b0])
     ech = Echelon()
-    ech.insert(Vector.unit(x) + Vector.unit(y), Vector.unit("t1"))
-    ech.insert(Vector.unit(y, 2), Vector.unit("t2"))
-    vec = Vector.unit(x) + Vector.unit(y, 3)
+    ech.insert(over_q(Vector({x: 1, y: 1})), {"t1": Fraction(1)})
+    ech.insert(over_q(Vector({y: 2})), {"t2": Fraction(1)})
+    vec = over_q(Vector({x: 1, y: 3}))
     residual, combo = ech.reduce(vec)
     assert not residual
     # vec = 1*(x+y) + 1*(2y); reduce() reports tags negatively
-    assert -1 * combo == Vector({"t1": Fraction(1), "t2": Fraction(1)})
+    assert combo == {"t1": -1, "t2": -1}
+
+
+def _minus(terms, other, factor):
+    """terms - factor * other, a new term dict."""
+    out = dict(terms)
+    axpy(out, other, -factor)
+    return out
 
 
 def reference_reduce(ech, vec, combo=None):
     """Echelon.reduce before it eliminated in place: rescan at every step."""
-    combo = combo.copy() if combo is not None else Vector()
-    vec = vec.copy()
+    combo = dict(combo or {})
     while vec:
-        hits = [w for w in vec.terms if _generic_key(w) in ech.pivots]
+        hits = [w for w in vec if _generic_key(w) in ech.pivots]
         if not hits:
             break
         lead = min(hits, key=_generic_key)
         _, pvec, pcombo = ech.pivots[_generic_key(lead)]
-        factor = vec.coeff(lead) / pvec.coeff(lead)
-        vec = vec - pvec.scaled(factor)
-        combo = combo - pcombo.scaled(factor)
+        factor = vec[lead] / pvec[lead]
+        vec = _minus(vec, pvec, factor)
+        combo = _minus(combo, pcombo, factor)
     return vec, combo
 
 
@@ -394,13 +435,13 @@ def test_echelon_reduce_matches_reference(seed):
              for ls in itertools.product(letters, repeat=k)]
 
     def random_vector(size):
-        return Vector({w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-                       for w in rng.sample(words, size)})
+        return {w: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                for w in rng.sample(words, size)}
 
     ech = Echelon()
     for step in range(30):
         vec = random_vector(rng.randint(1, 8))
-        combo = Vector.unit("t%d" % step) if step % 3 else None
+        combo = {"t%d" % step: Fraction(1)} if step % 3 else None
         got = ech.reduce(vec, combo)
         want = reference_reduce(ech, vec, combo)
         for g, w in zip(got, want):
@@ -413,20 +454,25 @@ def test_echelon_reduce_matches_reference(seed):
 def test_integer_echelon_stays_integer():
     # integer input over numbered keys: integer pivots, residuals and combos
     ech = Echelon()
-    ech.insert(Vector({0: 1, 2: -1}), Vector({"t1": 6}))
-    ech.insert(Vector({1: -1, 2: 1}), Vector({"t2": 6}))
-    residual, combo = ech.reduce(Vector({0: 3, 1: 2, 3: 5}))
+    ech.insert({0: 1, 2: -1}, {"t1": 6})
+    ech.insert({1: -1, 2: 1}, {"t2": 6})
+    residual, combo = ech.reduce({0: 3, 1: 2, 3: 5})
     assert list(residual.items()) == [(3, 5), (2, 5)]
     assert list(combo.items()) == [("t1", -18), ("t2", 12)]
     for v in (residual, combo, *(p for _, p, _ in ech.pivots.values())):
-        assert all(type(c) is int for _, c in v.items())
+        assert all(type(c) is int for c in v.values())
 
 
 def test_integer_echelon_rejects_a_pivot_that_does_not_divide():
     ech = Echelon()
-    ech.insert(Vector({0: 2, 1: 1}))
+    ech.insert({0: 2, 1: 1})
     with pytest.raises(RuntimeError, match="does not divide"):
-        ech.reduce(Vector({0: 3}))
+        ech.reduce({0: 3})
     # an exact multiple reduces
-    residual, _ = ech.reduce(Vector({0: 4}))
+    residual, _ = ech.reduce({0: 4})
     assert list(residual.items()) == [(1, -2)]
+    # over Q, through over_q, it reduces all the same
+    ech = Echelon()
+    ech.insert(over_q(Vector({0: 2, 1: 1})))
+    residual, _ = ech.reduce(over_q(Vector({0: 3})))
+    assert residual == {1: Fraction(-3, 2)}
