@@ -79,7 +79,7 @@ def cobar_contraction(C1):
 
 def lift_contraction(con, gf_letter):
     """Contraction on the tensor coalgebras from a letter contraction ``con``
-    and its exact round trip ``gf_letter`` = G F on letters.
+    and its round trip ``gf_letter`` = G F on letters.
 
     The projection and inclusion act letterwise; the homotopy is
     ``lifted_homotopy`` as a ``memo_recursion``, which reads the homotopy of

@@ -314,7 +314,7 @@ class PermutahedronContraction(Contraction):
     per composition of n) are the stored data of ``stored_homotopy(n)``,
     and it reaches any other face through the action.  ``columns`` holds
     the columns of H built so far, face number -> the integer ``Vector`` of
-    (2N^2)^2 H, N = n!, and H is its exact pair over ``scale`` = (2N^2)^2.
+    (2N^2)^2 H, N = n!, and H is that column over ``scale`` = (2N^2)^2.
     The columns are built by a ``HomotopyColumns`` of the face index, and F,
     G and H close over it and the face index, not over the contraction, so
     that a contraction is freed by reference counting.  A rank with no

@@ -250,14 +250,14 @@ def stasheff_check(structure):
 
 
 def stasheff_sums(structure):
-    """The one-letter part of d^2 on the capped bar words, as exact pairs
+    """The one-letter part of d^2 on the capped bar words, as ``Vector``s
     of symmetric words keyed by a bar word's letters, for every bar word
     where it has a term before cancelling:
     sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the signs of
     ``hpt.bar_coderivation``.
 
-    The nonzero table entries are read once, as exact pairs, and indexed by
-    the words of their output.  A term of the sum composes an outer entry,
+    The nonzero table entries are read once and indexed by the words of
+    their output.  A term of the sum composes an outer entry,
     one of its slots and an inner entry whose output holds the slot's word;
     the composite is capped exactly when its length and rank, read off the
     two entries, are.

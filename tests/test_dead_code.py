@@ -91,6 +91,32 @@ def test_every_definition_is_referenced():
     assert sorted(dead) == sorted(UNREFERENCED)
 
 
+# the conversions between a Fraction-dict vector and the exact pair, which
+# went with the second vector type
+RETIRED_CONVERSIONS = {"to_vector", "to_pair", "vector_view"}
+
+
+def test_one_vector_type():
+    # no conversion between two vector types is named in src/ or perfbench/,
+    # as a name, an attribute, an import or a definition, and in the package
+    # only exactlin imports fractions: a second vector type does not return
+    named = []
+    for path, tree in _sources(("src", "perfbench")):
+        for node in ast.walk(tree):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            named += ["%s: %s" % (path.relative_to(ROOT), name)
+                      for name in names & RETIRED_CONVERSIONS]
+    assert named == []
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in modules:
+                importers.append(path.name)
+    assert importers == ["exactlin.py"]
+
+
 def test_every_import_is_used():
     # an imported name counts as used if it is read as a name anywhere in its
     # module; ``from __future__`` is exempt
