@@ -11,8 +11,6 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 
 from __future__ import annotations
 
-import math
-
 from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, exact_apply,
                        exact_sum, memo_method, square_zero, sym_word)
 from .linfty import LInftyModule
@@ -221,9 +219,7 @@ class AInftyModule:
 def _rho_cobar(module_l, x):
     """Multiplicative extension of the module twisting to a cobar word: the
     composite of the letters' operators, the last letter acting first."""
-    factors = [module_l.tau(c) for c in reversed(x.letters)]
-    return exact_sum([(vector_product([f.terms for f in factors], _compose), 1,
-                       math.prod(f.den for f in factors))])
+    return vector_product([module_l.tau(c) for c in reversed(x.letters)], _compose)
 
 
 def functor_g(module_l, structure, arity_cap, weight_cap):

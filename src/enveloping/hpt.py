@@ -170,13 +170,7 @@ def bar_morphism(letter_map):
 
     def on_bar(b):
         kind = b.kind
-        factors, den = [], 1
-        for x in b.letters:
-            terms, d = letter_map(x)
-            factors.append(terms)
-            den *= d
-        terms = vector_product(factors, lambda ws: (1, Word(kind, ws)))
-        return exact_sum([(terms, 1, den)])
+        return vector_product(list(map(letter_map, b.letters)), lambda ws: (1, Word(kind, ws)))
 
     return on_bar
 
@@ -356,11 +350,9 @@ class Transfer:
     def split(self, words):
         """B of n >= 2 symmetric words, as cobar words."""
         phi = self.phi
-        parts = []
-        for k in range(1, len(words)):
-            (left, a), (right, b) = phi(words[:k]), phi(words[k:])
-            parts.append((vector_product([left, right], _t2), 1, a * b))
-        return exact_sum(parts)
+        products = [vector_product([phi(words[:k]), phi(words[k:])], _t2)
+                    for k in range(1, len(words))]
+        return exact_sum([(p.terms, 1, p.den) for p in products])
 
     def split_product(self, words):
         """f(B) on two symmetric words u and v: ``tree_product`` where

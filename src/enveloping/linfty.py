@@ -279,10 +279,9 @@ class LInftyMorphism:
             # the sign of the unshuffle to the order of the blocks
             arrangement = [i for block in partition for i in block]
             sign = koszul_sign(tuple(arrangement), degs)
-            factors = [self.suspended_component(tuple(letters[i] for i in block))
-                       for block in partition]
-            parts.append((vector_product([f.terms for f in factors], sym_word), sign,
-                          math.prod(f.den for f in factors)))
+            terms, den = vector_product([self.suspended_component(tuple(letters[i] for i in block))
+                                         for block in partition], sym_word)
+            parts.append((terms, sign, den))
         return exact_sum(parts)
 
 

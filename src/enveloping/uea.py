@@ -5,7 +5,6 @@ their checkers, the classical straightening oracle, and transfer of morphisms.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .exactlin import (
     BAR,
@@ -490,8 +489,7 @@ def coproduct_strictness_check(structure, arity_cap, weight_cap):
     coproduct = memo_op(coproduct_map)
 
     def rhs(bar):
-        inputs = Vector(vector_product([coproduct(w).terms for w in bar.letters],
-                                       lambda ws: (1, ws)))
+        inputs = vector_product([coproduct(w) for w in bar.letters], lambda ws: (1, ws))
         return exact_apply(inputs, doubled.product)
 
     return agree(bars, lambda bar: exact_apply(structure.product(bar.letters), coproduct),
@@ -559,9 +557,7 @@ def sym_extension(phi):
     """Symmetrization of the first component, on algebra words."""
 
     def on_word(word):
-        factors = [phi.component((g,)) for g in word.letters]
-        return exact_sum([(vector_product([f.terms for f in factors], sym_word), 1,
-                           math.prod(f.den for f in factors))])
+        return vector_product([phi.component((g,)) for g in word.letters], sym_word)
 
     return on_word
 

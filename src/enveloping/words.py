@@ -13,7 +13,7 @@ import itertools
 import math
 from operator import itemgetter
 
-from .exactlin import BAR, COBAR, Word, axpy, compositions, s_power_sign, sym_word
+from .exactlin import BAR, COBAR, Word, axpy, compositions, exact_sum, s_power_sign, sym_word
 
 
 def sym_words(gens, weight):
@@ -121,12 +121,12 @@ _word, _coeff = itemgetter(0), itemgetter(1)
 
 
 def vector_product(factors, combine):
-    """Product of term dictionaries, combine(tuple_of_words) -> (coeff, key),
-    as a term dictionary: the one multilinear expansion of the package.  Its
-    coefficients are integers where the factors' and combine's are."""
+    """Product of ``Vector``s, combine(tuple_of_words) -> (integer coeff,
+    key), as a ``Vector`` over the product of the factors' dens: the one
+    multilinear expansion of the package."""
     out = {}
-    for picks in itertools.product(*[f.items() for f in factors]):
+    for picks in itertools.product(*[f.terms.items() for f in factors]):
         c2, key = combine(tuple(map(_word, picks)))
         if key is not None and c2:
             axpy(out, {key: math.prod(map(_coeff, picks), start=c2)})
-    return out
+    return exact_sum([(out, 1, math.prod(f.den for f in factors))])

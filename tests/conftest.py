@@ -272,8 +272,7 @@ def t_complex(T):
 def induced_algebra_map(phi):
     """Functorial cobar map of a degree-0 chain map given on generators.
 
-    ``phi``: maps an unsuspended generator to an integer term dict over
-    target generators.
+    ``phi``: maps an unsuspended generator to a Vector over target generators.
     """
 
     def on_letter(letter):
@@ -283,9 +282,9 @@ def induced_algebra_map(phi):
         )
 
     def on_cobar(x):
-        return Vector(vector_product(
+        return vector_product(
             [on_letter(letter) for letter in x.letters], lambda ws: (1, Word(COBAR, ws))
-        ))
+        )
 
     return on_cobar
 

@@ -160,10 +160,10 @@ def test_criterion_02_cobar_contraction():
 
     def phi(g):
         if g == v0:
-            return {p0: a}
+            return Vector({p0: a})
         if g == v1:
-            return {p1: a}  # chain map: same factor along d
-        return {}
+            return Vector({p1: a})  # chain map: same factor along d
+        return Vector({})
 
     amap = induced_algebra_map(phi)
     for rank in range(1, 5):

@@ -573,11 +573,10 @@ def reference_lifted_homotopy(letter_gf, letter_h):
         left = 0
         for t, x in enumerate(b.letters):
             sign = -1 if left % 2 == 0 else 1  # includes the -s h s^{-1} sign
-            factors = [fractions_of(letter_gf(y)) for y in b.letters[:t]]
-            factors.append(fractions_of(letter_h(x)))
-            factors.extend({y: 1} for y in b.letters[t + 1 :])
-            product = vector_product(factors, lambda ws: (1, Word(BAR, ws)))
-            out.append(scaled(vector_of(product), sign))
+            factors = [letter_gf(y) for y in b.letters[:t]]
+            factors.append(letter_h(x))
+            factors.extend(Vector({y: 1}) for y in b.letters[t + 1 :])
+            out.append(scaled(vector_product(factors, lambda ws: (1, Word(BAR, ws))), sign))
             left += x.degree - 1
         return vector_sum(*out)
 

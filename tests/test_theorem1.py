@@ -157,7 +157,7 @@ def test_functoriality_square(name):
 
     def phi(g):
         image = table.get(g.id, {g.id: 1})
-        return {V.by_id[h]: c for h, c in image.items()}
+        return Vector({V.by_id[h]: c for h, c in image.items()})
 
     amap = induced_algebra_map(phi)
     sgens = tuple(g.shifted(-1) for g in V.generators)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from enveloping.bgg import roundtrip_fg_check
 from enveloping.cli import BUNDLED, main
 from enveloping import hpt
-from enveloping.exactlin import (BAR, SYMMETRIC, Word, compositions, consecutive_blocks,
+from enveloping.exactlin import (BAR, SYMMETRIC, Vector, Word, compositions, consecutive_blocks,
                                  exact_apply, exact_sum, memo_op)
 from enveloping.hpt import Transfer
 from enveloping.linfty import CECoalgebra, adjoint_module, dg_vector_space
@@ -142,12 +142,9 @@ def coalgebra_map(component):
         words = bar.letters
         parts = []
         for sizes in compositions(len(words)):
-            factors, den = [], 1
-            for block in consecutive_blocks(words, sizes):
-                terms, d = component(block)
-                factors.append(terms)
-                den *= d
-            parts.append((vector_product(factors, lambda ws: (1, Word(BAR, ws))), 1, den))
+            terms, den = vector_product(list(map(component, consecutive_blocks(words, sizes))),
+                                        lambda ws: (1, Word(BAR, ws)))
+            parts.append((terms, 1, den))
         return exact_sum(parts)
 
     return on_bar
@@ -157,8 +154,8 @@ def product(left, right, combine, sign=1):
     """The product of two exact pairs under the ``vector_product`` combine
     ``combine``, with a sign, as a part (terms, sign, den) of
     ``exact_sum``."""
-    (a, da), (b, db) = left, right
-    return vector_product([a, b], combine), sign, da * db
+    terms, den = vector_product([left, right], combine)
+    return terms, sign, den
 
 
 def t2(left, right, sign=1):
@@ -196,7 +193,7 @@ class BarTree:
         self.h = memo_op(self.h)
 
     def psi(self, xs):
-        parts = [t2(self.q(xs[:-1]), ({xs[-1]: 1}, 1))]
+        parts = [t2(self.q(xs[:-1]), Vector({xs[-1]: 1}))]
         left = 0
         for k in range(1, len(xs)):
             left += xs[k - 1].degree
