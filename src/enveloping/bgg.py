@@ -12,7 +12,7 @@ backward one genuinely uses the homotopy killing one-letter cobar words.
 from __future__ import annotations
 
 from .exactlin import (CheckResult, FiniteComplex, Vector, agree, conjugation_sign, exact_apply,
-                       exact_sum, memo_method, square_zero, sym_word)
+                       exact_sum, memo_method, square_zero, sym_word, vector_sum)
 from .linfty import LInftyModule
 from .uea import caps_suffice
 from .words import sym_words, vector_product
@@ -49,9 +49,8 @@ def generalized_cochain_check(structure):
     C = structure.transfer.Cfull
 
     def lhs(word):
-        dc = exact_apply(C.delta(word), tau_value)
-        da = exact_apply(tau_value(word), structure.m1)
-        return exact_sum([(dc.terms, 1, dc.den), (da.terms, 1, da.den)])
+        return vector_sum(exact_apply(C.delta(word), tau_value),
+                          exact_apply(tau_value(word), structure.m1))
 
     return agree(C.all_words(), lhs, lambda word: tau_products(structure, word),
                  "twisted cochain equation fails")

@@ -476,6 +476,11 @@ def exact_sum(parts):
     return Vector(out, den)
 
 
+def vector_sum(*vectors):
+    """The sum of ``Vector``s, as one ``Vector``."""
+    return exact_sum([(terms, 1, den) for terms, den in vectors])
+
+
 def exact_apply(vector, op):
     """The linear extension of a map ``op``, basis key -> ``Vector``, to a
     ``Vector``."""
@@ -564,9 +569,9 @@ class Contraction:
                 return CheckResult(False, w, "G chain map")
         for w in big_words:
             f, h, d = F(w), H(w), d_big(w)
-            (gf, a), (dh, b) = exact_apply(f, G), exact_apply(h, d_big)
-            hd, c = exact_apply(d, H)
-            if exact_sum([({w: 1}, 1, 1), (gf, -1, a)]) != exact_sum([(dh, 1, b), (hd, 1, c)]):
+            # 1 - GF = dH + Hd
+            gf_dh_hd = vector_sum(exact_apply(f, G), exact_apply(h, d_big), exact_apply(d, H))
+            if gf_dh_hd != Vector({w: 1}):
                 return CheckResult(False, w, "homotopy identity")
             if exact_apply(h, F) != zero:
                 return CheckResult(False, w, "FH")

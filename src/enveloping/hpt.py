@@ -33,6 +33,7 @@ from .exactlin import (
     memo_op,
     memo_recursion,
     sym_word,
+    vector_sum,
 )
 from .linfty import CECoalgebra
 from .permutahedra import cobar_f, cobar_g, cobar_gf, cobar_h
@@ -277,17 +278,12 @@ def bpl(con, t, h_t=None):
         return lambda w: exact_apply(op(w), P)
 
     def d_big_t(w):
-        return _plus(con.d_big(w), t(w))
+        return vector_sum(con.d_big(w), t(w))
 
     def d_small_t(w):
-        return _plus(con.d_small(w), exact_apply(exact_apply(con.G(w), t), F_t))
+        return vector_sum(con.d_small(w), exact_apply(exact_apply(con.G(w), t), F_t))
 
     return Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
-
-
-def _plus(u, v):
-    """The sum of two ``Vector``s."""
-    return exact_sum([(u.terms, 1, u.den), (v.terms, 1, v.den)])
 
 
 class Transfer:
@@ -350,9 +346,8 @@ class Transfer:
     def split(self, words):
         """B of n >= 2 symmetric words, as cobar words."""
         phi = self.phi
-        products = [vector_product([phi(words[:k]), phi(words[k:])], _t2)
-                    for k in range(1, len(words))]
-        return exact_sum([(p.terms, 1, p.den) for p in products])
+        return vector_sum(*(vector_product([phi(words[:k]), phi(words[k:])], _t2)
+                            for k in range(1, len(words))))
 
     def split_product(self, words):
         """f(B) on two symmetric words u and v: ``tree_product`` where
