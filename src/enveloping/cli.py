@@ -152,8 +152,8 @@ def cmd_validate(args):
 
 
 # the largest permutahedron contraction that a run may build: the largest
-# rank whose homotopy is stored (``permutahedra.HOMOTOPY_CRC32``)
-MAX_CONTRACTION_RANK = 6
+# rank whose homotopy is stored
+MAX_CONTRACTION_RANK = max(permutahedra.HOMOTOPY_CRC32)
 
 
 def _refuse_large_contraction(rank, cap):

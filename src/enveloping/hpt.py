@@ -3,9 +3,9 @@ k-ary components, the lifted tensor contraction, the basic perturbation
 lemma and the tree form of the transfer.
 
 ``bpl`` perturbs a contraction through two memoized series of one
-recursion X(w) = A(w) - X(K w): P = sum (-Ht)^k, with G_t = P G and
-H_t = P H, and F_t = F sum (-tH)^k, the lemma's F (1 + tH)^-1 (Crainic,
-arXiv math/0403266), whose memo holds F's images only.  The transfer
+recursion X(w) = A(w) - X(K w): P = sum (-Ht)^k, with H_t = P H and
+G_t = G - H_t t G, and F_t = F sum (-tH)^k, the lemma's F (1 + tH)^-1
+(Crainic, arXiv math/0403266), whose memo holds F's images only.  The transfer
 perturbs two contractions that share one letter contraction: the letter
 contraction of the cobar algebra by the higher brackets t_omega, which the
 products read (``Transfer.letters``, the tree form), and its lift to bar
@@ -252,38 +252,45 @@ def default_budget(word):
 
 
 def bpl(con, t, h_t=None):
-    """Basic perturbation lemma: the perturbed contraction of ``con`` by t.
+    """Basic perturbation lemma: the perturbed contraction of ``con`` by t,
+    in its standard form (Crainic, arXiv math/0403266).
 
-    With P = sum (-Ht)^k, the series of ``perturbation_series``, G_t = P G,
-    H_t = P H and d_small_t = d_small + F t P G.  Since
-    t sum (-Ht)^k = sum (-tH)^k t, F_t = F - F t P H is F sum (-tH)^k,
-    that is F (1 + tH)^-1, the series F_t(w) = F(w) - F_t(tH w), whose memo
-    holds F's images only, and d_small_t = d_small + F_t t G, which reads
-    no map of the perturbed contraction: where t kills the image of G, as on
-    the letters, it adds nothing.  The series terminate because every
-    perturbation strictly decreases rank or bar length, which are bounded
-    below.  t is memoized once.
+    With P = sum (-Ht)^k, the series of ``perturbation_series``, H_t = P H,
+    G_t = G - H_t t G and d_small_t = d_small + F_t t G, where F_t is
+    F sum (-tH)^k, that is F (1 + tH)^-1: the series F_t(w) = F(w) -
+    F_t(tH w), whose memo holds F's images only.  G_t and d_small_t read one
+    t G, memoized per word; where it is zero, as on the letters, G_t(w) is
+    G(w) itself and d_small_t(w) adds nothing, and P runs only on the words
+    that H t G reaches.  The series terminate because every perturbation
+    strictly decreases rank or bar length, which are bounded below.  t is
+    memoized once.
 
     F_t's step t H(w) reads H through ``h_t``, by default H itself: a map
     that agrees with H wherever t is nonzero, so that it may drop the terms
     of H(w) that t kills; nothing else reads ``h_t``.
     """
-    F, H = con.F, con.H
+    F, G, H = con.F, con.G, con.H
     h_t = h_t or H
     t = memo_op(t)
     P = perturbation_series(t, H, default_budget)
     F_t = _series(F, lambda w: exact_apply(h_t(w), t), default_budget)
+    H_t = memo_op(lambda w: exact_apply(H(w), P))
+    tG = memo_op(lambda w: exact_apply(G(w), t))
 
-    def then_P(op):
-        return lambda w: exact_apply(op(w), P)
+    def G_t(w):
+        g, tg = G(w), tG(w)
+        if not tg:
+            return g
+        terms, den = exact_apply(tg, H_t)
+        return exact_sum([(g.terms, 1, g.den), (terms, -1, den)])
 
     def d_big_t(w):
         return vector_sum(con.d_big(w), t(w))
 
     def d_small_t(w):
-        return vector_sum(con.d_small(w), exact_apply(exact_apply(con.G(w), t), F_t))
+        return vector_sum(con.d_small(w), exact_apply(tG(w), F_t))
 
-    return Contraction(F_t, then_P(con.G), then_P(H), d_big_t, d_small_t)
+    return Contraction(F_t, G_t, H_t, d_big_t, d_small_t)
 
 
 class Transfer:
@@ -303,8 +310,9 @@ class Transfer:
     (Markl, arXiv math/0401007; Loday-Vallette, Algebraic Operads, 10.3).
     On a one-letter bar word t is t_1[x] = -[t_omega x] and the lifted
     homotopy H[x] = -[h x], so the series of ``con`` on [x] is [P x] with
-    P = sum (-h t_omega)^k, the series of ``letters``.  So, on cobar words,
-        Phi(u) = G_t(u) = P g(u) = g(u),
+    P = sum (-h t_omega)^k, the series of ``letters``.  t_omega kills every
+    letter of g(u), one desuspended generator each, so, on cobar words,
+        Phi(u) = G_t(u) = g(u) - H_t t_omega g(u) = g(u),
         B(u_1..u_n) = sum_k t_2(Phi(u_1..u_k), Phi(u_k+1..u_n)),
         Phi(u_1..u_n) = H_t(B) = P h B  for n >= 2,
     with t_2(x, y) = (-1)^|x| xy, and the one-letter part of F t G_t on
@@ -329,9 +337,6 @@ class Transfer:
         # letters C2.delta all kill: F_t's step reads h on the others alone
         live = memo_op(lambda letter: bool(C2.delta(letter)))
         self.letters = bpl(letter, t_omega, lambda x: cobar_h(x, live))
-        # t_omega kills every letter of g(u), one desuspended generator each,
-        # so the series P g(u) is g(u): the letters read the unperturbed g
-        self.letters.G = letter.G
         self.con0 = lift_contraction(letter, cobar_gf)
         self.con = bpl(self.con0, self.t)
 

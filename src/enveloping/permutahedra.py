@@ -48,6 +48,7 @@ from .exactlin import (
     exact_apply,
     exact_sum,
     koszul_sign,
+    memo_method,
     perm_parity,
     set_partitions,
     sym_word,
@@ -180,10 +181,7 @@ class FaceIndex:
                 for x in b:
                     blocks[x - 1] = k
             self._blocks.append(tuple(blocks))
-        # keyed as transport's itemgetter reads a block vector: as a tuple,
-        # or at n = 1 as its one entry
-        identity = itemgetter(*range(n))
-        self._by_blocks = by_blocks = {identity(b): i for i, b in enumerate(self._blocks)}
+        self._by_blocks = by_blocks = {b: i for i, b in enumerate(self._blocks)}
         self.boundary = []  # face number -> its boundary, an integer chain
         self.nu = []  # face number -> (sign, number of its image)
         self.rep = []  # face number -> number of its representative
@@ -202,7 +200,7 @@ class FaceIndex:
             sizes = tuple(len(block) for block in f.blocks)
             self.boundary.append(self._boundary(f.blocks, b, splits))
             last = len(sizes) - 1  # nu numbers block k as last - k
-            self.nu.append((_nu_sign(n, sizes), by_blocks[identity(tuple(last - k for k in b))]))
+            self.nu.append((_nu_sign(n, sizes), by_blocks[tuple(last - k for k in b)]))
             if sizes not in reps:
                 reps[sizes] = index[standard_face(n, sizes)]
             self.rep.append(reps[sizes])
@@ -246,7 +244,7 @@ class FaceIndex:
         """out += c sigma(col), term by term, for sigma given by ``_action``."""
         inverse, inversions = action
         by_blocks, blocks, pairs = self._by_blocks, self._blocks, self._pairs
-        image_of = itemgetter(*inverse)  # b -> b o sigma^-1
+        image_of = _picker(inverse)  # b -> b o sigma^-1
         negated = -c
         for g, cg in col.items():
             image = by_blocks[image_of(blocks[g])]
@@ -257,14 +255,14 @@ class FaceIndex:
             else:
                 del out[image]
 
-    def extend(self, columns, vec):
-        """Apply an equivariant map, known by its ``columns`` on the orbit
+    def extend(self, column, vec):
+        """Apply an equivariant map, known by its ``column`` map on the orbit
         representatives of the faces of ``vec``, to a chain.  A face off its
         representative takes sigma of the representative's column."""
         out = {}
         for f, c in vec.items():
             rep = self.rep[f]
-            col = columns[rep]
+            col = column(rep)
             if f == rep:
                 axpy(out, col, c)
             else:
@@ -463,7 +461,8 @@ class HomotopyColumns:
         once and stored."""
         col = self.columns.get(face)
         if col is None:
-            col = self.columns[face] = Vector(self.faces.extend(self._stored, {face: 1}))
+            col = self.faces.extend(self._stored.__getitem__, {face: 1})
+            col = self.columns[face] = Vector(col)
         return col
 
 
@@ -526,19 +525,8 @@ class HomotopySolve:
         self.raw = {}
         for f, col in _solve_homotopy(faces).items():
             self.raw.setdefault(faces.rep[f], []).append((f, col))
-        self._symmetrized = {}  # representative -> N^2 A column
-        self._projected = {}  # representative -> 2N^2 H' column
 
-    def _extend(self, memo, build, vec):
-        """``FaceIndex.extend`` of the map that ``build`` gives on the
-        representatives, each built once into ``memo`` in the order the
-        faces of ``vec`` reach it."""
-        for f in vec:
-            rep = self.faces.rep[f]
-            if rep not in memo:
-                memo[rep] = build(rep)
-        return self.faces.extend(memo, vec)
-
+    @memo_method
     def _symmetrize(self, rep):
         """N^2 A(rep), A(rep) = 1/n! sum over sigma in S_n of sigma Hraw(sigma^-1 rep).
 
@@ -565,6 +553,7 @@ class HomotopySolve:
                 faces.transport(out, _action(h), orbit_sum, sign)
         return out
 
+    @memo_method
     def _project(self, rep):
         """2N^2 H'(rep), H' = (1 - GF) Havg (1 - GF), Havg = (A + nu A nu) / 2.
 
@@ -581,18 +570,19 @@ class HomotopySolve:
                 axpy(vertex_sum, col)
             if vertex_sum:
                 raise RuntimeError("raw homotopy does not kill the vertex average")
-        y = self._extend(self._symmetrized, self._symmetrize, {rep: 1})
+        symmetrize = self._symmetrize
+        y = faces.extend(symmetrize, {rep: 1})
         sign, image = faces.nu[rep]
-        reflected = self._extend(self._symmetrized, self._symmetrize, {image: sign})
+        reflected = faces.extend(symmetrize, {image: sign})
         axpy(y, {faces.nu[g][1]: faces.nu[g][0] * c for g, c in reflected.items()})
         return y
 
     def repair(self, rep):
         """(2N^2)^2 H''(rep), H'' = H' d H': the stored column of the
         representative ``rep``."""
-        faces = self.faces
-        once = self._extend(self._projected, self._project, {rep: 1})
-        return self._extend(self._projected, self._project, _apply(once, faces.boundary))
+        faces, project = self.faces, self._project
+        once = faces.extend(project, {rep: 1})
+        return faces.extend(project, _apply(once, faces.boundary))
 
 
 def _solve_homotopy(faces):

@@ -91,34 +91,30 @@ class AInftyStructure:
         self.transfer = transfer or Transfer(algebra, weight_cap)
         self._tables = {}
         self._bar_words = None
-        # sorted multiset of generators -> excesses of the live nonempty
-        # move sequences from it
-        self._excesses = {}
         # the moves: (bracket key, its value's generators, excess)
         self._moves = [(key, tuple(value.terms), k - 2)
                        for k, table in sorted(algebra.brackets.items()) if k >= 2
                        for key, value in table.items()]
 
+    @memo_method
     def excesses(self, gens):
         """The total excesses of the nonempty sequences of moves that lead
-        from the sorted multiset ``gens`` to a live one, memoized."""
-        out = self._excesses.get(gens)
-        if out is None:
-            out = set()
-            for key, targets, excess in self._moves:
-                rest = list(gens)
-                try:
-                    for g in key:
-                        rest.remove(g)
-                except ValueError:
-                    continue
-                for target in targets:
-                    after = tuple(sorted(rest + [target]))
-                    if live(after):
-                        out.add(excess)
-                    out.update(excess + e for e in self.excesses(after))
-            self._excesses[gens] = out = frozenset(out)
-        return out
+        from the sorted multiset ``gens`` to a live one."""
+        excesses = self.excesses
+        out = set()
+        for key, targets, excess in self._moves:
+            rest = list(gens)
+            try:
+                for g in key:
+                    rest.remove(g)
+            except ValueError:
+                continue
+            for target in targets:
+                after = tuple(sorted(rest + [target]))
+                if live(after):
+                    out.add(excess)
+                out.update(excess + e for e in excesses(after))
+        return frozenset(out)
 
     def product(self, words):
         """m_n on a tuple of symmetric words (each of weight >= 1)."""

@@ -24,7 +24,9 @@ a method fills, are held to a short allowlist.
 No map closes a reference cycle through its owner or itself, so that a
 run's state is freed by reference counting: no ``x.name = memo_op(x.name)``
 (a memoized method is an ``exactlin.memo_method``), and no nested function
-or lambda that calls itself by name.
+or lambda that calls itself by name.  A per-instance memo filled by hand,
+``self.X[key] = ...`` outside ``__init__``, is held to an allowlist, and no
+map of a built contraction is assigned after it is built.
 """
 
 import ast
@@ -338,3 +340,60 @@ def test_no_map_closes_a_cycle():
                     cycles.add("%s:%d %s memoized on its owner"
                                % (path.stem, node.lineno, ast.unparse(arg)))
     assert sorted(cycles) == []
+
+
+CONTRACTION_MAPS = {"F", "G", "H", "d_big", "d_small"}
+
+
+def test_no_map_of_a_built_contraction_is_replaced():
+    # a contraction's maps are the ones it was built with: no ``x.y.G = ...``
+    # patches one after the fact
+    patched = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            patched += ["%s:%d %s" % (path.stem, node.lineno, ast.unparse(target))
+                        for target in targets
+                        if isinstance(target, ast.Attribute) and target.attr in CONTRACTION_MAPS
+                        and isinstance(target.value, ast.Attribute)]
+    assert patched == []
+
+
+# the instance dicts that a method other than ``__init__`` fills through
+# ``self.X[key] = ...``, with the reason each is not a ``memo_method``
+HAND_FILLED = {
+    "exactlin.Echelon.pivots": "the reduction's pivot rows, not a memo",
+    "permutahedra.HomotopyColumns.columns": "the tracer reads the built columns by name",
+    "permutahedra.PermutahedronContraction._plans":
+        "keyed by the shape that cobar_homotopy derives from its word",
+    "permutahedra.PermutahedronContraction._pickers":
+        "keyed by the block indices that _compile_plan derives from a face",
+    "uea.AInftyStructure._tables": "the tracer reads the product tables by name",
+}
+
+
+def test_hand_filled_instance_dicts_are_the_allowlist():
+    # a one-argument memo of a method is a ``memo_method``; a class-body
+    # table (``Word._table``) is a process-global cache, held to its own list
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            class_names = {target.id for node in cls.body if isinstance(node, ast.Assign)
+                           for target in node.targets if isinstance(target, ast.Name)}
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.args.args
+                        and fn.name != "__init__"):
+                    continue
+                first = fn.args.args[0].arg
+                for node in ast.walk(fn):
+                    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)):
+                        continue
+                    target = node.value
+                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                            and target.value.id == first and target.attr not in class_names):
+                        found.add("%s.%s.%s" % (path.stem, cls.name, target.attr))
+    assert found == set(HAND_FILLED)

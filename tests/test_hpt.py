@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from enveloping import hpt
 from enveloping.cli import BUNDLED
 from enveloping.exactlin import (
     BAR,
@@ -373,8 +374,8 @@ def test_projected_series_matches_unrolled_series(algebra):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_the_letters_perturbed_inclusion_is_g(name):
     # t_omega kills every letter of g(u), one desuspended generator each, so
-    # the letters' series P g(u) is g(u) as an exact pair, on every
-    # symmetric word of weight <= 4; the transfer reads g itself
+    # the letters' G_t(u) = g(u) - H_t t_omega g(u) is g(u) as an exact
+    # pair, on every symmetric word of weight <= 4
     algebra = bundled(name)
     T = Transfer(algebra, 4)
     P_g = bpl(cobar_contraction(T.C1), bracket_letter_differential(T)).G
@@ -382,6 +383,35 @@ def test_the_letters_perturbed_inclusion_is_g(name):
         for u in sym_words(algebra.generators, weight):
             assert P_g(u) == cobar_g(u), u
             assert T.letters.G(u) == cobar_g(u), u
+
+
+def test_the_bar_series_runs_only_where_H_t_G_reaches(monkeypatch):
+    # G_t = G - H_t t G: the bar-level series P runs on the words of H(y)
+    # for y in the support of t G(bar), not on every word of G(bar)
+    series, seen = hpt.perturbation_series, []
+
+    def recording(t, H, budget):
+        P = series(t, H, budget)
+        words = []
+        seen.append(words)
+
+        def recorded(word):
+            words.append(word)
+            return P(word)
+
+        return recorded
+
+    monkeypatch.setattr(hpt, "perturbation_series", recording)
+    algebra = bundled("sl2")
+    T = Transfer(algebra, 3)
+    assert len(seen) == 2  # the letters' series, then the bar-level one
+    reached = set()
+    for bar in bar_words_algebra(algebra.generators, 3, 3):
+        T.con.G(bar)
+        for y in exact_apply(T.con0.G(bar), T.t).terms:
+            reached.update(T.con0.H(y).terms)
+    assert seen[1]
+    assert set(seen[1]) <= reached
 
 
 @pytest.mark.parametrize(

@@ -235,7 +235,7 @@ class BarTree:
 @pytest.mark.parametrize("name", BUNDLED + ("dg_lie",))
 def test_inclusion_from_phi_is_the_perturbed_inclusion(name, caps):
     # G_t as the coalgebra map with the one-letter components Phi, against
-    # the bar-level series P G, as exact pairs on every bar word
+    # the bar-level G_t = G - H_t t G, as exact pairs on every bar word
     arity_cap, weight_cap = caps
     algebra = algebra_of(name)
     transfer = Transfer(algebra, weight_cap)
