@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import bgg, hpt, linfty, permutahedra, tableaux, uea, words
 from .exactlin import CheckResult, Generator, Vector, agree, exact_apply, memo_op, square_zero
@@ -86,7 +87,7 @@ class Report:
         if payload:
             data.update(payload)
         if fmt == JSON:
-            print(json.dumps(data, indent=2))
+            print(indented_json(data, ""))
             return
         print("command: %s" % self.command)
         for key, value in self.config.items():
@@ -101,6 +102,33 @@ class Report:
             if "detail" in c:
                 print("      detail: %s" % (c["detail"],))
         print("result: %s" % ("pass" if self.ok else "fail"))
+
+
+def indented_json(value, margin):
+    """The JSON text of ``value``, nested at ``margin``, byte for byte as
+    the standard library's ``json.dumps`` writes it with an indent of 2.
+    That encoder falls back to pure Python whenever it indents, with a call
+    and a chunk for every token; this builds one string per container,
+    escapes strings and keys with the standard library's C
+    ``encode_basestring_ascii`` and writes ints with ``repr``.  Keys are
+    strings, or scalars that ``json.dumps`` writes."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [encode_basestring_ascii(k if type(k) is str else json.dumps(k)) + ": "
+                 + indented_json(v, inner) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        items = [indented_json(v, inner) for v in value]
+    else:  # floats, booleans and null
+        return json.dumps(value)
+    if not items:
+        return opening + closing
+    return "%s\n%s%s\n%s%s" % (opening, inner, (",\n" + inner).join(items), margin, closing)
 
 
 def _serialize(obj):

@@ -241,12 +241,20 @@ class Word:
         return [x.serialize() for x in self.letters]
 
 
+def live(letters):
+    """Whether sorted letters repeat no odd one: whether their symmetric
+    word is nonzero."""
+    for a, b in zip(letters, letters[1:]):
+        if a == b and a.degree % 2:
+            return False
+    return True
+
+
 def sym_word(letters):
     """Canonicalize a symmetric word: returns (sign, word) or (0, None)."""
     sign, sorted_letters = merge_sign(letters)
-    for a, b in zip(sorted_letters, sorted_letters[1:]):
-        if a == b and a.degree % 2:
-            return 0, None
+    if not live(sorted_letters):
+        return 0, None
     return sign, Word(SYMMETRIC, sorted_letters)
 
 

@@ -152,6 +152,10 @@ def suspended_lookup(tables, letters, sign_rule):
 class CECoalgebra:
     """Weight-truncated symmetric coalgebra of the suspension, with the
     coderivation induced by the brackets (optionally an arity range of them).
+
+    The brackets in that range are held once more, by their suspended keys:
+    each value is suspended and signed by ``conjugation_sign``, the
+    ``suspended_lookup`` of its key.
     """
 
     def __init__(self, algebra, weight_cap, min_arity=1, max_arity=None):
@@ -162,6 +166,10 @@ class CECoalgebra:
         self.min_arity = min_arity
         self.max_arity = max_arity
         self.sgens = tuple(g.shifted(-1) for g in algebra.generators)
+        keys = (tuple(g.shifted(-1) for g in key) for k, table in algebra.brackets.items()
+                if min_arity <= k and (max_arity is None or k <= max_arity) for key in table)
+        self._brackets = {letters: suspended_lookup(algebra.brackets, letters, conjugation_sign)
+                          for letters in keys}
 
     def words(self, weight):
         return sym_words(self.sgens, weight)
@@ -172,26 +180,31 @@ class CECoalgebra:
 
     @memo_method
     def delta(self, word):
-        """Coderivation on a symmetric word (sum over letter subsets)."""
+        """Coderivation on a symmetric word: the sum over its letter
+        subsets that are bracket keys.  The letters are sorted, so each
+        subset is looked up as it stands, and the Koszul sign of the
+        unshuffle and the image are computed on a hit only."""
         letters = word.letters
         n = len(letters)
+        brackets = self._brackets
+        degrees = [g.degree for g in letters]
         parts = []
         max_k = n if self.max_arity is None else min(n, self.max_arity)
-        for inside, outside, sign in unshuffles(
-            [g.degree for g in letters], range(self.min_arity, max_k + 1)
-        ):
-            terms, den = suspended_lookup(self.algebra.brackets,
-                                          tuple(letters[i] for i in inside), conjugation_sign)
-            if not terms:
-                continue
-            rest = [letters[i] for i in outside]
-            # distinct generators give distinct words
-            image = {}
-            for gen, coeff in terms.items():
-                s2, w2 = sym_word([gen] + rest)
-                if w2 is not None:
-                    image[w2] = coeff * s2
-            parts.append((image, sign, den))
+        for size in range(self.min_arity, max_k + 1):
+            for inside, key in zip(itertools.combinations(range(n), size),
+                                   itertools.combinations(letters, size)):
+                value = brackets.get(key)
+                if value is None:
+                    continue
+                outside = tuple(i for i in range(n) if i not in inside)
+                rest = [letters[i] for i in outside]
+                # distinct generators give distinct words
+                image = {}
+                for gen, coeff in value.terms.items():
+                    s2, w2 = sym_word([gen] + rest)
+                    if w2 is not None:
+                        image[w2] = coeff * s2
+                parts.append((image, koszul_sign(inside + outside, degrees), value.den))
         return exact_sum(parts)
 
     @memo_method

@@ -21,6 +21,7 @@ from .exactlin import (
     exact_sum,
     format_scalar,
     koszul_sign,
+    live,
     memo_method,
     memo_op,
     rationals,
@@ -61,6 +62,14 @@ class AInftyStructure:
     B = t_2(Phi(u_1), Phi(u_2)), which is (-1)^|u_1| u_1 u_2: neither B nor
     Phi(u_1 u_2) is built.
 
+    Bracket selection also decides what is enumerated.  ``admits`` states
+    the rule once (m_1 is always admitted), and both ``product`` and
+    ``admitted_words`` read it: the admitted words are enumerated multiset
+    by multiset, so a bar word of length n >= 3 is built only over a
+    multiset whose excesses hold n - 2.  ``export_tables`` and
+    ``stasheff_sums`` walk the admitted words; a check that must see the
+    zero entries walks ``bar_words``.
+
     Proof.  Count the generators that a term holds, over all its letters,
     as a multiset.  On the tree path, g, h and f (the permutahedron
     contraction, letterwise) and t_2 (concatenation) rearrange the
@@ -91,6 +100,7 @@ class AInftyStructure:
         self.transfer = transfer or Transfer(algebra, weight_cap)
         self._tables = {}
         self._bar_words = None
+        self._admitted_words = None
         # the moves: (bracket key, its value's generators, excess)
         self._moves = [(key, tuple(value.terms), k - 2)
                        for k, table in sorted(algebra.brackets.items()) if k >= 2
@@ -131,12 +141,11 @@ class AInftyStructure:
             value = self.transfer.letters.d_small(words[0])
         else:
             gens = tuple(sorted(g for w in words for g in w.letters))
-            if n - 2 in self.excesses(gens):
-                terms, den = self.transfer.tree_product(words)
-            elif n == 2 and live(gens):
-                terms, den = self.transfer.split_product(words)
-            else:
-                terms, den = {}, 1
+            terms, den = {}, 1
+            if self.admits(gens, n):
+                tree = n - 2 in self.excesses(gens)
+                form = self.transfer.tree_product if tree else self.transfer.split_product
+                terms, den = form(words)
             if terms and conjugation_sign([w.degree for w in words]) < 0:
                 terms = {w: -c for w, c in terms.items()}
             value = Vector(terms, den)
@@ -149,12 +158,27 @@ class AInftyStructure:
     def m2(self, u, v):
         return self.product((u, v))
 
+    def admits(self, gens, n):
+        """Bracket selection: whether m_n may be nonzero on the bar words of
+        length n whose generators form the sorted multiset ``gens``."""
+        return n == 1 or n - 2 in self.excesses(gens) or n == 2 and live(gens)
+
     def bar_words(self):
-        """The capped bar words, enumerated once per structure."""
+        """The capped bar words, enumerated once per structure: what a check
+        that must see the zero entries walks."""
         if self._bar_words is None:
             self._bar_words = tuple(bar_words_algebra(
                 self.algebra.generators, self.weight_cap, self.arity_cap))
         return self._bar_words
+
+    def admitted_words(self):
+        """The capped bar words that bracket selection admits, in report
+        order, enumerated once per structure: the product of every other
+        capped bar word is zero."""
+        if self._admitted_words is None:
+            self._admitted_words = tuple(bar_words_algebra(
+                self.algebra.generators, self.weight_cap, self.arity_cap, self.admits))
+        return self._admitted_words
 
     def bar_differential(self, bar):
         """The bar coderivation with the products m_k, k <= arity cap."""
@@ -163,9 +187,10 @@ class AInftyStructure:
         return bar_coderivation(ops)(bar)
 
     def export_tables(self):
-        """Product tables over all cap-bounded inputs, JSON-ready."""
+        """Product tables over all cap-bounded inputs, JSON-ready: the
+        nonzero entries, in report order, read off the admitted words."""
         entries = []
-        for bar in self.bar_words():
+        for bar in self.admitted_words():
             terms, den = self.product(bar.letters)
             if not terms:
                 continue
@@ -194,12 +219,6 @@ def contraction_rank(algebra, arity_cap, weight_cap):
     if any(g.degree % 2 == 0 for g in algebra.generators):
         return weight_cap
     return min(weight_cap, arity_cap * len(algebra.generators))
-
-
-def live(gens):
-    """Whether a sorted multiset of generators repeats no odd one: whether
-    it is the multiset of a nonzero symmetric word."""
-    return all(a != b or a.degree % 2 == 0 for a, b in zip(gens, gens[1:]))
 
 
 def corestriction(vector):
@@ -252,8 +271,8 @@ def stasheff_sums(structure):
     sum +- m(x_1, ..., m_k(x_j, ..., x_j+k-1), ..., x_n), with the signs of
     ``hpt.bar_coderivation``.
 
-    The nonzero table entries are read once and indexed by the words of
-    their output.  A term of the sum composes an outer entry,
+    The nonzero table entries are read once, off the admitted words (every
+    other entry is zero), and indexed by the words of their output.  A term of the sum composes an outer entry,
     one of its slots and an inner entry whose output holds the slot's word;
     the composite is capped exactly when its length and rank, read off the
     two entries, are.
@@ -261,7 +280,7 @@ def stasheff_sums(structure):
     arity_cap, weight_cap = structure.arity_cap, structure.weight_cap
     entries = []  # (inputs, their degrees, rank, terms, den)
     inner = {}  # output word -> [(inputs, rank, signed coefficient, den)]
-    for bar in structure.bar_words():
+    for bar in structure.admitted_words():
         terms, den = structure.product(bar.letters)
         if not terms:
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .exactlin import BAR, COBAR, Word, axpy, compositions, exact_sum, s_power_sign, sym_word
 
@@ -70,10 +70,51 @@ def _extend_bar_words(out, pools, by_rank, prefix, remaining, slots):
             _extend_bar_words(out, pools, by_rank, prefix + (letter,), remaining - r, slots - 1)
 
 
-def bar_words_algebra(gens, rank_cap, length_cap):
-    """Bar words over Sym^{>=1} algebra words (the small side)."""
-    pools = {w: sym_words(gens, w) for w in range(1, rank_cap + 1)}
-    return bar_words(pools, rank_cap, length_cap)
+def bar_words_algebra(gens, rank_cap, length_cap, admits=None):
+    """Bar words over Sym^{>=1} algebra words (the small side), in report
+    order.  Given ``admits``, a predicate on a sorted multiset of generators
+    and a length, only the bar words whose generators form a multiset that
+    it admits at their length: each admitted multiset is split every way
+    into that many symmetric words, and the words of each rank and length
+    are sorted into report order."""
+    if admits is None:
+        pools = {w: sym_words(gens, w) for w in range(1, rank_cap + 1)}
+        return bar_words(pools, rank_cap, length_cap)
+    gens = sorted(gens)
+    letters = sym_words_upto(gens, rank_cap)
+    position = {w: i for i, w in enumerate(letters)}
+    by_counts = {tuple(map(w.letters.count, gens)): w for w in letters}
+    splits = {}
+    out = []
+    for rank in range(1, rank_cap + 1):
+        multisets = list(itertools.combinations_with_replacement(gens, rank))
+        for length in range(1, min(rank, length_cap) + 1):
+            found = [split for multiset in multisets if admits(multiset, length)
+                     for split in _splits(tuple(map(multiset.count, gens)), length,
+                                          by_counts, splits)]
+            found.sort(key=lambda split: tuple(map(position.__getitem__, split)))
+            out.extend(Word(BAR, split) for split in found)
+    return out
+
+
+def _splits(counts, slots, by_counts, memo):
+    """The tuples of ``slots`` nonzero symmetric words whose generators
+    together form the multiset of generator multiplicities ``counts``;
+    ``by_counts`` holds the words by their multiplicities, and ``memo`` the
+    splits found so far by (counts, slots)."""
+    found = memo.get((counts, slots))
+    if found is None:
+        if slots == 1:
+            found = [(by_counts[counts],)] if counts in by_counts else []
+        else:
+            found = []
+            for take in itertools.product(*[range(c + 1) for c in counts]):
+                word = by_counts.get(take)
+                if word is not None:
+                    rest = tuple(map(sub, counts, take))
+                    found += [(word,) + split for split in _splits(rest, slots - 1, by_counts, memo)]
+        memo[counts, slots] = found
+    return found
 
 
 def desuspension_sign(block_degrees):

@@ -132,12 +132,12 @@ COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
 @st.composite
-def complete_intersections(draw):
+def complete_intersections(draw, max_degree=3):
     """A complete intersection on one or two variables with one or two
-    relations of one or two terms of degree 2 or 3, built as the bundled
-    ``ci`` inputs are: valid by construction."""
+    relations of one or two terms of degree 2 to ``max_degree``, built as
+    the bundled ``ci`` inputs are: valid by construction."""
     variables = VARIABLES[: draw(st.integers(1, 2))]
-    monomials = st.lists(st.sampled_from(variables), min_size=2, max_size=3).map(
+    monomials = st.lists(st.sampled_from(variables), min_size=2, max_size=max_degree).map(
         lambda m: tuple(sorted(m)))
     terms = st.lists(st.tuples(st.sampled_from(COEFFS), monomials), min_size=1, max_size=2,
                      unique_by=lambda term: term[1])

@@ -437,6 +437,39 @@ def test_products_json_is_deterministic(capsys):
     assert all("/" in t["coeff"] for t in entry["output"])
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.floats() | st.text(),
+    lambda values: st.lists(values) | st.dictionaries(st.text(), values),
+    max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_the_report_emitter_writes_what_json_dumps_does(value):
+    # nested and empty containers, escaped strings and keys, every scalar
+    assert cli.indented_json(value, "") == json.dumps(value, indent=2)
+
+
+REPORT_COMMANDS = (
+    [["--input", "bundled:%s" % name, "--weight-cap", "3", "validate"] for name in BUNDLED]
+    + [["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3", "products"]
+       for name in BUNDLED]
+    + [["--input", "bundled:%s" % name, "--arity-cap", "3", "--weight-cap", "3", *timings,
+        "check", "--suite", "all"] for name in BUNDLED for timings in ([], ["--timings"])]
+    + [["--n-cap", "4", "permutahedron"], ["--n-cap", "4", "tableaux"],
+       ["--n-cap", "3", "tableaux", "--dim-even", "1", "--dim-odd", "1"]])
+
+
+def test_every_report_is_what_json_dumps_writes(capsys):
+    # the printed report, read back and written by the standard library
+    # with an indent of 2, is the same text
+    for argv in REPORT_COMMANDS:
+        code, out, _ = run(capsys, ["--format", "json", *argv])
+        assert code in (0, 1), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 def test_permutahedron_command(capsys):
     code, out, _ = run(capsys, ["--n-cap", "4", "--format", "json", "permutahedron"])
     assert code == 0

@@ -361,17 +361,36 @@ def test_no_map_of_a_built_contraction_is_replaced():
     assert patched == []
 
 
-# the instance dicts that a method other than ``__init__`` fills through
-# ``self.X[key] = ...``, with the reason each is not a ``memo_method``
+# the instance dicts that a method other than ``__init__`` fills, through
+# ``self.X[key] = ...``, a mutator call or a local name bound to ``self.X``,
+# with the reason each is not a ``memo_method``
 HAND_FILLED = {
     "exactlin.Echelon.pivots": "the reduction's pivot rows, not a memo",
     "permutahedra.HomotopyColumns.columns": "the tracer reads the built columns by name",
+    "permutahedra.PermutahedronContraction._letters":
+        "keyed by a block of generators that cobar_homotopy derives from its word",
     "permutahedra.PermutahedronContraction._plans":
         "keyed by the shape that cobar_homotopy derives from its word",
     "permutahedra.PermutahedronContraction._pickers":
         "keyed by the block indices that _compile_plan derives from a face",
+    "permutahedra.HomotopySolve.raw":
+        "the raw columns by orbit, filled in __init__ and popped as each is averaged",
     "uea.AInftyStructure._tables": "the tracer reads the product tables by name",
 }
+
+
+def _instance_fills(method, owner):
+    """The attributes ``owner.X`` of a method's first parameter that it
+    fills by item assignment or a mutator call (``_mutated_names``),
+    directly or through a local name bound to the attribute."""
+    first = method.args.args[0].arg
+    aliases = {target.id: "%s.%s" % (owner, node.value.attr)
+               for node in ast.walk(method) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute)
+               and isinstance(node.value.value, ast.Name) and node.value.value.id == first
+               for target in node.targets if isinstance(target, ast.Name)}
+    filled = {aliases.get(name, name) for name in _mutated_names(method, owner)}
+    return {name for name in filled if name.startswith(owner + ".")}
 
 
 def test_hand_filled_instance_dicts_are_the_allowlist():
@@ -382,18 +401,12 @@ def test_hand_filled_instance_dicts_are_the_allowlist():
         for cls in ast.walk(ast.parse(path.read_text())):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            class_names = {target.id for node in cls.body if isinstance(node, ast.Assign)
+            class_names = {"%s.%s" % (cls.name, target.id) for node in cls.body
+                           if isinstance(node, ast.Assign)
                            for target in node.targets if isinstance(target, ast.Name)}
             for fn in cls.body:
-                if not (isinstance(fn, ast.FunctionDef) and fn.args.args
+                if (isinstance(fn, ast.FunctionDef) and fn.args.args
                         and fn.name != "__init__"):
-                    continue
-                first = fn.args.args[0].arg
-                for node in ast.walk(fn):
-                    if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)):
-                        continue
-                    target = node.value
-                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
-                            and target.value.id == first and target.attr not in class_names):
-                        found.add("%s.%s.%s" % (path.stem, cls.name, target.attr))
+                    found |= {"%s.%s" % (path.stem, name)
+                              for name in _instance_fills(fn, cls.name) - class_names}
     assert found == set(HAND_FILLED)

@@ -1,9 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from enveloping.cli import BUNDLED
-from enveloping.exactlin import Generator, Vector, axpy, exact_apply, s_power_sign, sym_word
+from enveloping.exactlin import (
+    Generator,
+    Vector,
+    axpy,
+    conjugation_sign,
+    exact_apply,
+    exact_sum,
+    s_power_sign,
+    sym_word,
+    unshuffles,
+)
 from enveloping.hpt import Transfer
 from enveloping.linfty import (
     CECoalgebra,
@@ -22,9 +33,19 @@ from enveloping.linfty import (
     heisenberg,
     identity_morphism,
     module_from_json,
+    suspended_lookup,
 )
 
-from conftest import bundled, fractions_of, scaled, sl2_plus_l3, trivial_module, vector_sum
+from conftest import (
+    bundled,
+    complete_intersections,
+    dg_lie,
+    fractions_of,
+    scaled,
+    sl2_plus_l3,
+    trivial_module,
+    vector_sum,
+)
 
 
 def w(*gens):
@@ -357,3 +378,57 @@ def test_splits_are_the_iterated_reduced_coproducts(name):
         expected = [term for parts in range(1, word.rank + 1)
                     for term in iterated_reduced_coproduct(C, word, parts).terms.items()]
         assert splits == expected, word
+
+
+def unshuffle_delta(C, word):
+    """The coderivation by its definition: every unshuffle of the word's
+    letters into a subset of an arity in C's range and the rest, the subset
+    looked up by ``suspended_lookup``.  The reference for ``C.delta``."""
+    letters = word.letters
+    n = len(letters)
+    max_k = n if C.max_arity is None else min(n, C.max_arity)
+    parts = []
+    for inside, outside, sign in unshuffles(
+        [g.degree for g in letters], range(C.min_arity, max_k + 1)
+    ):
+        terms, den = suspended_lookup(C.algebra.brackets, tuple(letters[i] for i in inside),
+                                      conjugation_sign)
+        if not terms:
+            continue
+        rest = [letters[i] for i in outside]
+        image = {}
+        for gen, coeff in terms.items():
+            s2, w2 = sym_word([gen] + rest)
+            if w2 is not None:
+                image[w2] = coeff * s2
+        parts.append((image, sign, den))
+    return exact_sum(parts)
+
+
+ARITY_RANGES = ({}, {"max_arity": 1}, {"min_arity": 2})
+
+
+def assert_delta_is_the_unshuffle_sum(algebra, weight_cap):
+    # the same terms in the same order, over the same denominator
+    for arities in ARITY_RANGES:
+        C = CECoalgebra(algebra, weight_cap, **arities)
+        for word in C.all_words():
+            terms, den = C.delta(word)
+            expected = unshuffle_delta(C, word)
+            assert (list(terms.items()), den) == (list(expected.terms.items()), expected.den), \
+                (arities, word)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_delta_by_bracket_key_is_the_unshuffle_sum(name):
+    assert_delta_is_the_unshuffle_sum(bundled(name), 4)
+
+
+def test_delta_by_bracket_key_with_a_differential():
+    assert_delta_is_the_unshuffle_sum(dg_lie(), 4)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complete_intersections())
+def test_delta_by_bracket_key_on_complete_intersections(algebra):
+    assert_delta_is_the_unshuffle_sum(algebra, 4)

@@ -5,8 +5,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from enveloping import uea
+from enveloping.cli import BUNDLED
 from enveloping.exactlin import (
     COBAR,
     Generator,
@@ -15,6 +17,7 @@ from enveloping.exactlin import (
     conjugation_sign,
     exact_apply,
     exact_sum,
+    live,
     memo_op,
     square_zero,
 )
@@ -49,7 +52,15 @@ from enveloping.uea import (
 )
 from enveloping.words import cobar_words, vector_product
 
-from conftest import assert_reduced, bundled, dg_lie, scaled, sl2_plus_l3, vector_sum
+from conftest import (
+    assert_reduced,
+    bundled,
+    complete_intersections,
+    dg_lie,
+    scaled,
+    sl2_plus_l3,
+    vector_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +266,34 @@ def test_zero_entries_cost_nothing_past_bracket_selection(monkeypatch, name):
     stasheff_sums(A)
     # each entry's conjugation sign, as an inner and as an outer entry
     assert calls["conjugation_sign"] == 2 * nonzero
+
+
+def assert_admitted_words_are_the_selected_bar_words(structure):
+    # bracket selection as the structure's docstring states it, by the
+    # excesses of the moves: the admitted words in report order, and every
+    # other capped bar word has a zero product, whose tree form is zero too
+    admitted = []
+    for bar in structure.bar_words():
+        n = bar.length
+        gens = tuple(sorted(g for w in bar.letters for g in w.letters))
+        if n == 1 or n - 2 in structure.excesses(gens) or n == 2 and live(gens):
+            admitted.append(bar)
+        else:
+            assert structure.product(bar.letters) == Vector({}), bar
+            assert not structure.transfer.tree_product(bar.letters), bar
+    assert list(structure.admitted_words()) == admitted
+
+
+@pytest.mark.parametrize("caps", [(3, 3), (4, 4)], ids=["3_3", "4_4"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_admitted_words_are_the_selected_bar_words(name, caps):
+    assert_admitted_words_are_the_selected_bar_words(AInftyStructure(bundled(name), *caps))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(complete_intersections(max_degree=4))
+def test_admitted_words_on_complete_intersections(algebra):
+    assert_admitted_words_are_the_selected_bar_words(AInftyStructure(algebra, 4, 4))
 
 
 # one product negated at caps 4/4, its input words as tuples of generator
