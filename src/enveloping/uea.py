@@ -272,10 +272,10 @@ def stasheff_sums(structure):
     ``hpt.bar_coderivation``.
 
     The nonzero table entries are read once, off the admitted words (every
-    other entry is zero), and indexed by the words of their output.  A term of the sum composes an outer entry,
-    one of its slots and an inner entry whose output holds the slot's word;
-    the composite is capped exactly when its length and rank, read off the
-    two entries, are.
+    other entry is zero), and indexed by the words of their output.  A term
+    of the sum composes an outer entry, one of its slots and an inner entry
+    whose output holds the slot's word; the composite is capped exactly
+    when its length and rank, read off the two entries, are.
     """
     arity_cap, weight_cap = structure.arity_cap, structure.weight_cap
     entries = []  # (inputs, their degrees, rank, terms, den)

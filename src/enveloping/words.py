@@ -112,7 +112,8 @@ def _splits(counts, slots, by_counts, memo):
                 word = by_counts.get(take)
                 if word is not None:
                     rest = tuple(map(sub, counts, take))
-                    found += [(word,) + split for split in _splits(rest, slots - 1, by_counts, memo)]
+                    tails = _splits(rest, slots - 1, by_counts, memo)
+                    found += [(word,) + split for split in tails]
         memo[counts, slots] = found
     return found
 
