@@ -103,9 +103,15 @@ def unshuffles(degrees, sizes):
     n = len(degrees)
     for size in sizes:
         for inside in itertools.combinations(range(n), size):
-            chosen = set(inside)
-            outside = tuple(i for i in range(n) if i not in chosen)
-            yield inside, outside, koszul_sign(inside + outside, degrees)
+            yield (inside, *unshuffle(inside, degrees))
+
+
+def unshuffle(inside, degrees):
+    """One unshuffle of graded letters: the increasing positions outside
+    the increasing position tuple ``inside``, and the Koszul sign of moving
+    the inside letters in front of them."""
+    outside = tuple(i for i in range(len(degrees)) if i not in inside)
+    return outside, koszul_sign(inside + outside, degrees)
 
 
 def merge_sign(letters):

@@ -28,6 +28,7 @@ from .exactlin import (
     set_partitions,
     square_zero,
     sym_word,
+    unshuffle,
     unshuffles,
 )
 from .words import sym_words, sym_words_upto, vector_product
@@ -196,7 +197,7 @@ class CECoalgebra:
                 value = brackets.get(key)
                 if value is None:
                     continue
-                outside = tuple(i for i in range(n) if i not in inside)
+                outside, sign = unshuffle(inside, degrees)
                 rest = [letters[i] for i in outside]
                 # distinct generators give distinct words
                 image = {}
@@ -204,7 +205,7 @@ class CECoalgebra:
                     s2, w2 = sym_word([gen] + rest)
                     if w2 is not None:
                         image[w2] = coeff * s2
-                parts.append((image, koszul_sign(inside + outside, degrees), value.den))
+                parts.append((image, sign, value.den))
         return exact_sum(parts)
 
     @memo_method
